@@ -389,20 +389,53 @@ pub fn chaos_plan_regicide(topo: &Topology, cfg: &RuntimeConfig, seed: u64) -> F
 /// converges byte-for-byte.
 pub fn run_chaos_regicide(seed: u64, ft: FtMode) -> Result<ChaosVerdict, RuntimeError> {
     let topo = chaos_topology();
-    let job = chaos_job(seed);
     let cfg = chaos_config(ft);
+    let plan = chaos_plan_regicide(&topo, &cfg, seed);
+    run_twin(&topo, cfg, &chaos_job(seed), plan)
+}
 
-    let mut calm = Cluster::new(&topo, cfg.clone());
-    calm.run(&job)?;
+/// Runs `job` failure-free, then again under `plan` on a fresh cluster,
+/// and pairs the two manifests.
+fn run_twin(
+    topo: &Topology,
+    cfg: RuntimeConfig,
+    job: &Job,
+    plan: FailurePlan,
+) -> Result<ChaosVerdict, RuntimeError> {
+    let mut calm = Cluster::new(topo, cfg.clone());
+    calm.run(job)?;
     let baseline = calm.output_manifest();
 
-    let plan = chaos_plan_regicide(&topo, &cfg, seed);
-    let mut stormy = Cluster::new(&topo, cfg);
-    let stats = stormy.run_with_failures(&job, &plan)?;
+    let mut stormy = Cluster::new(topo, cfg);
+    let stats = stormy.run_with_failures(job, &plan)?;
     let chaotic = stormy.output_manifest();
 
     Ok(ChaosVerdict {
         plan,
+        stats,
+        baseline,
+        chaotic,
+    })
+}
+
+/// [`run_twin`] for staggered multi-job workloads.
+fn run_multi_twin(
+    topo: &Topology,
+    cfg: RuntimeConfig,
+    jobs: &[(Job, SimTime)],
+    plan: FailurePlan,
+) -> Result<MultiChaosVerdict, RuntimeError> {
+    let mut calm = Cluster::new(topo, cfg.clone());
+    calm.run_jobs(jobs, &FailurePlan::none())?;
+    let baseline = calm.output_manifest();
+
+    let mut stormy = Cluster::new(topo, cfg);
+    let (per_job, stats) = stormy.run_jobs(jobs, &plan)?;
+    let chaotic = stormy.output_manifest();
+
+    Ok(MultiChaosVerdict {
+        plan,
+        per_job,
         stats,
         baseline,
         chaotic,
@@ -420,23 +453,7 @@ pub fn run_chaos_multi_scaled(
     cfg: RuntimeConfig,
 ) -> Result<MultiChaosVerdict, RuntimeError> {
     let jobs = chaos_jobs_scaled(seed, n_jobs);
-
-    let mut calm = Cluster::new(topo, cfg.clone());
-    calm.run_jobs(&jobs, &FailurePlan::none())?;
-    let baseline = calm.output_manifest();
-
-    let plan = chaos_plan(topo, seed);
-    let mut stormy = Cluster::new(topo, cfg);
-    let (per_job, stats) = stormy.run_jobs(&jobs, &plan)?;
-    let chaotic = stormy.output_manifest();
-
-    Ok(MultiChaosVerdict {
-        plan,
-        per_job,
-        stats,
-        baseline,
-        chaotic,
-    })
+    run_multi_twin(topo, cfg, &jobs, chaos_plan(topo, seed))
 }
 
 /// Runs seed `seed` under `ft`: failure-free baseline first, then the
@@ -452,24 +469,8 @@ pub fn run_chaos(seed: u64, ft: FtMode) -> Result<ChaosVerdict, RuntimeError> {
 /// [`run_chaos`] with optional span tracing (used by `skadi-cli chaos`).
 pub fn run_chaos_with(seed: u64, ft: FtMode, tracing: bool) -> Result<ChaosVerdict, RuntimeError> {
     let topo = chaos_topology();
-    let job = chaos_job(seed);
     let cfg = chaos_config(ft).with_tracing(tracing);
-
-    let mut calm = Cluster::new(&topo, cfg.clone());
-    calm.run(&job)?;
-    let baseline = calm.output_manifest();
-
-    let plan = chaos_plan(&topo, seed);
-    let mut stormy = Cluster::new(&topo, cfg);
-    let stats = stormy.run_with_failures(&job, &plan)?;
-    let chaotic = stormy.output_manifest();
-
-    Ok(ChaosVerdict {
-        plan,
-        stats,
-        baseline,
-        chaotic,
-    })
+    run_twin(&topo, cfg, &chaos_job(seed), chaos_plan(&topo, seed))
 }
 
 /// Runs seed `seed` under a *permanent-loss* schedule
@@ -491,24 +492,9 @@ pub fn run_chaos_permanent_with(
     tracing: bool,
 ) -> Result<ChaosVerdict, RuntimeError> {
     let topo = chaos_topology();
-    let job = chaos_job(seed);
     let cfg = chaos_config(ft).with_tracing(tracing);
-
-    let mut calm = Cluster::new(&topo, cfg.clone());
-    calm.run(&job)?;
-    let baseline = calm.output_manifest();
-
     let plan = chaos_plan_permanent(&topo, seed);
-    let mut stormy = Cluster::new(&topo, cfg);
-    let stats = stormy.run_with_failures(&job, &plan)?;
-    let chaotic = stormy.output_manifest();
-
-    Ok(ChaosVerdict {
-        plan,
-        stats,
-        baseline,
-        chaotic,
-    })
+    run_twin(&topo, cfg, &chaos_job(seed), plan)
 }
 
 /// Outcome of one multi-job chaos run ([`run_chaos_multi`]).
@@ -549,25 +535,8 @@ pub fn run_chaos_multi_with(
     tracing: bool,
 ) -> Result<MultiChaosVerdict, RuntimeError> {
     let topo = chaos_topology();
-    let jobs = chaos_jobs(seed);
     let cfg = chaos_config(ft).with_tracing(tracing);
-
-    let mut calm = Cluster::new(&topo, cfg.clone());
-    calm.run_jobs(&jobs, &FailurePlan::none())?;
-    let baseline = calm.output_manifest();
-
-    let plan = chaos_plan(&topo, seed);
-    let mut stormy = Cluster::new(&topo, cfg);
-    let (per_job, stats) = stormy.run_jobs(&jobs, &plan)?;
-    let chaotic = stormy.output_manifest();
-
-    Ok(MultiChaosVerdict {
-        plan,
-        per_job,
-        stats,
-        baseline,
-        chaotic,
-    })
+    run_multi_twin(&topo, cfg, &chaos_jobs(seed), chaos_plan(&topo, seed))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use skadi_dcsim::time::SimDuration;
 use skadi_ownership::resolve::{ResolutionMode, RoutePolicy};
 use skadi_store::ec::EcConfig;
 
-use crate::scheduler::PlacementPolicy;
+use crate::placement::PlacementPolicy;
 
 /// The hardware generation of the stateful serverless runtime (§2.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,8 +26,11 @@
 //! - [`placement`]: pluggable placement policies (data-centric,
 //!   load-only, round-robin, power-of-k load-aware, work-stealing).
 //! - [`scheduler`]: gang scheduling and the device autoscaler.
-//! - [`lineage`]: the lineage log and recovery planning.
-//! - [`cluster`]: the event-driven cluster simulation ([`Cluster`]).
+//! - [`cluster`]: the event-driven cluster simulation ([`Cluster`]):
+//!   one dense task table and one node table (`cluster::table`), the
+//!   run loop, and the event handlers split into dispatch, data,
+//!   recovery (lineage re-execution), failover and invariants.
+//! - [`executor`]: the data-plane hook ([`TaskExecutor`]).
 //! - [`job`]: physical-graph-to-job conversion and [`JobStats`].
 //! - [`failure`]: failure injection plans.
 //! - [`chaos`]: seeded chaos-schedule fault harness (random jobs +
@@ -40,7 +43,6 @@ pub mod error;
 pub mod executor;
 pub mod failure;
 pub mod job;
-pub mod lineage;
 pub mod placement;
 pub mod scheduler;
 pub mod task;

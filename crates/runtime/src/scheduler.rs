@@ -1,7 +1,7 @@
-//! Task placement, gang scheduling, and device autoscaling.
+//! Gang scheduling and device autoscaling (placement policies live in
+//! [`crate::placement`]).
 //!
-//! §2.3: the control plane "embraces data-centric scheduling for higher
-//! utilization" (citing Whiz); "if necessary, it could also integrate
+//! §2.3: the control plane "if necessary ... could also integrate
 //! gang-scheduling to support SPMD-style sub-graph" (citing Pathways);
 //! and §1 notes that "the auto-scaling of DSAs is almost non-existent" in
 //! today's serverless — so Skadi provides one.
@@ -12,10 +12,6 @@ use skadi_dcsim::time::{SimDuration, SimTime};
 
 use crate::config::AutoscaleConfig;
 use crate::task::{GangId, TaskId};
-
-// Placement moved to its own module (`crate::placement`) when the
-// policy set grew; re-exported here so existing paths keep working.
-pub use crate::placement::{NodeFacts, PlacementPolicy, PlacementStrategy, Placer};
 
 /// A gang member reported ready for a gang nobody declared. Releasing
 /// it anyway would treat the lone member as "the whole gang" (declared

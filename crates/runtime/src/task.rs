@@ -7,7 +7,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use skadi_dcsim::time::SimTime;
 use skadi_ir::Backend;
 
 /// Identifies a task within a job.
@@ -126,56 +125,6 @@ pub enum TaskState {
     Failed,
 }
 
-/// Per-task bookkeeping during a run.
-#[derive(Debug, Clone)]
-pub struct TaskRecord {
-    /// The immutable spec.
-    pub spec: TaskSpec,
-    /// Current state.
-    pub state: TaskState,
-    /// Node the task was placed on.
-    pub node: Option<skadi_dcsim::topology::NodeId>,
-    /// Unfinished producer count.
-    pub pending_inputs: usize,
-    /// When the task became ready.
-    pub ready_at: Option<SimTime>,
-    /// When it started executing.
-    pub started_at: Option<SimTime>,
-    /// When it finished.
-    pub finished_at: Option<SimTime>,
-    /// How many times the task has been (re)executed.
-    pub attempts: u32,
-}
-
-impl TaskRecord {
-    /// Fresh record for a spec.
-    pub fn new(spec: TaskSpec) -> Self {
-        let pending = spec.inputs.len();
-        TaskRecord {
-            spec,
-            state: if pending == 0 {
-                TaskState::Ready
-            } else {
-                TaskState::Blocked
-            },
-            node: None,
-            pending_inputs: pending,
-            ready_at: None,
-            started_at: None,
-            finished_at: None,
-            attempts: 0,
-        }
-    }
-
-    /// Queueing delay: dispatch-to-start.
-    pub fn wait(&self) -> Option<skadi_dcsim::time::SimDuration> {
-        match (self.ready_at, self.started_at) {
-            (Some(r), Some(s)) => Some(s.saturating_since(r)),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,23 +143,5 @@ mod tests {
         assert_eq!(t.backend, Backend::Gpu);
         assert_eq!(t.system, "ml");
         assert_eq!(t.op, "tensor.matmul");
-    }
-
-    #[test]
-    fn record_initial_state_depends_on_inputs() {
-        let free = TaskRecord::new(TaskSpec::new(0, 1.0, 1));
-        assert_eq!(free.state, TaskState::Ready);
-        let blocked = TaskRecord::new(TaskSpec::new(1, 1.0, 1).after(TaskId(0), 10));
-        assert_eq!(blocked.state, TaskState::Blocked);
-        assert_eq!(blocked.pending_inputs, 1);
-    }
-
-    #[test]
-    fn wait_requires_both_stamps() {
-        let mut r = TaskRecord::new(TaskSpec::new(0, 1.0, 1));
-        assert!(r.wait().is_none());
-        r.ready_at = Some(SimTime::from_micros(5));
-        r.started_at = Some(SimTime::from_micros(9));
-        assert_eq!(r.wait().unwrap().as_micros(), 4);
     }
 }

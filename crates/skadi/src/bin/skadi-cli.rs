@@ -290,6 +290,15 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
     );
 }
 
+/// Writes a trace artifact; an unwritable path is the user's to fix, so
+/// it gets the io error and exit status 1, not a panic.
+fn write_trace_file(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("skadi-cli: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// `skadi-cli trace [output.json]`: run the quickstart pipeline with
 /// tracing on, export Chrome trace_event JSON, print the critical path.
 fn run_trace(out_path: &str) {
@@ -305,7 +314,7 @@ fn run_trace(out_path: &str) {
 
     let json = report.chrome_trace();
     let spans = report.stats.trace.len();
-    std::fs::write(out_path, &json).expect("write trace file");
+    write_trace_file(out_path, &json);
     println!("{report}\n");
     println!("{}", report.critical_path_summary(5));
     println!("\nwrote {spans} spans ({} bytes) to {out_path}", json.len());
@@ -437,7 +446,7 @@ fn run_chaos_replay(args: &[String]) {
                 }
             }
             let json = stats.trace.to_chrome_json();
-            std::fs::write(&out, &json).expect("write trace file");
+            write_trace_file(&out, &json);
             println!(
                 "wrote {} spans ({} bytes) to {out}",
                 stats.trace.len(),

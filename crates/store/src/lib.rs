@@ -29,7 +29,6 @@ pub mod ec;
 pub mod error;
 pub mod kv;
 pub mod object;
-pub mod payload;
 pub mod placement;
 pub mod policy;
 pub mod replication;
@@ -39,7 +38,6 @@ pub mod tier;
 pub use error::StoreError;
 pub use kv::LocalStore;
 pub use object::{ObjectId, ObjectMeta};
-pub use payload::PayloadStore;
 pub use placement::CachingLayer;
 pub use policy::EvictionPolicy;
 pub use tier::Tier;
