@@ -37,9 +37,8 @@ pub const RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH
 /// One measured kernel at one size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
-    /// Kernel name (`filter`, `join`, `filter_join`, `filter_join_hi`,
-    /// `filter_join_dict`, `group_by`, `group_by_dict`, `sort`, `topn`,
-    /// `popcount`, `mask_scan`).
+    /// Kernel name (`filter`, `join`, `filter_join_dict`, `group_by`,
+    /// `group_by_dict`, `sort`, `topn`, `popcount`, `mask_scan`).
     pub name: String,
     /// Input row count.
     pub rows: usize,
@@ -381,10 +380,9 @@ pub fn vectorized_filter(batch: &RecordBatch, conjuncts: &[(&str, CmpOp, Value)]
     compute::filter(batch, &mask.expect("at least one conjunct")).expect("filter")
 }
 
-/// Filter-then-join with the intermediate batch materialized: the mask
-/// is gathered into a new batch, which the join then probes. This is the
-/// pre-pushdown shape of the filter→join boundary.
-pub fn materialized_filter_join(
+/// Filter then join: the fused mask gathers the passing rows into a
+/// batch, which the join then probes — the engine's filter→join boundary.
+pub fn filter_join(
     left: &RecordBatch,
     right: &RecordBatch,
     conjuncts: &[(&str, CmpOp, Value)],
@@ -393,33 +391,6 @@ pub fn materialized_filter_join(
 ) -> RecordBatch {
     let filtered = vectorized_filter(left, conjuncts);
     exec::hash_join(&filtered, right, left_key, right_key).expect("hash_join")
-}
-
-/// Selection-vector pushdown across the filter→join boundary: the filter
-/// produces only passing row indices, the join probes them directly, and
-/// the filtered columns are gathered exactly once — as join output.
-pub fn pushdown_filter_join(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    conjuncts: &[(&str, CmpOp, Value)],
-    left_key: &str,
-    right_key: &str,
-) -> RecordBatch {
-    let mut mask: Option<Array> = None;
-    for (col, op, rhs) in conjuncts {
-        let c = left.column_by_name(col).expect("filter column");
-        let m = compute::cmp_scalar(c, *op, rhs).expect("cmp_scalar");
-        mask = Some(match mask {
-            Some(prev) => compute::and(&prev, &m).expect("and"),
-            None => m,
-        });
-    }
-    let b = mask.expect("at least one conjunct");
-    let b = b.as_bool().expect("mask");
-    let sel: Vec<usize> = (0..left.num_rows())
-        .filter(|&i| b.get(i) == Some(true))
-        .collect();
-    exec::hash_join_sel(left, &sel, right, left_key, right_key).expect("hash_join_sel")
 }
 
 /// Vectorized sort via the typed `sort_to_indices` kernel.
@@ -489,11 +460,6 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             ("kind", CmpOp::Eq, Value::Str("click".into())),
             ("value", CmpOp::Gt, Value::F64(50.0)),
         ];
-        // High-pass-rate variant of the filter→join boundary: ~90% of
-        // rows survive (`value > 5` over uniform 0..100 with ~5% nulls),
-        // so the materialized plan pays a near-full-batch intermediate
-        // gather that pushdown skips. See the `filter_join` comment below.
-        let conjuncts_hi: Vec<(&str, CmpOp, Value)> = vec![("value", CmpOp::Gt, Value::F64(5.0))];
         let q = group_query("user_id", "value", "events");
 
         // Dict-keyed datasets: the fact side's string key dictionary-
@@ -524,16 +490,6 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             "join mismatch at {n} rows"
         );
         assert_eq!(
-            materialized_filter_join(&events, &users, &conjuncts, "user_id", "user_id"),
-            pushdown_filter_join(&events, &users, &conjuncts, "user_id", "user_id"),
-            "filter_join pushdown mismatch at {n} rows"
-        );
-        assert_eq!(
-            materialized_filter_join(&events, &users, &conjuncts_hi, "user_id", "user_id"),
-            pushdown_filter_join(&events, &users, &conjuncts_hi, "user_id", "user_id"),
-            "filter_join_hi pushdown mismatch at {n} rows"
-        );
-        assert_eq!(
             baseline_group_sum_count(&events, "user_id", "value"),
             exec::aggregate(&q, &events).expect("aggregate"),
             "group_by mismatch at {n} rows"
@@ -545,8 +501,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 "code",
                 "code"
             ),
-            pushdown_filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
-                .dict_decoded(),
+            filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code").dict_decoded(),
             "filter_join_dict mismatch at {n} rows"
         );
         assert_eq!(
@@ -595,53 +550,6 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 );
             }),
         );
-        // Why `filter_join` plateaus at ~1.0x (BENCH_exec.json records
-        // 1.00x/1.04x at 10k/100k): the engine's filter-selectivity
-        // profile (see `filter_selectivity_explains_filter_join_plateau`)
-        // measures the combined pass rate of `kind='click' AND value>50`
-        // at ~0.12. Both plans pay identical mask compute (a Utf8
-        // equality scan plus a float compare over the full batch), so
-        // pushdown only avoids materializing the ~12% of rows that pass
-        // — a gather too small to matter next to the shared mask cost
-        // and the join's own build/probe. The win appears when the
-        // filter keeps most rows: `filter_join_hi` (~0.90 pass rate,
-        // same profile) makes the skipped intermediate gather nearly a
-        // full batch copy, and measures ~1.1–1.2x — still bounded above
-        // by the join dominating both plans.
-        push(
-            "filter_join",
-            time_ns(budget, || {
-                std::hint::black_box(materialized_filter_join(
-                    &events, &users, &conjuncts, "user_id", "user_id",
-                ));
-            }),
-            time_ns(budget, || {
-                std::hint::black_box(pushdown_filter_join(
-                    &events, &users, &conjuncts, "user_id", "user_id",
-                ));
-            }),
-        );
-        push(
-            "filter_join_hi",
-            time_ns(budget, || {
-                std::hint::black_box(materialized_filter_join(
-                    &events,
-                    &users,
-                    &conjuncts_hi,
-                    "user_id",
-                    "user_id",
-                ));
-            }),
-            time_ns(budget, || {
-                std::hint::black_box(pushdown_filter_join(
-                    &events,
-                    &users,
-                    &conjuncts_hi,
-                    "user_id",
-                    "user_id",
-                ));
-            }),
-        );
         // The dict-keyed join: the stringly baseline renders every probe
         // key into a `String` and walks a `BTreeMap`; the dict path
         // probes a hash table with precomputed per-entry hashes over u32
@@ -658,7 +566,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             }),
             time_ns(budget, || {
                 std::hint::black_box(
-                    pushdown_filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
+                    filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
                         .dict_decoded(),
                 );
             }),
@@ -1170,7 +1078,7 @@ mod tests {
     #[test]
     fn engines_agree_and_json_roundtrips() {
         let entries = run_suite(&[2_000], Duration::from_millis(5));
-        assert_eq!(entries.len(), 11);
+        assert_eq!(entries.len(), 9);
         let text = render_json("test", &entries, None, None);
         let back = parse_results(&text);
         assert_eq!(entries, back);
@@ -1289,36 +1197,6 @@ mod tests {
         let text = render_json("test", &entries, Some(&report), None);
         assert!(text.contains("\"shuffle\""));
         assert_eq!(parse_results(&text), entries);
-    }
-
-    /// The investigation behind the `filter_join` comment in
-    /// [`run_suite`]: measure the benchmark's filter pass rates with the
-    /// engine's own selectivity profile instead of guessing.
-    #[test]
-    fn filter_selectivity_explains_filter_join_plateau() {
-        use skadi_frontends::exec::MemDb;
-        let db = MemDb::new().register("events", events_batch(10_000, 42));
-        // Combined selectivity across every filter op in the profile
-        // (the planner may keep conjuncts fused or split them).
-        let sel_of = |sql: &str| -> f64 {
-            let (_, profile) = db.query_profiled(sql).expect("profiled query");
-            profile
-                .ops
-                .iter()
-                .flat_map(|o| o.shards.iter().filter_map(|s| s.selectivity))
-                .product()
-        };
-        let low = sel_of("SELECT user_id FROM events WHERE kind = 'click' AND value > 50");
-        let hi = sel_of("SELECT user_id FROM events WHERE value > 5");
-        println!("filter_join selectivity: low={low:.4} hi={hi:.4}");
-        assert!(
-            (0.08..=0.16).contains(&low),
-            "low-pass selectivity {low} — the plateau explanation assumes ~12%"
-        );
-        assert!(
-            hi > 0.85,
-            "high-pass selectivity {hi} — filter_join_hi assumes ~90%"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # skadi-bench — the experiment harness
 //!
 //! One module per experiment of DESIGN.md's per-experiment index; each
-//! exposes `run() -> Table` so the `experiments` binary, the integration
-//! tests, and the Criterion benches all drive the same code.
+//! exposes `run() -> Table` so the `experiments` binary and the
+//! integration tests drive the same code.
 //!
 //! The Skadi paper is a HotOS vision paper: its "evaluation" artifacts
 //! are Figures 1-3 and Table 1, which encode *qualitative* claims. Each

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use skadi_arrow::array::{Array, Value};
+use skadi_arrow::array::{Array, Utf8Array, Value};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute::{self, CmpOp};
 use skadi_arrow::datatype::DataType;
@@ -38,8 +38,6 @@ use skadi_ir::types::ScalarType;
 
 pub mod parallel;
 pub mod pool;
-
-use pool::PARALLEL_MIN_ROWS;
 
 /// An in-memory database: named tables of record batches.
 #[derive(Debug, Clone, Default)]
@@ -296,50 +294,12 @@ pub(crate) fn apply_conjuncts(
     batch: &RecordBatch,
     conjuncts: &[&Comparison],
 ) -> Result<RecordBatch, SqlError> {
-    match conjunct_mask(batch, conjuncts)? {
+    match parallel::conjunct_mask(batch, conjuncts)? {
         Some(m) => {
             let idx = compute::mask_to_indices(&m).map_err(wrap)?;
             parallel::take_batch(batch, &idx).map_err(wrap)
         }
         None => Ok(batch.clone()),
-    }
-}
-
-/// Fuses a conjunction into one boolean mask (`None` for an empty
-/// conjunction, meaning "keep everything").
-fn conjunct_mask(
-    batch: &RecordBatch,
-    conjuncts: &[&Comparison],
-) -> Result<Option<Array>, SqlError> {
-    // Multiple conjuncts over a large batch evaluate concurrently; the
-    // branch keys on data size only, so path choice (and the resulting
-    // mask bytes) never depends on thread count.
-    if conjuncts.len() >= 2 && batch.num_rows() >= PARALLEL_MIN_ROWS {
-        return parallel::conjunct_mask(batch, conjuncts);
-    }
-    let mut mask: Option<Array> = None;
-    for c in conjuncts {
-        let col = batch.column_by_name(&c.column).map_err(wrap)?;
-        let m = compute::cmp_scalar(col, cmp_op(&c.op)?, &literal_value(&c.value)).map_err(wrap)?;
-        mask = Some(match mask {
-            Some(prev) => compute::and(&prev, &m).map_err(wrap)?,
-            None => m,
-        });
-    }
-    Ok(mask)
-}
-
-/// Evaluates a conjunction to a selection vector — the indices of the
-/// passing rows — WITHOUT materializing the filtered batch. Joins probe
-/// through this directly (late materialization), so the filtered columns
-/// are gathered exactly once, as part of the join output.
-pub(crate) fn selection_indices(
-    batch: &RecordBatch,
-    conjuncts: &[&Comparison],
-) -> Result<Vec<usize>, SqlError> {
-    match conjunct_mask(batch, conjuncts)? {
-        Some(m) => compute::mask_to_indices(&m).map_err(wrap),
-        None => Ok((0..batch.num_rows()).collect()),
     }
 }
 
@@ -374,7 +334,7 @@ fn join_key_eq(l: &Array, li: usize, r: &Array, ri: usize) -> bool {
             matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
         }
         (Array::Utf8(a), Array::Utf8(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
+            matches!((utf8_bytes(a, li), utf8_bytes(b, ri)), (Some(x), Some(y)) if x == y)
         }
         (Array::DictUtf8(a), Array::DictUtf8(b)) => {
             matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
@@ -399,14 +359,7 @@ fn fold_hash(h: u64) -> u64 {
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Hash equi-join (inner). Right-side key column is dropped from the
-/// output; other right columns are appended.
-///
-/// Keys are bucketed by their raw-byte FNV-1a hash
-/// ([`compute::hash_key_column`]) with a typed equality check on each
-/// candidate — no per-row key rendering. The build side is a chained
-/// bucket table (`head` + `next` arrays) addressed directly by the key
-/// hash: zero allocations per bucket and no re-hashing of the `u64`.
-/// Null keys match nothing.
+/// output; other right columns are appended. Null keys match nothing.
 pub fn hash_join(
     left: &RecordBatch,
     right: &RecordBatch,
@@ -414,120 +367,24 @@ pub fn hash_join(
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
     let mut stats = KernelStats::default();
-    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, None, &mut stats)?;
+    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, &mut stats)?;
     assemble_join(left, right, right_key, &left_rows, &right_rows)
 }
 
-/// [`hash_join`] probing only the left rows in `left_sel` (in selection
-/// order): the selection-vector pushdown path. Equivalent to filtering
-/// `left` down to `left_sel` first, without materializing that batch.
-pub fn hash_join_sel(
-    left: &RecordBatch,
-    left_sel: &[usize],
-    right: &RecordBatch,
-    left_key: &str,
-    right_key: &str,
-) -> Result<RecordBatch, SqlError> {
-    let mut stats = KernelStats::default();
-    let (left_rows, right_rows) =
-        join_rows(left, right, left_key, right_key, Some(left_sel), &mut stats)?;
-    assemble_join(left, right, right_key, &left_rows, &right_rows)
-}
-
-/// The join core: produces matching `(left_row, right_row)` index pairs
-/// in probe order, probing either every left row or just a selection.
-/// Build-table capacity and failed chain visits accumulate into `stats`.
+/// Resolves the key columns and runs the join kernel
+/// ([`parallel::join_rows_partitioned`]), partitioned by the larger
+/// side's row count.
 pub(crate) fn join_rows(
     left: &RecordBatch,
     right: &RecordBatch,
     left_key: &str,
     right_key: &str,
-    left_sel: Option<&[usize]>,
     stats: &mut KernelStats,
 ) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
-    let lk = left.schema().index_of(left_key).map_err(wrap)?;
-    let rk = right.schema().index_of(right_key).map_err(wrap)?;
-    let lcol = left.column(lk);
-    let rcol = right.column(rk);
-
-    // A mixed Int64/Float64 key pair hashes the integer side through its
-    // f64 bit pattern so numerically-equal keys share a bucket.
-    let mixed = matches!(
-        (lcol.data_type(), rcol.data_type()),
-        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
-    );
-
-    // Large joins take the partitioned parallel path. The threshold is
-    // data-dependent only, so which kernel runs — and every stat it
-    // reports — is identical at every thread count.
-    let probe_rows = left_sel.map_or(left.num_rows(), |s| s.len());
-    if probe_rows.max(right.num_rows()) >= PARALLEL_MIN_ROWS {
-        return Ok(parallel::join_rows_partitioned(
-            lcol, rcol, mixed, left_sel, stats,
-        ));
-    }
-
-    // Probe-side hashes: hashing the whole column amortizes best when
-    // probing every row, but a selection probe hashes only the rows it
-    // touches — `hash_key_at` is bit-identical per row.
-    let lh = match left_sel {
-        None => compute::hash_key_column(lcol, mixed),
-        Some(_) => Vec::new(),
-    };
-    let rh = compute::hash_key_column(rcol, mixed);
-
-    // Build side: bucket -> chain of right rows. Inserting in reverse
-    // row order leaves every chain sorted ascending, preserving the
-    // match order of the old ordered-map engine.
-    let cap = (right.num_rows() * 2).next_power_of_two().max(16);
-    stats.hash_slots += cap as u64;
-    let mask = cap as u64 - 1;
-    let mut head = vec![EMPTY_SLOT; cap];
-    let mut next = vec![EMPTY_SLOT; right.num_rows()];
-    let r_validity = rcol.validity();
-    for r in (0..right.num_rows()).rev() {
-        if r_validity.is_some_and(|v| !v.get(r)) {
-            continue;
-        }
-        let b = (fold_hash(rh[r]) & mask) as usize;
-        next[r] = head[b];
-        head[b] = r as u32;
-    }
-
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<usize> = Vec::new();
-    let mut collisions = 0u64;
-    let l_validity = lcol.validity();
-    let mut probe = |l: usize, h: u64| {
-        if l_validity.is_some_and(|v| !v.get(l)) {
-            return;
-        }
-        let mut r = head[(fold_hash(h) & mask) as usize];
-        while r != EMPTY_SLOT {
-            let ri = r as usize;
-            if rh[ri] == h && join_key_eq(lcol, l, rcol, ri) {
-                left_rows.push(l);
-                right_rows.push(ri);
-            } else {
-                collisions += 1;
-            }
-            r = next[ri];
-        }
-    };
-    match left_sel {
-        Some(sel) => {
-            for &l in sel {
-                probe(l, compute::hash_key_at(lcol, mixed, l));
-            }
-        }
-        None => {
-            for (l, &h) in lh.iter().enumerate() {
-                probe(l, h);
-            }
-        }
-    }
-    stats.hash_collisions += collisions;
-    Ok((left_rows, right_rows))
+    let lcol = left.column_by_name(left_key).map_err(wrap)?;
+    let rcol = right.column_by_name(right_key).map_err(wrap)?;
+    let parts = parallel::partition_count(left.num_rows().max(right.num_rows()));
+    Ok(parallel::join_rows_partitioned(lcol, rcol, parts, stats))
 }
 
 /// Gathers matched pairs into the join's output batch: all left columns,
@@ -566,9 +423,21 @@ fn group_key_eq(batch: &RecordBatch, cols: &[usize], a: usize, b: usize) -> bool
             _ => false,
         },
         Array::Bool(arr) => arr.get(a) == arr.get(b),
-        Array::Utf8(arr) => arr.get(a) == arr.get(b),
+        Array::Utf8(arr) => utf8_bytes(arr, a) == utf8_bytes(arr, b),
         Array::DictUtf8(arr) => arr.get(a) == arr.get(b),
     })
+}
+
+/// Row `i` of a string column as bytes, `None` for NULL. Key equality runs
+/// once per probed row and only needs the bytes, so it skips the UTF-8
+/// check `Utf8Array::get` repeats on every call.
+fn utf8_bytes(arr: &Utf8Array, i: usize) -> Option<&[u8]> {
+    if arr.validity().is_some_and(|v| !v.get(i)) {
+        return None;
+    }
+    let start = arr.offsets().get_i32(i) as usize;
+    let end = arr.offsets().get_i32(i + 1) as usize;
+    Some(&arr.data().as_slice()[start..end])
 }
 
 /// One resolved aggregate: which accumulator runs over which column.
@@ -624,128 +493,10 @@ fn resolve_agg(func: &str, column: &str, input: &RecordBatch) -> Result<AggKind,
     })
 }
 
-/// Streaming per-group fold over an `Int64` column: one pass in row
-/// order, `Option<i64>` per group (groups with no non-null value stay
-/// null).
-fn fold_groups_i64(
-    col: &Array,
-    row_group: &[u32],
-    num_groups: usize,
-    identity: i64,
-    op: fn(i64, i64) -> i64,
-) -> Array {
-    let a = col.as_i64().expect("resolved as Int64");
-    let validity = a.validity();
-    let mut acc: Vec<Option<i64>> = vec![None; num_groups];
-    for (r, v) in a.iter_raw().enumerate() {
-        if validity.is_some_and(|m| !m.get(r)) {
-            continue;
-        }
-        let g = row_group[r] as usize;
-        acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-    }
-    Array::from_opt_i64(acc)
-}
-
-/// Streaming per-group fold over a `Float64` column. Folding from the
-/// identity (`0.0` / `±INFINITY`) in row order reproduces the old
-/// engine's `Vec<f64>`-per-group results bit-for-bit.
-fn fold_groups_f64(
-    col: &Array,
-    row_group: &[u32],
-    num_groups: usize,
-    identity: f64,
-    op: fn(f64, f64) -> f64,
-) -> Array {
-    let a = col.as_f64().expect("resolved as Float64");
-    let validity = a.validity();
-    let mut acc: Vec<Option<f64>> = vec![None; num_groups];
-    for (r, v) in a.iter_raw().enumerate() {
-        if validity.is_some_and(|m| !m.get(r)) {
-            continue;
-        }
-        let g = row_group[r] as usize;
-        acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-    }
-    Array::from_opt_f64(acc)
-}
-
-/// Runs one aggregate over the whole input in a single column-at-a-time
-/// pass, given each row's group id. No per-group `Vec<f64>` staging.
-fn accumulate(
-    kind: &AggKind,
-    input: &RecordBatch,
-    row_group: &[u32],
-    group_sizes: &[i64],
-) -> Array {
-    let ng = group_sizes.len();
-    match *kind {
-        AggKind::CountStar => Array::from_i64(group_sizes.to_vec()),
-        AggKind::Count(c) => {
-            let validity = input.column(c).validity();
-            let mut counts = vec![0i64; ng];
-            for (r, &g) in row_group.iter().enumerate() {
-                if validity.is_none_or(|v| v.get(r)) {
-                    counts[g as usize] += 1;
-                }
-            }
-            Array::from_i64(counts)
-        }
-        AggKind::SumI64(c) => fold_groups_i64(input.column(c), row_group, ng, 0, i64::wrapping_add),
-        AggKind::MinI64(c) => fold_groups_i64(input.column(c), row_group, ng, i64::MAX, i64::min),
-        AggKind::MaxI64(c) => fold_groups_i64(input.column(c), row_group, ng, i64::MIN, i64::max),
-        AggKind::SumF64(c) => fold_groups_f64(input.column(c), row_group, ng, 0.0, |a, b| a + b),
-        AggKind::MinF64(c) => {
-            fold_groups_f64(input.column(c), row_group, ng, f64::INFINITY, f64::min)
-        }
-        AggKind::MaxF64(c) => {
-            fold_groups_f64(input.column(c), row_group, ng, f64::NEG_INFINITY, f64::max)
-        }
-        AggKind::Avg(c) => {
-            let mut sums = vec![0f64; ng];
-            let mut counts = vec![0i64; ng];
-            match input.column(c) {
-                Array::Int64(a) => {
-                    let validity = a.validity();
-                    for (r, v) in a.iter_raw().enumerate() {
-                        if validity.is_some_and(|m| !m.get(r)) {
-                            continue;
-                        }
-                        sums[row_group[r] as usize] += v as f64;
-                        counts[row_group[r] as usize] += 1;
-                    }
-                }
-                Array::Float64(a) => {
-                    let validity = a.validity();
-                    for (r, v) in a.iter_raw().enumerate() {
-                        if validity.is_some_and(|m| !m.get(r)) {
-                            continue;
-                        }
-                        sums[row_group[r] as usize] += v;
-                        counts[row_group[r] as usize] += 1;
-                    }
-                }
-                _ => unreachable!("avg resolved only for numeric columns"),
-            }
-            Array::from_opt_f64(
-                (0..ng)
-                    .map(|g| (counts[g] > 0).then(|| sums[g] / counts[g] as f64))
-                    .collect(),
-            )
-        }
-        AggKind::NonNumeric => Array::from_opt_f64(vec![None; ng]),
-    }
-}
-
-/// Grouped aggregation, keyed on raw-byte row hashes.
-///
-/// Rows get dense group ids from a `u64`-hash table with typed
-/// collision-checked key equality; aggregates then run as single-pass
-/// streaming accumulators ([`accumulate`]). A global aggregate (no
-/// GROUP BY) always yields exactly one group — even over an empty
-/// input, so `count(*)` of nothing is one row holding `0`. Output group
-/// order replicates the old engine's `BTreeMap` order by rendering ONE
-/// key string per *group* (not per row) and sorting.
+/// Grouped aggregation over the query's `GROUP BY` columns and aggregate
+/// select items (see [`parallel::aggregate_partitioned`]). A global
+/// aggregate (no GROUP BY) always yields exactly one row; groups come out
+/// in rendered-key order.
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
     aggregate_with_stats(q, input, &mut KernelStats::default())
 }
@@ -773,10 +524,11 @@ pub(crate) fn aggregate_with_stats(
     aggregate_spec(&q.group_by, &aggs, input, stats)
 }
 
-/// The aggregation core, independent of the SQL AST: `aggs` is
+/// The aggregation entry point independent of the SQL AST: `aggs` is
 /// `(func, column, output_name)` triples. Shard execution drives this
-/// directly from [`ExecOp::Aggregate`] descriptors. Group-table capacity,
-/// linear-probe steps, and the group count accumulate into `stats`.
+/// directly from [`ExecOp::Aggregate`] descriptors. Resolves the group
+/// columns and runs [`parallel::aggregate_partitioned`], partitioned by
+/// the input's row count.
 ///
 /// [`ExecOp::Aggregate`]: skadi_flowgraph::ExecOp::Aggregate
 pub(crate) fn aggregate_spec(
@@ -789,90 +541,8 @@ pub(crate) fn aggregate_spec(
         .iter()
         .map(|g| input.schema().index_of(g).map_err(wrap))
         .collect::<Result<_, _>>()?;
-    let nrows = input.num_rows();
-
-    // Large grouped aggregations take the partitioned parallel path
-    // (byte-identical output; the threshold is data-dependent only).
-    // Global aggregates stay serial — one group, nothing to partition.
-    if !group_cols.is_empty() && nrows >= PARALLEL_MIN_ROWS {
-        return parallel::aggregate_partitioned(&group_cols, aggs, input, stats);
-    }
-
-    // Assign each row a dense group id.
-    let mut row_group: Vec<u32> = Vec::with_capacity(nrows);
-    let mut rep_rows: Vec<usize> = Vec::new(); // first row seen per group
-    let mut group_sizes: Vec<i64> = Vec::new();
-    if group_cols.is_empty() {
-        row_group.resize(nrows, 0);
-        rep_rows.push(0);
-        group_sizes.push(nrows as i64);
-    } else {
-        let hashes = compute::hash_rows(input, &group_cols);
-        // Linear-probing table of group ids, addressed by the row hash,
-        // preallocated from the exact row count (so it never rehashes).
-        let mut table = parallel::GroupTable::with_capacity_hint(nrows);
-        stats.hash_slots += table.capacity() as u64;
-        let mut collisions = 0u64;
-        for (r, &h) in hashes.iter().enumerate() {
-            let (g, inserted) = table.find_or_insert(
-                h,
-                |g| group_key_eq(input, &group_cols, rep_rows[g as usize], r),
-                &mut collisions,
-            );
-            if inserted {
-                rep_rows.push(r);
-                group_sizes.push(1);
-            } else {
-                group_sizes[g as usize] += 1;
-            }
-            row_group.push(g);
-        }
-        stats.hash_collisions += collisions;
-        stats.rehashes += table.rehashes;
-    }
-    let ng = group_sizes.len();
-    stats.groups += ng as u64;
-
-    // Output order: the old engine iterated a BTreeMap over the rendered
-    // group key; sorting one rendered string per group reproduces it in
-    // O(groups), not O(rows).
-    let mut order: Vec<u32> = (0..ng as u32).collect();
-    if !group_cols.is_empty() {
-        let keys: Vec<String> = rep_rows
-            .iter()
-            .map(|&r| {
-                group_cols
-                    .iter()
-                    .map(|&c| input.column(c).value_at(r).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}")
-            })
-            .collect();
-        order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-    }
-
-    // Output schema: group columns then one column per aggregate item.
-    let mut fields: Vec<Field> = group_cols
-        .iter()
-        .map(|&c| input.schema().field(c).clone())
-        .collect();
-    let mut kinds: Vec<AggKind> = Vec::new();
-    for (func, column, name) in aggs {
-        let kind = resolve_agg(func, column, input)?;
-        fields.push(Field::new(name.clone(), kind.data_type(), true));
-        kinds.push(kind);
-    }
-
-    let ordered_reps: Vec<usize> = order.iter().map(|&g| rep_rows[g as usize]).collect();
-    let perm: Vec<usize> = order.iter().map(|&g| g as usize).collect();
-    let mut columns: Vec<Array> = group_cols
-        .iter()
-        .map(|&c| input.column(c).take_rows(&ordered_reps))
-        .collect();
-    for kind in &kinds {
-        columns.push(accumulate(kind, input, &row_group, &group_sizes).take_rows(&perm));
-    }
-    RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
+    let parts = parallel::partition_count(input.num_rows());
+    parallel::aggregate_partitioned(&group_cols, aggs, input, parts, stats)
 }
 
 /// Sorts by one column (via the shared sort kernel; NULLs sort lowest).
@@ -887,14 +557,8 @@ pub(crate) fn sort_by(
     } else {
         compute::SortOrder::Ascending
     };
-    // Large sorts run morsel-parallel: the merge's total order makes the
-    // permutation identical to the serial stable sort.
-    if batch.num_rows() >= PARALLEL_MIN_ROWS {
-        let perm = parallel::sort_permutation(col, order);
-        return parallel::take_batch(batch, &perm).map_err(wrap);
-    }
-    let indices = compute::sort_to_indices(col, order);
-    compute::take(batch, &indices).map_err(wrap)
+    let perm = parallel::sort_permutation(col, order);
+    parallel::take_batch(batch, &perm).map_err(wrap)
 }
 
 /// Executes a parsed query against the database.
@@ -944,69 +608,26 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
             .partition(|c| current.schema().index_of(&c.column).is_ok()),
         None => (Vec::new(), Vec::new()),
     };
-    let mut joins = q.joins.iter();
     if !pushed.is_empty() {
-        if let Some(j) = joins.next() {
-            // Selection-vector pushdown: the filter yields row indices and
-            // the first join probes through them, so the filtered batch is
-            // never materialized — passing rows are gathered once, as part
-            // of the join output. (The filter op reports 0 output bytes
-            // for the same reason.)
-            let right = db.table(&j.table)?;
-            let t0 = spans.now();
-            let rows_in = current.num_rows();
-            let sel = selection_indices(&current, &pushed)?;
-            spans.op_ext(
-                ops::FILTER,
-                t0,
-                rows_in,
-                sel.len(),
-                0,
-                selectivity(rows_in, sel.len()),
-                KernelStats::default(),
-            );
-            let t0 = spans.now();
-            let rows_in = sel.len() + right.num_rows();
-            let mut ks = KernelStats::default();
-            let (lr, rr) = join_rows(
-                &current,
-                right,
-                &j.left_key,
-                &j.right_key,
-                Some(&sel),
-                &mut ks,
-            )?;
-            current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
-            spans.op_ext(
-                ops::JOIN,
-                t0,
-                rows_in,
-                current.num_rows(),
-                current.byte_size() as u64,
-                None,
-                ks,
-            );
-        } else {
-            let t0 = spans.now();
-            let rows_in = current.num_rows();
-            current = apply_conjuncts(&current, &pushed)?;
-            spans.op_ext(
-                ops::FILTER,
-                t0,
-                rows_in,
-                current.num_rows(),
-                current.byte_size() as u64,
-                selectivity(rows_in, current.num_rows()),
-                KernelStats::default(),
-            );
-        }
+        let t0 = spans.now();
+        let rows_in = current.num_rows();
+        current = apply_conjuncts(&current, &pushed)?;
+        spans.op_ext(
+            ops::FILTER,
+            t0,
+            rows_in,
+            current.num_rows(),
+            current.byte_size() as u64,
+            selectivity(rows_in, current.num_rows()),
+            KernelStats::default(),
+        );
     }
-    for j in joins {
+    for j in &q.joins {
         let right = db.table(&j.table)?;
         let t0 = spans.now();
         let rows_in = current.num_rows() + right.num_rows();
         let mut ks = KernelStats::default();
-        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, None, &mut ks)?;
+        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, &mut ks)?;
         current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
         spans.op_ext(
             ops::JOIN,

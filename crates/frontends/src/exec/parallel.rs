@@ -1,34 +1,40 @@
-//! Morsel-driven parallel kernels: partitioned hash join, partitioned
-//! group-by, parallel sort, parallel filter masks and gathers.
+//! The relational kernels: partitioned hash join, partitioned group-by,
+//! run-merge sort, conjunct masks and gathers.
 //!
-//! Every kernel here is a drop-in replacement for its single-threaded
-//! sibling in [`super`] (the `exec` module) with one invariant: **thread
-//! count never changes output bytes**. The algorithms get that for free
-//! by deriving all structure from the data alone —
+//! There is one implementation per operator. Small inputs run it with a
+//! single partition and a single morsel — inline on the calling thread,
+//! with no partition pass — and large inputs with [`PARTITIONS`]
+//! partitions and one pool job per morsel; [`partition_count`] picks
+//! between the two from the input's row count alone. The invariant every
+//! kernel keeps is that **neither thread count nor partition count changes
+//! output bytes**, because all structure derives from the data —
 //!
 //! * morsel boundaries come from [`pool::morsels`] (fixed row ranges);
-//! * join and group-by inputs split into [`PARTITIONS`] partitions by the
-//!   *top* bits of the folded key hash (tables bucket by the *low* bits,
-//!   so partitioning preserves bucket entropy);
+//! * join and group-by inputs split by the *top* bits of the folded key
+//!   hash (tables bucket by the *low* bits, so partitioning preserves
+//!   bucket entropy);
 //! * per-partition tables size themselves from exact partition row
 //!   counts, so they never rehash ([`GroupTable::rehashes`] proves it);
 //! * merges are deterministic: join morsel outputs concatenate in morsel
-//!   order (reproducing serial probe order), group partitions merge by
-//!   sorting `(rendered key, representative row)` (reproducing the serial
-//!   stable sort with first-appearance ties), and sorted runs merge under
-//!   a total order (key, then row index).
+//!   order (probe order), group partitions merge by sorting `(rendered
+//!   key, representative row)` (rendered-key order with first-appearance
+//!   ties), and sorted runs merge under a total order (key, then row
+//!   index).
 //!
-//! Since every true join match shares the full key hash, matches land in
-//! the probe row's own partition and per-partition chains ascend in
-//! global row order — the concatenated morsel outputs are exactly the
-//! serial pair sequence. Likewise every group lives wholly inside one
-//! partition, so per-group fold order equals global row order and float
-//! accumulations stay bit-identical.
+//! Every true join match shares the full key hash, so matches land in the
+//! probe row's own partition and per-partition chains ascend in global
+//! row order: the concatenated morsel outputs are the probe-order pair
+//! sequence whatever the partition count. Likewise every group lives
+//! wholly inside one partition, so per-group fold order equals global row
+//! order and float accumulations stay bit-identical. Only the hash-table
+//! counters in [`KernelStats`] depend on the partition count, which is
+//! why it stays a pure function of row count.
 
 use std::sync::Arc;
 
 use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
+use skadi_arrow::buffer::Bitmap;
 use skadi_arrow::compute::{self, CmpOp, SortOrder};
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::error::ArrowError;
@@ -41,14 +47,65 @@ use super::{
 use crate::sql::ast::Comparison;
 use crate::sql::SqlError;
 
-/// Hash partitions for the partitioned join and group-by. Fixed (never
-/// derived from thread count); selected by the top `log2(PARTITIONS)`
-/// bits of the folded hash.
+/// Hash partitions of a large join or group-by. Fixed (never derived from
+/// thread count); selected by the top `log2(PARTITIONS)` bits of the
+/// folded hash.
 pub const PARTITIONS: usize = 8;
 
+/// Partitions a join or group-by over `rows` input rows runs with: one
+/// below [`PARALLEL_MIN_ROWS`], [`PARTITIONS`] from there up. Partition
+/// count never changes a result, but table capacities are sized per
+/// partition and show up in profiles (the `EXPLAIN ANALYZE` goldens pin
+/// `ht[slots=16]` for small inputs), so the choice is a function of row
+/// count and nothing else.
+pub(crate) fn partition_count(rows: usize) -> usize {
+    if rows >= PARALLEL_MIN_ROWS {
+        PARTITIONS
+    } else {
+        1
+    }
+}
+
+/// The partition of hash `h` among `parts` (1 or [`PARTITIONS`]).
 #[inline]
-fn partition_of(h: u64) -> usize {
-    (fold_hash(h) >> 61) as usize
+fn partition_of(h: u64, parts: usize) -> usize {
+    (fold_hash(h) >> 61) as usize & (parts - 1)
+}
+
+/// Splits rows `0..n` into `parts` ascending row lists by hash prefix,
+/// dropping rows that `validity` marks null. A single partition is every
+/// kept row in order and never reads `hashes`.
+fn partition_rows(
+    n: usize,
+    hashes: &Arc<Vec<u64>>,
+    validity: Option<&Bitmap>,
+    parts: usize,
+) -> Vec<Vec<u32>> {
+    if parts == 1 {
+        let rows = (0..n).filter(|&r| validity.is_none_or(|v| v.get(r)));
+        return vec![rows.map(|r| r as u32).collect()];
+    }
+    let ranges = morsels(n);
+    let hashes = Arc::clone(hashes);
+    let validity = validity.cloned();
+    let chunks = pool::global().run_indexed(ranges.len(), move |m| {
+        let (lo, hi) = ranges[m];
+        let mut out = vec![Vec::new(); parts];
+        for r in lo..hi {
+            if validity.as_ref().is_none_or(|v| v.get(r)) {
+                out[partition_of(hashes[r], parts)].push(r as u32);
+            }
+        }
+        out
+    });
+    // Concatenating morsel outputs keeps each list ascending.
+    let mut part_rows = vec![Vec::new(); parts];
+    for chunk in chunks {
+        for (p, rows) in chunk.into_iter().enumerate() {
+            part_rows[p].extend(rows);
+        }
+    }
+    part_rows
 }
 
 /// A linear-probing hash table assigning dense group ids, preallocated
@@ -56,15 +113,15 @@ fn partition_of(h: u64) -> usize {
 /// under 0.5). If the hint was too small it doubles and reinserts,
 /// counting each growth in [`GroupTable::rehashes`] — with exact hints,
 /// as every kernel here supplies, that counter stays 0.
-pub(crate) struct GroupTable {
+struct GroupTable {
     slots: Vec<u32>,
     group_hashes: Vec<u64>,
     /// Capacity-growth events (0 when the capacity hint was sufficient).
-    pub(crate) rehashes: u64,
+    rehashes: u64,
 }
 
 impl GroupTable {
-    pub(crate) fn with_capacity_hint(rows: usize) -> GroupTable {
+    fn with_capacity_hint(rows: usize) -> GroupTable {
         let cap = (rows * 2).next_power_of_two().max(16);
         GroupTable {
             slots: vec![EMPTY_SLOT; cap],
@@ -73,16 +130,16 @@ impl GroupTable {
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Looks up the group for hash `h`, inserting a fresh id when no
     /// existing group matches. `eq(g)` answers whether group `g`'s key
     /// equals the probed row's; every visit to an occupied non-matching
-    /// slot increments `collisions` (hash compared before `eq`, exactly
-    /// like the serial kernel). Returns `(group_id, inserted)`.
-    pub(crate) fn find_or_insert(
+    /// slot increments `collisions` (hash compared before `eq`). Returns
+    /// `(group_id, inserted)`.
+    fn find_or_insert(
         &mut self,
         h: u64,
         eq: impl Fn(u32) -> bool,
@@ -126,10 +183,12 @@ impl GroupTable {
     }
 }
 
-/// Parallel [`super::conjunct_mask`]: each conjunct's comparison mask is
-/// an independent column scan, so they evaluate concurrently; the `AND`
-/// combine runs serially in conjunct order (as do column/operator
-/// resolution errors, preserving serial error precedence).
+/// Fuses a conjunction into one boolean mask (`None` for an empty
+/// conjunction, meaning "keep everything"). Each conjunct's comparison
+/// mask is an independent column scan, so several of them over a large
+/// batch evaluate concurrently; the `AND` combine runs in conjunct order,
+/// as do column/operator resolution errors. The pool-or-inline choice
+/// keys on data size only and changes no mask byte.
 pub(crate) fn conjunct_mask(
     batch: &RecordBatch,
     conjuncts: &[&Comparison],
@@ -142,12 +201,17 @@ pub(crate) fn conjunct_mask(
             super::literal_value(&c.value),
         ));
     }
-    let jobs = Arc::new(jobs);
-    let jobs2 = Arc::clone(&jobs);
-    let masks = pool::global().run_indexed(jobs.len(), move |i| {
-        let (col, op, v) = &jobs2[i];
+    let n = jobs.len();
+    let eval = move |i: usize| {
+        let (col, op, v) = &jobs[i];
         compute::cmp_scalar(col, *op, v)
-    });
+    };
+    let pooled = n >= 2 && batch.num_rows() >= PARALLEL_MIN_ROWS;
+    let masks: Vec<Result<Array, ArrowError>> = if pooled {
+        pool::global().run_indexed(n, eval)
+    } else {
+        (0..n).map(eval).collect()
+    };
     let mut mask: Option<Array> = None;
     for m in masks {
         let m = m.map_err(wrap)?;
@@ -222,131 +286,80 @@ pub(crate) fn gather_join_columns(
 }
 
 /// One partition's build side: a chained bucket table over the partition's
-/// right rows (`rows` maps chain-local index back to the global row).
+/// right rows. Chain links are indices into the partition's row list.
 struct BuildPart {
     head: Vec<u32>,
     next: Vec<u32>,
-    rows: Vec<u32>,
     cap: usize,
 }
 
-/// Partitioned hash join core: same `(left_row, right_row)` pair sequence
-/// as [`super::join_rows`], produced by a parallel partition/build/probe.
+/// The hash-join core: matching `(left_row, right_row)` index pairs in
+/// probe order — left rows ascending, each one's matches in ascending
+/// right-row order. Null keys match nothing.
 ///
-/// Build rows partition morsel-parallel by hash prefix (concatenating
-/// morsel outputs keeps each partition's row list ascending); each
-/// partition builds its own chained table sized from its exact row count,
-/// inserting in reverse so chains ascend; probe morsels walk the chains
-/// and their outputs concatenate in morsel order — the serial probe order.
+/// Keys bucket by their raw-byte FNV-1a hash ([`compute::hash_key_column`])
+/// with a typed equality check on each candidate — no per-row key
+/// rendering. Build rows split into `parts` partitions by hash prefix;
+/// each partition builds a chained table (`head` + `next` arrays, zero
+/// allocations per bucket) sized from its exact row count, inserting in
+/// reverse so chains ascend; probe morsels walk the chains and their
+/// outputs concatenate in morsel order. Table capacities and failed chain
+/// visits accumulate into `stats`.
 pub(crate) fn join_rows_partitioned(
     lcol: &Array,
     rcol: &Array,
-    mixed: bool,
-    left_sel: Option<&[usize]>,
+    parts: usize,
     stats: &mut KernelStats,
 ) -> (Vec<usize>, Vec<usize>) {
     let pool = pool::global();
+    // A mixed Int64/Float64 key pair hashes the integer side through its
+    // f64 bit pattern so numerically-equal keys share a bucket.
+    let mixed = matches!(
+        (lcol.data_type(), rcol.data_type()),
+        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
+    );
+    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol, mixed));
     let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol, mixed));
+    let part_rows = Arc::new(partition_rows(rh.len(), &rh, rcol.validity(), parts));
 
-    // Probe-side hashes, in probe order (morsel-parallel on the selection
-    // path, where rows hash one at a time).
-    let lh: Arc<Vec<u64>> = Arc::new(match left_sel {
-        None => compute::hash_key_column(lcol, mixed),
-        Some(sel) => {
-            let sel2: Arc<Vec<usize>> = Arc::new(sel.to_vec());
-            let lcol2 = lcol.clone();
-            let ranges = morsels(sel.len());
-            let ranges2 = ranges.clone();
-            pool.run_indexed(ranges.len(), move |m| {
-                let (lo, hi) = ranges2[m];
-                sel2[lo..hi]
-                    .iter()
-                    .map(|&l| compute::hash_key_at(&lcol2, mixed, l))
-                    .collect::<Vec<u64>>()
-            })
-            .concat()
-        }
-    });
-
-    // Partition the build rows by hash prefix.
-    let ranges = morsels(rh.len());
-    let ranges2 = ranges.clone();
-    let rcol2 = rcol.clone();
-    let rh2 = Arc::clone(&rh);
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
-        let mut out: [Vec<u32>; PARTITIONS] = Default::default();
-        let validity = rcol2.validity();
-        for r in lo..hi {
-            if validity.is_some_and(|v| !v.get(r)) {
-                continue;
-            }
-            out[partition_of(rh2[r])].push(r as u32);
-        }
-        out
-    });
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
-    for chunk in chunks {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            part_rows[p].extend(rows);
-        }
-    }
-
-    // Build each partition's chained table.
-    let part_rows = Arc::new(part_rows);
     let pr2 = Arc::clone(&part_rows);
-    let rh3 = Arc::clone(&rh);
-    let tables: Arc<Vec<BuildPart>> = Arc::new(pool.run_indexed(PARTITIONS, move |p| {
+    let rh2 = Arc::clone(&rh);
+    let tables: Arc<Vec<BuildPart>> = Arc::new(pool.run_indexed(parts, move |p| {
         let rows = &pr2[p];
         let cap = (rows.len() * 2).next_power_of_two().max(16);
         let mask = cap as u64 - 1;
         let mut head = vec![EMPTY_SLOT; cap];
         let mut next = vec![EMPTY_SLOT; rows.len()];
         for (li, &r) in rows.iter().enumerate().rev() {
-            let b = (fold_hash(rh3[r as usize]) & mask) as usize;
+            let b = (fold_hash(rh2[r as usize]) & mask) as usize;
             next[li] = head[b];
             head[b] = li as u32;
         }
-        BuildPart {
-            head,
-            next,
-            rows: rows.clone(),
-            cap,
-        }
+        BuildPart { head, next, cap }
     }));
     stats.hash_slots += tables.iter().map(|t| t.cap as u64).sum::<u64>();
 
-    // Probe, morsel-parallel over the probe sequence.
     let ranges = morsels(lh.len());
-    let ranges2 = ranges.clone();
-    let lcol2 = lcol.clone();
-    let rcol2 = rcol.clone();
-    let sel2: Option<Arc<Vec<usize>>> = left_sel.map(|s| Arc::new(s.to_vec()));
-    let lh2 = Arc::clone(&lh);
-    let rh4 = Arc::clone(&rh);
-    let tables2 = Arc::clone(&tables);
+    let lcol = lcol.clone();
+    let rcol = rcol.clone();
     let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
+        let (lo, hi) = ranges[m];
         let mut lrows: Vec<usize> = Vec::new();
         let mut rrows: Vec<usize> = Vec::new();
         let mut collisions = 0u64;
-        let l_validity = lcol2.validity();
-        for i in lo..hi {
-            let l = match &sel2 {
-                Some(s) => s[i],
-                None => i,
-            };
+        let l_validity = lcol.validity();
+        for l in lo..hi {
             if l_validity.is_some_and(|v| !v.get(l)) {
                 continue;
             }
-            let h = lh2[i];
-            let t = &tables2[partition_of(h)];
-            let mask = t.cap as u64 - 1;
-            let mut slot = t.head[(fold_hash(h) & mask) as usize];
+            let h = lh[l];
+            let p = partition_of(h, parts);
+            let t = &tables[p];
+            let mut slot = t.head[(fold_hash(h) & (t.cap as u64 - 1)) as usize];
             while slot != EMPTY_SLOT {
                 let li = slot as usize;
-                let ri = t.rows[li] as usize;
-                if rh4[ri] == h && join_key_eq(&lcol2, l, &rcol2, ri) {
+                let ri = part_rows[p][li] as usize;
+                if rh[ri] == h && join_key_eq(&lcol, l, &rcol, ri) {
                     lrows.push(l);
                     rrows.push(ri);
                 } else {
@@ -367,34 +380,101 @@ pub(crate) fn join_rows_partitioned(
     (left_rows, right_rows)
 }
 
-/// One partition's aggregation result, pre-merge.
-struct PartAgg {
+/// Dense group ids for one partition's rows.
+struct Groups {
+    /// `row_group[k]` is the group of the partition's `k`-th row.
+    row_group: Vec<u32>,
     /// First row seen per group (global row ids, ascending in group id).
     rep_rows: Vec<usize>,
-    /// Rendered group key per group (the serial engine's ordering key).
-    keys: Vec<String>,
-    /// One accumulated column per aggregate, `groups` rows each.
-    agg_cols: Vec<Array>,
+    /// Rows per group.
+    sizes: Vec<i64>,
     cap: usize,
     collisions: u64,
     rehashes: u64,
 }
 
-/// Partitioned group-by: byte-identical to the serial
-/// [`super::aggregate_spec`] on the same input. Rows partition by hash
-/// prefix; each partition groups and accumulates independently (fold
-/// order inside a partition is global row order, so float sums match
-/// bit-for-bit); the merge sorts all groups by `(rendered key,
-/// representative row)` — the serial output order.
+/// Assigns each of the partition's `rows` a dense group id from a
+/// `u64`-hash table with typed collision-checked key equality. No group
+/// columns means a global aggregate: one group holding every row — even
+/// over an empty input, so `count(*)` of nothing is one row holding `0` —
+/// and no table.
+fn assign_groups(
+    input: &RecordBatch,
+    group_cols: &[usize],
+    hashes: &[u64],
+    rows: &[u32],
+) -> Groups {
+    if group_cols.is_empty() {
+        return Groups {
+            row_group: vec![0; rows.len()],
+            rep_rows: vec![0],
+            sizes: vec![rows.len() as i64],
+            cap: 0,
+            collisions: 0,
+            rehashes: 0,
+        };
+    }
+    let mut table = GroupTable::with_capacity_hint(rows.len());
+    let mut g = Groups {
+        row_group: Vec::with_capacity(rows.len()),
+        rep_rows: Vec::new(),
+        sizes: Vec::new(),
+        cap: table.capacity(),
+        collisions: 0,
+        rehashes: 0,
+    };
+    for &r in rows {
+        let r = r as usize;
+        let (id, inserted) = table.find_or_insert(
+            hashes[r],
+            |id| group_key_eq(input, group_cols, g.rep_rows[id as usize], r),
+            &mut g.collisions,
+        );
+        if inserted {
+            g.rep_rows.push(r);
+            g.sizes.push(1);
+        } else {
+            g.sizes[id as usize] += 1;
+        }
+        g.row_group.push(id);
+    }
+    g.rehashes = table.rehashes;
+    g
+}
+
+/// One partition's aggregation result, pre-merge.
+struct PartAgg {
+    groups: Groups,
+    /// Rendered group key per group (the output ordering key).
+    keys: Vec<String>,
+    /// One accumulated column per aggregate, one row per group.
+    agg_cols: Vec<Array>,
+}
+
+/// Grouped aggregation keyed on raw-byte row hashes; `aggs` is
+/// `(func, column, output_name)` triples. Rows split into `parts`
+/// partitions by hash prefix; each partition assigns group ids and folds
+/// its aggregates independently (a group lives wholly in one partition
+/// and folds in global row order, so float sums are bit-identical at any
+/// partition count); the merge orders all groups by `(rendered key,
+/// first row)` — one rendered string per *group*, not per row. A global
+/// aggregate (no group columns) is the one-partition, one-group case.
+/// Table capacity, linear-probe steps and the group count accumulate into
+/// `stats`.
 pub(crate) fn aggregate_partitioned(
     group_cols: &[usize],
     aggs: &[(String, String, String)],
     input: &RecordBatch,
+    parts: usize,
     stats: &mut KernelStats,
 ) -> Result<RecordBatch, SqlError> {
-    let pool = pool::global();
-    let nrows = input.num_rows();
-    let hashes: Arc<Vec<u64>> = Arc::new(compute::hash_rows(input, group_cols));
+    // A global aggregate is one group: a single partition, nothing to hash.
+    let (parts, hashes) = if group_cols.is_empty() {
+        (1, Vec::new())
+    } else {
+        (parts, compute::hash_rows(input, group_cols))
+    };
+    let hashes = Arc::new(hashes);
 
     // Output schema: group columns then one column per aggregate.
     let mut fields: Vec<Field> = group_cols
@@ -409,105 +489,68 @@ pub(crate) fn aggregate_partitioned(
     }
     let kinds = Arc::new(kinds);
 
-    // Partition rows by hash prefix (null keys group like any other key).
-    let ranges = morsels(nrows);
-    let ranges2 = ranges.clone();
-    let h2 = Arc::clone(&hashes);
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
-        let mut out: [Vec<u32>; PARTITIONS] = Default::default();
-        for r in lo..hi {
-            out[partition_of(h2[r])].push(r as u32);
-        }
-        out
-    });
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
-    for chunk in chunks {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            part_rows[p].extend(rows);
-        }
-    }
-
-    // Group and accumulate each partition independently.
-    let part_rows = Arc::new(part_rows);
-    let pr2 = Arc::clone(&part_rows);
-    let h3 = Arc::clone(&hashes);
+    // Null keys group like any other key, so no row is dropped.
+    let part_rows = partition_rows(input.num_rows(), &hashes, None, parts);
     let k2 = Arc::clone(&kinds);
-    let gcols: Arc<Vec<usize>> = Arc::new(group_cols.to_vec());
+    let gcols: Vec<usize> = group_cols.to_vec();
     let input2 = input.clone();
-    let parts = pool.run_indexed(PARTITIONS, move |p| {
-        let rows = &pr2[p];
-        let mut table = GroupTable::with_capacity_hint(rows.len());
-        let cap = table.capacity();
-        let mut collisions = 0u64;
-        let mut rep_rows: Vec<usize> = Vec::new();
-        let mut group_sizes: Vec<i64> = Vec::new();
-        let mut row_group: Vec<u32> = Vec::with_capacity(rows.len());
-        for &r in rows.iter() {
-            let r = r as usize;
-            let (g, inserted) = table.find_or_insert(
-                h3[r],
-                |g| group_key_eq(&input2, &gcols, rep_rows[g as usize], r),
-                &mut collisions,
-            );
-            if inserted {
-                rep_rows.push(r);
-                group_sizes.push(1);
-            } else {
-                group_sizes[g as usize] += 1;
-            }
-            row_group.push(g);
-        }
-        let keys: Vec<String> = rep_rows
-            .iter()
-            .map(|&r| {
-                gcols
-                    .iter()
-                    .map(|&c| input2.column(c).value_at(r).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}")
+    let part_aggs: Vec<PartAgg> = pool::global()
+        .run_indexed(parts, move |p| {
+            let rows = &part_rows[p];
+            let groups = assign_groups(&input2, &gcols, &hashes, rows);
+            let keys: Vec<String> = groups
+                .rep_rows
+                .iter()
+                .map(|&r| {
+                    gcols
+                        .iter()
+                        .map(|&c| input2.column(c).value_at(r).to_string())
+                        .collect::<Vec<_>>()
+                        .join("\u{1}")
+                })
+                .collect();
+            let agg_cols = k2
+                .iter()
+                .map(|kind| accumulate_rows(kind, &input2, rows, &groups))
+                .collect::<Result<Vec<Array>, SqlError>>()?;
+            Ok(PartAgg {
+                groups,
+                keys,
+                agg_cols,
             })
-            .collect();
-        let agg_cols: Vec<Array> = k2
-            .iter()
-            .map(|kind| accumulate_rows(kind, &input2, rows, &row_group, &group_sizes))
-            .collect();
-        PartAgg {
-            rep_rows,
-            keys,
-            agg_cols,
-            cap,
-            collisions,
-            rehashes: table.rehashes,
-        }
-    });
+        })
+        .into_iter()
+        .collect::<Result<_, SqlError>>()?;
 
-    for p in &parts {
-        stats.hash_slots += p.cap as u64;
-        stats.hash_collisions += p.collisions;
-        stats.rehashes += p.rehashes;
-        stats.groups += p.rep_rows.len() as u64;
+    for p in &part_aggs {
+        stats.hash_slots += p.groups.cap as u64;
+        stats.hash_collisions += p.groups.collisions;
+        stats.rehashes += p.groups.rehashes;
+        stats.groups += p.groups.rep_rows.len() as u64;
     }
 
-    // Deterministic merge: the serial engine stable-sorts groups by
-    // rendered key with first-appearance tie order; first appearance is
-    // ascending representative row, so (key, rep_row) reproduces it.
-    let mut entries: Vec<(usize, usize)> = (0..PARTITIONS)
-        .flat_map(|p| (0..parts[p].rep_rows.len()).map(move |g| (p, g)))
+    // Deterministic merge: groups order by rendered key with
+    // first-appearance ties, and first appearance is ascending
+    // representative row.
+    let mut entries: Vec<(usize, usize)> = (0..part_aggs.len())
+        .flat_map(|p| (0..part_aggs[p].keys.len()).map(move |g| (p, g)))
         .collect();
     entries.sort_by(|&(pa, ga), &(pb, gb)| {
-        parts[pa].keys[ga]
-            .cmp(&parts[pb].keys[gb])
-            .then(parts[pa].rep_rows[ga].cmp(&parts[pb].rep_rows[gb]))
+        part_aggs[pa].keys[ga]
+            .cmp(&part_aggs[pb].keys[gb])
+            .then(part_aggs[pa].groups.rep_rows[ga].cmp(&part_aggs[pb].groups.rep_rows[gb]))
     });
-    let ordered_reps: Vec<usize> = entries.iter().map(|&(p, g)| parts[p].rep_rows[g]).collect();
+    let ordered_reps: Vec<usize> = entries
+        .iter()
+        .map(|&(p, g)| part_aggs[p].groups.rep_rows[g])
+        .collect();
 
     let mut columns: Vec<Array> = group_cols
         .iter()
         .map(|&c| input.column(c).take_rows(&ordered_reps))
         .collect();
     for (k, kind) in kinds.iter().enumerate() {
-        columns.push(gather_agg(&parts, k, &entries, kind.data_type()));
+        columns.push(gather_agg(&part_aggs, k, &entries, kind.data_type()));
     }
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
 }
@@ -541,130 +584,115 @@ fn gather_agg(parts: &[PartAgg], k: usize, entries: &[(usize, usize)], dt: DataT
     }
 }
 
-/// [`super::accumulate`] restricted to one partition's row list:
-/// `row_group[k]` is the local group of row `rows[k]`. Iterating `rows`
-/// (ascending global rows) folds each group in global row order.
+/// Streams `get(row)` over one partition's rows into one accumulator per
+/// group, starting each group from `identity`; groups with no non-null
+/// value stay null. `rows` ascends, so every group folds in global row
+/// order.
+fn fold_rows<T: Copy>(
+    rows: &[u32],
+    groups: &Groups,
+    get: impl Fn(usize) -> Option<T>,
+    identity: T,
+    mut op: impl FnMut(T, T) -> T,
+) -> Vec<Option<T>> {
+    let mut acc: Vec<Option<T>> = vec![None; groups.sizes.len()];
+    for (k, &r) in rows.iter().enumerate() {
+        if let Some(v) = get(r as usize) {
+            let g = groups.row_group[k] as usize;
+            acc[g] = Some(op(acc[g].unwrap_or(identity), v));
+        }
+    }
+    acc
+}
+
+/// Runs one aggregate over one partition's rows in a single
+/// column-at-a-time pass. An `Int64` sum that leaves the `i64` range ends
+/// the query with an error instead of wrapping.
 fn accumulate_rows(
     kind: &AggKind,
     input: &RecordBatch,
     rows: &[u32],
-    row_group: &[u32],
-    group_sizes: &[i64],
-) -> Array {
-    let ng = group_sizes.len();
-    match *kind {
-        AggKind::CountStar => Array::from_i64(group_sizes.to_vec()),
+    groups: &Groups,
+) -> Result<Array, SqlError> {
+    let i64s = |c: usize| input.column(c).as_i64().expect("resolved as Int64");
+    let fold_i64 = |c: usize, identity: i64, op: fn(i64, i64) -> i64| {
+        let a = i64s(c);
+        Array::from_opt_i64(fold_rows(rows, groups, |r| a.get(r), identity, op))
+    };
+    let fold_f64 = |c: usize, identity: f64, op: fn(f64, f64) -> f64| {
+        let a = input.column(c).as_f64().expect("resolved as Float64");
+        Array::from_opt_f64(fold_rows(rows, groups, |r| a.get(r), identity, op))
+    };
+    let counts = |c: usize| {
+        let col = input.column(c);
+        fold_rows(
+            rows,
+            groups,
+            |r| (!col.is_null(r)).then_some(1),
+            0i64,
+            |n, one| n + one,
+        )
+    };
+    Ok(match *kind {
+        AggKind::CountStar => Array::from_i64(groups.sizes.clone()),
         AggKind::Count(c) => {
-            let validity = input.column(c).validity();
-            let mut counts = vec![0i64; ng];
-            for (k, &r) in rows.iter().enumerate() {
-                if validity.is_none_or(|v| v.get(r as usize)) {
-                    counts[row_group[k] as usize] += 1;
-                }
-            }
-            Array::from_i64(counts)
+            Array::from_i64(counts(c).into_iter().map(|n| n.unwrap_or(0)).collect())
         }
         AggKind::SumI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, 0, i64::wrapping_add)
-        }
-        AggKind::MinI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, i64::MAX, i64::min)
-        }
-        AggKind::MaxI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, i64::MIN, i64::max)
-        }
-        AggKind::SumF64(c) => {
-            fold_rows_f64(input.column(c), rows, row_group, ng, 0.0, |a, b| a + b)
-        }
-        AggKind::MinF64(c) => fold_rows_f64(
-            input.column(c),
-            rows,
-            row_group,
-            ng,
-            f64::INFINITY,
-            f64::min,
-        ),
-        AggKind::MaxF64(c) => fold_rows_f64(
-            input.column(c),
-            rows,
-            row_group,
-            ng,
-            f64::NEG_INFINITY,
-            f64::max,
-        ),
-        AggKind::Avg(c) => {
-            let mut sums = vec![0f64; ng];
-            let mut counts = vec![0i64; ng];
-            match input.column(c) {
-                Array::Int64(a) => {
-                    for (k, &r) in rows.iter().enumerate() {
-                        if let Some(v) = a.get(r as usize) {
-                            sums[row_group[k] as usize] += v as f64;
-                            counts[row_group[k] as usize] += 1;
-                        }
-                    }
-                }
-                Array::Float64(a) => {
-                    for (k, &r) in rows.iter().enumerate() {
-                        if let Some(v) = a.get(r as usize) {
-                            sums[row_group[k] as usize] += v;
-                            counts[row_group[k] as usize] += 1;
-                        }
-                    }
-                }
-                _ => unreachable!("avg resolved only for numeric columns"),
+            let a = i64s(c);
+            let mut overflowed = false;
+            let sums = fold_rows(
+                rows,
+                groups,
+                |r| a.get(r),
+                0,
+                |a, b| {
+                    a.checked_add(b).unwrap_or_else(|| {
+                        overflowed = true;
+                        0
+                    })
+                },
+            );
+            if overflowed {
+                return Err(SqlError::Plan(format!(
+                    "execution: sum({}) overflowed Int64",
+                    input.schema().field(c).name
+                )));
             }
+            Array::from_opt_i64(sums)
+        }
+        AggKind::MinI64(c) => fold_i64(c, i64::MAX, i64::min),
+        AggKind::MaxI64(c) => fold_i64(c, i64::MIN, i64::max),
+        AggKind::SumF64(c) => fold_f64(c, 0.0, |a, b| a + b),
+        AggKind::MinF64(c) => fold_f64(c, f64::INFINITY, f64::min),
+        AggKind::MaxF64(c) => fold_f64(c, f64::NEG_INFINITY, f64::max),
+        AggKind::Avg(c) => {
+            let sums = match input.column(c) {
+                Array::Int64(a) => fold_rows(
+                    rows,
+                    groups,
+                    |r| a.get(r).map(|v| v as f64),
+                    0.0,
+                    |a, b| a + b,
+                ),
+                Array::Float64(a) => fold_rows(rows, groups, |r| a.get(r), 0.0, |a, b| a + b),
+                _ => unreachable!("avg resolved only for numeric columns"),
+            };
             Array::from_opt_f64(
-                (0..ng)
-                    .map(|g| (counts[g] > 0).then(|| sums[g] / counts[g] as f64))
+                sums.into_iter()
+                    .zip(counts(c))
+                    .map(|(s, n)| Some(s? / n? as f64))
                     .collect(),
             )
         }
-        AggKind::NonNumeric => Array::from_opt_f64(vec![None; ng]),
-    }
+        AggKind::NonNumeric => Array::from_opt_f64(vec![None; groups.sizes.len()]),
+    })
 }
 
-fn fold_rows_i64(
-    col: &Array,
-    rows: &[u32],
-    row_group: &[u32],
-    ng: usize,
-    identity: i64,
-    op: fn(i64, i64) -> i64,
-) -> Array {
-    let a = col.as_i64().expect("resolved as Int64");
-    let mut acc: Vec<Option<i64>> = vec![None; ng];
-    for (k, &r) in rows.iter().enumerate() {
-        if let Some(v) = a.get(r as usize) {
-            let g = row_group[k] as usize;
-            acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-        }
-    }
-    Array::from_opt_i64(acc)
-}
-
-fn fold_rows_f64(
-    col: &Array,
-    rows: &[u32],
-    row_group: &[u32],
-    ng: usize,
-    identity: f64,
-    op: fn(f64, f64) -> f64,
-) -> Array {
-    let a = col.as_f64().expect("resolved as Float64");
-    let mut acc: Vec<Option<f64>> = vec![None; ng];
-    for (k, &r) in rows.iter().enumerate() {
-        if let Some(v) = a.get(r as usize) {
-            let g = row_group[k] as usize;
-            acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-        }
-    }
-    Array::from_opt_f64(acc)
-}
-
-/// Parallel sort: per-morsel stable [`compute::SortKeys::sort_range`]
-/// runs, then pairwise [`compute::SortKeys::merge`] rounds on the pool.
-/// The merge tie-breaks equal keys by row index, a total order — so any
+/// The sort permutation: per-morsel stable
+/// [`compute::SortKeys::sort_range`] runs, then pairwise
+/// [`compute::SortKeys::merge`] rounds on the pool (an input of one
+/// morsel is one run and no merge). The merge tie-breaks equal keys by row index, a total order — so any
 /// merge shape yields the unique permutation of the full stable sort,
 /// identical to [`compute::sort_to_indices`].
 pub(crate) fn sort_permutation(col: &Array, order: SortOrder) -> Vec<usize> {
@@ -768,7 +796,7 @@ mod tests {
         for threads in [1, 2, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let got = join_rows_partitioned(&lcol, &rcol, false, None, &mut stats);
+            let got = join_rows_partitioned(&lcol, &rcol, PARTITIONS, &mut stats);
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats.rehashes, 0);
             let sig = (stats.hash_slots, stats.hash_collisions);
@@ -779,28 +807,115 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partitioned_join_respects_selection_order() {
-        let _guard = pool::test_guard();
-        let n = PARALLEL_MIN_ROWS + 100;
-        let lkeys = pseudo(n, 11, 50);
-        let lcol = Array::from_i64(lkeys.clone());
-        let rcol = Array::from_i64((0..50).collect());
-        // A scrambled-but-deterministic selection: every third row, twice.
-        let sel: Vec<usize> = (0..n).step_by(3).chain((0..n).step_by(3)).collect();
+    /// Keys of `kind` for row values `ks`: `None` is a null key. Floats
+    /// carry NaN and `-0.0` beside `0.0`; the mixed pair is an `Int64`
+    /// left against a `Float64` right holding some non-integers.
+    fn key_column(kind: &str, ks: &[Option<i64>], right: bool) -> Array {
+        let float = |k: i64| match k % 128 {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 => k as f64 + 0.5,
+            _ => k as f64,
+        };
+        let strs: Vec<Option<String>> = ks.iter().map(|k| k.map(|k| format!("k{k}"))).collect();
+        let str_refs = || strs.iter().map(|s| s.as_deref()).collect::<Vec<_>>();
+        match (kind, right) {
+            ("int", _) | ("mixed", false) => Array::from_opt_i64(ks.to_vec()),
+            ("float", _) | ("mixed", true) => {
+                Array::from_opt_f64(ks.iter().map(|k| k.map(float)).collect())
+            }
+            ("utf8", _) => Array::from_opt_utf8(str_refs()),
+            ("dict", _) => Array::from_opt_dict_utf8(str_refs()),
+            _ => unreachable!("unknown key kind {kind}"),
+        }
+    }
 
-        pool::set_global_threads(4);
-        let mut stats = KernelStats::default();
-        let (lr, rr) = join_rows_partitioned(&lcol, &rcol, false, Some(&sel), &mut stats);
-        let mut expected: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for &l in &sel {
-            let k = lkeys[l];
-            if (0..50).contains(&k) {
-                expected.0.push(l);
-                expected.1.push(k as usize);
+    /// Partition count never changes output: the join and group-by
+    /// kernels run with 1 and with [`PARTITIONS`] partitions on the same
+    /// input, at sizes either side of the row-count gate, over every key
+    /// type with null keys on both sides, for a global and a grouped
+    /// aggregate of every [`AggKind`], at pool sizes 1 and 4 — and must
+    /// produce the same pair sequence and the same encoded batch.
+    #[test]
+    fn partition_count_never_changes_output() {
+        let _guard = pool::test_guard();
+        let min = PARALLEL_MIN_ROWS;
+        let aggs: Vec<(String, String, String)> = [
+            ("count", "*"),
+            ("count", "i"),
+            ("sum", "i"),
+            ("min", "i"),
+            ("max", "i"),
+            ("sum", "f"),
+            ("min", "f"),
+            ("max", "f"),
+            ("avg", "i"),
+            ("avg", "f"),
+            ("sum", "s"),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(n, (func, col))| (func.to_string(), col.to_string(), format!("a{n}")))
+        .collect();
+        for n in [0, 1, min - 1, min, min + 1, 2 * min + 5] {
+            // ~2 matches per probe row; every 11th / 13th key is null.
+            let modulus = (n as i64 / 2).max(1);
+            let nullable = |seed: u64, every: usize| -> Vec<Option<i64>> {
+                pseudo(n, seed, modulus)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(r, k)| (r % every != 0).then_some(k))
+                    .collect()
+            };
+            let (lks, rks) = (nullable(7, 11), nullable(9, 13));
+            let ints = nullable(21, 5);
+            let floats: Vec<Option<f64>> = nullable(23, 6)
+                .into_iter()
+                .map(|v| v.map(|v| v as f64 / 3.0))
+                .collect();
+            let strs: Vec<String> = (0..n).map(|r| format!("s{}", r % 3)).collect();
+            for kind in ["int", "float", "utf8", "dict", "mixed"] {
+                let lcol = key_column(kind, &lks, false);
+                let rcol = key_column(kind, &rks, true);
+                let input = RecordBatch::try_new(
+                    Schema::new(vec![
+                        Field::new("k", lcol.data_type(), true),
+                        Field::new("i", DataType::Int64, true),
+                        Field::new("f", DataType::Float64, true),
+                        Field::new("s", DataType::Utf8, false),
+                    ]),
+                    vec![
+                        lcol.clone(),
+                        Array::from_opt_i64(ints.clone()),
+                        Array::from_opt_f64(floats.clone()),
+                        Array::from_utf8(&strs),
+                    ],
+                )
+                .unwrap();
+                for threads in [1, 4] {
+                    pool::set_global_threads(threads);
+                    let at = format!("{kind} keys, {n} rows, {threads} threads");
+                    let join = |parts| {
+                        join_rows_partitioned(&lcol, &rcol, parts, &mut KernelStats::default())
+                    };
+                    let pairs = join(1);
+                    assert_eq!(pairs, join(PARTITIONS), "join: {at}");
+                    assert!(n < 100 || !pairs.0.is_empty(), "join matched nothing: {at}");
+                    for group_cols in [&[][..], &[0][..]] {
+                        let agg = |parts| {
+                            let mut stats = KernelStats::default();
+                            let out =
+                                aggregate_partitioned(group_cols, &aggs, &input, parts, &mut stats)
+                                    .unwrap();
+                            assert_eq!(stats.rehashes, 0, "{at}");
+                            (skadi_arrow::ipc::encode(&out).to_vec(), stats.groups)
+                        };
+                        assert_eq!(agg(1), agg(PARTITIONS), "group by {group_cols:?}: {at}");
+                    }
+                }
             }
         }
-        assert_eq!((lr, rr), expected);
     }
 
     #[test]
@@ -833,7 +948,7 @@ mod tests {
         for threads in [1, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let out = aggregate_partitioned(&[0], &aggs, &input, &mut stats).unwrap();
+            let out = aggregate_partitioned(&[0], &aggs, &input, PARTITIONS, &mut stats).unwrap();
             assert_eq!(out.num_rows(), by_key.len());
             assert_eq!(stats.groups, by_key.len() as u64);
             assert_eq!(stats.rehashes, 0);

@@ -26,10 +26,13 @@ use std::thread::JoinHandle;
 /// thread count) so row-range splits are identical at every parallelism.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// Inputs below this many rows stay on the legacy single-threaded kernel
-/// paths. The threshold is data-dependent only, so which path runs — and
-/// therefore every profile counter it reports — is the same at every
-/// thread count.
+/// The row count from which a join or group-by splits into hash
+/// partitions (`parallel::partition_count`) and a gather or a multi-conjunct
+/// mask spreads its columns over the pool instead of running inline. Below
+/// it every kernel is its one-partition, one-morsel case. The threshold is
+/// data-dependent only, so the partition count — and therefore every
+/// hash-table counter a profile reports — is the same at every thread
+/// count.
 pub const PARALLEL_MIN_ROWS: usize = MORSEL_ROWS;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;

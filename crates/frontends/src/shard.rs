@@ -63,7 +63,7 @@ pub fn is_hidden(name: &str) -> bool {
     name == RID || name == GKEY
 }
 
-/// Per-shard kernel measurements from one [`execute_shard_stats`] call:
+/// Per-shard kernel measurements from one [`execute_shard_adaptive`] call:
 /// hash-table counters from join/group-by kernels plus filter-step row
 /// counts (for selectivity). Chains with several filter steps accumulate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,29 +99,8 @@ pub fn execute_shard(
     port0: &[RecordBatch],
     port1: &[RecordBatch],
 ) -> Result<RecordBatch, SqlError> {
-    execute_shard_stats(
-        op,
-        tables,
-        shard,
-        shards,
-        port0,
-        port1,
-        &mut ShardExecStats::default(),
-    )
-}
-
-/// [`execute_shard`] with kernel measurements accumulated into `stats`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_shard_stats(
-    op: &ExecOp,
-    tables: &BTreeMap<String, RecordBatch>,
-    shard: u32,
-    shards: u32,
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
-    stats: &mut ShardExecStats,
-) -> Result<RecordBatch, SqlError> {
-    execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, stats)
+    let mut stats = ShardExecStats::default();
+    execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, &mut stats)
 }
 
 /// When the nominal build input of an adaptive join holds more than this
@@ -129,11 +108,12 @@ pub fn execute_shard_stats(
 /// instead. A pure function of gathered row counts — never of timing.
 pub const SWAP_BUILD_MULTIPLE: usize = 2;
 
-/// [`execute_shard_stats`] with adaptive execution: when `adaptive` is
-/// true, a join whose gathered build side (`port1`) exceeds
-/// [`SWAP_BUILD_MULTIPLE`]× the probe side builds its hash table on the
-/// smaller side and restores probe order afterwards, so the output stays
-/// byte-identical to the static plan (see [`join_shard`]).
+/// [`execute_shard`] with kernel measurements accumulated into `stats`
+/// and optional adaptive execution: when `adaptive` is true, a join whose
+/// gathered build side (`port1`) exceeds [`SWAP_BUILD_MULTIPLE`]× the
+/// probe side builds its hash table on the smaller side and restores
+/// probe order afterwards, so the output stays byte-identical to the
+/// static plan (see [`join_shard`]).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_shard_adaptive(
     op: &ExecOp,
@@ -402,7 +382,6 @@ fn join_shard(
             &left_vis,
             right_key,
             left_key,
-            None,
             &mut stats.kernel,
         )?;
         (build, probe)
@@ -412,7 +391,6 @@ fn join_shard(
             &right_vis,
             left_key,
             right_key,
-            None,
             &mut stats.kernel,
         )?
     };

@@ -489,13 +489,13 @@ fn reserved_columns_are_rejected() {
 
 /// Pins the shuffle/exec hash contract across crates: the flowgraph
 /// partitioner (`Partitioner::Hash` over a key's raw bytes), the arrow
-/// column hash (`hash_key_column` / `hash_key_at`), and the shard-level
+/// column hash (`hash_key_column`), and the shard-level
 /// `partition_by_key` must all route every row to the same shard. If any
 /// one of them changes its hash, joins would silently mis-co-locate rows
 /// — this test turns that into a loud failure.
 #[test]
 fn shuffle_and_exec_hashes_are_bit_compatible() {
-    use skadi::arrow::compute::{hash_key_at, hash_key_column};
+    use skadi::arrow::compute::hash_key_column;
     use skadi::flowgraph::partition::Partitioner;
     use skadi::frontends::shard::partition_by_key;
 
@@ -541,9 +541,7 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
                 };
                 let via_partitioner = Partitioner::Hash.assign(&bytes, row as u64, parts);
                 let via_column = (hashes[row] % parts as u64) as u32;
-                let via_row = (hash_key_at(col, false, row) % parts as u64) as u32;
                 assert_eq!(via_partitioner, via_column, "row {row} at {parts} parts");
-                assert_eq!(via_partitioner, via_row, "row {row} at {parts} parts");
             }
         }
     }

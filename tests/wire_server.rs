@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::thread;
 
-use skadi::arrow::array::Array;
+use skadi::arrow::array::{Array, Value};
 use skadi::arrow::batch::RecordBatch;
 use skadi::arrow::datatype::DataType;
 use skadi::arrow::ipc;
@@ -243,6 +243,74 @@ fn sql_errors_become_exceptions_with_readable_messages() {
     }
     drop(client);
     assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
+}
+
+/// `sum` over `Int64` that leaves the `i64` range ends the query with the
+/// same named error locally, from a distributed shard, and as a wire
+/// `Exception` from either engine — never a silently wrapped total. The
+/// neighbouring group's query still answers, and the session survives.
+#[test]
+fn int64_sum_overflow_is_an_error_on_every_path() {
+    let t = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("g", DataType::Utf8, false),
+            Field::new("v", DataType::Int64, false),
+        ]),
+        vec![
+            Array::from_utf8(&["big", "small", "big", "small"]),
+            Array::from_i64(vec![i64::MAX, 40, 1, 2]),
+        ],
+    )
+    .unwrap();
+    let db = MemDb::new().register("t", t);
+    let needle = "sum(v) overflowed Int64";
+    let grouped = "SELECT g, sum(v) AS s FROM t GROUP BY g";
+    let global = "SELECT sum(v) AS s FROM t";
+    let neighbour = "SELECT g, sum(v) AS s FROM t WHERE g = 'small' GROUP BY g";
+    let want = db.query(neighbour).unwrap();
+    assert_eq!(want.column(1).value_at(0), Value::I64(42));
+    // `avg` folds in f64 and is unaffected.
+    assert_eq!(db.query("SELECT avg(v) AS a FROM t").unwrap().num_rows(), 1);
+
+    for q in [grouped, global] {
+        let local = db.query(q).unwrap_err().to_string();
+        assert!(local.contains(needle), "local {q}: {local}");
+        for parallelism in [1, 4] {
+            let session = test_session(parallelism);
+            let dist = session.sql_distributed(&db, q).unwrap_err().to_string();
+            assert!(
+                dist.contains(needle),
+                "distributed x{parallelism} {q}: {dist}"
+            );
+            let run = session.sql_distributed(&db, neighbour).unwrap();
+            assert_eq!(run.batch, want);
+        }
+    }
+
+    for distributed in [false, true] {
+        let server = Server::new(
+            test_session(2),
+            db.clone(),
+            ServerConfig {
+                distributed,
+                ..ServerConfig::default()
+            },
+        );
+        let (stream, server_thread) = server.connect();
+        let mut client = Client::connect(stream, "overflow").unwrap();
+        for q in [grouped, global] {
+            match client.query(q) {
+                Err(WireError::Server { message, .. }) => {
+                    assert!(message.contains(needle), "wire {q}: {message}")
+                }
+                other => panic!("{q}: expected server exception, got {other:?}"),
+            }
+            let ok = client.query(neighbour).expect("session still usable");
+            assert_eq!(ok.batch, want);
+        }
+        drop(client);
+        assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
+    }
 }
 
 /// `LIMIT 0` is legal and returns the empty-but-schema'd result on both
