@@ -6,10 +6,46 @@
 //! kernel output) compare equal.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::buffer::{Bitmap, Buffer};
 use crate::datatype::DataType;
 use crate::error::ArrowError;
+
+fn check_range(lo: usize, hi: usize, len: usize) {
+    assert!(
+        lo <= hi && hi <= len,
+        "range {lo}..{hi} out of bounds for {len}"
+    );
+}
+
+/// Validity of rows `lo..hi`: `None` when the range holds no null, the
+/// normal form every constructor produces.
+fn slice_validity(validity: Option<&Bitmap>, lo: usize, hi: usize) -> Option<Bitmap> {
+    let v = validity?.slice(lo, hi);
+    (v.count_set() < v.len()).then_some(v)
+}
+
+/// Validity of parts laid end to end, each `(validity, rows)`; `None`
+/// when no part holds a null.
+fn concat_validity(parts: &[(Option<&Bitmap>, usize)]) -> Option<Bitmap> {
+    if parts.iter().all(|(v, _)| v.is_none()) {
+        return None;
+    }
+    let runs: Vec<_> = parts.iter().map(|&(v, rows)| (v, 0, rows)).collect();
+    let v = Bitmap::from_runs(&runs);
+    (v.count_set() < v.len()).then_some(v)
+}
+
+/// The first `rows * width` bytes of each buffer, appended.
+fn concat_fixed(parts: &[(&Buffer, usize)], width: usize) -> Buffer {
+    let rows: usize = parts.iter().map(|p| p.1).sum();
+    let mut raw = Vec::with_capacity(rows * width);
+    for (values, rows) in parts {
+        raw.extend_from_slice(&values.as_slice()[..rows * width]);
+    }
+    Buffer::from_vec(raw)
+}
 
 /// One dynamically-typed value, used at the row-oriented edges of the
 /// system (the marshalling baseline, tests, display).
@@ -166,6 +202,27 @@ impl Int64Array {
         }
     }
 
+    /// Rows `lo..hi` as a view: the values alias this array's buffer.
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Int64Array {
+        check_range(lo, hi, self.len);
+        Int64Array {
+            values: self.values.slice(lo * 8, (hi - lo) * 8),
+            validity: slice_validity(self.validity.as_ref(), lo, hi),
+            len: hi - lo,
+        }
+    }
+
+    /// The parts laid end to end, raw buffers appended.
+    pub(crate) fn concat(parts: &[&Int64Array]) -> Int64Array {
+        let values: Vec<_> = parts.iter().map(|p| (&p.values, p.len)).collect();
+        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
+        Int64Array {
+            values: concat_fixed(&values, 8),
+            validity: concat_validity(&validity),
+            len: parts.iter().map(|p| p.len).sum(),
+        }
+    }
+
     /// The raw values buffer.
     pub fn values(&self) -> &Buffer {
         &self.values
@@ -303,6 +360,27 @@ impl Float64Array {
         }
     }
 
+    /// Rows `lo..hi` as a view: the values alias this array's buffer.
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Float64Array {
+        check_range(lo, hi, self.len);
+        Float64Array {
+            values: self.values.slice(lo * 8, (hi - lo) * 8),
+            validity: slice_validity(self.validity.as_ref(), lo, hi),
+            len: hi - lo,
+        }
+    }
+
+    /// The parts laid end to end, raw buffers appended.
+    pub(crate) fn concat(parts: &[&Float64Array]) -> Float64Array {
+        let values: Vec<_> = parts.iter().map(|p| (&p.values, p.len)).collect();
+        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
+        Float64Array {
+            values: concat_fixed(&values, 8),
+            validity: concat_validity(&validity),
+            len: parts.iter().map(|p| p.len).sum(),
+        }
+    }
+
     /// The raw values buffer.
     pub fn values(&self) -> &Buffer {
         &self.values
@@ -375,6 +453,31 @@ impl BoolArray {
         BoolArray::from_options(opts)
     }
 
+    /// Rows `lo..hi` as an array of their own.
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> BoolArray {
+        check_range(lo, hi, self.len());
+        BoolArray {
+            values: self.values.slice(lo, hi),
+            validity: slice_validity(self.validity.as_ref(), lo, hi),
+        }
+    }
+
+    /// The parts laid end to end, bits appended.
+    pub(crate) fn concat(parts: &[&BoolArray]) -> BoolArray {
+        let values: Vec<_> = parts
+            .iter()
+            .map(|p| (Some(&p.values), 0, p.len()))
+            .collect();
+        let validity: Vec<_> = parts
+            .iter()
+            .map(|p| (p.validity.as_ref(), p.len()))
+            .collect();
+        BoolArray {
+            values: Bitmap::from_runs(&values),
+            validity: concat_validity(&validity),
+        }
+    }
+
     /// The packed value bits.
     pub fn values(&self) -> &Bitmap {
         &self.values
@@ -386,6 +489,30 @@ impl BoolArray {
     }
 }
 
+/// The dictionary encoding of a [`Utf8Array`], computed on first use and
+/// shared by every clone of the array: a registered table pays for it
+/// once, not once per scan shard per query. Holds `None` when the column
+/// is not worth encoding. Never part of the array's value: any two memos
+/// compare equal.
+#[derive(Clone, Default)]
+struct DictMemo(Arc<OnceLock<Option<DictUtf8Array>>>);
+
+impl PartialEq for DictMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for DictMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "DictMemo(set)"
+        } else {
+            "DictMemo(unset)"
+        })
+    }
+}
+
 /// A UTF-8 string array with 32-bit offsets (Arrow `Utf8` layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Utf8Array {
@@ -394,6 +521,7 @@ pub struct Utf8Array {
     data: Buffer,
     validity: Option<Bitmap>,
     len: usize,
+    dict: DictMemo,
 }
 
 impl Utf8Array {
@@ -435,6 +563,7 @@ impl Utf8Array {
             data: Buffer::from_vec(data),
             validity: any_null.then(|| Bitmap::from_bools(&valid)),
             len,
+            dict: DictMemo::default(),
         }
     }
 
@@ -446,6 +575,7 @@ impl Utf8Array {
             data,
             validity,
             len,
+            dict: DictMemo::default(),
         }
     }
 
@@ -514,7 +644,68 @@ impl Utf8Array {
             data: Buffer::from_vec(data),
             validity: any_null.then(|| Bitmap::from_bools(&valid)),
             len: indices.len(),
+            dict: DictMemo::default(),
         }
+    }
+
+    /// Rows `lo..hi` as a view: the string bytes alias this array's
+    /// buffer; the offsets do too when the range starts at byte 0, and
+    /// are rebased to it otherwise (the frame layout starts at 0).
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Utf8Array {
+        check_range(lo, hi, self.len);
+        let start = self.offsets.get_i32(lo);
+        let end = self.offsets.get_i32(hi);
+        let offsets = if start == 0 {
+            self.offsets.slice(lo * 4, (hi - lo + 1) * 4)
+        } else {
+            let rebased: Vec<i32> = (lo..=hi).map(|i| self.offsets.get_i32(i) - start).collect();
+            rebased.into()
+        };
+        Utf8Array {
+            offsets,
+            data: self.data.slice(start as usize, (end - start) as usize),
+            validity: slice_validity(self.validity.as_ref(), lo, hi),
+            len: hi - lo,
+            dict: DictMemo::default(),
+        }
+    }
+
+    /// The parts laid end to end: string bytes appended, offsets rebased.
+    pub(crate) fn concat(parts: &[&Utf8Array]) -> Utf8Array {
+        let span = |p: &Utf8Array| (p.offsets.get_i32(0), p.offsets.get_i32(p.len));
+        let len: usize = parts.iter().map(|p| p.len).sum();
+        let bytes: usize = parts.iter().map(|p| (span(p).1 - span(p).0) as usize).sum();
+        i32::try_from(bytes).expect("utf8 data exceeds 2 GiB");
+        let mut offsets: Vec<i32> = Vec::with_capacity(len + 1);
+        offsets.push(0);
+        let mut data: Vec<u8> = Vec::with_capacity(bytes);
+        for p in parts {
+            let (first, last) = span(p);
+            let shift = data.len() as i32 - first;
+            offsets.extend((1..=p.len).map(|i| p.offsets.get_i32(i) + shift));
+            data.extend_from_slice(&p.data.as_slice()[first as usize..last as usize]);
+        }
+        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
+        Utf8Array {
+            offsets: offsets.into(),
+            data: Buffer::from_vec(data),
+            validity: concat_validity(&validity),
+            len,
+            dict: DictMemo::default(),
+        }
+    }
+
+    /// This column dictionary-encoded, if its cardinality is low enough
+    /// to pay off: each entry repeats at least twice on average and the
+    /// dictionary stays under [`DICT_MAX_CARDINALITY`]. Encoded at most
+    /// once for this array and all its clones.
+    fn dict_encoded(&self) -> Option<DictUtf8Array> {
+        let memo = self.dict.0.get_or_init(|| {
+            let d = DictUtf8Array::from_utf8(self);
+            let distinct = d.dictionary().len();
+            (distinct <= DICT_MAX_CARDINALITY && distinct * 2 <= self.len).then_some(d)
+        });
+        memo.clone()
     }
 
     /// The offsets buffer.
@@ -696,10 +887,55 @@ impl DictUtf8Array {
         Utf8Array::from_options(self.iter())
     }
 
+    /// Rows `lo..hi` as a view: the keys alias this array's buffer and
+    /// the dictionary is shared whole.
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> DictUtf8Array {
+        check_range(lo, hi, self.len);
+        DictUtf8Array {
+            keys: self.keys.slice(lo * 4, (hi - lo) * 4),
+            dict: self.dict.clone(),
+            validity: slice_validity(self.validity.as_ref(), lo, hi),
+            len: hi - lo,
+        }
+    }
+
     /// Concatenates several dict arrays, merging their dictionaries by
-    /// first appearance and remapping keys.
+    /// first appearance and remapping keys (entries no row uses are
+    /// dropped). Each part's entry is hashed once, not once per row.
     pub fn concat(parts: &[&DictUtf8Array]) -> DictUtf8Array {
-        DictUtf8Array::from_options(parts.iter().flat_map(|p| p.iter()))
+        let len: usize = parts.iter().map(|p| p.len).sum();
+        let mut merged: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
+        let mut entries: Vec<&str> = Vec::new();
+        let mut keys: Vec<u32> = Vec::with_capacity(len);
+        for p in parts {
+            // This part's key -> merged key, filled as entries first appear.
+            let mut remap: Vec<Option<u32>> = vec![None; p.dict.len()];
+            for i in 0..p.len {
+                if p.validity.as_ref().is_some_and(|v| !v.get(i)) {
+                    keys.push(0);
+                    continue;
+                }
+                let k = p.keys.get_u32(i) as usize;
+                let key = *remap[k].get_or_insert_with(|| {
+                    let s = p
+                        .dict
+                        .get(k)
+                        .expect("invariant: dictionary entries are never null");
+                    *merged.entry(s).or_insert_with(|| {
+                        entries.push(s);
+                        u32::try_from(entries.len() - 1).expect("dictionary exceeds u32 keys")
+                    })
+                });
+                keys.push(key);
+            }
+        }
+        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
+        DictUtf8Array {
+            keys: keys.into(),
+            dict: Utf8Array::new(&entries),
+            validity: concat_validity(&validity),
+            len,
+        }
     }
 
     /// The raw keys buffer (`len` little-endian u32 values).
@@ -794,17 +1030,13 @@ impl Array {
     /// enough to pay off (each entry repeats at least twice on average
     /// and the dictionary stays under [`DICT_MAX_CARDINALITY`]); other
     /// columns — and high-cardinality strings — pass through unchanged.
+    /// A column is encoded at most once: the result is kept with the
+    /// array and shared by its clones.
     pub fn dict_encoded(&self) -> Array {
         match self {
-            Array::Utf8(a) => {
-                let d = DictUtf8Array::from_utf8(a);
-                let distinct = d.dictionary().len();
-                if distinct <= DICT_MAX_CARDINALITY && distinct * 2 <= a.len() {
-                    Array::DictUtf8(d)
-                } else {
-                    self.clone()
-                }
-            }
+            Array::Utf8(a) => a
+                .dict_encoded()
+                .map_or_else(|| self.clone(), Array::DictUtf8),
             _ => self.clone(),
         }
     }
@@ -914,6 +1146,55 @@ impl Array {
             Array::Utf8(a) => Array::Utf8(a.take_rows(indices)),
             Array::DictUtf8(a) => Array::DictUtf8(a.take_rows(indices)),
         }
+    }
+
+    /// Rows `lo..hi` as a view over this column's buffers: O(1) for the
+    /// value bytes, a copy only of what the frame layout cannot alias
+    /// (validity bits, bit-packed booleans, string offsets that do not
+    /// start at 0). Equal to `take_rows` of the same range as an array
+    /// and as IPC bytes; `validity` is `None` exactly when the range
+    /// holds no null.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi` is out of bounds.
+    pub fn slice(&self, lo: usize, hi: usize) -> Array {
+        match self {
+            Array::Int64(a) => Array::Int64(a.slice(lo, hi)),
+            Array::Float64(a) => Array::Float64(a.slice(lo, hi)),
+            Array::Bool(a) => Array::Bool(a.slice(lo, hi)),
+            Array::Utf8(a) => Array::Utf8(a.slice(lo, hi)),
+            Array::DictUtf8(a) => Array::DictUtf8(a.slice(lo, hi)),
+        }
+    }
+
+    /// Columns of one type laid end to end, raw buffers appended. A
+    /// single part passes through as an O(1) clone — except a `DictUtf8`
+    /// one, whose dictionary is still rebuilt to the entries in use.
+    pub(crate) fn concat(parts: &[&Array]) -> Result<Array, ArrowError> {
+        fn typed<'a, T>(
+            parts: &[&'a Array],
+            downcast: impl Fn(&'a Array) -> Result<&'a T, ArrowError>,
+        ) -> Result<Vec<&'a T>, ArrowError> {
+            parts.iter().map(|p| downcast(p)).collect()
+        }
+        let first = *parts
+            .first()
+            .ok_or_else(|| ArrowError::ShapeMismatch("concat of zero columns".into()))?;
+        if parts.len() == 1 && !matches!(first, Array::DictUtf8(_)) {
+            return Ok(first.clone());
+        }
+        Ok(match first {
+            Array::Int64(_) => Array::Int64(Int64Array::concat(&typed(parts, Array::as_i64)?)),
+            Array::Float64(_) => {
+                Array::Float64(Float64Array::concat(&typed(parts, Array::as_f64)?))
+            }
+            Array::Bool(_) => Array::Bool(BoolArray::concat(&typed(parts, Array::as_bool)?)),
+            Array::Utf8(_) => Array::Utf8(Utf8Array::concat(&typed(parts, Array::as_utf8)?)),
+            Array::DictUtf8(_) => {
+                Array::DictUtf8(DictUtf8Array::concat(&typed(parts, Array::as_dict_utf8)?))
+            }
+        })
     }
 
     /// Approximate in-memory footprint in bytes (values + offsets +

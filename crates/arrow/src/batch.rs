@@ -157,7 +157,29 @@ impl RecordBatch {
         }
     }
 
-    /// Concatenates batches with identical schemas.
+    /// Rows `lo..hi` as a view over this batch's buffers (see
+    /// [`Array::slice`]): what `take_indices` of the same contiguous
+    /// range returns, without the gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi` is out of bounds.
+    pub fn slice(&self, lo: usize, hi: usize) -> RecordBatch {
+        assert!(
+            lo <= hi && hi <= self.rows,
+            "rows {lo}..{hi} out of bounds for {}",
+            self.rows
+        );
+        RecordBatch {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.slice(lo, hi)).collect(),
+            rows: hi - lo,
+        }
+    }
+
+    /// Concatenates batches with identical schemas, appending raw column
+    /// buffers. `DictUtf8` columns merge their dictionaries by first
+    /// appearance; any other column of a single batch is an O(1) clone.
     pub fn concat(batches: &[RecordBatch]) -> Result<RecordBatch, ArrowError> {
         let first = batches
             .first()
@@ -172,48 +194,8 @@ impl RecordBatch {
         }
         let mut columns = Vec::with_capacity(schema.len());
         for c in 0..schema.len() {
-            // Typed concatenation: chain each batch's typed iterator, no
-            // per-row `Value` boxing.
-            let col = match batches[0].column(c) {
-                Array::Int64(_) => {
-                    let mut out = Vec::new();
-                    for b in batches {
-                        out.extend(b.column(c).as_i64()?.iter());
-                    }
-                    Array::from_opt_i64(out)
-                }
-                Array::Float64(_) => {
-                    let mut out = Vec::new();
-                    for b in batches {
-                        out.extend(b.column(c).as_f64()?.iter());
-                    }
-                    Array::from_opt_f64(out)
-                }
-                Array::Bool(_) => {
-                    let mut out = Vec::new();
-                    for b in batches {
-                        out.extend(b.column(c).as_bool()?.iter());
-                    }
-                    Array::from_opt_bool(out)
-                }
-                Array::Utf8(_) => {
-                    let mut out = Vec::new();
-                    for b in batches {
-                        out.extend(b.column(c).as_utf8()?.iter());
-                    }
-                    Array::Utf8(crate::array::Utf8Array::from_options(out))
-                }
-                Array::DictUtf8(_) => {
-                    // Per-batch dictionaries may differ; merge them by
-                    // first appearance and remap the keys.
-                    let mut parts = Vec::with_capacity(batches.len());
-                    for b in batches {
-                        parts.push(b.column(c).as_dict_utf8()?);
-                    }
-                    Array::DictUtf8(crate::array::DictUtf8Array::concat(&parts))
-                }
-            };
-            columns.push(col);
+            let parts: Vec<&Array> = batches.iter().map(|b| b.column(c)).collect();
+            columns.push(Array::concat(&parts)?);
         }
         RecordBatch::try_new(schema, columns)
     }
@@ -357,5 +339,189 @@ mod tests {
         assert!(s.contains("more rows"), "{s}");
     }
 
-    use crate::array::Value;
+    use crate::array::{DictUtf8Array, Value};
+    use crate::{compute, ipc};
+    use proptest::prelude::*;
+
+    const WORDS: [&str; 4] = ["", "a", "bb", "héllo"];
+
+    /// One column per encoding from the same rows (numbers from the first
+    /// cell, strings from the second; `None` is a null). The `DictUtf8`
+    /// column's dictionary carries an entry no row uses.
+    fn five_encodings(rows: &[(Option<i64>, Option<usize>)]) -> RecordBatch {
+        let words: Vec<Option<&str>> = rows.iter().map(|r| r.1.map(|w| WORDS[w])).collect();
+        let with_spare: Vec<Option<&str>> = std::iter::once(Some("spare"))
+            .chain(words.iter().copied())
+            .collect();
+        let dict = DictUtf8Array::from_options(with_spare).slice(1, rows.len() + 1);
+        assert_eq!(dict.dictionary().get(0), Some("spare"));
+        RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("i", DataType::Int64, true),
+                Field::new("f", DataType::Float64, true),
+                Field::new("b", DataType::Bool, true),
+                Field::new("s", DataType::Utf8, true),
+                Field::new("d", DataType::DictUtf8, true),
+            ]),
+            vec![
+                Array::from_opt_i64(rows.iter().map(|r| r.0).collect()),
+                Array::from_opt_f64(rows.iter().map(|r| r.0.map(|v| v as f64 / 2.0)).collect()),
+                Array::from_opt_bool(rows.iter().map(|r| r.0.map(|v| v % 2 == 0)).collect()),
+                Array::from_opt_utf8(words),
+                Array::DictUtf8(dict),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// The per-value concatenation `concat` used to be: every value
+    /// through `Option`, dictionaries rebuilt by first appearance.
+    fn per_value_concat(batches: &[RecordBatch]) -> RecordBatch {
+        let columns = (0..batches[0].num_columns())
+            .map(|c| {
+                let cols = batches.iter().map(move |b| b.column(c));
+                match batches[0].column(c) {
+                    Array::Int64(_) => {
+                        Array::from_opt_i64(cols.flat_map(|a| a.as_i64().unwrap().iter()).collect())
+                    }
+                    Array::Float64(_) => {
+                        Array::from_opt_f64(cols.flat_map(|a| a.as_f64().unwrap().iter()).collect())
+                    }
+                    Array::Bool(_) => Array::from_opt_bool(
+                        cols.flat_map(|a| a.as_bool().unwrap().iter()).collect(),
+                    ),
+                    Array::Utf8(_) => {
+                        Array::from_opt_utf8(cols.flat_map(|a| a.as_utf8().unwrap().iter()))
+                    }
+                    Array::DictUtf8(_) => Array::from_opt_dict_utf8(
+                        cols.flat_map(|a| a.as_dict_utf8().unwrap().iter()),
+                    ),
+                }
+            })
+            .collect();
+        RecordBatch::try_new(batches[0].schema().clone(), columns).unwrap()
+    }
+
+    /// Equal as arrays and as frames: `DictUtf8` equality is logical, so
+    /// only the frame sees a dictionary that differs.
+    fn assert_same(got: &RecordBatch, want: &RecordBatch, what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(
+            ipc::encode(got).as_slice(),
+            ipc::encode(want).as_slice(),
+            "{what}: frames differ"
+        );
+    }
+
+    fn check_slices(b: &RecordBatch) {
+        let n = b.num_rows();
+        for lo in [0, 1, 3, 7, 8, 9, n / 2, n] {
+            for len in [0, 1, 5, 8, 13, n] {
+                let (lo, hi) = (lo.min(n), (lo + len).min(n));
+                let rows: Vec<usize> = (lo..hi).collect();
+                let taken = compute::take_indices(b, &rows).unwrap();
+                let sliced = b.slice(lo, hi);
+                assert_same(&sliced, &taken, &format!("slice {lo}..{hi} of {n}"));
+                for (c, col) in sliced.columns().iter().enumerate() {
+                    let nulls = rows.iter().filter(|&&r| b.column(c).is_null(r)).count();
+                    assert_eq!(col.validity().is_none(), nulls == 0, "{lo}..{hi} col {c}");
+                }
+            }
+        }
+    }
+
+    fn check_concat(b: &RecordBatch, cut1: usize, cut2: usize) {
+        let n = b.num_rows();
+        let (a, z) = (cut1.min(cut2).min(n), cut1.max(cut2).min(n));
+        // Views and gathers of the same ranges, an empty part among them.
+        let rows = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
+        let parts = [
+            b.slice(0, a),
+            compute::take_indices(b, &rows(a, z)).unwrap(),
+            b.slice(z, z),
+            b.slice(z, n),
+        ];
+        for take in [&parts[..], &parts[..1], &parts[1..3]] {
+            let got = RecordBatch::concat(take).unwrap();
+            assert_same(
+                &got,
+                &per_value_concat(take),
+                &format!("cuts {a},{z} of {n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn slice_and_concat_edge_shapes() {
+        // A run of nulls that covers whole ranges (rows 8..16), ranges
+        // with no null at all (0..8), empty strings, and an empty batch.
+        let rows: Vec<(Option<i64>, Option<usize>)> = (0..21)
+            .map(|i| match i {
+                8..=15 => (None, None),
+                _ => (Some(i as i64 - 4), Some(i % 4)),
+            })
+            .collect();
+        let b = five_encodings(&rows);
+        check_slices(&b);
+        for (c1, c2) in [(0, 0), (8, 16), (3, 11), (16, 21), (21, 21)] {
+            check_concat(&b, c1, c2);
+        }
+        let all_null = five_encodings(&[(None, None); 9]);
+        check_slices(&all_null);
+        check_concat(&all_null, 2, 7);
+        let empty = five_encodings(&[]);
+        check_slices(&empty);
+        check_concat(&empty, 0, 0);
+    }
+
+    #[test]
+    fn dictionary_memo_is_shared_by_clones_and_changes_nothing() {
+        let words: Vec<&str> = (0..40).map(|i| WORDS[i % 3]).collect();
+        let plain = Array::from_utf8(&words);
+        let clone = plain.clone();
+        let first = plain.dict_encoded();
+        let again = clone.dict_encoded();
+        // Same key buffer: the clone answered from the first call's memo.
+        let keys = |a: &Array| a.as_dict_utf8().unwrap().keys().as_slice().as_ptr();
+        assert_eq!(keys(&first), keys(&again));
+        // A fresh array of the same values encodes to the same frame.
+        let fresh = Array::from_utf8(&words).dict_encoded();
+        let frame = |a: Array| {
+            let schema = Schema::new(vec![Field::new("s", a.data_type(), false)]);
+            ipc::encode(&RecordBatch::try_new(schema, vec![a]).unwrap())
+        };
+        assert_eq!(frame(first).as_slice(), frame(fresh).as_slice());
+        // The memo is not part of the value.
+        assert_eq!(plain, Array::from_utf8(&words));
+        // A column not worth encoding stays plain on every call.
+        let unique = Array::from_utf8(&["p", "q", "r"]);
+        assert_eq!(unique.dict_encoded().data_type(), DataType::Utf8);
+        assert_eq!(unique.clone().dict_encoded().data_type(), DataType::Utf8);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_slice_equals_take_of_the_range(
+            rows in proptest::collection::vec(
+                (proptest::option::of(-6i64..6), proptest::option::of(0usize..4)),
+                0..80,
+            ),
+        ) {
+            check_slices(&five_encodings(&rows));
+        }
+
+        #[test]
+        fn prop_concat_equals_per_value_concat(
+            rows in proptest::collection::vec(
+                (proptest::option::of(-6i64..6), proptest::option::of(0usize..4)),
+                0..80,
+            ),
+            cut1 in 0usize..80,
+            cut2 in 0usize..80,
+        ) {
+            check_concat(&five_encodings(&rows), cut1, cut2);
+        }
+    }
 }

@@ -191,6 +191,49 @@ impl Bitmap {
         }
     }
 
+    /// Concatenates bit runs into one bitmap whose padding bits are zero
+    /// (the form [`Bitmap::from_bools`] produces, which the IPC bytes
+    /// depend on). Each run is `(bits, from, len)`: `len` bits of `bits`
+    /// starting at bit `from`, or `len` set bits when `bits` is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run reaches past the end of its bitmap.
+    pub(crate) fn from_runs(runs: &[(Option<&Bitmap>, usize, usize)]) -> Bitmap {
+        let total: usize = runs.iter().map(|r| r.2).sum();
+        let mut out = vec![0u8; total.div_ceil(8)];
+        let mut at = 0;
+        for &(src, from, len) in runs {
+            if let Some(b) = src {
+                assert!(from + len <= b.len, "bit run out of bounds for {}", b.len);
+            }
+            let src = src.map(|b| b.bits.as_slice());
+            // Up to a byte at a time: as many bits as stay inside both
+            // the current source byte and the current output byte.
+            let mut done = 0;
+            while done < len {
+                let (s, d) = (from + done, at + done);
+                let aligned = if src.is_some() { 8 - s % 8 } else { 8 };
+                let take = aligned.min(8 - d % 8).min(len - done);
+                let byte = src.map_or(0xFF, |b| b[s / 8] >> (s % 8));
+                let bits = byte & (0xFFu16 >> (8 - take)) as u8;
+                out[d / 8] |= bits << (d % 8);
+                done += take;
+            }
+            at += len;
+        }
+        Bitmap {
+            bits: Buffer::from_vec(out),
+            len: total,
+        }
+    }
+
+    /// Bits `lo..hi` as a bitmap of their own (copied, zero padding).
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Bitmap {
+        assert!(lo <= hi, "bit range {lo}..{hi} is inverted");
+        Bitmap::from_runs(&[(Some(self), lo, hi - lo)])
+    }
+
     /// Reconstructs a bitmap from its packed bytes.
     pub fn from_buffer(bits: Buffer, len: usize) -> Self {
         assert!(bits.len() >= len.div_ceil(8), "bitmap buffer too short");
@@ -302,6 +345,34 @@ mod tests {
             let naive = bools.iter().filter(|b| **b).count();
             assert_eq!(bm.count_set(), naive, "len {len}");
         }
+    }
+
+    #[test]
+    fn runs_match_naive_at_every_alignment() {
+        let bools: Vec<bool> = (0..83).map(|i| (i * 5 + i / 7) % 3 == 0).collect();
+        let bm = Bitmap::from_bools(&bools);
+        for lo in [0usize, 1, 7, 8, 9, 30] {
+            for hi in [lo, lo + 1, lo + 8, lo + 17, 83] {
+                let got = bm.slice(lo, hi);
+                let want = Bitmap::from_bools(&bools[lo..hi]);
+                // Byte-for-byte, padding included.
+                assert_eq!(got.buffer(), want.buffer(), "slice {lo}..{hi}");
+                assert_eq!(got.len(), hi - lo);
+            }
+        }
+        // Runs landing at unaligned output offsets, with an all-set run
+        // (a part without a validity bitmap) in between.
+        let joined = Bitmap::from_runs(&[(Some(&bm), 3, 10), (None, 0, 5), (Some(&bm), 20, 63)]);
+        let mut naive = bools[3..13].to_vec();
+        naive.extend([true; 5]);
+        naive.extend(&bools[20..83]);
+        assert_eq!(joined.buffer(), Bitmap::from_bools(&naive).buffer());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        Bitmap::all_set(9).slice(4, 10);
     }
 
     #[test]

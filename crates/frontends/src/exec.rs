@@ -702,8 +702,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let t0 = spans.now();
         let rows_in = current.num_rows();
         let keep = (n.max(0) as usize).min(current.num_rows());
-        let indices: Vec<usize> = (0..keep).collect();
-        current = compute::take_indices(&current, &indices).map_err(wrap)?;
+        current = current.slice(0, keep);
         spans.op_ext(
             ops::LIMIT,
             t0,

@@ -168,7 +168,7 @@ pub fn execute_shard_adaptive(
                             Some((col, desc)) => sort_by(&input, &col, desc)?,
                             None => input,
                         };
-                        truncate(&cur, n as usize)?
+                        truncate(&cur, n as usize)
                     }
                     ExecOp::Collect { order_by, limit } => {
                         let mut cur = input;
@@ -176,7 +176,7 @@ pub fn execute_shard_adaptive(
                             cur = sort_by(&cur, &col, desc)?;
                         }
                         if let Some(n) = limit {
-                            cur = truncate(&cur, n as usize)?;
+                            cur = truncate(&cur, n as usize);
                         }
                         // Output boundary: deliver plain columns so the
                         // result matches the reference engine regardless
@@ -221,16 +221,11 @@ pub fn partition_by_key(
 }
 
 /// Splits `batch` into `parts` contiguous even slices (scatter edges).
-pub fn split_even(batch: &RecordBatch, parts: usize) -> Result<Vec<RecordBatch>, SqlError> {
+pub fn split_even(batch: &RecordBatch, parts: usize) -> Vec<RecordBatch> {
     let n = batch.num_rows();
     let parts = parts.max(1);
     (0..parts)
-        .map(|i| {
-            let lo = i * n / parts;
-            let hi = (i + 1) * n / parts;
-            let idx: Vec<usize> = (lo..hi).collect();
-            compute::take_indices(batch, &idx).map_err(wrap)
-        })
+        .map(|i| batch.slice(i * n / parts, (i + 1) * n / parts))
         .collect()
 }
 
@@ -244,16 +239,31 @@ fn gather(parts: &[RecordBatch]) -> Result<RecordBatch, SqlError> {
     canonicalize(&all)
 }
 
+/// True when a stable ascending sort on `col` would leave every row where
+/// it is. Covers the two hidden key columns (`Int64`, `Utf8`) when they
+/// hold no null; anything else answers `false` and is sorted.
+fn already_ascending(col: &Array) -> bool {
+    match col {
+        Array::Int64(a) if a.validity().is_none() => {
+            a.iter_raw().zip(a.iter_raw().skip(1)).all(|(x, y)| x <= y)
+        }
+        Array::Utf8(a) if a.validity().is_none() => (1..a.len()).all(|i| a.get(i - 1) <= a.get(i)),
+        _ => false,
+    }
+}
+
 /// Canonical order: stable sort by `__rid`, then (stable) by `__gkey`,
 /// making the group key primary where both exist. Batches with neither
-/// column pass through unchanged.
+/// column pass through unchanged, and so does a key column that is
+/// already in order (scan shards gathered in shard order always are).
 pub fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
     let mut out = batch.clone();
-    if out.schema().index_of(RID).is_ok() {
-        out = sort_by(&out, RID, false)?;
-    }
-    if out.schema().index_of(GKEY).is_ok() {
-        out = sort_by(&out, GKEY, false)?;
+    for key in [RID, GKEY] {
+        if let Ok(col) = out.column_by_name(key) {
+            if !already_ascending(col) {
+                out = sort_by(&out, key, false)?;
+            }
+        }
     }
     Ok(out)
 }
@@ -270,9 +280,8 @@ fn strip_hidden(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
     batch.project(&keep).map_err(wrap)
 }
 
-fn truncate(batch: &RecordBatch, n: usize) -> Result<RecordBatch, SqlError> {
-    let keep: Vec<usize> = (0..n.min(batch.num_rows())).collect();
-    compute::take_indices(batch, &keep).map_err(wrap)
+fn truncate(batch: &RecordBatch, n: usize) -> RecordBatch {
+    batch.slice(0, n.min(batch.num_rows()))
 }
 
 fn append_column(batch: &RecordBatch, field: Field, col: Array) -> Result<RecordBatch, SqlError> {
@@ -289,17 +298,16 @@ fn append_column(batch: &RecordBatch, field: Field, col: Array) -> Result<Record
 /// Eligible `Utf8` columns dictionary-encode here, at the data plane's
 /// entry point, so every downstream shuffle ships keys instead of string
 /// bytes. The encode decision is made on the *whole table* (not the
-/// slice) so every shard agrees on the column type; slices then share
-/// the table-level dictionary via O(1) clones. The Collect sink decodes,
-/// keeping results byte-identical to the plain reference engine.
+/// slice) so every shard agrees on the column type — once per column for
+/// the life of the table, whose arrays keep the result; the shard is then
+/// an offset view sharing the table-level dictionary. The Collect sink
+/// decodes, keeping results byte-identical to the plain reference engine.
 fn scan_shard(table: &RecordBatch, shard: u32, shards: u32) -> Result<RecordBatch, SqlError> {
-    let table = table.dict_encoded();
     let n = table.num_rows() as u64;
     let shards = shards.max(1) as u64;
     let lo = (shard as u64 * n / shards) as usize;
     let hi = ((shard as u64 + 1) * n / shards) as usize;
-    let idx: Vec<usize> = (lo..hi).collect();
-    let slice = compute::take_indices(&table, &idx).map_err(wrap)?;
+    let slice = table.dict_encoded().slice(lo, hi);
     let rid = Array::from_i64((lo..hi).map(|r| r as i64).collect());
     append_column(&slice, Field::new(RID, DataType::Int64, true), rid)
 }
@@ -614,7 +622,7 @@ mod tests {
     #[test]
     fn split_even_is_contiguous_and_total() {
         let t = table();
-        let parts = split_even(&t, 3).unwrap();
+        let parts = split_even(&t, 3);
         assert_eq!(parts.iter().map(|b| b.num_rows()).sum::<usize>(), 8);
         assert_eq!(parts[0].column(0).value_at(0), Value::I64(3));
     }

@@ -3,14 +3,28 @@
 //! [`GraphExecutor`] bridges the physical graph and the runtime's
 //! [`TaskExecutor`] hook: when the simulated cluster finishes a task, the
 //! executor runs that shard's [`ExecOp`] descriptor over real
-//! `skadi-arrow` batches — decoding its producers' IPC-framed payloads,
-//! extracting this consumer's portion of each edge (hash partition for
-//! shuffles, contiguous slice for scatters, the whole payload for
-//! pipelines/gathers/broadcasts), executing the shard kernel from
-//! `skadi_frontends::shard`, and encoding the result. The returned bytes
-//! become the task's stored payload, so every downstream size the
-//! simulator prices (transfer bytes, pass-by-value inlining, cache
-//! copies) is **measured**, not estimated.
+//! `skadi-arrow` batches — taking this consumer's portion of each
+//! producer's output (hash partition for shuffles, contiguous slice for
+//! scatters, the whole batch for pipelines/gathers/broadcasts),
+//! executing the shard kernel from `skadi_frontends::shard`, and encoding
+//! the result. The returned bytes become the task's stored payload, so
+//! every downstream size the simulator prices (transfer bytes,
+//! pass-by-value inlining, cache copies) is **measured**, not estimated.
+//!
+//! # Staging
+//!
+//! Every output is still encoded and compressed to the bytes the cluster
+//! stores and prices, but its consumers do not each decode those bytes
+//! again: the executor keeps the producer's batch when its shard commits
+//! and divides it once per out-edge shape, and each consumer takes its
+//! share by reference. The kept batch is trusted only for the payload it
+//! was encoded to — the address and length of the shared buffer the
+//! cluster hands every consumer. Anything else (a cold executor, an entry
+//! already released, a producer that ran again under recovery) decodes
+//! the bytes it was given, which yields the same batch: the frame *is*
+//! the batch's buffers. An entry is dropped once as many consumers have
+//! been prepared as the producer has, so a job holds at most the outputs
+//! still waiting to be read.
 //!
 //! Determinism: task inputs are produced deterministically (scans slice
 //! contiguous row ranges, partitions preserve row order, gathers
@@ -34,6 +48,7 @@ use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
 use skadi_frontends::shard::{self, ShardExecStats};
+use skadi_frontends::sql::SqlError;
 use skadi_runtime::{TaskExecutor, TaskId};
 
 /// One shard's measured execution, recorded by [`GraphExecutor`].
@@ -76,6 +91,14 @@ pub struct DataPlaneStats {
     /// `(producer task, consumer task)`. Re-executions overwrite, so the
     /// map holds each edge's final delivery.
     pub edge_rows: BTreeMap<(u64, u64), usize>,
+    /// Stored payloads decompressed and decoded back into batches: one
+    /// per producer whose kept batch was not there to hand over (none in
+    /// a failure-free run of one executor). A count, not a time —
+    /// repeats exactly from run to run.
+    pub payload_decodes: u64,
+    /// Whole-batch hash-partition passes: one per producer with a shuffle
+    /// out-edge, however many consumer shards share the result.
+    pub partition_passes: u64,
 }
 
 impl DataPlaneStats {
@@ -184,6 +207,65 @@ pub struct GraphExecutor {
     stats: Rc<RefCell<DataPlaneStats>>,
     compress: bool,
     adaptive: bool,
+    /// Distinct consumer tasks of each vertex, by vertex id.
+    consumers: Vec<usize>,
+    /// Producer outputs waiting to be read, by producer task.
+    staged: BTreeMap<u64, Staged>,
+}
+
+/// How an edge divides its producer's batch among the consumer's shards.
+#[derive(PartialEq, Eq)]
+enum Split {
+    /// Hash partitions on a key column (shuffle edges).
+    ByKey {
+        key: String,
+        parts: usize,
+        coerce: bool,
+    },
+    /// Contiguous even ranges (scatter edges).
+    Even { parts: usize },
+}
+
+/// One producer's output, staged for its consumers (see the module docs).
+struct Staged {
+    /// Address and length of the stored payload `batch` corresponds to.
+    payload: (usize, usize),
+    batch: RecordBatch,
+    /// `batch` divided, once per distinct out-edge shape.
+    splits: Vec<(Split, Vec<RecordBatch>)>,
+    /// Consumers yet to be prepared; the entry is dropped with the last.
+    consumers_left: usize,
+}
+
+impl Staged {
+    fn identity(payload: &[u8]) -> (usize, usize) {
+        (payload.as_ptr() as usize, payload.len())
+    }
+
+    /// Shard `shard`'s share under `split`, dividing the batch the first
+    /// time the shape is asked for.
+    fn share(
+        &mut self,
+        split: Split,
+        shard: u32,
+        stats: &RefCell<DataPlaneStats>,
+    ) -> Result<RecordBatch, SqlError> {
+        let at = match self.splits.iter().position(|(s, _)| *s == split) {
+            Some(at) => at,
+            None => {
+                let parts = match &split {
+                    Split::ByKey { key, parts, coerce } => {
+                        stats.borrow_mut().partition_passes += 1;
+                        shard::partition_by_key(&self.batch, key, *parts, *coerce)?
+                    }
+                    Split::Even { parts } => shard::split_even(&self.batch, *parts),
+                };
+                self.splits.push((split, parts));
+                self.splits.len() - 1
+            }
+        };
+        Ok(self.splits[at].1[shard as usize].clone())
+    }
 }
 
 impl GraphExecutor {
@@ -191,12 +273,21 @@ impl GraphExecutor {
     /// Stored payloads are block-compressed by default (see
     /// [`GraphExecutor::with_compression`]).
     pub fn new(graph: PhysicalGraph, tables: BTreeMap<String, RecordBatch>) -> Self {
+        let mut pairs: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut consumers = vec![0usize; graph.len()];
+        for (from, _) in pairs {
+            consumers[from as usize] += 1;
+        }
         GraphExecutor {
             graph: Arc::new(graph),
             tables: Arc::new(tables),
             stats: Rc::new(RefCell::new(DataPlaneStats::default())),
             compress: true,
             adaptive: false,
+            consumers,
+            staged: BTreeMap::new(),
         }
     }
 
@@ -246,88 +337,124 @@ struct PreparedShard {
     rows_in: usize,
 }
 
-/// A finished shard run: encoded payload plus measurements, waiting to
-/// be committed into [`DataPlaneStats`] on the calling thread.
+/// A finished shard run: the output batch, its encoded payload and
+/// measurements, waiting to be committed on the calling thread.
 struct ShardRun {
+    out: RecordBatch,
     bytes: Vec<u8>,
-    rows_out: usize,
     wall: Duration,
     exec_stats: ShardExecStats,
 }
 
 impl GraphExecutor {
-    /// Stages task `t`: decodes producer payloads, extracts this shard's
-    /// portion of each in-edge, and records edge row counts. Runs on the
-    /// calling thread (it touches `stats`).
+    /// The staged output of producer `p`, which the cluster stored as
+    /// `payload`: the batch kept at commit if it is the one these bytes
+    /// were encoded from, the bytes decoded (block-compressed or plain,
+    /// told apart by magic) otherwise.
+    fn stage(&mut self, p: TaskId, payload: &[u8]) -> Result<&mut Staged, String> {
+        let identity = Staged::identity(payload);
+        if self.staged.get(&p.0).is_none_or(|s| s.payload != identity) {
+            let frame = if compression::is_compressed(payload) {
+                compression::decompress(payload)
+                    .map_err(|e| format!("decompress payload of {p}: {e}"))?
+            } else {
+                payload.to_vec()
+            };
+            let batch = ipc::decode(Bytes::from(frame))
+                .map_err(|e| format!("decode payload of {p}: {e}"))?;
+            self.stats.borrow_mut().payload_decodes += 1;
+            let staged = Staged {
+                payload: identity,
+                batch,
+                splits: Vec::new(),
+                consumers_left: self.consumers[p.0 as usize],
+            };
+            self.staged.insert(p.0, staged);
+        }
+        Ok(self.staged.get_mut(&p.0).expect("staged above"))
+    }
+
+    /// Stages task `t`: takes this shard's portion of each in-edge from
+    /// its producer's staged output and records edge row counts. Runs on
+    /// the calling thread (it touches `stats` and the staged outputs).
     fn prepare(&mut self, t: TaskId, inputs: &[(TaskId, &[u8])]) -> Result<PreparedShard, String> {
         let idx = t.0 as usize;
         if idx >= self.graph.len() {
             return Err(format!("task {t} has no physical vertex"));
         }
-        let v = self.graph.vertex(PVertexId(t.0 as u32));
+        let graph = Arc::clone(&self.graph);
+        let v = graph.vertex(PVertexId(t.0 as u32));
         let op = v
             .exec
             .as_ref()
             .ok_or_else(|| format!("vertex {} ({}) has no exec descriptor", v.id, v.op))?;
 
-        // Decode each producer's full stored payload once. Payloads may
-        // arrive block-compressed (detected by magic) or plain.
-        let mut decoded: BTreeMap<u64, RecordBatch> = BTreeMap::new();
-        for (p, buf) in inputs {
-            let frame = if compression::is_compressed(buf) {
-                Bytes::from(
-                    compression::decompress(buf)
-                        .map_err(|e| format!("decompress payload of {p}: {e}"))?,
-                )
-            } else {
-                Bytes::from(buf.to_vec())
-            };
-            let b = ipc::decode(frame).map_err(|e| format!("decode payload of {p}: {e}"))?;
-            decoded.insert(p.0, b);
-        }
-
         // This shard's view of each in-edge, ordered by (port, producer
         // shard): the order the shard kernels document for their inputs.
-        let mut edges = self.graph.in_edges(v.id);
-        edges.sort_by_key(|e| (e.port, self.graph.vertex(e.from).shard, e.from.0));
+        let mut edges = graph.in_edges(v.id);
+        edges.sort_by_key(|e| (e.port, graph.vertex(e.from).shard, e.from.0));
         let mut port0: Vec<RecordBatch> = Vec::new();
         let mut port1: Vec<RecordBatch> = Vec::new();
         let mut rows_in = 0usize;
-        for e in edges {
-            let full = decoded
-                .get(&(e.from.0 as u64))
-                .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?;
+        let stats = Rc::clone(&self.stats);
+        for e in &edges {
+            let from = TaskId(e.from.0 as u64);
+            let payload = inputs
+                .iter()
+                .find(|(p, _)| *p == from)
+                .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?
+                .1;
+            let staged = self.stage(from, payload)?;
             let part = match &e.kind {
                 PEdgeKind::Shuffle { key, .. } => {
-                    let parts =
-                        shard::partition_by_key(full, key, v.shards as usize, is_join_consumer(op))
-                            .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
-                    let mine = parts
-                        .into_iter()
-                        .nth(v.shard as usize)
-                        .expect("partition count equals consumer shards");
-                    self.stats
+                    let split = Split::ByKey {
+                        key: key.clone(),
+                        parts: v.shards as usize,
+                        coerce: is_join_consumer(op),
+                    };
+                    let mine = staged
+                        .share(split, v.shard, &stats)
+                        .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
+                    stats
                         .borrow_mut()
                         .shuffle_rows
-                        .insert((e.from.0 as u64, t.0), mine.num_rows());
+                        .insert((from.0, t.0), mine.num_rows());
                     mine
                 }
-                PEdgeKind::Scatter => shard::split_even(full, v.shards as usize)
-                    .map_err(|err| format!("scatter into {}: {err}", v.id))?
-                    .into_iter()
-                    .nth(v.shard as usize)
-                    .expect("split count equals consumer shards"),
-                PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => full.clone(),
+                PEdgeKind::Scatter => {
+                    let split = Split::Even {
+                        parts: v.shards as usize,
+                    };
+                    staged
+                        .share(split, v.shard, &stats)
+                        .map_err(|err| format!("scatter into {}: {err}", v.id))?
+                }
+                PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => {
+                    staged.batch.clone()
+                }
             };
-            self.stats
+            stats
                 .borrow_mut()
                 .edge_rows
-                .insert((e.from.0 as u64, t.0), part.num_rows());
+                .insert((from.0, t.0), part.num_rows());
             rows_in += part.num_rows();
             if e.port == 1 {
                 port1.push(part);
             } else {
                 port0.push(part);
+            }
+        }
+
+        // This consumer is served: release what nobody else will read.
+        let mut producers: Vec<u64> = edges.iter().map(|e| e.from.0 as u64).collect();
+        producers.sort_unstable();
+        producers.dedup();
+        for p in producers {
+            if let Some(staged) = self.staged.get_mut(&p) {
+                staged.consumers_left = staged.consumers_left.saturating_sub(1);
+                if staged.consumers_left == 0 {
+                    self.staged.remove(&p);
+                }
             }
         }
 
@@ -373,14 +500,15 @@ impl GraphExecutor {
             frame.to_vec()
         };
         Ok(ShardRun {
-            rows_out: out.num_rows(),
+            out,
             bytes,
             wall,
             exec_stats,
         })
     }
 
-    /// Records a finished run's measurements and releases its payload.
+    /// Records a finished run's measurements, keeps its batch for the
+    /// consumers of the payload and releases the payload.
     fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Vec<u8> {
         self.stats.borrow_mut().timings.push(ShardTiming {
             task: p.task,
@@ -389,11 +517,21 @@ impl GraphExecutor {
             shard: p.shard,
             shards: p.shards,
             rows_in: p.rows_in,
-            rows_out: run.rows_out,
+            rows_out: run.out.num_rows(),
             output_bytes: run.bytes.len() as u64,
             wall: run.wall,
             exec_stats: run.exec_stats,
         });
+        let consumers_left = self.consumers[p.task.0 as usize];
+        if consumers_left > 0 {
+            let staged = Staged {
+                payload: Staged::identity(&run.bytes),
+                batch: run.out,
+                splits: Vec::new(),
+                consumers_left,
+            };
+            self.staged.insert(p.task.0, staged);
+        }
         run.bytes
     }
 }
@@ -443,6 +581,70 @@ impl TaskExecutor for GraphExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skadi_arrow::array::Array;
+    use skadi_arrow::datatype::DataType;
+    use skadi_arrow::schema::{Field, Schema};
+    use skadi_flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi_frontends::exec::MemDb;
+    use skadi_frontends::sql;
+    use skadi_ir::BackendPolicy;
+
+    /// Drives an executor by hand, task by task, the way the cluster
+    /// does: every consumer is handed the one buffer its producer's
+    /// payload lives in. Each kept batch must re-encode to exactly the
+    /// frame that was stored, no payload is ever decoded, and an entry is
+    /// gone once its last consumer has been prepared.
+    #[test]
+    fn kept_batches_are_the_stored_frames_and_are_released() {
+        let n = 200i64;
+        let tags: Vec<&str> = (0..n).map(|i| ["x", "y", "z"][i as usize % 3]).collect();
+        let t = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64, false),
+                Field::new("v", DataType::Float64, true),
+                Field::new("tag", DataType::Utf8, false),
+            ]),
+            vec![
+                Array::from_i64((0..n).map(|i| i % 7).collect()),
+                Array::from_opt_f64((0..n).map(|i| (i % 5 != 0).then_some(i as f64)).collect()),
+                Array::from_utf8(&tags),
+            ],
+        )
+        .unwrap();
+        let db = MemDb::new().register("t", t);
+        let query = "SELECT tag, sum(v) AS s, count(*) AS n FROM t WHERE k > 1 GROUP BY tag";
+        let (graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+        let lower = LowerConfig::new(4, BackendPolicy::cost_based());
+        let phys = lower_graph(&graph, &lower).unwrap();
+        let mut exec = GraphExecutor::new(phys.clone(), db.tables().clone());
+
+        let mut stored: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        let mut kept = 0;
+        for v in phys.topo_order().unwrap() {
+            let mut producers: Vec<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
+            producers.sort_unstable();
+            producers.dedup();
+            let inputs: Vec<(TaskId, &[u8])> = producers
+                .iter()
+                .map(|p| (TaskId(*p as u64), stored[p].as_slice()))
+                .collect();
+            let out = exec.execute(TaskId(v.0 as u64), &inputs).unwrap();
+            if let Some(staged) = exec.staged.get(&(v.0 as u64)) {
+                let frame = ipc::encode(&staged.batch);
+                assert_eq!(compression::maybe_compress(&frame), out, "task {v}");
+                assert_eq!(staged.payload, Staged::identity(&out));
+                kept += 1;
+            }
+            stored.insert(v.0, out);
+        }
+        assert_eq!(kept, phys.len() - 1, "every output but the sink's is kept");
+        assert_eq!(exec.stats.borrow().payload_decodes, 0);
+        assert!(
+            exec.stats.borrow().partition_passes > 0,
+            "the plan shuffles"
+        );
+        assert!(exec.staged.is_empty(), "every consumer has been served");
+    }
 
     #[test]
     fn join_consumer_detection_sees_through_fusion() {

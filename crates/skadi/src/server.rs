@@ -334,19 +334,11 @@ impl Server {
         // block so the schema always reaches the client.
         let total = batch.num_rows();
         let block = self.cfg.block_rows.max(1);
-        let nchunks = total.div_ceil(block).max(1) as u32;
+        let nchunks = total.div_ceil(block).max(1);
         let mut sent_rows = 0u64;
         let mut sent_bytes = 0u64;
-        for c in 0..nchunks as usize {
-            let lo = c * block;
-            let hi = (lo + block).min(total);
-            let chunk = if nchunks == 1 {
-                batch.clone()
-            } else {
-                let indices: Vec<usize> = (lo..hi).collect();
-                skadi_arrow::compute::take_indices(&batch, &indices)
-                    .map_err(|e| WireError::Arrow(e.to_string()))?
-            };
+        for c in 0..nchunks {
+            let chunk = batch.slice((c * block).min(total), ((c + 1) * block).min(total));
             let frame = skadi_arrow::ipc::encode(&chunk);
             // Compression is negotiated: only a client that advertised
             // CAP_COMPRESSION may receive compressed payloads. A frame
@@ -366,7 +358,7 @@ impl Server {
                     payload,
                 },
             )?;
-            if caps & CAP_PROGRESS != 0 && (c + 1) < nchunks as usize {
+            if caps & CAP_PROGRESS != 0 && c + 1 < nchunks {
                 write_packet(
                     conn,
                     &Packet::Progress {
@@ -381,7 +373,7 @@ impl Server {
             conn,
             &Packet::EndOfStream {
                 query_id: id,
-                chunks: nchunks,
+                chunks: nchunks as u32,
             },
         )
     }

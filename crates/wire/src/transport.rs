@@ -94,9 +94,11 @@ impl Read for DuplexStream {
             return Ok(0); // closed and drained: EOF
         }
         let n = out.len().min(st.buf.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = st.buf.pop_front().expect("n <= buf.len()");
-        }
+        let (front, back) = st.buf.as_slices();
+        let from_front = n.min(front.len());
+        out[..from_front].copy_from_slice(&front[..from_front]);
+        out[from_front..n].copy_from_slice(&back[..n - from_front]);
+        st.buf.drain(..n);
         Ok(n)
     }
 }

@@ -277,6 +277,82 @@ fn determinism_across_seeds_and_runs() {
     assert!(!shuffles[0].is_empty(), "group-by query must shuffle");
 }
 
+/// The staged data plane, gated on counts that repeat exactly on any
+/// host: at parallelism 4 every golden query decodes no more payloads
+/// than it has producers and hash-partitions each shuffle producer's
+/// output once (it used to be once per consumer shard). A second, cold
+/// executor — no kept batches, fed the first one's stored payloads
+/// through plain `TaskExecutor::execute` — decodes every producer from
+/// its bytes and must store the very same bytes, so what the first run
+/// handed over by reference was what the bytes hold.
+#[test]
+fn every_output_is_staged_once_and_a_cold_executor_agrees() {
+    use skadi::flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi::flowgraph::optimize::optimize_graph;
+    use skadi::flowgraph::physical::PEdgeKind;
+    use skadi::frontends::sql;
+    use skadi::ir::BackendPolicy;
+    use skadi::runtime::{job_from_physical, Cluster, TaskExecutor, TaskId};
+    use skadi::GraphExecutor;
+    use std::collections::BTreeSet;
+
+    let topo = presets::small_disagg_cluster();
+    for (db, queries) in [(golden_db(), QUERIES), (big_db(), BIG_QUERIES)] {
+        for query in queries {
+            let (mut graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+            optimize_graph(&mut graph);
+            let lower = LowerConfig::new(4, BackendPolicy::cost_based());
+            let phys = lower_graph(&graph, &lower).unwrap();
+            let job = job_from_physical("sql", &phys, "sql").unwrap();
+            let consumed: BTreeSet<u32> = phys.edges().iter().map(|e| e.from.0).collect();
+            let shuffled: BTreeSet<u32> = phys
+                .edges()
+                .iter()
+                .filter(|e| matches!(e.kind, PEdgeKind::Shuffle { .. }))
+                .map(|e| e.from.0)
+                .collect();
+
+            let mut cluster = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
+            let warm = GraphExecutor::new(phys.clone(), db.tables().clone());
+            let measured = warm.stats();
+            cluster.set_executor(Box::new(warm));
+            cluster
+                .run_with_failures(&job, &FailurePlan::none())
+                .unwrap();
+            let warm = measured.borrow();
+            assert!(
+                warm.payload_decodes <= consumed.len() as u64,
+                "{query}: {} decodes for {} producers",
+                warm.payload_decodes,
+                consumed.len()
+            );
+            assert_eq!(warm.partition_passes, shuffled.len() as u64, "{query}");
+
+            let stored: Vec<&[u8]> = phys
+                .vertices()
+                .iter()
+                .map(|v| cluster.task_payload(TaskId(v.id.0 as u64)).unwrap())
+                .collect();
+            let mut cold = GraphExecutor::new(phys.clone(), db.tables().clone());
+            let measured = cold.stats();
+            for v in phys.topo_order().unwrap() {
+                let producers: BTreeSet<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
+                let inputs: Vec<(TaskId, &[u8])> = producers
+                    .iter()
+                    .map(|&p| (TaskId(p as u64), stored[p as usize]))
+                    .collect();
+                let out = cold.execute(TaskId(v.0 as u64), &inputs).unwrap();
+                assert_eq!(out, stored[v.0 as usize], "{query}: task {v}");
+            }
+            let cold = measured.borrow();
+            assert_eq!(cold.payload_decodes, consumed.len() as u64, "{query}");
+            assert_eq!(cold.partition_passes, shuffled.len() as u64, "{query}");
+            assert_eq!(cold.edge_rows, warm.edge_rows, "{query}");
+            assert_eq!(cold.shuffle_rows, warm.shuffle_rows, "{query}");
+        }
+    }
+}
+
 /// Registering dictionary-encoded tables must be observationally
 /// invisible: the result bytes match a plain-table MemDb at every
 /// parallelism, and under kill-and-recover chaos. (The engine also
