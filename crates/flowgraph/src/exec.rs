@@ -83,15 +83,10 @@ pub enum ExecOp {
         /// Aggregate outputs, in select order.
         aggs: Vec<ExecAgg>,
     },
-    /// Per-shard sort.
-    Sort {
-        /// Sort column.
-        column: String,
-        /// Descending order.
-        descending: bool,
-    },
     /// Per-shard top-N: each shard keeps its local first `n` rows under
-    /// the query order (a superset of the global top-N).
+    /// the query order (a superset of the global top-N). Ties at the cut
+    /// break by canonical position, exactly as the sink breaks them, so
+    /// the shard's order is the restriction of the sink's total order.
     Limit {
         /// Row cap.
         n: u64,
@@ -118,6 +113,16 @@ impl ExecOp {
             ExecOp::Aggregate { group_by, .. } => group_by.is_empty(),
             ExecOp::Fused(ops) => ops.iter().any(ExecOp::requires_single_shard),
             _ => false,
+        }
+    }
+
+    /// The base table this descriptor reads: a scan's, or that of the
+    /// scan at the head of a fused chain.
+    pub fn scanned_table(&self) -> Option<&str> {
+        match self {
+            ExecOp::Scan { table } => Some(table),
+            ExecOp::Fused(ops) => ops.first()?.scanned_table(),
+            _ => None,
         }
     }
 
@@ -168,10 +173,7 @@ mod tests {
     fn fuse_flattens_nested_chains() {
         let f = ExecOp::Filter { conjuncts: vec![] };
         let p = ExecOp::Project { columns: vec![] };
-        let s = ExecOp::Sort {
-            column: "k".into(),
-            descending: false,
-        };
+        let s = ExecOp::Limit { n: 3, order: None };
         let ab = ExecOp::fuse(Some(f.clone()), Some(p.clone())).unwrap();
         let abc = ExecOp::fuse(Some(ab), Some(s.clone())).unwrap();
         assert_eq!(abc, ExecOp::Fused(vec![f, p, s]));

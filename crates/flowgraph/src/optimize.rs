@@ -5,23 +5,44 @@
 //!
 //! 1. **Dead-vertex pruning**: vertices that cannot reach any sink do no
 //!    useful work and are removed.
-//! 2. **Chain fusion**: a linear chain of per-row IR vertices (single
-//!    producer, single consumer, plain data edge) collapses into one
-//!    fused vertex — fewer task launches and no intermediate objects,
-//!    which is the paper's motivation for cross-domain fusion.
+//! 2. **Chain fusion**: a per-row vertex on a plain data edge collapses
+//!    into its only producer — another per-row vertex, or the scan, join
+//!    or aggregate at the head of the chain — so the chain is one task
+//!    per shard with no intermediate objects, which is the paper's
+//!    motivation for cross-domain fusion.
 
 use std::collections::HashSet;
 
 use crate::exec::ExecOp;
-use crate::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
+use crate::logical::{EdgeKind, FlowGraph, Vertex, VertexBody, VertexId};
 
-/// Which ops may join a fused vertex chain (per-row/per-element, one
-/// input). Matches the IR-level fusable set.
-fn fusable(name: &str) -> bool {
+/// Per-row (or per-element) ops with one input: any of them may follow
+/// its producer inside one task. Matches the IR-level fusable set, plus
+/// `rel.limit` (a per-shard top-N keeps a superset of the global one).
+fn per_row(name: &str) -> bool {
     matches!(
         name,
-        "rel.filter" | "rel.project" | "tensor.map" | "tensor.from_frame" | "kernel.fused"
+        "rel.filter" | "rel.project" | "rel.limit" | "tensor.map" | "tensor.from_frame"
     )
+}
+
+/// The fused-kernel body `v` contributes as the producer end of a chain:
+/// per-row ops throughout, or headed by a scan, a join or an aggregate.
+/// A source heads a chain only when it carries the scan to run in its
+/// place; any other source is an external input no task can absorb.
+fn producer_body(v: &Vertex) -> Option<Vec<String>> {
+    match &v.body {
+        VertexBody::Source { .. } if matches!(v.exec, Some(ExecOp::Scan { .. })) => {
+            Some(vec!["rel.scan".to_string()])
+        }
+        VertexBody::IrOp { body, .. } => {
+            let (head, rest) = body.split_first()?;
+            let heads =
+                per_row(head) || matches!(head.as_str(), "rel.scan" | "rel.join" | "rel.aggregate");
+            (heads && rest.iter().all(|n| per_row(n))).then(|| body.clone())
+        }
+        _ => None,
+    }
 }
 
 /// What the optimizer did.
@@ -89,41 +110,33 @@ fn prune_dead(g: &mut FlowGraph) -> usize {
     n
 }
 
-/// Fuses one producer-consumer pair of fusable IR vertices joined by a
-/// plain data edge, where the producer's only consumer is the pair's
+/// Fuses one producer-consumer pair joined by a plain data edge, where
+/// the consumer is per-row throughout, the producer can sit in front of
+/// it (see [`producer_body`]), the producer's only consumer is the pair's
 /// consumer and the consumer's only producer is the pair's producer.
 /// Returns true if a rewrite happened.
 fn fuse_one(g: &mut FlowGraph) -> bool {
-    let mut pair: Option<(VertexId, VertexId)> = None;
-    for e in g.edges() {
+    let pair = g.edges().iter().find_map(|e| {
         if e.kind != EdgeKind::Data {
-            continue;
+            return None;
         }
-        let (p, c) = (g.vertex(e.from), g.vertex(e.to));
-        let (VertexBody::IrOp { name: pn, .. }, VertexBody::IrOp { name: cn, .. }) =
-            (&p.body, &c.body)
-        else {
-            continue;
+        let VertexBody::IrOp { body, .. } = &g.vertex(e.to).body else {
+            return None;
         };
-        if !fusable(pn) || !fusable(cn) {
-            continue;
+        if !body.iter().all(|n| per_row(n)) {
+            return None;
         }
-        if g.outputs_of(p.id).len() != 1 || g.inputs_of(c.id).len() != 1 {
-            continue;
+        if g.outputs_of(e.from).len() != 1 || g.inputs_of(e.to).len() != 1 {
+            return None;
         }
-        pair = Some((p.id, c.id));
-        break;
-    }
-    let Some((pid, cid)) = pair else {
+        Some((e.from, e.to, producer_body(g.vertex(e.from))?))
+    });
+    let Some((pid, cid, p_body)) = pair else {
         return false;
     };
 
     // Merge the producer's body into the consumer, then rewire the
     // producer's inputs to the consumer and drop the producer.
-    let p_body = match &g.vertex(pid).body {
-        VertexBody::IrOp { body, .. } => body.clone(),
-        _ => unreachable!("checked above"),
-    };
     let p_inputs: Vec<(VertexId, EdgeKind, u8)> = g
         .inputs_of(pid)
         .into_iter()
@@ -139,7 +152,7 @@ fn fuse_one(g: &mut FlowGraph) -> bool {
         let c = g.vertex_mut(cid);
         if let VertexBody::IrOp { name, body } = &mut c.body {
             let mut merged = p_body;
-            merged.extend(body.clone());
+            merged.append(body);
             *body = merged;
             *name = "kernel.fused".to_string();
         }
@@ -263,17 +276,86 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_never_fuse() {
+    fn an_aggregate_consumer_never_fuses() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
         let f = g.add_ir_op("rel.filter", 10, 10);
         let a = g.add_ir_op("rel.aggregate", 10, 10);
+        let l = g.add_ir_op("rel.limit", 10, 10);
         let sink = g.add_sink("out");
         g.connect(s, f).unwrap();
         g.connect(f, a).unwrap();
-        g.connect(a, sink).unwrap();
+        g.connect(a, l).unwrap();
+        g.connect(l, sink).unwrap();
+        // The limit joins the aggregate's task; the aggregate-headed
+        // vertex that results is no per-row consumer for the filter.
         let report = optimize_graph(&mut g);
-        assert_eq!(report.fused, 0);
+        assert_eq!(report.fused, 1);
+        let names: Vec<&str> = g.vertices().iter().map(|v| v.body.name()).collect();
+        assert_eq!(names, ["in", "rel.filter", "kernel.fused", "out"]);
+    }
+
+    #[test]
+    fn a_scan_heads_its_consumers_chain() {
+        let mut g = FlowGraph::new();
+        let s = g.add_source("t", 100, 800);
+        g.set_exec(s, ExecOp::Scan { table: "t".into() });
+        let p = g.add_ir_op("rel.project", 100, 400);
+        g.set_exec(p, ExecOp::Project { columns: vec![] });
+        let f = g.add_ir_op("rel.filter", 100, 200);
+        g.set_exec(f, ExecOp::Filter { conjuncts: vec![] });
+        let sink = g.add_sink("out");
+        g.connect(s, p).unwrap();
+        g.connect(p, f).unwrap();
+        g.connect(f, sink).unwrap();
+        let report = optimize_graph(&mut g);
+        assert_eq!(report.fused, 2);
+        assert_eq!(g.len(), 2);
+        let fused = &g.vertices()[0];
+        match &fused.body {
+            VertexBody::IrOp { name, body } => {
+                assert_eq!(name, "kernel.fused");
+                assert_eq!(body, &["rel.scan", "rel.project", "rel.filter"]);
+            }
+            other => panic!("not an IR op: {other:?}"),
+        }
+        assert_eq!(
+            fused.exec,
+            Some(ExecOp::Fused(vec![
+                ExecOp::Scan { table: "t".into() },
+                ExecOp::Project { columns: vec![] },
+                ExecOp::Filter { conjuncts: vec![] },
+            ]))
+        );
+        assert_eq!(fused.rows_hint, 100);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn a_join_heads_a_chain_and_keeps_its_keyed_inputs() {
+        let mut g = FlowGraph::new();
+        let l = g.add_source("l", 10, 10);
+        let r = g.add_source("r", 10, 10);
+        let j = g.add_ir_op("rel.join", 10, 10);
+        let p = g.add_ir_op("rel.project", 10, 10);
+        let sink = g.add_sink("out");
+        g.connect_keyed(l, j, "k").unwrap();
+        g.connect_keyed_port(r, j, "k", 1).unwrap();
+        g.connect(j, p).unwrap();
+        g.connect(p, sink).unwrap();
+        let report = optimize_graph(&mut g);
+        assert_eq!(report.fused, 1);
+        let fused = g
+            .vertices()
+            .iter()
+            .find(|v| v.body.name() == "kernel.fused")
+            .expect("fused vertex");
+        let ports: Vec<u8> = g
+            .inputs_of(fused.id)
+            .into_iter()
+            .map(|u| g.edge_between(u, fused.id).unwrap().port)
+            .collect();
+        assert_eq!(ports, [0, 1]);
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct OpProfile {
     pub op: String,
     /// Constituent ops (fused bodies; singleton otherwise).
     pub body: Vec<String>,
+    /// The base table the operator scans, if it scans one. Rendered in
+    /// front of a fused body, whose op name cannot carry it.
+    pub table: Option<String>,
     /// Producers feeding this operator: `(producer op_id, input port)`.
     pub inputs: Vec<(u32, u8)>,
     /// Per-shard measurements, in shard order.
@@ -175,6 +178,7 @@ impl QueryProfile {
                 op_id: i as u32,
                 op: op.clone(),
                 body: vec![op],
+                table: None,
                 inputs: if i == 0 {
                     Vec::new()
                 } else {
@@ -309,7 +313,11 @@ impl QueryProfile {
         }
         let mut line = format!("{indent}#{op_id} {}", op.op);
         if op.body.len() > 1 {
-            let _ = write!(line, " [{}]", op.body.join("+"));
+            let table = op
+                .table
+                .as_ref()
+                .map_or(String::new(), |t| format!("{t}: "));
+            let _ = write!(line, " [{table}{}]", op.body.join("+"));
         }
         let _ = write!(line, " shards={}", op.shards.len());
         let (i_min, i_med, i_max) = op.rows_in_stats();
@@ -383,6 +391,7 @@ mod tests {
                     op_id: 0,
                     op: "rel.scan".into(),
                     body: vec!["rel.scan".into()],
+                    table: None,
                     inputs: vec![],
                     shards: vec![shard(0, 0, 100, 800), shard(1, 0, 100, 800)],
                 },
@@ -390,6 +399,7 @@ mod tests {
                     op_id: 1,
                     op: "rel.filter".into(),
                     body: vec!["rel.filter".into()],
+                    table: None,
                     inputs: vec![(0, 0)],
                     shards: vec![shard(0, 100, 10, 80), shard(1, 100, 90, 720)],
                 },

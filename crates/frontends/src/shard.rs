@@ -162,12 +162,17 @@ pub fn execute_shard_adaptive(
                     ExecOp::Aggregate { group_by, aggs } => {
                         aggregate_shard(&input, &group_by, &aggs, &mut stats.kernel)?
                     }
-                    ExecOp::Sort { column, descending } => sort_by(&input, &column, descending)?,
                     ExecOp::Limit { n, order } => {
-                        let cur = match order {
-                            Some((col, desc)) => sort_by(&input, &col, desc)?,
-                            None => input,
-                        };
+                        // The stable sort breaks ties by position, so this
+                        // shard's first `n` are the sink's order restricted
+                        // to the shard only if the input is in canonical
+                        // order. Gathered input is, and so is what a scan,
+                        // a join or an aggregate hands on mid-chain; any
+                        // other batch is put in order here.
+                        let mut cur = canonicalize(&input)?;
+                        if let Some((col, desc)) = order {
+                            cur = sort_by(&cur, &col, desc)?;
+                        }
                         truncate(&cur, n as usize)
                     }
                     ExecOp::Collect { order_by, limit } => {

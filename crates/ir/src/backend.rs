@@ -124,6 +124,7 @@ pub fn supports(name: &str, backend: Backend) -> bool {
                 | "rel.join"
                 | "rel.aggregate"
                 | "rel.sort"
+                | "rel.limit"
                 | "tensor.source"
                 | "tensor.map"
                 | "tensor.add"
@@ -138,6 +139,7 @@ pub fn supports(name: &str, backend: Backend) -> bool {
                 | "rel.filter"
                 | "rel.project"
                 | "rel.aggregate"
+                | "rel.limit"
                 | "tensor.map"
                 | "tensor.add"
                 | "tensor.from_frame"

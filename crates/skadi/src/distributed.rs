@@ -137,6 +137,11 @@ impl DataPlaneStats {
                 op_id: v.op_id,
                 op: v.op.clone(),
                 body: v.body.clone(),
+                table: v
+                    .exec
+                    .as_ref()
+                    .and_then(ExecOp::scanned_table)
+                    .map(str::to_string),
                 inputs: Vec::new(),
                 shards: Vec::new(),
             });

@@ -324,22 +324,22 @@ const GOLDEN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=1, skew>2x median)
 #2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=81
   #1 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=2 med=2.0 max=2] bytes=130 ht[slots=16 collisions=0] groups=2
-    #0 orders shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=228
+    #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=162
 ";
 
 const GOLDEN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=4, skew>2x median)
 #2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=81
   #1 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=0.5 max=1] bytes=336 ht[slots=64 collisions=0] groups=2
-    #0 orders shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=535
+    #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=393
 ";
 
 const GOLDEN_JOIN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=1, skew>2x median)
 #4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=101
   #3 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=4 med=4.0 max=4] bytes=145 ht[slots=16 collisions=0] groups=4
-    #2 rel.join shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=310 ht[slots=16 collisions=1]
-      #0 orders shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=228
+    #2 kernel.fused [rel.join+rel.project] shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=197 ht[slots=16 collisions=1]
+      #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=170
       #1 custs shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=5 med=5.0 max=5] bytes=154
 ";
 
@@ -347,25 +347,19 @@ const GOLDEN_JOIN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=4, skew>2x median)
 #4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=101
   #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=363 ht[slots=64 collisions=0] groups=4
-    #2 rel.join shards=4 rows_in[min=0 med=1.5 max=10] rows_out[min=0 med=0.5 max=7] bytes=583 ht[slots=64 collisions=0] [SKEW]
-      #0 orders shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=535
+    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=1.5 max=10] rows_out[min=0 med=0.5 max=7] bytes=356 ht[slots=64 collisions=0] [SKEW]
+      #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=344
       #1 custs shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=1.0 max=2] bytes=304
 ";
 
 const GOLDEN_FILTER_TOP_X1: &str = "\
 EXPLAIN ANALYZE SELECT order_id, amount FROM orders WHERE amount > 2 ORDER BY amount DESC LIMIT 3 (parallelism=1, skew>2x median)
-#4 result shards=1 rows_in[min=3 med=3.0 max=3] rows_out[min=3 med=3.0 max=3] bytes=70
-  #3 rel.limit shards=1 rows_in[min=7 med=7.0 max=7] rows_out[min=3 med=3.0 max=3] bytes=101
-    #2 rel.sort shards=1 rows_in[min=7 med=7.0 max=7] rows_out[min=7 med=7.0 max=7] bytes=143
-      #1 kernel.fused [rel.filter+rel.project] shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=7 med=7.0 max=7] bytes=136 sel=0.8750
-        #0 orders shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=228
+#1 result shards=1 rows_in[min=3 med=3.0 max=3] rows_out[min=3 med=3.0 max=3] bytes=70
+  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=3 med=3.0 max=3] bytes=101 sel=0.8750
 ";
 
 const GOLDEN_FILTER_TOP_X4: &str = "\
 EXPLAIN ANALYZE SELECT order_id, amount FROM orders WHERE amount > 2 ORDER BY amount DESC LIMIT 3 (parallelism=4, skew>2x median)
-#4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=3 med=3.0 max=3] bytes=70
-  #3 rel.limit shards=4 rows_in[min=0 med=0.5 max=6] rows_out[min=0 med=0.5 max=3] bytes=268 [SKEW]
-    #2 rel.sort shards=4 rows_in[min=0 med=0.5 max=6] rows_out[min=0 med=0.5 max=6] bytes=301 [SKEW]
-      #1 kernel.fused [rel.filter+rel.project] shards=4 rows_in[min=2 med=2.0 max=2] rows_out[min=1 med=2.0 max=2] bytes=320 sel=0.8750
-        #0 orders shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=535
+#1 result shards=1 rows_in[min=7 med=7.0 max=7] rows_out[min=3 med=3.0 max=3] bytes=70
+  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=2.0 max=2] bytes=327 sel=0.8750
 ";

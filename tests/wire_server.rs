@@ -245,6 +245,54 @@ fn sql_errors_become_exceptions_with_readable_messages() {
     assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
 }
 
+/// A name that resolves nowhere is the statement's fault on either engine:
+/// the distributed planner refuses it with `code::SQL` before a task
+/// exists (it used to launch the job and relay a shard's "internal runtime
+/// error" as `code::EXEC`), and the session answers the next query.
+#[test]
+fn unknown_columns_are_sql_errors_before_any_task_runs() {
+    let bad = [
+        "SELECT nope FROM events",
+        "SELECT user_id FROM events ORDER BY nope",
+        "SELECT count(*) AS n FROM events GROUP BY nope",
+        "SELECT sum(nope) AS s FROM events",
+        "SELECT name FROM events JOIN people ON nope = user_id",
+    ];
+    let db = shared_db(50);
+    for q in bad {
+        match test_session(4).sql_distributed(&db, q) {
+            Err(SkadiError::Sql(e)) => assert!(e.to_string().contains("\"nope\""), "{q}: {e}"),
+            other => panic!("{q}: expected a planning error, got {other:?}"),
+        }
+    }
+    for distributed in [false, true] {
+        let server = Server::new(
+            test_session(4),
+            shared_db(50),
+            ServerConfig {
+                distributed,
+                ..ServerConfig::default()
+            },
+        );
+        let (stream, server_thread) = server.connect();
+        let mut client = Client::connect(stream, "typo").unwrap();
+        for q in bad {
+            match client.query(q) {
+                Err(WireError::Server { code: c, message }) => {
+                    assert_eq!(c, code::SQL, "{q} (distributed: {distributed}): {message}");
+                    assert!(message.contains("nope"), "{q}: {message}");
+                    assert!(!message.contains("task"), "{q} reached a task: {message}");
+                }
+                other => panic!("{q}: expected server exception, got {other:?}"),
+            }
+            let ok = client.query("SELECT name FROM people WHERE name = 'Ada'");
+            assert_eq!(ok.expect("session still usable").batch.num_rows(), 1);
+        }
+        drop(client);
+        assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
+    }
+}
+
 /// `sum` over `Int64` that leaves the `i64` range ends the query with the
 /// same named error locally, from a distributed shard, and as a wire
 /// `Exception` from either engine — never a silently wrapped total. The
