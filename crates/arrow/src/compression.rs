@@ -14,8 +14,17 @@
 //! [ext match len]`: the token's high nibble is the literal run length
 //! and its low nibble is the match length minus [`MIN_MATCH`], both
 //! extended by `0xFF`-saturated continuation bytes when they hit 15. The
-//! final sequence carries literals only. Matches copy byte-at-a-time so
-//! overlapping copies (RLE-style `offset < len`) work.
+//! final sequence carries literals only. A match may overlap its own
+//! output (RLE-style `offset < len`): the copy repeats the last `offset`
+//! bytes.
+//!
+//! The format says nothing about how matches are found, so the search
+//! can change without a version: [`compress`] is a greedy LZ4-fast
+//! search (one hash probe per position, a stride that grows through
+//! incompressible stretches), and any parse it picks decodes with every
+//! decoder of the format, as frames written by earlier encoders decode
+//! here. The reference codec kept with the bench harness is the
+//! executable spec; cross-version properties pin both directions.
 //!
 //! [`decompress`] is fully bounds-checked and never panics on junk,
 //! truncated, or bit-flipped input — it returns [`ArrowError::Corrupt`].
@@ -40,12 +49,49 @@ pub const MAX_DECOMPRESSED: usize = 1 << 30;
 /// Match window: offsets are u16, so references reach back 64 KiB.
 const MAX_OFFSET: usize = u16::MAX as usize;
 
-const HASH_BITS: u32 = 14;
+/// The hash table holds one slot per input byte, rounded up to a power
+/// of two between these bounds: a 200-byte frame clears 1 KiB, not 64.
+const MIN_TABLE_BITS: u32 = 8;
+const MAX_TABLE_BITS: u32 = 14;
+
+/// After `2^SKIP_SHIFT` misses in a row the search advances two bytes
+/// per probe, after twice that three, and so on (LZ4's acceleration),
+/// so incompressible stretches cost a fraction of a probe per byte. A
+/// match resets the count.
+const SKIP_SHIFT: u32 = 6;
+
+/// Widest run the decoder copies as one fixed-size load and store.
+const WORD: usize = 8;
 
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-    (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+fn read_u32(raw: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+fn hash4(v: u32, bits: u32) -> usize {
+    (v.wrapping_mul(2_654_435_761) >> (32 - bits)) as usize
+}
+
+/// Length of the longest common prefix of `raw[a..]` and `raw[b..]`
+/// (`a < b`), compared a word at a time.
+#[inline]
+fn common_prefix(raw: &[u8], a: usize, b: usize) -> usize {
+    let (x, y) = (&raw[a..], &raw[b..]);
+    let mut len = 0;
+    while len + 8 <= y.len() {
+        let xw = u64::from_le_bytes(x[len..len + 8].try_into().expect("8 bytes"));
+        let yw = u64::from_le_bytes(y[len..len + 8].try_into().expect("8 bytes"));
+        let diff = xw ^ yw;
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < y.len() && x[len] == y[len] {
+        len += 1;
+    }
+    len
 }
 
 /// True if `bytes` start with the compressed-block magic.
@@ -61,14 +107,19 @@ fn write_len(out: &mut Vec<u8>, mut extra: usize) {
     out.push(extra as u8);
 }
 
+// Inlined by force: on columnar frames a sequence is 5-8 bytes, and a
+// call with its `Option` passed through memory costs as much as the probe.
+#[inline(always)]
 fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
     let lit_nibble = literals.len().min(15) as u8;
     let match_nibble = m.map_or(0, |(_, len)| (len - MIN_MATCH).min(15)) as u8;
     out.push((lit_nibble << 4) | match_nibble);
-    if literals.len() >= 15 {
-        write_len(out, literals.len() - 15);
+    if !literals.is_empty() {
+        if literals.len() >= 15 {
+            write_len(out, literals.len() - 15);
+        }
+        out.extend_from_slice(literals);
     }
-    out.extend_from_slice(literals);
     if let Some((offset, len)) = m {
         out.extend_from_slice(&(offset as u16).to_le_bytes());
         if len - MIN_MATCH >= 15 {
@@ -77,9 +128,14 @@ fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) 
     }
 }
 
-/// Compresses `raw` into a framed block. Incompressible input grows by a
-/// small constant plus one byte per 255 input bytes; use
+/// Compresses `raw` into a framed block. A match never costs more bytes
+/// than it covers, so the only growth is the framing: the output is at
+/// most `raw.len() + raw.len() / 255 + 10` bytes (8 of header, the
+/// closing token, and one length byte per 255 literals). Use
 /// [`maybe_compress`] when the caller wants a never-larger guarantee.
+///
+/// The output is a pure function of `raw`: the search keeps no state
+/// between calls.
 ///
 /// # Panics
 ///
@@ -90,60 +146,68 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&COMPRESSED_MAGIC);
     out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
 
-    // Greedy LZ4-style matcher: a hash table over 4-byte sequences maps
-    // to the most recent position; `0` means empty (positions are
-    // stored + 1).
-    let mut table = vec![0u32; 1 << HASH_BITS];
+    // Greedy LZ4-fast matcher: a hash table over 4-byte sequences maps
+    // to the most recent position probed. An empty slot reads as
+    // position 0, which is as good a candidate as any — a candidate
+    // counts only if it lies behind `i` and its bytes compare equal.
+    let bits = (usize::BITS - raw.len().leading_zeros()).clamp(MIN_TABLE_BITS, MAX_TABLE_BITS);
+    let mut table = vec![0u32; 1 << bits];
     let mut lit_start = 0usize;
     let mut i = 0usize;
-    // The last MIN_MATCH bytes are always literals (no room to match).
+    let mut misses = 0usize;
+    // The last MIN_MATCH - 1 bytes are always literals (no room to match).
     while i + MIN_MATCH <= raw.len() {
-        let h = hash4(&raw[i..]);
-        let candidate = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        let found = candidate > 0 && {
-            let c = candidate - 1;
-            i - c <= MAX_OFFSET && raw[c..c + MIN_MATCH] == raw[i..i + MIN_MATCH]
-        };
-        if !found {
-            i += 1;
+        let v = read_u32(raw, i);
+        let h = hash4(v, bits);
+        let c = table[h] as usize;
+        table[h] = i as u32;
+        if c >= i || i - c > MAX_OFFSET || read_u32(raw, c) != v {
+            i += 1 + (misses >> SKIP_SHIFT);
+            misses += 1;
             continue;
         }
-        let c = candidate - 1;
-        let mut len = MIN_MATCH;
-        while i + len < raw.len() && raw[c + len] == raw[i + len] {
-            len += 1;
+        misses = 0;
+        // Skipped-over bytes may belong to the match: take back pending
+        // literals while they agree, then run forwards.
+        let mut back = 0;
+        while i - back > lit_start && c > back && raw[i - back - 1] == raw[c - back - 1] {
+            back += 1;
         }
-        emit_sequence(&mut out, &raw[lit_start..i], Some((i - c, len)));
-        // Seed the table inside the match so runs keep chaining.
-        let mut j = i + 1;
-        while j + MIN_MATCH <= raw.len() && j < i + len {
-            table[hash4(&raw[j..])] = (j + 1) as u32;
-            j += 1;
-        }
-        i += len;
+        let len = back + MIN_MATCH + common_prefix(raw, c + MIN_MATCH, i + MIN_MATCH);
+        emit_sequence(&mut out, &raw[lit_start..i - back], Some((i - c, len)));
+        i = i - back + len;
         lit_start = i;
+        // Seed the tail of the match so a run keeps chaining.
+        if i + 2 <= raw.len() {
+            table[hash4(read_u32(raw, i - 2), bits)] = (i - 2) as u32;
+        }
     }
-    if lit_start < raw.len() || raw.is_empty() {
-        emit_sequence(&mut out, &raw[lit_start..], None);
-    } else {
-        // Format requires a terminating literals-only sequence.
-        emit_sequence(&mut out, &[], None);
-    }
+    // The format ends on a literals-only sequence, empty if need be.
+    emit_sequence(&mut out, &raw[lit_start..], None);
     out
 }
 
-/// Compresses `frame` if that makes it smaller; otherwise returns the
-/// original bytes. The receiver tells the cases apart by magic (the
-/// plain payloads this is used on — IPC frames, wire packets — never
-/// start with [`COMPRESSED_MAGIC`]).
+/// Compresses `frame` if that makes it smaller; otherwise — or when the
+/// frame is larger than [`MAX_DECOMPRESSED`], which [`compress`] cannot
+/// frame — returns the original bytes. The receiver tells the cases
+/// apart by magic (the plain payloads this is used on — IPC frames, wire
+/// packets — never start with [`COMPRESSED_MAGIC`]).
 pub fn maybe_compress(frame: &[u8]) -> Vec<u8> {
-    let compressed = compress(frame);
-    if compressed.len() < frame.len() {
-        compressed
-    } else {
-        frame.to_vec()
+    if frame.len() <= MAX_DECOMPRESSED {
+        let compressed = compress(frame);
+        if compressed.len() < frame.len() {
+            return compressed;
+        }
     }
+    frame.to_vec()
+}
+
+/// Appends `word[..n]` as one fixed-size store: all of `word`, then the
+/// length cut back. The caller leaves `WORD` bytes of room.
+#[inline]
+fn push_short(out: &mut Vec<u8>, word: [u8; WORD], n: usize) {
+    out.extend_from_slice(&word);
+    out.truncate(out.len() - (WORD - n));
 }
 
 struct Reader<'a> {
@@ -188,6 +252,13 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
+    /// The next [`WORD`] bytes without consuming them, if that many are
+    /// left.
+    fn word(&self) -> Option<[u8; WORD]> {
+        let bytes = self.data.get(self.pos..self.pos.checked_add(WORD)?)?;
+        Some(bytes.try_into().expect("a word"))
+    }
+
     fn done(&self) -> bool {
         self.pos >= self.data.len()
     }
@@ -223,11 +294,22 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, ArrowError> {
     loop {
         let token = r.u8()?;
         let lit_len = r.ext_len((token >> 4) as usize)?;
-        let literals = r.take(lit_len)?;
-        if out.len() + lit_len > raw_len {
-            return Err(ArrowError::Corrupt("literal run overflows block".into()));
+        // Most runs of a columnar frame are a few bytes: where there is
+        // room to overshoot, those are one fixed-size load and store
+        // instead of a `memcpy` call.
+        match r.word() {
+            Some(word) if lit_len <= WORD && out.len() + WORD <= raw_len => {
+                push_short(&mut out, word, lit_len);
+                r.pos += lit_len;
+            }
+            _ => {
+                let literals = r.take(lit_len)?;
+                if out.len() + lit_len > raw_len {
+                    return Err(ArrowError::Corrupt("literal run overflows block".into()));
+                }
+                out.extend_from_slice(literals);
+            }
         }
-        out.extend_from_slice(literals);
         if r.done() {
             // Final sequence: literals only.
             if (token & 0x0F) != 0 {
@@ -246,11 +328,20 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, ArrowError> {
         if out.len() + match_len > raw_len {
             return Err(ArrowError::Corrupt("match run overflows block".into()));
         }
-        // Byte-at-a-time so overlapping (offset < match_len) copies work.
         let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        if match_len <= WORD && offset >= WORD && out.len() + WORD <= raw_len {
+            let word = out[start..start + WORD].try_into().expect("a word");
+            push_short(&mut out, word, match_len);
+            continue;
+        }
+        // `out[start..]` repeats with period `offset`, so an overlapping
+        // match (offset < match_len) copies everything decoded since
+        // `start` — a whole number of periods — and doubles its reach.
+        let mut left = match_len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if out.len() != raw_len {
@@ -314,6 +405,42 @@ mod tests {
         let c = maybe_compress(&zeros);
         assert!(is_compressed(&c) && c.len() < zeros.len());
         assert_eq!(decompress(&c).unwrap(), zeros);
+    }
+
+    /// A frame `compress` cannot take travels plain instead of panicking
+    /// the request path that called `maybe_compress`.
+    #[test]
+    fn maybe_compress_passes_an_oversized_frame_through() {
+        // Never-written zero pages: only the returned copy is resident.
+        let frame = vec![0u8; MAX_DECOMPRESSED + 1];
+        let kept = maybe_compress(&frame);
+        assert_eq!(kept.len(), frame.len());
+        assert!(!is_compressed(&kept));
+    }
+
+    #[test]
+    fn incompressible_input_grows_by_at_most_the_documented_bound() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..70_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for len in (0..=600).chain([4_096, 65_535, 70_000]) {
+            let raw = &noise[..len];
+            let c = compress(raw);
+            assert!(
+                c.len() <= len + len / 255 + 10,
+                "{len} bytes became {}",
+                c.len()
+            );
+            assert_eq!(decompress(&c).unwrap(), raw);
+        }
+        // The bound is met: 15 + 255 literals need two length bytes.
+        assert_eq!(compress(&noise[..270]).len(), 270 + 1 + 10);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   results file. The parallel sweep covers 100k and 1M rows.
 //! - `check`: re-measures and exits non-zero if any vectorized kernel
 //!   is more than 2x slower than the committed `BENCH_exec.json`, if
+//!   the committed `shuffle` query now stores over 1 % more compressed
+//!   bytes (sizes are deterministic, so this gate is host-independent), if
 //!   the committed parallel section misses the scaling bar its
 //!   recording host's core count demands, or if a fresh parallel sweep
 //!   on this machine shows the morsel path has stopped scaling (CI
@@ -18,9 +20,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use skadi_bench::exec_bench::{
-    find_regressions, find_scaling_regressions, find_scaling_regressions_with, host_cores,
-    parse_parallel, parse_results, render_json, render_parallel_table, render_table,
-    required_speedup, run_parallel_suite, run_suite, shuffle_bytes_report, RESULTS_PATH,
+    find_regressions, find_scaling_regressions, find_scaling_regressions_with,
+    find_shuffle_regression, host_cores, parse_parallel, parse_results, parse_shuffle, render_json,
+    render_parallel_table, render_table, required_speedup, run_parallel_suite, run_suite,
+    shuffle_bytes_report, RESULTS_PATH,
 };
 
 fn main() -> ExitCode {
@@ -73,6 +76,16 @@ fn main() -> ExitCode {
             print!("{}", render_table(&fresh));
             let mut problems = find_regressions(&committed, &fresh, 2.0);
 
+            // Size gate: the shuffled bytes of the committed run, measured
+            // again at its row count, may not have grown by more than 1 %.
+            match parse_shuffle(&text) {
+                None => problems.push(format!("{RESULTS_PATH} lacks a \"shuffle\" line")),
+                Some((rows, committed_bytes)) => problems.extend(find_shuffle_regression(
+                    committed_bytes,
+                    &shuffle_bytes_report(rows),
+                )),
+            }
+
             // Scaling gates: the committed parallel section must satisfy
             // the bar for the host that recorded it, and a fresh sweep
             // must show the morsel path still overlaps work on *this*
@@ -89,7 +102,7 @@ fn main() -> ExitCode {
             if problems.is_empty() {
                 println!(
                     "bench check OK: no kernel >2x slower than committed baseline, \
-                     parallel scaling within bounds"
+                     shuffle bytes within 1%, parallel scaling within bounds"
                 );
                 ExitCode::SUCCESS
             } else {

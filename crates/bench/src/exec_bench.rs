@@ -24,12 +24,16 @@ use std::time::{Duration, Instant};
 use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::Bitmap;
+use skadi_arrow::compression;
 use skadi_arrow::compute::{self, CmpOp};
 use skadi_arrow::datatype::DataType;
+use skadi_arrow::ipc;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_dcsim::rng::DetRng;
 use skadi_frontends::exec::{self, pool};
 use skadi_frontends::sql::{parse, tokenize, Query};
+
+use crate::sklz_ref;
 
 /// Path of the recorded perf trajectory, relative to this crate.
 pub const RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
@@ -38,7 +42,8 @@ pub const RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Kernel name (`filter`, `join`, `filter_join_dict`, `group_by`,
-    /// `group_by_dict`, `sort`, `topn`, `popcount`, `mask_scan`).
+    /// `group_by_dict`, `sort`, `topn`, `popcount`, `mask_scan`,
+    /// `sklz_compress`, `sklz_decompress`, `sklz_compress_keys`).
     pub name: String,
     /// Input row count.
     pub rows: usize,
@@ -147,6 +152,62 @@ pub fn users_batch(n_users: usize, seed: u64) -> RecordBatch {
         ],
     )
     .expect("users batch")
+}
+
+/// `n` ids, half of them on 16 hot values out of 1,024: the `user_id`
+/// column of the end-to-end benchmark's `events` table.
+fn hot_key_ids(n: usize, rng: &mut DetRng) -> Vec<i64> {
+    (0..n)
+        .map(|_| {
+            let users = if rng.chance(0.5) { 16 } else { 1_024 };
+            rng.below(users) as i64
+        })
+        .collect()
+}
+
+/// The IPC frame of `n` rows shaped like a `scan` block of the
+/// end-to-end benchmark: a hot-key `user_id`, an 8-value
+/// dictionary-encoded `kind`, a uniform `Float64` `value` (the
+/// incompressible 40 % of the frame).
+pub fn sklz_events_frame(n: usize, seed: u64) -> Vec<u8> {
+    let mut rng = DetRng::seed(seed);
+    let ids = hot_key_ids(n, &mut rng);
+    let kinds: Vec<&str> = (0..n).map(|_| *rng.pick(&COUNTRIES)).collect();
+    let values: Vec<f64> = (0..n).map(|_| rng.unit() * 10.0).collect();
+    let batch = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("user_id", DataType::Int64, false),
+            Field::new("kind", DataType::Utf8, false),
+            Field::new("value", DataType::Float64, false),
+        ]),
+        vec![
+            Array::from_i64(ids),
+            Array::from_utf8(&kinds),
+            Array::from_f64(values),
+        ],
+    )
+    .expect("events frame")
+    .dict_encoded();
+    assert!(matches!(batch.column(1), Array::DictUtf8(_)));
+    ipc::encode(&batch).to_vec()
+}
+
+/// The IPC frame of the two `Int64` columns every shard payload carries:
+/// an ascending `__rid` and a hot-key `user_id` — matches every few
+/// bytes, where the codec's cost is per sequence, not per probe.
+pub fn sklz_keys_frame(n: usize, seed: u64) -> Vec<u8> {
+    let batch = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("__rid", DataType::Int64, false),
+            Field::new("user_id", DataType::Int64, false),
+        ]),
+        vec![
+            Array::from_i64((0..n as i64).collect()),
+            Array::from_i64(hot_key_ids(n, &mut DetRng::seed(seed))),
+        ],
+    )
+    .expect("keys frame");
+    ipc::encode(&batch).to_vec()
 }
 
 // ---------------------------------------------------------------------
@@ -449,6 +510,31 @@ pub fn time_ns(budget: Duration, mut f: impl FnMut()) -> u64 {
     }
 }
 
+/// [`time_ns`] for two closures at once, alternating them iteration by
+/// iteration so both see the same stretches of a host whose speed
+/// drifts; returns each one's best.
+pub fn time_pair_ns(budget: Duration, mut f: impl FnMut(), mut g: impl FnMut()) -> (u64, u64) {
+    let timed = |h: &mut dyn FnMut()| {
+        let t = Instant::now();
+        h();
+        t.elapsed().as_nanos() as u64
+    };
+    timed(&mut f);
+    timed(&mut g);
+    let wall = Instant::now();
+    let (mut best_f, mut best_g) = (u64::MAX, u64::MAX);
+    let mut iters = 0u32;
+    loop {
+        best_f = best_f.min(timed(&mut f));
+        best_g = best_g.min(timed(&mut g));
+        iters += 1;
+        let spent = wall.elapsed();
+        if (iters >= 3 && spent >= budget * 2) || spent >= budget * 16 {
+            return (best_f, best_g);
+        }
+    }
+}
+
 /// Runs every kernel at every size, cross-checking baseline and
 /// vectorized results for exact equality before timing them.
 pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
@@ -651,6 +737,45 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 std::hint::black_box(compute::mask_to_indices(&mask).expect("mask_to_indices"));
             }),
         );
+
+        // Block codec: the tree's SKLZ kernels against the reference
+        // codec they replaced, on the frames the data plane moves. Each
+        // codec must decode the other's frames — the format is shared.
+        let events_frame = sklz_events_frame(n, 42);
+        let keys_frame = sklz_keys_frame(n, 42);
+        let packed = compression::compress(&events_frame);
+        for frame in [&events_frame, &keys_frame] {
+            assert_eq!(
+                &sklz_ref::decompress(&compression::compress(frame)).expect("ref decodes new"),
+                frame,
+                "sklz: reference decoder disagrees at {n} rows"
+            );
+            assert_eq!(
+                &compression::decompress(&sklz_ref::compress(frame)).expect("new decodes ref"),
+                frame,
+                "sklz: decoder disagrees on a reference frame at {n} rows"
+            );
+        }
+        // Timed in alternation: the speed-up over the reference is the
+        // claim, and this host's speed drifts between two 120 ms windows.
+        let (reference, tree) = time_pair_ns(
+            budget,
+            || drop(std::hint::black_box(sklz_ref::compress(&events_frame))),
+            || drop(std::hint::black_box(compression::compress(&events_frame))),
+        );
+        push("sklz_compress", reference, tree);
+        let (reference, tree) = time_pair_ns(
+            budget,
+            || drop(std::hint::black_box(sklz_ref::decompress(&packed))),
+            || drop(std::hint::black_box(compression::decompress(&packed))),
+        );
+        push("sklz_decompress", reference, tree);
+        let (reference, tree) = time_pair_ns(
+            budget,
+            || drop(std::hint::black_box(sklz_ref::compress(&keys_frame))),
+            || drop(std::hint::black_box(compression::compress(&keys_frame))),
+        );
+        push("sklz_compress_keys", reference, tree);
     }
     out
 }
@@ -960,6 +1085,28 @@ pub fn parse_results(text: &str) -> Vec<BenchEntry> {
         .collect()
 }
 
+/// Parses `(rows, compressed_bytes)` out of the `"shuffle"` line of a
+/// [`render_json`] file. Returns `None` when the file has no such line.
+pub fn parse_shuffle(text: &str) -> Option<(usize, u64)> {
+    let line = text.lines().find(|l| l.contains("\"shuffle\""))?;
+    Some((
+        json_field(line, "rows")?.parse().ok()?,
+        json_field(line, "compressed_bytes")?.parse().ok()?,
+    ))
+}
+
+/// The size gate: stored bytes are a pure function of the tables, the
+/// plan and the codec, so on any host a fresh run may exceed the
+/// committed figure by at most 1 %.
+pub fn find_shuffle_regression(committed_bytes: u64, fresh: &ShuffleBytesReport) -> Option<String> {
+    (fresh.compressed_bytes * 100 > committed_bytes * 101).then(|| {
+        format!(
+            "shuffle @ {} rows: {} compressed bytes vs committed {} (>1% larger)",
+            fresh.rows, fresh.compressed_bytes, committed_bytes
+        )
+    })
+}
+
 /// Parses the `"parallel"` section back out of a [`render_json`] file.
 /// Returns `None` when the file predates the section.
 pub fn parse_parallel(text: &str) -> Option<ParallelReport> {
@@ -1078,7 +1225,7 @@ mod tests {
     #[test]
     fn engines_agree_and_json_roundtrips() {
         let entries = run_suite(&[2_000], Duration::from_millis(5));
-        assert_eq!(entries.len(), 9);
+        assert_eq!(entries.len(), 12);
         let text = render_json("test", &entries, None, None);
         let back = parse_results(&text);
         assert_eq!(entries, back);
@@ -1197,6 +1344,16 @@ mod tests {
         let text = render_json("test", &entries, Some(&report), None);
         assert!(text.contains("\"shuffle\""));
         assert_eq!(parse_results(&text), entries);
+        // The size gate reads the line back and allows 1 % of growth.
+        let (rows, committed) = parse_shuffle(&text).expect("shuffle line");
+        assert_eq!((rows, committed), (report.rows, report.compressed_bytes));
+        assert_eq!(find_shuffle_regression(committed, &report), None);
+        assert_eq!(find_shuffle_regression(committed * 2, &report), None);
+        assert_eq!(
+            find_shuffle_regression(committed * 100 / 101 + 1, &report),
+            None
+        );
+        assert!(find_shuffle_regression(committed * 100 / 102, &report).is_some());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 pub mod exec_bench;
 pub mod sched_bench;
+pub mod sklz_ref;
 pub mod table;
 
 pub mod e01_fig1_deployments;

@@ -322,44 +322,44 @@ fn prometheus_exposition_validates() {
 
 const GOLDEN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=1, skew>2x median)
-#2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=81
-  #1 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=2 med=2.0 max=2] bytes=130 ht[slots=16 collisions=0] groups=2
+#2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=79
+  #1 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=2 med=2.0 max=2] bytes=123 ht[slots=16 collisions=0] groups=2
     #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=162
 ";
 
 const GOLDEN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=4, skew>2x median)
-#2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=81
-  #1 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=0.5 max=1] bytes=336 ht[slots=64 collisions=0] groups=2
-    #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=393
+#2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=79
+  #1 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=0.5 max=1] bytes=334 ht[slots=64 collisions=0] groups=2
+    #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=363
 ";
 
 const GOLDEN_JOIN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=1, skew>2x median)
-#4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=101
-  #3 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=4 med=4.0 max=4] bytes=145 ht[slots=16 collisions=0] groups=4
-    #2 kernel.fused [rel.join+rel.project] shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=197 ht[slots=16 collisions=1]
-      #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=170
-      #1 custs shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=5 med=5.0 max=5] bytes=154
+#4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=97
+  #3 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=4 med=4.0 max=4] bytes=142 ht[slots=16 collisions=0] groups=4
+    #2 kernel.fused [rel.join+rel.project] shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=188 ht[slots=16 collisions=1]
+      #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=158
+      #1 custs shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=5 med=5.0 max=5] bytes=145
 ";
 
 const GOLDEN_JOIN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=4, skew>2x median)
-#4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=101
-  #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=363 ht[slots=64 collisions=0] groups=4
-    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=1.5 max=10] rows_out[min=0 med=0.5 max=7] bytes=356 ht[slots=64 collisions=0] [SKEW]
-      #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=344
-      #1 custs shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=1.0 max=2] bytes=304
+#4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=97
+  #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=347 ht[slots=64 collisions=0] groups=4
+    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=1.5 max=10] rows_out[min=0 med=0.5 max=7] bytes=353 ht[slots=64 collisions=0] [SKEW]
+      #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=315
+      #1 custs shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=1.0 max=2] bytes=302
 ";
 
 const GOLDEN_FILTER_TOP_X1: &str = "\
 EXPLAIN ANALYZE SELECT order_id, amount FROM orders WHERE amount > 2 ORDER BY amount DESC LIMIT 3 (parallelism=1, skew>2x median)
 #1 result shards=1 rows_in[min=3 med=3.0 max=3] rows_out[min=3 med=3.0 max=3] bytes=70
-  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=3 med=3.0 max=3] bytes=101 sel=0.8750
+  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=3 med=3.0 max=3] bytes=93 sel=0.8750
 ";
 
 const GOLDEN_FILTER_TOP_X4: &str = "\
 EXPLAIN ANALYZE SELECT order_id, amount FROM orders WHERE amount > 2 ORDER BY amount DESC LIMIT 3 (parallelism=4, skew>2x median)
 #1 result shards=1 rows_in[min=7 med=7.0 max=7] rows_out[min=3 med=3.0 max=3] bytes=70
-  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=2.0 max=2] bytes=327 sel=0.8750
+  #0 kernel.fused [orders: rel.scan+rel.project+rel.filter+rel.limit] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=2.0 max=2] bytes=307 sel=0.8750
 ";

@@ -561,3 +561,181 @@ proptest! {
         prop_assert_eq!(a.trace.count_category(Category::Task) as u64, a.finished);
     }
 }
+
+// ---------------------------------------------------------------------
+// SKLZ: the tree's codec against the reference codec it replaced
+// ---------------------------------------------------------------------
+
+use skadi::arrow::compression::{compress, decompress, maybe_compress};
+use skadi::dcsim::rng::DetRng;
+use skadi_bench::sklz_ref;
+
+/// One format, two codecs: each decodes the other's frames, and
+/// `maybe_compress` never hands back more than it was given.
+fn assert_codecs_agree(raw: &[u8]) {
+    let n = raw.len();
+    let frame = compress(raw);
+    assert_eq!(decompress(&frame).unwrap(), raw, "{n} bytes");
+    assert_eq!(
+        sklz_ref::decompress(&frame).unwrap(),
+        raw,
+        "reference decoder, {n} bytes"
+    );
+    assert_eq!(
+        decompress(&sklz_ref::compress(raw)).unwrap(),
+        raw,
+        "reference frame, {n} bytes"
+    );
+    let kept = maybe_compress(raw);
+    if kept.len() < n {
+        assert_eq!(decompress(&kept).unwrap(), raw, "{n} bytes");
+    } else {
+        assert_eq!(kept, raw, "maybe_compress grew or changed {n} bytes");
+    }
+}
+
+fn sklz_noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut rng = DetRng::seed(seed);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// The IPC frame of `rows` rows shaped like a shard payload: an ascending
+/// `__rid`, a hot-key `user_id` with nulls, a dictionary-encoded `kind`
+/// and a uniform `value` with nulls. Zero rows is the empty batch.
+fn sklz_frame(rows: usize, seed: u64) -> Vec<u8> {
+    const KINDS: [&str; 8] = [
+        "click", "view", "purchase", "scroll", "hover", "login", "logout", "share",
+    ];
+    let mut rng = DetRng::seed(seed);
+    let mut ids = Vec::with_capacity(rows);
+    let mut kinds = Vec::with_capacity(rows);
+    let mut values = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let users = if rng.chance(0.5) { 16 } else { 1_024 };
+        ids.push((!rng.chance(0.03)).then(|| rng.below(users) as i64));
+        kinds.push(*rng.pick(&KINDS));
+        values.push((!rng.chance(0.05)).then(|| rng.unit() * 10.0));
+    }
+    let batch = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("__rid", DataType::Int64, false),
+            Field::new("user_id", DataType::Int64, true),
+            Field::new("kind", DataType::Utf8, false),
+            Field::new("value", DataType::Float64, true),
+        ]),
+        vec![
+            Array::from_i64((0..rows as i64).collect()),
+            Array::from_opt_i64(ids),
+            Array::from_utf8(&kinds),
+            Array::from_opt_f64(values),
+        ],
+    )
+    .unwrap()
+    .dict_encoded();
+    ipc::encode(&batch).to_vec()
+}
+
+/// Frames from the empty batch to ~200 KiB, so the encoder's table takes
+/// every size it has (one slot per input byte, 2^8 to 2^14).
+#[test]
+fn sklz_codecs_agree_on_ipc_frames_of_every_table_size() {
+    let mut widths = std::collections::BTreeSet::new();
+    for (seed, rows) in [0, 1, 2, 5, 12, 25, 50, 100, 200, 400, 900, 7_000]
+        .into_iter()
+        .enumerate()
+    {
+        let frame = sklz_frame(rows, seed as u64);
+        widths.insert((usize::BITS - frame.len().leading_zeros()).clamp(8, 14));
+        assert_codecs_agree(&frame);
+    }
+    assert_eq!(
+        widths.into_iter().collect::<Vec<_>>(),
+        [8, 9, 10, 11, 12, 13, 14]
+    );
+    assert!(sklz_frame(7_000, 11).len() > 190 << 10);
+}
+
+/// A match may reach back 65,535 bytes and not one further: the same
+/// kilobyte twice, that far apart, is a match; one byte further it is
+/// literals. The noise between them also walks the miss-skip up to a
+/// stride that steps past the end of the input.
+#[test]
+fn sklz_matches_reach_exactly_the_window() {
+    let unit = sklz_noise(1_024, 1);
+    let packed: Vec<usize> = [65_535usize, 65_536]
+        .into_iter()
+        .map(|gap| {
+            let mut raw = unit.clone();
+            raw.extend(sklz_noise(gap - unit.len(), 2));
+            raw.extend_from_slice(&unit);
+            assert_codecs_agree(&raw);
+            assert_codecs_agree(&raw[..raw.len() - 1_000]);
+            compress(&raw).len()
+        })
+        .collect();
+    assert!(packed[1] > 65_536 + unit.len(), "offset 65,536 was encoded");
+    assert!(
+        packed[0] + 1_000 < packed[1],
+        "offset 65,535 was not: {packed:?}"
+    );
+}
+
+/// Inputs too short to match, and runs whose matches overlap their own
+/// output (offset < length) at every short period.
+#[test]
+fn sklz_codecs_agree_on_short_inputs_and_overlapping_runs() {
+    for len in 0..=12usize {
+        assert_codecs_agree(&vec![7u8; len]);
+        assert_codecs_agree(&(0..len as u8).collect::<Vec<_>>());
+    }
+    for period in 1..=8usize {
+        for len in [period, 13, 64, 300, 5_000] {
+            let raw: Vec<u8> = (0..len).map(|i| (i % period) as u8).collect();
+            assert_codecs_agree(&raw);
+        }
+    }
+}
+
+/// Chaos twins, the cold-executor gate and lineage re-execution compare
+/// stored payloads byte for byte: no state may survive a `compress` call.
+#[test]
+fn sklz_compress_is_a_pure_function_of_its_input() {
+    let frames: Vec<Vec<u8>> = [0usize, 9, 300, 4_000]
+        .into_iter()
+        .map(|rows| sklz_frame(rows, 5))
+        .collect();
+    let first: Vec<Vec<u8>> = frames.iter().map(|f| compress(f)).collect();
+    // Again after inputs of every other table size, in another order…
+    for (frame, want) in frames.iter().zip(&first).rev() {
+        assert_eq!(&compress(frame), want);
+    }
+    // …and on a thread that has compressed nothing yet.
+    let fresh = std::thread::scope(|s| {
+        s.spawn(|| frames.iter().map(|f| compress(f)).collect::<Vec<_>>())
+            .join()
+            .unwrap()
+    });
+    assert_eq!(fresh, first);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sklz_codecs_agree_on_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..4096)) {
+        assert_codecs_agree(&raw);
+    }
+
+    /// Low-entropy bytes: matches at every distance and length.
+    #[test]
+    fn sklz_codecs_agree_on_repetitive_bytes(
+        raw in prop::collection::vec(0u8..4, 0..4096),
+    ) {
+        assert_codecs_agree(&raw);
+    }
+
+    #[test]
+    fn sklz_codecs_agree_on_generated_ipc_frames(rows in 0usize..1_500, seed in any::<u64>()) {
+        assert_codecs_agree(&sklz_frame(rows, seed));
+    }
+}
