@@ -3,12 +3,22 @@
 //! Arrays are immutable and buffer-backed; cloning is cheap. Nullability
 //! is canonical: an array with no nulls stores `validity = None`, so two
 //! logically-equal arrays built by different paths (builder, IPC decode,
-//! kernel output) compare equal.
+//! kernel output) compare equal. So are lengths: every buffer holds
+//! exactly the bytes of the array's rows, so `len`, `byte_size`, `concat`
+//! and the IPC frame agree by construction.
+//!
+//! Code that works on any column dispatches through [`each_variant!`](crate::each_variant)
+//! once and then runs typed code; what a row contributes to a key hash
+//! and is compared by is each encoding's `key_bytes`. The per-row
+//! accessors (`get`, `key_bytes`) are `#[inline(always)]`: with the hint
+//! alone they stayed calls inside the gather, probe and sort loops.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
-use crate::buffer::{Bitmap, Buffer};
+use crate::buffer::{Bitmap, Buffer, Native};
 use crate::datatype::DataType;
 use crate::error::ArrowError;
 
@@ -17,6 +27,19 @@ fn check_range(lo: usize, hi: usize, len: usize) {
         lo <= hi && hi <= len,
         "range {lo}..{hi} out of bounds for {len}"
     );
+}
+
+#[inline]
+fn check_index(i: usize, len: usize) {
+    assert!(i < len, "index {i} out of bounds for {len}");
+}
+
+/// `valid` as a validity bitmap in normal form: `None` when no row is
+/// null.
+fn normal_validity(valid: &[bool]) -> Option<Bitmap> {
+    // A reduction, not a search: no early exit, so the scan vectorizes.
+    let all_valid = valid.iter().fold(true, |all, &ok| all & ok);
+    (!all_valid).then(|| Bitmap::from_bools(valid))
 }
 
 /// Validity of rows `lo..hi`: `None` when the range holds no null, the
@@ -28,23 +51,17 @@ fn slice_validity(validity: Option<&Bitmap>, lo: usize, hi: usize) -> Option<Bit
 
 /// Validity of parts laid end to end, each `(validity, rows)`; `None`
 /// when no part holds a null.
-fn concat_validity(parts: &[(Option<&Bitmap>, usize)]) -> Option<Bitmap> {
-    if parts.iter().all(|(v, _)| v.is_none()) {
+fn concat_validity<'a>(parts: impl Iterator<Item = (Option<&'a Bitmap>, usize)>) -> Option<Bitmap> {
+    let runs: Vec<_> = parts.map(|(v, rows)| (v, 0, rows)).collect();
+    if runs.iter().all(|r| r.0.is_none()) {
         return None;
     }
-    let runs: Vec<_> = parts.iter().map(|&(v, rows)| (v, 0, rows)).collect();
     let v = Bitmap::from_runs(&runs);
     (v.count_set() < v.len()).then_some(v)
 }
 
-/// The first `rows * width` bytes of each buffer, appended.
-fn concat_fixed(parts: &[(&Buffer, usize)], width: usize) -> Buffer {
-    let rows: usize = parts.iter().map(|p| p.1).sum();
-    let mut raw = Vec::with_capacity(rows * width);
-    for (values, rows) in parts {
-        raw.extend_from_slice(&values.as_slice()[..rows * width]);
-    }
-    Buffer::from_vec(raw)
+fn validity_bytes(validity: Option<&Bitmap>) -> usize {
+    validity.map_or(0, |v| v.buffer().len())
 }
 
 /// One dynamically-typed value, used at the row-oriented edges of the
@@ -75,248 +92,129 @@ impl fmt::Display for Value {
     }
 }
 
-/// A fixed-width 64-bit integer array.
+macro_rules! value_from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Value {
+                Value::$variant(v.into())
+            }
+        }
+    )*};
+}
+value_from!(i64 => I64, f64 => F64, bool => Bool, &str => Str);
+
+/// A fixed-width array of `T`s: the `Int64` and `Float64` columns, and
+/// the keys of a [`DictUtf8Array`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Int64Array {
+pub struct PrimitiveArray<T: Native> {
+    /// `len * T::WIDTH` bytes; every builder and gather writes `T::ZERO`
+    /// in the null slots.
     values: Buffer,
     validity: Option<Bitmap>,
-    len: usize,
+    _type: PhantomData<T>,
 }
 
-impl Int64Array {
-    /// Builds from values with no nulls.
-    pub fn new(values: Vec<i64>) -> Self {
-        let len = values.len();
-        Int64Array {
-            values: values.into(),
-            validity: None,
-            len,
-        }
-    }
-
-    /// Builds from optional values.
-    pub fn from_options(values: Vec<Option<i64>>) -> Self {
-        let len = values.len();
-        let mut raw = Vec::with_capacity(len);
-        let mut valid = Vec::with_capacity(len);
-        let mut any_null = false;
-        for v in values {
-            match v {
-                Some(x) => {
-                    raw.push(x);
-                    valid.push(true);
-                }
-                None => {
-                    raw.push(0);
-                    valid.push(false);
-                    any_null = true;
-                }
-            }
-        }
-        Int64Array {
-            values: raw.into(),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len,
-        }
-    }
-
-    /// Reconstructs from raw parts (IPC decode).
-    pub fn from_parts(values: Buffer, validity: Option<Bitmap>, len: usize) -> Self {
-        assert!(values.len() >= len * 8, "values buffer too short");
-        Int64Array {
-            values,
-            validity,
-            len,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The value at `i`, or `None` if null.
-    pub fn get(&self, i: usize) -> Option<i64> {
-        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-        match &self.validity {
-            Some(v) if !v.get(i) => None,
-            _ => Some(self.values.get_i64(i)),
-        }
-    }
-
-    /// Iterates all values.
-    pub fn iter(&self) -> impl Iterator<Item = Option<i64>> + '_ {
-        (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Iterates the raw values without consulting validity (null slots
-    /// yield their placeholder `0`). The vectorized kernels pair this
-    /// with [`Int64Array::validity`] to keep the inner loop branch-free.
-    pub fn iter_raw(&self) -> impl Iterator<Item = i64> + '_ {
-        self.values.iter_i64(self.len)
-    }
-
-    /// Gathers the rows at `indices` into a new array (typed `take`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> Int64Array {
-        match &self.validity {
-            None => {
-                let raw: Vec<i64> = indices
-                    .iter()
-                    .map(|&i| {
-                        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-                        self.values.get_i64(i)
-                    })
-                    .collect();
-                Int64Array::new(raw)
-            }
-            Some(v) => {
-                let mut raw = Vec::with_capacity(indices.len());
-                let mut valid = Vec::with_capacity(indices.len());
-                let mut any_null = false;
-                for &i in indices {
-                    assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-                    if v.get(i) {
-                        raw.push(self.values.get_i64(i));
-                        valid.push(true);
-                    } else {
-                        raw.push(0);
-                        valid.push(false);
-                        any_null = true;
-                    }
-                }
-                Int64Array {
-                    values: raw.into(),
-                    validity: any_null.then(|| Bitmap::from_bools(&valid)),
-                    len: indices.len(),
-                }
-            }
-        }
-    }
-
-    /// Rows `lo..hi` as a view: the values alias this array's buffer.
-    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Int64Array {
-        check_range(lo, hi, self.len);
-        Int64Array {
-            values: self.values.slice(lo * 8, (hi - lo) * 8),
-            validity: slice_validity(self.validity.as_ref(), lo, hi),
-            len: hi - lo,
-        }
-    }
-
-    /// The parts laid end to end, raw buffers appended.
-    pub(crate) fn concat(parts: &[&Int64Array]) -> Int64Array {
-        let values: Vec<_> = parts.iter().map(|p| (&p.values, p.len)).collect();
-        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
-        Int64Array {
-            values: concat_fixed(&values, 8),
-            validity: concat_validity(&validity),
-            len: parts.iter().map(|p| p.len).sum(),
-        }
-    }
-
-    /// The raw values buffer.
-    pub fn values(&self) -> &Buffer {
-        &self.values
-    }
-
-    /// The validity bitmap, if any value is null.
-    pub fn validity(&self) -> Option<&Bitmap> {
-        self.validity.as_ref()
-    }
-}
+/// A fixed-width 64-bit integer array.
+pub type Int64Array = PrimitiveArray<i64>;
 
 /// A fixed-width 64-bit float array.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Float64Array {
-    values: Buffer,
-    validity: Option<Bitmap>,
-    len: usize,
-}
+pub type Float64Array = PrimitiveArray<f64>;
 
-impl Float64Array {
-    /// Builds from values with no nulls.
-    pub fn new(values: Vec<f64>) -> Self {
-        let len = values.len();
-        Float64Array {
-            values: values.into(),
-            validity: None,
-            len,
+impl<T: Native> PrimitiveArray<T> {
+    fn from_raw(values: Buffer, validity: Option<Bitmap>) -> Self {
+        PrimitiveArray {
+            values,
+            validity,
+            _type: PhantomData,
         }
+    }
+
+    /// Builds from values with no nulls.
+    pub fn new(values: Vec<T>) -> Self {
+        Self::from_raw(values.into(), None)
     }
 
     /// Builds from optional values.
-    pub fn from_options(values: Vec<Option<f64>>) -> Self {
-        let len = values.len();
-        let mut raw = Vec::with_capacity(len);
-        let mut valid = Vec::with_capacity(len);
-        let mut any_null = false;
+    pub fn from_options(values: impl IntoIterator<Item = Option<T>>) -> Self {
+        let values = values.into_iter();
+        let rows = values.size_hint().0;
+        let mut raw = Vec::with_capacity(rows * T::WIDTH);
+        let mut valid = Vec::with_capacity(rows);
         for v in values {
-            match v {
-                Some(x) => {
-                    raw.push(x);
-                    valid.push(true);
-                }
-                None => {
-                    raw.push(0.0);
-                    valid.push(false);
-                    any_null = true;
-                }
-            }
+            v.unwrap_or(T::ZERO).write_le(&mut raw);
+            valid.push(v.is_some());
         }
-        Float64Array {
-            values: raw.into(),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len,
-        }
+        Self::from_raw(Buffer::from_vec(raw), normal_validity(&valid))
     }
 
-    /// Reconstructs from raw parts (IPC decode).
+    /// Reconstructs from raw parts (IPC decode), keeping exactly the
+    /// `len` values the array holds.
     pub fn from_parts(values: Buffer, validity: Option<Bitmap>, len: usize) -> Self {
-        assert!(values.len() >= len * 8, "values buffer too short");
-        Float64Array {
-            values,
-            validity,
-            len,
-        }
+        assert!(values.len() >= len * T::WIDTH, "values buffer too short");
+        Self::from_raw(values.slice(0, len * T::WIDTH), validity)
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len() / T::WIDTH
     }
 
     /// True if the array has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// The value at `i`, or `None` if null.
-    pub fn get(&self, i: usize) -> Option<f64> {
-        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> Option<T> {
+        check_index(i, self.len());
         match &self.validity {
             Some(v) if !v.get(i) => None,
-            _ => Some(self.values.get_f64(i)),
+            _ => Some(self.values.get(i)),
         }
     }
 
-    /// Iterates all values.
-    pub fn iter(&self) -> impl Iterator<Item = Option<f64>> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+    /// Iterates all values, in one pass over the raw bytes.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = Option<T>> + '_ {
+        self.iter_raw()
+            .enumerate()
+            .map(move |(i, x)| match &self.validity {
+                Some(v) if !v.get(i) => None,
+                _ => Some(x),
+            })
     }
 
     /// Iterates the raw values without consulting validity (null slots
-    /// yield their placeholder `0.0`).
-    pub fn iter_raw(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter_f64(self.len)
+    /// yield their placeholder `T::ZERO`). The vectorized kernels pair
+    /// this with [`PrimitiveArray::validity`] to keep the inner loop
+    /// branch-free.
+    #[inline]
+    pub fn iter_raw(&self) -> impl Iterator<Item = T> + '_ {
+        self.values.iter()
+    }
+
+    /// The stored bytes of row `i` — what the row contributes to a key
+    /// hash and is compared by (for a float, its bit pattern) — or `None`
+    /// if null.
+    #[inline(always)]
+    pub fn key_bytes(&self, i: usize) -> Option<&[u8]> {
+        match &self.validity {
+            Some(v) if !v.get(i) => None,
+            _ => Some(&self.values.as_slice()[i * T::WIDTH..(i + 1) * T::WIDTH]),
+        }
+    }
+
+    /// [`Self::key_bytes`] of every row in order, in one pass over the
+    /// raw values.
+    #[inline]
+    pub fn iter_key_bytes(&self) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        let rows = self.values.as_slice().chunks_exact(T::WIDTH).enumerate();
+        rows.map(move |(i, bytes)| match &self.validity {
+            Some(v) if !v.get(i) => None,
+            _ => Some(bytes),
+        })
     }
 
     /// Gathers the rows at `indices` into a new array (typed `take`).
@@ -324,71 +222,53 @@ impl Float64Array {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> Float64Array {
-        match &self.validity {
-            None => {
-                let raw: Vec<f64> = indices
-                    .iter()
-                    .map(|&i| {
-                        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-                        self.values.get_f64(i)
-                    })
-                    .collect();
-                Float64Array::new(raw)
-            }
-            Some(v) => {
-                let mut raw = Vec::with_capacity(indices.len());
-                let mut valid = Vec::with_capacity(indices.len());
-                let mut any_null = false;
-                for &i in indices {
-                    assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-                    if v.get(i) {
-                        raw.push(self.values.get_f64(i));
-                        valid.push(true);
-                    } else {
-                        raw.push(0.0);
-                        valid.push(false);
-                        any_null = true;
-                    }
-                }
-                Float64Array {
-                    values: raw.into(),
-                    validity: any_null.then(|| Bitmap::from_bools(&valid)),
-                    len: indices.len(),
-                }
-            }
+    pub fn take_rows(&self, indices: &[usize]) -> Self {
+        if self.validity.is_some() {
+            return Self::from_options(indices.iter().map(|&i| self.get(i)));
         }
+        // No null: the stored bytes move as they are, in one pass.
+        let (len, src) = (self.len(), self.values.as_slice());
+        let mut raw = Vec::with_capacity(indices.len() * T::WIDTH);
+        for &i in indices {
+            check_index(i, len);
+            raw.extend_from_slice(&src[i * T::WIDTH..(i + 1) * T::WIDTH]);
+        }
+        Self::from_raw(Buffer::from_vec(raw), None)
     }
 
     /// Rows `lo..hi` as a view: the values alias this array's buffer.
-    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Float64Array {
-        check_range(lo, hi, self.len);
-        Float64Array {
-            values: self.values.slice(lo * 8, (hi - lo) * 8),
-            validity: slice_validity(self.validity.as_ref(), lo, hi),
-            len: hi - lo,
-        }
+    pub(crate) fn slice(&self, lo: usize, hi: usize) -> Self {
+        check_range(lo, hi, self.len());
+        Self::from_raw(
+            self.values.slice(lo * T::WIDTH, (hi - lo) * T::WIDTH),
+            slice_validity(self.validity.as_ref(), lo, hi),
+        )
     }
 
     /// The parts laid end to end, raw buffers appended.
-    pub(crate) fn concat(parts: &[&Float64Array]) -> Float64Array {
-        let values: Vec<_> = parts.iter().map(|p| (&p.values, p.len)).collect();
-        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
-        Float64Array {
-            values: concat_fixed(&values, 8),
-            validity: concat_validity(&validity),
-            len: parts.iter().map(|p| p.len).sum(),
+    pub(crate) fn concat(parts: &[&Self]) -> Self {
+        let mut raw = Vec::with_capacity(parts.iter().map(|p| p.values.len()).sum());
+        for p in parts {
+            raw.extend_from_slice(p.values.as_slice());
         }
+        let validity = concat_validity(parts.iter().map(|p| (p.validity(), p.len())));
+        Self::from_raw(Buffer::from_vec(raw), validity)
     }
 
     /// The raw values buffer.
+    #[inline]
     pub fn values(&self) -> &Buffer {
         &self.values
     }
 
     /// The validity bitmap, if any value is null.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
         self.validity.as_ref()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.values.len() + validity_bytes(self.validity())
     }
 }
 
@@ -409,13 +289,14 @@ impl BoolArray {
     }
 
     /// Builds from optional values.
-    pub fn from_options(values: Vec<Option<bool>>) -> Self {
-        let raw: Vec<bool> = values.iter().map(|v| v.unwrap_or(false)).collect();
-        let valid: Vec<bool> = values.iter().map(Option::is_some).collect();
-        let any_null = valid.iter().any(|v| !v);
+    pub fn from_options(values: impl IntoIterator<Item = Option<bool>>) -> Self {
+        let (raw, valid): (Vec<bool>, Vec<bool>) = values
+            .into_iter()
+            .map(|v| (v.unwrap_or(false), v.is_some()))
+            .unzip();
         BoolArray {
             values: Bitmap::from_bools(&raw),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
+            validity: normal_validity(&valid),
         }
     }
 
@@ -435,6 +316,7 @@ impl BoolArray {
     }
 
     /// The value at `i`, or `None` if null.
+    #[inline(always)]
     pub fn get(&self, i: usize) -> Option<bool> {
         match &self.validity {
             Some(v) if !v.get(i) => None,
@@ -447,10 +329,22 @@ impl BoolArray {
         (0..self.len()).map(move |i| self.get(i))
     }
 
+    /// The one byte (`0` or `1`) row `i` contributes to a key hash and is
+    /// compared by, or `None` if null.
+    #[inline(always)]
+    pub fn key_bytes(&self, i: usize) -> Option<&[u8]> {
+        self.get(i).map(|b| if b { &[1u8][..] } else { &[0u8][..] })
+    }
+
+    /// [`Self::key_bytes`] of every row in order.
+    #[inline]
+    pub fn iter_key_bytes(&self) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        (0..self.len()).map(move |i| self.key_bytes(i))
+    }
+
     /// Gathers the rows at `indices` into a new array (typed `take`).
     pub fn take_rows(&self, indices: &[usize]) -> BoolArray {
-        let opts: Vec<Option<bool>> = indices.iter().map(|&i| self.get(i)).collect();
-        BoolArray::from_options(opts)
+        BoolArray::from_options(indices.iter().map(|&i| self.get(i)))
     }
 
     /// Rows `lo..hi` as an array of their own.
@@ -468,13 +362,9 @@ impl BoolArray {
             .iter()
             .map(|p| (Some(&p.values), 0, p.len()))
             .collect();
-        let validity: Vec<_> = parts
-            .iter()
-            .map(|p| (p.validity.as_ref(), p.len()))
-            .collect();
         BoolArray {
             values: Bitmap::from_runs(&values),
-            validity: concat_validity(&validity),
+            validity: concat_validity(parts.iter().map(|p| (p.validity(), p.len()))),
         }
     }
 
@@ -484,8 +374,13 @@ impl BoolArray {
     }
 
     /// The validity bitmap, if any value is null.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
         self.validity.as_ref()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.values.buffer().len() + validity_bytes(self.validity())
     }
 }
 
@@ -520,14 +415,22 @@ pub struct Utf8Array {
     offsets: Buffer,
     data: Buffer,
     validity: Option<Bitmap>,
-    len: usize,
     dict: DictMemo,
 }
 
 impl Utf8Array {
+    fn from_raw(offsets: Buffer, data: Buffer, validity: Option<Bitmap>) -> Self {
+        Utf8Array {
+            offsets,
+            data,
+            validity,
+            dict: DictMemo::default(),
+        }
+    }
+
     /// Builds from string slices with no nulls.
     pub fn new<S: AsRef<str>>(values: &[S]) -> Self {
-        Self::from_options_impl(values.iter().map(|s| Some(s.as_ref())))
+        Self::from_byte_options(values.iter().map(|s| Some(s.as_ref().as_bytes())))
     }
 
     /// Builds from optional string slices.
@@ -535,145 +438,124 @@ impl Utf8Array {
     where
         I: IntoIterator<Item = Option<&'a str>>,
     {
-        Self::from_options_impl(values.into_iter())
+        Self::from_byte_options(values.into_iter().map(|v| v.map(str::as_bytes)))
     }
 
-    fn from_options_impl<'a>(values: impl Iterator<Item = Option<&'a str>>) -> Self {
-        let mut offsets: Vec<i32> = vec![0];
+    /// Builds from optional byte slices, each of which must be UTF-8:
+    /// bytes are copied slice-to-slice, never through an owned `String`.
+    fn from_byte_options<'a>(values: impl Iterator<Item = Option<&'a [u8]>>) -> Self {
+        let rows = values.size_hint().0;
+        let mut offsets: Vec<i32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
         let mut data: Vec<u8> = Vec::new();
-        let mut valid: Vec<bool> = Vec::new();
-        let mut any_null = false;
+        let mut valid: Vec<bool> = Vec::with_capacity(rows);
         for v in values {
-            match v {
-                Some(s) => {
-                    data.extend_from_slice(s.as_bytes());
-                    valid.push(true);
-                }
-                None => {
-                    valid.push(false);
-                    any_null = true;
-                }
+            if let Some(bytes) = v {
+                data.extend_from_slice(bytes);
             }
-            let end = i32::try_from(data.len()).expect("utf8 data exceeds 2 GiB");
-            offsets.push(end);
+            valid.push(v.is_some());
+            offsets.push(i32::try_from(data.len()).expect("utf8 data exceeds 2 GiB"));
         }
-        let len = valid.len();
-        Utf8Array {
-            offsets: offsets.into(),
-            data: Buffer::from_vec(data),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len,
-            dict: DictMemo::default(),
-        }
+        Self::from_raw(
+            offsets.into(),
+            Buffer::from_vec(data),
+            normal_validity(&valid),
+        )
     }
 
-    /// Reconstructs from raw parts (IPC decode).
+    /// Reconstructs from raw parts (IPC decode), keeping exactly the
+    /// `len + 1` offsets the array holds and the bytes they reach.
     pub fn from_parts(offsets: Buffer, data: Buffer, validity: Option<Bitmap>, len: usize) -> Self {
         assert!(offsets.len() >= (len + 1) * 4, "offsets buffer too short");
-        Utf8Array {
-            offsets,
-            data,
+        let end = offsets.get::<i32>(len) as usize;
+        Self::from_raw(
+            offsets.slice(0, (len + 1) * 4),
+            data.slice(0, end),
             validity,
-            len,
-            dict: DictMemo::default(),
-        }
+        )
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.offsets.len() / 4 - 1
     }
 
     /// True if the array has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The value at `i`, or `None` if null.
     pub fn get(&self, i: usize) -> Option<&str> {
-        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-        match &self.validity {
-            Some(v) if !v.get(i) => None,
-            _ => {
-                let start = self.offsets.get_i32(i) as usize;
-                let end = self.offsets.get_i32(i + 1) as usize;
-                Some(
-                    std::str::from_utf8(&self.data.as_slice()[start..end])
-                        .expect("invariant: utf8 data"),
-                )
-            }
-        }
+        check_index(i, self.len());
+        self.key_bytes(i)
+            .map(|b| std::str::from_utf8(b).expect("invariant: utf8 data"))
     }
 
     /// Iterates all values.
     pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Gathers the rows at `indices` into a new array (typed `take`):
-    /// string bytes are copied slice-to-slice, never through an owned
-    /// `String`.
+    /// The bytes of row `i`, `None` if null — the one accessor hashing,
+    /// key equality and ordering read strings through: no UTF-8
+    /// validation, the bytes as they are.
+    #[inline(always)]
+    pub fn key_bytes(&self, i: usize) -> Option<&[u8]> {
+        if self.validity.as_ref().is_some_and(|v| !v.get(i)) {
+            return None;
+        }
+        let start = self.offsets.get::<i32>(i) as usize;
+        let end = self.offsets.get::<i32>(i + 1) as usize;
+        Some(&self.data.as_slice()[start..end])
+    }
+
+    /// [`Self::key_bytes`] of every row in order.
+    #[inline]
+    pub fn iter_key_bytes(&self) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        (0..self.len()).map(move |i| self.key_bytes(i))
+    }
+
+    /// Gathers the rows at `indices` into a new array (typed `take`).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn take_rows(&self, indices: &[usize]) -> Utf8Array {
-        let mut offsets: Vec<i32> = Vec::with_capacity(indices.len() + 1);
-        offsets.push(0);
-        let mut data: Vec<u8> = Vec::new();
-        let mut valid = Vec::with_capacity(indices.len());
-        let mut any_null = false;
-        let bytes = self.data.as_slice();
-        for &i in indices {
-            assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-            let is_valid = self.validity.as_ref().is_none_or(|v| v.get(i));
-            if is_valid {
-                let start = self.offsets.get_i32(i) as usize;
-                let end = self.offsets.get_i32(i + 1) as usize;
-                data.extend_from_slice(&bytes[start..end]);
-                valid.push(true);
-            } else {
-                valid.push(false);
-                any_null = true;
-            }
-            let end = i32::try_from(data.len()).expect("utf8 data exceeds 2 GiB");
-            offsets.push(end);
-        }
-        Utf8Array {
-            offsets: offsets.into(),
-            data: Buffer::from_vec(data),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len: indices.len(),
-            dict: DictMemo::default(),
-        }
+        let len = self.len();
+        Self::from_byte_options(indices.iter().map(|&i| {
+            check_index(i, len);
+            self.key_bytes(i)
+        }))
     }
 
     /// Rows `lo..hi` as a view: the string bytes alias this array's
     /// buffer; the offsets do too when the range starts at byte 0, and
     /// are rebased to it otherwise (the frame layout starts at 0).
     pub(crate) fn slice(&self, lo: usize, hi: usize) -> Utf8Array {
-        check_range(lo, hi, self.len);
-        let start = self.offsets.get_i32(lo);
-        let end = self.offsets.get_i32(hi);
+        check_range(lo, hi, self.len());
+        let start = self.offsets.get::<i32>(lo);
+        let end = self.offsets.get::<i32>(hi);
         let offsets = if start == 0 {
             self.offsets.slice(lo * 4, (hi - lo + 1) * 4)
         } else {
-            let rebased: Vec<i32> = (lo..=hi).map(|i| self.offsets.get_i32(i) - start).collect();
+            let rebased: Vec<i32> = (lo..=hi)
+                .map(|i| self.offsets.get::<i32>(i) - start)
+                .collect();
             rebased.into()
         };
-        Utf8Array {
+        Self::from_raw(
             offsets,
-            data: self.data.slice(start as usize, (end - start) as usize),
-            validity: slice_validity(self.validity.as_ref(), lo, hi),
-            len: hi - lo,
-            dict: DictMemo::default(),
-        }
+            self.data.slice(start as usize, (end - start) as usize),
+            slice_validity(self.validity.as_ref(), lo, hi),
+        )
     }
 
     /// The parts laid end to end: string bytes appended, offsets rebased.
     pub(crate) fn concat(parts: &[&Utf8Array]) -> Utf8Array {
-        let span = |p: &Utf8Array| (p.offsets.get_i32(0), p.offsets.get_i32(p.len));
-        let len: usize = parts.iter().map(|p| p.len).sum();
+        let span = |p: &Utf8Array| (p.offsets.get::<i32>(0), p.offsets.get::<i32>(p.len()));
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         let bytes: usize = parts.iter().map(|p| (span(p).1 - span(p).0) as usize).sum();
         i32::try_from(bytes).expect("utf8 data exceeds 2 GiB");
         let mut offsets: Vec<i32> = Vec::with_capacity(len + 1);
@@ -682,17 +564,11 @@ impl Utf8Array {
         for p in parts {
             let (first, last) = span(p);
             let shift = data.len() as i32 - first;
-            offsets.extend((1..=p.len).map(|i| p.offsets.get_i32(i) + shift));
+            offsets.extend(p.offsets.iter::<i32>().skip(1).map(|o| o + shift));
             data.extend_from_slice(&p.data.as_slice()[first as usize..last as usize]);
         }
-        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
-        Utf8Array {
-            offsets: offsets.into(),
-            data: Buffer::from_vec(data),
-            validity: concat_validity(&validity),
-            len,
-            dict: DictMemo::default(),
-        }
+        let validity = concat_validity(parts.iter().map(|p| (p.validity(), p.len())));
+        Self::from_raw(offsets.into(), Buffer::from_vec(data), validity)
     }
 
     /// This column dictionary-encoded, if its cardinality is low enough
@@ -703,7 +579,7 @@ impl Utf8Array {
         let memo = self.dict.0.get_or_init(|| {
             let d = DictUtf8Array::from_utf8(self);
             let distinct = d.dictionary().len();
-            (distinct <= DICT_MAX_CARDINALITY && distinct * 2 <= self.len).then_some(d)
+            (distinct <= DICT_MAX_CARDINALITY && distinct * 2 <= self.len()).then_some(d)
         });
         memo.clone()
     }
@@ -719,14 +595,36 @@ impl Utf8Array {
     }
 
     /// The validity bitmap, if any value is null.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
         self.validity.as_ref()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.offsets.len() + self.data.len() + validity_bytes(self.validity())
     }
 }
 
 /// Dictionaries larger than this are not "low cardinality":
 /// [`Array::dict_encoded`] falls back to plain `Utf8` beyond it.
 pub const DICT_MAX_CARDINALITY: usize = 1 << 16;
+
+/// A dictionary under construction: entries in first-appearance order.
+#[derive(Default)]
+struct DictBuilder<'a> {
+    keys: HashMap<&'a str, u32>,
+    entries: Vec<&'a str>,
+}
+
+impl<'a> DictBuilder<'a> {
+    /// The key of `s`, appending it as a new entry on first sight.
+    fn key_of(&mut self, s: &'a str) -> u32 {
+        *self.keys.entry(s).or_insert_with(|| {
+            self.entries.push(s);
+            u32::try_from(self.entries.len() - 1).expect("dictionary exceeds u32 keys")
+        })
+    }
+}
 
 /// A dictionary-encoded (LowCardinality) UTF-8 array: `u32` keys into a
 /// deduplicated, never-null [`Utf8Array`] dictionary.
@@ -737,11 +635,10 @@ pub const DICT_MAX_CARDINALITY: usize = 1 << 16;
 /// store the canonical placeholder key `0`.
 #[derive(Debug, Clone)]
 pub struct DictUtf8Array {
-    /// `len` little-endian u32 keys into `dict`.
-    keys: Buffer,
+    /// One key into `dict` per row; validity, gathers and views ride with
+    /// the keys.
+    keys: PrimitiveArray<u32>,
     dict: Utf8Array,
-    validity: Option<Bitmap>,
-    len: usize,
 }
 
 impl PartialEq for DictUtf8Array {
@@ -750,7 +647,7 @@ impl PartialEq for DictUtf8Array {
     /// entries (a filtered array keeps its parent's dictionary; a rebuilt
     /// one starts fresh).
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter_key_bytes().eq(other.iter_key_bytes())
     }
 }
 
@@ -766,34 +663,11 @@ impl DictUtf8Array {
     where
         I: IntoIterator<Item = Option<&'a str>>,
     {
-        let mut map: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-        let mut entries: Vec<&str> = Vec::new();
-        let mut keys: Vec<u32> = Vec::new();
-        let mut valid: Vec<bool> = Vec::new();
-        let mut any_null = false;
-        for v in values {
-            match v {
-                Some(s) => {
-                    let k = *map.entry(s).or_insert_with(|| {
-                        entries.push(s);
-                        u32::try_from(entries.len() - 1).expect("dictionary exceeds u32 keys")
-                    });
-                    keys.push(k);
-                    valid.push(true);
-                }
-                None => {
-                    keys.push(0);
-                    valid.push(false);
-                    any_null = true;
-                }
-            }
-        }
-        let len = keys.len();
+        let mut dict = DictBuilder::default();
+        let keys = values.into_iter().map(|v| v.map(|s| dict.key_of(s)));
         DictUtf8Array {
-            keys: keys.into(),
-            dict: Utf8Array::new(&entries),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len,
+            keys: PrimitiveArray::from_options(keys),
+            dict: Utf8Array::new(&dict.entries),
         }
     }
 
@@ -804,53 +678,67 @@ impl DictUtf8Array {
 
     /// Reconstructs from raw parts (IPC decode). The dictionary must be
     /// null-free; callers are responsible for keys being in bounds.
-    pub fn from_parts(keys: Buffer, dict: Utf8Array, validity: Option<Bitmap>, len: usize) -> Self {
-        assert!(keys.len() >= len * 4, "keys buffer too short");
+    pub fn from_parts(keys: PrimitiveArray<u32>, dict: Utf8Array) -> Self {
         assert!(
             dict.validity().is_none(),
             "dictionary entries may not be null"
         );
-        DictUtf8Array {
-            keys,
-            dict,
-            validity,
-            len,
-        }
+        DictUtf8Array { keys, dict }
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
     /// True if the array has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.keys.is_empty()
     }
 
     /// The raw key at `i` without consulting validity (null slots yield
     /// the placeholder `0`).
     pub fn key_at(&self, i: usize) -> u32 {
-        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-        self.keys.get_u32(i)
+        check_index(i, self.len());
+        self.keys.values.get(i)
     }
 
     /// The value at `i`, or `None` if null.
     pub fn get(&self, i: usize) -> Option<&str> {
-        assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-        match &self.validity {
-            Some(v) if !v.get(i) => None,
-            _ => Some(
-                self.dict
-                    .get(self.keys.get_u32(i) as usize)
-                    .expect("invariant: dictionary entries are never null"),
-            ),
-        }
+        self.keys.get(i).map(|k| self.entry(k))
+    }
+
+    fn entry(&self, key: u32) -> &str {
+        self.dict
+            .get(key as usize)
+            .expect("invariant: dictionary entries are never null")
     }
 
     /// Iterates all values.
     pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The bytes of the entry row `i` points at, `None` if null: the
+    /// same bytes the plain [`Utf8Array`] of these values would give.
+    #[inline(always)]
+    pub fn key_bytes(&self, i: usize) -> Option<&[u8]> {
+        let key = self.keys.get(i)?;
+        self.dict.key_bytes(key as usize)
+    }
+
+    /// [`Self::key_bytes`] of every row in order, with each entry's byte
+    /// slice resolved once rather than once per row.
+    #[inline]
+    pub fn iter_key_bytes(&self) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        let entries = self.dict.iter_key_bytes();
+        let entries: Vec<&[u8]> = entries.map(|e| e.expect("dict entry")).collect();
+        let rows = self.keys.iter_raw().enumerate();
+        rows.map(move |(i, k)| match self.validity() {
+            Some(v) if !v.get(i) => None,
+            _ => Some(entries[k as usize]),
+        })
     }
 
     /// Gathers the rows at `indices` into a new array: only the
@@ -860,42 +748,23 @@ impl DictUtf8Array {
     ///
     /// Panics if any index is out of bounds.
     pub fn take_rows(&self, indices: &[usize]) -> DictUtf8Array {
-        let mut keys = Vec::with_capacity(indices.len());
-        let mut valid = Vec::with_capacity(indices.len());
-        let mut any_null = false;
-        for &i in indices {
-            assert!(i < self.len, "index {i} out of bounds for {}", self.len);
-            if self.validity.as_ref().is_none_or(|v| v.get(i)) {
-                keys.push(self.keys.get_u32(i));
-                valid.push(true);
-            } else {
-                keys.push(0);
-                valid.push(false);
-                any_null = true;
-            }
-        }
         DictUtf8Array {
-            keys: keys.into(),
+            keys: self.keys.take_rows(indices),
             dict: self.dict.clone(),
-            validity: any_null.then(|| Bitmap::from_bools(&valid)),
-            len: indices.len(),
         }
     }
 
     /// Decodes back to a plain [`Utf8Array`].
     pub fn to_utf8(&self) -> Utf8Array {
-        Utf8Array::from_options(self.iter())
+        Utf8Array::from_byte_options(self.iter_key_bytes())
     }
 
     /// Rows `lo..hi` as a view: the keys alias this array's buffer and
     /// the dictionary is shared whole.
     pub(crate) fn slice(&self, lo: usize, hi: usize) -> DictUtf8Array {
-        check_range(lo, hi, self.len);
         DictUtf8Array {
-            keys: self.keys.slice(lo * 4, (hi - lo) * 4),
+            keys: self.keys.slice(lo, hi),
             dict: self.dict.clone(),
-            validity: slice_validity(self.validity.as_ref(), lo, hi),
-            len: hi - lo,
         }
     }
 
@@ -903,43 +772,26 @@ impl DictUtf8Array {
     /// first appearance and remapping keys (entries no row uses are
     /// dropped). Each part's entry is hashed once, not once per row.
     pub fn concat(parts: &[&DictUtf8Array]) -> DictUtf8Array {
-        let len: usize = parts.iter().map(|p| p.len).sum();
-        let mut merged: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-        let mut entries: Vec<&str> = Vec::new();
-        let mut keys: Vec<u32> = Vec::with_capacity(len);
+        let mut merged = DictBuilder::default();
+        let mut keys: Vec<u32> = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
         for p in parts {
             // This part's key -> merged key, filled as entries first appear.
             let mut remap: Vec<Option<u32>> = vec![None; p.dict.len()];
-            for i in 0..p.len {
-                if p.validity.as_ref().is_some_and(|v| !v.get(i)) {
-                    keys.push(0);
-                    continue;
-                }
-                let k = p.keys.get_u32(i) as usize;
-                let key = *remap[k].get_or_insert_with(|| {
-                    let s = p
-                        .dict
-                        .get(k)
-                        .expect("invariant: dictionary entries are never null");
-                    *merged.entry(s).or_insert_with(|| {
-                        entries.push(s);
-                        u32::try_from(entries.len() - 1).expect("dictionary exceeds u32 keys")
-                    })
-                });
-                keys.push(key);
-            }
+            keys.extend(p.keys.iter().map(|k| {
+                k.map_or(0, |k| {
+                    *remap[k as usize].get_or_insert_with(|| merged.key_of(p.entry(k)))
+                })
+            }));
         }
-        let validity: Vec<_> = parts.iter().map(|p| (p.validity.as_ref(), p.len)).collect();
+        let validity = concat_validity(parts.iter().map(|p| (p.validity(), p.len())));
         DictUtf8Array {
-            keys: keys.into(),
-            dict: Utf8Array::new(&entries),
-            validity: concat_validity(&validity),
-            len,
+            keys: PrimitiveArray::from_raw(keys.into(), validity),
+            dict: Utf8Array::new(&merged.entries),
         }
     }
 
-    /// The raw keys buffer (`len` little-endian u32 values).
-    pub fn keys(&self) -> &Buffer {
+    /// The keys, one per row, carrying the array's validity.
+    pub fn keys(&self) -> &PrimitiveArray<u32> {
         &self.keys
     }
 
@@ -949,8 +801,13 @@ impl DictUtf8Array {
     }
 
     /// The validity bitmap, if any value is null.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
-        self.validity.as_ref()
+        self.keys.validity()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.keys.byte_size() + self.dict.byte_size()
     }
 }
 
@@ -969,40 +826,99 @@ pub enum Array {
     DictUtf8(DictUtf8Array),
 }
 
+/// Downcasts `$col` once and evaluates `$body` with `$a` bound to the
+/// typed array, whichever variant it is: the body is compiled per
+/// encoding, so a loop inside it runs typed code with no per-row
+/// dispatch. Every method the typed arrays share by name (`len`,
+/// `validity`, `get`, `key_bytes`, `take_rows`, …) can be called on `$a`.
+#[macro_export]
+macro_rules! each_variant {
+    ($col:expr, $a:ident => $body:expr) => {
+        match $col {
+            $crate::array::Array::Int64($a) => $body,
+            $crate::array::Array::Float64($a) => $body,
+            $crate::array::Array::Bool($a) => $body,
+            $crate::array::Array::Utf8($a) => $body,
+            $crate::array::Array::DictUtf8($a) => $body,
+        }
+    };
+}
+
+/// The variant list: per variant, the wrap into [`Array`], the checked
+/// downcast out of it, and the concatenation of columns of that type.
+macro_rules! variants {
+    ($($variant:ident($ty:ty) as $downcast:ident),*) => {$(
+        impl From<$ty> for Array {
+            fn from(a: $ty) -> Array {
+                Array::$variant(a)
+            }
+        }
+
+        impl Array {
+            #[doc = concat!("Downcasts to `", stringify!($variant), "`, or reports the actual type.")]
+            pub fn $downcast(&self) -> Result<&$ty, ArrowError> {
+                match self {
+                    Array::$variant(a) => Ok(a),
+                    other => Err(ArrowError::TypeMismatch {
+                        expected: DataType::$variant,
+                        actual: other.data_type(),
+                    }),
+                }
+            }
+        }
+
+        impl $ty {
+            /// `parts`, all of this array's type, laid end to end (the
+            /// receiver only names the type: it is `parts[0]`).
+            fn concat_columns(&self, parts: &[&Array]) -> Result<Array, ArrowError> {
+                let typed = parts.iter().map(|p| p.$downcast());
+                Ok(<$ty>::concat(&typed.collect::<Result<Vec<_>, _>>()?).into())
+            }
+        }
+    )*};
+}
+variants!(
+    Int64(Int64Array) as as_i64,
+    Float64(Float64Array) as as_f64,
+    Bool(BoolArray) as as_bool,
+    Utf8(Utf8Array) as as_utf8,
+    DictUtf8(DictUtf8Array) as as_dict_utf8
+);
+
 impl Array {
     /// Builds an `Int64` column with no nulls.
     pub fn from_i64(values: Vec<i64>) -> Array {
-        Array::Int64(Int64Array::new(values))
+        Int64Array::new(values).into()
     }
 
     /// Builds an `Int64` column from optional values.
     pub fn from_opt_i64(values: Vec<Option<i64>>) -> Array {
-        Array::Int64(Int64Array::from_options(values))
+        Int64Array::from_options(values).into()
     }
 
     /// Builds a `Float64` column with no nulls.
     pub fn from_f64(values: Vec<f64>) -> Array {
-        Array::Float64(Float64Array::new(values))
+        Float64Array::new(values).into()
     }
 
     /// Builds a `Float64` column from optional values.
     pub fn from_opt_f64(values: Vec<Option<f64>>) -> Array {
-        Array::Float64(Float64Array::from_options(values))
+        Float64Array::from_options(values).into()
     }
 
     /// Builds a `Bool` column with no nulls.
     pub fn from_bool(values: &[bool]) -> Array {
-        Array::Bool(BoolArray::new(values))
+        BoolArray::new(values).into()
     }
 
     /// Builds a `Bool` column from optional values.
     pub fn from_opt_bool(values: Vec<Option<bool>>) -> Array {
-        Array::Bool(BoolArray::from_options(values))
+        BoolArray::from_options(values).into()
     }
 
     /// Builds a `Utf8` column with no nulls.
     pub fn from_utf8<S: AsRef<str>>(values: &[S]) -> Array {
-        Array::Utf8(Utf8Array::new(values))
+        Utf8Array::new(values).into()
     }
 
     /// Builds a `Utf8` column from optional values.
@@ -1010,12 +926,12 @@ impl Array {
     where
         I: IntoIterator<Item = Option<&'a str>>,
     {
-        Array::Utf8(Utf8Array::from_options(values))
+        Utf8Array::from_options(values).into()
     }
 
     /// Builds a `DictUtf8` column with no nulls.
     pub fn from_dict_utf8<S: AsRef<str>>(values: &[S]) -> Array {
-        Array::DictUtf8(DictUtf8Array::new(values))
+        DictUtf8Array::new(values).into()
     }
 
     /// Builds a `DictUtf8` column from optional values.
@@ -1023,7 +939,7 @@ impl Array {
     where
         I: IntoIterator<Item = Option<&'a str>>,
     {
-        Array::DictUtf8(DictUtf8Array::from_options(values))
+        DictUtf8Array::from_options(values).into()
     }
 
     /// Dictionary-encodes a `Utf8` column when its cardinality is low
@@ -1034,9 +950,7 @@ impl Array {
     /// array and shared by its clones.
     pub fn dict_encoded(&self) -> Array {
         match self {
-            Array::Utf8(a) => a
-                .dict_encoded()
-                .map_or_else(|| self.clone(), Array::DictUtf8),
+            Array::Utf8(a) => a.dict_encoded().map_or_else(|| self.clone(), Array::from),
             _ => self.clone(),
         }
     }
@@ -1045,7 +959,7 @@ impl Array {
     /// pass through unchanged.
     pub fn dict_decoded(&self) -> Array {
         match self {
-            Array::DictUtf8(a) => Array::Utf8(a.to_utf8()),
+            Array::DictUtf8(a) => a.to_utf8().into(),
             _ => self.clone(),
         }
     }
@@ -1063,13 +977,7 @@ impl Array {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            Array::Int64(a) => a.len(),
-            Array::Float64(a) => a.len(),
-            Array::Bool(a) => a.len(),
-            Array::Utf8(a) => a.len(),
-            Array::DictUtf8(a) => a.len(),
-        }
+        each_variant!(self, a => a.len())
     }
 
     /// True if the column has no rows.
@@ -1078,14 +986,9 @@ impl Array {
     }
 
     /// The validity bitmap, if any rows are null.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
-        match self {
-            Array::Int64(a) => a.validity(),
-            Array::Float64(a) => a.validity(),
-            Array::Bool(a) => a.validity(),
-            Array::Utf8(a) => a.validity(),
-            Array::DictUtf8(a) => a.validity(),
-        }
+        each_variant!(self, a => a.validity())
     }
 
     /// True if row `i` is null. Consults the validity bitmap directly —
@@ -1095,40 +998,18 @@ impl Array {
     ///
     /// Panics if `i` is out of bounds.
     pub fn is_null(&self, i: usize) -> bool {
-        assert!(i < self.len(), "index {i} out of bounds for {}", self.len());
+        check_index(i, self.len());
         self.validity().is_some_and(|v| !v.get(i))
     }
 
     /// Number of null rows.
     pub fn null_count(&self) -> usize {
-        let validity = match self {
-            Array::Int64(a) => a.validity(),
-            Array::Float64(a) => a.validity(),
-            Array::Bool(a) => a.validity(),
-            Array::Utf8(a) => a.validity(),
-            Array::DictUtf8(a) => a.validity(),
-        };
-        match validity {
-            Some(v) => v.len() - v.count_set(),
-            None => 0,
-        }
+        self.validity().map_or(0, |v| v.len() - v.count_set())
     }
 
     /// The dynamically-typed value at row `i`.
     pub fn value_at(&self, i: usize) -> Value {
-        match self {
-            Array::Int64(a) => a.get(i).map(Value::I64).unwrap_or(Value::Null),
-            Array::Float64(a) => a.get(i).map(Value::F64).unwrap_or(Value::Null),
-            Array::Bool(a) => a.get(i).map(Value::Bool).unwrap_or(Value::Null),
-            Array::Utf8(a) => a
-                .get(i)
-                .map(|s| Value::Str(s.to_string()))
-                .unwrap_or(Value::Null),
-            Array::DictUtf8(a) => a
-                .get(i)
-                .map(|s| Value::Str(s.to_string()))
-                .unwrap_or(Value::Null),
-        }
+        each_variant!(self, a => a.get(i).map_or(Value::Null, Value::from))
     }
 
     /// Gathers the rows at `indices` into a new column of the same type,
@@ -1139,13 +1020,7 @@ impl Array {
     ///
     /// Panics if any index is out of bounds.
     pub fn take_rows(&self, indices: &[usize]) -> Array {
-        match self {
-            Array::Int64(a) => Array::Int64(a.take_rows(indices)),
-            Array::Float64(a) => Array::Float64(a.take_rows(indices)),
-            Array::Bool(a) => Array::Bool(a.take_rows(indices)),
-            Array::Utf8(a) => Array::Utf8(a.take_rows(indices)),
-            Array::DictUtf8(a) => Array::DictUtf8(a.take_rows(indices)),
-        }
+        each_variant!(self, a => a.take_rows(indices).into())
     }
 
     /// Rows `lo..hi` as a view over this column's buffers: O(1) for the
@@ -1159,182 +1034,66 @@ impl Array {
     ///
     /// Panics if `lo > hi` or `hi` is out of bounds.
     pub fn slice(&self, lo: usize, hi: usize) -> Array {
-        match self {
-            Array::Int64(a) => Array::Int64(a.slice(lo, hi)),
-            Array::Float64(a) => Array::Float64(a.slice(lo, hi)),
-            Array::Bool(a) => Array::Bool(a.slice(lo, hi)),
-            Array::Utf8(a) => Array::Utf8(a.slice(lo, hi)),
-            Array::DictUtf8(a) => Array::DictUtf8(a.slice(lo, hi)),
-        }
+        each_variant!(self, a => a.slice(lo, hi).into())
     }
 
     /// Columns of one type laid end to end, raw buffers appended. A
     /// single part passes through as an O(1) clone — except a `DictUtf8`
     /// one, whose dictionary is still rebuilt to the entries in use.
-    pub(crate) fn concat(parts: &[&Array]) -> Result<Array, ArrowError> {
-        fn typed<'a, T>(
-            parts: &[&'a Array],
-            downcast: impl Fn(&'a Array) -> Result<&'a T, ArrowError>,
-        ) -> Result<Vec<&'a T>, ArrowError> {
-            parts.iter().map(|p| downcast(p)).collect()
-        }
+    pub fn concat(parts: &[&Array]) -> Result<Array, ArrowError> {
         let first = *parts
             .first()
             .ok_or_else(|| ArrowError::ShapeMismatch("concat of zero columns".into()))?;
-        if parts.len() == 1 && !matches!(first, Array::DictUtf8(_)) {
+        if parts.len() == 1 && first.data_type() != DataType::DictUtf8 {
             return Ok(first.clone());
         }
-        Ok(match first {
-            Array::Int64(_) => Array::Int64(Int64Array::concat(&typed(parts, Array::as_i64)?)),
-            Array::Float64(_) => {
-                Array::Float64(Float64Array::concat(&typed(parts, Array::as_f64)?))
-            }
-            Array::Bool(_) => Array::Bool(BoolArray::concat(&typed(parts, Array::as_bool)?)),
-            Array::Utf8(_) => Array::Utf8(Utf8Array::concat(&typed(parts, Array::as_utf8)?)),
-            Array::DictUtf8(_) => {
-                Array::DictUtf8(DictUtf8Array::concat(&typed(parts, Array::as_dict_utf8)?))
-            }
-        })
+        each_variant!(first, a => a.concat_columns(parts))
     }
 
     /// Approximate in-memory footprint in bytes (values + offsets +
     /// validity).
     pub fn byte_size(&self) -> usize {
-        match self {
-            Array::Int64(a) => a.values().len() + a.validity().map_or(0, |v| v.buffer().len()),
-            Array::Float64(a) => a.values().len() + a.validity().map_or(0, |v| v.buffer().len()),
-            Array::Bool(a) => {
-                a.values().buffer().len() + a.validity().map_or(0, |v| v.buffer().len())
-            }
-            Array::Utf8(a) => {
-                a.offsets().len() + a.data().len() + a.validity().map_or(0, |v| v.buffer().len())
-            }
-            Array::DictUtf8(a) => {
-                a.keys().len()
-                    + a.dictionary().offsets().len()
-                    + a.dictionary().data().len()
-                    + a.validity().map_or(0, |v| v.buffer().len())
-            }
-        }
-    }
-
-    /// Downcasts to `Int64`, or reports the actual type.
-    pub fn as_i64(&self) -> Result<&Int64Array, ArrowError> {
-        match self {
-            Array::Int64(a) => Ok(a),
-            other => Err(ArrowError::TypeMismatch {
-                expected: DataType::Int64,
-                actual: other.data_type(),
-            }),
-        }
-    }
-
-    /// Downcasts to `Float64`, or reports the actual type.
-    pub fn as_f64(&self) -> Result<&Float64Array, ArrowError> {
-        match self {
-            Array::Float64(a) => Ok(a),
-            other => Err(ArrowError::TypeMismatch {
-                expected: DataType::Float64,
-                actual: other.data_type(),
-            }),
-        }
-    }
-
-    /// Downcasts to `Bool`, or reports the actual type.
-    pub fn as_bool(&self) -> Result<&BoolArray, ArrowError> {
-        match self {
-            Array::Bool(a) => Ok(a),
-            other => Err(ArrowError::TypeMismatch {
-                expected: DataType::Bool,
-                actual: other.data_type(),
-            }),
-        }
-    }
-
-    /// Downcasts to `Utf8`, or reports the actual type.
-    pub fn as_utf8(&self) -> Result<&Utf8Array, ArrowError> {
-        match self {
-            Array::Utf8(a) => Ok(a),
-            other => Err(ArrowError::TypeMismatch {
-                expected: DataType::Utf8,
-                actual: other.data_type(),
-            }),
-        }
-    }
-
-    /// Downcasts to `DictUtf8`, or reports the actual type.
-    pub fn as_dict_utf8(&self) -> Result<&DictUtf8Array, ArrowError> {
-        match self {
-            Array::DictUtf8(a) => Ok(a),
-            other => Err(ArrowError::TypeMismatch {
-                expected: DataType::DictUtf8,
-                actual: other.data_type(),
-            }),
-        }
+        each_variant!(self, a => a.byte_size())
     }
 
     /// Builds a column of type `dt` from dynamically-typed values.
     /// `Value::Null` becomes a null; other variants must match `dt`.
     pub fn from_values(dt: DataType, values: &[Value]) -> Result<Array, ArrowError> {
-        fn bad(dt: DataType, v: &Value) -> ArrowError {
-            ArrowError::ShapeMismatch(format!("value {v} does not fit column type {dt}"))
+        // `values` through `pick`, the column type's own `Value` variant.
+        fn typed<'a, T>(
+            dt: DataType,
+            values: &'a [Value],
+            pick: impl Fn(&'a Value) -> Option<T>,
+        ) -> Result<Vec<Option<T>>, ArrowError> {
+            let fit = |v: &'a Value| match v {
+                Value::Null => Ok(None),
+                v => pick(v).map(Some).ok_or_else(|| {
+                    ArrowError::ShapeMismatch(format!("value {v} does not fit column type {dt}"))
+                }),
+            };
+            values.iter().map(fit).collect()
+        }
+        fn str_of(v: &Value) -> Option<&str> {
+            match v {
+                Value::Str(s) => Some(s),
+                _ => None,
+            }
         }
         Ok(match dt {
-            DataType::Int64 => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::I64(x) => Some(*x),
-                        other => return Err(bad(dt, other)),
-                    });
-                }
-                Array::from_opt_i64(out)
-            }
-            DataType::Float64 => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::F64(x) => Some(*x),
-                        other => return Err(bad(dt, other)),
-                    });
-                }
-                Array::from_opt_f64(out)
-            }
-            DataType::Bool => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Bool(x) => Some(*x),
-                        other => return Err(bad(dt, other)),
-                    });
-                }
-                Array::from_opt_bool(out)
-            }
-            DataType::Utf8 => {
-                let mut out: Vec<Option<&str>> = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Str(s) => Some(s.as_str()),
-                        other => return Err(bad(dt, other)),
-                    });
-                }
-                Array::from_opt_utf8(out)
-            }
-            DataType::DictUtf8 => {
-                let mut out: Vec<Option<&str>> = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Str(s) => Some(s.as_str()),
-                        other => return Err(bad(dt, other)),
-                    });
-                }
-                Array::from_opt_dict_utf8(out)
-            }
+            DataType::Int64 => Array::from_opt_i64(typed(dt, values, |v| match v {
+                Value::I64(x) => Some(*x),
+                _ => None,
+            })?),
+            DataType::Float64 => Array::from_opt_f64(typed(dt, values, |v| match v {
+                Value::F64(x) => Some(*x),
+                _ => None,
+            })?),
+            DataType::Bool => Array::from_opt_bool(typed(dt, values, |v| match v {
+                Value::Bool(x) => Some(*x),
+                _ => None,
+            })?),
+            DataType::Utf8 => Array::from_opt_utf8(typed(dt, values, str_of)?),
+            DataType::DictUtf8 => Array::from_opt_dict_utf8(typed(dt, values, str_of)?),
         })
     }
 }
@@ -1377,7 +1136,7 @@ mod tests {
         assert_eq!(a.get(1), Some(""));
         assert_eq!(a.get(2), Some("world"));
         // Offsets are [0, 5, 5, 10].
-        assert_eq!(a.offsets().get_i32(3), 10);
+        assert_eq!(a.offsets().get::<i32>(3), 10);
     }
 
     #[test]

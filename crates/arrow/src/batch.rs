@@ -430,6 +430,90 @@ mod tests {
         }
     }
 
+    const OPS: [compute::CmpOp; 6] = {
+        use compute::CmpOp::*;
+        [Eq, Ne, Lt, Le, Gt, Ge]
+    };
+
+    /// The key kernels on every `slice(lo, hi)` view of every column:
+    /// hashes against the `Value`-level reference, and sort runs, merges
+    /// and comparison masks against the gathered copy of the same rows.
+    fn check_kernels_on_views(b: &RecordBatch) {
+        let n = b.num_rows();
+        for lo in [0, 1, 8, n / 2] {
+            for len in [0, 1, 13, n] {
+                let (lo, hi) = (lo.min(n), (lo + len).min(n));
+                let at = format!("view {lo}..{hi} of {n}");
+                let view = b.slice(lo, hi);
+                let rows: Vec<usize> = (lo..hi).collect();
+                let copy = compute::take_indices(b, &rows).unwrap();
+
+                for cols in [&[0][..], &[4, 1], &[0, 1, 2, 3, 4], &[3, 0]] {
+                    let mut hashes = compute::hash_rows(&view, &[]);
+                    for &c in cols {
+                        compute::hash_column_into(view.column(c), &mut hashes);
+                    }
+                    let want: Vec<u64> = (0..hi - lo)
+                        .map(|r| compute::hash_row(&view, cols, r))
+                        .collect();
+                    assert_eq!(hashes, want, "{at}: hash of columns {cols:?}");
+                }
+                // The two string columns hold the same values, and the
+                // coerced integers hash as the floats equal to them.
+                let (ints, plain, dict) = (view.column(0), view.column(3), view.column(4));
+                assert_eq!(
+                    compute::hash_key_column(plain, false),
+                    compute::hash_key_column(dict, false),
+                    "{at}: utf8 against dict key hashes"
+                );
+                let as_floats = ints.as_i64().unwrap().iter().map(|v| v.map(|v| v as f64));
+                assert_eq!(
+                    compute::hash_key_column(ints, true),
+                    compute::hash_key_column(&Array::from_opt_f64(as_floats.collect()), false),
+                    "{at}: coerced int against float key hashes"
+                );
+
+                let mid = ((hi - lo) / 2) as u32;
+                let end = (hi - lo) as u32;
+                let scalars = [
+                    Value::I64(0),
+                    Value::F64(0.5),
+                    Value::Bool(true),
+                    Value::Str("a".into()),
+                    Value::Str("bb".into()),
+                ];
+                for (c, scalar) in scalars.iter().enumerate() {
+                    let (v, g) = (view.column(c), copy.column(c));
+                    let (vk, gk) = (compute::SortKeys::new(v), compute::SortKeys::new(g));
+                    for order in [
+                        compute::SortOrder::Ascending,
+                        compute::SortOrder::Descending,
+                    ] {
+                        let runs = |k: &compute::SortKeys| {
+                            let (a, z) =
+                                (k.sort_range(order, 0, mid), k.sort_range(order, mid, end));
+                            let merged = k.merge(order, &a, &z);
+                            (a, z, merged)
+                        };
+                        assert_eq!(runs(&vk), runs(&gk), "{at}: column {c} sorted {order:?}");
+                        assert_eq!(
+                            runs(&vk).2,
+                            vk.sort_range(order, 0, end),
+                            "{at}: column {c}"
+                        );
+                    }
+                    for op in OPS {
+                        assert_eq!(
+                            compute::cmp_scalar(v, op, scalar).unwrap(),
+                            compute::cmp_scalar(g, op, scalar).unwrap(),
+                            "{at}: column {c} {op:?} {scalar}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     fn check_concat(b: &RecordBatch, cut1: usize, cut2: usize) {
         let n = b.num_rows();
         let (a, z) = (cut1.min(cut2).min(n), cut1.max(cut2).min(n));
@@ -463,14 +547,17 @@ mod tests {
             .collect();
         let b = five_encodings(&rows);
         check_slices(&b);
+        check_kernels_on_views(&b);
         for (c1, c2) in [(0, 0), (8, 16), (3, 11), (16, 21), (21, 21)] {
             check_concat(&b, c1, c2);
         }
         let all_null = five_encodings(&[(None, None); 9]);
         check_slices(&all_null);
+        check_kernels_on_views(&all_null);
         check_concat(&all_null, 2, 7);
         let empty = five_encodings(&[]);
         check_slices(&empty);
+        check_kernels_on_views(&empty);
         check_concat(&empty, 0, 0);
     }
 
@@ -482,7 +569,14 @@ mod tests {
         let first = plain.dict_encoded();
         let again = clone.dict_encoded();
         // Same key buffer: the clone answered from the first call's memo.
-        let keys = |a: &Array| a.as_dict_utf8().unwrap().keys().as_slice().as_ptr();
+        let keys = |a: &Array| {
+            a.as_dict_utf8()
+                .unwrap()
+                .keys()
+                .values()
+                .as_slice()
+                .as_ptr()
+        };
         assert_eq!(keys(&first), keys(&again));
         // A fresh array of the same values encodes to the same frame.
         let fresh = Array::from_utf8(&words).dict_encoded();
@@ -510,6 +604,16 @@ mod tests {
             ),
         ) {
             check_slices(&five_encodings(&rows));
+        }
+
+        #[test]
+        fn prop_key_kernels_on_a_view_equal_those_on_the_gathered_rows(
+            rows in proptest::collection::vec(
+                (proptest::option::of(-6i64..6), proptest::option::of(0usize..4)),
+                0..80,
+            ),
+        ) {
+            check_kernels_on_views(&five_encodings(&rows));
         }
 
         #[test]

@@ -13,11 +13,6 @@ pub struct Buffer {
 }
 
 impl Buffer {
-    /// Creates an empty buffer.
-    pub fn empty() -> Self {
-        Buffer { data: Bytes::new() }
-    }
-
     /// Wraps owned bytes.
     pub fn from_vec(v: Vec<u8>) -> Self {
         Buffer {
@@ -31,6 +26,7 @@ impl Buffer {
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -41,6 +37,7 @@ impl Buffer {
     }
 
     /// Raw byte view.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
@@ -56,94 +53,57 @@ impl Buffer {
         }
     }
 
-    /// The underlying shared bytes.
-    pub fn bytes(&self) -> Bytes {
-        self.data.clone()
+    /// Reads the `T` at element index `i`.
+    #[inline]
+    pub fn get<T: Native>(&self, i: usize) -> T {
+        let start = i * T::WIDTH;
+        T::from_le(&self.data[start..start + T::WIDTH])
     }
 
-    /// Reads the i64 at element index `i` (little-endian).
-    pub fn get_i64(&self, i: usize) -> i64 {
-        let start = i * 8;
-        i64::from_le_bytes(self.data[start..start + 8].try_into().expect("8 bytes"))
-    }
-
-    /// Reads the f64 at element index `i` (little-endian).
-    pub fn get_f64(&self, i: usize) -> f64 {
-        let start = i * 8;
-        f64::from_le_bytes(self.data[start..start + 8].try_into().expect("8 bytes"))
-    }
-
-    /// Reads the i32 at element index `i` (little-endian).
-    pub fn get_i32(&self, i: usize) -> i32 {
-        let start = i * 4;
-        i32::from_le_bytes(self.data[start..start + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Reads the u32 at element index `i` (little-endian).
-    pub fn get_u32(&self, i: usize) -> u32 {
-        let start = i * 4;
-        u32::from_le_bytes(self.data[start..start + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Iterates the first `len` elements as u32 (little-endian).
-    pub fn iter_u32(&self, len: usize) -> impl Iterator<Item = u32> + '_ {
-        self.data[..len * 4]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-    }
-
-    /// Iterates the first `len` elements as i64 (little-endian), in one
-    /// pass over the raw bytes — the tight-loop form the vectorized
-    /// kernels use instead of per-element `get_i64` calls.
-    pub fn iter_i64(&self, len: usize) -> impl Iterator<Item = i64> + '_ {
-        self.data[..len * 8]
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
-    }
-
-    /// Iterates the first `len` elements as f64 (little-endian).
-    pub fn iter_f64(&self, len: usize) -> impl Iterator<Item = f64> + '_ {
-        self.data[..len * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+    /// Iterates the buffer as `T`s, in one pass over the raw bytes — the
+    /// tight-loop form the vectorized kernels use instead of per-element
+    /// `get` calls.
+    #[inline]
+    pub fn iter<T: Native>(&self) -> impl Iterator<Item = T> + '_ {
+        self.data.chunks_exact(T::WIDTH).map(T::from_le)
     }
 }
 
-impl From<Vec<i64>> for Buffer {
-    fn from(v: Vec<i64>) -> Self {
-        let mut out = Vec::with_capacity(v.len() * 8);
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
+/// A fixed-width value a [`Buffer`] stores little-endian.
+pub trait Native: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+    /// Bytes per value.
+    const WIDTH: usize;
+    /// The placeholder a null slot holds.
+    const ZERO: Self;
+    /// Reads one value from exactly `WIDTH` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+    /// Appends the value's `WIDTH` bytes.
+    fn write_le(self, out: &mut Vec<u8>);
+}
+
+macro_rules! native {
+    ($($t:ty = $zero:expr),*) => {$(
+        impl Native for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            const ZERO: $t = $zero;
+            #[inline]
+            fn from_le(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(bytes.try_into().expect("WIDTH bytes"))
+            }
+            #[inline]
+            fn write_le(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
         }
-        Buffer::from_vec(out)
-    }
+    )*};
 }
+native!(i64 = 0, f64 = 0.0, i32 = 0, u32 = 0);
 
-impl From<Vec<f64>> for Buffer {
-    fn from(v: Vec<f64>) -> Self {
-        let mut out = Vec::with_capacity(v.len() * 8);
+impl<T: Native> From<Vec<T>> for Buffer {
+    fn from(v: Vec<T>) -> Self {
+        let mut out = Vec::with_capacity(v.len() * T::WIDTH);
         for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Buffer::from_vec(out)
-    }
-}
-
-impl From<Vec<u32>> for Buffer {
-    fn from(v: Vec<u32>) -> Self {
-        let mut out = Vec::with_capacity(v.len() * 4);
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Buffer::from_vec(out)
-    }
-}
-
-impl From<Vec<i32>> for Buffer {
-    fn from(v: Vec<i32>) -> Self {
-        let mut out = Vec::with_capacity(v.len() * 4);
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
+            x.write_le(&mut out);
         }
         Buffer::from_vec(out)
     }
@@ -234,13 +194,16 @@ impl Bitmap {
         Bitmap::from_runs(&[(Some(self), lo, hi - lo)])
     }
 
-    /// Reconstructs a bitmap from its packed bytes.
+    /// Reconstructs a bitmap from its packed bytes, keeping exactly the
+    /// `ceil(len / 8)` that hold its bits.
     pub fn from_buffer(bits: Buffer, len: usize) -> Self {
         assert!(bits.len() >= len.div_ceil(8), "bitmap buffer too short");
+        let bits = bits.slice(0, len.div_ceil(8));
         Bitmap { bits, len }
     }
 
     /// Number of bits.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -255,6 +218,7 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if `i >= len`.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of bounds for {}", self.len);
         self.bits.as_slice()[i / 8] & (1 << (i % 8)) != 0
@@ -286,6 +250,7 @@ impl Bitmap {
     }
 
     /// The packed backing buffer.
+    #[inline]
     pub fn buffer(&self) -> &Buffer {
         &self.bits
     }
@@ -314,13 +279,13 @@ mod tests {
     #[test]
     fn typed_reads() {
         let b: Buffer = vec![1i64, -2, i64::MAX].into();
-        assert_eq!(b.get_i64(0), 1);
-        assert_eq!(b.get_i64(1), -2);
-        assert_eq!(b.get_i64(2), i64::MAX);
+        assert_eq!(b.get::<i64>(0), 1);
+        assert_eq!(b.get::<i64>(1), -2);
+        assert_eq!(b.get::<i64>(2), i64::MAX);
         let f: Buffer = vec![1.5f64, -0.25].into();
-        assert_eq!(f.get_f64(1), -0.25);
+        assert_eq!(f.get::<f64>(1), -0.25);
         let i: Buffer = vec![7i32, 8, 9].into();
-        assert_eq!(i.get_i32(2), 9);
+        assert_eq!(i.get::<i32>(2), 9);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! selections travel as `&[usize]` selection vectors ([`mask_to_indices`]
 //! / [`take_indices`]), so a fused conjunction gathers its batch once.
 
-use crate::array::{Array, Value};
+use crate::array::{Array, BoolArray, Utf8Array, Value};
 use crate::batch::RecordBatch;
-use crate::buffer::Bitmap;
+use crate::buffer::{Bitmap, Buffer};
+use crate::each_variant;
 use crate::error::ArrowError;
 
 /// Selects the rows of `batch` where `mask` is true (null mask = false).
@@ -181,8 +182,8 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
                 // byte compare.
                 CmpOp::Eq | CmpOp::Ne => (0..n)
                     .map(|i| {
-                        let start = off.get_i32(i) as usize;
-                        let end = off.get_i32(i + 1) as usize;
+                        let start = off.get::<i32>(i) as usize;
+                        let end = off.get::<i32>(i + 1) as usize;
                         let eq = end - start == needle.len() && &data[start..end] == needle;
                         (op == CmpOp::Eq) == eq
                     })
@@ -191,8 +192,8 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
                 // ordered comparisons run directly over raw bytes.
                 _ => (0..n)
                     .map(|i| {
-                        let start = off.get_i32(i) as usize;
-                        let end = off.get_i32(i + 1) as usize;
+                        let start = off.get::<i32>(i) as usize;
+                        let end = off.get::<i32>(i + 1) as usize;
                         op.eval(&data[start..end], needle)
                     })
                     .collect(),
@@ -212,12 +213,12 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
                     match (op == CmpOp::Eq, hit) {
                         (true, Some(h)) => {
                             let h = h as u32;
-                            keys.iter_u32(n).map(|k| k == h).collect()
+                            keys.iter_raw().map(|k| k == h).collect()
                         }
                         (true, None) => vec![false; n],
                         (false, Some(h)) => {
                             let h = h as u32;
-                            keys.iter_u32(n).map(|k| k != h).collect()
+                            keys.iter_raw().map(|k| k != h).collect()
                         }
                         (false, None) => vec![true; n],
                     }
@@ -231,7 +232,7 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
                         // whatever we produce is masked below.
                         vec![false; n]
                     } else {
-                        keys.iter_u32(n).map(|k| verdicts[k as usize]).collect()
+                        keys.iter_raw().map(|k| verdicts[k as usize]).collect()
                     }
                 }
             }
@@ -250,13 +251,7 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
             )))
         }
     };
-    let validity = match col {
-        Array::Int64(a) => a.validity().cloned(),
-        Array::Float64(a) => a.validity().cloned(),
-        Array::Bool(a) => a.validity().cloned(),
-        Array::Utf8(a) => a.validity().cloned(),
-        Array::DictUtf8(a) => a.validity().cloned(),
-    };
+    let validity = col.validity().cloned();
     let values = match &validity {
         None => Bitmap::from_bools(&bits),
         Some(v) => {
@@ -270,9 +265,7 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
             Bitmap::from_bools(&masked)
         }
     };
-    Ok(Array::Bool(crate::array::BoolArray::from_parts(
-        values, validity,
-    )))
+    Ok(BoolArray::from_parts(values, validity).into())
 }
 
 /// Elementwise AND of two boolean masks (null-safe: null AND x = null
@@ -326,12 +319,9 @@ pub fn and(a: &Array, b: &Array) -> Result<Array, ArrowError> {
             *last &= live;
         }
     }
-    let values = Bitmap::from_buffer(crate::buffer::Buffer::from_vec(out_vals), n);
-    let validity =
-        (!all_valid).then(|| Bitmap::from_buffer(crate::buffer::Buffer::from_vec(out_valid), n));
-    Ok(Array::Bool(crate::array::BoolArray::from_parts(
-        values, validity,
-    )))
+    let values = Bitmap::from_buffer(Buffer::from_vec(out_vals), n);
+    let validity = (!all_valid).then(|| Bitmap::from_buffer(Buffer::from_vec(out_valid), n));
+    Ok(BoolArray::from_parts(values, validity).into())
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -362,61 +352,21 @@ pub fn hash_row(batch: &RecordBatch, cols: &[usize], row: usize) -> u64 {
     h
 }
 
-/// Folds one column's raw bytes into a running hash per row, matching
+/// Folds one column's key bytes into a running hash per row, matching
 /// [`hash_row`] bit-for-bit but dispatching on the variant once and never
 /// rendering a value. Nulls feed the `0xFF` marker byte.
 pub fn hash_column_into(col: &Array, hashes: &mut [u64]) {
     assert_eq!(col.len(), hashes.len(), "hash_column_into length mismatch");
-    match col {
-        Array::Int64(a) => {
-            let validity = a.validity();
-            for (i, x) in a.iter_raw().enumerate() {
-                hashes[i] = match validity {
-                    Some(v) if !v.get(i) => fnv_feed(hashes[i], &[0xFF]),
-                    _ => fnv_feed(hashes[i], &x.to_le_bytes()),
-                };
-            }
+    each_variant!(col, a => {
+        for (h, key) in hashes.iter_mut().zip(a.iter_key_bytes()) {
+            // Two calls, not `unwrap_or`: a fixed-width key keeps its
+            // compile-time length and its feed unrolls.
+            *h = match key {
+                Some(bytes) => fnv_feed(*h, bytes),
+                None => fnv_feed(*h, &[0xFF]),
+            };
         }
-        Array::Float64(a) => {
-            let validity = a.validity();
-            for (i, x) in a.iter_raw().enumerate() {
-                hashes[i] = match validity {
-                    Some(v) if !v.get(i) => fnv_feed(hashes[i], &[0xFF]),
-                    _ => fnv_feed(hashes[i], &x.to_bits().to_le_bytes()),
-                };
-            }
-        }
-        Array::Bool(a) => {
-            for (i, h) in hashes.iter_mut().enumerate() {
-                *h = match a.get(i) {
-                    Some(x) => fnv_feed(*h, &[x as u8]),
-                    None => fnv_feed(*h, &[0xFF]),
-                };
-            }
-        }
-        Array::Utf8(a) => {
-            for (i, h) in hashes.iter_mut().enumerate() {
-                *h = fnv_feed(*h, utf8_bytes(a, i).unwrap_or(&[0xFF]));
-            }
-        }
-        Array::DictUtf8(a) => {
-            // Resolve each dictionary entry's byte slice once; the per-row
-            // loop chains those bytes into the running hash (the FNV
-            // accumulator differs per row, so only the slice lookup —
-            // not the feed — can be hoisted here).
-            let dict = a.dictionary();
-            let entries: Vec<&[u8]> = (0..dict.len())
-                .map(|k| dict.get(k).expect("dict entry").as_bytes())
-                .collect();
-            let validity = a.validity();
-            for (i, k) in a.keys().iter_u32(a.len()).enumerate() {
-                hashes[i] = match validity {
-                    Some(v) if !v.get(i) => fnv_feed(hashes[i], &[0xFF]),
-                    _ => fnv_feed(hashes[i], entries[k as usize]),
-                };
-            }
-        }
-    }
+    })
 }
 
 /// Per-row FNV-1a hash of a single key column over its raw bytes (the
@@ -425,42 +375,34 @@ pub fn hash_column_into(col: &Array, hashes: &mut [u64]) {
 /// holding numerically-equal keys land in the same bucket. Null rows get
 /// the null-marker hash; join callers skip them.
 pub fn hash_key_column(col: &Array, coerce_int_to_f64: bool) -> Vec<u64> {
-    if coerce_int_to_f64 {
-        if let Array::Int64(a) = col {
-            let validity = a.validity();
-            return a
-                .iter_raw()
-                .enumerate()
-                .map(|(i, v)| match validity {
-                    Some(m) if !m.get(i) => fnv_feed(FNV_OFFSET, &[0xFF]),
-                    _ => fnv_feed(FNV_OFFSET, &(v as f64).to_bits().to_le_bytes()),
-                })
+    let null_hash = fnv_feed(FNV_OFFSET, &[0xFF]);
+    match col {
+        Array::Int64(a) if coerce_int_to_f64 => a
+            .iter()
+            .map(|v| match v {
+                Some(v) => fnv_feed(FNV_OFFSET, &(v as f64).to_bits().to_le_bytes()),
+                None => null_hash,
+            })
+            .collect(),
+        Array::DictUtf8(a) => {
+            // The key hash starts from a fixed seed, so each dictionary
+            // entry's full hash can be computed once and gathered per row —
+            // bit-identical to hashing the decoded strings.
+            let entry_hashes: Vec<u64> = a
+                .dictionary()
+                .iter_key_bytes()
+                .map(|entry| fnv_feed(FNV_OFFSET, entry.expect("dict entry")))
                 .collect();
+            let keys = a.keys().iter();
+            keys.map(|k| k.map_or(null_hash, |k| entry_hashes[k as usize]))
+                .collect()
+        }
+        _ => {
+            let mut hashes = vec![FNV_OFFSET; col.len()];
+            hash_column_into(col, &mut hashes);
+            hashes
         }
     }
-    if let Array::DictUtf8(a) = col {
-        // The key hash starts from a fixed seed, so each dictionary
-        // entry's full hash can be computed once and gathered per row —
-        // bit-identical to hashing the decoded strings.
-        let dict = a.dictionary();
-        let entry_hashes: Vec<u64> = (0..dict.len())
-            .map(|k| fnv_feed(FNV_OFFSET, dict.get(k).expect("dict entry").as_bytes()))
-            .collect();
-        let null_hash = fnv_feed(FNV_OFFSET, &[0xFF]);
-        let validity = a.validity();
-        return a
-            .keys()
-            .iter_u32(a.len())
-            .enumerate()
-            .map(|(i, k)| match validity {
-                Some(m) if !m.get(i) => null_hash,
-                _ => entry_hashes[k as usize],
-            })
-            .collect();
-    }
-    let mut hashes = vec![FNV_OFFSET; col.len()];
-    hash_column_into(col, &mut hashes);
-    hashes
 }
 
 /// Exact `i64` ↔ `f64` join-key equality: true only when `f` is a whole
@@ -784,7 +726,7 @@ enum KeyRepr {
     Fixed(Vec<(bool, u64)>),
     // Owned clone of the Utf8 array; comparisons read raw offset/data
     // buffers (UTF-8 byte order equals code-point order).
-    Utf8(crate::array::Utf8Array),
+    Utf8(Utf8Array),
 }
 
 fn fixed_keys(keys: impl Iterator<Item = Option<u64>>) -> KeyRepr {
@@ -802,17 +744,6 @@ fn i64_key(v: i64) -> u64 {
 fn f64_key(v: f64) -> u64 {
     let bits = v.to_bits() as i64;
     i64_key(bits ^ (((bits >> 63) as u64) >> 1) as i64)
-}
-
-/// The bytes of row `i`, `None` for NULL. No UTF-8 validation: hashing and
-/// ordering read the bytes as they are.
-fn utf8_bytes(a: &crate::array::Utf8Array, i: usize) -> Option<&[u8]> {
-    if a.validity().is_some_and(|v| !v.get(i)) {
-        return None;
-    }
-    let start = a.offsets().get_i32(i) as usize;
-    let end = a.offsets().get_i32(i + 1) as usize;
-    Some(&a.data().as_slice()[start..end])
 }
 
 impl SortKeys {
@@ -836,7 +767,7 @@ impl SortKeys {
                 for (r, k) in by_str.iter().enumerate() {
                     rank[*k as usize] = r as u64;
                 }
-                fixed_keys((0..a.len()).map(|i| a.get(i).map(|_| rank[a.key_at(i) as usize])))
+                fixed_keys(a.keys().iter().map(|k| k.map(|k| rank[k as usize])))
             }
         };
         SortKeys { repr }
@@ -848,7 +779,7 @@ impl SortKeys {
         let (x, y) = (x as usize, y as usize);
         match &self.repr {
             KeyRepr::Fixed(k) => k[x].cmp(&k[y]),
-            KeyRepr::Utf8(a) => utf8_bytes(a, x).cmp(&utf8_bytes(a, y)),
+            KeyRepr::Utf8(a) => a.key_bytes(x).cmp(&a.key_bytes(y)),
         }
     }
 
@@ -1183,10 +1114,7 @@ mod kernel_extension_tests {
             let want: Vec<usize> = (0..n).filter(|&i| opts[i] == Some(true)).collect();
             assert_eq!(mask_to_indices(&masked).unwrap(), want, "valid n={n}");
 
-            let all = Array::Bool(crate::array::BoolArray::from_parts(
-                Bitmap::all_set(n),
-                None,
-            ));
+            let all = Array::from(BoolArray::from_parts(Bitmap::all_set(n), None));
             assert_eq!(
                 mask_to_indices(&all).unwrap(),
                 (0..n).collect::<Vec<_>>(),

@@ -21,17 +21,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Fixed width in bytes of one value, or `None` for variable-width
-    /// types.
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            DataType::Int64 | DataType::Float64 => Some(8),
-            DataType::Bool => None, // Bit-packed, not byte-addressable.
-            DataType::Utf8 => None,
-            DataType::DictUtf8 => None,
-        }
-    }
-
     /// Stable numeric tag used by the wire formats.
     pub fn tag(self) -> u8 {
         match self {
@@ -85,12 +74,5 @@ mod tests {
             assert_eq!(DataType::from_tag(dt.tag()), Some(dt));
         }
         assert_eq!(DataType::from_tag(200), None);
-    }
-
-    #[test]
-    fn widths() {
-        assert_eq!(DataType::Int64.fixed_width(), Some(8));
-        assert_eq!(DataType::Utf8.fixed_width(), None);
-        assert_eq!(DataType::Bool.fixed_width(), None);
     }
 }

@@ -22,9 +22,9 @@
 
 use bytes::Bytes;
 
-use crate::array::{Array, BoolArray, DictUtf8Array, Float64Array, Int64Array, Utf8Array};
+use crate::array::{Array, BoolArray, DictUtf8Array, PrimitiveArray, Utf8Array};
 use crate::batch::RecordBatch;
-use crate::buffer::{Bitmap, Buffer};
+use crate::buffer::{Bitmap, Buffer, Native};
 use crate::datatype::DataType;
 use crate::error::ArrowError;
 use crate::schema::{Field, Schema};
@@ -49,14 +49,7 @@ pub fn encode(batch: &RecordBatch) -> Bytes {
     }
 
     for col in batch.columns() {
-        let validity = match col {
-            Array::Int64(a) => a.validity(),
-            Array::Float64(a) => a.validity(),
-            Array::Bool(a) => a.validity(),
-            Array::Utf8(a) => a.validity(),
-            Array::DictUtf8(a) => a.validity(),
-        };
-        match validity {
+        match col.validity() {
             Some(v) => {
                 out.push(1);
                 out.extend_from_slice(v.buffer().as_slice());
@@ -67,22 +60,22 @@ pub fn encode(batch: &RecordBatch) -> Bytes {
             Array::Int64(a) => out.extend_from_slice(a.values().as_slice()),
             Array::Float64(a) => out.extend_from_slice(a.values().as_slice()),
             Array::Bool(a) => out.extend_from_slice(a.values().buffer().as_slice()),
-            Array::Utf8(a) => {
-                out.extend_from_slice(a.offsets().as_slice());
-                out.extend_from_slice(&(a.data().len() as u64).to_le_bytes());
-                out.extend_from_slice(a.data().as_slice());
-            }
+            Array::Utf8(a) => put_utf8(&mut out, a),
             Array::DictUtf8(a) => {
-                out.extend_from_slice(&a.keys().as_slice()[..a.len() * 4]);
-                let dict = a.dictionary();
-                out.extend_from_slice(&(dict.len() as u64).to_le_bytes());
-                out.extend_from_slice(&dict.offsets().as_slice()[..(dict.len() + 1) * 4]);
-                out.extend_from_slice(&(dict.data().len() as u64).to_le_bytes());
-                out.extend_from_slice(dict.data().as_slice());
+                out.extend_from_slice(a.keys().values().as_slice());
+                out.extend_from_slice(&(a.dictionary().len() as u64).to_le_bytes());
+                put_utf8(&mut out, a.dictionary());
             }
         }
     }
     Bytes::from(out)
+}
+
+/// The `Utf8` layout, shared by string columns and dictionaries.
+fn put_utf8(out: &mut Vec<u8>, a: &Utf8Array) {
+    out.extend_from_slice(a.offsets().as_slice());
+    out.extend_from_slice(&(a.data().len() as u64).to_le_bytes());
+    out.extend_from_slice(a.data().as_slice());
 }
 
 /// A bounds-checked cursor over shared bytes that can hand out aliasing
@@ -136,6 +129,44 @@ fn frame_size(count: usize, width: usize) -> Result<usize, ArrowError> {
         .ok_or_else(|| ArrowError::Corrupt(format!("frame size overflow: {count} x {width}")))
 }
 
+/// Reads `len` fixed-width values as an array aliasing the frame.
+fn take_primitive<T: Native>(
+    cur: &mut Cursor,
+    len: usize,
+    validity: Option<Bitmap>,
+) -> Result<PrimitiveArray<T>, ArrowError> {
+    let values = Buffer::from_bytes(cur.take(frame_size(len, T::WIDTH)?)?);
+    Ok(PrimitiveArray::from_parts(values, validity, len))
+}
+
+/// Reads the `Utf8` layout of `len` strings, validating the offsets and
+/// the bytes so later accesses cannot slice out of bounds or split UTF-8.
+/// `what` / `whose` name the buffers in errors (a column's or a
+/// dictionary's).
+fn take_utf8(
+    cur: &mut Cursor,
+    len: usize,
+    validity: Option<Bitmap>,
+    (what, whose): (&str, &str),
+) -> Result<Utf8Array, ArrowError> {
+    let noffs = len
+        .checked_add(1)
+        .ok_or_else(|| ArrowError::Corrupt("row count overflow".into()))?;
+    let offsets = Buffer::from_bytes(cur.take(frame_size(noffs, 4)?)?);
+    let data_len = cur.u64()? as usize;
+    let strings = Buffer::from_bytes(cur.take(data_len)?);
+    let mut prev = 0i32;
+    for (i, o) in offsets.iter::<i32>().enumerate() {
+        if o < prev || o as usize > data_len {
+            return Err(ArrowError::Corrupt(format!("bad {what} offset {o} at {i}")));
+        }
+        prev = o;
+    }
+    std::str::from_utf8(strings.as_slice())
+        .map_err(|_| ArrowError::Corrupt(format!("{whose} is not UTF-8")))?;
+    Ok(Utf8Array::from_parts(offsets, strings, validity, len))
+}
+
 /// Decodes a frame produced by [`encode`]. Column buffers alias `data`.
 pub fn decode(data: Bytes) -> Result<RecordBatch, ArrowError> {
     let mut cur = Cursor::new(data);
@@ -175,70 +206,27 @@ pub fn decode(data: Bytes) -> Result<RecordBatch, ArrowError> {
         } else {
             None
         };
-        let dt = schema.field(c).data_type;
-        let array = match dt {
-            DataType::Int64 => {
-                let values = Buffer::from_bytes(cur.take(frame_size(nrows, 8)?)?);
-                Array::Int64(Int64Array::from_parts(values, validity, nrows))
-            }
-            DataType::Float64 => {
-                let values = Buffer::from_bytes(cur.take(frame_size(nrows, 8)?)?);
-                Array::Float64(Float64Array::from_parts(values, validity, nrows))
-            }
+        let array: Array = match schema.field(c).data_type {
+            DataType::Int64 => take_primitive::<i64>(&mut cur, nrows, validity)?.into(),
+            DataType::Float64 => take_primitive::<f64>(&mut cur, nrows, validity)?.into(),
             DataType::Bool => {
                 let bits = Buffer::from_bytes(cur.take(bitmap_bytes)?);
-                Array::Bool(BoolArray::from_parts(
-                    Bitmap::from_buffer(bits, nrows),
-                    validity,
-                ))
+                BoolArray::from_parts(Bitmap::from_buffer(bits, nrows), validity).into()
             }
-            DataType::Utf8 => {
-                let noffs = nrows
-                    .checked_add(1)
-                    .ok_or_else(|| ArrowError::Corrupt("row count overflow".into()))?;
-                let offsets = Buffer::from_bytes(cur.take(frame_size(noffs, 4)?)?);
-                let data_len = cur.u64()? as usize;
-                let strings = Buffer::from_bytes(cur.take(data_len)?);
-                // Validate the offsets so later accesses cannot slice out
-                // of bounds or split UTF-8.
-                let mut prev = 0i32;
-                for i in 0..=nrows {
-                    let o = offsets.get_i32(i);
-                    if o < prev || o as usize > data_len {
-                        return Err(ArrowError::Corrupt(format!("bad utf8 offset {o} at {i}")));
-                    }
-                    prev = o;
-                }
-                std::str::from_utf8(strings.as_slice())
-                    .map_err(|_| ArrowError::Corrupt("utf8 column is not UTF-8".into()))?;
-                Array::Utf8(Utf8Array::from_parts(offsets, strings, validity, nrows))
-            }
+            DataType::Utf8 => take_utf8(&mut cur, nrows, validity, ("utf8", "utf8 column"))?.into(),
             DataType::DictUtf8 => {
-                let keys = Buffer::from_bytes(cur.take(frame_size(nrows, 4)?)?);
+                let keys = take_primitive::<u32>(&mut cur, nrows, validity)?;
                 let dict_len = cur.u64()? as usize;
                 if dict_len > u32::MAX as usize {
                     return Err(ArrowError::Corrupt(format!(
                         "dictionary of {dict_len} entries exceeds u32 keys"
                     )));
                 }
-                let offsets = Buffer::from_bytes(cur.take(frame_size(dict_len + 1, 4)?)?);
-                let data_len = cur.u64()? as usize;
-                let strings = Buffer::from_bytes(cur.take(data_len)?);
-                // Validate the dictionary exactly like a Utf8 column.
-                let mut prev = 0i32;
-                for i in 0..=dict_len {
-                    let o = offsets.get_i32(i);
-                    if o < prev || o as usize > data_len {
-                        return Err(ArrowError::Corrupt(format!("bad dict offset {o} at {i}")));
-                    }
-                    prev = o;
-                }
-                std::str::from_utf8(strings.as_slice())
-                    .map_err(|_| ArrowError::Corrupt("dict data is not UTF-8".into()))?;
+                let dict = take_utf8(&mut cur, dict_len, None, ("dict", "dict data"))?;
                 // Keys must resolve: valid slots index the dictionary,
                 // null slots hold the canonical placeholder 0.
-                for (i, k) in keys.iter_u32(nrows).enumerate() {
-                    let is_valid = validity.as_ref().is_none_or(|v| v.get(i));
+                for (i, k) in keys.iter_raw().enumerate() {
+                    let is_valid = keys.validity().is_none_or(|v| v.get(i));
                     if is_valid && k as usize >= dict_len {
                         return Err(ArrowError::Corrupt(format!(
                             "dict key {k} at row {i} outside dictionary of {dict_len}"
@@ -250,8 +238,7 @@ pub fn decode(data: Bytes) -> Result<RecordBatch, ArrowError> {
                         )));
                     }
                 }
-                let dict = Utf8Array::from_parts(offsets, strings, None, dict_len);
-                Array::DictUtf8(DictUtf8Array::from_parts(keys, dict, validity, nrows))
+                DictUtf8Array::from_parts(keys, dict).into()
             }
         };
         columns.push(array);
@@ -336,6 +323,69 @@ mod tests {
             decode(Bytes::from(raw)),
             Err(ArrowError::Corrupt(_))
         ));
+    }
+
+    /// Parts longer than the array they describe: every constructor keeps
+    /// exactly the array's bytes, so the batch is the one built from
+    /// exact parts — as arrays, in size, as a frame, and concatenated.
+    #[test]
+    fn over_long_parts_round_trip_for_every_encoding() {
+        let ints: Buffer = vec![7i64, 0, 9, 10].into();
+        let floats: Buffer = vec![0.5f64, -0.0, 2.5].into();
+        let keys: Buffer = vec![1u32, 0, 1, 1, 0].into();
+        // Nine bits in two bytes; two rows keep the first byte.
+        let bits = |first: bool, second: bool| {
+            let mut long = [false; 9];
+            (long[0], long[1], long[8]) = (first, second, true);
+            Bitmap::from_buffer(Bitmap::from_bools(&long).buffer().clone(), 2)
+        };
+        let utf8 = |values: [&str; 3], validity| {
+            let long = Utf8Array::new(&values);
+            Utf8Array::from_parts(long.offsets().clone(), long.data().clone(), validity, 2)
+        };
+        let dict = |keys, entries| {
+            let keys = PrimitiveArray::from_parts(keys, Some(bits(true, false)), 2);
+            Array::from(DictUtf8Array::from_parts(keys, entries))
+        };
+        let batch = |columns| {
+            let field = |name: &str, dt, nullable| Field::new(name, dt, nullable);
+            let schema = Schema::new(vec![
+                field("i", DataType::Int64, false),
+                field("j", DataType::Int64, true),
+                field("f", DataType::Float64, false),
+                field("b", DataType::Bool, true),
+                field("s", DataType::Utf8, false),
+                field("t", DataType::Utf8, true),
+                field("d", DataType::DictUtf8, true),
+            ]);
+            RecordBatch::try_new(schema, columns).unwrap()
+        };
+        let long = batch(vec![
+            PrimitiveArray::<i64>::from_parts(ints.clone(), None, 2).into(),
+            PrimitiveArray::<i64>::from_parts(ints, Some(bits(true, false)), 2).into(),
+            PrimitiveArray::<f64>::from_parts(floats, None, 2).into(),
+            BoolArray::from_parts(bits(false, true), Some(bits(false, true))).into(),
+            utf8(["ab", "c", "def"], None).into(),
+            utf8(["", "c", "def"], Some(bits(false, true))).into(),
+            dict(keys, utf8(["ab", "c", "def"], None)),
+        ]);
+        let exact = batch(vec![
+            Array::from_i64(vec![7, 0]),
+            Array::from_opt_i64(vec![Some(7), None]),
+            Array::from_f64(vec![0.5, -0.0]),
+            Array::from_opt_bool(vec![None, Some(true)]),
+            Array::from_utf8(&["ab", "c"]),
+            Array::from_opt_utf8(vec![None, Some("c")]),
+            dict(vec![1u32, 0].into(), Utf8Array::new(&["ab", "c"])),
+        ]);
+        assert_eq!(long, exact);
+        assert_eq!(long.byte_size(), exact.byte_size());
+        let frame = encode(&long);
+        assert_eq!(frame.as_slice(), encode(&exact).as_slice());
+        assert_eq!(decode(frame).unwrap(), long);
+        let twice =
+            |b: &RecordBatch| encode(&RecordBatch::concat(&[b.clone(), b.clone()]).unwrap());
+        assert_eq!(twice(&long).as_slice(), twice(&exact).as_slice());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! simulated cluster; EXPERIMENTS.md records claim-vs-measured for all
 //! of them.
 
+pub mod baseline;
 pub mod exec_bench;
 pub mod sched_bench;
 pub mod sklz_ref;

@@ -1,6 +1,6 @@
 //! The SKLZ codec as it stood before the LZ4-fast rewrite of
 //! `skadi_arrow::compression`, kept verbatim as the executable spec of
-//! the frame format (the way `exec_bench` keeps the stringly engine):
+//! the frame format (the way `baseline` keeps the stringly engine):
 //! the cross-version properties in `tests/properties.rs` decode each
 //! codec's frames with the other, and `exec-bench`'s `sklz_*` rows time
 //! the kernels against it. Bench and test only — CI greps that nothing

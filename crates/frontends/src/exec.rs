@@ -21,10 +21,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use skadi_arrow::array::{Array, Utf8Array, Value};
+use skadi_arrow::array::Value;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute::{self, CmpOp};
 use skadi_arrow::datatype::DataType;
+use skadi_arrow::each_variant;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
 use skadi_dcsim::time::SimTime;
@@ -303,49 +304,37 @@ pub(crate) fn apply_conjuncts(
     }
 }
 
-/// Typed key equality for join collision checks. Floats compare by bit
-/// pattern (so NaN keys self-join and `-0.0` stays distinct from `0.0`,
-/// matching the old rendered-key semantics); a mixed `Int64`/`Float64`
-/// pair compares *exactly* via [`compute::i64_f64_key_eq`] — no lossy
-/// `i64 -> f64` cast, so distinct integers above 2^53 never collide.
-/// Dictionary and plain string keys compare by resolved value. Null keys
-/// never join. Other cross-type pairs are unequal.
-fn join_key_eq(l: &Array, li: usize, r: &Array, ri: usize) -> bool {
-    match (l, r) {
-        (Array::Int64(a), Array::Int64(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
+/// How the key columns of a join compare, decided once per join from
+/// their two types and never from the bytes: an `Int64` and an 8-byte
+/// string can share key bytes *and* hash. Null keys never join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinKeyRule {
+    /// One logical type on both sides (`Utf8` and `DictUtf8` are one):
+    /// rows match when their `key_bytes` do. For floats that is the bit
+    /// pattern, so NaN keys self-join and `-0.0` stays distinct from `0.0`.
+    Bytes,
+    /// `Int64` against `Float64`, either way round: *exact* numeric
+    /// equality via [`compute::i64_f64_key_eq`] — no lossy `i64 -> f64`
+    /// cast, so distinct integers above 2^53 never collide — with the
+    /// integer side hashed through its `f64` bit pattern.
+    Numeric,
+    /// Any other pair of types: no row matches.
+    Never,
+}
+
+impl JoinKeyRule {
+    pub(crate) fn of(left: DataType, right: DataType) -> JoinKeyRule {
+        let logical = |t: DataType| match t {
+            DataType::DictUtf8 => DataType::Utf8,
+            t => t,
+        };
+        match (logical(left), logical(right)) {
+            (l, r) if l == r => JoinKeyRule::Bytes,
+            (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64) => {
+                JoinKeyRule::Numeric
+            }
+            _ => JoinKeyRule::Never,
         }
-        (Array::Float64(a), Array::Float64(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x.to_bits() == y.to_bits())
-        }
-        (Array::Int64(a), Array::Float64(b)) => {
-            matches!(
-                (a.get(li), b.get(ri)),
-                (Some(x), Some(y)) if compute::i64_f64_key_eq(x, y)
-            )
-        }
-        (Array::Float64(a), Array::Int64(b)) => {
-            matches!(
-                (a.get(li), b.get(ri)),
-                (Some(x), Some(y)) if compute::i64_f64_key_eq(y, x)
-            )
-        }
-        (Array::Bool(a), Array::Bool(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
-        }
-        (Array::Utf8(a), Array::Utf8(b)) => {
-            matches!((utf8_bytes(a, li), utf8_bytes(b, ri)), (Some(x), Some(y)) if x == y)
-        }
-        (Array::DictUtf8(a), Array::DictUtf8(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
-        }
-        (Array::DictUtf8(a), Array::Utf8(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
-        }
-        (Array::Utf8(a), Array::DictUtf8(b)) => {
-            matches!((a.get(li), b.get(ri)), (Some(x), Some(y)) if x == y)
-        }
-        _ => false,
     }
 }
 
@@ -411,33 +400,12 @@ pub(crate) fn assemble_join(
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
 }
 
-/// Typed equality of two rows across the group-key columns. Floats
-/// compare by bit pattern; within a group column, null equals null (SQL
-/// GROUP BY puts all nulls in one group).
+/// Equality of two rows across the group-key columns, by `key_bytes`:
+/// floats compare by bit pattern and, within a group column, null equals
+/// null (SQL GROUP BY puts all nulls in one group).
 fn group_key_eq(batch: &RecordBatch, cols: &[usize], a: usize, b: usize) -> bool {
-    cols.iter().all(|&c| match batch.column(c) {
-        Array::Int64(arr) => arr.get(a) == arr.get(b),
-        Array::Float64(arr) => match (arr.get(a), arr.get(b)) {
-            (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-            (None, None) => true,
-            _ => false,
-        },
-        Array::Bool(arr) => arr.get(a) == arr.get(b),
-        Array::Utf8(arr) => utf8_bytes(arr, a) == utf8_bytes(arr, b),
-        Array::DictUtf8(arr) => arr.get(a) == arr.get(b),
-    })
-}
-
-/// Row `i` of a string column as bytes, `None` for NULL. Key equality runs
-/// once per probed row and only needs the bytes, so it skips the UTF-8
-/// check `Utf8Array::get` repeats on every call.
-fn utf8_bytes(arr: &Utf8Array, i: usize) -> Option<&[u8]> {
-    if arr.validity().is_some_and(|v| !v.get(i)) {
-        return None;
-    }
-    let start = arr.offsets().get_i32(i) as usize;
-    let end = arr.offsets().get_i32(i + 1) as usize;
-    Some(&arr.data().as_slice()[start..end])
+    cols.iter()
+        .all(|&c| each_variant!(batch.column(c), k => k.key_bytes(a) == k.key_bytes(b)))
 }
 
 /// One resolved aggregate: which accumulator runs over which column.
@@ -722,6 +690,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skadi_arrow::array::Array;
 
     fn db() -> MemDb {
         let events = RecordBatch::try_new(

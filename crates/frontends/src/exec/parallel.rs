@@ -37,12 +37,13 @@ use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::Bitmap;
 use skadi_arrow::compute::{self, CmpOp, SortOrder};
 use skadi_arrow::datatype::DataType;
+use skadi_arrow::each_variant;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
 use super::{
-    fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, KernelStats, EMPTY_SLOT,
+    fold_hash, group_key_eq, resolve_agg, wrap, AggKind, JoinKeyRule, KernelStats, EMPTY_SLOT,
 };
 use crate::sql::ast::Comparison;
 use crate::sql::SqlError;
@@ -293,12 +294,57 @@ struct BuildPart {
     cap: usize,
 }
 
+/// One probe morsel of a join: left rows `rows.0..rows.1` against the
+/// build tables.
+struct Probe<'a> {
+    rows: (usize, usize),
+    l_validity: Option<&'a Bitmap>,
+    /// Key hashes of the left and the right column.
+    lh: &'a [u64],
+    rh: &'a [u64],
+    tables: &'a [BuildPart],
+    part_rows: &'a [Vec<u32>],
+}
+
+impl Probe<'_> {
+    /// The matched `(left, right)` rows in probe order and the failed
+    /// chain visits. `eq` decides a hash-equal candidate pair, so the loop
+    /// is compiled once per key comparison — per pair of encodings — and
+    /// never dispatches per row.
+    fn run(&self, eq: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<usize>, u64) {
+        let mut lrows: Vec<usize> = Vec::new();
+        let mut rrows: Vec<usize> = Vec::new();
+        let mut collisions = 0u64;
+        for l in self.rows.0..self.rows.1 {
+            if self.l_validity.is_some_and(|v| !v.get(l)) {
+                continue;
+            }
+            let h = self.lh[l];
+            let p = partition_of(h, self.tables.len());
+            let t = &self.tables[p];
+            let mut slot = t.head[(fold_hash(h) & (t.cap as u64 - 1)) as usize];
+            while slot != EMPTY_SLOT {
+                let li = slot as usize;
+                let ri = self.part_rows[p][li] as usize;
+                if self.rh[ri] == h && eq(l, ri) {
+                    lrows.push(l);
+                    rrows.push(ri);
+                } else {
+                    collisions += 1;
+                }
+                slot = t.next[li];
+            }
+        }
+        (lrows, rrows, collisions)
+    }
+}
+
 /// The hash-join core: matching `(left_row, right_row)` index pairs in
 /// probe order — left rows ascending, each one's matches in ascending
 /// right-row order. Null keys match nothing.
 ///
 /// Keys bucket by their raw-byte FNV-1a hash ([`compute::hash_key_column`])
-/// with a typed equality check on each candidate — no per-row key
+/// with the join's [`JoinKeyRule`] deciding each candidate — no per-row key
 /// rendering. Build rows split into `parts` partitions by hash prefix;
 /// each partition builds a chained table (`head` + `next` arrays, zero
 /// allocations per bucket) sized from its exact row count, inserting in
@@ -312,12 +358,8 @@ pub(crate) fn join_rows_partitioned(
     stats: &mut KernelStats,
 ) -> (Vec<usize>, Vec<usize>) {
     let pool = pool::global();
-    // A mixed Int64/Float64 key pair hashes the integer side through its
-    // f64 bit pattern so numerically-equal keys share a bucket.
-    let mixed = matches!(
-        (lcol.data_type(), rcol.data_type()),
-        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
-    );
+    let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type());
+    let mixed = rule == JoinKeyRule::Numeric;
     let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol, mixed));
     let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol, mixed));
     let part_rows = Arc::new(partition_rows(rh.len(), &rh, rcol.validity(), parts));
@@ -343,32 +385,33 @@ pub(crate) fn join_rows_partitioned(
     let lcol = lcol.clone();
     let rcol = rcol.clone();
     let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges[m];
-        let mut lrows: Vec<usize> = Vec::new();
-        let mut rrows: Vec<usize> = Vec::new();
-        let mut collisions = 0u64;
-        let l_validity = lcol.validity();
-        for l in lo..hi {
-            if l_validity.is_some_and(|v| !v.get(l)) {
-                continue;
+        let probe = Probe {
+            rows: ranges[m],
+            l_validity: lcol.validity(),
+            lh: &lh,
+            rh: &rh,
+            tables: &tables,
+            part_rows: &part_rows,
+        };
+        match rule {
+            JoinKeyRule::Bytes => each_variant!(&lcol, l => each_variant!(&rcol, r => probe.run(
+                |li, ri| matches!((l.key_bytes(li), r.key_bytes(ri)), (Some(x), Some(y)) if x == y)
+            ))),
+            JoinKeyRule::Numeric => {
+                let flip = lcol.data_type() == DataType::Float64;
+                let (ints, floats) = if flip { (&rcol, &lcol) } else { (&lcol, &rcol) };
+                let ints = ints.as_i64().expect("numeric rule: an Int64 side");
+                let floats = floats.as_f64().expect("numeric rule: a Float64 side");
+                probe.run(|li, ri| {
+                    let (i, f) = if flip { (ri, li) } else { (li, ri) };
+                    matches!(
+                        (ints.get(i), floats.get(f)),
+                        (Some(x), Some(y)) if compute::i64_f64_key_eq(x, y)
+                    )
+                })
             }
-            let h = lh[l];
-            let p = partition_of(h, parts);
-            let t = &tables[p];
-            let mut slot = t.head[(fold_hash(h) & (t.cap as u64 - 1)) as usize];
-            while slot != EMPTY_SLOT {
-                let li = slot as usize;
-                let ri = part_rows[p][li] as usize;
-                if rh[ri] == h && join_key_eq(&lcol, l, &rcol, ri) {
-                    lrows.push(l);
-                    rrows.push(ri);
-                } else {
-                    collisions += 1;
-                }
-                slot = t.next[li];
-            }
+            JoinKeyRule::Never => probe.run(|_, _| false),
         }
-        (lrows, rrows, collisions)
     });
     let mut left_rows: Vec<usize> = Vec::new();
     let mut right_rows: Vec<usize> = Vec::new();
@@ -529,59 +572,28 @@ pub(crate) fn aggregate_partitioned(
         stats.groups += p.groups.rep_rows.len() as u64;
     }
 
-    // Deterministic merge: groups order by rendered key with
-    // first-appearance ties, and first appearance is ascending
+    // Deterministic merge. All groups in partition order — the order
+    // their aggregate columns lay end to end in — sorted by rendered key
+    // with first-appearance ties, and first appearance is ascending
     // representative row.
-    let mut entries: Vec<(usize, usize)> = (0..part_aggs.len())
-        .flat_map(|p| (0..part_aggs[p].keys.len()).map(move |g| (p, g)))
-        .collect();
-    entries.sort_by(|&(pa, ga), &(pb, gb)| {
-        part_aggs[pa].keys[ga]
-            .cmp(&part_aggs[pb].keys[gb])
-            .then(part_aggs[pa].groups.rep_rows[ga].cmp(&part_aggs[pb].groups.rep_rows[gb]))
-    });
-    let ordered_reps: Vec<usize> = entries
+    let keys: Vec<&String> = part_aggs.iter().flat_map(|p| &p.keys).collect();
+    let reps: Vec<usize> = part_aggs
         .iter()
-        .map(|&(p, g)| part_aggs[p].groups.rep_rows[g])
+        .flat_map(|p| p.groups.rep_rows.iter().copied())
         .collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(keys[b]).then(reps[a].cmp(&reps[b])));
+    let ordered_reps: Vec<usize> = order.iter().map(|&g| reps[g]).collect();
 
     let mut columns: Vec<Array> = group_cols
         .iter()
         .map(|&c| input.column(c).take_rows(&ordered_reps))
         .collect();
-    for (k, kind) in kinds.iter().enumerate() {
-        columns.push(gather_agg(&part_aggs, k, &entries, kind.data_type()));
+    for k in 0..kinds.len() {
+        let cols: Vec<&Array> = part_aggs.iter().map(|p| &p.agg_cols[k]).collect();
+        columns.push(Array::concat(&cols).map_err(wrap)?.take_rows(&order));
     }
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
-}
-
-/// Gathers one aggregate's output column across partitions in merged
-/// group order. Aggregates only produce `Int64` / `Float64` columns.
-fn gather_agg(parts: &[PartAgg], k: usize, entries: &[(usize, usize)], dt: DataType) -> Array {
-    match dt {
-        DataType::Int64 => Array::from_opt_i64(
-            entries
-                .iter()
-                .map(|&(p, g)| {
-                    parts[p].agg_cols[k]
-                        .as_i64()
-                        .expect("integer aggregate")
-                        .get(g)
-                })
-                .collect(),
-        ),
-        _ => Array::from_opt_f64(
-            entries
-                .iter()
-                .map(|&(p, g)| {
-                    parts[p].agg_cols[k]
-                        .as_f64()
-                        .expect("float aggregate")
-                        .get(g)
-                })
-                .collect(),
-        ),
-    }
 }
 
 /// Streams `get(row)` over one partition's rows into one accumulator per
@@ -913,6 +925,201 @@ mod tests {
                         };
                         assert_eq!(agg(1), agg(PARTITIONS), "group by {group_cols:?}: {at}");
                     }
+                }
+            }
+        }
+    }
+
+    /// One key column per encoding, each holding its type's edge cases
+    /// beside nulls and duplicates, and between them the keys whose bytes
+    /// (and so hashes) coincide across types: `0x3837363534333231` is
+    /// `"12345678"` as an `Int64` and as a `Float64` bit pattern, and
+    /// `true` is the one byte of `"\u{1}"`.
+    fn edge_key_columns() -> Vec<Array> {
+        let big = 1i64 << 53;
+        let digits = 0x3837_3635_3433_3231;
+        vec![
+            Array::from_opt_i64(vec![
+                Some(0),
+                None,
+                Some(1),
+                Some(big),
+                Some(big + 1),
+                Some(digits),
+                Some(1),
+                Some(i64::MIN),
+            ]),
+            Array::from_opt_f64(vec![
+                Some(0.0),
+                Some(-0.0),
+                None,
+                Some(f64::NAN),
+                Some(1.0),
+                Some(big as f64),
+                Some(f64::from_bits(digits as u64)),
+                Some(f64::NAN),
+                Some(1.5),
+                Some(i64::MIN as f64),
+            ]),
+            Array::from_opt_bool(vec![Some(true), None, Some(false), Some(true)]),
+            Array::from_opt_utf8(vec![
+                Some("12345678"),
+                Some("\u{1}"),
+                None,
+                Some(""),
+                Some("a"),
+                Some("a"),
+                Some("\u{0}"),
+            ]),
+            Array::from_opt_dict_utf8(vec![
+                Some("a"),
+                None,
+                Some("12345678"),
+                Some("\u{1}"),
+                Some(""),
+                Some("b"),
+                Some("a"),
+            ]),
+        ]
+    }
+
+    /// The join rule over `Value`s, sharing nothing with `key_bytes`: one
+    /// type compares by value (floats by bit pattern), an integer and a
+    /// float exactly, widened to where both fit (`-0.0` is no integer) —
+    /// and nothing else matches, nulls included.
+    fn value_key_eq(l: &Value, r: &Value) -> bool {
+        match (l, r) {
+            (Value::I64(a), Value::I64(b)) => a == b,
+            (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::I64(i), Value::F64(f)) | (Value::F64(f), Value::I64(i)) => {
+                let whole = f.fract() == 0.0 && f.to_bits() != (-0.0f64).to_bits();
+                whole && *f as i128 == *i as i128
+            }
+            _ => false,
+        }
+    }
+
+    /// All 5 x 5 pairs of key encodings against a nested loop over
+    /// `Value`s, at 1 and [`PARTITIONS`] partitions and pool sizes 1 and 4.
+    /// A bytes-only equality fails it on every cross-type pair whose key
+    /// bytes coincide.
+    #[test]
+    fn join_over_every_encoding_pair_matches_value_level_nested_loop() {
+        let _guard = pool::test_guard();
+        let cols = edge_key_columns();
+        let mut matched = 0;
+        for lcol in &cols {
+            for rcol in &cols {
+                let mut want: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+                for l in 0..lcol.len() {
+                    for r in 0..rcol.len() {
+                        if value_key_eq(&lcol.value_at(l), &rcol.value_at(r)) {
+                            want.0.push(l);
+                            want.1.push(r);
+                        }
+                    }
+                }
+                let pair = (lcol.data_type(), rcol.data_type());
+                // The fixture reaches every pair of types that can join.
+                let joinable = JoinKeyRule::of(pair.0, pair.1) != JoinKeyRule::Never;
+                assert_eq!(!want.0.is_empty(), joinable, "{pair:?}");
+                matched += want.0.len();
+                for threads in [1, 4] {
+                    pool::set_global_threads(threads);
+                    for parts in [1, PARTITIONS] {
+                        let got =
+                            join_rows_partitioned(lcol, rcol, parts, &mut KernelStats::default());
+                        assert_eq!(got, want, "{pair:?}, {parts} partitions, {threads} threads");
+                    }
+                }
+            }
+        }
+        // 9 + 11 + 5 + 8 + 8 within one encoding (NaN and every duplicate
+        // self-join), 7 + 7 across the string encodings, 5 + 5 across the
+        // numeric ones (2^53 + 1 meets no float, -0.0 no integer).
+        assert_eq!(matched, 65);
+        let (ints, floats) = (&cols[0], &cols[1]);
+        let pairs = join_rows_partitioned(ints, floats, 1, &mut KernelStats::default());
+        assert_eq!(pairs, (vec![0, 2, 3, 6, 7], vec![0, 4, 5, 4, 9]));
+    }
+
+    /// A group-by over two key columns of different encodings, with rows
+    /// whose concatenated key bytes — and so row hashes — coincide
+    /// (`"ab","c"` / `"a","bc"`) and nulls in either column, against a
+    /// `Value`-level count per rendered key.
+    #[test]
+    fn two_column_group_by_across_encodings_matches_value_level_count() {
+        let _guard = pool::test_guard();
+        let firsts = [
+            Some("ab"),
+            Some("a"),
+            None,
+            Some("ab"),
+            Some(""),
+            None,
+            Some("a"),
+        ];
+        let seconds = [
+            Some("c"),
+            Some("bc"),
+            Some("c"),
+            Some("c"),
+            None,
+            Some("c"),
+            Some("bc"),
+        ];
+        let strings = |v: &[Option<&str>]| {
+            [
+                Array::from_opt_utf8(v.to_vec()),
+                Array::from_opt_dict_utf8(v.to_vec()),
+            ]
+        };
+        let ints =
+            Array::from_opt_i64([Some(1), Some(1), None, Some(1), Some(2), None, Some(1)].to_vec());
+        let mut key_columns: Vec<(Array, Array)> = Vec::new();
+        for second in strings(&seconds) {
+            for first in strings(&firsts) {
+                key_columns.push((first, second.clone()));
+            }
+            key_columns.push((ints.clone(), second));
+        }
+        let aggs = vec![("count".to_string(), "*".to_string(), "n".to_string())];
+        for (a, b) in key_columns {
+            let mut want: std::collections::BTreeMap<String, i64> = Default::default();
+            for r in 0..a.len() {
+                *want
+                    .entry(format!("{}\u{1}{}", a.value_at(r), b.value_at(r)))
+                    .or_default() += 1;
+            }
+            let at = format!("{} x {}", a.data_type(), b.data_type());
+            let input = RecordBatch::try_new(
+                Schema::new(vec![
+                    Field::new("a", a.data_type(), true),
+                    Field::new("b", b.data_type(), true),
+                ]),
+                vec![a, b],
+            )
+            .unwrap();
+            for threads in [1, 4] {
+                pool::set_global_threads(threads);
+                for parts in [1, PARTITIONS] {
+                    let mut stats = KernelStats::default();
+                    let out =
+                        aggregate_partitioned(&[0, 1], &aggs, &input, parts, &mut stats).unwrap();
+                    let got: Vec<(String, i64)> = (0..out.num_rows())
+                        .map(|r| {
+                            let key = format!(
+                                "{}\u{1}{}",
+                                out.column(0).value_at(r),
+                                out.column(1).value_at(r)
+                            );
+                            (key, out.column(2).as_i64().unwrap().get(r).unwrap())
+                        })
+                        .collect();
+                    let want: Vec<(String, i64)> = want.clone().into_iter().collect();
+                    assert_eq!(got, want, "{at}, {parts} partitions, {threads} threads");
                 }
             }
         }

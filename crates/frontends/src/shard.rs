@@ -252,7 +252,9 @@ fn already_ascending(col: &Array) -> bool {
         Array::Int64(a) if a.validity().is_none() => {
             a.iter_raw().zip(a.iter_raw().skip(1)).all(|(x, y)| x <= y)
         }
-        Array::Utf8(a) if a.validity().is_none() => (1..a.len()).all(|i| a.get(i - 1) <= a.get(i)),
+        Array::Utf8(a) if a.validity().is_none() => {
+            (1..a.len()).all(|i| a.key_bytes(i - 1) <= a.key_bytes(i))
+        }
         _ => false,
     }
 }

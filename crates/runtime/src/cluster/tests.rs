@@ -11,7 +11,7 @@ fn node_of(c: &Cluster, t: u64) -> NodeId {
     c.tasks[slot].at.node.expect("task was placed")
 }
 
-mod tests {
+mod run_tests {
     use super::*;
     use crate::task::{GangId, TaskSpec};
     use skadi_dcsim::topology::presets;

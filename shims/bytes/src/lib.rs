@@ -41,6 +41,7 @@ impl Bytes {
     }
 
     /// Buffer length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -79,6 +80,7 @@ impl Bytes {
     }
 
     /// The contents as a plain slice.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.offset..self.offset + self.len]
     }
@@ -97,6 +99,7 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }

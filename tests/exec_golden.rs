@@ -5,7 +5,7 @@
 //! nulls in keys, duplicate join keys, mixed int/float comparisons,
 //! empty inputs — against hand-computed expected results, and
 //! property-test the hash-keyed paths against the naive stringly
-//! reference preserved in `skadi_bench::exec_bench`.
+//! reference preserved in `skadi_bench::baseline`.
 
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ use skadi::arrow::datatype::DataType;
 use skadi::arrow::schema::{Field, Schema};
 use skadi::frontends::exec::{self, MemDb};
 use skadi::frontends::sql::{parse, tokenize};
-use skadi_bench::exec_bench::{baseline_group_sum_count, baseline_join};
+use skadi_bench::baseline::{baseline_group_sum_count, baseline_join};
 
 fn golden_db() -> MemDb {
     let orders = RecordBatch::try_new(

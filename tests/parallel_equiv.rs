@@ -23,7 +23,7 @@ use skadi::frontends::sql::{parse, tokenize};
 use skadi::prelude::*;
 use skadi::runtime::config::FtMode;
 use skadi::store::ec::EcConfig;
-use skadi_bench::exec_bench::{baseline_group_sum_count, baseline_join};
+use skadi_bench::baseline::{baseline_group_sum_count, baseline_join};
 use skadi_dcsim::rng::DetRng;
 use skadi_dcsim::time::SimTime;
 
