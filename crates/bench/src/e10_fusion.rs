@@ -5,6 +5,7 @@
 use skadi::flowgraph::lower::{lower_graph, LowerConfig};
 use skadi::flowgraph::optimize::optimize_graph;
 use skadi::flowgraph::FlowGraph;
+use skadi::ir::Op;
 use skadi::prelude::*;
 use skadi::runtime::{job_from_physical, Cluster};
 
@@ -15,10 +16,10 @@ use crate::table::Table;
 pub fn cross_domain_graph(rows: u64, bytes: u64) -> FlowGraph {
     let mut g = FlowGraph::new();
     let src = g.add_source("events", rows, bytes);
-    let f = g.add_ir_op("rel.filter", rows, bytes / 2);
-    let p = g.add_ir_op("rel.project", rows, bytes / 4);
-    let tf = g.add_ir_op("tensor.from_frame", rows, bytes / 4);
-    let m = g.add_ir_op("tensor.map", rows, bytes / 4);
+    let f = g.add_ir_op(Op::Filter, rows, bytes / 2);
+    let p = g.add_ir_op(Op::Project, rows, bytes / 4);
+    let tf = g.add_ir_op(Op::FromFrame, rows, bytes / 4);
+    let m = g.add_ir_op(Op::Map, rows, bytes / 4);
     let sink = g.add_sink("features");
     g.connect(src, f).unwrap();
     g.connect(f, p).unwrap();

@@ -1,43 +1,16 @@
 //! E13 / §2.2 + Figure 2 vertices D1/D2: one hardware-agnostic IR op
-//! lowered to *every* supporting backend for a direct comparison, with
+//! priced on *every* backend that runs it, for a direct comparison, with
 //! the selection policy picking the winner.
 
-use skadi::ir::dialect::{rel, tensor};
-use skadi::ir::lower::lower_to_all_backends;
-use skadi::ir::types::{frame_ty, IrType, ScalarType};
-use skadi::ir::{BackendPolicy, Module};
+use skadi::ir::backend::estimate;
+use skadi::ir::{BackendPolicy, Op};
 use skadi::prelude::*;
 
 use crate::table::Table;
 
-/// Builds a module with one op of each interesting kind; returns the
-/// module and `(name, op_id)` pairs.
-pub fn rep_ops() -> (Module, Vec<(String, skadi::ir::OpId)>) {
-    let mut m = Module::new();
-    let f = rel::scan(
-        &mut m,
-        "t",
-        frame_ty(&[("k", ScalarType::I64), ("v", ScalarType::F64)]),
-    );
-    let filt = rel::filter(&mut m, f, "v > 0");
-    let agg = rel::aggregate(&mut m, filt, &["k"], "sum(v)");
-    let x = tensor::source(&mut m, "x", IrType::matrix(ScalarType::F64));
-    let w = tensor::source(&mut m, "w", IrType::matrix(ScalarType::F64));
-    let mm = tensor::matmul(&mut m, x, w).expect("tensors");
-    let mapped = tensor::map(&mut m, mm, "relu");
-    m.mark_output(agg);
-    m.mark_output(mapped);
-    let ids = ["rel.filter", "rel.aggregate", "tensor.matmul", "tensor.map"]
-        .iter()
-        .map(|n| {
-            (
-                n.to_string(),
-                m.ops().iter().find(|o| o.name == *n).expect("op exists").id,
-            )
-        })
-        .collect();
-    (m, ids)
-}
+/// One op of each interesting kind: streaming relational, a keyed
+/// relational op, a super-linear tensor op and an element-wise one.
+const REP_OPS: [Op; 4] = [Op::Filter, Op::Aggregate, Op::MatMul, Op::Map];
 
 /// Runs the full experiment.
 pub fn run() -> Table {
@@ -49,31 +22,19 @@ pub fn run() -> Table {
          GPU D1 and FPGA D2 in the paper's Figure 2 (§2.2).",
         &["op", "elements", "cpu_us", "gpu_us", "fpga_us", "winner"],
     );
-    let (m, ids) = rep_ops();
     let policy = BackendPolicy::cost_based();
-    for (name, id) in &ids {
+    for op in REP_OPS {
         for elements in [1u64 << 10, 1 << 16, 1 << 22] {
-            let variants = lower_to_all_backends(&m, *id, elements).expect("lowers");
-            let cost_of = |b: Backend| -> String {
-                variants
-                    .iter()
-                    .find(|(vb, _)| *vb == b)
-                    .map(|(_, c)| format!("{:.1}", c.total_us()))
-                    .unwrap_or_else(|| "n/a".to_string())
-            };
-            let op = m.ops().iter().find(|o| o.id == *id).expect("exists");
-            let winner = policy
-                .select(op, elements)
-                .map(|(b, _)| b.to_string())
-                .unwrap_or_default();
-            t.row(vec![
-                name.clone(),
-                elements.to_string(),
-                cost_of(Backend::Cpu),
-                cost_of(Backend::Gpu),
-                cost_of(Backend::Fpga),
-                winner,
-            ]);
+            let mut row = vec![op.name().to_string(), elements.to_string()];
+            for b in Backend::ALL {
+                row.push(
+                    estimate(&[op], elements, b)
+                        .map_or("n/a".to_string(), |c| format!("{:.1}", c.total_us())),
+                );
+            }
+            let winner = policy.select(&[op], elements).map(|(b, _)| b);
+            row.push(winner.map(|b| b.to_string()).unwrap_or_default());
+            t.row(row);
         }
     }
     t.takeaway(
@@ -91,23 +52,22 @@ mod tests {
 
     #[test]
     fn matmul_has_no_fpga_variant() {
-        let (m, ids) = rep_ops();
-        let mm = ids.iter().find(|(n, _)| n == "tensor.matmul").unwrap().1;
-        let variants = lower_to_all_backends(&m, mm, 1 << 20).unwrap();
-        assert!(variants.iter().all(|(b, _)| *b != Backend::Fpga));
-        assert_eq!(variants.len(), 2);
+        let t = run();
+        let rows: Vec<usize> = (0..t.rows.len())
+            .filter(|&r| t.cell(r, "op") == Some(Op::MatMul.name()))
+            .collect();
+        assert_eq!(rows.len(), 3);
+        for r in rows {
+            assert_eq!(t.cell(r, "fpga_us"), Some("n/a"));
+            assert_ne!(t.cell(r, "gpu_us"), Some("n/a"));
+        }
     }
 
     #[test]
     fn winner_shifts_with_scale() {
-        let (m, ids) = rep_ops();
-        let mm_op = {
-            let id = ids.iter().find(|(n, _)| n == "tensor.matmul").unwrap().1;
-            m.ops().iter().find(|o| o.id == id).unwrap().clone()
-        };
         let policy = BackendPolicy::cost_based();
-        let (small, _) = policy.select(&mm_op, 8).unwrap();
-        let (large, _) = policy.select(&mm_op, 1 << 24).unwrap();
+        let (small, _) = policy.select(&[Op::MatMul], 8).unwrap();
+        let (large, _) = policy.select(&[Op::MatMul], 1 << 24).unwrap();
         assert_eq!(small, Backend::Cpu);
         assert_eq!(large, Backend::Gpu);
     }

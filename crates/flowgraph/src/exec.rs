@@ -9,9 +9,10 @@
 //! against real `skadi-arrow` record batches.
 //!
 //! Descriptors are plain data — no column references into any particular
-//! batch, no engine types — so this crate stays dependency-free and the
-//! same descriptor can be replayed deterministically under lineage
-//! recovery.
+//! batch, no engine types — so the same descriptor can be replayed
+//! deterministically under lineage recovery.
+
+use skadi_ir::Op;
 
 /// A literal in a filter predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,6 +107,21 @@ pub enum ExecOp {
 }
 
 impl ExecOp {
+    /// The IR ops this descriptor performs, in order (a sink's gather
+    /// performs none).
+    pub fn ops(&self) -> Vec<Op> {
+        match self {
+            ExecOp::Scan { .. } => vec![Op::Scan],
+            ExecOp::Filter { .. } => vec![Op::Filter],
+            ExecOp::Project { .. } => vec![Op::Project],
+            ExecOp::Join { .. } => vec![Op::Join],
+            ExecOp::Aggregate { .. } => vec![Op::Aggregate],
+            ExecOp::Limit { .. } => vec![Op::Limit],
+            ExecOp::Collect { .. } => Vec::new(),
+            ExecOp::Fused(ops) => ops.iter().flat_map(ExecOp::ops).collect(),
+        }
+    }
+
     /// True for a global (ungrouped) aggregate, which must run on exactly
     /// one shard to produce its single output row.
     pub fn requires_single_shard(&self) -> bool {
@@ -177,6 +193,7 @@ mod tests {
         let ab = ExecOp::fuse(Some(f.clone()), Some(p.clone())).unwrap();
         let abc = ExecOp::fuse(Some(ab), Some(s.clone())).unwrap();
         assert_eq!(abc, ExecOp::Fused(vec![f, p, s]));
+        assert_eq!(abc.ops(), [Op::Filter, Op::Project, Op::Limit]);
         assert_eq!(
             ExecOp::fuse(None, Some(ExecOp::Filter { conjuncts: vec![] })),
             None

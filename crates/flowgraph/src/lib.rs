@@ -4,10 +4,10 @@
 //!
 //! 1. Domain-specific declarations are parsed onto **FlowGraph**, "a
 //!    classical data flow graph" whose edges dictate how data flow and
-//!    whose vertices are built either from handcrafted operators or from
-//!    hardware-agnostic IR ops ([`logical`]).
-//! 2. The logical graph is optimized with predefined rules
-//!    ([`optimize`]).
+//!    whose vertices are built from hardware-agnostic IR ops
+//!    ([`skadi_ir::Op`], [`logical`]).
+//! 2. The logical graph is optimized with predefined rules, fusing
+//!    per-row chains across domains ([`optimize`]).
 //! 3. Lowering to the **physical sharded graph** (a) selects hardware
 //!    backends for IR-based ops and (b) decides a degree of parallelism
 //!    per vertex, creating sharded vertices along keyed edges with a hash
@@ -21,18 +21,20 @@
 //!
 //! ```
 //! use skadi_flowgraph::prelude::*;
-//! use skadi_ir::prelude::*;
+//! use skadi_ir::{BackendPolicy, Op};
 //!
 //! let mut g = FlowGraph::new();
 //! let src = g.add_source("events", 1 << 20, 8 << 20);
-//! let filt = g.add_ir_op("rel.filter", 1 << 20, 4 << 20);
-//! let agg = g.add_ir_op("rel.aggregate", 1 << 20, 1 << 10);
-//! g.connect(src, filt).unwrap();
-//! g.connect_keyed(filt, agg, "k").unwrap();
-//! g.validate().unwrap();
+//! let filt = g.add_ir_op(Op::Filter, 1 << 20, 4 << 20);
+//! let agg = g.add_ir_op(Op::Aggregate, 1 << 20, 1 << 10);
+//! g.connect(src, filt)?;
+//! g.connect_keyed(filt, agg, "k")?;
+//! g.validate()?;
 //!
-//! let phys = lower_graph(&g, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
+//! let phys = lower_graph(&g, &LowerConfig::new(4, BackendPolicy::cost_based()))?;
 //! assert_eq!(phys.shards_of(agg).len(), 4);
+//! assert_eq!(phys.vertex(phys.shards_of(agg)[0]).op, "rel.aggregate");
+//! # Ok::<(), GraphError>(())
 //! ```
 
 pub mod error;

@@ -1,12 +1,13 @@
 //! The logical FlowGraph.
 //!
-//! Vertices carry *what* to compute (a handcrafted operator name or a
-//! hardware-agnostic IR op, plus cardinality hints); edges carry *how
-//! data flows* (plain, keyed for shuffles, or broadcast). Nothing here
-//! says when or where anything runs.
+//! Vertices carry *what* to compute (hardware-agnostic IR ops, plus
+//! cardinality hints); edges carry *how data flows* (plain, keyed for
+//! shuffles, or broadcast). Nothing here says when or where anything runs.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+
+use skadi_ir::Op;
 
 use crate::error::GraphError;
 use crate::exec::ExecOp;
@@ -29,21 +30,12 @@ pub enum VertexBody {
         /// Dataset name.
         name: String,
     },
-    /// A hardware-agnostic IR op (possibly a fused kernel) — lowered to a
-    /// backend during physical lowering.
+    /// Hardware-agnostic IR ops run in order in one task — a fused kernel
+    /// exactly when there is more than one — lowered to a backend during
+    /// physical lowering.
     IrOp {
-        /// Op name, e.g. `rel.filter` or `kernel.fused`.
-        name: String,
-        /// Constituent ops for fused kernels (singleton otherwise).
-        body: Vec<String>,
-    },
-    /// A predefined, handcrafted operator bound to a specific backend
-    /// family (e.g. `cudf.join`, `arrow.concat`).
-    Handcrafted {
-        /// Operator name.
-        name: String,
-        /// The backend family it is written for.
-        backend: skadi_ir::Backend,
+        /// The ops, producer end first.
+        ops: Vec<Op>,
     },
     /// A job output.
     Sink {
@@ -53,13 +45,20 @@ pub enum VertexBody {
 }
 
 impl VertexBody {
-    /// A short display name.
+    /// A short display name: the dataset or result name, the op's name,
+    /// or `kernel.fused` for a fused chain.
     pub fn name(&self) -> &str {
         match self {
-            VertexBody::Source { name }
-            | VertexBody::IrOp { name, .. }
-            | VertexBody::Handcrafted { name, .. }
-            | VertexBody::Sink { name } => name,
+            VertexBody::Source { name } | VertexBody::Sink { name } => name,
+            VertexBody::IrOp { ops } => Op::label(ops),
+        }
+    }
+
+    /// The IR ops the vertex runs (none for a source or a sink).
+    pub fn ops(&self) -> &[Op] {
+        match self {
+            VertexBody::IrOp { ops } => ops,
+            VertexBody::Source { .. } | VertexBody::Sink { .. } => &[],
         }
     }
 }
@@ -133,45 +132,16 @@ impl FlowGraph {
     }
 
     /// Adds a hardware-agnostic IR op vertex.
-    pub fn add_ir_op(&mut self, op: &str, rows: u64, out_bytes: u64) -> VertexId {
-        self.add_vertex(
-            VertexBody::IrOp {
-                name: op.to_string(),
-                body: vec![op.to_string()],
-            },
-            rows,
-            out_bytes,
-        )
+    pub fn add_ir_op(&mut self, op: Op, rows: u64, out_bytes: u64) -> VertexId {
+        self.add_vertex(VertexBody::IrOp { ops: vec![op] }, rows, out_bytes)
     }
 
-    /// Adds a fused IR vertex with an explicit body.
-    pub fn add_fused_op(&mut self, body: Vec<String>, rows: u64, out_bytes: u64) -> VertexId {
-        self.add_vertex(
-            VertexBody::IrOp {
-                name: "kernel.fused".to_string(),
-                body,
-            },
-            rows,
-            out_bytes,
-        )
-    }
-
-    /// Adds a handcrafted operator vertex.
-    pub fn add_handcrafted(
-        &mut self,
-        name: &str,
-        backend: skadi_ir::Backend,
-        rows: u64,
-        out_bytes: u64,
-    ) -> VertexId {
-        self.add_vertex(
-            VertexBody::Handcrafted {
-                name: name.to_string(),
-                backend,
-            },
-            rows,
-            out_bytes,
-        )
+    /// Adds a vertex that runs `exec`, built from the ops `exec` performs,
+    /// so its ops and its descriptor cannot disagree.
+    pub fn add_exec(&mut self, exec: ExecOp, rows: u64, out_bytes: u64) -> VertexId {
+        let v = self.add_vertex(VertexBody::IrOp { ops: exec.ops() }, rows, out_bytes);
+        self.set_exec(v, exec);
+        v
     }
 
     /// Adds a sink vertex.
@@ -430,8 +400,8 @@ mod tests {
     fn diamond() -> (FlowGraph, [VertexId; 4]) {
         let mut g = FlowGraph::new();
         let a = g.add_source("in", 100, 800);
-        let b = g.add_ir_op("rel.filter", 100, 400);
-        let c = g.add_ir_op("rel.project", 100, 200);
+        let b = g.add_ir_op(Op::Filter, 100, 400);
+        let c = g.add_ir_op(Op::Project, 100, 200);
         let d = g.add_sink("out");
         g.connect(a, b).unwrap();
         g.connect(a, c).unwrap();
@@ -462,8 +432,8 @@ mod tests {
     #[test]
     fn cycle_detected() {
         let mut g = FlowGraph::new();
-        let a = g.add_ir_op("rel.filter", 1, 1);
-        let b = g.add_ir_op("rel.project", 1, 1);
+        let a = g.add_ir_op(Op::Filter, 1, 1);
+        let b = g.add_ir_op(Op::Project, 1, 1);
         g.connect(a, b).unwrap();
         g.connect(b, a).unwrap();
         assert_eq!(g.topo_order(), Err(GraphError::Cyclic));
@@ -492,7 +462,7 @@ mod tests {
     #[test]
     fn source_with_inputs_invalid() {
         let mut g = FlowGraph::new();
-        let a = g.add_ir_op("rel.filter", 1, 1);
+        let a = g.add_ir_op(Op::Filter, 1, 1);
         let s = g.add_source("s", 1, 1);
         g.connect(a, s).unwrap();
         assert!(matches!(g.validate(), Err(GraphError::Invalid(_))));
@@ -525,8 +495,8 @@ mod tests {
     fn keyed_and_broadcast_edges() {
         let mut g = FlowGraph::new();
         let a = g.add_source("s", 10, 10);
-        let b = g.add_ir_op("rel.aggregate", 10, 10);
-        let c = g.add_ir_op("tensor.map", 10, 10);
+        let b = g.add_ir_op(Op::Aggregate, 10, 10);
+        let c = g.add_ir_op(Op::Map, 10, 10);
         g.connect_keyed(a, b, "k").unwrap();
         g.connect_broadcast(a, c).unwrap();
         assert_eq!(

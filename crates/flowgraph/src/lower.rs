@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use skadi_ir::backend::estimate_named;
-use skadi_ir::{Backend, BackendPolicy};
+use skadi_ir::backend::estimate;
+use skadi_ir::{Backend, BackendPolicy, Op};
 
 use crate::error::GraphError;
 use crate::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
@@ -73,14 +73,16 @@ impl LowerConfig {
     }
 }
 
-/// Per-element cost of a handcrafted operator in elements/us terms; uses
-/// the generic throughput of its bound backend with a nominal factor.
-fn handcrafted_cost_us(backend: Backend, rows: u64) -> f64 {
-    // One unit of work per row through the generic backend cost model via
-    // the closest generic op (a map-like pass over the data).
-    estimate_named("tensor.map", None, rows, backend)
-        .map(|c| c.total_us())
-        .unwrap_or(rows as f64 / 100.0)
+/// The text a vertex goes by once lowered — its op label and body, which
+/// task labels, traces and profiles print: a dataset or result name, an
+/// op's name, or `kernel.fused` over the chain's op names.
+fn text(body: &VertexBody) -> (String, Vec<String>) {
+    let label = body.name().to_string();
+    let names = match body {
+        VertexBody::IrOp { ops } => ops.iter().map(|op| op.name().to_string()).collect(),
+        VertexBody::Source { .. } | VertexBody::Sink { .. } => vec![label.clone()],
+    };
+    (label, names)
 }
 
 /// Lowers the logical graph to a physical sharded graph.
@@ -95,53 +97,26 @@ pub fn lower_graph(g: &FlowGraph, cfg: &LowerConfig) -> Result<PhysicalGraph, Gr
         let shards = cfg.parallelism_of(g, v.id);
         let per_shard_rows = (v.rows_hint / shards as u64).max(1);
         let per_shard_bytes = v.output_bytes_hint / shards as u64;
-        let (kind, op, body, backend, compute_us) = match &v.body {
-            VertexBody::Source { name } => {
+        let (kind, backend, compute_us) = match &v.body {
+            VertexBody::Source { .. } => {
                 // Reading input: priced as a light scan on CPU.
-                let cost = estimate_named("rel.scan", None, per_shard_rows, Backend::Cpu)
-                    .map(|c| c.total_us())
-                    .unwrap_or(0.0);
-                (
-                    PVertexKind::Source,
-                    name.clone(),
-                    vec![name.clone()],
-                    Backend::Cpu,
-                    cost,
-                )
+                let cost = estimate(&[Op::Scan], per_shard_rows, Backend::Cpu)
+                    .map_or(0.0, |c| c.total_us());
+                (PVertexKind::Source, Backend::Cpu, cost)
             }
-            VertexBody::Sink { name } => (
-                PVertexKind::Sink,
-                name.clone(),
-                vec![name.clone()],
-                Backend::Cpu,
-                0.0,
-            ),
-            VertexBody::IrOp { name, body } => {
-                let sel = cfg
-                    .policy
-                    .select_named(name, Some(body), per_shard_rows)
-                    .ok_or_else(|| {
-                        GraphError::LoweringFailed(format!(
-                            "no backend for vertex {} ({name})",
-                            v.id
-                        ))
-                    })?;
-                (
-                    PVertexKind::Compute,
-                    name.clone(),
-                    body.clone(),
-                    sel.0,
-                    sel.1.total_us(),
-                )
+            VertexBody::Sink { .. } => (PVertexKind::Sink, Backend::Cpu, 0.0),
+            VertexBody::IrOp { ops } => {
+                let (backend, cost) = cfg.policy.select(ops, per_shard_rows).ok_or_else(|| {
+                    GraphError::LoweringFailed(format!(
+                        "no backend for vertex {} ({})",
+                        v.id,
+                        v.body.name()
+                    ))
+                })?;
+                (PVertexKind::Compute, backend, cost.total_us())
             }
-            VertexBody::Handcrafted { name, backend } => (
-                PVertexKind::Compute,
-                name.clone(),
-                vec![name.clone()],
-                *backend,
-                handcrafted_cost_us(*backend, per_shard_rows),
-            ),
         };
+        let (op, body) = text(&v.body);
         for shard in 0..shards {
             phys.push_vertex(PhysicalVertex {
                 id: crate::physical::PVertexId(0), // Reassigned by push.
@@ -262,8 +237,8 @@ mod tests {
     fn pipeline_graph() -> (FlowGraph, VertexId, VertexId, VertexId, VertexId) {
         let mut g = FlowGraph::new();
         let src = g.add_source("events", 1 << 20, 64 << 20);
-        let filt = g.add_ir_op("rel.filter", 1 << 20, 32 << 20);
-        let agg = g.add_ir_op("rel.aggregate", 1 << 20, 1 << 10);
+        let filt = g.add_ir_op(Op::Filter, 1 << 20, 32 << 20);
+        let agg = g.add_ir_op(Op::Aggregate, 1 << 20, 1 << 10);
         let sink = g.add_sink("out");
         g.connect(src, filt).unwrap();
         g.connect_keyed(filt, agg, "k").unwrap();
@@ -344,7 +319,7 @@ mod tests {
     fn broadcast_sends_full_copies() {
         let mut g = FlowGraph::new();
         let w = g.add_source("weights", 1 << 10, 4 << 20);
-        let train = g.add_ir_op("tensor.sgd_step", 1 << 20, 4 << 20);
+        let train = g.add_ir_op(Op::SgdStep, 1 << 20, 4 << 20);
         g.connect_broadcast(w, train).unwrap();
         let cfg = LowerConfig::new(4, BackendPolicy::cost_based()).with_parallelism(w, 1);
         let p = lower_graph(&g, &cfg).unwrap();
@@ -362,7 +337,7 @@ mod tests {
     fn backend_selection_uses_policy() {
         let mut g = FlowGraph::new();
         let src = g.add_source("x", 1 << 22, 32 << 20);
-        let mm = g.add_ir_op("tensor.matmul", 1 << 22, 32 << 20);
+        let mm = g.add_ir_op(Op::MatMul, 1 << 22, 32 << 20);
         g.connect(src, mm).unwrap();
         let p = lower_graph(&g, &LowerConfig::new(2, BackendPolicy::cost_based())).unwrap();
         for shard in p.shards_of(mm) {
@@ -375,29 +350,27 @@ mod tests {
     }
 
     #[test]
-    fn handcrafted_keeps_its_backend() {
+    fn a_fused_vertex_is_labelled_by_its_chain() {
         let mut g = FlowGraph::new();
-        let src = g.add_source("x", 1 << 20, 8 << 20);
-        let h = g.add_handcrafted("cudf.join", Backend::Gpu, 1 << 20, 8 << 20);
-        g.connect(src, h).unwrap();
-        let p = lower_graph(&g, &LowerConfig::new(2, BackendPolicy::cpu_only())).unwrap();
-        for shard in p.shards_of(h) {
-            assert_eq!(p.vertex(*shard).backend, Backend::Gpu);
-            assert!(p.vertex(*shard).compute_us > 0.0);
-        }
-    }
-
-    #[test]
-    fn unsupported_op_fails_lowering() {
-        let mut g = FlowGraph::new();
-        let src = g.add_source("x", 10, 10);
-        let bad = g.add_ir_op("tensor.matmul", 10, 10);
-        g.connect(src, bad).unwrap();
-        let cfg = LowerConfig::new(1, BackendPolicy::cost_based().restrict(&[Backend::Fpga]));
-        assert!(matches!(
-            lower_graph(&g, &cfg),
-            Err(GraphError::LoweringFailed(_))
-        ));
+        let src = g.add_source("events", 1000, 8000);
+        let f = g.add_ir_op(Op::Filter, 1000, 4000);
+        let m = g.add_ir_op(Op::Map, 1000, 4000);
+        g.connect(src, f).unwrap();
+        g.connect(f, m).unwrap();
+        crate::optimize::optimize_graph(&mut g);
+        let p = lower_graph(&g, &LowerConfig::new(1, BackendPolicy::cost_based())).unwrap();
+        let text: Vec<(&str, Vec<&str>)> = p
+            .vertices()
+            .iter()
+            .map(|v| (v.op.as_str(), v.body.iter().map(String::as_str).collect()))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                ("events", vec!["events"]),
+                ("kernel.fused", vec!["rel.filter", "tensor.map"])
+            ]
+        );
     }
 
     #[test]

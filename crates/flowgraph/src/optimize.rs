@@ -1,7 +1,7 @@
 //! Graph-level optimization: "optimizes the graph using predefined rules"
 //! (§2.1 step 2).
 //!
-//! Two rules are implemented, mirroring what the IR passes do at op level:
+//! Two rules are implemented:
 //!
 //! 1. **Dead-vertex pruning**: vertices that cannot reach any sink do no
 //!    useful work and are removed.
@@ -9,37 +9,28 @@
 //!    into its only producer — another per-row vertex, or the scan, join
 //!    or aggregate at the head of the chain — so the chain is one task
 //!    per shard with no intermediate objects, which is the paper's
-//!    motivation for cross-domain fusion.
+//!    motivation for cross-domain fusion. Which ops are per-row and which
+//!    may head a chain is [`Op`]'s to say.
 
 use std::collections::HashSet;
+
+use skadi_ir::Op;
 
 use crate::exec::ExecOp;
 use crate::logical::{EdgeKind, FlowGraph, Vertex, VertexBody, VertexId};
 
-/// Per-row (or per-element) ops with one input: any of them may follow
-/// its producer inside one task. Matches the IR-level fusable set, plus
-/// `rel.limit` (a per-shard top-N keeps a superset of the global one).
-fn per_row(name: &str) -> bool {
-    matches!(
-        name,
-        "rel.filter" | "rel.project" | "rel.limit" | "tensor.map" | "tensor.from_frame"
-    )
-}
-
-/// The fused-kernel body `v` contributes as the producer end of a chain:
-/// per-row ops throughout, or headed by a scan, a join or an aggregate.
-/// A source heads a chain only when it carries the scan to run in its
-/// place; any other source is an external input no task can absorb.
-fn producer_body(v: &Vertex) -> Option<Vec<String>> {
+/// The ops `v` contributes as the producer end of a chain: per-row ops
+/// throughout, or headed by a scan, a join or an aggregate. A source heads
+/// a chain only when it carries the scan to run in its place; any other
+/// source is an external input no task can absorb.
+fn producer_ops(v: &Vertex) -> Option<Vec<Op>> {
     match &v.body {
         VertexBody::Source { .. } if matches!(v.exec, Some(ExecOp::Scan { .. })) => {
-            Some(vec!["rel.scan".to_string()])
+            Some(vec![Op::Scan])
         }
-        VertexBody::IrOp { body, .. } => {
-            let (head, rest) = body.split_first()?;
-            let heads =
-                per_row(head) || matches!(head.as_str(), "rel.scan" | "rel.join" | "rel.aggregate");
-            (heads && rest.iter().all(|n| per_row(n))).then(|| body.clone())
+        VertexBody::IrOp { ops } => {
+            let (head, rest) = ops.split_first()?;
+            (head.heads_chain() && rest.iter().all(|op| op.per_row())).then(|| ops.clone())
         }
         _ => None,
     }
@@ -112,7 +103,7 @@ fn prune_dead(g: &mut FlowGraph) -> usize {
 
 /// Fuses one producer-consumer pair joined by a plain data edge, where
 /// the consumer is per-row throughout, the producer can sit in front of
-/// it (see [`producer_body`]), the producer's only consumer is the pair's
+/// it (see [`producer_ops`]), the producer's only consumer is the pair's
 /// consumer and the consumer's only producer is the pair's producer.
 /// Returns true if a rewrite happened.
 fn fuse_one(g: &mut FlowGraph) -> bool {
@@ -120,22 +111,22 @@ fn fuse_one(g: &mut FlowGraph) -> bool {
         if e.kind != EdgeKind::Data {
             return None;
         }
-        let VertexBody::IrOp { body, .. } = &g.vertex(e.to).body else {
+        let VertexBody::IrOp { ops } = &g.vertex(e.to).body else {
             return None;
         };
-        if !body.iter().all(|n| per_row(n)) {
+        if !ops.iter().all(|op| op.per_row()) {
             return None;
         }
         if g.outputs_of(e.from).len() != 1 || g.inputs_of(e.to).len() != 1 {
             return None;
         }
-        Some((e.from, e.to, producer_body(g.vertex(e.from))?))
+        Some((e.from, e.to, producer_ops(g.vertex(e.from))?))
     });
-    let Some((pid, cid, p_body)) = pair else {
+    let Some((pid, cid, p_ops)) = pair else {
         return false;
     };
 
-    // Merge the producer's body into the consumer, then rewire the
+    // Merge the producer's ops into the consumer, then rewire the
     // producer's inputs to the consumer and drop the producer.
     let p_inputs: Vec<(VertexId, EdgeKind, u8)> = g
         .inputs_of(pid)
@@ -150,11 +141,8 @@ fn fuse_one(g: &mut FlowGraph) -> bool {
 
     {
         let c = g.vertex_mut(cid);
-        if let VertexBody::IrOp { name, body } = &mut c.body {
-            let mut merged = p_body;
-            merged.append(body);
-            *body = merged;
-            *name = "kernel.fused".to_string();
+        if let VertexBody::IrOp { ops } = &mut c.body {
+            ops.splice(0..0, p_ops);
         }
         // The fused vertex streams the producer's input cardinality.
         c.rows_hint = c.rows_hint.max(p_rows);
@@ -181,8 +169,8 @@ mod tests {
     fn prunes_unreachable_branch() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let live = g.add_ir_op("rel.filter", 10, 10);
-        let dead = g.add_ir_op("rel.project", 10, 10);
+        let live = g.add_ir_op(Op::Filter, 10, 10);
+        let dead = g.add_ir_op(Op::Project, 10, 10);
         let sink = g.add_sink("out");
         g.connect(s, live).unwrap();
         g.connect(s, dead).unwrap();
@@ -190,15 +178,15 @@ mod tests {
         let report = optimize_graph(&mut g);
         assert_eq!(report.pruned, 1);
         g.validate().unwrap();
-        assert!(g.vertices().iter().all(|v| v.body.name() != "rel.project"));
+        assert!(g.vertices().iter().all(|v| v.body.ops() != [Op::Project]));
     }
 
     #[test]
     fn fuses_linear_chain() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 1000, 8000);
-        let f = g.add_ir_op("rel.filter", 1000, 4000);
-        let m = g.add_ir_op("tensor.map", 1000, 4000);
+        let f = g.add_ir_op(Op::Filter, 1000, 4000);
+        let m = g.add_ir_op(Op::Map, 1000, 4000);
         let sink = g.add_sink("out");
         g.connect(s, f).unwrap();
         g.connect(f, m).unwrap();
@@ -209,17 +197,10 @@ mod tests {
         let fused = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "kernel.fused")
+            .find(|v| v.body.ops().len() > 1)
             .expect("fused vertex");
-        match &fused.body {
-            VertexBody::IrOp { body, .. } => {
-                assert_eq!(
-                    body,
-                    &vec!["rel.filter".to_string(), "tensor.map".to_string()]
-                )
-            }
-            _ => panic!("not an IR op"),
-        }
+        assert_eq!(fused.body.ops(), [Op::Filter, Op::Map]);
+        assert_eq!(fused.body.name(), "kernel.fused");
         g.validate().unwrap();
     }
 
@@ -227,10 +208,10 @@ mod tests {
     fn long_chain_fuses_fully() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let a = g.add_ir_op("rel.filter", 10, 10);
-        let b = g.add_ir_op("rel.project", 10, 10);
-        let c = g.add_ir_op("tensor.from_frame", 10, 10);
-        let d = g.add_ir_op("tensor.map", 10, 10);
+        let a = g.add_ir_op(Op::Filter, 10, 10);
+        let b = g.add_ir_op(Op::Project, 10, 10);
+        let c = g.add_ir_op(Op::FromFrame, 10, 10);
+        let d = g.add_ir_op(Op::Map, 10, 10);
         let sink = g.add_sink("out");
         g.connect(s, a).unwrap();
         g.connect(a, b).unwrap();
@@ -246,9 +227,9 @@ mod tests {
     fn fanout_blocks_fusion() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let f = g.add_ir_op("rel.filter", 10, 10);
-        let p1 = g.add_ir_op("rel.project", 10, 10);
-        let p2 = g.add_ir_op("rel.project", 10, 10);
+        let f = g.add_ir_op(Op::Filter, 10, 10);
+        let p1 = g.add_ir_op(Op::Project, 10, 10);
+        let p2 = g.add_ir_op(Op::Project, 10, 10);
         let k1 = g.add_sink("o1");
         let k2 = g.add_sink("o2");
         g.connect(s, f).unwrap();
@@ -265,8 +246,8 @@ mod tests {
     fn keyed_edges_block_fusion() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let f = g.add_ir_op("rel.filter", 10, 10);
-        let m = g.add_ir_op("tensor.map", 10, 10);
+        let f = g.add_ir_op(Op::Filter, 10, 10);
+        let m = g.add_ir_op(Op::Map, 10, 10);
         let sink = g.add_sink("out");
         g.connect(s, f).unwrap();
         g.connect_keyed(f, m, "k").unwrap();
@@ -279,9 +260,9 @@ mod tests {
     fn an_aggregate_consumer_never_fuses() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let f = g.add_ir_op("rel.filter", 10, 10);
-        let a = g.add_ir_op("rel.aggregate", 10, 10);
-        let l = g.add_ir_op("rel.limit", 10, 10);
+        let f = g.add_ir_op(Op::Filter, 10, 10);
+        let a = g.add_ir_op(Op::Aggregate, 10, 10);
+        let l = g.add_ir_op(Op::Limit, 10, 10);
         let sink = g.add_sink("out");
         g.connect(s, f).unwrap();
         g.connect(f, a).unwrap();
@@ -291,8 +272,11 @@ mod tests {
         // vertex that results is no per-row consumer for the filter.
         let report = optimize_graph(&mut g);
         assert_eq!(report.fused, 1);
-        let names: Vec<&str> = g.vertices().iter().map(|v| v.body.name()).collect();
-        assert_eq!(names, ["in", "rel.filter", "kernel.fused", "out"]);
+        let ops: Vec<&[Op]> = g.vertices().iter().map(|v| v.body.ops()).collect();
+        assert_eq!(
+            ops,
+            [&[][..], &[Op::Filter], &[Op::Aggregate, Op::Limit], &[]]
+        );
     }
 
     #[test]
@@ -300,9 +284,9 @@ mod tests {
         let mut g = FlowGraph::new();
         let s = g.add_source("t", 100, 800);
         g.set_exec(s, ExecOp::Scan { table: "t".into() });
-        let p = g.add_ir_op("rel.project", 100, 400);
+        let p = g.add_ir_op(Op::Project, 100, 400);
         g.set_exec(p, ExecOp::Project { columns: vec![] });
-        let f = g.add_ir_op("rel.filter", 100, 200);
+        let f = g.add_ir_op(Op::Filter, 100, 200);
         g.set_exec(f, ExecOp::Filter { conjuncts: vec![] });
         let sink = g.add_sink("out");
         g.connect(s, p).unwrap();
@@ -312,13 +296,7 @@ mod tests {
         assert_eq!(report.fused, 2);
         assert_eq!(g.len(), 2);
         let fused = &g.vertices()[0];
-        match &fused.body {
-            VertexBody::IrOp { name, body } => {
-                assert_eq!(name, "kernel.fused");
-                assert_eq!(body, &["rel.scan", "rel.project", "rel.filter"]);
-            }
-            other => panic!("not an IR op: {other:?}"),
-        }
+        assert_eq!(fused.body.ops(), [Op::Scan, Op::Project, Op::Filter]);
         assert_eq!(
             fused.exec,
             Some(ExecOp::Fused(vec![
@@ -336,8 +314,8 @@ mod tests {
         let mut g = FlowGraph::new();
         let l = g.add_source("l", 10, 10);
         let r = g.add_source("r", 10, 10);
-        let j = g.add_ir_op("rel.join", 10, 10);
-        let p = g.add_ir_op("rel.project", 10, 10);
+        let j = g.add_ir_op(Op::Join, 10, 10);
+        let p = g.add_ir_op(Op::Project, 10, 10);
         let sink = g.add_sink("out");
         g.connect_keyed(l, j, "k").unwrap();
         g.connect_keyed_port(r, j, "k", 1).unwrap();
@@ -348,7 +326,7 @@ mod tests {
         let fused = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "kernel.fused")
+            .find(|v| v.body.ops() == [Op::Join, Op::Project])
             .expect("fused vertex");
         let ports: Vec<u8> = g
             .inputs_of(fused.id)
@@ -362,7 +340,7 @@ mod tests {
     fn no_sinks_means_no_pruning() {
         let mut g = FlowGraph::new();
         let s = g.add_source("in", 10, 10);
-        let f = g.add_ir_op("rel.aggregate", 10, 10);
+        let f = g.add_ir_op(Op::Aggregate, 10, 10);
         g.connect(s, f).unwrap();
         let report = optimize_graph(&mut g);
         assert_eq!(report.pruned, 0);

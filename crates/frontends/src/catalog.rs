@@ -1,14 +1,13 @@
-//! Table catalog: schemas and cardinality hints for planning.
+//! Table catalog: column names and cardinality hints for planning.
 
 use std::collections::BTreeMap;
 
-use skadi_ir::types::ScalarType;
-
-/// One base table's description.
+/// One base table's description. The planner resolves names and sizes
+/// stages; it never reads a column's type, so none is kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
-    /// Column names and types.
-    pub columns: Vec<(String, ScalarType)>,
+    /// Column names, in table order.
+    pub columns: Vec<String>,
     /// Estimated row count.
     pub rows: u64,
     /// Estimated total size in bytes.
@@ -17,9 +16,9 @@ pub struct TableDef {
 
 impl TableDef {
     /// Builds a table definition.
-    pub fn new(columns: &[(&str, ScalarType)], rows: u64, bytes: u64) -> Self {
+    pub fn new(columns: &[&str], rows: u64, bytes: u64) -> Self {
         TableDef {
-            columns: columns.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
+            columns: columns.iter().map(|n| n.to_string()).collect(),
             rows,
             bytes,
         }
@@ -27,7 +26,7 @@ impl TableDef {
 
     /// True if the table has the named column.
     pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|(n, _)| n == name)
+        self.columns.iter().any(|n| n == name)
     }
 }
 
@@ -60,28 +59,11 @@ impl Catalog {
         Catalog::new()
             .table(
                 "events",
-                TableDef::new(
-                    &[
-                        ("user_id", ScalarType::I64),
-                        ("ts", ScalarType::I64),
-                        ("kind", ScalarType::Str),
-                        ("value", ScalarType::F64),
-                    ],
-                    10_000_000,
-                    640 << 20,
-                ),
+                TableDef::new(&["user_id", "ts", "kind", "value"], 10_000_000, 640 << 20),
             )
             .table(
                 "users",
-                TableDef::new(
-                    &[
-                        ("user_id", ScalarType::I64),
-                        ("country", ScalarType::Str),
-                        ("age", ScalarType::I64),
-                    ],
-                    1_000_000,
-                    48 << 20,
-                ),
+                TableDef::new(&["user_id", "country", "age"], 1_000_000, 48 << 20),
             )
     }
 }

@@ -14,9 +14,9 @@
 //! on FNV-1a hashes of the raw column bytes with a typed equality check
 //! on collision — no per-row `String` rendering anywhere on the join or
 //! group-by key path. Each relational operator also records a
-//! wall-clock [`Category::Exec`] span (named after the planner's
-//! [`ops`] vertices) so a traced query correlates real compute with the
-//! simulated plan.
+//! wall-clock [`Category::Exec`] span (named by its [`Op`], as the
+//! planner's vertices are) so a traced query correlates real compute with
+//! the simulated plan.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -30,12 +30,11 @@ use skadi_arrow::schema::{Field, Schema};
 use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
 use skadi_dcsim::time::SimTime;
 use skadi_flowgraph::profile::{QueryProfile, ShardStats};
+use skadi_ir::Op;
 
 use crate::catalog::{Catalog, TableDef};
 use crate::sql::ast::{Comparison, Expr, Literal, Query};
-use crate::sql::planner::ops;
 use crate::sql::{parse, tokenize, SqlError};
-use skadi_ir::types::ScalarType;
 
 pub mod parallel;
 pub mod pool;
@@ -110,31 +109,22 @@ impl MemDb {
         Ok(profile.render(true))
     }
 
-    /// Derives a planner [`Catalog`] from the registered tables: schemas
-    /// from the batches, cardinalities from their actual row counts and
-    /// byte sizes — so the same database drives both real execution and
+    /// Derives a planner [`Catalog`] from the registered tables: column
+    /// names from the batches, cardinalities from their actual row counts
+    /// and byte sizes — so the same database drives both real execution and
     /// simulated distributed execution.
     pub fn catalog(&self) -> Catalog {
         let mut c = Catalog::new();
         for (name, batch) in &self.tables {
-            let columns: Vec<(String, ScalarType)> = batch
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| {
-                    let t = match f.data_type {
-                        DataType::Int64 => ScalarType::I64,
-                        DataType::Float64 => ScalarType::F64,
-                        DataType::Bool => ScalarType::Bool,
-                        DataType::Utf8 | DataType::DictUtf8 => ScalarType::Str,
-                    };
-                    (f.name.clone(), t)
-                })
-                .collect();
             c = c.table(
                 name,
                 TableDef {
-                    columns,
+                    columns: batch
+                        .schema()
+                        .fields()
+                        .iter()
+                        .map(|f| f.name.clone())
+                        .collect(),
                     rows: batch.num_rows() as u64,
                     bytes: batch.byte_size() as u64,
                 },
@@ -236,7 +226,7 @@ impl ExecSpans<'_> {
     #[allow(clippy::too_many_arguments)]
     fn op_ext(
         &mut self,
-        name: &str,
+        op: Op,
         start: SimTime,
         rows_in: usize,
         rows_out: usize,
@@ -247,7 +237,7 @@ impl ExecSpans<'_> {
         let end = SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64);
         if let Some((tracer, root)) = &mut self.inner {
             tracer.span(
-                name,
+                op.name(),
                 "exec",
                 Category::Exec,
                 Some(*root),
@@ -261,7 +251,7 @@ impl ExecSpans<'_> {
         }
         if let Some(chain) = &mut self.profile {
             chain.push((
-                name.to_string(),
+                op.name().to_string(),
                 ShardStats {
                     shard: 0,
                     rows_in: rows_in as u64,
@@ -558,7 +548,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
     let t0 = spans.now();
     let mut current = db.table(&q.from)?.clone();
     spans.op_ext(
-        ops::SCAN,
+        Op::Scan,
         t0,
         current.num_rows(),
         current.num_rows(),
@@ -581,7 +571,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let rows_in = current.num_rows();
         current = apply_conjuncts(&current, &pushed)?;
         spans.op_ext(
-            ops::FILTER,
+            Op::Filter,
             t0,
             rows_in,
             current.num_rows(),
@@ -598,7 +588,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, &mut ks)?;
         current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
         spans.op_ext(
-            ops::JOIN,
+            Op::Join,
             t0,
             rows_in,
             current.num_rows(),
@@ -612,7 +602,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let rows_in = current.num_rows();
         current = apply_conjuncts(&current, &residual)?;
         spans.op_ext(
-            ops::FILTER,
+            Op::Filter,
             t0,
             rows_in,
             current.num_rows(),
@@ -628,7 +618,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let mut ks = KernelStats::default();
         current = aggregate_with_stats(q, &current, &mut ks)?;
         spans.op_ext(
-            ops::AGGREGATE,
+            Op::Aggregate,
             t0,
             rows_in,
             current.num_rows(),
@@ -642,7 +632,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
             let t0 = spans.now();
             current = current.project(&cols).map_err(wrap)?;
             spans.op_ext(
-                ops::PROJECT,
+                Op::Project,
                 t0,
                 current.num_rows(),
                 current.num_rows(),
@@ -657,7 +647,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let t0 = spans.now();
         current = sort_by(&current, &ob.column, ob.descending)?;
         spans.op_ext(
-            ops::SORT,
+            Op::Sort,
             t0,
             current.num_rows(),
             current.num_rows(),
@@ -672,7 +662,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         let keep = (n.max(0) as usize).min(current.num_rows());
         current = current.slice(0, keep);
         spans.op_ext(
-            ops::LIMIT,
+            Op::Limit,
             t0,
             rows_in,
             current.num_rows(),
@@ -1076,12 +1066,12 @@ mod tests {
             names,
             vec![
                 "query",
-                ops::SCAN,
-                ops::FILTER,
-                ops::JOIN,
-                ops::AGGREGATE,
-                ops::SORT,
-                ops::LIMIT
+                "rel.scan",
+                "rel.filter",
+                "rel.join",
+                "rel.aggregate",
+                "rel.sort",
+                "rel.limit"
             ]
         );
         assert_eq!(trace.count_category(Category::Exec), names.len());
@@ -1094,7 +1084,7 @@ mod tests {
         let agg = trace
             .spans()
             .iter()
-            .find(|s| s.name == ops::AGGREGATE)
+            .find(|s| s.name == Op::Aggregate.name())
             .unwrap();
         assert_eq!(agg.attr("rows_out"), Some("2"));
         // The untraced path computes the identical answer.

@@ -9,6 +9,7 @@
 //! compile-time answer.
 
 use skadi_flowgraph::{FlowGraph, GraphError, VertexId};
+use skadi_ir::Op;
 
 /// A declared iterative vertex program.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +54,7 @@ impl VertexProgram {
         let mut head = src;
         for _ in 0..self.supersteps {
             // Gather + apply: aggregate messages by destination vertex.
-            let apply = g.add_ir_op("rel.aggregate", self.edges, msg_bytes);
+            let apply = g.add_ir_op(Op::Aggregate, self.edges, msg_bytes);
             g.connect_keyed(head, apply, "dst")?;
             head = apply;
         }
@@ -79,7 +80,7 @@ mod tests {
         let aggs = g
             .vertices()
             .iter()
-            .filter(|v| v.body.name() == "rel.aggregate")
+            .filter(|v| v.body.ops() == [Op::Aggregate])
             .count();
         assert_eq!(aggs, 5);
     }
@@ -98,7 +99,7 @@ mod tests {
         assert_eq!(keyed, 3);
         // The chain ends at the sink.
         let last = g.inputs_of(sink)[0];
-        assert_eq!(g.vertex(last).body.name(), "rel.aggregate");
+        assert_eq!(g.vertex(last).body.ops(), [Op::Aggregate]);
     }
 
     #[test]
@@ -110,12 +111,12 @@ mod tests {
         let s = gs
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.aggregate")
+            .find(|v| v.body.ops() == [Op::Aggregate])
             .unwrap();
         let b = gb
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.aggregate")
+            .find(|v| v.body.ops() == [Op::Aggregate])
             .unwrap();
         assert!(b.output_bytes_hint > s.output_bytes_hint * 100);
     }

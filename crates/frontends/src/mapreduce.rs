@@ -5,6 +5,7 @@
 //! vertex, and the reduction lands in a sink.
 
 use skadi_flowgraph::{FlowGraph, GraphError, VertexId};
+use skadi_ir::Op;
 
 /// A declared MapReduce job.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +60,9 @@ impl MapReduceJob {
         // A map is a per-row transform: the fusable tensor.map op name
         // would be wrong here (frames), so use rel.project + rel.filter
         // semantics rolled into a filter-like op.
-        let map = g.add_ir_op("rel.filter", map_rows, map_bytes);
+        let map = g.add_ir_op(Op::Filter, map_rows, map_bytes);
         let red_bytes = ((map_bytes as f64) * self.reduce_factor).max(64.0) as u64;
-        let red = g.add_ir_op("rel.aggregate", map_rows, red_bytes);
+        let red = g.add_ir_op(Op::Aggregate, map_rows, red_bytes);
         let sink = g.add_sink(&format!("{}-result", self.input));
         g.connect(src, map)?;
         g.connect_keyed(map, red, &self.key)?;
@@ -107,13 +108,13 @@ mod tests {
         let map = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.filter")
+            .find(|v| v.body.ops() == [Op::Filter])
             .unwrap();
         assert_eq!(map.rows_hint, 100);
         let red = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.aggregate")
+            .find(|v| v.body.ops() == [Op::Aggregate])
             .unwrap();
         assert!(red.output_bytes_hint < map.output_bytes_hint);
     }

@@ -9,6 +9,7 @@
 //! gang-scheduling discussion targets.
 
 use skadi_flowgraph::{FlowGraph, GraphError, VertexId};
+use skadi_ir::Op;
 
 /// A declared training pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,20 +62,20 @@ impl TrainingPipeline {
                 self.batch_bytes,
             );
             // Feature extraction: frame -> tensor (fusable, cross-domain).
-            let feats = g.add_ir_op("tensor.from_frame", self.batch_rows, self.batch_bytes);
+            let feats = g.add_ir_op(Op::FromFrame, self.batch_rows, self.batch_bytes);
             g.connect(batch, feats)?;
             // Forward pass.
-            let fwd = g.add_ir_op("tensor.matmul", self.batch_rows, self.batch_bytes);
+            let fwd = g.add_ir_op(Op::MatMul, self.batch_rows, self.batch_bytes);
             g.connect(feats, fwd)?;
             g.connect_broadcast(weights, fwd)?;
             // Activation.
-            let act = g.add_ir_op("tensor.map", self.batch_rows, self.batch_bytes);
+            let act = g.add_ir_op(Op::Map, self.batch_rows, self.batch_bytes);
             g.connect(fwd, act)?;
             // Backward pass (gradient wrt weights).
-            let grad = g.add_ir_op("tensor.matmul", self.batch_rows, self.weight_bytes);
+            let grad = g.add_ir_op(Op::MatMul, self.batch_rows, self.weight_bytes);
             g.connect(act, grad)?;
             // Optimizer step: new weights.
-            let sgd = g.add_ir_op("tensor.sgd_step", 1, self.weight_bytes);
+            let sgd = g.add_ir_op(Op::SgdStep, 1, self.weight_bytes);
             g.connect(grad, sgd)?;
             g.connect_broadcast(weights, sgd)?;
             weights = sgd;
@@ -96,10 +97,10 @@ mod tests {
         let (g, _) = TrainingPipeline::new("mnist", 1 << 10, 4 << 20, 1 << 20)
             .to_flowgraph()
             .unwrap();
-        let names: Vec<&str> = g.vertices().iter().map(|v| v.body.name()).collect();
-        assert!(names.contains(&"tensor.matmul"));
-        assert!(names.contains(&"tensor.sgd_step"));
-        assert!(names.contains(&"tensor.from_frame"));
+        let ops: Vec<&[Op]> = g.vertices().iter().map(|v| v.body.ops()).collect();
+        for op in [Op::MatMul, Op::SgdStep, Op::FromFrame] {
+            assert!(ops.contains(&&[op][..]), "{op:?}");
+        }
         // init weights + batch + 5 compute + sink.
         assert_eq!(g.len(), 8);
     }
@@ -113,12 +114,12 @@ mod tests {
         let sgd_count = g
             .vertices()
             .iter()
-            .filter(|v| v.body.name() == "tensor.sgd_step")
+            .filter(|v| v.body.ops() == [Op::SgdStep])
             .count();
         assert_eq!(sgd_count, 3);
         // The sink consumes the last sgd step.
         let last = g.inputs_of(sink)[0];
-        assert_eq!(g.vertex(last).body.name(), "tensor.sgd_step");
+        assert_eq!(g.vertex(last).body.ops(), [Op::SgdStep]);
         g.validate().unwrap();
     }
 

@@ -25,24 +25,22 @@ const CONJUNCT_SELECTIVITY: f64 = 0.4;
 /// Assumed group-count reduction of an aggregation.
 const AGG_REDUCTION: f64 = 0.01;
 
-/// Relational operator names, shared between the planner's FlowGraph
-/// vertices and the local engine's exec spans so a priced plan and a real
-/// execution correlate by name.
+/// The text names of the relational ops, for readers that match on a
+/// profile's or a trace's op name. Plans and the local engine's spans name
+/// their ops with [`skadi_ir::Op`] itself.
 pub mod ops {
-    /// Base-table scan (planner: the source vertex named after the table).
-    pub const SCAN: &str = "rel.scan";
+    use skadi_ir::Op;
+
+    /// Base-table scan.
+    pub const SCAN: &str = Op::Scan.name();
     /// WHERE conjunction.
-    pub const FILTER: &str = "rel.filter";
+    pub const FILTER: &str = Op::Filter.name();
     /// Hash equi-join.
-    pub const JOIN: &str = "rel.join";
+    pub const JOIN: &str = Op::Join.name();
     /// GROUP BY / global aggregation.
-    pub const AGGREGATE: &str = "rel.aggregate";
-    /// Column projection.
-    pub const PROJECT: &str = "rel.project";
+    pub const AGGREGATE: &str = Op::Aggregate.name();
     /// ORDER BY (local engine only: a distributed plan orders at its sink).
-    pub const SORT: &str = "rel.sort";
-    /// LIMIT.
-    pub const LIMIT: &str = "rel.limit";
+    pub const SORT: &str = Op::Sort.name();
 }
 
 fn exec_literal(l: &Literal) -> ExecLiteral {
@@ -107,7 +105,7 @@ impl Head {
         );
         Head {
             at,
-            cols: def.columns.iter().map(|(c, _)| c.clone()).collect(),
+            cols: def.columns.clone(),
             rows: def.rows,
             bytes: def.bytes,
         }
@@ -124,9 +122,8 @@ impl Head {
 
     /// Appends a single-input operator on a plain data edge, sized by the
     /// current estimate.
-    fn push(&mut self, g: &mut FlowGraph, op: &str, exec: ExecOp) -> Result<(), SqlError> {
-        let v = g.add_ir_op(op, self.rows, self.bytes);
-        g.set_exec(v, exec);
+    fn push(&mut self, g: &mut FlowGraph, exec: ExecOp) -> Result<(), SqlError> {
+        let v = g.add_exec(exec, self.rows, self.bytes);
         g.connect(self.at, v)?;
         self.at = v;
         Ok(())
@@ -140,7 +137,7 @@ impl Head {
     fn project(&mut self, g: &mut FlowGraph, columns: Vec<String>) -> Result<(), SqlError> {
         self.scale(1.0, columns.len() as f64 / self.cols.len().max(1) as f64);
         self.cols.clone_from(&columns);
-        self.push(g, ops::PROJECT, ExecOp::Project { columns })
+        self.push(g, ExecOp::Project { columns })
     }
 
     /// Column pruning: projects down to the columns `keep` accepts, if
@@ -167,7 +164,7 @@ impl Head {
                 value: exec_literal(&c.value),
             })
             .collect();
-        self.push(g, ops::FILTER, ExecOp::Filter { conjuncts })
+        self.push(g, ExecOp::Filter { conjuncts })
     }
 }
 
@@ -241,14 +238,14 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
 
         head.rows = head.rows.max(right.rows);
         head.bytes += right.bytes / 4;
-        let join = g.add_ir_op(ops::JOIN, head.rows, head.bytes);
-        g.set_exec(
-            join,
+        let join = g.add_exec(
             ExecOp::Join {
                 left_key: j.left_key.clone(),
                 right_key: j.right_key.clone(),
                 right_rows: right_def.rows,
             },
+            head.rows,
+            head.bytes,
         );
         g.connect_keyed(head.at, join, &j.left_key)?;
         g.connect_keyed_port(right.at, join, &j.right_key, 1)?;
@@ -277,15 +274,15 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         let rows_in = head.rows;
         head.scale(AGG_REDUCTION, AGG_REDUCTION);
         head.bytes = head.bytes.max(64);
-        let agg = g.add_ir_op(ops::AGGREGATE, rows_in, head.bytes);
         head.cols = q.group_by.clone();
         head.cols.extend(aggs.iter().map(|a| a.name.clone()));
-        g.set_exec(
-            agg,
+        let agg = g.add_exec(
             ExecOp::Aggregate {
                 group_by: q.group_by.clone(),
                 aggs,
             },
+            rows_in,
+            head.bytes,
         );
         match q.group_by.first() {
             Some(k) => g.connect_keyed(head.at, agg, k)?,
@@ -313,7 +310,7 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         head.rows = head.rows.min(n);
         head.bytes = head.bytes.min(head.rows.saturating_mul(64).max(64));
         let order = order.clone();
-        head.push(g, ops::LIMIT, ExecOp::Limit { n, order })?;
+        head.push(g, ExecOp::Limit { n, order })?;
     }
 
     let sink = g.add_sink("result");
@@ -333,6 +330,7 @@ mod tests {
     use super::super::plan_sql;
     use super::*;
     use skadi_flowgraph::EdgeKind;
+    use skadi_ir::Op;
 
     fn names(g: &FlowGraph) -> Vec<String> {
         g.vertices()
@@ -375,7 +373,7 @@ mod tests {
         let join = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.join")
+            .find(|v| v.body.ops() == [Op::Join])
             .unwrap()
             .id;
         for input in g.inputs_of(join) {
@@ -396,7 +394,7 @@ mod tests {
         let agg = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.aggregate")
+            .find(|v| v.body.ops() == [Op::Aggregate])
             .unwrap();
         let input = g.inputs_of(agg.id)[0];
         assert_eq!(
@@ -505,18 +503,7 @@ mod tests {
 
     #[test]
     fn a_right_column_the_left_side_shadows_is_not_scanned() {
-        let c = Catalog::demo().table(
-            "clicks",
-            TableDef::new(
-                &[
-                    ("uid", skadi_ir::types::ScalarType::I64),
-                    ("kind", skadi_ir::types::ScalarType::Str),
-                    ("age", skadi_ir::types::ScalarType::I64),
-                ],
-                100,
-                1000,
-            ),
-        );
+        let c = Catalog::demo().table("clicks", TableDef::new(&["uid", "kind", "age"], 100, 1000));
         // `kind` resolves to events.kind, so clicks ships its key and `age`.
         let (g, _) = plan_sql(
             "SELECT kind, age FROM events JOIN clicks ON user_id = uid",
@@ -581,7 +568,7 @@ mod tests {
         let filt = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.filter")
+            .find(|v| v.body.ops() == [Op::Filter])
             .unwrap();
         assert!(filt.rows_hint < scan.rows_hint / 5);
     }

@@ -8,6 +8,7 @@
 //! the ML frontend threads weights).
 
 use skadi_flowgraph::{FlowGraph, GraphError, VertexId};
+use skadi_ir::Op;
 
 /// A declared micro-batch streaming job.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +70,11 @@ impl StreamJob {
                 self.batch_bytes,
             );
             // Per-batch stateless transform (fusable per-row work).
-            let transform = g.add_ir_op("rel.filter", self.batch_rows, t_bytes);
+            let transform = g.add_ir_op(Op::Filter, self.batch_rows, t_bytes);
             g.connect(src, transform)?;
             // Stateful windowed aggregation: shuffled by key, fed by the
             // previous window's state.
-            let window = g.add_ir_op("rel.aggregate", t_rows, state_bytes);
+            let window = g.add_ir_op(Op::Aggregate, t_rows, state_bytes);
             g.connect_keyed(transform, window, &self.key)?;
             if let Some(prev) = window_state {
                 g.connect_keyed(prev, window, &self.key)?;
@@ -103,7 +104,7 @@ mod tests {
         let windows = g
             .vertices()
             .iter()
-            .filter(|v| v.body.name() == "rel.aggregate")
+            .filter(|v| v.body.ops() == [Op::Aggregate])
             .count();
         assert_eq!(windows, 5);
     }
@@ -119,7 +120,7 @@ mod tests {
         let windows: Vec<VertexId> = g
             .vertices()
             .iter()
-            .filter(|v| v.body.name() == "rel.aggregate")
+            .filter(|v| v.body.ops() == [Op::Aggregate])
             .map(|v| v.id)
             .collect();
         assert_eq!(g.inputs_of(windows[0]).len(), 1);
@@ -153,7 +154,7 @@ mod tests {
         let t = g
             .vertices()
             .iter()
-            .find(|v| v.body.name() == "rel.filter")
+            .find(|v| v.body.ops() == [Op::Filter])
             .unwrap();
         assert_eq!(t.rows_hint, 1000);
         assert_eq!(t.output_bytes_hint, (1u64 << 20) / 10);

@@ -1,212 +1,115 @@
-//! SSA operations and attributes.
+//! The op vocabulary.
+//!
+//! One [`Op`] per hardware-agnostic operation that something in the tree
+//! emits: the SQL planner and the local engine's spans (the `rel.*` ops),
+//! the estimate-only frontends (relational and `tensor.*` ops) and E13.
+//! Every `match` on an op is wildcard-free, so a new variant does not
+//! compile until it has a name, a role here and a row in the cost table
+//! ([`crate::backend`]).
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// An SSA value identifier (`%3` in the textual form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ValueId(pub u32);
-
-impl fmt::Display for ValueId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "%{}", self.0)
-    }
-}
-
-/// An operation identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OpId(pub u32);
-
-impl fmt::Display for OpId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "op{}", self.0)
-    }
-}
-
-/// The dialect an op belongs to. Mirrors the paper's tiering: high-level
-/// domain dialects get progressively lowered to the kernel dialect that
-/// names a hardware backend.
+/// A hardware-agnostic op a FlowGraph vertex runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dialect {
-    /// Relational algebra (scan/filter/project/join/aggregate).
-    Relational,
-    /// Dense linear algebra / elementwise tensor ops.
-    Tensor,
-    /// Scalar arithmetic and constants.
-    Scalar,
-    /// Backend-annotated executable kernels (the lowered form).
-    Kernel,
-    /// Structural ops (outputs, identity).
-    Builtin,
+pub enum Op {
+    /// Read a base table.
+    Scan,
+    /// Keep the rows passing a predicate.
+    Filter,
+    /// Keep some columns.
+    Project,
+    /// Hash equi-join of two keyed inputs.
+    Join,
+    /// Grouped or global aggregation.
+    Aggregate,
+    /// Order rows (the local engine's ORDER BY; a distributed plan orders
+    /// at its sink).
+    Sort,
+    /// Keep the first rows.
+    Limit,
+    /// Frame → tensor feature extraction.
+    FromFrame,
+    /// Element-wise tensor map.
+    Map,
+    /// Matrix multiply.
+    MatMul,
+    /// One optimizer step over the weights.
+    SgdStep,
 }
 
-impl fmt::Display for Dialect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Dialect::Relational => "rel",
-            Dialect::Tensor => "tensor",
-            Dialect::Scalar => "scalar",
-            Dialect::Kernel => "kernel",
-            Dialect::Builtin => "builtin",
-        };
-        f.write_str(s)
-    }
+/// An op's place in a fused chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// One input, row by row: may follow its producer inside one task.
+    PerRow,
+    /// May start a chain that per-row ops follow, but follows nothing.
+    Head,
+    /// Neither: runs as a task of its own.
+    Alone,
 }
 
-/// An attribute value attached to an op.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Attr {
-    /// Integer attribute.
-    Int(i64),
-    /// Float attribute.
-    Float(f64),
-    /// String attribute (predicates, column lists, table names).
-    Str(String),
-    /// Boolean attribute.
-    Bool(bool),
-    /// List of integers.
-    IntList(Vec<i64>),
-    /// List of strings.
-    StrList(Vec<String>),
-}
-
-impl Attr {
-    /// The string payload, if this is a string attribute.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Attr::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is an int attribute.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Attr::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The float payload, accepting ints too.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Attr::Float(v) => Some(*v),
-            Attr::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The string-list payload, if present.
-    pub fn as_str_list(&self) -> Option<&[String]> {
-        match self {
-            Attr::StrList(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Attr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Attr::Int(v) => write!(f, "{v}"),
-            // Always keep a decimal point so the textual form re-parses
-            // as a float, not an int.
-            Attr::Float(v) => write!(f, "{v:?}"),
-            Attr::Str(v) => write!(f, "{v:?}"),
-            Attr::Bool(v) => write!(f, "{v}"),
-            Attr::IntList(v) => write!(f, "{v:?}"),
-            Attr::StrList(v) => write!(f, "{v:?}"),
-        }
-    }
-}
-
-/// One SSA operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Op {
-    /// Identity within the module.
-    pub id: OpId,
-    /// Fully-qualified name, e.g. `rel.filter`.
-    pub name: String,
-    /// Owning dialect.
-    pub dialect: Dialect,
-    /// Input values.
-    pub operands: Vec<ValueId>,
-    /// Output values (usually exactly one).
-    pub results: Vec<ValueId>,
-    /// Attributes, sorted by key for deterministic printing/hashing.
-    pub attrs: BTreeMap<String, Attr>,
-}
+/// What a vertex running a fused chain of ops is called.
+const FUSED: &str = "kernel.fused";
 
 impl Op {
-    /// The single result of the op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op does not have exactly one result.
-    pub fn result(&self) -> ValueId {
-        assert_eq!(
-            self.results.len(),
-            1,
-            "{} has {} results",
-            self.name,
-            self.results.len()
-        );
-        self.results[0]
+    /// Every op, in declaration order.
+    pub const ALL: [Op; 11] = [
+        Op::Scan,
+        Op::Filter,
+        Op::Project,
+        Op::Join,
+        Op::Aggregate,
+        Op::Sort,
+        Op::Limit,
+        Op::FromFrame,
+        Op::Map,
+        Op::MatMul,
+        Op::SgdStep,
+    ];
+
+    /// The op's text name, as plans, traces and profiles print it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Op::Scan => "rel.scan",
+            Op::Filter => "rel.filter",
+            Op::Project => "rel.project",
+            Op::Join => "rel.join",
+            Op::Aggregate => "rel.aggregate",
+            Op::Sort => "rel.sort",
+            Op::Limit => "rel.limit",
+            Op::FromFrame => "tensor.from_frame",
+            Op::Map => "tensor.map",
+            Op::MatMul => "tensor.matmul",
+            Op::SgdStep => "tensor.sgd_step",
+        }
     }
 
-    /// Reads a named attribute.
-    pub fn attr(&self, key: &str) -> Option<&Attr> {
-        self.attrs.get(key)
+    fn role(self) -> Role {
+        match self {
+            // A per-shard top-N keeps a superset of the global one.
+            Op::Filter | Op::Project | Op::Limit | Op::FromFrame | Op::Map => Role::PerRow,
+            Op::Scan | Op::Join | Op::Aggregate => Role::Head,
+            Op::Sort | Op::MatMul | Op::SgdStep => Role::Alone,
+        }
     }
 
-    /// A structural fingerprint used by CSE: name + operands + attrs
-    /// (results excluded).
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(s, "{}(", self.name);
-        for o in &self.operands {
-            let _ = write!(s, "{o},");
-        }
-        let _ = write!(s, ")[");
-        for (k, v) in &self.attrs {
-            let _ = write!(s, "{k}={v};");
-        }
-        s.push(']');
-        s
+    /// True for ops with one input that work row by row: any of them may
+    /// follow its producer inside one task.
+    pub fn per_row(self) -> bool {
+        self.role() == Role::PerRow
     }
-}
 
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{r}")?;
+    /// True for ops a fused chain may start with: the per-row ops, a scan,
+    /// a join or an aggregate.
+    pub fn heads_chain(self) -> bool {
+        self.role() != Role::Alone
+    }
+
+    /// The name of a vertex that runs `ops` in order: the op's own name,
+    /// or `kernel.fused` for a chain of several.
+    pub fn label(ops: &[Op]) -> &'static str {
+        match ops {
+            [op] => op.name(),
+            _ => FUSED,
         }
-        if !self.results.is_empty() {
-            write!(f, " = ")?;
-        }
-        write!(f, "{}(", self.name)?;
-        for (i, o) in self.operands.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{o}")?;
-        }
-        write!(f, ")")?;
-        if !self.attrs.is_empty() {
-            write!(f, " {{")?;
-            for (i, (k, v)) in self.attrs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{k} = {v}")?;
-            }
-            write!(f, "}}")?;
-        }
-        Ok(())
     }
 }
 
@@ -214,49 +117,34 @@ impl fmt::Display for Op {
 mod tests {
     use super::*;
 
-    fn sample() -> Op {
-        let mut attrs = BTreeMap::new();
-        attrs.insert("pred".to_string(), Attr::Str("x > 1".into()));
-        attrs.insert("limit".to_string(), Attr::Int(5));
-        Op {
-            id: OpId(0),
-            name: "rel.filter".into(),
-            dialect: Dialect::Relational,
-            operands: vec![ValueId(1)],
-            results: vec![ValueId(2)],
-            attrs,
-        }
+    #[test]
+    fn names_are_distinct_and_dialect_prefixed() {
+        let mut names: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        assert!(names
+            .iter()
+            .all(|n| n.starts_with("rel.") || n.starts_with("tensor.")));
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Op::ALL.len());
     }
 
     #[test]
-    fn display_is_mlir_like() {
-        let s = sample().to_string();
-        assert_eq!(s, "%2 = rel.filter(%1) {limit = 5, pred = \"x > 1\"}");
+    fn roles_match_the_parent_fusion_rules() {
+        let per_row: Vec<Op> = Op::ALL.into_iter().filter(|op| op.per_row()).collect();
+        assert_eq!(
+            per_row,
+            [Op::Filter, Op::Project, Op::Limit, Op::FromFrame, Op::Map]
+        );
+        let heads: Vec<Op> = Op::ALL
+            .into_iter()
+            .filter(|op| op.heads_chain() && !op.per_row())
+            .collect();
+        assert_eq!(heads, [Op::Scan, Op::Join, Op::Aggregate]);
     }
 
     #[test]
-    fn fingerprint_ignores_results() {
-        let a = sample();
-        let mut b = sample();
-        b.results = vec![ValueId(99)];
-        b.id = OpId(7);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let mut c = sample();
-        c.attrs.insert("limit".into(), Attr::Int(6));
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn attr_accessors() {
-        let op = sample();
-        assert_eq!(op.attr("pred").unwrap().as_str(), Some("x > 1"));
-        assert_eq!(op.attr("limit").unwrap().as_int(), Some(5));
-        assert_eq!(op.attr("limit").unwrap().as_float(), Some(5.0));
-        assert!(op.attr("missing").is_none());
-    }
-
-    #[test]
-    fn result_accessor() {
-        assert_eq!(sample().result(), ValueId(2));
+    fn a_chain_of_several_is_a_fused_kernel() {
+        assert_eq!(Op::label(&[Op::Join]), "rel.join");
+        assert_eq!(Op::label(&[Op::Scan, Op::Filter]), "kernel.fused");
     }
 }

@@ -171,7 +171,7 @@ mod tests {
     use super::*;
     use skadi_flowgraph::logical::FlowGraph;
     use skadi_flowgraph::lower::{lower_graph, LowerConfig};
-    use skadi_ir::BackendPolicy;
+    use skadi_ir::{BackendPolicy, Op};
 
     #[test]
     fn job_validates_dependencies() {
@@ -211,8 +211,8 @@ mod tests {
     fn physical_graph_converts() {
         let mut g = FlowGraph::new();
         let src = g.add_source("in", 1 << 20, 8 << 20);
-        let filt = g.add_ir_op("rel.filter", 1 << 20, 4 << 20);
-        let agg = g.add_ir_op("rel.aggregate", 1 << 20, 1024);
+        let filt = g.add_ir_op(Op::Filter, 1 << 20, 4 << 20);
+        let agg = g.add_ir_op(Op::Aggregate, 1 << 20, 1024);
         g.connect(src, filt).unwrap();
         g.connect_keyed(filt, agg, "k").unwrap();
         let phys = lower_graph(&g, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
@@ -222,7 +222,7 @@ mod tests {
         let agg_task = job
             .tasks
             .values()
-            .find(|t| t.op == "rel.aggregate")
+            .find(|t| t.op == Op::Aggregate.name())
             .unwrap();
         assert_eq!(agg_task.inputs.len(), 4);
         assert!(job.tasks.values().all(|t| t.system == "sql"));

@@ -40,8 +40,8 @@
 //! | [`skadi_arrow`] | columnar shared format (+ costly marshalling baseline) |
 //! | [`skadi_store`] | object store, tiered caching layer, replication, EC |
 //! | [`skadi_ownership`] | heterogeneity-aware ownership table, pull/push resolution |
-//! | [`skadi_ir`] | multi-level IR, passes (incl. cross-domain fusion), backends |
-//! | [`skadi_flowgraph`] | logical FlowGraph + physical sharded graph |
+//! | [`skadi_ir`] | op vocabulary, per-backend cost table, backend selection |
+//! | [`skadi_flowgraph`] | logical FlowGraph (incl. cross-domain fusion) + physical sharded graph |
 //! | [`skadi_frontends`] | SQL / MapReduce / graph / ML frontends |
 //! | [`skadi_runtime`] | stateful serverless runtime (raylets, schedulers, lineage) |
 //! | `skadi` (this crate) | the session API gluing the tiers together |

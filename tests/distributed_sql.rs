@@ -875,6 +875,41 @@ fn generated_statements_match_memdb_under_every_plan_variant() {
     }
 }
 
+/// A planned vertex's ops are the ops its descriptor performs — a scan
+/// source's descriptor is the scan, a sink's gather performs none — and
+/// fusion keeps them so: a fused vertex's op list is its `ExecOp::Fused`
+/// chain, in order. Over every generated statement of every seed.
+#[test]
+fn every_planned_vertex_runs_the_ops_it_is_named_by() {
+    use skadi::flowgraph::optimize::optimize_graph;
+    use skadi::flowgraph::{FlowGraph, VertexBody};
+    use skadi::frontends::sql;
+    use skadi::ir::Op;
+
+    let check = |g: &FlowGraph, ctx: &str| {
+        for v in g.vertices() {
+            let exec = v.exec.as_ref().unwrap_or_else(|| panic!("{ctx}: {v:?}"));
+            let want: &[Op] = match v.body {
+                VertexBody::Source { .. } => &[Op::Scan],
+                VertexBody::IrOp { .. } => v.body.ops(),
+                VertexBody::Sink { .. } => &[],
+            };
+            assert_eq!(exec.ops(), want, "{ctx}: {v:?}");
+        }
+    };
+    for seed in RULE_SEEDS {
+        let mut rng = skadi_dcsim::rng::DetRng::seed(seed);
+        let db = generated_db(&mut rng);
+        let rows = db.table("a").unwrap().num_rows();
+        for query in generated_statements(&mut rng, rows) {
+            let (mut g, _) = sql::plan_sql(&query, &db.catalog()).unwrap();
+            check(&g, &format!("seed {seed} planned {query:?}"));
+            optimize_graph(&mut g);
+            check(&g, &format!("seed {seed} optimized {query:?}"));
+        }
+    }
+}
+
 /// One run per FT mode in which the node lost is the one running a
 /// scan-headed fused shard, killed halfway through that shard: the table
 /// slice is read, pruned and filtered again elsewhere and the answer does
@@ -1084,7 +1119,9 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
         let phys = lower_graph(&graph, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
         assert_eq!(phys.len(), tasks, "{query}");
         assert!(
-            phys.vertices().iter().all(|v| v.op != "rel.sort"),
+            phys.vertices()
+                .iter()
+                .all(|v| v.op != skadi::ir::Op::Sort.name()),
             "{query}"
         );
 

@@ -182,54 +182,57 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// IR fusion preserves the op sequence: the fused kernel's body,
-    /// flattened, is exactly the original chain, and the module stays
-    /// verifiable with the same output value count.
+    /// Chain fusion preserves the op sequence: a random per-row chain
+    /// behind a scan, a join or an aggregate fuses into one vertex whose
+    /// op list is the chain in order, and whose descriptor is
+    /// `ExecOp::Fused` over the same ops in the same order.
     #[test]
-    fn ir_fusion_preserves_chain(ops in prop::collection::vec(0u8..3, 1..8)) {
-        use skadi::ir::dialect::{rel, tensor};
-        use skadi::ir::{Module, PassManager};
-        use skadi::ir::types::{frame_ty, ScalarType};
+    fn ir_fusion_preserves_chain(head in 0u8..3, chain in prop::collection::vec(0u8..3, 1..8)) {
+        use skadi::flowgraph::{optimize_graph, ExecOp, FlowGraph};
+        use skadi::ir::Op;
 
-        let mut m = Module::new();
-        let mut v = rel::scan(&mut m, "t", frame_ty(&[("a", ScalarType::I64)]));
-        let mut expect: Vec<String> = Vec::new();
-        for op in &ops {
-            v = match op {
-                0 => {
-                    expect.push("rel.filter".into());
-                    rel::filter(&mut m, v, "a > 0")
-                }
-                1 => {
-                    expect.push("rel.project".into());
-                    rel::project(&mut m, v, &["a"])
-                }
-                _ => {
-                    expect.push("tensor.map".into());
-                    tensor::map(&mut m, v, "f")
-                }
+        let mut g = FlowGraph::new();
+        let (head_op, head_exec) = match head {
+            0 => (Op::Scan, ExecOp::Scan { table: "t".into() }),
+            1 => (Op::Join, ExecOp::Join { left_key: "k".into(), right_key: "k".into(), right_rows: 1 }),
+            _ => (Op::Aggregate, ExecOp::Aggregate { group_by: vec!["k".into()], aggs: vec![] }),
+        };
+        let mut at = if head_op == Op::Scan {
+            let scan = g.add_source("t", 100, 800);
+            g.set_exec(scan, head_exec.clone());
+            scan
+        } else {
+            let v = g.add_exec(head_exec.clone(), 100, 800);
+            let inputs = if head_op == Op::Join { 2 } else { 1 };
+            for port in 0..inputs {
+                let input = g.add_source(&format!("in{port}"), 100, 800);
+                g.connect_keyed_port(input, v, "k", port).unwrap();
+            }
+            v
+        };
+        let (mut want_ops, mut want_execs) = (vec![head_op], vec![head_exec]);
+        for op in &chain {
+            let (op, exec) = match op {
+                0 => (Op::Filter, ExecOp::Filter { conjuncts: vec![] }),
+                1 => (Op::Project, ExecOp::Project { columns: vec!["k".into()] }),
+                _ => (Op::Limit, ExecOp::Limit { n: 3, order: None }),
             };
+            let v = g.add_exec(exec.clone(), 100, 800);
+            g.connect(at, v).unwrap();
+            want_ops.push(op);
+            want_execs.push(exec);
+            at = v;
         }
-        m.mark_output(v);
-        let before_outputs = m.outputs().len();
-        PassManager::standard().run(&mut m).unwrap();
-        m.verify().unwrap();
-        prop_assert_eq!(m.outputs().len(), before_outputs);
-        // Everything per-row fused into one kernel (chains of length >= 2).
-        if ops.len() >= 2 {
-            let fused: Vec<_> = m
-                .ops()
-                .iter()
-                .filter(|o| o.name == "kernel.fused")
-                .collect();
-            prop_assert_eq!(fused.len(), 1);
-            let body = fused[0]
-                .attr("body")
-                .and_then(skadi::ir::Attr::as_str_list)
-                .unwrap()
-                .to_vec();
-            prop_assert_eq!(body, expect);
-        }
+        let sink = g.add_sink("out");
+        g.connect(at, sink).unwrap();
+
+        let report = optimize_graph(&mut g);
+        prop_assert_eq!(report.fused, chain.len());
+        let fused: Vec<_> = g.vertices().iter().filter(|v| !v.body.ops().is_empty()).collect();
+        prop_assert_eq!(fused.len(), 1);
+        prop_assert_eq!(fused[0].body.ops(), &want_ops[..]);
+        prop_assert_eq!(fused[0].exec.clone(), Some(ExecOp::Fused(want_execs)));
+        g.validate().unwrap();
     }
 
     /// Physical lowering always produces the requested shard counts and
@@ -247,7 +250,7 @@ proptest! {
         let mut prev = g.add_source("in", 1 << 16, 1 << 20);
         let mut vertices = vec![prev];
         for keyed_edge in keyed.iter().take(stages) {
-            let v = g.add_ir_op("rel.filter", 1 << 16, 1 << 20);
+            let v = g.add_ir_op(skadi::ir::Op::Filter, 1 << 16, 1 << 20);
             if *keyed_edge {
                 g.connect_keyed(prev, v, "k").unwrap();
             } else {
