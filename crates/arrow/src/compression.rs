@@ -1,8 +1,19 @@
-//! LZ4-style byte-oriented block compression.
+//! LZ4-style byte-oriented block compression, and the one rule that
+//! decides whether a frame is worth it.
 //!
 //! The shuffle path and the wire server compress IPC frames with this
-//! codec: `measured_output_bytes` — and therefore every storage/network
-//! price the simulator charges — reflect the *compressed* frame length.
+//! codec only where [`pays`] says so: a frame is compressed when the
+//! modelled time it saves on the link it is about to cross exceeds the
+//! modelled time of compressing and decompressing it. The rule reads the
+//! frame's length, the ratio of the stream's first block and the link's
+//! modelled bytes per second — never a measured wall time, so stored
+//! bytes, prices and makespans repeat exactly from run to run. A link
+//! faster than the codec ([`MEMORY_LINK_BPS`], the simulated fabric's
+//! 25 GiB/s NIC) never compresses; the durable store and a
+//! [`NETWORK_CLIENT_LINK_BPS`] client do when the bytes compress well.
+//! Where a frame is compressed, `measured_output_bytes` — and with it
+//! every storage/network price the simulator charges — is the
+//! compressed length.
 //!
 //! The format is a self-framing LZ4-flavored block:
 //!
@@ -62,6 +73,51 @@ const SKIP_SHIFT: u32 = 6;
 
 /// Widest run the decoder copies as one fixed-size load and store.
 const WORD: usize = 8;
+
+/// Modelled codec cost per frame byte: one [`compress`] plus one
+/// [`decompress`]. From `BENCH_exec.json`'s 100k-row `sklz_compress`
+/// (2,317,867 ns) and `sklz_decompress` (1,298,207 ns) rows over the
+/// 2,000,114-byte events frame they time.
+pub const CODEC_NS_PER_BYTE: f64 = 1.808;
+
+/// Frames shorter than this never compress: the block header and the
+/// closing token eat what a few matches could save.
+pub const MIN_COMPRESSED_FRAME: usize = 1024;
+
+/// A link inside one process's memory, priced like the simulated
+/// fabric's same-node copy (80 GiB/s): the in-memory duplex.
+pub const MEMORY_LINK_BPS: u64 = 80 << 30;
+
+/// A client across a real network, priced at ~1 Gb/s: TCP and any
+/// stream the server cannot see into.
+pub const NETWORK_CLIENT_LINK_BPS: u64 = 125_000_000;
+
+/// The compress-or-plain rule: true when compressing a `len`-byte frame
+/// to `1 / ratio` of its size saves more modelled time on a link of
+/// `link_bps` bytes per second than the codec costs
+/// ([`CODEC_NS_PER_BYTE`]). A pure function of its inputs. With
+/// `ratio = f64::INFINITY` it answers whether *any* ratio could pay —
+/// when not, a caller decides plain without compressing anything.
+pub fn pays(len: usize, ratio: f64, link_bps: u64) -> bool {
+    let link_ns_per_byte = 1e9 / link_bps as f64;
+    (MIN_COMPRESSED_FRAME..=MAX_DECOMPRESSED).contains(&len)
+        && link_ns_per_byte * (1.0 - 1.0 / ratio) > CODEC_NS_PER_BYTE
+}
+
+/// `frame` as it should cross a link of `link_bps`: `Some(compressed)`
+/// when [`pays`] says so at the stream's ratio, `None` to send it plain.
+/// `ratio` is the ratio of the stream's first block: unknown (`None`)
+/// until a block that could pay is compressed to learn it, then read by
+/// every later block of the stream. A compressed block that would not
+/// shrink travels plain.
+pub fn for_link(frame: &[u8], ratio: &mut Option<f64>, link_bps: u64) -> Option<Vec<u8>> {
+    if !pays(frame.len(), ratio.unwrap_or(f64::INFINITY), link_bps) {
+        return None;
+    }
+    let packed = compress(frame);
+    let r = *ratio.get_or_insert(frame.len() as f64 / packed.len() as f64);
+    (pays(frame.len(), r, link_bps) && packed.len() < frame.len()).then_some(packed)
+}
 
 #[inline]
 fn read_u32(raw: &[u8], at: usize) -> u32 {
@@ -416,6 +472,64 @@ mod tests {
         let kept = maybe_compress(&frame);
         assert_eq!(kept.len(), frame.len());
         assert!(!is_compressed(&kept));
+    }
+
+    /// The rule as a literal table. The simulated fabric's NIC
+    /// (`LinkParams::default().nic_bandwidth_bps`) is 25 GiB/s and its
+    /// durable store streams 100 MiB/s.
+    #[test]
+    fn the_rule_as_a_table() {
+        const FABRIC: u64 = 25 << 30;
+        const DURABLE: u64 = 100 << 20;
+        const KIB: usize = 1024;
+        let any_ratio = [1.01, 1.05, 1.42, 4.0, 1e6, f64::INFINITY];
+        for len in [KIB, 64 * KIB, 16 << 20] {
+            for ratio in any_ratio {
+                assert!(!pays(len, ratio, MEMORY_LINK_BPS), "duplex {len} @ {ratio}");
+                assert!(!pays(len, ratio, FABRIC), "fabric {len} @ {ratio}");
+                // Sub-kilobyte frames never compress, on any link.
+                assert!(!pays(KIB - 1, ratio, 1), "{ratio} on a 1 B/s link");
+            }
+            assert!(pays(len, 1.42, NETWORK_CLIENT_LINK_BPS), "tcp {len} @ 1.42");
+            assert!(
+                !pays(len, 1.05, NETWORK_CLIENT_LINK_BPS),
+                "tcp {len} @ 1.05"
+            );
+            assert!(pays(len, 1.42, DURABLE), "durable {len} @ 1.42");
+        }
+        // A frame `compress` cannot take is never asked to.
+        assert!(!pays(MAX_DECOMPRESSED + 1, 4.0, 1));
+        // Pure: the same inputs give the same answer, whatever ran between.
+        let table = || any_ratio.map(|r| pays(64 * KIB, r, NETWORK_CLIENT_LINK_BPS));
+        let first = table();
+        assert!(!pays(KIB, 1.42, FABRIC));
+        assert_eq!(table(), first);
+    }
+
+    /// Where no ratio could pay, `for_link` decides plain without
+    /// compressing: the stream's ratio stays unlearnt. Elsewhere the
+    /// first block teaches the stream its ratio and later blocks obey it.
+    #[test]
+    fn for_link_learns_the_ratio_from_the_first_block_that_could_pay() {
+        let zeros = vec![0u8; 8192];
+        let mut ratio = None;
+        assert_eq!(for_link(&zeros, &mut ratio, MEMORY_LINK_BPS), None);
+        assert_eq!(
+            ratio, None,
+            "the duplex compressed a block it cannot pay for"
+        );
+        assert_eq!(for_link(&zeros[..100], &mut ratio, 1), None);
+        assert_eq!(
+            ratio, None,
+            "a sub-kilobyte block taught the stream its ratio"
+        );
+
+        let packed = for_link(&zeros, &mut ratio, NETWORK_CLIENT_LINK_BPS).unwrap();
+        assert_eq!(decompress(&packed).unwrap(), zeros);
+        assert!(ratio.unwrap() > 100.0);
+        // A stream whose first block barely compressed sends the rest plain.
+        let mut poor = Some(1.05);
+        assert_eq!(for_link(&zeros, &mut poor, NETWORK_CLIENT_LINK_BPS), None);
     }
 
     #[test]

@@ -34,48 +34,61 @@ const VERSION: u8 = 1;
 
 /// Encodes a batch into a self-describing frame.
 pub fn encode(batch: &RecordBatch) -> Bytes {
-    let mut out: Vec<u8> = Vec::with_capacity(batch.byte_size() + 64);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(batch.num_columns() as u16).to_le_bytes());
-    out.extend_from_slice(&(batch.num_rows() as u64).to_le_bytes());
+    let mut out: Vec<u8> = Vec::with_capacity(encoded_len(batch));
+    frame_parts(batch, |part| out.extend_from_slice(part));
+    Bytes::from(out)
+}
+
+/// The length of `batch`'s frame — `encode(batch).len()` — summed over
+/// buffer lengths, without making the frame.
+pub fn encoded_len(batch: &RecordBatch) -> usize {
+    let mut len = 0;
+    frame_parts(batch, |part| len += part.len());
+    len
+}
+
+/// Hands `put` every byte run of `batch`'s frame in order: the one walk
+/// [`encode`] and [`encoded_len`] both take, so the two cannot disagree.
+fn frame_parts(batch: &RecordBatch, mut put: impl FnMut(&[u8])) {
+    put(MAGIC);
+    put(&[VERSION]);
+    put(&(batch.num_columns() as u16).to_le_bytes());
+    put(&(batch.num_rows() as u64).to_le_bytes());
 
     for field in batch.schema().fields() {
         let name = field.name.as_bytes();
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        out.push(field.data_type.tag());
-        out.push(field.nullable as u8);
+        put(&(name.len() as u16).to_le_bytes());
+        put(name);
+        put(&[field.data_type.tag(), field.nullable as u8]);
     }
 
     for col in batch.columns() {
         match col.validity() {
             Some(v) => {
-                out.push(1);
-                out.extend_from_slice(v.buffer().as_slice());
+                put(&[1]);
+                put(v.buffer().as_slice());
             }
-            None => out.push(0),
+            None => put(&[0]),
         }
         match col {
-            Array::Int64(a) => out.extend_from_slice(a.values().as_slice()),
-            Array::Float64(a) => out.extend_from_slice(a.values().as_slice()),
-            Array::Bool(a) => out.extend_from_slice(a.values().buffer().as_slice()),
-            Array::Utf8(a) => put_utf8(&mut out, a),
+            Array::Int64(a) => put(a.values().as_slice()),
+            Array::Float64(a) => put(a.values().as_slice()),
+            Array::Bool(a) => put(a.values().buffer().as_slice()),
+            Array::Utf8(a) => put_utf8(&mut put, a),
             Array::DictUtf8(a) => {
-                out.extend_from_slice(a.keys().values().as_slice());
-                out.extend_from_slice(&(a.dictionary().len() as u64).to_le_bytes());
-                put_utf8(&mut out, a.dictionary());
+                put(a.keys().values().as_slice());
+                put(&(a.dictionary().len() as u64).to_le_bytes());
+                put_utf8(&mut put, a.dictionary());
             }
         }
     }
-    Bytes::from(out)
 }
 
 /// The `Utf8` layout, shared by string columns and dictionaries.
-fn put_utf8(out: &mut Vec<u8>, a: &Utf8Array) {
-    out.extend_from_slice(a.offsets().as_slice());
-    out.extend_from_slice(&(a.data().len() as u64).to_le_bytes());
-    out.extend_from_slice(a.data().as_slice());
+fn put_utf8(put: &mut impl FnMut(&[u8]), a: &Utf8Array) {
+    put(a.offsets().as_slice());
+    put(&(a.data().len() as u64).to_le_bytes());
+    put(a.data().as_slice());
 }
 
 /// A bounds-checked cursor over shared bytes that can hand out aliasing
@@ -250,6 +263,7 @@ pub fn decode(data: Bytes) -> Result<RecordBatch, ArrowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> RecordBatch {
         let schema = Schema::new(vec![
@@ -489,6 +503,66 @@ mod tests {
         )
         .unwrap();
         assert_eq!(decode(encode(&b)).unwrap(), b);
+    }
+
+    /// A batch of every encoding over `n` rows drawn from `seed`, nullable
+    /// columns carrying validity bitmaps when `nulls` is set.
+    fn every_encoding(n: usize, seed: u64, nulls: bool) -> RecordBatch {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut draw = |i: usize| (next(), !nulls || i % 3 != 1);
+        let rows: Vec<(u64, bool)> = (0..n).map(&mut draw).collect();
+        let words = ["", "a", "bb", "click", "view", "ünï"];
+        let word = |r: u64| words[r as usize % words.len()];
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64, nulls),
+            Field::new("f", DataType::Float64, nulls),
+            Field::new("b", DataType::Bool, nulls),
+            Field::new("s", DataType::Utf8, nulls),
+            Field::new("d", DataType::DictUtf8, nulls),
+        ]);
+        let columns = vec![
+            Array::from_opt_i64(rows.iter().map(|&(r, k)| k.then_some(r as i64)).collect()),
+            Array::from_opt_f64(rows.iter().map(|&(r, k)| k.then_some(r as f64)).collect()),
+            Array::from_opt_bool(rows.iter().map(|&(r, k)| k.then_some(r % 2 == 0)).collect()),
+            Array::from_opt_utf8(rows.iter().map(|&(r, k)| k.then_some(word(r)))),
+            Array::from_opt_dict_utf8(rows.iter().map(|&(r, k)| k.then_some(word(r >> 8)))),
+        ];
+        RecordBatch::try_new(schema, columns).unwrap()
+    }
+
+    #[test]
+    fn encoded_len_of_the_empty_batch_is_its_frame_length() {
+        let empty = RecordBatch::empty(Schema::new(vec![]));
+        assert_eq!(encoded_len(&empty), encode(&empty).len());
+        let no_rows = every_encoding(0, 3, true);
+        assert_eq!(encoded_len(&no_rows), encode(&no_rows).len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A frame's length is arithmetic over the batch's buffers: for
+        /// every encoding, with and without validity bitmaps, over whole
+        /// batches and `slice` views at any offset.
+        #[test]
+        fn encoded_len_is_the_frame_length(
+            n in 0usize..300,
+            seed in any::<u64>(),
+            nulls in any::<bool>(),
+            cut in (0usize..300, 0usize..300),
+        ) {
+            let batch = every_encoding(n, seed, nulls);
+            prop_assert_eq!(encoded_len(&batch), encode(&batch).len());
+            let (a, b) = (cut.0.min(n), cut.1.min(n));
+            let view = batch.slice(a.min(b), a.max(b));
+            prop_assert_eq!(encoded_len(&view), encode(&view).len());
+        }
     }
 
     #[test]

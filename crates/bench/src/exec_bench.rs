@@ -422,18 +422,19 @@ fn bitwise_mask_scan(mask: &Array) -> Vec<usize> {
 // Shuffle bytes: compression on vs off through the distributed plane
 // ---------------------------------------------------------------------
 
-/// Total `measured_output_bytes` of one distributed query, run twice:
-/// shuffle compression off, then on. Everything else (topology,
-/// parallelism, tables, query) is identical.
+/// Total `measured_output_bytes` of one distributed query, plain and
+/// block-compressed. The fabric's NIC never pays for the codec, so the
+/// run stores every output plain; the compressed figure compresses each
+/// stored frame once it is made, as a link that paid would have.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleBytesReport {
     /// The SQL that was shuffled.
     pub query: String,
     /// Fact-table row count.
     pub rows: usize,
-    /// Sum of per-task measured output bytes, compression off.
+    /// Sum of per-task measured output bytes (plain frames).
     pub plain_bytes: u64,
-    /// Sum of per-task measured output bytes, compression on.
+    /// Sum of the same frames after `compression::maybe_compress`.
     pub compressed_bytes: u64,
 }
 
@@ -445,29 +446,44 @@ impl ShuffleBytesReport {
 }
 
 /// Runs a join+group-by over the simulated cluster at parallelism 4 and
-/// reports shuffled bytes with compression off vs on. Feeds the
-/// `"shuffle"` line of `BENCH_exec.json`.
+/// reports its stored bytes plain and compressed. Feeds the `"shuffle"`
+/// line of `BENCH_exec.json`.
 pub fn shuffle_bytes_report(rows: usize) -> ShuffleBytesReport {
-    use skadi::prelude::*;
+    use skadi::GraphExecutor;
+    use skadi_dcsim::topology::presets;
+    use skadi_flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi_flowgraph::optimize::optimize_graph;
+    use skadi_ir::BackendPolicy;
+    use skadi_runtime::{job_from_physical, Cluster, RuntimeConfig, TaskId};
+
     let db = exec::MemDb::new()
         .register("events", events_batch(rows, 42))
         .register("users", users_batch((rows / 10).max(1), 7));
     let q = "SELECT country, sum(value) AS total, count(*) AS n FROM events \
              JOIN users ON user_id = user_id GROUP BY country ORDER BY total DESC";
-    let total = |compress: bool| -> u64 {
-        let session = Session::builder()
-            .topology(presets::small_disagg_cluster())
-            .parallelism(4)
-            .shuffle_compression(compress)
-            .build();
-        let run = session.sql_distributed(&db, q).expect("distributed run");
-        run.report.stats.measured_output_bytes.values().sum()
-    };
+    let (mut graph, _sink) = skadi_frontends::sql::plan_sql(q, &db.catalog()).expect("plan");
+    optimize_graph(&mut graph);
+    let lower = LowerConfig::new(4, BackendPolicy::cost_based());
+    let phys = lower_graph(&graph, &lower).expect("lower");
+    let job = job_from_physical("sql", &phys, "sql").expect("job");
+    let mut cluster = Cluster::new(
+        &presets::small_disagg_cluster(),
+        RuntimeConfig::skadi_gen2(),
+    );
+    cluster.set_executor(Box::new(GraphExecutor::new(
+        phys.clone(),
+        db.tables().clone(),
+    )));
+    let stats = cluster.run(&job).expect("distributed run");
+    let compressed_bytes = (0..phys.len() as u64)
+        .filter_map(|t| cluster.task_payload(TaskId(t)))
+        .map(|frame| compression::maybe_compress(frame).len() as u64)
+        .sum();
     ShuffleBytesReport {
         query: q.to_string(),
         rows,
-        plain_bytes: total(false),
-        compressed_bytes: total(true),
+        plain_bytes: stats.measured_output_bytes.values().sum(),
+        compressed_bytes,
     }
 }
 

@@ -272,7 +272,8 @@ impl Network {
         self.durable_latency[id.index()]
     }
 
-    fn path_bandwidth(&self, src: NodeId, dst: NodeId) -> u64 {
+    /// Bytes per second a transfer from `src` to `dst` serializes at.
+    pub fn bandwidth(&self, src: NodeId, dst: NodeId) -> u64 {
         match self.hop_class(src, dst) {
             HopClass::Loopback => self.params.memcpy_bandwidth_bps,
             HopClass::IntraRack => match self.params.pod(self.rack[src.index()]) {
@@ -308,7 +309,7 @@ impl Network {
     pub fn transfer(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> Transfer {
         let class = self.hop_class(src, dst);
         let latency = self.path_latency(src, dst);
-        let bw = self.path_bandwidth(src, dst);
+        let bw = self.bandwidth(src, dst);
         let serialization = SimDuration::from_secs_f64(bytes as f64 / bw as f64);
 
         let (queued, arrival) = if class == HopClass::Loopback {
@@ -347,7 +348,7 @@ impl Network {
     pub fn control(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> SimTime {
         let latency = self.path_latency(src, dst);
         let ser = SimDuration::from_secs_f64(
-            self.params.control_msg_bytes as f64 / self.path_bandwidth(src, dst) as f64,
+            self.params.control_msg_bytes as f64 / self.bandwidth(src, dst) as f64,
         );
         self.stats.control_msgs += 1;
         now + latency + ser

@@ -18,7 +18,7 @@ use super::table::{EcPlacement, Slot, StagedInputs};
 use super::{node_rate, Cluster, Event};
 use crate::config::{Deployment, FtMode};
 use crate::error::RuntimeError;
-use crate::executor::ReadyTask;
+use crate::executor::{Payload, ReadyTask};
 use crate::task::TaskState;
 
 impl Cluster {
@@ -283,8 +283,8 @@ impl Cluster {
         }
 
         // Data plane: the simulated completion also runs the shard's real
-        // computation on the staged input payloads. The measured encoded
-        // size replaces the spec's estimate everywhere downstream —
+        // computation on the staged input payloads. The measured payload
+        // length replaces the spec's estimate everywhere downstream —
         // storage, replication/EC sizing, transfer pricing, pass-by-value
         // inlining, and fetched-copy caching.
         if self.executor.is_some() {
@@ -293,7 +293,7 @@ impl Cluster {
                 None => self.execute_batch(now, t, queue),
             };
             match result {
-                Ok(bytes) => self.tasks[t].at.payload = Some(Rc::new(bytes)),
+                Ok(payload) => self.tasks[t].at.payload = Some(Rc::new(payload)),
                 Err(msg) => {
                     self.fail_run(RuntimeError::Internal(format!(
                         "data plane: task t{}: {msg}",
@@ -354,7 +354,7 @@ impl Cluster {
         now: SimTime,
         t: Slot,
         queue: &EventQueue<Event>,
-    ) -> Result<Vec<u8>, String> {
+    ) -> Result<Payload, String> {
         let mut batch: Vec<Slot> = vec![t];
         for ev in queue.pending_at(now) {
             if let Event::Finish(t2, ep) = *ev {
@@ -378,9 +378,10 @@ impl Cluster {
         let ready: Vec<ReadyTask<'_>> = batch
             .iter()
             .zip(&staged)
-            .map(|(b, s)| {
-                let inputs = s.iter().map(|(p, by)| (*p, by.as_slice())).collect();
-                (self.tasks[*b].spec.id, inputs)
+            .map(|(&b, s)| ReadyTask {
+                task: self.tasks[b].spec.id,
+                inputs: s.iter().map(|(p, payload)| (*p, &**payload)).collect(),
+                link_bps: self.output_link_bps(b),
             })
             .collect();
         let exec = self.executor.as_mut().expect("caller checked");
@@ -399,19 +400,39 @@ impl Cluster {
         own
     }
 
-    /// Stores a finished task's output per the deployment and FT mode,
-    /// setting `value_ready` (and `durable_ready` when applicable).
-    fn store_output(&mut self, now: SimTime, t: Slot, node: NodeId, bytes: u64) {
-        // Durable write when any consumer (or the deployment) needs it.
-        let needs_durable = match self.cfg.deployment {
+    /// True if `t`'s output is written to durable storage: always in a
+    /// stateless deployment; in a serverful one, when a consumer of
+    /// another system reads it.
+    fn writes_durably(&self, t: Slot) -> bool {
+        match self.cfg.deployment {
             Deployment::StatelessServerless => true,
             Deployment::Serverful => {
                 let consumers = &self.tasks[t].consumers;
                 consumers.iter().any(|c| self.via_durable(t, *c))
             }
             Deployment::DistributedRuntime => false,
+        }
+    }
+
+    /// The modelled bytes per second of the link `t`'s output is written
+    /// over: the durable store's when it is written durably, the NIC's
+    /// otherwise. What the executor's compress-or-plain rule reads.
+    fn output_link_bps(&self, t: Slot) -> u64 {
+        let (Some(node), Some(durable)) = (self.tasks[t].at.node, self.nodes.durable) else {
+            return self.links.nic_bandwidth_bps;
         };
-        if needs_durable {
+        if self.writes_durably(t) {
+            self.net.bandwidth(node, durable)
+        } else {
+            self.links.nic_bandwidth_bps
+        }
+    }
+
+    /// Stores a finished task's output per the deployment and FT mode,
+    /// setting `value_ready` (and `durable_ready` when applicable).
+    fn store_output(&mut self, now: SimTime, t: Slot, node: NodeId, bytes: u64) {
+        // Durable write when any consumer (or the deployment) needs it.
+        if self.writes_durably(t) {
             let tr = self.net.transfer(now, node, self.durable(), bytes);
             self.durable_trips += 1;
             self.metrics.bump("durable_writes");

@@ -74,7 +74,7 @@ use skadi_store::spill::SpillPolicy;
 
 use crate::config::{Deployment, RuntimeConfig};
 use crate::error::RuntimeError;
-use crate::executor::TaskExecutor;
+use crate::executor::{Payload, TaskExecutor};
 use crate::failure::FailurePlan;
 use crate::job::{Job, JobStats};
 use crate::placement::Placer;
@@ -233,23 +233,29 @@ impl Cluster {
 
     /// Installs a data-plane executor: every subsequent task completion
     /// also runs the task's real computation on its producers' stored
-    /// payload bytes, and measured output sizes replace the specs'
+    /// payloads, and measured output sizes replace the specs'
     /// estimates in storage, transfer, and inlining decisions.
     pub fn set_executor(&mut self, exec: Box<dyn TaskExecutor>) {
         self.executor = Some(exec);
     }
 
-    /// A finished task's stored payload bytes from the last run (only
-    /// present when an executor was installed).
-    pub fn task_payload(&self, t: TaskId) -> Option<&[u8]> {
+    /// A finished task's stored payload from the last run (only present
+    /// when an executor was installed), its bytes not yet made.
+    pub fn task_output(&self, t: TaskId) -> Option<&Payload> {
         let s = self.tasks.slot_of(t)?;
-        self.tasks[s].at.payload.as_ref().map(|p| p.as_slice())
+        self.tasks[s].at.payload.as_deref()
+    }
+
+    /// A finished task's stored payload bytes from the last run (only
+    /// present when an executor was installed), made on the first ask.
+    pub fn task_payload(&self, t: TaskId) -> Option<&[u8]> {
+        self.task_output(t).map(Payload::bytes)
     }
 
     /// A task's measured output size from the last run, if it executed
     /// through the data plane.
     pub fn measured_output_bytes(&self, t: TaskId) -> Option<u64> {
-        self.task_payload(t).map(|p| p.len() as u64)
+        self.task_output(t).map(Payload::len)
     }
 
     /// When a task started executing in the last run (experiment hook,
@@ -440,7 +446,7 @@ impl Cluster {
             measured_output_bytes: self
                 .tasks
                 .iter()
-                .filter_map(|(_, r)| Some((r.spec.id, r.at.payload.as_ref()?.len() as u64)))
+                .filter_map(|(_, r)| Some((r.spec.id, r.at.payload.as_ref()?.len())))
                 .collect(),
         })
     }

@@ -20,6 +20,7 @@ use skadi_ir::Backend;
 use skadi_store::ec::EcConfig;
 use skadi_store::object::ObjectId;
 
+use crate::executor::Payload;
 use crate::job::Job;
 use crate::task::{TaskId, TaskSpec, TaskState};
 
@@ -42,8 +43,8 @@ pub(super) struct EcPlacement {
 }
 
 /// Inputs staged for one dispatched task: the producing task and its
-/// shared (refcounted, never copied) payload bytes.
-pub(super) type StagedInputs = Vec<(TaskId, Rc<Vec<u8>>)>;
+/// shared (refcounted, never copied) payload.
+pub(super) type StagedInputs = Vec<(TaskId, Rc<Payload>)>;
 
 /// Everything that belongs to one attempt of a task — where it runs,
 /// its timestamps, and the output it left behind. A reset replaces the
@@ -68,16 +69,16 @@ pub(super) struct Attempt {
     pub staged: Option<StagedInputs>,
     /// A result computed ahead of the task's own `Finish` by a batched
     /// `execute_ready` call; consumed when that finish commits.
-    pub exec_result: Option<Result<Vec<u8>, String>>,
+    pub exec_result: Option<Result<Payload, String>>,
     /// The output object in the caching layer.
     pub object: Option<ObjectId>,
     pub value_ready: Option<SimTime>,
     pub durable_ready: Option<SimTime>,
     pub ec: Option<EcPlacement>,
-    /// Real output bytes, present only when the data plane executed the
+    /// The real output, present only when the data plane executed the
     /// task. Dropped with the attempt, so a re-execution recomputes —
-    /// deterministically — rather than reading stale bytes.
-    pub payload: Option<Rc<Vec<u8>>>,
+    /// deterministically — rather than reading a stale payload.
+    pub payload: Option<Rc<Payload>>,
 }
 
 /// One task's row.
@@ -210,7 +211,7 @@ impl TaskTable {
     /// in whether a payload is present.
     pub fn output_size(&self, s: Slot, estimate: u64) -> u64 {
         match &self[s].at.payload {
-            Some(p) => (p.len() as u64).max(1),
+            Some(p) => p.len().max(1),
             None => estimate,
         }
     }

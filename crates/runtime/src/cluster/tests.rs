@@ -1196,6 +1196,7 @@ mod tracing_tests {
 
 mod table_tests {
     use super::*;
+    use crate::executor::Payload;
     use crate::task::TaskSpec;
     use skadi_dcsim::topology::presets;
     use std::rc::Rc;
@@ -1238,8 +1239,8 @@ mod table_tests {
             span: Some(SpanId(4)),
             input_ready_at: t,
             steals: 2,
-            staged: Some(vec![(TaskId(1), Rc::new(vec![1]))]),
-            exec_result: Some(Ok(vec![2])),
+            staged: Some(vec![(TaskId(1), Rc::new(Payload::from(vec![1])))]),
+            exec_result: Some(Ok(Payload::from(vec![2]))),
             object: Some(skadi_store::object::ObjectId(5)),
             value_ready: t,
             durable_ready: t,
@@ -1248,7 +1249,7 @@ mod table_tests {
                 size: 8,
                 config: EcConfig::RS_4_2,
             }),
-            payload: Some(Rc::new(vec![3])),
+            payload: Some(Rc::new(Payload::from(vec![3]))),
         };
         table.set_state(s, TaskState::Finished);
         let old = table.reset_attempt(s);

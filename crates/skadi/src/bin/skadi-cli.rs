@@ -262,7 +262,12 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
             format!("{op} x{shards} {wall:.0}us ({rows} rows, {bytes} B)")
         })
         .collect();
-    println!("-- measured shards: {} --", ops.join(", "));
+    println!(
+        "-- measured shards: {}; {} compressed outputs, {} payloads materialised --",
+        ops.join(", "),
+        run.data_plane.compressed_outputs,
+        run.data_plane.payloads_materialised,
+    );
     if !run.replans.is_empty() || run.data_plane.build_swaps() > 0 {
         let plans: Vec<String> = run
             .replans

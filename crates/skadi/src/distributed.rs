@@ -5,32 +5,39 @@
 //! executor runs that shard's [`ExecOp`] descriptor over real
 //! `skadi-arrow` batches — taking this consumer's portion of each
 //! producer's output (hash partition for shuffles, contiguous slice for
-//! scatters, the whole batch for pipelines/gathers/broadcasts),
-//! executing the shard kernel from `skadi_frontends::shard`, and encoding
-//! the result. The returned bytes become the task's stored payload, so
-//! every downstream size the simulator prices (transfer bytes,
-//! pass-by-value inlining, cache copies) is **measured**, not estimated.
+//! scatters, the whole batch for pipelines/gathers/broadcasts) and
+//! executing the shard kernel from `skadi_frontends::shard`. The output
+//! becomes the task's stored [`Payload`], whose length every downstream
+//! size the simulator prices (transfer bytes, pass-by-value inlining,
+//! cache copies) reads: **measured**, not estimated.
 //!
-//! # Staging
+//! # Payloads: a length and the batch
 //!
-//! Every output is still encoded and compressed to the bytes the cluster
-//! stores and prices, but its consumers do not each decode those bytes
-//! again: the executor keeps the producer's batch when its shard commits
-//! and divides it once per out-edge shape, and each consumer takes its
-//! share by reference. The kept batch is trusted only for the payload it
-//! was encoded to — the address and length of the shared buffer the
-//! cluster hands every consumer. Anything else (a cold executor, an entry
-//! already released, a producer that ran again under recovery) decodes
-//! the bytes it was given, which yields the same batch: the frame *is*
-//! the batch's buffers. An entry is dropped once as many consumers have
-//! been prepared as the producer has, so a job holds at most the outputs
-//! still waiting to be read.
+//! A shard's output crosses no real link, so its bytes are made only
+//! where the model says they are worth making. The length is arithmetic
+//! (`ipc::encoded_len`, the frame's buffer lengths summed), and
+//! [`compression::pays`] decides from it and the modelled bytes per
+//! second of the link the cluster will write the output over. Where no
+//! ratio could pay — the fabric's 25 GiB/s NIC, so every output of the
+//! default deployment — the payload is that length plus an `Output`
+//! holding the batch, and the frame is encoded only if something reads
+//! the payload's bytes (`Cluster::task_payload`), once. Where
+//! compressing could pay (the durable store, a slow NIC), the frame is
+//! made and compressed to learn its ratio, and stored compressed when the
+//! rule says so; the batch stays beside the bytes either way.
+//!
+//! Consumers never read bytes. Each takes its share of its producer's
+//! batch through the payload's content: the batch is divided once per
+//! out-edge shape and every consumer shard takes its part by reference. A
+//! payload the content does not come with (bytes handed over by a caller)
+//! is decoded — decompressed first when it carries the block magic — to
+//! the same batch, buffer for buffer: a frame *is* the batch's buffers.
 //!
 //! Determinism: task inputs are produced deterministically (scans slice
 //! contiguous row ranges, partitions preserve row order, gathers
 //! canonicalize on the hidden row-id column), so re-executing a task
-//! under lineage recovery reproduces identical bytes — the property the
-//! runtime's replay contract requires, and the one
+//! under lineage recovery reproduces an identical payload — the property
+//! the runtime's replay contract requires, and the one
 //! `tests/distributed_sql.rs` pins byte-for-byte against the
 //! single-process reference engine.
 
@@ -42,6 +49,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use skadi_arrow::batch::RecordBatch;
+use skadi_arrow::error::ArrowError;
 use skadi_arrow::{compression, ipc};
 use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
 use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
@@ -49,7 +57,7 @@ use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
 use skadi_frontends::shard::{self, ShardExecStats};
 use skadi_frontends::sql::SqlError;
-use skadi_runtime::{TaskExecutor, TaskId};
+use skadi_runtime::{Content, Payload, ReadyTask, TaskExecutor, TaskId};
 
 /// One shard's measured execution, recorded by [`GraphExecutor`].
 #[derive(Debug, Clone)]
@@ -91,14 +99,20 @@ pub struct DataPlaneStats {
     /// `(producer task, consumer task)`. Re-executions overwrite, so the
     /// map holds each edge's final delivery.
     pub edge_rows: BTreeMap<(u64, u64), usize>,
-    /// Stored payloads decompressed and decoded back into batches: one
-    /// per producer whose kept batch was not there to hand over (none in
-    /// a failure-free run of one executor). A count, not a time —
-    /// repeats exactly from run to run.
+    /// Payloads decoded back into batches: one per input that reached a
+    /// consumer as bytes alone, without the batch its producer kept (none
+    /// when one executor runs the job, under recovery too). A count, not
+    /// a time — repeats exactly from run to run.
     pub payload_decodes: u64,
     /// Whole-batch hash-partition passes: one per producer with a shuffle
     /// out-edge, however many consumer shards share the result.
     pub partition_passes: u64,
+    /// Outputs stored compressed: one per output whose link made
+    /// compressing pay ([`compression::pays`]) — none on the fabric's NIC.
+    pub compressed_outputs: u64,
+    /// Frames made because something read a payload's bytes
+    /// (`Cluster::task_payload`); zero until something does.
+    pub payloads_materialised: u64,
 }
 
 impl DataPlaneStats {
@@ -210,12 +224,7 @@ pub struct GraphExecutor {
     graph: Arc<PhysicalGraph>,
     tables: Arc<BTreeMap<String, RecordBatch>>,
     stats: Rc<RefCell<DataPlaneStats>>,
-    compress: bool,
     adaptive: bool,
-    /// Distinct consumer tasks of each vertex, by vertex id.
-    consumers: Vec<usize>,
-    /// Producer outputs waiting to be read, by producer task.
-    staged: BTreeMap<u64, Staged>,
 }
 
 /// How an edge divides its producer's batch among the consumer's shards.
@@ -231,68 +240,81 @@ enum Split {
     Even { parts: usize },
 }
 
-/// One producer's output, staged for its consumers (see the module docs).
-struct Staged {
-    /// Address and length of the stored payload `batch` corresponds to.
-    payload: (usize, usize),
+/// One shard's output as its payload keeps it (see the module docs).
+struct Output {
     batch: RecordBatch,
     /// `batch` divided, once per distinct out-edge shape.
-    splits: Vec<(Split, Vec<RecordBatch>)>,
-    /// Consumers yet to be prepared; the entry is dropped with the last.
-    consumers_left: usize,
+    splits: RefCell<Vec<(Split, Vec<RecordBatch>)>>,
+    /// Where partition passes and made frames are counted.
+    stats: Rc<RefCell<DataPlaneStats>>,
 }
 
-impl Staged {
-    fn identity(payload: &[u8]) -> (usize, usize) {
-        (payload.as_ptr() as usize, payload.len())
+impl Output {
+    fn new(batch: RecordBatch, stats: &Rc<RefCell<DataPlaneStats>>) -> Self {
+        Output {
+            batch,
+            splits: RefCell::new(Vec::new()),
+            stats: Rc::clone(stats),
+        }
     }
 
     /// Shard `shard`'s share under `split`, dividing the batch the first
     /// time the shape is asked for.
-    fn share(
-        &mut self,
-        split: Split,
-        shard: u32,
-        stats: &RefCell<DataPlaneStats>,
-    ) -> Result<RecordBatch, SqlError> {
-        let at = match self.splits.iter().position(|(s, _)| *s == split) {
+    fn share(&self, split: Split, shard: u32) -> Result<RecordBatch, SqlError> {
+        let mut splits = self.splits.borrow_mut();
+        let at = match splits.iter().position(|(s, _)| *s == split) {
             Some(at) => at,
             None => {
                 let parts = match &split {
                     Split::ByKey { key, parts, coerce } => {
-                        stats.borrow_mut().partition_passes += 1;
+                        self.stats.borrow_mut().partition_passes += 1;
                         shard::partition_by_key(&self.batch, key, *parts, *coerce)?
                     }
                     Split::Even { parts } => shard::split_even(&self.batch, *parts),
                 };
-                self.splits.push((split, parts));
-                self.splits.len() - 1
+                splits.push((split, parts));
+                splits.len() - 1
             }
         };
-        Ok(self.splits[at].1[shard as usize].clone())
+        Ok(splits[at].1[shard as usize].clone())
+    }
+}
+
+impl Content for Output {
+    fn materialise(&self) -> Vec<u8> {
+        self.stats.borrow_mut().payloads_materialised += 1;
+        ipc::encode(&self.batch).to_vec()
+    }
+}
+
+/// Decodes stored bytes — block-compressed or plain, told apart by
+/// magic — back into the batch they were made from.
+fn decode(bytes: &[u8]) -> Result<RecordBatch, ArrowError> {
+    let frame = if compression::is_compressed(bytes) {
+        compression::decompress(bytes)?
+    } else {
+        bytes.to_vec()
+    };
+    ipc::decode(Bytes::from(frame))
+}
+
+/// The batch a payload holds: the one its executor kept, or its bytes
+/// decoded when it came without one.
+pub(crate) fn payload_batch(payload: &Payload) -> Result<RecordBatch, ArrowError> {
+    match payload.content::<Output>() {
+        Some(output) => Ok(output.batch.clone()),
+        None => decode(payload.bytes()),
     }
 }
 
 impl GraphExecutor {
     /// Builds an executor for `graph` reading base tables from `tables`.
-    /// Stored payloads are block-compressed by default (see
-    /// [`GraphExecutor::with_compression`]).
     pub fn new(graph: PhysicalGraph, tables: BTreeMap<String, RecordBatch>) -> Self {
-        let mut pairs: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut consumers = vec![0usize; graph.len()];
-        for (from, _) in pairs {
-            consumers[from as usize] += 1;
-        }
         GraphExecutor {
             graph: Arc::new(graph),
             tables: Arc::new(tables),
             stats: Rc::new(RefCell::new(DataPlaneStats::default())),
-            compress: true,
             adaptive: false,
-            consumers,
-            staged: BTreeMap::new(),
         }
     }
 
@@ -303,19 +325,6 @@ impl GraphExecutor {
     /// side pays the hash-table build.
     pub fn with_adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
-        self
-    }
-
-    /// Toggles block compression of stored task payloads. When on, each
-    /// shard's IPC frame goes through [`compression::maybe_compress`]
-    /// before the cluster stores it, so every byte size the simulator
-    /// prices (transfer, inlining, caching) reflects the compressed
-    /// frame. Decode auto-detects by magic, so producers and consumers
-    /// never need to agree out of band.
-    ///
-    /// [`compression::maybe_compress`]: skadi_arrow::compression::maybe_compress
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = on;
         self
     }
 
@@ -340,54 +349,32 @@ struct PreparedShard {
     port0: Vec<RecordBatch>,
     port1: Vec<RecordBatch>,
     rows_in: usize,
+    /// Modelled bytes per second of the link the output is written over.
+    link_bps: u64,
 }
 
-/// A finished shard run: the output batch, its encoded payload and
-/// measurements, waiting to be committed on the calling thread.
+/// A finished shard run, waiting to be committed on the calling thread:
+/// the output batch, its frame's length, the compressed frame when the
+/// rule chose to store it so, and measurements.
 struct ShardRun {
     out: RecordBatch,
-    bytes: Vec<u8>,
+    len: usize,
+    packed: Option<Vec<u8>>,
     wall: Duration,
     exec_stats: ShardExecStats,
 }
 
 impl GraphExecutor {
-    /// The staged output of producer `p`, which the cluster stored as
-    /// `payload`: the batch kept at commit if it is the one these bytes
-    /// were encoded from, the bytes decoded (block-compressed or plain,
-    /// told apart by magic) otherwise.
-    fn stage(&mut self, p: TaskId, payload: &[u8]) -> Result<&mut Staged, String> {
-        let identity = Staged::identity(payload);
-        if self.staged.get(&p.0).is_none_or(|s| s.payload != identity) {
-            let frame = if compression::is_compressed(payload) {
-                compression::decompress(payload)
-                    .map_err(|e| format!("decompress payload of {p}: {e}"))?
-            } else {
-                payload.to_vec()
-            };
-            let batch = ipc::decode(Bytes::from(frame))
-                .map_err(|e| format!("decode payload of {p}: {e}"))?;
-            self.stats.borrow_mut().payload_decodes += 1;
-            let staged = Staged {
-                payload: identity,
-                batch,
-                splits: Vec::new(),
-                consumers_left: self.consumers[p.0 as usize],
-            };
-            self.staged.insert(p.0, staged);
-        }
-        Ok(self.staged.get_mut(&p.0).expect("staged above"))
-    }
-
-    /// Stages task `t`: takes this shard's portion of each in-edge from
-    /// its producer's staged output and records edge row counts. Runs on
-    /// the calling thread (it touches `stats` and the staged outputs).
-    fn prepare(&mut self, t: TaskId, inputs: &[(TaskId, &[u8])]) -> Result<PreparedShard, String> {
+    /// Stages a ready task: takes this shard's portion of each in-edge
+    /// from its producer's output and records edge row counts. Runs on
+    /// the calling thread (it touches `stats`).
+    fn prepare(&self, ready: &ReadyTask<'_>) -> Result<PreparedShard, String> {
+        let t = ready.task;
         let idx = t.0 as usize;
         if idx >= self.graph.len() {
             return Err(format!("task {t} has no physical vertex"));
         }
-        let graph = Arc::clone(&self.graph);
+        let graph = &self.graph;
         let v = graph.vertex(PVertexId(t.0 as u32));
         let op = v
             .exec
@@ -401,15 +388,25 @@ impl GraphExecutor {
         let mut port0: Vec<RecordBatch> = Vec::new();
         let mut port1: Vec<RecordBatch> = Vec::new();
         let mut rows_in = 0usize;
-        let stats = Rc::clone(&self.stats);
         for e in &edges {
             let from = TaskId(e.from.0 as u64);
-            let payload = inputs
+            let payload = ready
+                .inputs
                 .iter()
                 .find(|(p, _)| *p == from)
                 .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?
                 .1;
-            let staged = self.stage(from, payload)?;
+            let decoded;
+            let output = match payload.content::<Output>() {
+                Some(output) => output,
+                None => {
+                    let batch = decode(payload.bytes())
+                        .map_err(|err| format!("decode payload of {from}: {err}"))?;
+                    self.stats.borrow_mut().payload_decodes += 1;
+                    decoded = Output::new(batch, &self.stats);
+                    &decoded
+                }
+            };
             let part = match &e.kind {
                 PEdgeKind::Shuffle { key, .. } => {
                     let split = Split::ByKey {
@@ -417,10 +414,10 @@ impl GraphExecutor {
                         parts: v.shards as usize,
                         coerce: is_join_consumer(op),
                     };
-                    let mine = staged
-                        .share(split, v.shard, &stats)
+                    let mine = output
+                        .share(split, v.shard)
                         .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
-                    stats
+                    self.stats
                         .borrow_mut()
                         .shuffle_rows
                         .insert((from.0, t.0), mine.num_rows());
@@ -430,15 +427,15 @@ impl GraphExecutor {
                     let split = Split::Even {
                         parts: v.shards as usize,
                     };
-                    staged
-                        .share(split, v.shard, &stats)
+                    output
+                        .share(split, v.shard)
                         .map_err(|err| format!("scatter into {}: {err}", v.id))?
                 }
                 PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => {
-                    staged.batch.clone()
+                    output.batch.clone()
                 }
             };
-            stats
+            self.stats
                 .borrow_mut()
                 .edge_rows
                 .insert((from.0, t.0), part.num_rows());
@@ -447,19 +444,6 @@ impl GraphExecutor {
                 port1.push(part);
             } else {
                 port0.push(part);
-            }
-        }
-
-        // This consumer is served: release what nobody else will read.
-        let mut producers: Vec<u64> = edges.iter().map(|e| e.from.0 as u64).collect();
-        producers.sort_unstable();
-        producers.dedup();
-        for p in producers {
-            if let Some(staged) = self.staged.get_mut(&p) {
-                staged.consumers_left = staged.consumers_left.saturating_sub(1);
-                if staged.consumers_left == 0 {
-                    self.staged.remove(&p);
-                }
             }
         }
 
@@ -473,6 +457,7 @@ impl GraphExecutor {
             port0,
             port1,
             rows_in,
+            link_bps: ready.link_bps,
         })
     }
 
@@ -481,7 +466,6 @@ impl GraphExecutor {
     fn run_shard(
         tables: &BTreeMap<String, RecordBatch>,
         p: &PreparedShard,
-        compress: bool,
         adaptive: bool,
     ) -> Result<ShardRun, String> {
         let mut exec_stats = ShardExecStats::default();
@@ -498,23 +482,35 @@ impl GraphExecutor {
         )
         .map_err(|e| format!("shard {}/{} of {}: {e}", p.shard, p.shards, p.op_name))?;
         let wall = started.elapsed();
-        let frame = ipc::encode(&out);
-        let bytes = if compress {
-            compression::maybe_compress(&frame)
+        let len = ipc::encoded_len(&out);
+        // The frame is made here only where compressing could pay on this
+        // link, to learn its ratio; everywhere else the length is enough.
+        let packed = if compression::pays(len, f64::INFINITY, p.link_bps) {
+            compression::for_link(&ipc::encode(&out), &mut None, p.link_bps)
         } else {
-            frame.to_vec()
+            None
         };
         Ok(ShardRun {
             out,
-            bytes,
+            len,
+            packed,
             wall,
             exec_stats,
         })
     }
 
-    /// Records a finished run's measurements, keeps its batch for the
-    /// consumers of the payload and releases the payload.
-    fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Vec<u8> {
+    /// Records a finished run's measurements and wraps its output in the
+    /// payload the cluster stores.
+    fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Payload {
+        let rows_out = run.out.num_rows();
+        let output = Output::new(run.out, &self.stats);
+        let payload = match run.packed {
+            Some(bytes) => {
+                self.stats.borrow_mut().compressed_outputs += 1;
+                Payload::with_bytes(bytes, output)
+            }
+            None => Payload::lazy(run.len as u64, output),
+        };
         self.stats.borrow_mut().timings.push(ShardTiming {
             task: p.task,
             op_id: p.op_id,
@@ -522,63 +518,41 @@ impl GraphExecutor {
             shard: p.shard,
             shards: p.shards,
             rows_in: p.rows_in,
-            rows_out: run.out.num_rows(),
-            output_bytes: run.bytes.len() as u64,
+            rows_out,
+            output_bytes: payload.len(),
             wall: run.wall,
             exec_stats: run.exec_stats,
         });
-        let consumers_left = self.consumers[p.task.0 as usize];
-        if consumers_left > 0 {
-            let staged = Staged {
-                payload: Staged::identity(&run.bytes),
-                batch: run.out,
-                splits: Vec::new(),
-                consumers_left,
-            };
-            self.staged.insert(p.task.0, staged);
-        }
-        run.bytes
+        payload
     }
 }
 
 impl TaskExecutor for GraphExecutor {
-    fn execute(&mut self, t: TaskId, inputs: &[(TaskId, &[u8])]) -> Result<Vec<u8>, String> {
-        let p = self.prepare(t, inputs)?;
-        let run = Self::run_shard(&self.tables, &p, self.compress, self.adaptive)?;
+    fn execute(&mut self, ready: &ReadyTask<'_>) -> Result<Payload, String> {
+        let p = self.prepare(ready)?;
+        let run = Self::run_shard(&self.tables, &p, self.adaptive)?;
         Ok(self.commit(&p, run))
     }
 
     /// Same-instant batch: staging and commits stay serial in task-ID
     /// order (the order the cluster hands us), while the shard kernels —
     /// pure functions of their staged inputs — overlap on the shared
-    /// worker pool. Output bytes, row counts, and every stat except wall
+    /// worker pool. Payloads, row counts, and every stat except wall
     /// nanos are identical to running the batch one task at a time.
-    fn execute_ready(
-        &mut self,
-        tasks: &[(TaskId, Vec<(TaskId, &[u8])>)],
-    ) -> Vec<Result<Vec<u8>, String>> {
-        let prepared: Vec<Result<PreparedShard, String>> = tasks
-            .iter()
-            .map(|(t, inputs)| self.prepare(*t, inputs))
-            .collect();
+    fn execute_ready(&mut self, tasks: &[ReadyTask<'_>]) -> Vec<Result<Payload, String>> {
+        let prepared: Vec<Result<PreparedShard, String>> =
+            tasks.iter().map(|t| self.prepare(t)).collect();
         let prepared = Arc::new(prepared);
         let prepared2 = Arc::clone(&prepared);
         let tables = Arc::clone(&self.tables);
-        let compress = self.compress;
         let adaptive = self.adaptive;
-        let runs = pool::global().run_indexed(prepared.len(), move |i| match &prepared2[i] {
-            Ok(p) => Some(Self::run_shard(&tables, p, compress, adaptive)),
-            Err(_) => None,
+        let runs = pool::global().run_indexed(prepared.len(), move |i| {
+            Self::run_shard(&tables, prepared2[i].as_ref()?, adaptive)
         });
         prepared
             .iter()
             .zip(runs)
-            .map(|(p, run)| match (p, run) {
-                (Ok(p), Some(Ok(run))) => Ok(self.commit(p, run)),
-                (Ok(_), Some(Err(e))) => Err(e),
-                (Err(e), _) => Err(e.clone()),
-                (Ok(_), None) => unreachable!("prepared shard must produce a run"),
-            })
+            .map(|(p, run)| Ok(self.commit(p.as_ref()?, run?)))
             .collect()
     }
 }
@@ -595,12 +569,14 @@ mod tests {
     use skadi_ir::BackendPolicy;
 
     /// Drives an executor by hand, task by task, the way the cluster
-    /// does: every consumer is handed the one buffer its producer's
-    /// payload lives in. Each kept batch must re-encode to exactly the
-    /// frame that was stored, no payload is ever decoded, and an entry is
-    /// gone once its last consumer has been prepared.
+    /// does, over the fabric's NIC: every output is a length and its
+    /// batch, nothing is compressed, decoded or encoded on the way, and a
+    /// payload read afterwards is its batch's frame, made once. The same
+    /// bytes handed to a second executor decode to the same batches and
+    /// store the same bytes.
     #[test]
-    fn kept_batches_are_the_stored_frames_and_are_released() {
+    fn payloads_are_lengths_until_read() {
+        const FABRIC: u64 = 25 << 30;
         let n = 200i64;
         let tags: Vec<&str> = (0..n).map(|i| ["x", "y", "z"][i as usize % 3]).collect();
         let t = RecordBatch::try_new(
@@ -621,34 +597,62 @@ mod tests {
         let (graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
         let lower = LowerConfig::new(4, BackendPolicy::cost_based());
         let phys = lower_graph(&graph, &lower).unwrap();
-        let mut exec = GraphExecutor::new(phys.clone(), db.tables().clone());
 
-        let mut stored: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        let mut kept = 0;
-        for v in phys.topo_order().unwrap() {
-            let mut producers: Vec<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
-            producers.sort_unstable();
-            producers.dedup();
-            let inputs: Vec<(TaskId, &[u8])> = producers
-                .iter()
-                .map(|p| (TaskId(*p as u64), stored[p].as_slice()))
-                .collect();
-            let out = exec.execute(TaskId(v.0 as u64), &inputs).unwrap();
-            if let Some(staged) = exec.staged.get(&(v.0 as u64)) {
-                let frame = ipc::encode(&staged.batch);
-                assert_eq!(compression::maybe_compress(&frame), out, "task {v}");
-                assert_eq!(staged.payload, Staged::identity(&out));
-                kept += 1;
+        // Each consumer reads its producers' stored payloads — or, `cold`,
+        // only their bytes.
+        let run = |exec: &mut GraphExecutor, cold: bool| {
+            let mut stored: BTreeMap<u32, Payload> = BTreeMap::new();
+            for v in phys.topo_order().unwrap() {
+                let mut producers: Vec<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
+                producers.sort_unstable();
+                producers.dedup();
+                let bytes: Vec<Payload> = producers
+                    .iter()
+                    .filter(|_| cold)
+                    .map(|p| Payload::from(stored[p].bytes().to_vec()))
+                    .collect();
+                let inputs = producers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (TaskId(*p as u64), bytes.get(i).unwrap_or(&stored[p])))
+                    .collect();
+                let ready = ReadyTask {
+                    task: TaskId(v.0 as u64),
+                    inputs,
+                    link_bps: FABRIC,
+                };
+                let out = exec.execute(&ready).unwrap();
+                stored.insert(v.0, out);
             }
-            stored.insert(v.0, out);
-        }
-        assert_eq!(kept, phys.len() - 1, "every output but the sink's is kept");
-        assert_eq!(exec.stats.borrow().payload_decodes, 0);
+            stored
+        };
+        let mut warm = GraphExecutor::new(phys.clone(), db.tables().clone());
+        let stored = run(&mut warm, false);
+        let counts = |e: &GraphExecutor| {
+            let s = e.stats.borrow();
+            (
+                s.compressed_outputs,
+                s.payload_decodes,
+                s.payloads_materialised,
+            )
+        };
+        assert_eq!(counts(&warm), (0, 0, 0));
         assert!(
-            exec.stats.borrow().partition_passes > 0,
+            warm.stats.borrow().partition_passes > 0,
             "the plan shuffles"
         );
-        assert!(exec.staged.is_empty(), "every consumer has been served");
+        for (v, payload) in &stored {
+            let batch = &payload.content::<Output>().unwrap().batch;
+            assert_eq!(payload.len(), ipc::encode(batch).len() as u64, "task {v}");
+            assert_eq!(payload.bytes(), ipc::encode(batch).as_slice(), "task {v}");
+            assert_eq!(payload.bytes(), ipc::encode(batch).as_slice(), "task {v}");
+        }
+        assert_eq!(counts(&warm), (0, 0, stored.len() as u64), "each made once");
+
+        let mut cold = GraphExecutor::new(phys.clone(), db.tables().clone());
+        let again = run(&mut cold, true);
+        assert_eq!(again, stored);
+        assert!(cold.stats.borrow().payload_decodes > 0);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! disconnects all tear the connection down cleanly — never a panic, a
 //! hang, or a partial result passed off as complete.
 //!
+//! Each transport carries a modelled link price, which decides whether a
+//! negotiated block is compressed (`skadi_arrow::compression::pays`): the
+//! in-memory duplex never pays for the codec, a TCP client does when the
+//! stream's first block compresses well.
+//!
 //! Admission control is a bounded FIFO: at most
 //! [`ServerConfig::max_concurrent`] queries execute at once and at most
 //! [`ServerConfig::max_queued`] wait; the next admitted query is always
@@ -31,6 +36,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
+use skadi_arrow::compression;
 use skadi_frontends::exec::MemDb;
 use skadi_frontends::sql;
 use skadi_wire as wire;
@@ -206,8 +212,17 @@ impl Server {
         &self.admission
     }
 
-    /// Serves one connection to completion on the calling thread.
-    pub fn handle<S: Read + Write>(&self, mut conn: S) -> SessionEnd {
+    /// Serves one connection to completion on the calling thread. The
+    /// server cannot see what carries a stream it is handed, so it prices
+    /// it as a network client ([`compression::NETWORK_CLIENT_LINK_BPS`]):
+    /// a negotiated result block is compressed where that pays.
+    pub fn handle<S: Read + Write>(&self, conn: S) -> SessionEnd {
+        self.serve(conn, compression::NETWORK_CLIENT_LINK_BPS)
+    }
+
+    /// [`Server::handle`] over a link of `link_bps` modelled bytes per
+    /// second, which the compress-or-plain rule reads.
+    fn serve<S: Read + Write>(&self, mut conn: S, link_bps: u64) -> SessionEnd {
         // --- Handshake ---
         let caps = match read_packet(&mut conn, self.cfg.max_frame) {
             Ok(Packet::ClientHello {
@@ -262,7 +277,7 @@ impl Server {
         loop {
             match read_packet(&mut conn, self.cfg.max_frame) {
                 Ok(Packet::Query { id, sql }) => {
-                    if self.run_query(&mut conn, id, &sql, caps).is_err() {
+                    if self.run_query(&mut conn, id, &sql, caps, link_bps).is_err() {
                         // Writing the result failed: the client vanished
                         // mid-stream. Nothing to salvage.
                         return SessionEnd::Disconnected;
@@ -299,6 +314,7 @@ impl Server {
         id: u64,
         sql: &str,
         caps: u32,
+        link_bps: u64,
     ) -> Result<(), WireError> {
         let _slot = match self.admission.try_acquire() {
             Ok(g) => g,
@@ -337,18 +353,19 @@ impl Server {
         let nchunks = total.div_ceil(block).max(1);
         let mut sent_rows = 0u64;
         let mut sent_bytes = 0u64;
+        // The stream's ratio, learnt from its first block that could pay.
+        let mut ratio = None;
         for c in 0..nchunks {
             let chunk = batch.slice((c * block).min(total), ((c + 1) * block).min(total));
             let frame = skadi_arrow::ipc::encode(&chunk);
-            // Compression is negotiated: only a client that advertised
-            // CAP_COMPRESSION may receive compressed payloads. A frame
-            // that wouldn't shrink still travels raw (the receiver tells
-            // the two apart by magic).
-            let payload = if caps & CAP_COMPRESSION != 0 {
-                bytes::Bytes::from(skadi_arrow::compression::maybe_compress(&frame))
-            } else {
-                frame
-            };
+            // A compressed block goes only to a client that advertised
+            // CAP_COMPRESSION, and only where the link's price pays for
+            // the codec; otherwise it travels raw (the receiver tells the
+            // two apart by magic).
+            let packed = (caps & CAP_COMPRESSION != 0)
+                .then(|| compression::for_link(&frame, &mut ratio, link_bps))
+                .flatten();
+            let payload = packed.map_or(frame, bytes::Bytes::from);
             sent_rows += chunk.num_rows() as u64;
             sent_bytes += payload.len() as u64;
             write_packet(
@@ -415,11 +432,13 @@ impl Server {
     /// Opens an in-memory connection to this server: spawns a handler
     /// thread for the server end and returns the client end plus the
     /// handler's join handle (joining surfaces panics and the
-    /// [`SessionEnd`] verdict — tests assert on both).
+    /// [`SessionEnd`] verdict — tests assert on both). The duplex is a
+    /// memory-class link ([`compression::MEMORY_LINK_BPS`]), so its
+    /// blocks are never compressed.
     pub fn connect(self: &Arc<Self>) -> (wire::DuplexStream, thread::JoinHandle<SessionEnd>) {
         let (client_end, server_end) = wire::duplex();
         let server = Arc::clone(self);
-        let handle = thread::spawn(move || server.handle(server_end));
+        let handle = thread::spawn(move || server.serve(server_end, compression::MEMORY_LINK_BPS));
         (client_end, handle)
     }
 

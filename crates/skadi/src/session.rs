@@ -29,7 +29,7 @@ use skadi_runtime::{
 };
 
 use crate::adaptive::{self, Replan};
-use crate::distributed::{DataPlaneStats, GraphExecutor};
+use crate::distributed::{self, DataPlaneStats, GraphExecutor};
 use crate::pipeline::PipelineBuilder;
 use crate::report::{BackendCounts, JobReport};
 
@@ -101,7 +101,6 @@ pub struct SessionBuilder {
     policy: BackendPolicy,
     optimize: bool,
     skew_multiple: f64,
-    shuffle_compression: bool,
     threads: Option<usize>,
     adaptive: bool,
 }
@@ -151,15 +150,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggles block compression of shuffle/stored payloads in the
-    /// distributed data plane (defaults to on). Off, every task stores
-    /// its raw IPC frame — useful for measuring what compression saves,
-    /// since `measured_output_bytes` feeds all storage/network pricing.
-    pub fn shuffle_compression(mut self, on: bool) -> Self {
-        self.shuffle_compression = on;
-        self
-    }
-
     /// Sets the number of real worker threads the execution pool uses for
     /// morsel-parallel kernels and same-instant shard batches. Defaults
     /// to the host's available parallelism (or `SKADI_THREADS`). The
@@ -200,7 +190,6 @@ impl SessionBuilder {
             policy: self.policy,
             optimize: self.optimize,
             skew_multiple: self.skew_multiple,
-            shuffle_compression: self.shuffle_compression,
             adaptive: self.adaptive,
         }
     }
@@ -215,7 +204,6 @@ pub struct Session {
     pub(crate) policy: BackendPolicy,
     pub(crate) optimize: bool,
     pub(crate) skew_multiple: f64,
-    pub(crate) shuffle_compression: bool,
     pub(crate) adaptive: bool,
 }
 
@@ -230,7 +218,6 @@ impl Session {
             policy: BackendPolicy::cost_based(),
             optimize: true,
             skew_multiple: 2.0,
-            shuffle_compression: true,
             threads: None,
             adaptive: false,
         }
@@ -260,9 +247,9 @@ impl Session {
     /// Runs a SQL statement **with real data**: plans against a catalog
     /// derived from `db`'s registered tables, shards the plan to this
     /// session's parallelism, and executes every shard through the
-    /// simulated cluster's data plane — each task decodes its producers'
-    /// IPC payloads, runs its operator kernel, and stores real encoded
-    /// bytes whose measured sizes feed the simulator's pricing. The
+    /// simulated cluster's data plane — each task takes its share of its
+    /// producers' output batches, runs its operator kernel, and stores a
+    /// payload whose measured length feeds the simulator's pricing. The
     /// collected result is byte-identical to
     /// [`MemDb::query`](skadi_frontends::exec::MemDb::query).
     pub fn sql_distributed(
@@ -331,26 +318,18 @@ impl Session {
             .ok_or_else(|| SkadiError::Sql(sql::SqlError::Plan("plan has no sink".into())))?;
 
         let mut cluster = Cluster::new(&self.topology, self.runtime.clone());
-        let executor = GraphExecutor::new(phys.clone(), db.tables().clone())
-            .with_compression(self.shuffle_compression)
-            .with_adaptive(self.adaptive);
+        let executor =
+            GraphExecutor::new(phys.clone(), db.tables().clone()).with_adaptive(self.adaptive);
         let measurements = executor.stats();
         cluster.set_executor(Box::new(executor));
         let stats = cluster.run_with_failures(&job, failures)?;
-        let payload = cluster.task_payload(sink_task).ok_or_else(|| {
-            SkadiError::Runtime(RuntimeError::Internal(
-                "data plane: sink stored no payload".into(),
-            ))
-        })?;
-        let frame = if skadi_arrow::compression::is_compressed(payload) {
-            skadi_arrow::compression::decompress(payload).map_err(|e| {
-                SkadiError::Sql(sql::SqlError::Plan(format!("decompress result: {e}")))
-            })?
-        } else {
-            payload.to_vec()
-        };
-        let batch = skadi_arrow::ipc::decode(bytes::Bytes::from(frame))
-            .map_err(|e| SkadiError::Sql(sql::SqlError::Plan(format!("decode result: {e}"))))?;
+        // The sink's batch, as its shard kept it: no bytes are made.
+        let data_plane_fault = |msg: String| SkadiError::Runtime(RuntimeError::Internal(msg));
+        let sink = cluster
+            .task_output(sink_task)
+            .ok_or_else(|| data_plane_fault("data plane: sink stored no payload".into()))?;
+        let batch = distributed::payload_batch(sink)
+            .map_err(|e| data_plane_fault(format!("data plane: decode result: {e}")))?;
         let data_plane = measurements.borrow().clone();
         let profile =
             data_plane.query_profile(&phys, statement, self.parallelism, self.skew_multiple);
@@ -382,11 +361,11 @@ impl Session {
         statement: &str,
     ) -> Result<String, SkadiError> {
         let run = self.sql_distributed(db, statement)?;
-        let profile = run
-            .report
-            .profile
-            .as_ref()
-            .expect("distributed SQL always records a profile");
+        let profile = run.report.profile.as_ref().ok_or_else(|| {
+            SkadiError::Runtime(RuntimeError::Internal(
+                "distributed SQL recorded no profile".into(),
+            ))
+        })?;
         Ok(profile.render(true))
     }
 

@@ -277,22 +277,24 @@ fn determinism_across_seeds_and_runs() {
     assert!(!shuffles[0].is_empty(), "group-by query must shuffle");
 }
 
-/// The staged data plane, gated on counts that repeat exactly on any
-/// host: at parallelism 4 every golden query decodes no more payloads
-/// than it has producers and hash-partitions each shuffle producer's
-/// output once (it used to be once per consumer shard). A second, cold
-/// executor — no kept batches, fed the first one's stored payloads
-/// through plain `TaskExecutor::execute` — decodes every producer from
-/// its bytes and must store the very same bytes, so what the first run
-/// handed over by reference was what the bytes hold.
+/// The data plane, gated on counts that repeat exactly on any host: at
+/// parallelism 4 on the fabric's NIC every golden query stores no
+/// compressed output, decodes no payload, makes no frame, and
+/// hash-partitions each shuffle producer's output once (it used to be
+/// once per consumer shard). Reading every stored payload makes each
+/// frame once. A second, cold executor — fed those bytes alone, through
+/// plain `TaskExecutor::execute` — decodes every input from them and
+/// must store the very same bytes, so what the first run handed over by
+/// reference was what the bytes hold.
 #[test]
 fn every_output_is_staged_once_and_a_cold_executor_agrees() {
+    use skadi::dcsim::network::LinkParams;
     use skadi::flowgraph::lower::{lower_graph, LowerConfig};
     use skadi::flowgraph::optimize::optimize_graph;
     use skadi::flowgraph::physical::PEdgeKind;
     use skadi::frontends::sql;
     use skadi::ir::BackendPolicy;
-    use skadi::runtime::{job_from_physical, Cluster, TaskExecutor, TaskId};
+    use skadi::runtime::{job_from_physical, Cluster, Payload, ReadyTask, TaskExecutor, TaskId};
     use skadi::GraphExecutor;
     use std::collections::BTreeSet;
 
@@ -304,13 +306,14 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
             let lower = LowerConfig::new(4, BackendPolicy::cost_based());
             let phys = lower_graph(&graph, &lower).unwrap();
             let job = job_from_physical("sql", &phys, "sql").unwrap();
-            let consumed: BTreeSet<u32> = phys.edges().iter().map(|e| e.from.0).collect();
-            let shuffled: BTreeSet<u32> = phys
-                .edges()
-                .iter()
-                .filter(|e| matches!(e.kind, PEdgeKind::Shuffle { .. }))
-                .map(|e| e.from.0)
-                .collect();
+            let edges = |shuffles_only: bool| -> BTreeSet<(u32, u32)> {
+                let edges = phys.edges().iter();
+                edges
+                    .filter(|e| !shuffles_only || matches!(e.kind, PEdgeKind::Shuffle { .. }))
+                    .map(|e| (e.from.0, e.to.0))
+                    .collect()
+            };
+            let shuffled: BTreeSet<u32> = edges(true).iter().map(|e| e.0).collect();
 
             let mut cluster = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
             let warm = GraphExecutor::new(phys.clone(), db.tables().clone());
@@ -319,13 +322,13 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
             cluster
                 .run_with_failures(&job, &FailurePlan::none())
                 .unwrap();
-            let warm = measured.borrow();
-            assert!(
-                warm.payload_decodes <= consumed.len() as u64,
-                "{query}: {} decodes for {} producers",
+            let warm = measured.borrow().clone();
+            let counts = (
+                warm.compressed_outputs,
                 warm.payload_decodes,
-                consumed.len()
+                warm.payloads_materialised,
             );
+            assert_eq!(counts, (0, 0, 0), "{query}");
             assert_eq!(warm.partition_passes, shuffled.len() as u64, "{query}");
 
             let stored: Vec<&[u8]> = phys
@@ -333,20 +336,30 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
                 .iter()
                 .map(|v| cluster.task_payload(TaskId(v.id.0 as u64)).unwrap())
                 .collect();
+            // A second read finds the frame made by the first.
+            let _ = cluster.task_payload(TaskId(0));
+            let made = measured.borrow().payloads_materialised;
+            assert_eq!(made, phys.len() as u64, "{query}: each frame made once");
+
             let mut cold = GraphExecutor::new(phys.clone(), db.tables().clone());
             let measured = cold.stats();
             for v in phys.topo_order().unwrap() {
                 let producers: BTreeSet<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
-                let inputs: Vec<(TaskId, &[u8])> = producers
+                let fed: Vec<(TaskId, Payload)> = producers
                     .iter()
-                    .map(|&p| (TaskId(p as u64), stored[p as usize]))
+                    .map(|&p| (TaskId(p as u64), Payload::from(stored[p as usize].to_vec())))
                     .collect();
-                let out = cold.execute(TaskId(v.0 as u64), &inputs).unwrap();
-                assert_eq!(out, stored[v.0 as usize], "{query}: task {v}");
+                let ready = ReadyTask {
+                    task: TaskId(v.0 as u64),
+                    inputs: fed.iter().map(|(p, payload)| (*p, payload)).collect(),
+                    link_bps: LinkParams::default().nic_bandwidth_bps,
+                };
+                let out = cold.execute(&ready).unwrap();
+                assert_eq!(out.bytes(), stored[v.0 as usize], "{query}: task {v}");
             }
             let cold = measured.borrow();
-            assert_eq!(cold.payload_decodes, consumed.len() as u64, "{query}");
-            assert_eq!(cold.partition_passes, shuffled.len() as u64, "{query}");
+            assert_eq!(cold.payload_decodes, edges(false).len() as u64, "{query}");
+            assert_eq!(cold.partition_passes, edges(true).len() as u64, "{query}");
             assert_eq!(cold.edge_rows, warm.edge_rows, "{query}");
             assert_eq!(cold.shuffle_rows, warm.shuffle_rows, "{query}");
         }
@@ -495,34 +508,94 @@ fn mixed_join_keys_exact_above_2_53_distributed() {
     }
 }
 
-/// With shuffle compression on (the default), a distributed run must
-/// report strictly fewer measured output bytes than the same run with
-/// compression off — and identical result bytes.
+/// Compression is the link's call. The fabric's 25 GiB/s NIC never pays
+/// for the codec; on a 100 MiB/s NIC the same query stores every shuffle
+/// output compressed, measures strictly fewer bytes — and answers with
+/// identical result bytes.
 #[test]
 fn shuffle_compression_shrinks_measured_output_bytes() {
+    use skadi::arrow::compression;
+    use skadi::dcsim::network::LinkParams;
+    use skadi::flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi::flowgraph::optimize::optimize_graph;
+    use skadi::flowgraph::physical::{PEdgeKind, PVertexId, PVertexKind};
+    use skadi::frontends::sql;
+    use skadi::ir::BackendPolicy;
+    use skadi::runtime::{job_from_physical, Cluster, TaskId};
+    use skadi::GraphExecutor;
+
     let db = big_db();
-    let sql = "SELECT label, sum(v) AS s FROM events JOIN dims ON k = k GROUP BY label ORDER BY s";
-    let run_with = |compress: bool| {
-        let session = Session::builder()
-            .topology(presets::small_disagg_cluster())
-            .parallelism(4)
-            .shuffle_compression(compress)
-            .build();
-        session.sql_distributed(&db, sql).unwrap()
+    let query =
+        "SELECT label, sum(v) AS s FROM events JOIN dims ON k = k GROUP BY label ORDER BY s";
+    let (mut graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+    optimize_graph(&mut graph);
+    let phys = lower_graph(&graph, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
+    let job = job_from_physical("sql", &phys, "sql").unwrap();
+    let task = |v: PVertexId| TaskId(v.0 as u64);
+    let sink = phys
+        .vertices()
+        .iter()
+        .find(|v| v.kind == PVertexKind::Sink)
+        .map(|v| task(v.id))
+        .unwrap();
+    let shuffled: std::collections::BTreeSet<TaskId> = phys
+        .edges()
+        .iter()
+        .filter(|e| matches!(e.kind, PEdgeKind::Shuffle { .. }))
+        .map(|e| task(e.from))
+        .collect();
+
+    let run = |links: LinkParams| {
+        let topo = presets::small_disagg_cluster();
+        let mut cluster = Cluster::with_links(&topo, RuntimeConfig::skadi_gen2(), links);
+        let executor = GraphExecutor::new(phys.clone(), db.tables().clone());
+        let measured = executor.stats();
+        cluster.set_executor(Box::new(executor));
+        let stats = cluster.run(&job).unwrap();
+        let compressed = measured.borrow().compressed_outputs;
+        let total: u64 = stats.measured_output_bytes.values().sum();
+        (cluster, compressed, total)
     };
-    let off = run_with(false);
-    let on = run_with(true);
-    assert_identical(&db, sql, &on, "compression on");
-    assert_identical(&db, sql, &off, "compression off");
-    let total = |run: &skadi::DistributedRun| -> u64 {
-        run.report.stats.measured_output_bytes.values().sum()
+    let (fabric, fabric_compressed, fabric_bytes) = run(LinkParams::default());
+    let slow_nic = LinkParams {
+        nic_bandwidth_bps: 100 << 20,
+        ..LinkParams::default()
     };
+    let (slow, slow_compressed, slow_bytes) = run(slow_nic);
+
+    assert_eq!(fabric_compressed, 0, "the fabric compressed an output");
+    assert!(!shuffled.is_empty());
+    // Every shuffle output big enough for the rule is stored compressed;
+    // a sub-kilobyte one never is.
+    let mut packed = 0;
+    for &t in &shuffled {
+        let len = fabric.measured_output_bytes(t).unwrap() as usize;
+        let is_packed = compression::is_compressed(slow.task_payload(t).unwrap());
+        assert_eq!(
+            is_packed,
+            len >= compression::MIN_COMPRESSED_FRAME,
+            "shuffle output {t} of {len} bytes on a 100 MiB/s NIC"
+        );
+        packed += is_packed as u64;
+    }
+    assert!(packed >= 4, "only {packed} shuffle outputs compressed");
+    assert!(slow_compressed >= packed);
     assert!(
-        total(&on) < total(&off),
-        "compression on shipped {} bytes, off shipped {}",
-        total(&on),
-        total(&off)
+        slow_bytes < fabric_bytes,
+        "a 100 MiB/s NIC stored {slow_bytes} bytes, the fabric {fabric_bytes}"
     );
+    let answer = |cluster: &Cluster| {
+        let bytes = cluster.task_payload(sink).unwrap();
+        let frame = if compression::is_compressed(bytes) {
+            compression::decompress(bytes).unwrap()
+        } else {
+            bytes.to_vec()
+        };
+        ipc::encode(&ipc::decode(frame.into()).unwrap()).to_vec()
+    };
+    let want = ipc::encode(&db.query(query).unwrap()).to_vec();
+    assert_eq!(answer(&fabric), want);
+    assert_eq!(answer(&slow), want);
 }
 
 #[test]
@@ -1030,6 +1103,105 @@ fn benchmark_db() -> MemDb {
         .register("people", people)
 }
 
+/// The data plane's counts repeat exactly. Over the benchmark's five
+/// templates at parallelism 4 on the fabric's NIC, no output is
+/// compressed, decoded or made into bytes — calm, and under a
+/// kill-and-recover of a server in every FT mode, the answer unchanged.
+/// In a stateless deployment every output is written to the durable
+/// store at 100 MiB/s, where compressing pays: the same outputs compress
+/// to the same bytes on every run.
+#[test]
+fn payload_counts_repeat_calm_and_under_chaos() {
+    let db = benchmark_db();
+    let topo = presets::small_disagg_cluster();
+    let plan = FailurePlan::none().kill_and_recover(
+        topo.servers()[0],
+        SimTime::from_micros(3),
+        SimTime::from_millis(4),
+    );
+    let counts = |run: &skadi::DistributedRun| {
+        let d = &run.data_plane;
+        (
+            d.compressed_outputs,
+            d.payload_decodes,
+            d.payloads_materialised,
+        )
+    };
+    let (mut durable_compressed, mut hit) = (0, false);
+    for (query, _, _) in BENCHMARK_TEMPLATES {
+        for ft in [
+            FtMode::Lineage,
+            FtMode::Replication(2),
+            FtMode::ErasureCoding(EcConfig::RS_4_2),
+        ] {
+            let session = Session::builder()
+                .topology(topo.clone())
+                .parallelism(4)
+                .runtime(RuntimeConfig::skadi_gen2().with_ft(ft))
+                .build();
+            let calm = session.sql_distributed(&db, query).unwrap();
+            let stormy = session
+                .sql_distributed_with_failures(&db, query, &plan)
+                .unwrap();
+            assert_eq!(counts(&calm), (0, 0, 0), "{query} under {ft:?}");
+            assert_eq!(counts(&stormy), (0, 0, 0), "{query} under {ft:?}, stormy");
+            assert_identical(&db, query, &stormy, &format!("chaos under {ft:?}"));
+            hit |= stormy.report.stats.makespan != calm.report.stats.makespan;
+        }
+        let session = Session::builder()
+            .topology(topo.clone())
+            .parallelism(4)
+            .runtime(RuntimeConfig::stateless_serverless())
+            .build();
+        let (a, b) = (
+            session.sql_distributed(&db, query).unwrap(),
+            session.sql_distributed(&db, query).unwrap(),
+        );
+        assert_eq!(counts(&a), counts(&b), "{query}");
+        let stored = |run: &skadi::DistributedRun| run.report.stats.measured_output_bytes.clone();
+        assert_eq!(stored(&a), stored(&b), "{query}");
+        assert_identical(&db, query, &a, "stateless deployment");
+        durable_compressed += a.data_plane.compressed_outputs;
+    }
+    assert!(hit, "the kill never touched a run");
+    assert!(
+        durable_compressed > 0,
+        "no durable write paid for the codec"
+    );
+}
+
+/// The benchmark's five templates (`point`, `groupby`, `join`, `topn`,
+/// `scan`), each with its task count at parallelism 4 and its LIMIT.
+const BENCHMARK_TEMPLATES: [(&str, usize, Option<usize>); 5] = [
+    (
+        "SELECT user_id, value FROM events_s WHERE user_id = 7 AND value > 9.0",
+        5,
+        None,
+    ),
+    (
+        "SELECT kind, sum(value) AS total, count(*) AS n FROM events \
+         GROUP BY kind ORDER BY total DESC",
+        9,
+        None,
+    ),
+    (
+        "SELECT name, count(*) AS n FROM events JOIN people ON user_id = user_id \
+         GROUP BY name ORDER BY n DESC LIMIT 10",
+        17,
+        Some(10),
+    ),
+    (
+        "SELECT user_id, value FROM events WHERE value > 4.50 ORDER BY value DESC LIMIT 10",
+        5,
+        Some(10),
+    ),
+    (
+        "SELECT user_id, kind, value FROM events WHERE value > 1.50",
+        5,
+        None,
+    ),
+];
+
 /// The names an operator reads from its input (a projection only passes
 /// names on, so it reads none).
 fn names_read(op: &skadi::flowgraph::ExecOp, into: &mut std::collections::BTreeSet<String>) {
@@ -1074,36 +1246,7 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
 
     let db = benchmark_db();
     let topo = presets::small_disagg_cluster();
-    let templates: [(&str, usize, Option<usize>); 5] = [
-        (
-            "SELECT user_id, value FROM events_s WHERE user_id = 7 AND value > 9.0",
-            5,
-            None,
-        ),
-        (
-            "SELECT kind, sum(value) AS total, count(*) AS n FROM events \
-             GROUP BY kind ORDER BY total DESC",
-            9,
-            None,
-        ),
-        (
-            "SELECT name, count(*) AS n FROM events JOIN people ON user_id = user_id \
-             GROUP BY name ORDER BY n DESC LIMIT 10",
-            17,
-            Some(10),
-        ),
-        (
-            "SELECT user_id, value FROM events WHERE value > 4.50 ORDER BY value DESC LIMIT 10",
-            5,
-            Some(10),
-        ),
-        (
-            "SELECT user_id, kind, value FROM events WHERE value > 1.50",
-            5,
-            None,
-        ),
-    ];
-    for (query, tasks, limit) in templates {
+    for (query, tasks, limit) in BENCHMARK_TEMPLATES {
         let parsed = sql::parse(&sql::tokenize(query).unwrap()).unwrap();
         let selected: BTreeSet<String> = parsed
             .select
@@ -1133,6 +1276,15 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
         cluster
             .run_with_failures(&job, &FailurePlan::none())
             .unwrap();
+        let counts = || {
+            let m = measured.borrow();
+            (
+                m.compressed_outputs,
+                m.payload_decodes,
+                m.payloads_materialised,
+            )
+        };
+        assert_eq!(counts(), (0, 0, 0), "{query}: bytes made before a read");
 
         for v in phys.vertices() {
             let payload = cluster.task_payload(TaskId(v.id.0 as u64)).unwrap();
@@ -1175,6 +1327,8 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
                 );
             }
         }
+        let made = (0, 0, phys.len() as u64);
+        assert_eq!(counts(), made, "{query}: each read payload made once");
 
         let session = |optimizer: bool| {
             let b = Session::builder().topology(topo.clone()).parallelism(4);

@@ -19,7 +19,7 @@ use skadi::prelude::*;
 use skadi::server::{Server, ServerConfig, SessionEnd};
 use skadi::wire::codec::{read_packet, write_packet, WireError};
 use skadi::wire::packet::{code, Packet, CAP_PROGRESS, PROTOCOL_VERSION};
-use skadi::wire::{Client, DEFAULT_MAX_FRAME};
+use skadi::wire::{duplex, Client, DuplexStream, DEFAULT_MAX_FRAME};
 
 /// Deterministic shared tables. `people` includes a name with an
 /// embedded quote so the `'O''Brien'` escape is exercised end to end.
@@ -658,36 +658,45 @@ fn tcp_round_trip() {
     assert_eq!(acceptor.join().unwrap(), SessionEnd::CleanClose);
 }
 
-/// Compression is opt-in per connection. A legacy client that never
-/// advertises CAP_COMPRESSION must receive plain IPC frames only, while
-/// a modern client on the same server may receive compressed payloads —
-/// and both decode to the identical batch.
+/// A connection the server cannot see into: one end of a duplex handed
+/// to `Server::handle`, which prices it as a network client.
+fn connect_over_network(server: &Arc<Server>) -> (DuplexStream, thread::JoinHandle<SessionEnd>) {
+    let (client_end, server_end) = duplex();
+    let server = Arc::clone(server);
+    (client_end, thread::spawn(move || server.handle(server_end)))
+}
+
+/// A wide repetitive result, so compression pays on a network link.
+const COMPRESSIBLE: &str = "SELECT kind, user_id, value FROM events ORDER BY value DESC";
+
+/// Compression is opt-in per connection. On a network-priced stream a
+/// legacy client that never advertises CAP_COMPRESSION must receive
+/// plain IPC frames only, while a modern client on the same server
+/// receives compressed payloads — and both decode to the identical batch.
 #[test]
 fn compression_is_negotiated_per_connection() {
     use skadi::arrow::compression;
     use skadi::wire::packet::CAP_COMPRESSION;
 
-    // A wide repetitive result so compression actually engages.
     let db = shared_db(600);
-    let q = "SELECT kind, user_id, value FROM events ORDER BY value DESC";
-    let plain_encoded = ipc::encode(&db.query(q).unwrap());
+    let plain_encoded = ipc::encode(&db.query(COMPRESSIBLE).unwrap());
     let server = Server::new(test_session(2), db, ServerConfig::default());
 
     // Legacy client: no compression capability. Raw-frame proof comes
     // from the reported payload byte count matching the plain encoding.
-    let (stream, server_thread) = server.connect();
+    let (stream, server_thread) = connect_over_network(&server);
     let mut legacy =
         Client::connect_with(stream, "legacy", CAP_PROGRESS, DEFAULT_MAX_FRAME).unwrap();
     assert_eq!(legacy.capabilities & CAP_COMPRESSION, 0);
-    let r_legacy = legacy.query(q).unwrap();
+    let r_legacy = legacy.query(COMPRESSIBLE).unwrap();
     drop(legacy);
     assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
 
     // Modern client: default capabilities include compression.
-    let (stream, server_thread) = server.connect();
+    let (stream, server_thread) = connect_over_network(&server);
     let mut modern = Client::connect(stream, "modern").unwrap();
     assert_ne!(modern.capabilities & CAP_COMPRESSION, 0);
-    let r_modern = modern.query(q).unwrap();
+    let r_modern = modern.query(COMPRESSIBLE).unwrap();
     drop(modern);
     assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
 
@@ -697,18 +706,54 @@ fn compression_is_negotiated_per_connection() {
         ipc::encode(&r_legacy.batch).to_vec(),
         plain_encoded.to_vec()
     );
+    assert_eq!(r_legacy.payload_bytes, plain_encoded.len() as u64);
 
-    // The payload really was compressible (sanity for the assertion
-    // below) and the negotiated session shipped strictly fewer bytes.
+    // The payload really does pay for the codec on a network link (sanity
+    // for the assertion below) and the negotiated session shipped
+    // strictly fewer bytes.
+    let ratio = plain_encoded.len() as f64 / compression::compress(&plain_encoded).len() as f64;
     assert!(
-        compression::maybe_compress(&plain_encoded).len() < plain_encoded.len(),
-        "test payload should be compressible"
+        compression::pays(
+            plain_encoded.len(),
+            ratio,
+            compression::NETWORK_CLIENT_LINK_BPS
+        ),
+        "test payload should pay for compression over a network (ratio {ratio:.3})"
     );
     assert!(
         r_modern.payload_bytes < r_legacy.payload_bytes,
         "compressed session sent {} bytes, plain session {}",
         r_modern.payload_bytes,
         r_legacy.payload_bytes
+    );
+}
+
+/// The in-memory duplex of `Server::connect` is a memory-class link: a
+/// client that negotiated compression still receives every block plain,
+/// because no ratio could pay for the codec there.
+#[test]
+fn the_duplex_never_compresses() {
+    use skadi::wire::packet::CAP_COMPRESSION;
+
+    let db = shared_db(5_000);
+    let plain: u64 = {
+        let batch = db.query(COMPRESSIBLE).unwrap();
+        let rows = batch.num_rows();
+        let block = ServerConfig::default().block_rows;
+        (0..rows.div_ceil(block))
+            .map(|c| ipc::encode(&batch.slice(c * block, ((c + 1) * block).min(rows))).len() as u64)
+            .sum()
+    };
+    let server = Server::new(test_session(2), db, ServerConfig::default());
+    let (stream, server_thread) = server.connect();
+    let mut client = Client::connect(stream, "modern").unwrap();
+    assert_ne!(client.capabilities & CAP_COMPRESSION, 0);
+    let r = client.query(COMPRESSIBLE).unwrap();
+    drop(client);
+    assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
+    assert_eq!(
+        r.payload_bytes, plain,
+        "the duplex shipped compressed blocks"
     );
 }
 
