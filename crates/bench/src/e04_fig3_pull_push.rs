@@ -2,9 +2,12 @@
 //! ops; the push-based model removes the stalls.
 
 use skadi::dcsim::network::{LinkParams, Network};
+use skadi::dcsim::span::Tracer;
 use skadi::dcsim::time::SimTime;
 use skadi::dcsim::topology::presets;
-use skadi::ownership::resolve::{resolve_pull, resolve_push, ResolveScenario, RoutePolicy};
+use skadi::ownership::resolve::{
+    resolve, ResolutionMode, ResolveScenario, ResolveSpanCtx, RoutePolicy,
+};
 
 use crate::table::Table;
 
@@ -22,11 +25,14 @@ pub fn stalls_at(op_us: u64, route: RoutePolicy) -> (f64, f64) {
         value_ready: t,
         consumer_ready: t,
     };
-    let mut n1 = Network::new(&topo, LinkParams::default());
-    let pull = resolve_pull(&mut n1, &scenario, &route);
-    let mut n2 = Network::new(&topo, LinkParams::default());
-    let push = resolve_push(&mut n2, &scenario, &route);
-    (pull.stall.as_micros_f64(), push.stall.as_micros_f64())
+    let stall = |mode| {
+        let mut net = Network::new(&topo, LinkParams::default());
+        let mut tracer = Tracer::new(false);
+        let ctx = ResolveSpanCtx::detached();
+        let out = resolve(mode, &mut net, &scenario, &route, &mut tracer, &ctx);
+        out.stall.as_micros_f64()
+    };
+    (stall(ResolutionMode::Pull), stall(ResolutionMode::Push))
 }
 
 /// Runs the full experiment.

@@ -23,5 +23,5 @@ pub mod resolve;
 pub mod table;
 
 pub use refcount::RefLedger;
-pub use resolve::{resolve_pull, resolve_push, ResolutionMode, ResolveOutcome, RoutePolicy};
+pub use resolve::{resolve, ResolutionMode, ResolveOutcome, RoutePolicy};
 pub use table::{DeviceHandle, DeviceSlot, OwnershipError, OwnershipTable, ValueState};

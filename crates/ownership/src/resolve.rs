@@ -6,12 +6,13 @@
 //! push-based model for future resolution, in which the producer pushes
 //! data to the consumer proactively."
 //!
-//! The functions here price one future resolution between a producer and
-//! a consumer, given who owns the metadata and how control messages are
-//! routed ([`RoutePolicy`]): Gen-1 detours every device message through
-//! the fronting DPU, Gen-2 runs a device raylet inside the device. The
-//! runtime calls these on every graph edge; the Fig-3 experiments sweep
-//! them directly.
+//! [`resolve`] prices one future resolution between a producer and a
+//! consumer, given who owns the metadata and how messages are routed
+//! ([`RoutePolicy`]): Gen-1 detours every device message through the
+//! fronting DPU, Gen-2 runs a device raylet inside the device. It records
+//! the protocol's spans into the caller's tracer (a disabled one records
+//! nothing and prices the same). The runtime calls it on every graph
+//! edge; the Fig-3 experiments sweep it directly.
 
 use skadi_dcsim::network::Network;
 use skadi_dcsim::span::{Category, SpanId, Tracer};
@@ -77,6 +78,26 @@ impl RoutePolicy {
             self.device_raylet_overhead
         }
     }
+
+    /// Prices one control message from `from` to `to` sent at `now`,
+    /// paying this policy's endpoint overhead on both ends.
+    pub fn control(&self, net: &mut Network, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
+        let depart = now + self.endpoint_overhead(net, from);
+        net.control(depart, from, to) + self.endpoint_overhead(net, to)
+    }
+
+    /// Prices one bulk transfer the same way.
+    fn data(
+        &self,
+        net: &mut Network,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> SimTime {
+        let depart = now + self.endpoint_overhead(net, from);
+        net.transfer(depart, from, to, bytes).arrival + self.endpoint_overhead(net, to)
+    }
 }
 
 /// One resolution to price.
@@ -109,31 +130,6 @@ pub struct ResolveOutcome {
     pub control_msgs: u32,
     /// Bulk bytes moved.
     pub data_bytes: u64,
-}
-
-fn control_msg(
-    net: &mut Network,
-    now: SimTime,
-    from: NodeId,
-    to: NodeId,
-    route: &RoutePolicy,
-) -> SimTime {
-    let depart = now + route.endpoint_overhead(net, from);
-    let arrive = net.control(depart, from, to);
-    arrive + route.endpoint_overhead(net, to)
-}
-
-fn data_msg(
-    net: &mut Network,
-    now: SimTime,
-    from: NodeId,
-    to: NodeId,
-    bytes: u64,
-    route: &RoutePolicy,
-) -> SimTime {
-    let depart = now + route.endpoint_overhead(net, from);
-    let t = net.transfer(depart, from, to, bytes);
-    t.arrival + route.endpoint_overhead(net, to)
 }
 
 /// Where resolution spans hang in the caller's span tree.
@@ -178,7 +174,7 @@ impl ResolveSpanCtx<'_> {
 ///    arrives early — this wait is the pull stall the paper calls out);
 /// 4. consumer -> producer: fetch request;
 /// 5. producer -> consumer: bulk data.
-pub fn resolve_pull_traced(
+fn pull(
     net: &mut Network,
     s: &ResolveScenario,
     route: &RoutePolicy,
@@ -186,7 +182,7 @@ pub fn resolve_pull_traced(
     ctx: &ResolveSpanCtx,
 ) -> ResolveOutcome {
     // Step 1: the owner learns of readiness only after this arrives.
-    let owner_knows = control_msg(net, s.value_ready, s.producer, s.owner, route);
+    let owner_knows = route.control(net, s.value_ready, s.producer, s.owner);
     // The consumer-side round trip starts when the consumer asks.
     let rt = tracer.open(
         "resolve.pull",
@@ -205,7 +201,7 @@ pub fn resolve_pull_traced(
         &[("input", ctx.input), ("step", "producer->owner")],
     );
     // Step 2: consumer asks.
-    let ask_arrives = control_msg(net, s.consumer_ready, s.consumer, s.owner, route);
+    let ask_arrives = route.control(net, s.consumer_ready, s.consumer, s.owner);
     tracer.span(
         "resolve.ask",
         "net",
@@ -217,7 +213,7 @@ pub fn resolve_pull_traced(
     );
     // Step 3: owner replies once it both has the ask and knows the value.
     let reply_departs = ask_arrives.max(owner_knows);
-    let reply_arrives = control_msg(net, reply_departs, s.owner, s.consumer, route);
+    let reply_arrives = route.control(net, reply_departs, s.owner, s.consumer);
     tracer.span(
         "resolve.reply",
         "net",
@@ -228,7 +224,7 @@ pub fn resolve_pull_traced(
         &[("input", ctx.input), ("step", "owner->consumer")],
     );
     // Step 4: fetch request to the holder.
-    let fetch_arrives = control_msg(net, reply_arrives, s.consumer, s.producer, route);
+    let fetch_arrives = route.control(net, reply_arrives, s.consumer, s.producer);
     tracer.span(
         "resolve.fetch",
         "net",
@@ -239,7 +235,7 @@ pub fn resolve_pull_traced(
         &[("input", ctx.input), ("step", "consumer->producer")],
     );
     // Step 5: bulk data.
-    let input_available = data_msg(net, fetch_arrives, s.producer, s.consumer, s.bytes, route);
+    let input_available = route.data(net, fetch_arrives, s.producer, s.consumer, s.bytes);
     tracer.span(
         "resolve.data",
         "net",
@@ -270,7 +266,7 @@ pub fn resolve_pull_traced(
 ///    (the producer knows the consumer from the physical graph);
 /// 2. producer -> owner: asynchronous table update, off the critical
 ///    path (still counted as a control message).
-pub fn resolve_push_traced(
+fn push(
     net: &mut Network,
     s: &ResolveScenario,
     route: &RoutePolicy,
@@ -284,7 +280,7 @@ pub fn resolve_push_traced(
         Some(ctx.parent),
         s.consumer_ready,
     );
-    let data_arrives = data_msg(net, s.value_ready, s.producer, s.consumer, s.bytes, route);
+    let data_arrives = route.data(net, s.value_ready, s.producer, s.consumer, s.bytes);
     // An early push predates the consumer's window; hang it off the root.
     let data_parent = if s.value_ready >= s.consumer_ready {
         rt
@@ -301,7 +297,7 @@ pub fn resolve_push_traced(
         &[("input", ctx.input), ("bytes", &s.bytes.to_string())],
     );
     // Off-critical-path ownership update.
-    let update_arrives = control_msg(net, s.value_ready, s.producer, s.owner, route);
+    let update_arrives = route.control(net, s.value_ready, s.producer, s.owner);
     tracer.span(
         "resolve.update",
         "net",
@@ -327,38 +323,10 @@ pub fn resolve_push_traced(
     }
 }
 
-/// Pull pricing without tracing.
-pub fn resolve_pull(net: &mut Network, s: &ResolveScenario, route: &RoutePolicy) -> ResolveOutcome {
-    let mut tracer = Tracer::new(false);
-    resolve_pull_traced(net, s, route, &mut tracer, &ResolveSpanCtx::detached())
-}
-
-/// Push pricing without tracing.
-pub fn resolve_push(net: &mut Network, s: &ResolveScenario, route: &RoutePolicy) -> ResolveOutcome {
-    let mut tracer = Tracer::new(false);
-    resolve_push_traced(net, s, route, &mut tracer, &ResolveSpanCtx::detached())
-}
-
-/// Dispatches on the mode, without tracing.
+/// Prices one future resolution under `mode`, recording its protocol
+/// spans into `tracer` (a disabled tracer records nothing and prices the
+/// same).
 pub fn resolve(
-    mode: ResolutionMode,
-    net: &mut Network,
-    s: &ResolveScenario,
-    route: &RoutePolicy,
-) -> ResolveOutcome {
-    let mut tracer = Tracer::new(false);
-    resolve_traced(
-        mode,
-        net,
-        s,
-        route,
-        &mut tracer,
-        &ResolveSpanCtx::detached(),
-    )
-}
-
-/// Dispatches on the mode, recording protocol spans into `tracer`.
-pub fn resolve_traced(
     mode: ResolutionMode,
     net: &mut Network,
     s: &ResolveScenario,
@@ -367,8 +335,8 @@ pub fn resolve_traced(
     ctx: &ResolveSpanCtx,
 ) -> ResolveOutcome {
     match mode {
-        ResolutionMode::Pull => resolve_pull_traced(net, s, route, tracer, ctx),
-        ResolutionMode::Push => resolve_push_traced(net, s, route, tracer, ctx),
+        ResolutionMode::Pull => pull(net, s, route, tracer, ctx),
+        ResolutionMode::Push => push(net, s, route, tracer, ctx),
     }
 }
 
@@ -377,6 +345,23 @@ mod tests {
     use super::*;
     use skadi_dcsim::network::LinkParams;
     use skadi_dcsim::topology::{presets, Topology};
+
+    fn untraced(
+        mode: ResolutionMode,
+        net: &mut Network,
+        s: &ResolveScenario,
+        route: &RoutePolicy,
+    ) -> ResolveOutcome {
+        let mut tracer = Tracer::new(false);
+        resolve(
+            mode,
+            net,
+            s,
+            route,
+            &mut tracer,
+            &ResolveSpanCtx::detached(),
+        )
+    }
 
     fn setup() -> (Topology, Network) {
         let topo = presets::device_rack();
@@ -400,9 +385,9 @@ mod tests {
     fn push_beats_pull_for_small_objects() {
         let (topo, mut net) = setup();
         let s = scenario(&topo, 4 << 10);
-        let pull = resolve_pull(&mut net, &s, &RoutePolicy::GEN1);
+        let pull = untraced(ResolutionMode::Pull, &mut net, &s, &RoutePolicy::GEN1);
         let mut net2 = Network::new(&topo, LinkParams::default());
-        let push = resolve_push(&mut net2, &s, &RoutePolicy::GEN1);
+        let push = untraced(ResolutionMode::Push, &mut net2, &s, &RoutePolicy::GEN1);
         assert!(
             push.stall < pull.stall,
             "push {} vs pull {}",
@@ -416,9 +401,9 @@ mod tests {
     fn gen2_beats_gen1_between_devices() {
         let (topo, mut net) = setup();
         let s = scenario(&topo, 4 << 10);
-        let g1 = resolve_pull(&mut net, &s, &RoutePolicy::GEN1);
+        let g1 = untraced(ResolutionMode::Pull, &mut net, &s, &RoutePolicy::GEN1);
         let mut net2 = Network::new(&topo, LinkParams::default());
-        let g2 = resolve_pull(&mut net2, &s, &RoutePolicy::GEN2);
+        let g2 = untraced(ResolutionMode::Pull, &mut net2, &s, &RoutePolicy::GEN2);
         assert!(
             g2.stall < g1.stall,
             "gen2 {} vs gen1 {}",
@@ -437,7 +422,7 @@ mod tests {
             (ResolutionMode::Push, RoutePolicy::GEN1),
             (ResolutionMode::Push, RoutePolicy::GEN2),
         ] {
-            let o = resolve(mode, &mut net, &s, &route);
+            let o = untraced(mode, &mut net, &s, &route);
             assert!(o.input_available >= s.value_ready);
             assert_eq!(o.data_bytes, 1 << 20);
         }
@@ -450,7 +435,7 @@ mod tests {
         // Consumer is ready long before the value.
         s.consumer_ready = SimTime::from_micros(0);
         s.value_ready = SimTime::from_millis(5);
-        let o = resolve_pull(&mut net, &s, &RoutePolicy::GEN1);
+        let o = untraced(ResolutionMode::Pull, &mut net, &s, &RoutePolicy::GEN1);
         assert!(o.input_available > s.value_ready);
         // Stall is measured beyond the intrinsic dependency, so it is just
         // protocol overhead, far below the 5 ms skew.
@@ -463,7 +448,7 @@ mod tests {
         let mut s = scenario(&topo, 1024);
         s.value_ready = SimTime::from_micros(0);
         s.consumer_ready = SimTime::from_millis(3);
-        let o = resolve_push(&mut net, &s, &RoutePolicy::GEN2);
+        let o = untraced(ResolutionMode::Push, &mut net, &s, &RoutePolicy::GEN2);
         // Data arrived early; the consumer starts when it is ready.
         assert_eq!(o.input_available, s.consumer_ready);
         assert_eq!(o.stall, SimDuration::ZERO);
@@ -510,7 +495,14 @@ mod tests {
             component: "n",
             input: "x",
         };
-        let out = resolve_pull_traced(&mut net, &s, &RoutePolicy::GEN1, &mut tracer, &ctx);
+        let out = resolve(
+            ResolutionMode::Pull,
+            &mut net,
+            &s,
+            &RoutePolicy::GEN1,
+            &mut tracer,
+            &ctx,
+        );
         tracer.close(task, out.input_available);
         let end = tracer.latest_end();
         tracer.close(root, end);
@@ -557,7 +549,14 @@ mod tests {
             component: "n",
             input: "y",
         };
-        let out = resolve_push_traced(&mut net, &s, &RoutePolicy::GEN2, &mut tracer, &ctx);
+        let out = resolve(
+            ResolutionMode::Push,
+            &mut net,
+            &s,
+            &RoutePolicy::GEN2,
+            &mut tracer,
+            &ctx,
+        );
         tracer.close(task, out.input_available.max(SimTime::from_micros(150)));
         let end = tracer.latest_end();
         tracer.close(root, end);
@@ -577,7 +576,7 @@ mod tests {
         ] {
             let mut n1 = Network::new(&topo, LinkParams::default());
             let mut n2 = Network::new(&topo, LinkParams::default());
-            let plain = resolve(mode, &mut n1, &s, &route);
+            let plain = untraced(mode, &mut n1, &s, &route);
             let mut tracer = Tracer::new(true);
             let ctx = ResolveSpanCtx {
                 parent: SpanId::NONE,
@@ -585,7 +584,7 @@ mod tests {
                 component: "n",
                 input: "z",
             };
-            let traced = resolve_traced(mode, &mut n2, &s, &route, &mut tracer, &ctx);
+            let traced = resolve(mode, &mut n2, &s, &route, &mut tracer, &ctx);
             assert_eq!(plain, traced, "tracing must not change pricing");
             assert!(!tracer.is_empty());
         }
@@ -602,10 +601,10 @@ mod tests {
         let mut n2 = Network::new(&topo, LinkParams::default());
         let mut n3 = Network::new(&topo, LinkParams::default());
         let mut n4 = Network::new(&topo, LinkParams::default());
-        let ps = resolve_pull(&mut n1, &small, &RoutePolicy::GEN1);
-        let qs = resolve_push(&mut n2, &small, &RoutePolicy::GEN1);
-        let pl = resolve_pull(&mut n3, &large, &RoutePolicy::GEN1);
-        let ql = resolve_push(&mut n4, &large, &RoutePolicy::GEN1);
+        let ps = untraced(ResolutionMode::Pull, &mut n1, &small, &RoutePolicy::GEN1);
+        let qs = untraced(ResolutionMode::Push, &mut n2, &small, &RoutePolicy::GEN1);
+        let pl = untraced(ResolutionMode::Pull, &mut n3, &large, &RoutePolicy::GEN1);
+        let ql = untraced(ResolutionMode::Push, &mut n4, &large, &RoutePolicy::GEN1);
         let small_ratio = ps.stall.as_secs_f64() / qs.stall.as_secs_f64();
         let large_ratio = pl.stall.as_secs_f64() / ql.stall.as_secs_f64();
         assert!(

@@ -9,11 +9,12 @@ use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::span::Category;
 use skadi_dcsim::time::{SimDuration, SimTime};
 use skadi_dcsim::topology::{NodeId, NodeKind};
-use skadi_ownership::resolve::{resolve_traced, ResolveScenario, ResolveSpanCtx};
+use skadi_ownership::resolve::{resolve, ResolveScenario, ResolveSpanCtx};
 use skadi_ownership::table::{DeviceHandle, DeviceSlot};
 use skadi_store::placement::SpillEvent;
 use skadi_store::spill::SpillTarget;
 
+use super::send::{Carry, Rec, Tally, UNTRACED};
 use super::table::{EcPlacement, Slot, StagedInputs};
 use super::{node_rate, Cluster, Event};
 use crate::config::{Deployment, FtMode};
@@ -22,35 +23,35 @@ use crate::executor::{Payload, ReadyTask};
 use crate::task::TaskState;
 
 impl Cluster {
-    /// True if the producer's output must bounce through durable storage
-    /// on its way to this consumer.
-    fn via_durable(&self, producer: Slot, consumer: Slot) -> bool {
-        match self.cfg.deployment {
-            Deployment::StatelessServerless => true,
-            Deployment::Serverful => {
-                self.tasks[producer].spec.system != self.tasks[consumer].spec.system
+    /// True if `producer`'s output goes through durable storage on its way
+    /// to `consumer` — or, with no consumer named, to any reader — which is
+    /// the one place a deployment decides it: always when stateless, across
+    /// a system boundary when serverful, never in the distributed runtime.
+    /// A run that would need a store the topology lacks is refused before
+    /// its first event.
+    pub(super) fn via_durable(&self, producer: Slot, consumer: Option<Slot>) -> bool {
+        let system = |s: Slot| &self.tasks[s].spec.system;
+        match (self.cfg.deployment, consumer) {
+            (Deployment::StatelessServerless, _) => true,
+            (Deployment::Serverful, Some(c)) => system(producer) != system(c),
+            (Deployment::Serverful, None) => {
+                let consumers = self.tasks[producer].consumers.iter();
+                consumers.map(|c| system(*c)).any(|s| s != system(producer))
             }
-            Deployment::DistributedRuntime => false,
+            (Deployment::DistributedRuntime, _) => false,
         }
     }
 
     /// True if the producer's output is still obtainable.
     pub(super) fn input_available(&self, producer: Slot, consumer: Slot) -> bool {
         let out = &self.tasks[producer].at;
-        if self.via_durable(producer, consumer) {
+        if self.via_durable(producer, Some(consumer)) {
             return out.durable_ready.is_some();
         }
         if let Some(p) = &out.ec {
             return p.shard_nodes.len() >= p.config.data;
         }
         out.object.is_some_and(|o| self.cache.contains(o))
-    }
-
-    /// The durable store of a deployment that routes data through it.
-    fn durable(&self) -> NodeId {
-        self.nodes
-            .durable
-            .expect("durable deployments need durable storage")
     }
 
     pub(super) fn on_arrive(&mut self, now: SimTime, t: Slot, queue: &mut EventQueue<Event>) {
@@ -93,95 +94,61 @@ impl Cluster {
         }
 
         let route = self.cfg.generation.route_policy();
-        let tracing = self.tracer.enabled();
         let umbrella = self.span_of(t);
-        let comp = self.node_label(node);
         let mut available = now;
         for &(p, estimate) in inputs.iter() {
             // The producer's measured payload when the data plane
             // executed it, the edge's estimate otherwise.
             let bytes = self.tasks.output_size(p, estimate);
-            let input = self.task_label(p);
-            let bytes_s = if tracing {
-                bytes.to_string()
-            } else {
-                String::new()
-            };
             let producer = &self.tasks[p].at;
-            let t_in = if self.via_durable(p, t) {
+            let value_ready = producer.value_ready.unwrap_or(now);
+            let t_in = if let (true, Some(d)) = (self.via_durable(p, Some(t)), self.nodes.durable) {
                 // Durable read: first-byte latency + stream.
-                let write_done = producer.durable_ready.expect("availability checked above");
-                let tr = self
-                    .net
-                    .transfer(now.max(write_done), self.durable(), node, bytes);
-                self.durable_trips += 1;
-                self.metrics.bump("durable_reads");
-                self.tracer.span(
-                    "durable.read",
-                    "net",
-                    Category::Data,
-                    Some(umbrella),
-                    now.max(write_done),
-                    tr.arrival,
-                    &[("input", &input), ("bytes", &bytes_s)],
-                );
-                self.tracer.cover(umbrella, tr.arrival);
-                tr.arrival
+                let start = now.max(producer.durable_ready.expect("availability checked above"));
+                let span = |c: &Cluster| {
+                    Rec::new("durable.read", "net", Category::Data, umbrella)
+                        .attr("input", c.task_label(p))
+                        .attr("bytes", bytes)
+                };
+                let read = Tally::Durable(Some("durable_reads"));
+                self.send(start, (d, node), Carry::Bytes(bytes), read, Some(span))
             } else if bytes <= self.cfg.pass_by_value_max && producer.ec.is_none() {
                 // Pass-by-value: the bytes rode inline in the dispatch
                 // message; the input is available the moment the task
                 // arrives at the raylet.
                 self.metrics.bump("inlined_values");
                 now
-            } else if let Some(ec) = &producer.ec {
+            } else if let Some(ec) = producer.ec.clone() {
                 // Fetch k shards in parallel from surviving holders.
                 let k = ec.config.data;
-                let shard_bytes = (ec.size / k as u64).max(1);
-                let ready = producer.value_ready.unwrap_or(now);
-                let mut last = now;
+                let shard = Carry::Bytes((ec.size / k as u64).max(1));
+                let (start, mut last) = (now.max(value_ready), now);
                 for h in ec.shard_nodes.iter().take(k) {
-                    let tr = self.net.transfer(now.max(ready), *h, node, shard_bytes);
-                    last = last.max(tr.arrival);
+                    last = last.max(self.send(start, (*h, node), shard, Tally::Net, UNTRACED));
                 }
                 // Decode at ~10 GiB/s.
                 let done = last
                     + SimDuration::from_secs_f64(ec.size as f64 / (10.0 * (1u64 << 30) as f64));
-                if tracing {
-                    let shards = k.to_string();
-                    self.tracer.span(
-                        "ec.fetch",
-                        "net",
-                        Category::Data,
-                        Some(umbrella),
-                        now,
-                        done,
-                        &[("input", &input), ("bytes", &bytes_s), ("shards", &shards)],
-                    );
-                    self.tracer.cover(umbrella, done);
-                }
+                self.trace(now, done, |c| {
+                    Rec::new("ec.fetch", "net", Category::Data, umbrella)
+                        .attr("input", c.task_label(p))
+                        .attr("bytes", bytes)
+                        .attr("shards", k)
+                });
                 done
             } else {
                 // The caching layer tells us where the best copy is.
                 let obj = producer.object.expect("availability checked above");
-                let value_ready = producer.value_ready.unwrap_or(now);
                 let loc = self
                     .cache
                     .get(obj, node, now)
                     .expect("availability checked above");
-                self.tracer.span(
-                    "tier.get",
-                    "store",
-                    Category::TierAccess,
-                    Some(umbrella),
-                    now,
-                    now + loc.tier.access_latency(),
-                    &[
-                        ("input", &input),
-                        ("tier", loc.tier.label()),
-                        ("local", if loc.local { "true" } else { "false" }),
-                    ],
-                );
-                self.tracer.cover(umbrella, now + loc.tier.access_latency());
+                self.trace(now, now + loc.tier.access_latency(), |c| {
+                    Rec::new("tier.get", "store", Category::TierAccess, umbrella)
+                        .attr("input", c.task_label(p))
+                        .attr("tier", loc.tier.label())
+                        .attr("local", loc.local)
+                });
                 // The owner row must exist for any live object; rows the
                 // dead scheduler hosted were rehomed to the elected one.
                 // Fabricating an owner would silently misprice the
@@ -206,13 +173,14 @@ impl Cluster {
                     value_ready,
                     consumer_ready: now,
                 };
+                let (component, input) = (self.node_label(node), self.task_label(p));
                 let ctx = ResolveSpanCtx {
                     parent: umbrella,
                     root: self.job_root,
-                    component: &comp,
+                    component: &component,
                     input: &input,
                 };
-                let out = resolve_traced(
+                let out = resolve(
                     self.cfg.resolution,
                     &mut self.net,
                     &scenario,
@@ -247,16 +215,14 @@ impl Cluster {
         // Serverless cold start.
         if self.cfg.deployment == Deployment::StatelessServerless {
             let warm = available + self.cfg.cold_start;
-            self.tracer.span(
-                "coldstart",
-                &comp,
-                Category::ColdStart,
-                Some(umbrella),
-                available,
-                warm,
-                &[],
-            );
-            self.tracer.cover(umbrella, warm);
+            self.trace(available, warm, |c| {
+                Rec::new(
+                    "coldstart",
+                    c.node_label(node),
+                    Category::ColdStart,
+                    umbrella,
+                )
+            });
             available = warm;
             self.metrics.bump("cold_starts");
         }
@@ -313,23 +279,12 @@ impl Cluster {
         // completion is re-learned during election-time reconstruction,
         // so consumers park at `now` and wait for the new scheduler.
         let notify = if self.scheduler_alive {
-            self.net.control(now, node, self.scheduler_node)
+            let span = |c: &Cluster| Rec::new("notify", "net", Category::Control, c.span_of(t));
+            let from_to = (node, self.scheduler_node);
+            self.send(now, from_to, Carry::Control, Tally::Net, Some(span))
         } else {
             now
         };
-        if self.tracer.enabled() && self.scheduler_alive {
-            let umbrella = self.span_of(t);
-            self.tracer.span(
-                "notify",
-                "net",
-                Category::Control,
-                Some(umbrella),
-                now,
-                notify,
-                &[],
-            );
-            self.tracer.cover(umbrella, notify);
-        }
         for &c in Rc::clone(&self.tasks[t].consumers).iter() {
             let rec = &mut self.tasks[c];
             if rec.state() == TaskState::Blocked && rec.pending_inputs > 0 {
@@ -400,31 +355,13 @@ impl Cluster {
         own
     }
 
-    /// True if `t`'s output is written to durable storage: always in a
-    /// stateless deployment; in a serverful one, when a consumer of
-    /// another system reads it.
-    fn writes_durably(&self, t: Slot) -> bool {
-        match self.cfg.deployment {
-            Deployment::StatelessServerless => true,
-            Deployment::Serverful => {
-                let consumers = &self.tasks[t].consumers;
-                consumers.iter().any(|c| self.via_durable(t, *c))
-            }
-            Deployment::DistributedRuntime => false,
-        }
-    }
-
     /// The modelled bytes per second of the link `t`'s output is written
     /// over: the durable store's when it is written durably, the NIC's
     /// otherwise. What the executor's compress-or-plain rule reads.
     fn output_link_bps(&self, t: Slot) -> u64 {
-        let (Some(node), Some(durable)) = (self.tasks[t].at.node, self.nodes.durable) else {
-            return self.links.nic_bandwidth_bps;
-        };
-        if self.writes_durably(t) {
-            self.net.bandwidth(node, durable)
-        } else {
-            self.links.nic_bandwidth_bps
+        match (self.tasks[t].at.node, self.nodes.durable) {
+            (Some(node), Some(d)) if self.via_durable(t, None) => self.net.bandwidth(node, d),
+            _ => self.links.nic_bandwidth_bps,
         }
     }
 
@@ -432,24 +369,15 @@ impl Cluster {
     /// setting `value_ready` (and `durable_ready` when applicable).
     fn store_output(&mut self, now: SimTime, t: Slot, node: NodeId, bytes: u64) {
         // Durable write when any consumer (or the deployment) needs it.
-        if self.writes_durably(t) {
-            let tr = self.net.transfer(now, node, self.durable(), bytes);
-            self.durable_trips += 1;
-            self.metrics.bump("durable_writes");
-            if self.tracer.enabled() {
-                let task = self.task_label(t);
-                let bytes_s = bytes.to_string();
-                self.tracer.span(
-                    "durable.write",
-                    "net",
-                    Category::Data,
-                    Some(self.job_root),
-                    now,
-                    tr.arrival,
-                    &[("task", &task), ("bytes", &bytes_s)],
-                );
-            }
-            self.tasks[t].at.durable_ready = Some(tr.arrival);
+        if let (true, Some(d)) = (self.via_durable(t, None), self.nodes.durable) {
+            let span = |c: &Cluster| {
+                Rec::new("durable.write", "net", Category::Data, c.job_root)
+                    .attr("task", c.task_label(t))
+                    .attr("bytes", bytes)
+            };
+            let write = Tally::Durable(Some("durable_writes"));
+            let done = self.send(now, (node, d), Carry::Bytes(bytes), write, Some(span));
+            self.tasks[t].at.durable_ready = Some(done);
         }
         if self.cfg.deployment == Deployment::StatelessServerless {
             // Stateless functions keep nothing locally.
@@ -473,31 +401,23 @@ impl Cluster {
             let Some(d) = self.nodes.durable else {
                 return;
             };
-            let tr = self.net.transfer(now, node, d, bytes);
-            self.durable_trips += 1;
-            (vec![d; total], tr.arrival)
+            let backstop = Tally::Durable(None);
+            let done = self.send(now, (node, d), Carry::Bytes(bytes), backstop, UNTRACED);
+            (vec![d; total], done)
         } else {
             let shard = (bytes / config.data as u64).max(1);
             let mut last = now;
             let shard_nodes: Vec<NodeId> = (0..total).map(|i| holders[i % holders.len()]).collect();
             for h in &shard_nodes {
-                last = last.max(self.net.transfer(now, node, *h, shard).arrival);
+                let tally = Tally::Bytes("ec_bytes");
+                last = last.max(self.send(now, (node, *h), Carry::Bytes(shard), tally, UNTRACED));
             }
-            self.metrics.add("ec_bytes", shard * total as u64);
-            if self.tracer.enabled() {
-                let task = self.task_label(t);
-                let shards = total.to_string();
-                let bytes_s = (shard * total as u64).to_string();
-                self.tracer.span(
-                    "ec.write",
-                    "store",
-                    Category::EcWrite,
-                    Some(self.job_root),
-                    now,
-                    last,
-                    &[("task", &task), ("shards", &shards), ("bytes", &bytes_s)],
-                );
-            }
+            self.trace(now, last, |c| {
+                Rec::new("ec.write", "store", Category::EcWrite, c.job_root)
+                    .attr("task", c.task_label(t))
+                    .attr("shards", total)
+                    .attr("bytes", shard * total as u64)
+            });
             (shard_nodes, last)
         };
         let at = &mut self.tasks[t].at;
@@ -531,7 +451,8 @@ impl Cluster {
             Err(_) => {
                 // Cannot fit anywhere in memory: durable backstop.
                 if let Some(d) = self.nodes.durable {
-                    let tr = self.net.transfer(now, node, d, bytes);
+                    let backstop = Tally::Durable(None);
+                    let done = self.send(now, (node, d), Carry::Bytes(bytes), backstop, UNTRACED);
                     // Only record the durable location if the bytes
                     // actually landed — the ownership table must
                     // never advertise holders the stores disown.
@@ -539,8 +460,7 @@ impl Cluster {
                         let _ = self.own.mark_ready(obj, bytes, d, None);
                         self.sync_spills(now, &report.spilled);
                     }
-                    self.durable_trips += 1;
-                    self.tasks[t].at.value_ready = Some(tr.arrival);
+                    self.tasks[t].at.value_ready = Some(done);
                 }
             }
         }
@@ -558,23 +478,15 @@ impl Cluster {
         };
         self.sync_spills(now, &rep.spilled);
         for dest in rep.added {
-            let tr = self.net.transfer(now, node, dest, bytes);
+            let span = |c: &Cluster| {
+                Rec::new("replicate", "store", Category::Replicate, c.job_root)
+                    .attr("task", c.task_label(t))
+                    .attr("to", c.node_label(dest))
+                    .attr("bytes", bytes)
+            };
+            let copy = Tally::Bytes("replica_bytes");
+            self.send(now, (node, dest), Carry::Bytes(bytes), copy, Some(span));
             let _ = self.own.add_location(obj, dest);
-            self.metrics.add("replica_bytes", bytes);
-            if self.tracer.enabled() {
-                let task = self.task_label(t);
-                let to = self.node_label(dest);
-                let bytes_s = bytes.to_string();
-                self.tracer.span(
-                    "replicate",
-                    "store",
-                    Category::Replicate,
-                    Some(self.job_root),
-                    now,
-                    tr.arrival,
-                    &[("task", &task), ("to", &to), ("bytes", &bytes_s)],
-                );
-            }
         }
     }
 
@@ -586,29 +498,23 @@ impl Cluster {
         for s in spilled {
             match s.to {
                 SpillTarget::Node(dest) | SpillTarget::Durable(dest) => {
-                    let tr = self.net.transfer(now, s.from, dest, s.bytes);
-                    if matches!(s.to, SpillTarget::Durable(_)) {
-                        self.durable_trips += 1;
-                    }
+                    let tally = match s.to {
+                        SpillTarget::Durable(_) => Tally::Durable(None),
+                        _ => Tally::Net,
+                    };
+                    let span = |c: &Cluster| {
+                        Rec::new("spill", "store", Category::Spill, c.job_root)
+                            .attr("from", c.node_label(s.from))
+                            .attr("to", c.node_label(dest))
+                            .attr("bytes", s.bytes)
+                    };
+                    let spill = Carry::Bytes(s.bytes);
+                    self.send(now, (s.from, dest), spill, tally, Some(span));
                     // Add before remove: dropping the old location first
                     // could transiently fail the value while the new copy
                     // already exists.
                     let _ = self.own.add_location(s.id, dest);
                     let _ = self.own.remove_location(s.id, s.from);
-                    if self.tracer.enabled() {
-                        let from = self.node_label(s.from);
-                        let to = self.node_label(dest);
-                        let bytes_s = s.bytes.to_string();
-                        self.tracer.span(
-                            "spill",
-                            "store",
-                            Category::Spill,
-                            Some(self.job_root),
-                            now,
-                            tr.arrival,
-                            &[("from", &from), ("to", &to), ("bytes", &bytes_s)],
-                        );
-                    }
                 }
                 SpillTarget::Drop => {
                     let _ = self.own.remove_location(s.id, s.from);

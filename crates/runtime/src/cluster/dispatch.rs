@@ -9,6 +9,7 @@ use skadi_dcsim::time::{SimDuration, SimTime};
 use skadi_dcsim::topology::{NodeClass, NodeId};
 use skadi_ir::Backend;
 
+use super::send::{Carry, Rec, Tally};
 use super::table::{backend_of, NodeTable, Slot};
 use super::{Cluster, Event};
 use crate::config::{Deployment, FtMode};
@@ -157,13 +158,20 @@ impl Cluster {
             self.no_eligible_node(now, t, queue);
             return;
         };
-        let considered = self.tracer.enabled().then(|| {
+        let parent = self.ensure_task_span(now, t);
+        self.trace(now, now, |c| {
+            let candidates = eligible.nodes(&c.nodes);
             let first: Vec<String> = candidates
                 .iter()
                 .take(8)
-                .map(|n| self.node_label(*n))
+                .map(|n| c.node_label(*n))
                 .collect();
-            (candidates.len().to_string(), first.join(","))
+            Rec::new("place", "scheduler", Category::Placement, parent)
+                .attr("chosen", c.node_label(node))
+                .attr("candidates", candidates.len())
+                .attr("considered", first.join(","))
+                .attr("policy", format!("{:?}", c.cfg.placement))
+                .attr("fallback", fallback)
         });
 
         self.tasks.set_state(t, TaskState::Dispatched);
@@ -175,43 +183,14 @@ impl Cluster {
         if fallback {
             self.metrics.bump("cpu_fallback");
         }
-        // Dispatch: scheduler raylet -> target raylet control message.
-        let route = self.cfg.generation.route_policy();
-        let depart = now + route.endpoint_overhead(&self.net, self.scheduler_node);
-        let arrive = self.net.control(depart, self.scheduler_node, node)
-            + route.endpoint_overhead(&self.net, node);
-        // Respect autoscaler provision delays.
-        let arrive = arrive.max(self.nodes[node].device_available_at.unwrap_or(arrive));
-        if let Some((candidates, considered)) = considered {
-            let parent = self.ensure_task_span(now, t);
-            let chosen = self.node_label(node);
-            let policy = format!("{:?}", self.cfg.placement);
-            self.tracer.span(
-                "place",
-                "scheduler",
-                Category::Placement,
-                Some(parent),
-                now,
-                now,
-                &[
-                    ("chosen", &chosen),
-                    ("candidates", &candidates),
-                    ("considered", &considered),
-                    ("policy", &policy),
-                    ("fallback", if fallback { "true" } else { "false" }),
-                ],
-            );
-            self.tracer.span(
-                "dispatch",
-                "net",
-                Category::Dispatch,
-                Some(parent),
-                now,
-                arrive,
-                &[("to", &chosen)],
-            );
-            self.tracer.cover(parent, arrive);
-        }
+        // Dispatch: scheduler raylet -> target raylet, routed per
+        // generation, handled once a warming device is up.
+        let span = |c: &Cluster| {
+            Rec::new("dispatch", "net", Category::Dispatch, parent).attr("to", c.node_label(node))
+        };
+        let from_to = (self.scheduler_node, node);
+        let dispatch = Carry::Dispatch { routed: true };
+        let arrive = self.send(now, from_to, dispatch, Tally::Net, Some(span));
         queue.schedule_at(arrive, Event::Arrive(t, self.epoch(t)));
     }
 
@@ -295,30 +274,14 @@ impl Cluster {
             if let Some(r) = self.tasks[t].at.ready_at {
                 self.metrics.observe("task.wait", now.saturating_since(r));
             }
-            if self.tracer.enabled() {
-                let umbrella = self.span_of(t);
-                let comp = self.node_label(node);
-                let inputs_ready = self.tasks[t].at.input_ready_at.unwrap_or(now).min(now);
-                self.tracer.span(
-                    "wait",
-                    &comp,
-                    Category::Wait,
-                    Some(umbrella),
-                    inputs_ready,
-                    now,
-                    &[],
-                );
-                self.tracer.span(
-                    "run",
-                    &comp,
-                    Category::Run,
-                    Some(umbrella),
-                    now,
-                    now + dur,
-                    &[],
-                );
-                self.tracer.cover(umbrella, now + dur);
-            }
+            let umbrella = self.span_of(t);
+            let inputs_ready = self.tasks[t].at.input_ready_at.unwrap_or(now).min(now);
+            self.trace(inputs_ready, now, |c| {
+                Rec::new("wait", c.node_label(node), Category::Wait, umbrella)
+            });
+            self.trace(now, now + dur, |c| {
+                Rec::new("run", c.node_label(node), Category::Run, umbrella)
+            });
             self.record_device_gauge(now);
             queue.schedule_at(now + dur, Event::Finish(t, epoch));
             return;
@@ -376,26 +339,16 @@ impl Cluster {
         at.staged = None;
         self.nodes[loser].load = self.nodes[loser].load.saturating_sub(1);
         self.nodes[thief].load += 1;
-        // One control message: the thief pulls the dispatch record from
+        // One (unrouted) message: the thief pulls the dispatch record from
         // the loaded raylet, then the normal arrival path stages inputs
         // on the new node.
-        let arrive = self.net.control(now, loser, thief);
-        let arrive = arrive.max(self.nodes[thief].device_available_at.unwrap_or(arrive));
-        if self.tracer.enabled() {
-            let umbrella = self.span_of(t);
-            let from = self.node_label(loser);
-            let to = self.node_label(thief);
-            self.tracer.span(
-                "steal",
-                "scheduler",
-                Category::Dispatch,
-                Some(umbrella),
-                now,
-                arrive,
-                &[("from", &from), ("to", &to)],
-            );
-            self.tracer.cover(umbrella, arrive);
-        }
+        let span = |c: &Cluster| {
+            Rec::new("steal", "scheduler", Category::Dispatch, c.span_of(t))
+                .attr("from", c.node_label(loser))
+                .attr("to", c.node_label(thief))
+        };
+        let pull = Carry::Dispatch { routed: false };
+        let arrive = self.send(now, (loser, thief), pull, Tally::Net, Some(span));
         queue.schedule_at(arrive, Event::Arrive(t, self.epoch(t)));
     }
 
@@ -431,7 +384,7 @@ impl Cluster {
                 for d in cold.into_iter().take(n as usize) {
                     self.nodes[d].device_available_at = Some(now + delay);
                     self.metrics.bump("devices_provisioned");
-                    self.trace_autoscale("provision", d, now, now + delay);
+                    self.trace(now, now + delay, |c| autoscale_span(c, "provision", d));
                 }
             }
             ScaleDecision::Down(n) => {
@@ -442,7 +395,7 @@ impl Cluster {
                 for d in idle.into_iter().take(n as usize) {
                     self.nodes[d].device_available_at = None;
                     self.metrics.bump("devices_retired");
-                    self.trace_autoscale("retire", d, now, now);
+                    self.trace(now, now, |c| autoscale_span(c, "retire", d));
                 }
             }
             ScaleDecision::Hold => {}
@@ -457,19 +410,9 @@ impl Cluster {
         let warm = |d: &NodeId| self.nodes[*d].device_available_at.is_some();
         self.nodes.accels.iter().copied().filter(warm)
     }
+}
 
-    fn trace_autoscale(&mut self, name: &str, device: NodeId, start: SimTime, end: SimTime) {
-        if self.tracer.enabled() {
-            let dev = self.node_label(device);
-            self.tracer.span(
-                name,
-                "autoscaler",
-                Category::Autoscale,
-                Some(self.job_root),
-                start,
-                end,
-                &[("device", &dev)],
-            );
-        }
-    }
+fn autoscale_span(c: &Cluster, name: &str, device: NodeId) -> Rec {
+    Rec::new(name, "autoscaler", Category::Autoscale, c.job_root)
+        .attr("device", c.node_label(device))
 }

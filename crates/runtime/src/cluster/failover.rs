@@ -7,6 +7,7 @@ use skadi_dcsim::time::SimTime;
 use skadi_dcsim::topology::NodeId;
 use skadi_ir::Backend;
 
+use super::send::{Carry, Rec, Tally, UNTRACED};
 use super::{Cluster, Event};
 use crate::scheduler::GangTracker;
 use crate::task::TaskState;
@@ -79,13 +80,14 @@ impl Cluster {
                 continue;
             }
             n_peers += 1;
-            let query = self.net.control(now, winner, p);
+            let query = self.send(now, (winner, p), Carry::Control, Tally::Net, UNTRACED);
             let store = self.cache.store(p);
             let rows = self.own.rows_located_on(p) as u64 + store.len() as u64;
             // Serialized report: ~48 bytes per row, plus a per-MiB
             // digest of the cached payload bytes.
             let report_bytes = (rows * ROW_REPORT_BYTES + store.used() / (1 << 20)).max(1);
-            let response = self.net.transfer(query, p, winner, report_bytes).arrival;
+            let report = Carry::Bytes(report_bytes);
+            let response = self.send(query, (p, winner), report, Tally::Net, UNTRACED);
             // One query, then one message per report batch.
             reconstruct_msgs += 1 + 1 + rows / ROWS_PER_REPORT_MSG;
             done = done.max(response);
@@ -125,20 +127,12 @@ impl Cluster {
             self.gangs = rebuilt;
         }
 
-        if self.tracer.enabled() {
-            let w = self.node_label(winner);
-            let rows = rehomed.len().to_string();
-            let peers_s = n_peers.to_string();
-            self.tracer.span(
-                "elect",
-                "scheduler",
-                Category::Election,
-                Some(self.job_root),
-                now,
-                done,
-                &[("winner", &w), ("rehomed_rows", &rows), ("peers", &peers_s)],
-            );
-        }
+        self.trace(now, done, |c| {
+            Rec::new("elect", "scheduler", Category::Election, c.job_root)
+                .attr("winner", c.node_label(winner))
+                .attr("rehomed_rows", rehomed.len())
+                .attr("peers", n_peers)
+        });
 
         // Re-drive every parked readiness notification at reconstruction
         // completion (gang gating dedups members already gathered).

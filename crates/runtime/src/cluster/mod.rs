@@ -47,13 +47,20 @@
 //! (input resolution, completion, output storage, spills), `recovery`
 //! (node failure, lineage resets, abandonment), `failover` (scheduler
 //! election) and `invariants` (the debug checker and the output
-//! manifest). This file holds the run loop and the statistics.
+//! manifest). None of them touches the fabric or the tracer directly:
+//! `send` holds the one move primitive, `Cluster::send`, through which
+//! every transfer and control message is priced (routed per generation
+//! for dispatch), counted (durable trips, replica and EC bytes — each
+//! only where the caller's `Tally` says so) and traced, and the one span
+//! helper, `Cluster::trace`, whose closures build labels and attributes
+//! only while tracing. This file holds the run loop and the statistics.
 
 mod data;
 mod dispatch;
 mod failover;
 mod invariants;
 mod recovery;
+mod send;
 mod table;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -81,6 +88,7 @@ use crate::placement::Placer;
 use crate::scheduler::{Autoscaler, GangTracker};
 use crate::task::{ActorId, TaskId, TaskState};
 
+use send::Rec;
 use table::{NodeTable, Slot, TaskTable};
 
 /// Simulation events. Task events carry the task's epoch so events from
@@ -296,23 +304,13 @@ impl Cluster {
         let mut releases: HashMap<TaskId, SimTime> = HashMap::new();
         let mut offset = 0u64;
         for (job, arrival) in jobs {
-            let mut members = Vec::new();
-            for spec in job.tasks.values() {
-                let mut s = spec.clone();
-                s.id = TaskId(s.id.0 + offset);
-                s.inputs = s
-                    .inputs
-                    .iter()
-                    .map(|(t, b)| (TaskId(t.0 + offset), *b))
-                    .collect();
-                if s.inputs.is_empty() {
-                    releases.insert(s.id, *arrival);
-                }
-                members.push(s.id);
-                combined.push(s);
-            }
+            let (specs, next) = job.shifted(offset);
+            offset = next;
+            let roots = specs.iter().filter(|s| s.inputs.is_empty());
+            releases.extend(roots.map(|s| (s.id, *arrival)));
+            let members = specs.iter().map(|s| s.id).collect();
             membership.push((job.name.clone(), *arrival, members));
-            offset += job.tasks.keys().map(|t| t.0 + 1).max().unwrap_or(0);
+            combined.extend(specs);
         }
         let combined = Job::new("combined", combined)?;
         let mut stats = self.run_released(&combined, failures, &releases)?;
@@ -472,6 +470,9 @@ impl Cluster {
             };
         }
         self.tasks = TaskTable::new(job);
+        if self.nodes.durable.is_none() && self.tasks.slots().any(|t| self.via_durable(t, None)) {
+            return Err(RuntimeError::NoDurableStorage(self.cfg.deployment));
+        }
         self.active_plan = failures.clone();
         self.job_root = self
             .tracer
@@ -548,24 +549,6 @@ impl Cluster {
 
     // ---- tracing ---------------------------------------------------------
 
-    /// Span labels, built only while tracing (empty otherwise: a
-    /// disabled tracer drops them unread).
-    fn node_label(&self, n: NodeId) -> String {
-        if self.tracer.enabled() {
-            format!("node{}", n.0)
-        } else {
-            String::new()
-        }
-    }
-
-    fn task_label(&self, t: Slot) -> String {
-        if self.tracer.enabled() {
-            format!("t{}", self.tasks[t].spec.id.0)
-        } else {
-            String::new()
-        }
-    }
-
     /// The attempt's umbrella span (the sentinel when none is open).
     fn span_of(&self, t: Slot) -> SpanId {
         self.tasks[t].at.span.unwrap_or(SpanId::NONE)
@@ -574,33 +557,18 @@ impl Cluster {
     /// The task's umbrella span, opened on first use. Carries the `task`
     /// and `deps` attributes the critical-path walker keys on.
     fn ensure_task_span(&mut self, now: SimTime, t: Slot) -> SpanId {
-        if !self.tracer.enabled() {
-            return SpanId::NONE;
-        }
         if let Some(s) = self.tasks[t].at.span {
             return s;
         }
-        let spec = &self.tasks[t].spec;
-        let task = self.task_label(t);
-        let inputs = self.tasks[t].inputs.iter();
-        let deps: Vec<String> = inputs.map(|(p, _)| self.task_label(*p)).collect();
-        let deps = deps.join(",");
-        let backend = format!("{:?}", spec.backend);
-        let attempt = self.epoch(t).to_string();
-        let s = self.tracer.span(
-            &spec.op,
-            "tasks",
-            Category::Task,
-            Some(self.job_root),
-            now,
-            now,
-            &[
-                ("task", &task),
-                ("deps", &deps),
-                ("backend", &backend),
-                ("attempt", &attempt),
-            ],
-        );
+        let s = self.trace(now, now, |c| {
+            let r = &c.tasks[t];
+            let deps: Vec<String> = r.inputs.iter().map(|(p, _)| c.task_label(*p)).collect();
+            Rec::new(r.spec.op.clone(), "tasks", Category::Task, c.job_root)
+                .attr("task", c.task_label(t))
+                .attr("deps", deps.join(","))
+                .attr("backend", format!("{:?}", r.spec.backend))
+                .attr("attempt", r.epoch)
+        });
         self.tasks[t].at.span = Some(s);
         s
     }

@@ -11,6 +11,7 @@ use skadi_dcsim::span::Category;
 use skadi_dcsim::time::SimTime;
 use skadi_dcsim::topology::NodeId;
 
+use super::send::Rec;
 use super::table::Slot;
 use super::{Cluster, Event};
 use crate::config::FtMode;
@@ -54,19 +55,11 @@ impl Cluster {
             return;
         }
         self.metrics.bump("lineage_recoveries");
-        if self.tracer.enabled() {
-            let task = self.task_label(consumer);
-            let lost = missing.to_string();
-            self.tracer.span(
-                "recovery",
-                "own",
-                Category::Recovery,
-                Some(self.job_root),
-                now,
-                now,
-                &[("task", &task), ("missing", &lost)],
-            );
-        }
+        self.trace(now, now, |c| {
+            Rec::new("recovery", "own", Category::Recovery, c.job_root)
+                .attr("task", c.task_label(consumer))
+                .attr("missing", missing)
+        });
         // Reset the consumer: it re-blocks on the missing producers, and
         // reset_task re-drives those producers transitively.
         self.reset_task(consumer, queue, now);

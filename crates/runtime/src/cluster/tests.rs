@@ -102,6 +102,45 @@ mod run_tests {
         assert_eq!(stats.finished, 3);
     }
 
+    /// A deployment that routes bytes through durable storage, on a
+    /// topology without it, is refused before its first event (it used to
+    /// panic mid-run); the distributed runtime never needs the store.
+    #[test]
+    fn deployments_without_durable_storage() {
+        let topo = skadi_dcsim::topology::TopologyBuilder::new()
+            .rack(|r| {
+                r.servers(4, skadi_dcsim::topology::ServerSpec::default());
+            })
+            .build();
+        let spec = |id, system| TaskSpec::new(id, 100.0, 1 << 16).in_system(system);
+        let crossing = Job::new(
+            "crossing",
+            vec![spec(0, "sql"), spec(1, "ml").after(TaskId(0), 1 << 16)],
+        )
+        .unwrap();
+        let one_system = chain_job(3, 100.0, 1 << 16);
+        for (cfg, job, refused) in [
+            (RuntimeConfig::stateless_serverless(), &one_system, true),
+            (RuntimeConfig::serverful(), &crossing, true),
+            (RuntimeConfig::serverful(), &one_system, false),
+            (RuntimeConfig::skadi_gen2(), &crossing, false),
+        ] {
+            let deployment = cfg.deployment;
+            let mut c = Cluster::new(&topo, cfg.with_debug_invariants(true));
+            match c.run(job) {
+                Err(e) if refused => {
+                    assert_eq!(e, RuntimeError::NoDurableStorage(deployment));
+                    assert!(c.task_started_at(TaskId(0)).is_none(), "{deployment}");
+                }
+                Ok(stats) if !refused => {
+                    assert_eq!(stats.finished, job.len() as u64);
+                    assert_eq!(stats.durable_trips, 0);
+                }
+                other => panic!("{deployment} on {}: {other:?}", job.name),
+            }
+        }
+    }
+
     #[test]
     fn gpu_tasks_land_on_gpu_devices() {
         let topo = presets::small_disagg_cluster();

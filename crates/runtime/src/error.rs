@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::config::Deployment;
 use crate::task::{GangId, TaskId};
 
 /// Errors from job construction and execution.
@@ -40,6 +41,9 @@ pub enum RuntimeError {
     /// releasing it alone as "the whole gang" would silently break the
     /// start-together guarantee, so it is a hard error.
     UndeclaredGang(GangId),
+    /// The deployment routes data through durable storage, but the
+    /// topology has none; refused before the run starts.
+    NoDurableStorage(Deployment),
     /// The debug invariant checker found inconsistent cluster state
     /// (enabled via `RuntimeConfig::debug_invariants`).
     InvariantViolation(String),
@@ -69,6 +73,12 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::UndeclaredGang(g) => {
                 write!(f, "gang {:?} was never declared", g)
+            }
+            RuntimeError::NoDurableStorage(d) => {
+                write!(
+                    f,
+                    "the {d} deployment needs durable storage, which the topology lacks"
+                )
             }
             RuntimeError::InvariantViolation(msg) => {
                 write!(f, "cluster invariant violated: {msg}")

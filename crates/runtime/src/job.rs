@@ -84,6 +84,24 @@ impl Job {
     pub fn total_compute_us(&self) -> f64 {
         self.tasks.values().map(|t| t.compute_us).sum()
     }
+
+    /// The tasks with every task and input ID shifted up by `offset`, and
+    /// the offset the next job renumbered into the same ID space starts
+    /// at: one past the largest shifted ID (`offset` for an empty job).
+    pub fn shifted(&self, offset: u64) -> (Vec<TaskSpec>, u64) {
+        let shift = |t: &TaskId| TaskId(t.0 + offset);
+        let specs: Vec<TaskSpec> = self
+            .tasks
+            .values()
+            .map(|spec| TaskSpec {
+                id: shift(&spec.id),
+                inputs: spec.inputs.iter().map(|(t, b)| (shift(t), *b)).collect(),
+                ..spec.clone()
+            })
+            .collect();
+        let next = specs.last().map_or(offset, |s| s.id.0 + 1);
+        (specs, next)
+    }
 }
 
 /// Converts a physical sharded graph into a job: one task per physical
@@ -112,7 +130,7 @@ pub fn job_from_physical(name: &str, g: &PhysicalGraph, system: &str) -> Result<
 }
 
 /// What a run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobStats {
     /// Wall-clock (virtual) job completion time.
     pub makespan: SimDuration,
@@ -205,6 +223,25 @@ mod tests {
         assert_eq!(job.len(), 2);
         assert_eq!(job.total_edge_bytes(), 64);
         assert!((job.total_compute_us() - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shifted_ids_continue_past_the_largest() {
+        let job = Job::new(
+            "sparse",
+            vec![
+                TaskSpec::new(3, 1.0, 1),
+                TaskSpec::new(9, 1.0, 1).after(TaskId(3), 8),
+            ],
+        )
+        .unwrap();
+        let (specs, next) = job.shifted(100);
+        let ids: Vec<u64> = specs.iter().map(|s| s.id.0).collect();
+        assert_eq!(ids, [103, 109]);
+        assert_eq!(specs[1].inputs.get(&TaskId(103)), Some(&8));
+        assert_eq!(next, 110);
+        let empty = Job::new("empty", Vec::new()).unwrap();
+        assert_eq!(empty.shifted(next), (Vec::new(), next));
     }
 
     #[test]

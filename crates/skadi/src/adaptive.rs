@@ -66,17 +66,6 @@ impl AdaptivePlan {
     }
 }
 
-/// True if the consumer's kernel starts with a join — its shuffle then
-/// hashes mixed `Int64`/`Float64` keys through their `f64` bit pattern,
-/// and the pilot must histogram with the same coercion.
-fn starts_with_join(op: &ExecOp) -> bool {
-    match op {
-        ExecOp::Join { .. } => true,
-        ExecOp::Fused(ops) => ops.first().is_some_and(starts_with_join),
-        _ => false,
-    }
-}
-
 /// Executes the logical graph once, single-sharded, purely locally.
 /// Returns each non-sink vertex's output batch, or `None` when the
 /// graph has a vertex the pilot cannot run (no exec descriptor — only
@@ -150,7 +139,7 @@ pub fn plan(
         let Some(batch) = outputs.get(&e.from) else {
             continue;
         };
-        let coerce = to.exec.as_ref().is_some_and(starts_with_join);
+        let coerce = to.exec.as_ref().is_some_and(ExecOp::starts_with_join);
         let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize, coerce) else {
             continue;
         };

@@ -200,18 +200,6 @@ impl DataPlaneStats {
     }
 }
 
-/// True if this vertex's kernel starts with a join — its keyed inputs
-/// must then co-locate mixed `Int64`/`Float64` keys, so shuffle
-/// partitioning hashes integers through their `f64` bit pattern exactly
-/// like the join probe does.
-fn is_join_consumer(op: &ExecOp) -> bool {
-    match op {
-        ExecOp::Join { .. } => true,
-        ExecOp::Fused(ops) => ops.first().is_some_and(is_join_consumer),
-        _ => false,
-    }
-}
-
 /// Executes physical-graph shards over real record batches.
 ///
 /// The graph and base tables live behind `Arc` so shard computation —
@@ -412,7 +400,7 @@ impl GraphExecutor {
                     let split = Split::ByKey {
                         key: key.clone(),
                         parts: v.shards as usize,
-                        coerce: is_join_consumer(op),
+                        coerce: op.starts_with_join(),
                     };
                     let mine = output
                         .share(split, v.shard)
@@ -653,22 +641,5 @@ mod tests {
         let again = run(&mut cold, true);
         assert_eq!(again, stored);
         assert!(cold.stats.borrow().payload_decodes > 0);
-    }
-
-    #[test]
-    fn join_consumer_detection_sees_through_fusion() {
-        let join = ExecOp::Join {
-            left_key: "k".into(),
-            right_key: "k".into(),
-            right_rows: 10,
-        };
-        let filt = ExecOp::Filter { conjuncts: vec![] };
-        assert!(is_join_consumer(&join));
-        assert!(is_join_consumer(&ExecOp::Fused(vec![
-            join.clone(),
-            filt.clone()
-        ])));
-        assert!(!is_join_consumer(&filt));
-        assert!(!is_join_consumer(&ExecOp::Fused(vec![filt, join])));
     }
 }

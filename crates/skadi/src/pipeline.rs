@@ -10,8 +10,6 @@
 //! same pipeline pays durable round-trips at every system boundary, which
 //! is exactly the Figure-1 comparison.
 
-use std::collections::BTreeMap;
-
 use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::optimize::optimize_graph;
 use skadi_frontends::mapreduce::MapReduceJob;
@@ -111,7 +109,7 @@ impl<'a> PipelineBuilder<'a> {
         let mut pv = 0usize;
         let mut pe = 0usize;
 
-        let mut all_tasks: BTreeMap<TaskId, TaskSpec> = BTreeMap::new();
+        let mut all_tasks: Vec<TaskSpec> = Vec::new();
         let mut offset: u64 = 0;
         let mut prev_terminals: Vec<(TaskId, u64)> = Vec::new();
 
@@ -131,17 +129,8 @@ impl<'a> PipelineBuilder<'a> {
             pe += e;
 
             // Re-ID this stage's tasks into the combined space.
-            let mut renumbered: Vec<TaskSpec> = Vec::with_capacity(job.tasks.len());
-            for spec in job.tasks.values() {
-                let mut s = spec.clone();
-                s.id = TaskId(s.id.0 + offset);
-                s.inputs = s
-                    .inputs
-                    .iter()
-                    .map(|(t, b)| (TaskId(t.0 + offset), *b))
-                    .collect();
-                renumbered.push(s);
-            }
+            let (mut renumbered, next) = job.shifted(offset);
+            offset = next;
 
             // Bridge from the previous stage's terminals to this stage's
             // roots: the downstream system consumes the upstream result.
@@ -179,20 +168,10 @@ impl<'a> PipelineBuilder<'a> {
                 })
                 .collect();
 
-            offset += renumbered.iter().map(|t| t.id.0).max().unwrap_or(0) + 1 - offset;
-            offset = all_tasks
-                .keys()
-                .map(|t| t.0 + 1)
-                .max()
-                .unwrap_or(0)
-                .max(offset)
-                .max(renumbered.iter().map(|t| t.id.0 + 1).max().unwrap_or(0));
-            for s in renumbered {
-                all_tasks.insert(s.id, s);
-            }
+            all_tasks.extend(renumbered);
         }
 
-        let job = Job::new(&self.name, all_tasks.into_values().collect())?;
+        let job = Job::new(&self.name, all_tasks)?;
         let report = JobReport {
             name: self.name.clone(),
             logical_vertices_before: before,
@@ -201,7 +180,7 @@ impl<'a> PipelineBuilder<'a> {
             physical_vertices: pv,
             physical_edges: pe,
             backends: counts,
-            stats: empty_stats(),
+            stats: Default::default(),
             profile: None,
         };
         Ok((job, report))
@@ -219,26 +198,6 @@ impl<'a> PipelineBuilder<'a> {
         let mut cluster = Cluster::new(&session.topology, session.runtime.clone());
         report.stats = cluster.run_with_failures(&job, failures)?;
         Ok(report)
-    }
-}
-
-fn empty_stats() -> skadi_runtime::JobStats {
-    skadi_runtime::JobStats {
-        makespan: skadi_dcsim::time::SimDuration::ZERO,
-        finished: 0,
-        retries: 0,
-        abandoned: 0,
-        net: Default::default(),
-        durable_trips: 0,
-        stall_total: skadi_dcsim::time::SimDuration::ZERO,
-        compute_total: skadi_dcsim::time::SimDuration::ZERO,
-        cost_units: 0.0,
-        utilization: 0.0,
-        spills: 0,
-        spill_bytes: 0,
-        metrics: Default::default(),
-        trace: Default::default(),
-        measured_output_bytes: Default::default(),
     }
 }
 
