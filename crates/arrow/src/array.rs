@@ -22,6 +22,8 @@ use crate::buffer::{Bitmap, Buffer, Native};
 use crate::datatype::DataType;
 use crate::error::ArrowError;
 
+mod gather;
+
 fn check_range(lo: usize, hi: usize, len: usize) {
     assert!(
         lo <= hi && hi <= len,
@@ -845,7 +847,8 @@ macro_rules! each_variant {
 }
 
 /// The variant list: per variant, the wrap into [`Array`], the checked
-/// downcast out of it, and the concatenation of columns of that type.
+/// downcast out of it, and the concatenation and gather of columns of
+/// that type.
 macro_rules! variants {
     ($($variant:ident($ty:ty) as $downcast:ident),*) => {$(
         impl From<$ty> for Array {
@@ -873,6 +876,12 @@ macro_rules! variants {
             fn concat_columns(&self, parts: &[&Array]) -> Result<Array, ArrowError> {
                 let typed = parts.iter().map(|p| p.$downcast());
                 Ok(<$ty>::concat(&typed.collect::<Result<Vec<_>, _>>()?).into())
+            }
+
+            /// [`Array::gather`] over `parts` of this array's type.
+            fn gather_columns(&self, parts: &[&Array], picks: &[(u32, u32)]) -> Result<Array, ArrowError> {
+                let typed = parts.iter().map(|p| p.$downcast());
+                Ok(<$ty>::gather(&typed.collect::<Result<Vec<_>, _>>()?, picks).into())
             }
         }
     )*};
@@ -1048,6 +1057,23 @@ impl Array {
             return Ok(first.clone());
         }
         each_variant!(first, a => a.concat_columns(parts))
+    }
+
+    /// Rows picked from several columns of one type, in the order picked:
+    /// output row `i` is row `picks[i].1` of `parts[picks[i].0]`. Each
+    /// value's bytes are copied once, from its source buffer straight into
+    /// the output's. A `DictUtf8` result's dictionary is the one
+    /// [`Array::concat`] builds for the picked rows laid end to end, part
+    /// by part, each part's rows ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pick names a part or a row that does not exist.
+    pub(crate) fn gather(parts: &[&Array], picks: &[(u32, u32)]) -> Result<Array, ArrowError> {
+        let first = *parts
+            .first()
+            .ok_or_else(|| ArrowError::ShapeMismatch("gather of zero columns".into()))?;
+        each_variant!(first, a => a.gather_columns(parts, picks))
     }
 
     /// Approximate in-memory footprint in bytes (values + offsets +

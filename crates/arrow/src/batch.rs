@@ -181,17 +181,8 @@ impl RecordBatch {
     /// buffers. `DictUtf8` columns merge their dictionaries by first
     /// appearance; any other column of a single batch is an O(1) clone.
     pub fn concat(batches: &[RecordBatch]) -> Result<RecordBatch, ArrowError> {
-        let first = batches
-            .first()
-            .ok_or_else(|| ArrowError::ShapeMismatch("concat of zero batches".into()))?;
-        let schema = first.schema.clone();
-        for b in batches {
-            if b.schema != schema {
-                return Err(ArrowError::ShapeMismatch(
-                    "concat of batches with differing schemas".into(),
-                ));
-            }
-        }
+        let parts: Vec<&RecordBatch> = batches.iter().collect();
+        let schema = one_schema(&parts, "concat")?;
         let mut columns = Vec::with_capacity(schema.len());
         for c in 0..schema.len() {
             let parts: Vec<&Array> = batches.iter().map(|b| b.column(c)).collect();
@@ -199,6 +190,49 @@ impl RecordBatch {
         }
         RecordBatch::try_new(schema, columns)
     }
+
+    /// Rows picked from several batches with identical schemas, in the
+    /// order picked: output row `i` is row `picks[i].1` of
+    /// `parts[picks[i].0]` (`Array::gather`, column by column). Each
+    /// value's bytes are copied once, from the part's buffer straight into
+    /// the output's — except that picking every row of every part in
+    /// order is [`RecordBatch::concat`], which appends whole buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pick names a part or a row that does not exist.
+    pub fn gather(parts: &[&RecordBatch], picks: &[(u32, u32)]) -> Result<RecordBatch, ArrowError> {
+        let schema = one_schema(parts, "gather")?;
+        let every = parts.iter().enumerate().flat_map(|(p, b)| {
+            let rows = 0..b.rows as u32;
+            rows.map(move |r| (p as u32, r))
+        });
+        let whole = picks.iter().copied().eq(every);
+        let mut columns = Vec::with_capacity(schema.len());
+        for c in 0..schema.len() {
+            let cols: Vec<&Array> = parts.iter().map(|b| b.column(c)).collect();
+            columns.push(if whole {
+                Array::concat(&cols)?
+            } else {
+                Array::gather(&cols, picks)?
+            });
+        }
+        RecordBatch::try_new(schema, columns)
+    }
+}
+
+/// The schema every one of `parts` has: `what` of zero batches, or of
+/// batches whose schemas differ, is an error.
+fn one_schema(parts: &[&RecordBatch], what: &str) -> Result<SchemaRef, ArrowError> {
+    let first = parts
+        .first()
+        .ok_or_else(|| ArrowError::ShapeMismatch(format!("{what} of zero batches")))?;
+    if parts.iter().any(|b| b.schema != first.schema) {
+        return Err(ArrowError::ShapeMismatch(format!(
+            "{what} of batches with differing schemas"
+        )));
+    }
+    Ok(first.schema.clone())
 }
 
 impl fmt::Display for RecordBatch {
@@ -535,6 +569,63 @@ mod tests {
         }
     }
 
+    /// `gather` of picks that interleave three parts of `b` (a view, a
+    /// gather, a view) against the same rows built value by value. The
+    /// picks take each part's rows from the last one down, skipping every
+    /// third, so no part's rows come in order — the `DictUtf8` dictionary
+    /// must still list entries by first appearance over the parts in
+    /// order, rows ascending.
+    fn check_gather(b: &RecordBatch, cut: usize) {
+        let n = b.num_rows();
+        let (a, z) = (cut.min(n), (cut + n / 3).min(n));
+        let rows: Vec<usize> = (a..z).rev().collect();
+        let parts = [
+            b.slice(0, a),
+            compute::take_indices(b, &rows).unwrap(),
+            b.slice(z, n),
+        ];
+        let refs: Vec<&RecordBatch> = parts.iter().collect();
+        let mut left: Vec<usize> = parts.iter().map(RecordBatch::num_rows).collect();
+        let mut picks: Vec<(u32, u32)> = Vec::new();
+        while left.iter().any(|&l| l > 0) {
+            for (p, l) in left.iter_mut().enumerate() {
+                if *l > 0 {
+                    *l -= 1;
+                    if *l % 3 != 1 {
+                        picks.push((p as u32, *l as u32));
+                    }
+                }
+            }
+        }
+        let got = RecordBatch::gather(&refs, &picks).unwrap();
+        let columns = (0..b.num_columns())
+            .map(|c| {
+                let value = |&(p, i): &(u32, u32)| parts[p as usize].column(c).value_at(i as usize);
+                let values: Vec<Value> = picks.iter().map(value).collect();
+                let dt = b.column(c).data_type();
+                if dt != DataType::DictUtf8 {
+                    return Array::from_values(dt, &values).unwrap();
+                }
+                // The entries in (part, row) order lead, so they are the
+                // dictionary's order; the gathered rows follow.
+                let mut by_part = picks.clone();
+                by_part.sort_unstable();
+                let mut lead: Vec<Value> = Vec::new();
+                for v in by_part.iter().map(value) {
+                    if v != Value::Null && !lead.contains(&v) {
+                        lead.push(v);
+                    }
+                }
+                let all: Vec<Value> = lead.iter().cloned().chain(values).collect();
+                Array::from_values(dt, &all)
+                    .unwrap()
+                    .slice(lead.len(), all.len())
+            })
+            .collect();
+        let want = RecordBatch::try_new(b.schema().clone(), columns).unwrap();
+        assert_same(&got, &want, &format!("gather around {a}..{z} of {n}"));
+    }
+
     #[test]
     fn slice_and_concat_edge_shapes() {
         // A run of nulls that covers whole ranges (rows 8..16), ranges
@@ -550,15 +641,45 @@ mod tests {
         check_kernels_on_views(&b);
         for (c1, c2) in [(0, 0), (8, 16), (3, 11), (16, 21), (21, 21)] {
             check_concat(&b, c1, c2);
+            check_gather(&b, c1);
         }
         let all_null = five_encodings(&[(None, None); 9]);
         check_slices(&all_null);
         check_kernels_on_views(&all_null);
         check_concat(&all_null, 2, 7);
+        check_gather(&all_null, 2);
         let empty = five_encodings(&[]);
         check_slices(&empty);
         check_kernels_on_views(&empty);
         check_concat(&empty, 0, 0);
+        check_gather(&empty, 0);
+    }
+
+    #[test]
+    fn gather_of_every_row_is_a_concatenation_only_in_order() {
+        let rows: Vec<(Option<i64>, Option<usize>)> = (0..9)
+            .map(|i| (Some(i), (i % 4 != 3).then_some(i as usize % 4)))
+            .collect();
+        let b = five_encodings(&rows);
+        let parts = [b.slice(0, 4), b.slice(4, 9)];
+        let refs: Vec<&RecordBatch> = parts.iter().collect();
+        let every: Vec<(u32, u32)> = (0..4)
+            .map(|r| (0, r))
+            .chain((0..5).map(|r| (1, r)))
+            .collect();
+        let concat = RecordBatch::concat(&parts).unwrap();
+        assert_same(
+            &RecordBatch::gather(&refs, &every).unwrap(),
+            &concat,
+            "in order",
+        );
+        let reversed: Vec<(u32, u32)> = every.iter().rev().copied().collect();
+        let backwards: Vec<usize> = (0..9).rev().collect();
+        assert_eq!(
+            RecordBatch::gather(&refs, &reversed).unwrap(),
+            compute::take_indices(&concat, &backwards).unwrap(),
+            "every row, out of order"
+        );
     }
 
     #[test]
@@ -626,6 +747,17 @@ mod tests {
             cut2 in 0usize..80,
         ) {
             check_concat(&five_encodings(&rows), cut1, cut2);
+        }
+
+        #[test]
+        fn prop_gather_equals_per_value_gather(
+            rows in proptest::collection::vec(
+                (proptest::option::of(-6i64..6), proptest::option::of(0usize..4)),
+                0..80,
+            ),
+            cut in 0usize..80,
+        ) {
+            check_gather(&five_encodings(&rows), cut);
         }
     }
 }

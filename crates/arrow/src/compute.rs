@@ -11,6 +11,8 @@
 //! selections travel as `&[usize]` selection vectors ([`mask_to_indices`]
 //! / [`take_indices`]), so a fused conjunction gathers its batch once.
 
+use std::collections::BinaryHeap;
+
 use crate::array::{Array, BoolArray, Utf8Array, Value};
 use crate::batch::RecordBatch;
 use crate::buffer::{Bitmap, Buffer};
@@ -708,6 +710,21 @@ pub fn sort_to_indices(col: &Array, order: SortOrder) -> Array {
     Array::from_i64(idx.into_iter().map(|i| i as i64).collect())
 }
 
+/// The top-N kernel: the first `n` rows of `batch` stably sorted by
+/// `column` under `order` — what sorting every row and cutting at `n`
+/// returns — selected without sorting the rest (`SortKeys::top_n`) and
+/// gathered alone: `n` rows move, not all of them.
+pub fn top_n(
+    batch: &RecordBatch,
+    column: &str,
+    order: SortOrder,
+    n: usize,
+) -> Result<RecordBatch, ArrowError> {
+    let kept = SortKeys::new(batch.column_by_name(column)?).top_n(order, n);
+    let rows: Vec<usize> = kept.into_iter().map(|r| r as usize).collect();
+    take_indices(batch, &rows)
+}
+
 /// Typed sort keys extracted from a column once, reusable across range
 /// sorts and run merges. Owned (the `Utf8` variant holds an O(1) clone of
 /// the array's shared buffers) and `Send + Sync`, so morsel-parallel sorts
@@ -731,6 +748,16 @@ enum KeyRepr {
 
 fn fixed_keys(keys: impl Iterator<Item = Option<u64>>) -> KeyRepr {
     KeyRepr::Fixed(keys.map(|k| (k.is_some(), k.unwrap_or(0))).collect())
+}
+
+/// Row `r`'s `(valid, bits, row)` packed into one integer that orders
+/// like its key under the sort direction, ties broken by row: descending
+/// flips the key and keeps the row.
+#[inline]
+fn packed(keys: &[(bool, u64)], r: u32, descending: bool) -> u128 {
+    let (valid, bits) = keys[r as usize];
+    let bits = if descending { !bits } else { bits };
+    ((valid != descending) as u128) << 96 | (bits as u128) << 32 | r as u128
 }
 
 /// Maps an `i64` to the `u64` with the same order.
@@ -773,6 +800,13 @@ impl SortKeys {
         SortKeys { repr }
     }
 
+    fn len(&self) -> usize {
+        match &self.repr {
+            KeyRepr::Fixed(k) => k.len(),
+            KeyRepr::Utf8(a) => a.len(),
+        }
+    }
+
     /// Ascending-semantics comparison of two rows' keys (NULLs first).
     #[inline]
     fn cmp_rows(&self, x: u32, y: u32) -> std::cmp::Ordering {
@@ -789,16 +823,9 @@ impl SortKeys {
     pub fn sort_range(&self, order: SortOrder, lo: u32, hi: u32) -> Vec<u32> {
         let descending = order == SortOrder::Descending;
         if let KeyRepr::Fixed(k) = &self.repr {
-            // `(valid, bits, row)` packed into one integer each: all
-            // distinct, so an unstable sort has one possible outcome, the
-            // stable one. Descending flips the key and keeps the row.
-            let mut run: Vec<u128> = (lo..hi)
-                .map(|r| {
-                    let (valid, bits) = k[r as usize];
-                    let bits = if descending { !bits } else { bits };
-                    ((valid != descending) as u128) << 96 | (bits as u128) << 32 | r as u128
-                })
-                .collect();
+            // Packed keys are all distinct, so an unstable sort has one
+            // possible outcome, the stable one.
+            let mut run: Vec<u128> = (lo..hi).map(|r| packed(k, r, descending)).collect();
             run.sort_unstable();
             return run.into_iter().map(|packed| packed as u32).collect();
         }
@@ -813,6 +840,39 @@ impl SortKeys {
             }
         });
         idx
+    }
+
+    /// The first `n` entries of [`Self::sort_range`] over every row — the
+    /// rows a stable sort cut at `n` keeps, in its order — without
+    /// sorting the rest. Fixed-width keys stream through a bounded
+    /// max-heap of the `n` smallest packed `(key, row)` integers, where
+    /// almost every row is one compare against the heap's largest, and
+    /// only the kept `n` are sorted. Plain strings sort every row and cut.
+    fn top_n(&self, order: SortOrder, n: usize) -> Vec<u32> {
+        let len = self.len();
+        let descending = order == SortOrder::Descending;
+        match &self.repr {
+            KeyRepr::Fixed(k) if n < len => {
+                let mut heap: BinaryHeap<u128> =
+                    (0..n as u32).map(|r| packed(k, r, descending)).collect();
+                for r in n as u32..len as u32 {
+                    let key = packed(k, r, descending);
+                    if let Some(mut largest) = heap.peek_mut() {
+                        if key < *largest {
+                            *largest = key;
+                        }
+                    }
+                }
+                let mut kept = heap.into_vec();
+                kept.sort_unstable();
+                kept.into_iter().map(|packed| packed as u32).collect()
+            }
+            _ => {
+                let mut run = self.sort_range(order, 0, len as u32);
+                run.truncate(n);
+                run
+            }
+        }
     }
 
     /// Merges two sorted index runs, breaking key ties by row index so the
@@ -1120,6 +1180,108 @@ mod kernel_extension_tests {
                 (0..n).collect::<Vec<_>>(),
                 "all_set n={n}"
             );
+        }
+    }
+
+    /// A splitmix64 draw below `n`: each top-N case is a pure function of
+    /// its seed.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// Up to 40 rows over small domains, so keys repeat: a nullable key
+    /// column per encoding — floats holding NaN and both zeros — and the
+    /// row number, which shows where every row went.
+    fn top_n_batch(seed: u64) -> RecordBatch {
+        let mut s = seed;
+        let n = draw(&mut s, 41) as usize;
+        let mut pick = |k: u64| -> Vec<Option<usize>> {
+            (0..n)
+                .map(|_| (draw(&mut s, 5) != 0).then(|| draw(&mut s, k) as usize))
+                .collect()
+        };
+        let (ints, floats, bools, strs, dicts) = (pick(4), pick(5), pick(2), pick(4), pick(4));
+        const FLOATS: [f64; 5] = [f64::NAN, -0.0, 0.0, 2.5, f64::NEG_INFINITY];
+        const WORDS: [&str; 4] = ["", "b", "a", "ab"];
+        let words = |v: &[Option<usize>]| v.iter().map(|w| w.map(|w| WORDS[w])).collect::<Vec<_>>();
+        RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("i", DataType::Int64, true),
+                Field::new("f", DataType::Float64, true),
+                Field::new("b", DataType::Bool, true),
+                Field::new("s", DataType::Utf8, true),
+                Field::new("d", DataType::DictUtf8, true),
+                Field::new("row", DataType::Int64, false),
+            ]),
+            vec![
+                Array::from_opt_i64(ints.iter().map(|v| v.map(|v| v as i64 - 1)).collect()),
+                Array::from_opt_f64(floats.iter().map(|v| v.map(|v| FLOATS[v])).collect()),
+                Array::from_opt_bool(bools.iter().map(|v| v.map(|v| v == 1)).collect()),
+                Array::from_opt_utf8(words(&strs)),
+                Array::from_opt_dict_utf8(words(&dicts)),
+                Array::from_i64((0..n as i64).collect()),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// `top_n` against the stable sort of every row cut at `n`, as
+    /// frames, for every key column, both orders and the cuts that
+    /// matter: none, one row, inside a run of equal keys, one short, all,
+    /// past the end. Returns how many cuts fell inside a run.
+    fn check_top_n(seed: u64) -> usize {
+        let batch = top_n_batch(seed);
+        let len = batch.num_rows();
+        let mut inside_runs = 0;
+        for name in ["i", "f", "b", "s", "d"] {
+            let col = batch.column_by_name(name).unwrap();
+            let keys = SortKeys::new(col);
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let sorted = take(&batch, &sort_to_indices(col, order)).unwrap();
+                let perm = keys.sort_range(order, 0, len as u32);
+                let tie = (1..len).find(|&i| keys.cmp_rows(perm[i - 1], perm[i]).is_eq());
+                inside_runs += tie.is_some() as usize;
+                let cuts = [
+                    Some(0),
+                    Some(1),
+                    tie,
+                    len.checked_sub(1),
+                    Some(len),
+                    Some(len + 5),
+                ];
+                for n in cuts.into_iter().flatten() {
+                    let got = top_n(&batch, name, order, n).unwrap();
+                    let want = sorted.slice(0, n.min(len));
+                    assert_eq!(
+                        crate::ipc::encode(&got).as_slice(),
+                        crate::ipc::encode(&want).as_slice(),
+                        "seed {seed}: {name} {order:?} n={n} of {len}"
+                    );
+                }
+            }
+        }
+        inside_runs
+    }
+
+    #[test]
+    fn top_n_cuts_inside_runs_of_equal_keys() {
+        let cut = (0..64).map(check_top_n).sum::<usize>();
+        assert!(
+            cut >= 64 * 5,
+            "only {cut} cuts fell inside a run of equal keys"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_top_n_equals_stable_sort_then_truncate(seed in proptest::prelude::any::<u64>()) {
+            check_top_n(seed);
         }
     }
 

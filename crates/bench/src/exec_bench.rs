@@ -85,29 +85,15 @@ pub fn filter_join(
     exec::hash_join(&filtered, right, left_key, right_key).expect("hash_join")
 }
 
-/// Vectorized sort via the typed `sort_to_indices` kernel.
+/// Vectorized sort: the engine's sort kernel (`exec::sort_by`).
 pub fn vectorized_sort(batch: &RecordBatch, column: &str, descending: bool) -> RecordBatch {
-    let col = batch.column_by_name(column).expect("sort column");
-    let order = if descending {
-        compute::SortOrder::Descending
-    } else {
-        compute::SortOrder::Ascending
-    };
-    let indices = compute::sort_to_indices(col, order);
-    compute::take(batch, &indices).expect("take")
+    exec::sort_by(batch, column, descending).expect("sort_by")
 }
 
-/// Vectorized TopN: typed sort indices, late-materialize only `n` rows.
+/// Vectorized TopN: the engine's top-N kernel (`compute::top_n`), which
+/// selects the `n` rows without sorting the rest and gathers only them.
 pub fn vectorized_topn(batch: &RecordBatch, column: &str, n: usize) -> RecordBatch {
-    let col = batch.column_by_name(column).expect("sort column");
-    let indices = compute::sort_to_indices(col, compute::SortOrder::Descending);
-    let idx = indices.as_i64().expect("indices");
-    let head: Vec<usize> = idx
-        .iter_raw()
-        .take(n.min(batch.num_rows()))
-        .map(|i| i as usize)
-        .collect();
-    compute::take_indices(batch, &head).expect("take_indices")
+    compute::top_n(batch, column, compute::SortOrder::Descending, n).expect("top_n")
 }
 
 fn group_query(group_col: &str, val_col: &str, table: &str) -> Query {

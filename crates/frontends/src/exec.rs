@@ -503,20 +503,42 @@ pub(crate) fn aggregate_spec(
     parallel::aggregate_partitioned(&group_cols, aggs, input, parts, stats)
 }
 
+fn sort_order(descending: bool) -> compute::SortOrder {
+    if descending {
+        compute::SortOrder::Descending
+    } else {
+        compute::SortOrder::Ascending
+    }
+}
+
 /// Sorts by one column (via the shared sort kernel; NULLs sort lowest).
-pub(crate) fn sort_by(
+pub fn sort_by(
     batch: &RecordBatch,
     column: &str,
     descending: bool,
 ) -> Result<RecordBatch, SqlError> {
     let col = batch.column_by_name(column).map_err(wrap)?;
-    let order = if descending {
-        compute::SortOrder::Descending
-    } else {
-        compute::SortOrder::Ascending
-    };
-    let perm = parallel::sort_permutation(col, order);
+    let perm = parallel::sort_permutation(col, sort_order(descending));
     parallel::take_batch(batch, &perm).map_err(wrap)
+}
+
+/// ORDER BY `order` (column, descending) and LIMIT `limit`, each where
+/// given: the rows a stable sort keeps, cut at the limit. With both, the
+/// top-N kernel ([`compute::top_n`]) selects the kept rows and gathers
+/// only them; a LIMIT alone is a view of the first rows.
+pub(crate) fn order_limit(
+    batch: &RecordBatch,
+    order: Option<(&str, bool)>,
+    limit: Option<usize>,
+) -> Result<RecordBatch, SqlError> {
+    match (order, limit) {
+        (None, None) => Ok(batch.clone()),
+        (None, Some(n)) => Ok(batch.slice(0, n.min(batch.num_rows()))),
+        (Some((column, desc)), Some(n)) => {
+            compute::top_n(batch, column, sort_order(desc), n).map_err(wrap)
+        }
+        (Some((column, desc)), None) => sort_by(batch, column, desc),
+    }
 }
 
 /// Executes a parsed query against the database.
@@ -643,24 +665,28 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         }
     }
 
+    let limit = q.limit.map(|n| n.max(0) as usize);
+    let rows_in = current.num_rows();
     if let Some(ob) = &q.order_by {
         let t0 = spans.now();
-        current = sort_by(&current, &ob.column, ob.descending)?;
+        // The span reports the sorted relation: a permutation of this
+        // one, so the same rows and bytes. Under a LIMIT only the rows the
+        // limit keeps are sorted and gathered (the top-N kernel).
+        let bytes = current.byte_size() as u64;
+        current = order_limit(&current, Some((&ob.column, ob.descending)), limit)?;
         spans.op_ext(
             Op::Sort,
             t0,
-            current.num_rows(),
-            current.num_rows(),
-            current.byte_size() as u64,
+            rows_in,
+            rows_in,
+            bytes,
             None,
             KernelStats::default(),
         );
     }
-    if let Some(n) = q.limit {
+    if let Some(n) = limit {
         let t0 = spans.now();
-        let rows_in = current.num_rows();
-        let keep = (n.max(0) as usize).min(current.num_rows());
-        current = current.slice(0, keep);
+        current = order_limit(&current, None, Some(n))?;
         spans.op_ext(
             Op::Limit,
             t0,

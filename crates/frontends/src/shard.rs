@@ -24,12 +24,14 @@
 //!   shard outputs by `__gkey` merges hash-partitioned groups back into
 //!   that order (with min-`__rid` kept as a deterministic tiebreak).
 //!
-//! Every shard first puts its gathered input into **canonical order**
-//! (stable sort by `__rid`, then by `__gkey` — so the group key is the
-//! primary key where present). That makes per-group fold order equal to
-//! the reference engine's row order bit-for-bit (floating-point sums
-//! included), no matter how batches were partitioned or which failed
-//! task recomputed them. The sink strips both hidden columns.
+//! Every shard gathers its input in **canonical order**: by `__gkey`,
+//! then by `__rid` (each where present), ties to the earlier producer
+//! and then the earlier row — what laying the inputs end to end and
+//! stable-sorting by `__rid` and then by `__gkey` gives. That makes
+//! per-group fold order equal to the reference engine's row order
+//! bit-for-bit (floating-point sums included), no matter how batches
+//! were partitioned or which failed task recomputed them. The sink
+//! strips both hidden columns.
 //!
 //! # Shuffle-hash compatibility
 //!
@@ -40,16 +42,19 @@
 //! pass `coerce = true` so mixed `Int64`/`Float64` key pairs co-locate
 //! by their `f64` bit pattern.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use skadi_arrow::array::Array;
+use skadi_arrow::array::{Array, Utf8Array};
 use skadi_arrow::batch::RecordBatch;
+use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp};
 
-use crate::exec::{self, sort_by, wrap};
+use crate::exec::{self, wrap};
 use crate::sql::ast::{Comparison, Literal};
 use crate::sql::SqlError;
 
@@ -61,6 +66,41 @@ pub const GKEY: &str = "__gkey";
 /// True if `name` is reserved for the data plane's hidden columns.
 pub fn is_hidden(name: &str) -> bool {
     name == RID || name == GKEY
+}
+
+/// One producer's output as a consumer shard takes it: the whole batch
+/// and which of its rows are the shard's. A shuffle selects rows and
+/// never copies them; the one copy a row gets is the consumer's gather.
+#[derive(Debug, Clone)]
+pub struct Part {
+    /// The producer's output.
+    batch: RecordBatch,
+    /// The shard's rows of it, ascending; `None` is every row.
+    rows: Option<Arc<Vec<u32>>>,
+}
+
+impl Part {
+    /// Every row of `batch`.
+    pub fn whole(batch: RecordBatch) -> Part {
+        Part { batch, rows: None }
+    }
+
+    /// The `rows` of `batch`, which ascend: one of the row lists
+    /// [`partition_by_key`] makes.
+    pub fn selection(batch: RecordBatch, rows: Arc<Vec<u32>>) -> Part {
+        debug_assert!(rows.is_sorted(), "a part's rows ascend");
+        Part {
+            batch,
+            rows: Some(rows),
+        }
+    }
+
+    /// Rows the shard takes.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+            .as_ref()
+            .map_or(self.batch.num_rows(), |r| r.len())
+    }
 }
 
 /// Per-shard kernel measurements from one [`execute_shard_adaptive`] call:
@@ -89,15 +129,15 @@ impl ShardExecStats {
 }
 
 /// Executes one shard's operator chain. `port0` holds the (probe-side)
-/// input batches in producer shard order, `port1` the build side of a
+/// input parts in producer shard order, `port1` the build side of a
 /// join; scans ignore both and read `tables` directly.
 pub fn execute_shard(
     op: &ExecOp,
     tables: &BTreeMap<String, RecordBatch>,
     shard: u32,
     shards: u32,
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
+    port0: &[Part],
+    port1: &[Part],
 ) -> Result<RecordBatch, SqlError> {
     let mut stats = ShardExecStats::default();
     execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, &mut stats)
@@ -120,8 +160,8 @@ pub fn execute_shard_adaptive(
     tables: &BTreeMap<String, RecordBatch>,
     shard: u32,
     shards: u32,
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
+    port0: &[Part],
+    port1: &[Part],
     adaptive: bool,
     stats: &mut ShardExecStats,
 ) -> Result<RecordBatch, SqlError> {
@@ -163,26 +203,19 @@ pub fn execute_shard_adaptive(
                         aggregate_shard(&input, &group_by, &aggs, &mut stats.kernel)?
                     }
                     ExecOp::Limit { n, order } => {
-                        // The stable sort breaks ties by position, so this
-                        // shard's first `n` are the sink's order restricted
-                        // to the shard only if the input is in canonical
-                        // order. Gathered input is, and so is what a scan,
-                        // a join or an aggregate hands on mid-chain; any
-                        // other batch is put in order here.
-                        let mut cur = canonicalize(&input)?;
-                        if let Some((col, desc)) = order {
-                            cur = sort_by(&cur, &col, desc)?;
-                        }
-                        truncate(&cur, n as usize)
+                        // The top-N kernel breaks ties by position, so
+                        // this shard's first `n` are the sink's order
+                        // restricted to the shard only if the input is in
+                        // canonical order. Gathered input is, and so is
+                        // what a scan, a join or an aggregate hands on
+                        // mid-chain; any other batch is put in order here.
+                        let cur = canonicalize(&input)?;
+                        let order = order.as_ref().map(|(col, desc)| (col.as_str(), *desc));
+                        exec::order_limit(&cur, order, Some(n as usize))?
                     }
                     ExecOp::Collect { order_by, limit } => {
-                        let mut cur = input;
-                        if let Some((col, desc)) = order_by {
-                            cur = sort_by(&cur, &col, desc)?;
-                        }
-                        if let Some(n) = limit {
-                            cur = truncate(&cur, n as usize);
-                        }
+                        let order = order_by.as_ref().map(|(col, desc)| (col.as_str(), *desc));
+                        let cur = exec::order_limit(&input, order, limit.map(|n| n as usize))?;
                         // Output boundary: deliver plain columns so the
                         // result matches the reference engine regardless
                         // of which columns ran dictionary-encoded.
@@ -199,8 +232,8 @@ pub fn execute_shard_adaptive(
     current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))
 }
 
-/// Splits `batch` into hash partitions on `key`, preserving row order
-/// within each partition. The partition index is
+/// Divides `batch`'s rows into hash partitions on `key`: one ascending
+/// row list per partition, no row copied. The partition index is
 /// `hash_key_column(row) % parts` — byte-compatible with the physical
 /// graph's FNV-1a `Partitioner::Hash` and with the hash the join and
 /// group-by kernels bucket on. `coerce` hashes `Int64` keys through
@@ -211,18 +244,15 @@ pub fn partition_by_key(
     key: &str,
     parts: usize,
     coerce: bool,
-) -> Result<Vec<RecordBatch>, SqlError> {
+) -> Result<Vec<Vec<u32>>, SqlError> {
     let col = batch.column_by_name(key).map_err(wrap)?;
     let hashes = compute::hash_key_column(col, coerce);
     let parts = parts.max(1);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::with_capacity(hashes.len() / parts); parts];
     for (r, &h) in hashes.iter().enumerate() {
-        buckets[(h % parts as u64) as usize].push(r);
+        buckets[(h % parts as u64) as usize].push(r as u32);
     }
-    buckets
-        .iter()
-        .map(|idx| compute::take_indices(batch, idx).map_err(wrap))
-        .collect()
+    Ok(buckets)
 }
 
 /// Splits `batch` into `parts` contiguous even slices (scatter edges).
@@ -234,45 +264,212 @@ pub fn split_even(batch: &RecordBatch, parts: usize) -> Vec<RecordBatch> {
         .collect()
 }
 
-/// Concatenates input batches (producer shard order) and puts the result
-/// into canonical order.
-fn gather(parts: &[RecordBatch]) -> Result<RecordBatch, SqlError> {
-    if parts.is_empty() {
-        return Err(SqlError::Plan("operator shard received no input".into()));
-    }
-    let all = RecordBatch::concat(parts).map_err(wrap)?;
-    canonicalize(&all)
+/// A `__rid` column's stored bytes and validity.
+type RowIds<'a> = (&'a [u8], Option<&'a Bitmap>);
+
+/// The canonical order over the rows of several parts. A row's key is
+/// one integer that orders like `(__gkey, __rid)`: its group key as its
+/// rank among the parts' group keys (0: absent or null), then its row
+/// id's validity and order-preserving bits (nulls first) — or, where no
+/// row carries a group key and no row id is null, those bits alone, so a
+/// comparison is one `u64` compare.
+struct CanonOrder<'a> {
+    /// Per part, its `__gkey` column and its `__rid` column's stored
+    /// bytes and validity, where present.
+    columns: Vec<(Option<&'a Utf8Array>, Option<RowIds<'a>>)>,
+    /// Every group key the parts' rows carry, sorted and distinct.
+    groups: Vec<&'a [u8]>,
 }
 
-/// True when a stable ascending sort on `col` would leave every row where
-/// it is. Covers the two hidden key columns (`Int64`, `Utf8`) when they
-/// hold no null; anything else answers `false` and is sorted.
-fn already_ascending(col: &Array) -> bool {
-    match col {
-        Array::Int64(a) if a.validity().is_none() => {
-            a.iter_raw().zip(a.iter_raw().skip(1)).all(|(x, y)| x <= y)
+/// A row id's order-preserving bits.
+fn rid_bits(raw: &[u8], r: usize) -> u64 {
+    <i64 as Native>::from_le(&raw[r * 8..r * 8 + 8]) as u64 ^ 1 << 63
+}
+
+impl<'a> CanonOrder<'a> {
+    /// The order over `rows` (each part's, ascending) of `batches`.
+    fn new(batches: &[&'a RecordBatch], rows: &[Cow<[u32]>]) -> Result<Self, SqlError> {
+        let mut columns = Vec::with_capacity(batches.len());
+        for batch in batches {
+            let column = |name| batch.schema().index_of(name).ok().map(|i| batch.column(i));
+            let gkey = column(GKEY).map(Array::as_utf8).transpose().map_err(wrap)?;
+            let rid = column(RID).map(Array::as_i64).transpose().map_err(wrap)?;
+            let rid = rid.map(|a| (a.values().as_slice(), a.validity()));
+            columns.push((gkey, rid));
         }
-        Array::Utf8(a) if a.validity().is_none() => {
-            (1..a.len()).all(|i| a.key_bytes(i - 1) <= a.key_bytes(i))
+        let mut groups: Vec<&[u8]> = Vec::new();
+        for ((gkey, _), rows) in columns.iter().zip(rows) {
+            if let Some(g) = gkey {
+                groups.extend(rows.iter().filter_map(|&r| g.key_bytes(r as usize)));
+            }
         }
-        _ => false,
+        groups.sort_unstable();
+        groups.dedup();
+        Ok(CanonOrder { columns, groups })
+    }
+
+    /// Whether the row ids' bits alone order every row.
+    fn narrow(&self) -> bool {
+        let no_null = |(_, rid): &(_, Option<RowIds>)| rid.is_none_or(|(_, valid)| valid.is_none());
+        self.groups.is_empty() && self.columns.iter().all(no_null)
+    }
+
+    /// The keys of part `part`'s `rows` when the order is [`Self::narrow`].
+    fn narrow_keys(&self, part: usize, rows: &[u32]) -> Vec<u64> {
+        match self.columns[part].1 {
+            Some((raw, _)) => rows.iter().map(|&r| rid_bits(raw, r as usize)).collect(),
+            None => vec![0; rows.len()],
+        }
+    }
+
+    /// The keys of part `part`'s `rows`.
+    fn keys(&self, part: usize, rows: &[u32]) -> Vec<u128> {
+        let (gkey, rid) = self.columns[part];
+        let rank = |r: usize| {
+            let group = gkey.and_then(|g| g.key_bytes(r));
+            group.map_or(0, |k| self.groups.partition_point(|&g| g < k) + 1) as u128
+        };
+        let rid = |r: usize| match rid {
+            Some((raw, valid)) if valid.is_none_or(|v| v.get(r)) => {
+                1 << 64 | rid_bits(raw, r) as u128
+            }
+            _ => 0,
+        };
+        rows.iter()
+            .map(|&r| rank(r as usize) << 65 | rid(r as usize))
+            .collect()
+    }
+
+    /// Whether part `part`'s `rows` already ascend in canonical order:
+    /// read off the stored row ids alone where they are the whole key.
+    fn ascends(&self, part: usize, rows: &[u32]) -> bool {
+        match self.columns[part] {
+            (None, Some((raw, None))) => {
+                let rid = |r: u32| rid_bits(raw, r as usize);
+                rows.windows(2).all(|w| rid(w[0]) <= rid(w[1]))
+            }
+            _ => self.keys(part, rows).is_sorted(),
+        }
     }
 }
 
-/// Canonical order: stable sort by `__rid`, then (stable) by `__gkey`,
-/// making the group key primary where both exist. Batches with neither
-/// column pass through unchanged, and so does a key column that is
-/// already in order (scan shards gathered in shard order always are).
-pub fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
-    let mut out = batch.clone();
-    for key in [RID, GKEY] {
-        if let Ok(col) = out.column_by_name(key) {
-            if !already_ascending(col) {
-                out = sort_by(&out, key, false)?;
+/// A part's `rows` (ascending) beside their `keys`: as they are when they
+/// `ascend`, else stably sorted alone.
+fn in_order<K: Ord + Copy>(rows: Cow<[u32]>, keys: Vec<K>, ascend: bool) -> (Cow<[u32]>, Vec<K>) {
+    if ascend {
+        return (rows, keys);
+    }
+    // Rows are distinct and ascend, so `(key, row)` order is the stable
+    // order by key.
+    let mut pairs: Vec<(K, u32)> = keys.into_iter().zip(rows.iter().copied()).collect();
+    pairs.sort_unstable();
+    let (keys, rows) = pairs.into_iter().unzip();
+    (Cow::Owned(rows), keys)
+}
+
+/// The parts' `rows` merged into one canonical sequence of `(part, row)`
+/// picks under `keys`: each part's rows sorted alone unless they
+/// `ascend`, then a row at a time from the part with the least head key,
+/// ties to the earlier part.
+fn merge<K: Ord + Copy>(
+    rows: Vec<Cow<[u32]>>,
+    ascend: Vec<bool>,
+    keys: impl Fn(usize, &[u32]) -> Vec<K>,
+) -> Vec<(u32, u32)> {
+    let parts: Vec<_> = rows
+        .into_iter()
+        .zip(ascend)
+        .enumerate()
+        .map(|(p, (rows, ascend))| {
+            let part_keys = keys(p, &rows);
+            in_order(rows, part_keys, ascend)
+        })
+        .collect();
+    let mut picks: Vec<(u32, u32)> = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
+    let mut at = vec![0usize; parts.len()];
+    // The parts with rows left, in part order, and each one's next key.
+    let mut live: Vec<usize> = (0..parts.len())
+        .filter(|&p| !parts[p].1.is_empty())
+        .collect();
+    let mut heads: Vec<K> = live.iter().map(|&p| parts[p].1[0]).collect();
+    while !live.is_empty() {
+        let mut least = 0;
+        for (i, head) in heads.iter().enumerate().skip(1) {
+            if *head < heads[least] {
+                least = i;
+            }
+        }
+        let p = live[least];
+        picks.push((p as u32, parts[p].0[at[p]]));
+        at[p] += 1;
+        match parts[p].1.get(at[p]) {
+            Some(&next) => heads[least] = next,
+            None => {
+                live.remove(least);
+                heads.remove(least);
             }
         }
     }
-    Ok(out)
+    picks
+}
+
+/// A shard's input: its parts merged into canonical order and gathered
+/// once, every row's bytes copied from its producer's buffers straight
+/// into the output's ([`RecordBatch::gather`]). A part whose rows are not
+/// in canonical order by themselves (a `Limit` output, sorted by its own
+/// key) is sorted alone first; parts that each ascend and follow one
+/// another — scan shards, in shard order, and shuffled selections of them
+/// — are laid end to end without a merge. The result is the parts laid
+/// end to end and stable-sorted by `__rid`, then by `__gkey` —
+/// dictionaries included.
+fn gather(parts: &[Part]) -> Result<RecordBatch, SqlError> {
+    if parts.is_empty() {
+        return Err(SqlError::Plan("operator shard received no input".into()));
+    }
+    let rows: Vec<Cow<[u32]>> = parts
+        .iter()
+        .map(|p| match &p.rows {
+            Some(rows) => Cow::Borrowed(rows.as_slice()),
+            None => Cow::Owned((0..p.batch.num_rows() as u32).collect()),
+        })
+        .collect();
+    let batches: Vec<&RecordBatch> = parts.iter().map(|p| &p.batch).collect();
+    let order = CanonOrder::new(&batches, &rows)?;
+    let ascend: Vec<bool> = rows
+        .iter()
+        .enumerate()
+        .map(|(p, r)| order.ascends(p, r))
+        .collect();
+    let ends: Vec<(u128, u128)> = (0..rows.len())
+        .filter_map(|p| Some((p, *rows[p].first()?, *rows[p].last()?)))
+        .map(|(p, first, last)| (order.keys(p, &[first])[0], order.keys(p, &[last])[0]))
+        .collect();
+    let in_sequence = ascend.iter().all(|&a| a) && ends.windows(2).all(|w| w[0].1 <= w[1].0);
+    let picks = if in_sequence {
+        let every = rows.iter().enumerate();
+        every
+            .flat_map(|(p, rows)| rows.iter().map(move |&r| (p as u32, r)))
+            .collect()
+    } else if order.narrow() {
+        merge(rows, ascend, |p, rows| order.narrow_keys(p, rows))
+    } else {
+        merge(rows, ascend, |p, rows| order.keys(p, rows))
+    };
+    RecordBatch::gather(&batches, &picks).map_err(wrap)
+}
+
+/// One batch in canonical order: a shard input's merge order for a
+/// single part, its rows moved only when they are out of order (the
+/// dictionaries stay as they are).
+pub fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
+    let every: Vec<u32> = (0..batch.num_rows() as u32).collect();
+    let order = CanonOrder::new(&[batch], &[Cow::Borrowed(&every)])?;
+    if order.ascends(0, &every) {
+        return Ok(batch.clone());
+    }
+    let (moved, _) = in_order(Cow::Borrowed(&every), order.keys(0, &every), false);
+    let rows: Vec<usize> = moved.iter().map(|&r| r as usize).collect();
+    compute::take_indices(batch, &rows).map_err(wrap)
 }
 
 /// Drops the hidden columns (the sink does this before delivering).
@@ -285,10 +482,6 @@ fn strip_hidden(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
         .filter(|n| !is_hidden(n))
         .collect();
     batch.project(&keep).map_err(wrap)
-}
-
-fn truncate(batch: &RecordBatch, n: usize) -> RecordBatch {
-    batch.slice(0, n.min(batch.num_rows()))
 }
 
 fn append_column(batch: &RecordBatch, field: Field, col: Array) -> Result<RecordBatch, SqlError> {
@@ -375,8 +568,8 @@ fn rid_values(batch: &RecordBatch) -> Result<Vec<i64>, SqlError> {
 /// in `(left_rid, right_rid)`), so a stable sort of the swapped output by
 /// row id reproduces the static output byte for byte.
 fn join_shard(
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
+    port0: &[Part],
+    port1: &[Part],
     left_key: &str,
     right_key: &str,
     right_rows: u64,
@@ -530,9 +723,17 @@ mod tests {
             let key = keys.get(r).unwrap().to_le_bytes();
             want[p.assign(&key, r as u64, parts as u32) as usize] += 1;
         }
-        let got: Vec<usize> = split.iter().map(|b| b.num_rows()).collect();
+        let got: Vec<usize> = split.iter().map(Vec::len).collect();
         assert_eq!(got, want);
         assert_eq!(got.iter().sum::<usize>(), t.num_rows());
+        assert!(split.iter().all(|rows| rows.is_sorted()), "{split:?}");
+    }
+
+    /// Every row list of `batch` split `parts` ways by `key`, as parts.
+    fn shuffled(batch: &RecordBatch, key: &str, parts: usize, coerce: bool) -> Vec<Part> {
+        let lists = partition_by_key(batch, key, parts, coerce).unwrap();
+        let part = |rows| Part::selection(batch.clone(), Arc::new(rows));
+        lists.into_iter().map(part).collect()
     }
 
     #[test]
@@ -544,8 +745,8 @@ mod tests {
         let b = execute_shard(&op, &tables, 1, 2, &[], &[]).unwrap();
         // Re-partition by key, then gather everything back: canonical
         // order equals the original scan order.
-        let mut parts = partition_by_key(&a, "k", 2, false).unwrap();
-        parts.extend(partition_by_key(&b, "k", 2, false).unwrap());
+        let mut parts = shuffled(&a, "k", 2, false);
+        parts.extend(shuffled(&b, "k", 2, false));
         let back = gather(&parts).unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         for r in 0..t.num_rows() {
@@ -603,10 +804,8 @@ mod tests {
         let mut swaps = 0;
         let mut matched = 0;
         for shard in 0..2u32 {
-            let p0 = partition_by_key(&lscan, "k", 2, true).unwrap();
-            let p1 = partition_by_key(&rscan, "k", 2, true).unwrap();
-            let port0 = vec![p0[shard as usize].clone()];
-            let port1 = vec![p1[shard as usize].clone()];
+            let port0 = vec![shuffled(&lscan, "k", 2, true)[shard as usize].clone()];
+            let port1 = vec![shuffled(&rscan, "k", 2, true)[shard as usize].clone()];
             let mut st = ShardExecStats::default();
             let fixed =
                 execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, false, &mut st)
@@ -632,5 +831,224 @@ mod tests {
         let parts = split_even(&t, 3);
         assert_eq!(parts.iter().map(|b| b.num_rows()).sum::<usize>(), 8);
         assert_eq!(parts[0].column(0).value_at(0), Value::I64(3));
+    }
+
+    /// The gather as it stood before shuffles handed over row lists, kept
+    /// as the oracle: each part's rows taken into a batch of their own,
+    /// the batches laid end to end value by value (dictionaries rebuilt by
+    /// first appearance: what `RecordBatch::concat` built), then stable
+    /// sorts by `__rid` and by `__gkey`, each skipped when its column
+    /// already ascended.
+    mod before {
+        use super::*;
+
+        fn already_ascending(col: &Array) -> bool {
+            match col {
+                Array::Int64(a) if a.validity().is_none() => {
+                    a.iter_raw().zip(a.iter_raw().skip(1)).all(|(x, y)| x <= y)
+                }
+                Array::Utf8(a) if a.validity().is_none() => {
+                    (1..a.len()).all(|i| a.key_bytes(i - 1) <= a.key_bytes(i))
+                }
+                _ => false,
+            }
+        }
+
+        pub fn canonicalize(batch: &RecordBatch) -> RecordBatch {
+            let mut out = batch.clone();
+            for key in [RID, GKEY] {
+                if let Ok(col) = out.column_by_name(key) {
+                    if !already_ascending(col) {
+                        out = exec::sort_by(&out, key, false).unwrap();
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn gather(parts: &[Part]) -> RecordBatch {
+            let taken: Vec<RecordBatch> = parts
+                .iter()
+                .map(|p| match &p.rows {
+                    Some(rows) => {
+                        let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                        compute::take_indices(&p.batch, &rows).unwrap()
+                    }
+                    None => p.batch.clone(),
+                })
+                .collect();
+            let schema = taken[0].schema().clone();
+            let columns = (0..schema.len())
+                .map(|c| {
+                    let values: Vec<Value> = taken
+                        .iter()
+                        .flat_map(|b| (0..b.num_rows()).map(move |r| b.column(c).value_at(r)))
+                        .collect();
+                    Array::from_values(schema.field(c).data_type, &values).unwrap()
+                })
+                .collect();
+            canonicalize(&RecordBatch::try_new(schema, columns).unwrap())
+        }
+    }
+
+    /// A splitmix64 stream: each case below is a pure function of a seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    const WORDS: [&str; 5] = ["", "a", "bb", "héllo", "z"];
+
+    /// One producer's output: a nullable column in each of the five
+    /// encodings, `__rid` ascending or out of order (ties either way, a
+    /// null now and then) and,
+    /// when `grouped`, a `__gkey` drawn from three values so keys tie. The
+    /// `DictUtf8` column's dictionary is this producer's own: the words in
+    /// an order of its own after a spare entry, none of them necessarily
+    /// used by a row.
+    fn producer(rng: &mut Rng, grouped: bool) -> RecordBatch {
+        let n = rng.below(12) as usize;
+        let mut draw = |pick: &mut dyn FnMut(&mut Rng) -> usize| -> Vec<Option<usize>> {
+            (0..n)
+                .map(|_| (!rng.chance(20)).then(|| pick(&mut *rng)))
+                .collect()
+        };
+        let ints = draw(&mut |r| r.below(6) as usize);
+        let floats = draw(&mut |r| r.below(5) as usize);
+        let bools = draw(&mut |r| r.below(2) as usize);
+        let strs = draw(&mut |r| r.below(5) as usize);
+        let dicts = draw(&mut |r| r.below(5) as usize);
+        const FLOATS: [f64; 5] = [f64::NAN, -0.0, 0.0, 1.5, -2.0];
+        let mut order: Vec<&str> = WORDS.to_vec();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let prefix: Vec<Option<&str>> = std::iter::once("spare").chain(order).map(Some).collect();
+        let skip = prefix.len();
+        let words = dicts.iter().map(|w| w.map(|w| WORDS[w]));
+        let dict = Array::from_opt_dict_utf8(prefix.into_iter().chain(words)).slice(skip, skip + n);
+        // Row ids ascending or not, ties either way, now and then a null.
+        let mut rids: Vec<Option<i64>> = (0..n)
+            .map(|_| (!rng.chance(3)).then(|| rng.below(20) as i64 - 2))
+            .collect();
+        if rng.chance(50) {
+            rids.sort_unstable();
+        }
+        let mut fields = vec![
+            Field::new("i", DataType::Int64, true),
+            Field::new("f", DataType::Float64, true),
+            Field::new("b", DataType::Bool, true),
+            Field::new("s", DataType::Utf8, true),
+            Field::new("d", DataType::DictUtf8, true),
+            Field::new(RID, DataType::Int64, true),
+        ];
+        let mut columns = vec![
+            Array::from_opt_i64(ints.iter().map(|v| v.map(|v| v as i64 - 2)).collect()),
+            Array::from_opt_f64(floats.iter().map(|v| v.map(|v| FLOATS[v])).collect()),
+            Array::from_opt_bool(bools.iter().map(|v| v.map(|v| v == 1)).collect()),
+            Array::from_opt_utf8(strs.iter().map(|v| v.map(|v| WORDS[v]))),
+            dict,
+            Array::from_opt_i64(rids),
+        ];
+        if grouped {
+            let keys: Vec<&str> = (0..n)
+                .map(|_| ["g", "", "h"][rng.below(3) as usize])
+                .collect();
+            fields.push(Field::new(GKEY, DataType::Utf8, false));
+            columns.push(Array::from_utf8(&keys));
+        }
+        RecordBatch::try_new(Schema::new(fields), columns).unwrap()
+    }
+
+    /// Zero to six parts, some empty, some taking every row and some a
+    /// selection of them.
+    fn parts_for(seed: u64) -> Vec<Part> {
+        let mut rng = Rng(seed);
+        let grouped = rng.chance(50);
+        (0..rng.below(7))
+            .map(|_| {
+                let batch = producer(&mut rng, grouped);
+                let n = batch.num_rows() as u32;
+                let rows = match rng.below(3) {
+                    0 => None,
+                    _ => Some(Arc::new((0..n).filter(|_| rng.chance(60)).collect())),
+                };
+                Part { batch, rows }
+            })
+            .collect()
+    }
+
+    /// [`parts_for`] merge-gathered and compared, as frames, with the
+    /// oracle; and every part's batch canonicalized alone.
+    fn check_merge_gather(seed: u64) {
+        let parts = parts_for(seed);
+        if parts.is_empty() {
+            assert!(
+                gather(&parts).is_err(),
+                "seed {seed}: no part gathers nothing"
+            );
+            return;
+        }
+        let got = ipc::encode(&gather(&parts).unwrap());
+        let want = ipc::encode(&before::gather(&parts));
+        assert_eq!(got.as_slice(), want.as_slice(), "seed {seed}: gather");
+        for (i, p) in parts.iter().enumerate() {
+            let got = ipc::encode(&canonicalize(&p.batch).unwrap());
+            let want = ipc::encode(&before::canonicalize(&p.batch));
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "seed {seed}: canonicalize {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_gather_cases_cover_what_they_claim() {
+        // Across these seeds the cases hold every shape the property is
+        // about: no part, empty parts, several parts, parts out of order,
+        // group keys tied.
+        let (mut none, mut empty, mut many, mut unordered, mut tied) =
+            (false, false, false, false, false);
+        for seed in 0..200 {
+            check_merge_gather(seed);
+            let parts = parts_for(seed);
+            none |= parts.is_empty();
+            many |= parts.len() >= 3;
+            for p in &parts {
+                empty |= p.num_rows() == 0;
+                let rows: Vec<u32> = (0..p.batch.num_rows() as u32).collect();
+                let order = CanonOrder::new(&[&p.batch], &[Cow::Borrowed(&rows)]).unwrap();
+                let keys = order.keys(0, &rows);
+                unordered |= !keys.is_sorted();
+                tied |= keys
+                    .windows(2)
+                    .any(|w| w[0] >> 65 > 0 && w[0] >> 65 == w[1] >> 65);
+            }
+        }
+        assert!(none && empty && many && unordered && tied);
+    }
+
+    use proptest::prelude::*;
+    use skadi_arrow::ipc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_merge_gather_equals_concat_then_canonicalize(seed in any::<u64>()) {
+            check_merge_gather(seed);
+        }
     }
 }

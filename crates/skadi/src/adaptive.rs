@@ -30,7 +30,7 @@ use skadi_arrow::batch::RecordBatch;
 use skadi_flowgraph::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
 use skadi_flowgraph::lower::LowerConfig;
 use skadi_flowgraph::ExecOp;
-use skadi_frontends::shard;
+use skadi_frontends::shard::{self, Part};
 
 /// One re-planning decision the pilot made: a keyed consumer re-sharded
 /// from the static default to the measured non-empty bucket count.
@@ -84,10 +84,10 @@ fn pilot_outputs(
         let exec = vx.exec.as_ref()?;
         let mut ins: Vec<_> = g.edges().iter().filter(|e| e.to == v).collect();
         ins.sort_by_key(|e| (e.port, e.from.0));
-        let mut port0: Vec<RecordBatch> = Vec::new();
-        let mut port1: Vec<RecordBatch> = Vec::new();
+        let mut port0: Vec<Part> = Vec::new();
+        let mut port1: Vec<Part> = Vec::new();
         for e in ins {
-            let b = out.get(&e.from)?.clone();
+            let b = Part::whole(out.get(&e.from)?.clone());
             if e.port == 1 {
                 port1.push(b);
             } else {
@@ -143,7 +143,11 @@ pub fn plan(
         let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize, coerce) else {
             continue;
         };
-        let non_empty = buckets.iter().filter(|b| b.num_rows() > 0).count().max(1) as u32;
+        let non_empty = buckets
+            .iter()
+            .filter(|rows| !rows.is_empty())
+            .count()
+            .max(1) as u32;
         let entry = needed.entry(e.to.0).or_insert((0, key.clone()));
         if non_empty > entry.0 {
             *entry = (non_empty, key.clone());

@@ -4,9 +4,10 @@
 //! [`TaskExecutor`] hook: when the simulated cluster finishes a task, the
 //! executor runs that shard's [`ExecOp`] descriptor over real
 //! `skadi-arrow` batches — taking this consumer's portion of each
-//! producer's output (hash partition for shuffles, contiguous slice for
-//! scatters, the whole batch for pipelines/gathers/broadcasts) and
-//! executing the shard kernel from `skadi_frontends::shard`. The output
+//! producer's output (its rows of a hash partition for shuffles, a
+//! contiguous slice for scatters, the whole batch for
+//! pipelines/gathers/broadcasts) and executing the shard kernel from
+//! `skadi_frontends::shard`. The output
 //! becomes the task's stored [`Payload`], whose length every downstream
 //! size the simulator prices (transfer bytes, pass-by-value inlining,
 //! cache copies) reads: **measured**, not estimated.
@@ -28,14 +29,17 @@
 //!
 //! Consumers never read bytes. Each takes its share of its producer's
 //! batch through the payload's content: the batch is divided once per
-//! out-edge shape and every consumer shard takes its part by reference. A
-//! payload the content does not come with (bytes handed over by a caller)
-//! is decoded — decompressed first when it carries the block magic — to
-//! the same batch, buffer for buffer: a frame *is* the batch's buffers.
+//! out-edge shape — a shuffle into one ascending row list per consumer
+//! shard, a scatter into views — and every consumer shard takes its part
+//! by reference. No row is copied until the consumer's merge-gather
+//! copies it, once, into its input. A payload the content does not come
+//! with (bytes handed over by a caller) is decoded — decompressed first
+//! when it carries the block magic — to the same batch, buffer for
+//! buffer: a frame *is* the batch's buffers.
 //!
 //! Determinism: task inputs are produced deterministically (scans slice
-//! contiguous row ranges, partitions preserve row order, gathers
-//! canonicalize on the hidden row-id column), so re-executing a task
+//! contiguous row ranges, row lists ascend, gathers merge into canonical
+//! order on the hidden key columns), so re-executing a task
 //! under lineage recovery reproduces an identical payload — the property
 //! the runtime's replay contract requires, and the one
 //! `tests/distributed_sql.rs` pins byte-for-byte against the
@@ -55,7 +59,7 @@ use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
 use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
-use skadi_frontends::shard::{self, ShardExecStats};
+use skadi_frontends::shard::{self, Part, ShardExecStats};
 use skadi_frontends::sql::SqlError;
 use skadi_runtime::{Content, Payload, ReadyTask, TaskExecutor, TaskId};
 
@@ -231,8 +235,9 @@ enum Split {
 /// One shard's output as its payload keeps it (see the module docs).
 struct Output {
     batch: RecordBatch,
-    /// `batch` divided, once per distinct out-edge shape.
-    splits: RefCell<Vec<(Split, Vec<RecordBatch>)>>,
+    /// `batch` divided, once per distinct out-edge shape: one part per
+    /// consumer shard.
+    splits: RefCell<Vec<(Split, Vec<Part>)>>,
     /// Where partition passes and made frames are counted.
     stats: Rc<RefCell<DataPlaneStats>>,
 }
@@ -247,8 +252,9 @@ impl Output {
     }
 
     /// Shard `shard`'s share under `split`, dividing the batch the first
-    /// time the shape is asked for.
-    fn share(&self, split: Split, shard: u32) -> Result<RecordBatch, SqlError> {
+    /// time the shape is asked for: one hash pass gives every consumer
+    /// shard of a shuffle its row list.
+    fn share(&self, split: Split, shard: u32) -> Result<Part, SqlError> {
         let mut splits = self.splits.borrow_mut();
         let at = match splits.iter().position(|(s, _)| *s == split) {
             Some(at) => at,
@@ -256,9 +262,14 @@ impl Output {
                 let parts = match &split {
                     Split::ByKey { key, parts, coerce } => {
                         self.stats.borrow_mut().partition_passes += 1;
-                        shard::partition_by_key(&self.batch, key, *parts, *coerce)?
+                        let lists = shard::partition_by_key(&self.batch, key, *parts, *coerce)?;
+                        let part = |rows| Part::selection(self.batch.clone(), Arc::new(rows));
+                        lists.into_iter().map(part).collect()
                     }
-                    Split::Even { parts } => shard::split_even(&self.batch, *parts),
+                    Split::Even { parts } => shard::split_even(&self.batch, *parts)
+                        .into_iter()
+                        .map(Part::whole)
+                        .collect(),
                 };
                 splits.push((split, parts));
                 splits.len() - 1
@@ -334,8 +345,8 @@ struct PreparedShard {
     op_name: String,
     shard: u32,
     shards: u32,
-    port0: Vec<RecordBatch>,
-    port1: Vec<RecordBatch>,
+    port0: Vec<Part>,
+    port1: Vec<Part>,
     rows_in: usize,
     /// Modelled bytes per second of the link the output is written over.
     link_bps: u64,
@@ -373,8 +384,8 @@ impl GraphExecutor {
         // shard): the order the shard kernels document for their inputs.
         let mut edges = graph.in_edges(v.id);
         edges.sort_by_key(|e| (e.port, graph.vertex(e.from).shard, e.from.0));
-        let mut port0: Vec<RecordBatch> = Vec::new();
-        let mut port1: Vec<RecordBatch> = Vec::new();
+        let mut port0: Vec<Part> = Vec::new();
+        let mut port1: Vec<Part> = Vec::new();
         let mut rows_in = 0usize;
         for e in &edges {
             let from = TaskId(e.from.0 as u64);
@@ -420,7 +431,7 @@ impl GraphExecutor {
                         .map_err(|err| format!("scatter into {}: {err}", v.id))?
                 }
                 PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => {
-                    output.batch.clone()
+                    Part::whole(output.batch.clone())
                 }
             };
             self.stats

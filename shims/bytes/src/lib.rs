@@ -1,10 +1,12 @@
 //! Offline stand-in for the `bytes` crate (the subset this workspace uses).
 //!
 //! [`Bytes`] is a cheaply cloneable, immutable byte buffer backed by an
-//! `Arc<[u8]>`. [`Bytes::slice`] returns a view that *aliases* the parent's
-//! storage — same allocation, offset pointer — which the arrow crate's
-//! zero-copy IPC decode path depends on (its tests assert pointer identity
-//! between a slice and `base + offset`).
+//! `Arc<Vec<u8>>`: `Bytes::from(Vec<u8>)` keeps the vector's allocation
+//! instead of copying it into a fresh one, so a buffer a kernel builds is
+//! never copied on its way into an array. [`Bytes::slice`] returns a view
+//! that *aliases* the parent's storage — same allocation, offset pointer —
+//! which the arrow crate's zero-copy IPC decode path depends on (its tests
+//! assert pointer identity between a slice and `base + offset`).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -15,7 +17,7 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer with O(1) clone and slice.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     offset: usize,
     len: usize,
 }
@@ -34,7 +36,7 @@ impl Bytes {
     fn from_vec(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             offset: 0,
             len,
         }
@@ -209,6 +211,15 @@ mod tests {
         let base_ptr = base.as_ref().as_ptr() as usize;
         let sub_ptr = sub.as_ref().as_ptr() as usize;
         assert_eq!(sub_ptr, base_ptr + 3, "slice must alias, not copy");
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v: Vec<u8> = (0u8..64).collect();
+        let ptr = v.as_ptr() as usize;
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ref().as_ptr() as usize, ptr, "from(Vec) must not copy");
+        assert_eq!(b.len(), 64);
     }
 
     #[test]

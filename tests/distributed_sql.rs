@@ -695,8 +695,9 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
         }
     }
 
-    // And the batch-level shuffle agrees: partition_by_key sends row r to
-    // exactly the shard the partitioner computes for r's key bytes.
+    // And the batch-level shuffle agrees: partition_by_key lists row r
+    // for exactly the shard the partitioner computes for r's key bytes,
+    // every list ascending.
     let batch = RecordBatch::try_new(
         Schema::new(vec![
             Field::new("k", DataType::Int64, true),
@@ -718,11 +719,12 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
         35i64.to_le_bytes().to_vec(),
         (-2i64).to_le_bytes().to_vec(),
     ];
+    assert!(shards.iter().all(|rows| rows.is_sorted()), "{shards:?}");
     for (row, key) in keys.iter().enumerate() {
         let expect = Partitioner::Hash.assign(key, row as u64, parts as u32) as usize;
         for (s, shard) in shards.iter().enumerate() {
-            let found = (0..shard.num_rows()).any(|r| {
-                shard.column(1).value_at(r) == skadi::arrow::array::Value::I64(row as i64)
+            let found = shard.iter().any(|&r| {
+                batch.column(1).value_at(r as usize) == skadi::arrow::array::Value::I64(row as i64)
             });
             assert_eq!(
                 found,
