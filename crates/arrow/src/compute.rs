@@ -118,35 +118,9 @@ pub fn take_indices(batch: &RecordBatch, indices: &[usize]) -> Result<RecordBatc
     RecordBatch::try_new(batch.schema().clone(), columns)
 }
 
-/// Comparison operators for scalar predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-}
-
-impl CmpOp {
-    fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
-        match self {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-        }
-    }
-}
+/// Comparison operators for scalar predicates: the SQL vocabulary's one
+/// operator type.
+pub use skadi_ir::CmpOp;
 
 /// Compares each element of a column against a scalar, producing a `Bool`
 /// mask. Null inputs produce null outputs.

@@ -11,12 +11,18 @@
 //! Descriptors are plain data — no column references into any particular
 //! batch, no engine types — so the same descriptor can be replayed
 //! deterministically under lineage recovery.
+//!
+//! Their arguments are the SQL frontend's own types: the parser builds a
+//! [`Comparison`], an [`AggItem`] or an [`OrderBy`], and the planner moves
+//! it into a descriptor unchanged, so a plan and the statement it came from
+//! share one vocabulary, typed by [`CmpOp`] and [`AggFunc`].
 
 use skadi_ir::Op;
+pub use skadi_ir::{AggFunc, CmpOp};
 
-/// A literal in a filter predicate.
+/// A literal in a predicate.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExecLiteral {
+pub enum Literal {
     /// 64-bit integer.
     Int(i64),
     /// 64-bit float.
@@ -27,24 +33,43 @@ pub enum ExecLiteral {
 
 /// One comparison conjunct: `column op literal`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExecCompare {
+pub struct Comparison {
     /// Column name.
     pub column: String,
-    /// Operator: one of `=`, `!=`, `<`, `<=`, `>`, `>=`.
-    pub op: String,
+    /// The comparison.
+    pub op: CmpOp,
     /// Right-hand literal.
-    pub value: ExecLiteral,
+    pub value: Literal,
 }
 
 /// One aggregate item: `func(column) AS name`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExecAgg {
-    /// Aggregate function: `count`, `sum`, `min`, `max`, `avg`.
-    pub func: String,
+pub struct AggItem {
+    /// Aggregate function.
+    pub func: AggFunc,
     /// Input column (`*` for `count(*)`).
     pub column: String,
-    /// Output column name.
+    /// Output column name: the `AS` alias, or `func(column)`.
     pub name: String,
+}
+
+impl AggItem {
+    /// The column the aggregate reads: none for `count(*)`.
+    pub fn input(&self) -> Option<&str> {
+        match (self.func, self.column.as_str()) {
+            (AggFunc::Count, "*") => None,
+            (_, column) => Some(column),
+        }
+    }
+}
+
+/// An ORDER BY clause: one column, either way.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OrderBy {
+    /// Sort column.
+    pub column: String,
+    /// Descending?
+    pub descending: bool,
 }
 
 /// What one shard of a vertex executes.
@@ -58,7 +83,7 @@ pub enum ExecOp {
     /// Keep rows passing every conjunct.
     Filter {
         /// The conjuncts, ANDed.
-        conjuncts: Vec<ExecCompare>,
+        conjuncts: Vec<Comparison>,
     },
     /// Keep the named columns, in order.
     Project {
@@ -82,7 +107,7 @@ pub enum ExecOp {
         /// shard by lowering).
         group_by: Vec<String>,
         /// Aggregate outputs, in select order.
-        aggs: Vec<ExecAgg>,
+        aggs: Vec<AggItem>,
     },
     /// Per-shard top-N: each shard keeps its local first `n` rows under
     /// the query order (a superset of the global top-N). Ties at the cut
@@ -91,14 +116,14 @@ pub enum ExecOp {
     Limit {
         /// Row cap.
         n: u64,
-        /// The query's ORDER BY, if any: (column, descending).
-        order: Option<(String, bool)>,
+        /// The query's ORDER BY, if any.
+        order: Option<OrderBy>,
     },
     /// Sink: gather every shard output, restore the query's total order,
     /// apply ORDER BY / LIMIT, and strip bookkeeping columns.
     Collect {
-        /// The query's ORDER BY, if any: (column, descending).
-        order_by: Option<(String, bool)>,
+        /// The query's ORDER BY, if any.
+        order_by: Option<OrderBy>,
         /// The query's LIMIT, if any.
         limit: Option<u64>,
     },

@@ -10,8 +10,8 @@
 //!    per-row chains across domains ([`optimize`]).
 //! 3. Lowering to the **physical sharded graph** (a) selects hardware
 //!    backends for IR-based ops and (b) decides a degree of parallelism
-//!    per vertex, creating sharded vertices along keyed edges with a hash
-//!    scheme ([`lower`], [`physical`], [`partition`]).
+//!    per vertex, creating sharded vertices along keyed edges with one hash
+//!    rule ([`lower`], [`physical`], [`partition`]).
 //!
 //! Crucially — as the paper stresses — neither graph specifies *when* or
 //! *who* executes the vertices; that is delegated to the stateful
@@ -47,11 +47,10 @@ pub mod physical;
 pub mod profile;
 
 pub use error::GraphError;
-pub use exec::{ExecAgg, ExecCompare, ExecLiteral, ExecOp};
+pub use exec::{AggFunc, AggItem, CmpOp, Comparison, ExecOp, Literal, OrderBy};
 pub use logical::{EdgeKind, FlowGraph, Vertex, VertexBody, VertexId};
 pub use lower::{lower_graph, LowerConfig};
 pub use optimize::{optimize_graph, OptimizeReport};
-pub use partition::Partitioner;
 pub use physical::{PEdgeKind, PVertexId, PhysicalGraph, PhysicalVertex};
 pub use profile::{OpProfile, QueryProfile, ShardStats};
 
@@ -61,6 +60,5 @@ pub mod prelude {
     pub use crate::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
     pub use crate::lower::{lower_graph, LowerConfig};
     pub use crate::optimize::optimize_graph;
-    pub use crate::partition::Partitioner;
     pub use crate::physical::{PEdgeKind, PVertexId, PhysicalGraph};
 }

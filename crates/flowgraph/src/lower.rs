@@ -13,7 +13,6 @@ use skadi_ir::{Backend, BackendPolicy, Op};
 
 use crate::error::GraphError;
 use crate::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
-use crate::partition::Partitioner;
 use crate::physical::{PEdgeKind, PVertexKind, PhysicalEdge, PhysicalGraph, PhysicalVertex};
 
 /// Lowering configuration.
@@ -25,8 +24,6 @@ pub struct LowerConfig {
     pub policy: BackendPolicy,
     /// Per-vertex parallelism overrides.
     pub overrides: HashMap<VertexId, u32>,
-    /// Hash scheme for keyed edges.
-    pub partitioner: Partitioner,
 }
 
 impl LowerConfig {
@@ -36,19 +33,12 @@ impl LowerConfig {
             default_parallelism: default_parallelism.max(1),
             policy,
             overrides: HashMap::new(),
-            partitioner: Partitioner::Hash,
         }
     }
 
     /// Overrides one vertex's parallelism.
     pub fn with_parallelism(mut self, v: VertexId, n: u32) -> Self {
         self.overrides.insert(v, n.max(1));
-        self
-    }
-
-    /// Uses a different hashing scheme for keyed edges.
-    pub fn with_partitioner(mut self, p: Partitioner) -> Self {
-        self.partitioner = p;
         self
     }
 
@@ -153,10 +143,7 @@ pub fn lower_graph(g: &FlowGraph, cfg: &LowerConfig) -> Result<PhysicalGraph, Gr
                             from: f,
                             to: t,
                             bytes,
-                            kind: PEdgeKind::Shuffle {
-                                key: key.clone(),
-                                partitioner: cfg.partitioner.clone(),
-                            },
+                            kind: PEdgeKind::Shuffle { key: key.clone() },
                             port: e.port,
                         });
                     }
@@ -271,13 +258,7 @@ mod tests {
             shuffles.len(),
             p.shards_of(filt).len() * p.shards_of(agg).len()
         );
-        match &shuffles[0].kind {
-            PEdgeKind::Shuffle { key, partitioner } => {
-                assert_eq!(key, "k");
-                assert_eq!(*partitioner, Partitioner::Hash);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(shuffles[0].kind, PEdgeKind::Shuffle { key: "k".into() });
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Key partitioning schemes for keyed edges.
+//! The key partitioning rule for keyed edges.
 //!
 //! Lowering "decides [...] keyed edges with a default or user-supplied
-//! hashing scheme" (§2.1). The partitioner maps a key's hash to one of
-//! `n` downstream shards; it must be *stable* (same key, same shard —
-//! correctness of shuffles) and reasonably *balanced*.
+//! hashing scheme" (§2.1). Here there is one scheme: a key goes to shard
+//! `fnv1a(key) % n` of the `n` downstream shards. It must be *stable* (same
+//! key, same shard — correctness of shuffles) and reasonably *balanced*.
+//! The data plane's shuffle (`shard::partition_by_key`) applies exactly
+//! this rule to each row's key bytes.
 
-use std::fmt;
-
-/// FNV-1a over a byte string; the default key hash.
+/// FNV-1a over a byte string; the key hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -19,50 +19,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// How keys map to shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Partitioner {
-    /// `hash(key) % n` with FNV-1a — the default scheme.
-    Hash,
-    /// Contiguous ranges of the hash space (preserves hash order across
-    /// shards; used by sort-based consumers).
-    Range,
-    /// Ignores the key: round-robin by row index (only valid for
-    /// key-insensitive consumers).
-    RoundRobin,
-}
-
-impl fmt::Display for Partitioner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Partitioner::Hash => "hash",
-            Partitioner::Range => "range",
-            Partitioner::RoundRobin => "round-robin",
-        };
-        f.write_str(s)
-    }
-}
-
-impl Partitioner {
-    /// Assigns a key (or row index for round-robin) to a shard in
-    /// `[0, parts)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0`.
-    pub fn assign(&self, key_bytes: &[u8], row_index: u64, parts: u32) -> u32 {
-        assert!(parts > 0, "partition into zero shards");
-        match self {
-            Partitioner::Hash => (fnv1a(key_bytes) % parts as u64) as u32,
-            Partitioner::Range => {
-                let h = fnv1a(key_bytes);
-                // Divide the hash space into `parts` equal ranges.
-                let width = u64::MAX / parts as u64 + 1;
-                ((h / width) as u32).min(parts - 1)
-            }
-            Partitioner::RoundRobin => (row_index % parts as u64) as u32,
-        }
-    }
+/// The shard in `[0, parts)` a key with these bytes goes to:
+/// `fnv1a(key_bytes) % parts`.
+///
+/// # Panics
+///
+/// Panics if `parts == 0`.
+pub fn hash_shard(key_bytes: &[u8], parts: u32) -> u32 {
+    assert!(parts > 0, "partition into zero shards");
+    (fnv1a(key_bytes) % parts as u64) as u32
 }
 
 #[cfg(test)]
@@ -70,23 +35,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hash_is_stable() {
-        let p = Partitioner::Hash;
+    fn hash_is_stable_and_in_range() {
         for key in ["alpha", "beta", "gamma"] {
-            let a = p.assign(key.as_bytes(), 0, 7);
-            let b = p.assign(key.as_bytes(), 99, 7);
-            assert_eq!(a, b, "key {key} moved shards");
+            let a = hash_shard(key.as_bytes(), 7);
+            assert_eq!(a, hash_shard(key.as_bytes(), 7), "key {key} moved shards");
+            assert!(a < 7);
         }
     }
 
     #[test]
     fn hash_is_balanced() {
-        let p = Partitioner::Hash;
         let parts = 8u32;
         let mut counts = vec![0u32; parts as usize];
         for i in 0..8000u64 {
             let key = format!("key-{i}");
-            counts[p.assign(key.as_bytes(), i, parts) as usize] += 1;
+            counts[hash_shard(key.as_bytes(), parts) as usize] += 1;
         }
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
@@ -94,49 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn range_is_ordered_by_hash() {
-        let p = Partitioner::Range;
-        let parts = 4;
-        // Keys whose hash falls in a lower range get a lower shard.
-        let mut pairs: Vec<(u64, u32)> = (0..100u64)
-            .map(|i| {
-                let key = format!("k{i}");
-                (fnv1a(key.as_bytes()), p.assign(key.as_bytes(), 0, parts))
-            })
-            .collect();
-        pairs.sort();
-        let shards: Vec<u32> = pairs.iter().map(|(_, s)| *s).collect();
-        let mut sorted = shards.clone();
-        sorted.sort_unstable();
-        assert_eq!(shards, sorted, "range shards not monotone in hash");
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let p = Partitioner::RoundRobin;
-        let shards: Vec<u32> = (0..6).map(|i| p.assign(b"same", i, 3)).collect();
-        assert_eq!(shards, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn assignments_in_range() {
-        for p in [
-            Partitioner::Hash,
-            Partitioner::Range,
-            Partitioner::RoundRobin,
-        ] {
-            for i in 0..100u64 {
-                let key = format!("x{i}");
-                let s = p.assign(key.as_bytes(), i, 5);
-                assert!(s < 5, "{p} returned {s}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "zero shards")]
     fn zero_parts_panics() {
-        Partitioner::Hash.assign(b"k", 0, 0);
+        hash_shard(b"k", 0);
     }
 
     #[test]

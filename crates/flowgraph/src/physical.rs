@@ -14,7 +14,6 @@ use skadi_ir::Backend;
 use crate::error::GraphError;
 use crate::exec::ExecOp;
 use crate::logical::VertexId;
-use crate::partition::Partitioner;
 
 /// Identifies a physical vertex (one shard of one logical vertex).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,12 +76,10 @@ pub struct PhysicalVertex {
 pub enum PEdgeKind {
     /// Shard-aligned pipeline (same parallelism, no key).
     Pipeline,
-    /// Hash shuffle on a key.
+    /// Hash shuffle on a key ([`crate::partition::hash_shard`]).
     Shuffle {
         /// The key column.
         key: String,
-        /// The hashing scheme.
-        partitioner: Partitioner,
     },
     /// Many shards into one.
     Gather,

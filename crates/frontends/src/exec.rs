@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use skadi_arrow::array::Value;
 use skadi_arrow::batch::RecordBatch;
-use skadi_arrow::compute::{self, CmpOp};
+use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::each_variant;
 use skadi_arrow::schema::{Field, Schema};
@@ -33,7 +33,7 @@ use skadi_flowgraph::profile::{QueryProfile, ShardStats};
 use skadi_ir::Op;
 
 use crate::catalog::{Catalog, TableDef};
-use crate::sql::ast::{Comparison, Expr, Literal, Query};
+use crate::sql::ast::{AggItem, Comparison, Literal, OrderBy, Query};
 use crate::sql::{parse, tokenize, SqlError};
 
 pub mod parallel;
@@ -144,18 +144,6 @@ fn literal_value(lit: &Literal) -> Value {
         Literal::Float(v) => Value::F64(*v),
         Literal::Str(s) => Value::Str(s.clone()),
     }
-}
-
-fn cmp_op(op: &str) -> Result<CmpOp, SqlError> {
-    Ok(match op {
-        "=" => CmpOp::Eq,
-        "!=" => CmpOp::Ne,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::Le,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::Ge,
-        other => return Err(SqlError::Plan(format!("unsupported operator {other:?}"))),
-    })
 }
 
 /// Hash-table measurements from one join or group-by kernel invocation.
@@ -398,59 +386,6 @@ fn group_key_eq(batch: &RecordBatch, cols: &[usize], a: usize, b: usize) -> bool
         .all(|&c| each_variant!(batch.column(c), k => k.key_bytes(a) == k.key_bytes(b)))
 }
 
-/// One resolved aggregate: which accumulator runs over which column.
-/// Integer sums/mins/maxes stay `Int64`; `count` is `Int64`; everything
-/// else (including `avg`) is `Float64`. Non-numeric inputs to
-/// `sum`/`min`/`max`/`avg` yield an all-null `Float64` column.
-enum AggKind {
-    CountStar,
-    Count(usize),
-    SumI64(usize),
-    MinI64(usize),
-    MaxI64(usize),
-    SumF64(usize),
-    MinF64(usize),
-    MaxF64(usize),
-    Avg(usize),
-    NonNumeric,
-}
-
-impl AggKind {
-    fn data_type(&self) -> DataType {
-        match self {
-            AggKind::CountStar
-            | AggKind::Count(_)
-            | AggKind::SumI64(_)
-            | AggKind::MinI64(_)
-            | AggKind::MaxI64(_) => DataType::Int64,
-            _ => DataType::Float64,
-        }
-    }
-}
-
-fn resolve_agg(func: &str, column: &str, input: &RecordBatch) -> Result<AggKind, SqlError> {
-    if func == "count" {
-        if column == "*" {
-            return Ok(AggKind::CountStar);
-        }
-        return Ok(AggKind::Count(
-            input.schema().index_of(column).map_err(wrap)?,
-        ));
-    }
-    let c = input.schema().index_of(column).map_err(wrap)?;
-    Ok(match (func, input.column(c).data_type()) {
-        ("sum", DataType::Int64) => AggKind::SumI64(c),
-        ("min", DataType::Int64) => AggKind::MinI64(c),
-        ("max", DataType::Int64) => AggKind::MaxI64(c),
-        ("sum", DataType::Float64) => AggKind::SumF64(c),
-        ("min", DataType::Float64) => AggKind::MinF64(c),
-        ("max", DataType::Float64) => AggKind::MaxF64(c),
-        ("avg", DataType::Int64 | DataType::Float64) => AggKind::Avg(c),
-        ("sum" | "min" | "max" | "avg", _) => AggKind::NonNumeric,
-        (other, _) => return Err(SqlError::Plan(format!("unsupported aggregate {other:?}"))),
-    })
-}
-
 /// Grouped aggregation over the query's `GROUP BY` columns and aggregate
 /// select items (see [`parallel::aggregate_partitioned`]). A global
 /// aggregate (no GROUP BY) always yields exactly one row; groups come out
@@ -465,33 +400,19 @@ pub(crate) fn aggregate_with_stats(
     input: &RecordBatch,
     stats: &mut KernelStats,
 ) -> Result<RecordBatch, SqlError> {
-    let aggs: Vec<(String, String, String)> = q
-        .select
-        .iter()
-        .filter_map(|item| match &item.expr {
-            Expr::Agg { func, column } => Some((
-                func.clone(),
-                column.clone(),
-                item.alias
-                    .clone()
-                    .unwrap_or_else(|| format!("{func}({column})")),
-            )),
-            Expr::Column(_) => None,
-        })
-        .collect();
+    let aggs: Vec<AggItem> = q.aggregates().cloned().collect();
     aggregate_spec(&q.group_by, &aggs, input, stats)
 }
 
-/// The aggregation entry point independent of the SQL AST: `aggs` is
-/// `(func, column, output_name)` triples. Shard execution drives this
-/// directly from [`ExecOp::Aggregate`] descriptors. Resolves the group
-/// columns and runs [`parallel::aggregate_partitioned`], partitioned by
-/// the input's row count.
+/// The aggregation entry point independent of the query: shard execution
+/// drives this directly from [`ExecOp::Aggregate`] descriptors. Resolves
+/// the group columns and runs [`parallel::aggregate_partitioned`],
+/// partitioned by the input's row count.
 ///
 /// [`ExecOp::Aggregate`]: skadi_flowgraph::ExecOp::Aggregate
 pub(crate) fn aggregate_spec(
     group_by: &[String],
-    aggs: &[(String, String, String)],
+    aggs: &[AggItem],
     input: &RecordBatch,
     stats: &mut KernelStats,
 ) -> Result<RecordBatch, SqlError> {
@@ -522,22 +443,23 @@ pub fn sort_by(
     parallel::take_batch(batch, &perm).map_err(wrap)
 }
 
-/// ORDER BY `order` (column, descending) and LIMIT `limit`, each where
-/// given: the rows a stable sort keeps, cut at the limit. With both, the
-/// top-N kernel ([`compute::top_n`]) selects the kept rows and gathers
-/// only them; a LIMIT alone is a view of the first rows.
+/// ORDER BY `order` and LIMIT `limit`, each where given: the rows a
+/// stable sort keeps, cut at the limit. With both, the top-N kernel
+/// ([`compute::top_n`]) selects the kept rows and gathers only them; a
+/// LIMIT alone is a view of the first rows.
 pub(crate) fn order_limit(
     batch: &RecordBatch,
-    order: Option<(&str, bool)>,
-    limit: Option<usize>,
+    order: Option<&OrderBy>,
+    limit: Option<u64>,
 ) -> Result<RecordBatch, SqlError> {
+    let limit = limit.map(|n| n as usize);
     match (order, limit) {
         (None, None) => Ok(batch.clone()),
         (None, Some(n)) => Ok(batch.slice(0, n.min(batch.num_rows()))),
-        (Some((column, desc)), Some(n)) => {
-            compute::top_n(batch, column, sort_order(desc), n).map_err(wrap)
+        (Some(ob), Some(n)) => {
+            compute::top_n(batch, &ob.column, sort_order(ob.descending), n).map_err(wrap)
         }
-        (Some((column, desc)), None) => sort_by(batch, column, desc),
+        (Some(ob), None) => sort_by(batch, &ob.column, ob.descending),
     }
 }
 
@@ -581,13 +503,10 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
 
     // Pushdown-equivalent: conjuncts on base-table columns apply before
     // joins; the rest after. Each side fuses into a single mask.
-    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) = match &q.predicate {
-        Some(p) => p
-            .conjuncts
-            .iter()
-            .partition(|c| current.schema().index_of(&c.column).is_ok()),
-        None => (Vec::new(), Vec::new()),
-    };
+    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) = q
+        .filter
+        .iter()
+        .partition(|c| current.schema().index_of(&c.column).is_ok());
     if !pushed.is_empty() {
         let t0 = spans.now();
         let rows_in = current.num_rows();
@@ -665,7 +584,6 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         }
     }
 
-    let limit = q.limit.map(|n| n.max(0) as usize);
     let rows_in = current.num_rows();
     if let Some(ob) = &q.order_by {
         let t0 = spans.now();
@@ -673,7 +591,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         // one, so the same rows and bytes. Under a LIMIT only the rows the
         // limit keeps are sorted and gathered (the top-N kernel).
         let bytes = current.byte_size() as u64;
-        current = order_limit(&current, Some((&ob.column, ob.descending)), limit)?;
+        current = order_limit(&current, Some(ob), q.limit)?;
         spans.op_ext(
             Op::Sort,
             t0,
@@ -684,7 +602,7 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
             KernelStats::default(),
         );
     }
-    if let Some(n) = limit {
+    if let Some(n) = q.limit {
         let t0 = spans.now();
         current = order_limit(&current, None, Some(n))?;
         spans.op_ext(

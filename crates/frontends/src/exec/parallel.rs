@@ -32,9 +32,9 @@
 
 use std::sync::Arc;
 
-use skadi_arrow::array::{Array, Value};
+use skadi_arrow::array::{Array, PrimitiveArray, Value};
 use skadi_arrow::batch::RecordBatch;
-use skadi_arrow::buffer::Bitmap;
+use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute::{self, CmpOp, SortOrder};
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::each_variant;
@@ -42,10 +42,8 @@ use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
-use super::{
-    fold_hash, group_key_eq, resolve_agg, wrap, AggKind, JoinKeyRule, KernelStats, EMPTY_SLOT,
-};
-use crate::sql::ast::Comparison;
+use super::{fold_hash, group_key_eq, wrap, JoinKeyRule, KernelStats, EMPTY_SLOT};
+use crate::sql::ast::{AggFunc, AggItem, Comparison};
 use crate::sql::SqlError;
 
 /// Hash partitions of a large join or group-by. Fixed (never derived from
@@ -188,7 +186,7 @@ impl GroupTable {
 /// conjunction, meaning "keep everything"). Each conjunct's comparison
 /// mask is an independent column scan, so several of them over a large
 /// batch evaluate concurrently; the `AND` combine runs in conjunct order,
-/// as do column/operator resolution errors. The pool-or-inline choice
+/// as do column resolution errors. The pool-or-inline choice
 /// keys on data size only and changes no mask byte.
 pub(crate) fn conjunct_mask(
     batch: &RecordBatch,
@@ -198,7 +196,7 @@ pub(crate) fn conjunct_mask(
     for c in conjuncts {
         jobs.push((
             batch.column_by_name(&c.column).map_err(wrap)?.clone(),
-            super::cmp_op(&c.op)?,
+            c.op,
             super::literal_value(&c.value),
         ));
     }
@@ -494,19 +492,18 @@ struct PartAgg {
     agg_cols: Vec<Array>,
 }
 
-/// Grouped aggregation keyed on raw-byte row hashes; `aggs` is
-/// `(func, column, output_name)` triples. Rows split into `parts`
-/// partitions by hash prefix; each partition assigns group ids and folds
-/// its aggregates independently (a group lives wholly in one partition
-/// and folds in global row order, so float sums are bit-identical at any
-/// partition count); the merge orders all groups by `(rendered key,
-/// first row)` — one rendered string per *group*, not per row. A global
-/// aggregate (no group columns) is the one-partition, one-group case.
-/// Table capacity, linear-probe steps and the group count accumulate into
-/// `stats`.
+/// Grouped aggregation keyed on raw-byte row hashes. Rows split into
+/// `parts` partitions by hash prefix; each partition assigns group ids and
+/// folds its aggregates independently (a group lives wholly in one
+/// partition and folds in global row order, so float sums are
+/// bit-identical at any partition count); the merge orders all groups by
+/// `(rendered key, first row)` — one rendered string per *group*, not per
+/// row. A global aggregate (no group columns) is the one-partition,
+/// one-group case. Table capacity, linear-probe steps and the group count
+/// accumulate into `stats`.
 pub(crate) fn aggregate_partitioned(
     group_cols: &[usize],
-    aggs: &[(String, String, String)],
+    aggs: &[AggItem],
     input: &RecordBatch,
     parts: usize,
     stats: &mut KernelStats,
@@ -519,22 +516,31 @@ pub(crate) fn aggregate_partitioned(
     };
     let hashes = Arc::new(hashes);
 
-    // Output schema: group columns then one column per aggregate.
+    // Output schema: group columns then one column per aggregate. `count`
+    // and an `Int64` `sum`/`min`/`max` are `Int64`; everything else
+    // (including `avg`) is `Float64`.
     let mut fields: Vec<Field> = group_cols
         .iter()
         .map(|&c| input.schema().field(c).clone())
         .collect();
-    let mut kinds: Vec<AggKind> = Vec::new();
-    for (func, column, name) in aggs {
-        let kind = resolve_agg(func, column, input)?;
-        fields.push(Field::new(name.clone(), kind.data_type(), true));
-        kinds.push(kind);
+    let mut resolved: Vec<(AggFunc, Option<usize>)> = Vec::new();
+    for agg in aggs {
+        let column = agg.input().map(|c| input.schema().index_of(c));
+        let column = column.transpose().map_err(wrap)?;
+        let stays_int = column.is_some_and(|c| input.column(c).data_type() == DataType::Int64);
+        let data_type = match agg.func {
+            AggFunc::Count => DataType::Int64,
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max if stays_int => DataType::Int64,
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max | AggFunc::Avg => DataType::Float64,
+        };
+        fields.push(Field::new(agg.name.clone(), data_type, true));
+        resolved.push((agg.func, column));
     }
-    let kinds = Arc::new(kinds);
+    let resolved = Arc::new(resolved);
 
     // Null keys group like any other key, so no row is dropped.
     let part_rows = partition_rows(input.num_rows(), &hashes, None, parts);
-    let k2 = Arc::clone(&kinds);
+    let r2 = Arc::clone(&resolved);
     let gcols: Vec<usize> = group_cols.to_vec();
     let input2 = input.clone();
     let part_aggs: Vec<PartAgg> = pool::global()
@@ -552,9 +558,9 @@ pub(crate) fn aggregate_partitioned(
                         .join("\u{1}")
                 })
                 .collect();
-            let agg_cols = k2
+            let agg_cols = r2
                 .iter()
-                .map(|kind| accumulate_rows(kind, &input2, rows, &groups))
+                .map(|&(func, column)| accumulate_rows(func, column, &input2, rows, &groups))
                 .collect::<Result<Vec<Array>, SqlError>>()?;
             Ok(PartAgg {
                 groups,
@@ -589,7 +595,7 @@ pub(crate) fn aggregate_partitioned(
         .iter()
         .map(|&c| input.column(c).take_rows(&ordered_reps))
         .collect();
-    for k in 0..kinds.len() {
+    for k in 0..resolved.len() {
         let cols: Vec<&Array> = part_aggs.iter().map(|p| &p.agg_cols[k]).collect();
         columns.push(Array::concat(&cols).map_err(wrap)?.take_rows(&order));
     }
@@ -617,88 +623,140 @@ fn fold_rows<T: Copy>(
     acc
 }
 
-/// Runs one aggregate over one partition's rows in a single
-/// column-at-a-time pass. An `Int64` sum that leaves the `i64` range ends
-/// the query with an error instead of wrapping.
+/// Rows per group whose `valid(row)` holds.
+fn count_rows(rows: &[u32], groups: &Groups, valid: impl Fn(usize) -> bool) -> Vec<i64> {
+    let counts = fold_rows(rows, groups, |r| valid(r).then_some(1), 0, |n, one| n + one);
+    counts.into_iter().map(|n| n.unwrap_or(0)).collect()
+}
+
+/// Runs one aggregate — `func` over input column `column`, or over no
+/// column for `count(*)` — over one partition's rows in a single
+/// column-at-a-time pass. `sum`/`min`/`max`/`avg` fold `Int64` and
+/// `Float64` columns ([`fold_numbers`]) and yield all nulls over any other
+/// type. An `Int64` sum that leaves the `i64` range ends the query with an
+/// error instead of wrapping.
 fn accumulate_rows(
-    kind: &AggKind,
+    func: AggFunc,
+    column: Option<usize>,
     input: &RecordBatch,
     rows: &[u32],
     groups: &Groups,
 ) -> Result<Array, SqlError> {
-    let i64s = |c: usize| input.column(c).as_i64().expect("resolved as Int64");
-    let fold_i64 = |c: usize, identity: i64, op: fn(i64, i64) -> i64| {
-        let a = i64s(c);
-        Array::from_opt_i64(fold_rows(rows, groups, |r| a.get(r), identity, op))
+    let Some(c) = column else {
+        return Ok(Array::from_i64(groups.sizes.clone()));
     };
-    let fold_f64 = |c: usize, identity: f64, op: fn(f64, f64) -> f64| {
-        let a = input.column(c).as_f64().expect("resolved as Float64");
-        Array::from_opt_f64(fold_rows(rows, groups, |r| a.get(r), identity, op))
+    let folded = match input.column(c) {
+        Array::Int64(a) => fold_numbers(func, a, rows, groups),
+        Array::Float64(a) => fold_numbers(func, a, rows, groups),
+        col if func == AggFunc::Count => Some(Array::from_i64(count_rows(rows, groups, |r| {
+            !col.is_null(r)
+        }))),
+        _ => Some(Array::from_opt_f64(vec![None; groups.sizes.len()])),
     };
-    let counts = |c: usize| {
-        let col = input.column(c);
-        fold_rows(
-            rows,
-            groups,
-            |r| (!col.is_null(r)).then_some(1),
-            0i64,
-            |n, one| n + one,
-        )
-    };
-    Ok(match *kind {
-        AggKind::CountStar => Array::from_i64(groups.sizes.clone()),
-        AggKind::Count(c) => {
-            Array::from_i64(counts(c).into_iter().map(|n| n.unwrap_or(0)).collect())
-        }
-        AggKind::SumI64(c) => {
-            let a = i64s(c);
-            let mut overflowed = false;
-            let sums = fold_rows(
-                rows,
-                groups,
-                |r| a.get(r),
-                0,
-                |a, b| {
-                    a.checked_add(b).unwrap_or_else(|| {
-                        overflowed = true;
-                        0
-                    })
-                },
-            );
-            if overflowed {
-                return Err(SqlError::Plan(format!(
-                    "execution: sum({}) overflowed Int64",
-                    input.schema().field(c).name
-                )));
-            }
-            Array::from_opt_i64(sums)
-        }
-        AggKind::MinI64(c) => fold_i64(c, i64::MAX, i64::min),
-        AggKind::MaxI64(c) => fold_i64(c, i64::MIN, i64::max),
-        AggKind::SumF64(c) => fold_f64(c, 0.0, |a, b| a + b),
-        AggKind::MinF64(c) => fold_f64(c, f64::INFINITY, f64::min),
-        AggKind::MaxF64(c) => fold_f64(c, f64::NEG_INFINITY, f64::max),
-        AggKind::Avg(c) => {
-            let sums = match input.column(c) {
-                Array::Int64(a) => fold_rows(
-                    rows,
-                    groups,
-                    |r| a.get(r).map(|v| v as f64),
-                    0.0,
-                    |a, b| a + b,
-                ),
-                Array::Float64(a) => fold_rows(rows, groups, |r| a.get(r), 0.0, |a, b| a + b),
-                _ => unreachable!("avg resolved only for numeric columns"),
-            };
-            Array::from_opt_f64(
-                sums.into_iter()
-                    .zip(counts(c))
-                    .map(|(s, n)| Some(s? / n? as f64))
-                    .collect(),
-            )
-        }
-        AggKind::NonNumeric => Array::from_opt_f64(vec![None; groups.sizes.len()]),
+    folded.ok_or_else(|| {
+        let name = &input.schema().field(c).name;
+        SqlError::Plan(format!("execution: sum({name}) overflowed Int64"))
     })
+}
+
+/// What the folds need of a numeric column's values. Each fold starts a
+/// group from an identity and goes on in row order: a sum starts from
+/// `T::ZERO` (so the `Float64` sum of `-0.0` alone is `0.0`), and
+/// `min`/`max` are `Ord::min`/`max` for `Int64` and `f64::min`/`max` for
+/// `Float64` (which pass over a NaN: a group of NaNs alone folds to the
+/// identity, `±inf`).
+trait Number: Native + PartialOrd
+where
+    PrimitiveArray<Self>: Into<Array>,
+{
+    /// The identity of `min`.
+    const GREATEST: Self;
+    /// The identity of `max`.
+    const LEAST: Self;
+    /// `a + b`, or `None` if it leaves the type's range.
+    fn sum(a: Self, b: Self) -> Option<Self>;
+    fn min(a: Self, b: Self) -> Self;
+    fn max(a: Self, b: Self) -> Self;
+    /// The value as `avg` sums it.
+    fn to_f64(self) -> f64;
+}
+
+impl Number for i64 {
+    const GREATEST: i64 = i64::MAX;
+    const LEAST: i64 = i64::MIN;
+    fn sum(a: i64, b: i64) -> Option<i64> {
+        a.checked_add(b)
+    }
+    fn min(a: i64, b: i64) -> i64 {
+        Ord::min(a, b)
+    }
+    fn max(a: i64, b: i64) -> i64 {
+        Ord::max(a, b)
+    }
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Number for f64 {
+    const GREATEST: f64 = f64::INFINITY;
+    const LEAST: f64 = f64::NEG_INFINITY;
+    fn sum(a: f64, b: f64) -> Option<f64> {
+        Some(a + b)
+    }
+    fn min(a: f64, b: f64) -> f64 {
+        f64::min(a, b)
+    }
+    fn max(a: f64, b: f64) -> f64 {
+        f64::max(a, b)
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// One aggregate over a numeric column: `sum`, `min` and `max` keep the
+/// column's type, `avg` sums in `f64` and divides by the non-null count.
+/// Groups with no non-null value are null. `None` if a sum overflowed.
+fn fold_numbers<T: Number>(
+    func: AggFunc,
+    a: &PrimitiveArray<T>,
+    rows: &[u32],
+    groups: &Groups,
+) -> Option<Array>
+where
+    PrimitiveArray<T>: Into<Array>,
+{
+    let fold = |identity: T, op: fn(T, T) -> T| {
+        let folded = fold_rows(rows, groups, |r| a.get(r), identity, op);
+        Some(PrimitiveArray::from_options(folded).into())
+    };
+    match func {
+        AggFunc::Count => Some(Array::from_i64(count_rows(rows, groups, |r| {
+            a.get(r).is_some()
+        }))),
+        AggFunc::Sum => {
+            let mut overflowed = false;
+            let add = |x, y| {
+                T::sum(x, y).unwrap_or_else(|| {
+                    overflowed = true;
+                    T::ZERO
+                })
+            };
+            let sums = fold_rows(rows, groups, |r| a.get(r), T::ZERO, add);
+            (!overflowed).then(|| PrimitiveArray::from_options(sums).into())
+        }
+        AggFunc::Min => fold(T::GREATEST, T::min),
+        AggFunc::Max => fold(T::LEAST, T::max),
+        AggFunc::Avg => {
+            let sums = fold_rows(rows, groups, |r| a.get(r).map(T::to_f64), 0.0, |x, y| x + y);
+            let counts = count_rows(rows, groups, |r| a.get(r).is_some());
+            let means = sums.into_iter().zip(counts);
+            Some(Array::from_opt_f64(
+                means.map(|(s, n)| Some(s? / n as f64)).collect(),
+            ))
+        }
+    }
 }
 
 /// The sort permutation: per-morsel stable
@@ -749,6 +807,14 @@ mod tests {
                 ((x >> 33) as i64).rem_euclid(modulus)
             })
             .collect()
+    }
+
+    fn item(func: AggFunc, column: &str, name: &str) -> AggItem {
+        AggItem {
+            func,
+            column: column.into(),
+            name: name.into(),
+        }
     }
 
     #[test]
@@ -847,28 +913,31 @@ mod tests {
     /// kernels run with 1 and with [`PARTITIONS`] partitions on the same
     /// input, at sizes either side of the row-count gate, over every key
     /// type with null keys on both sides, for a global and a grouped
-    /// aggregate of every [`AggKind`], at pool sizes 1 and 4 — and must
+    /// aggregate of every function over every numeric input type and a
+    /// string, at pool sizes 1 and 4 — and must
     /// produce the same pair sequence and the same encoded batch.
     #[test]
     fn partition_count_never_changes_output() {
         let _guard = pool::test_guard();
         let min = PARALLEL_MIN_ROWS;
-        let aggs: Vec<(String, String, String)> = [
-            ("count", "*"),
-            ("count", "i"),
-            ("sum", "i"),
-            ("min", "i"),
-            ("max", "i"),
-            ("sum", "f"),
-            ("min", "f"),
-            ("max", "f"),
-            ("avg", "i"),
-            ("avg", "f"),
-            ("sum", "s"),
+        use AggFunc::*;
+        let aggs: Vec<AggItem> = [
+            (Count, "*"),
+            (Count, "i"),
+            (Sum, "i"),
+            (Min, "i"),
+            (Max, "i"),
+            (Sum, "f"),
+            (Min, "f"),
+            (Max, "f"),
+            (Avg, "i"),
+            (Avg, "f"),
+            (Sum, "s"),
+            (Count, "s"),
         ]
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(n, (func, col))| (func.to_string(), col.to_string(), format!("a{n}")))
+        .map(|(n, (func, col))| item(func, col, &format!("a{n}")))
         .collect();
         for n in [0, 1, min - 1, min, min + 1, 2 * min + 5] {
             // ~2 matches per probe row; every 11th / 13th key is null.
@@ -1085,7 +1154,7 @@ mod tests {
             }
             key_columns.push((ints.clone(), second));
         }
-        let aggs = vec![("count".to_string(), "*".to_string(), "n".to_string())];
+        let aggs = vec![item(AggFunc::Count, "*", "n")];
         for (a, b) in key_columns {
             let mut want: std::collections::BTreeMap<String, i64> = Default::default();
             for r in 0..a.len() {
@@ -1139,10 +1208,7 @@ mod tests {
             vec![Array::from_i64(keys.clone()), Array::from_i64(vals.clone())],
         )
         .unwrap();
-        let aggs = vec![
-            ("sum".to_string(), "v".to_string(), "s".to_string()),
-            ("count".to_string(), "*".to_string(), "n".to_string()),
-        ];
+        let aggs = vec![item(AggFunc::Sum, "v", "s"), item(AggFunc::Count, "*", "n")];
 
         let mut by_key: std::collections::BTreeMap<String, (i64, i64, i64)> =
             std::collections::BTreeMap::new();
@@ -1164,6 +1230,138 @@ mod tests {
                 assert_eq!(out.column(1).value_at(i), Value::I64(s), "row {i} sum");
                 assert_eq!(out.column(2).value_at(i), Value::I64(c), "row {i} count");
             }
+        }
+
+        // The folds' edge cases, pinned.
+        // Group 1: `avg` over Int64 converts each value to f64 before
+        // summing (2^53 + 1 becomes 2^53, so the mean is 2^52, not
+        // 2^52 + 1), and min/max pass over a NaN. Group 2: every value
+        // null. Group 3: -0.0 and 0.0, which min/max order as `f64::min`
+        // and `f64::max` do. Group 4: a NaN alone folds to the identities.
+        // Group 5: a Float64 sum starts from 0.0, so -0.0 alone sums to 0.0.
+        let big = (1i64 << 53) + 1;
+        let rows: [(i64, Option<i64>, Option<f64>); 9] = [
+            (1, Some(big), Some(f64::NAN)),
+            (2, None, None),
+            (3, Some(-4), Some(-0.0)),
+            (4, Some(5), Some(f64::NAN)),
+            (1, Some(1), Some(1.5)),
+            (5, None, Some(-0.0)),
+            (3, Some(7), Some(0.0)),
+            (2, None, None),
+            (3, None, Some(-0.0)),
+        ];
+        let input = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64, false),
+                Field::new("i", DataType::Int64, true),
+                Field::new("f", DataType::Float64, true),
+            ]),
+            vec![
+                Array::from_i64(rows.iter().map(|r| r.0).collect()),
+                Array::from_opt_i64(rows.iter().map(|r| r.1).collect()),
+                Array::from_opt_f64(rows.iter().map(|r| r.2).collect()),
+            ],
+        )
+        .unwrap();
+        use AggFunc::*;
+        let aggs = [
+            item(Count, "*", "n"),
+            item(Count, "i", "ni"),
+            item(Sum, "i", "si"),
+            item(Avg, "i", "ai"),
+            item(Min, "f", "lo"),
+            item(Max, "f", "hi"),
+            item(Sum, "f", "sf"),
+            item(Avg, "f", "af"),
+        ];
+        // Per group, the non-null floats in row order folded as the kernel
+        // must: from the identity, by `f64::min` / `f64::max` / `+`.
+        let fold = |k: i64, init: f64, op: fn(f64, f64) -> f64| {
+            let mut vals = rows
+                .iter()
+                .filter(|r| r.0 == k)
+                .filter_map(|r| r.2)
+                .peekable();
+            vals.peek()?;
+            Some(vals.fold(init, op).to_bits())
+        };
+        let bits = |a: &Array, r: usize| a.as_f64().unwrap().get(r).map(f64::to_bits);
+        let two_52 = (1i64 << 52) as f64;
+        for threads in [1, 4] {
+            pool::set_global_threads(threads);
+            for parts in [1, PARTITIONS] {
+                let at = format!("{parts} partitions, {threads} threads");
+                let mut stats = KernelStats::default();
+                let out = aggregate_partitioned(&[0], &aggs, &input, parts, &mut stats).unwrap();
+                let col = |name: &str| out.column_by_name(name).unwrap();
+                assert_eq!(out.num_rows(), 5, "{at}");
+                assert_eq!(
+                    col("n").as_i64().unwrap().iter().collect::<Vec<_>>(),
+                    [2, 2, 3, 1, 1].map(Some)
+                );
+                assert_eq!(
+                    col("ni").as_i64().unwrap().iter().collect::<Vec<_>>(),
+                    [2, 0, 2, 1, 0].map(Some)
+                );
+                let sums = [Some(big + 1), None, Some(3), Some(5), None];
+                assert_eq!(
+                    col("si").as_i64().unwrap().iter().collect::<Vec<_>>(),
+                    sums,
+                    "{at}"
+                );
+                let means = [Some(two_52), None, Some(1.5), Some(5.0), None];
+                assert_eq!(
+                    col("ai").as_f64().unwrap().iter().collect::<Vec<_>>(),
+                    means,
+                    "{at}"
+                );
+                for (r, k) in (1..=5).enumerate() {
+                    assert_eq!(
+                        bits(col("lo"), r),
+                        fold(k, f64::INFINITY, f64::min),
+                        "{at}: min {k}"
+                    );
+                    assert_eq!(
+                        bits(col("hi"), r),
+                        fold(k, f64::NEG_INFINITY, f64::max),
+                        "{at}: max {k}"
+                    );
+                    assert_eq!(
+                        bits(col("sf"), r),
+                        fold(k, 0.0, |a, b| a + b),
+                        "{at}: sum {k}"
+                    );
+                }
+                // The identities, spelled out where they show.
+                assert_eq!(col("lo").value_at(0), Value::F64(1.5), "{at}");
+                assert_eq!(col("lo").value_at(3), Value::F64(f64::INFINITY), "{at}");
+                assert_eq!(col("hi").value_at(3), Value::F64(f64::NEG_INFINITY), "{at}");
+                assert_eq!(bits(col("sf"), 4), Some(0.0f64.to_bits()), "{at}");
+                assert!(col("af").as_f64().unwrap().get(3).unwrap().is_nan(), "{at}");
+                for name in ["si", "ai", "lo", "hi", "sf", "af"] {
+                    assert!(col(name).is_null(1), "{at}: {name} of an all-null group");
+                }
+            }
+        }
+
+        // An Int64 sum that leaves the i64 range is an error, not a wrap.
+        let input = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64, false),
+                Field::new("v", DataType::Int64, false),
+            ]),
+            vec![
+                Array::from_i64(vec![1, 2, 1]),
+                Array::from_i64(vec![i64::MAX, 1, 1]),
+            ],
+        )
+        .unwrap();
+        let sum = [item(Sum, "v", "s")];
+        for parts in [1, PARTITIONS] {
+            let got = aggregate_partitioned(&[0], &sum, &input, parts, &mut KernelStats::default());
+            let want = SqlError::Plan("execution: sum(v) overflowed Int64".into());
+            assert_eq!(got.unwrap_err(), want, "{parts} partitions");
         }
     }
 

@@ -36,8 +36,8 @@
 //! # Shuffle-hash compatibility
 //!
 //! [`partition_by_key`] buckets rows by `hash_key_column(col) % parts` —
-//! the same FNV-1a-over-key-bytes scheme the physical graph's
-//! [`Partitioner::Hash`](skadi_flowgraph::Partitioner) prices, and the
+//! the physical graph's one FNV-1a-over-key-bytes rule
+//! ([`hash_shard`](skadi_flowgraph::partition::hash_shard)), and the
 //! same hash the join/aggregate kernels probe with. Edges into a join
 //! pass `coerce = true` so mixed `Int64`/`Float64` key pairs co-locate
 //! by their `f64` bit pattern.
@@ -52,10 +52,9 @@ use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
-use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp};
+use skadi_flowgraph::{AggFunc, AggItem, Comparison, ExecOp};
 
 use crate::exec::{self, wrap};
-use crate::sql::ast::{Comparison, Literal};
 use crate::sql::SqlError;
 
 /// Hidden row-id column threaded from scans through joins.
@@ -210,12 +209,10 @@ pub fn execute_shard_adaptive(
                         // what a scan, a join or an aggregate hands on
                         // mid-chain; any other batch is put in order here.
                         let cur = canonicalize(&input)?;
-                        let order = order.as_ref().map(|(col, desc)| (col.as_str(), *desc));
-                        exec::order_limit(&cur, order, Some(n as usize))?
+                        exec::order_limit(&cur, order.as_ref(), Some(n))?
                     }
                     ExecOp::Collect { order_by, limit } => {
-                        let order = order_by.as_ref().map(|(col, desc)| (col.as_str(), *desc));
-                        let cur = exec::order_limit(&input, order, limit.map(|n| n as usize))?;
+                        let cur = exec::order_limit(&input, order_by.as_ref(), limit)?;
                         // Output boundary: deliver plain columns so the
                         // result matches the reference engine regardless
                         // of which columns ran dictionary-encoded.
@@ -235,7 +232,7 @@ pub fn execute_shard_adaptive(
 /// Divides `batch`'s rows into hash partitions on `key`: one ascending
 /// row list per partition, no row copied. The partition index is
 /// `hash_key_column(row) % parts` — byte-compatible with the physical
-/// graph's FNV-1a `Partitioner::Hash` and with the hash the join and
+/// graph's FNV-1a `partition::hash_shard` and with the hash the join and
 /// group-by kernels bucket on. `coerce` hashes `Int64` keys through
 /// their `f64` bit pattern (used for edges into joins, where a mixed
 /// `Int64`/`Float64` key pair must co-locate).
@@ -512,24 +509,8 @@ fn scan_shard(table: &RecordBatch, shard: u32, shards: u32) -> Result<RecordBatc
     append_column(&slice, Field::new(RID, DataType::Int64, true), rid)
 }
 
-fn to_comparisons(conjuncts: &[ExecCompare]) -> Vec<Comparison> {
-    conjuncts
-        .iter()
-        .map(|c| Comparison {
-            column: c.column.clone(),
-            op: c.op.clone(),
-            value: match &c.value {
-                ExecLiteral::Int(v) => Literal::Int(*v),
-                ExecLiteral::Float(v) => Literal::Float(*v),
-                ExecLiteral::Str(s) => Literal::Str(s.clone()),
-            },
-        })
-        .collect()
-}
-
-fn filter_shard(input: &RecordBatch, conjuncts: &[ExecCompare]) -> Result<RecordBatch, SqlError> {
-    let cs = to_comparisons(conjuncts);
-    let refs: Vec<&Comparison> = cs.iter().collect();
+fn filter_shard(input: &RecordBatch, conjuncts: &[Comparison]) -> Result<RecordBatch, SqlError> {
+    let refs: Vec<&Comparison> = conjuncts.iter().collect();
     exec::apply_conjuncts(input, &refs)
 }
 
@@ -631,15 +612,16 @@ fn join_shard(
 fn aggregate_shard(
     input: &RecordBatch,
     group_by: &[String],
-    aggs: &[ExecAgg],
+    aggs: &[AggItem],
     kernel: &mut exec::KernelStats,
 ) -> Result<RecordBatch, SqlError> {
-    let mut spec: Vec<(String, String, String)> = aggs
-        .iter()
-        .map(|a| (a.func.clone(), a.column.clone(), a.name.clone()))
-        .collect();
-    spec.push(("min".into(), RID.into(), RID.into()));
-    let out = exec::aggregate_spec(group_by, &spec, input, kernel)?;
+    let mut items = aggs.to_vec();
+    items.push(AggItem {
+        func: AggFunc::Min,
+        column: RID.into(),
+        name: RID.into(),
+    });
+    let out = exec::aggregate_spec(group_by, &items, input, kernel)?;
     let mut keys: Vec<String> = Vec::with_capacity(out.num_rows());
     for r in 0..out.num_rows() {
         let parts: Vec<String> = group_by
@@ -664,7 +646,7 @@ fn aggregate_shard(
 mod tests {
     use super::*;
     use skadi_arrow::array::Value;
-    use skadi_flowgraph::Partitioner;
+    use skadi_flowgraph::partition::hash_shard;
 
     fn table() -> RecordBatch {
         RecordBatch::try_new(
@@ -715,13 +697,12 @@ mod tests {
         let t = table();
         let parts = 4;
         let split = partition_by_key(&t, "k", parts, false).unwrap();
-        let p = Partitioner::Hash;
         let keys = t.column(0).as_i64().unwrap();
         let mut want = vec![0usize; parts];
         for r in 0..t.num_rows() {
             // hash_row's Int64 key-byte encoding.
             let key = keys.get(r).unwrap().to_le_bytes();
-            want[p.assign(&key, r as u64, parts as u32) as usize] += 1;
+            want[hash_shard(&key, parts as u32) as usize] += 1;
         }
         let got: Vec<usize> = split.iter().map(Vec::len).collect();
         assert_eq!(got, want);

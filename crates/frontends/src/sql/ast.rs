@@ -1,93 +1,19 @@
 //! SQL abstract syntax.
+//!
+//! A predicate's comparisons, an aggregate item and an ORDER BY are the
+//! plan descriptors' own types ([`skadi_flowgraph::exec`]): the planner
+//! moves them from the statement into the plan as they are.
 
-/// A literal value in a predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Literal {
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Float(f64),
-    /// String.
-    Str(String),
-}
-
-impl std::fmt::Display for Literal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Literal::Int(v) => write!(f, "{v}"),
-            Literal::Float(v) => write!(f, "{v}"),
-            Literal::Str(v) => write!(f, "'{v}'"),
-        }
-    }
-}
-
-/// One comparison: `column op literal`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Column name.
-    pub column: String,
-    /// Operator text (`=`, `!=`, `<`, `<=`, `>`, `>=`).
-    pub op: String,
-    /// Right-hand literal.
-    pub value: Literal,
-}
-
-impl std::fmt::Display for Comparison {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} {}", self.column, self.op, self.value)
-    }
-}
-
-/// A conjunction of comparisons (the supported WHERE form).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Predicate {
-    /// ANDed comparisons.
-    pub conjuncts: Vec<Comparison>,
-}
-
-impl std::fmt::Display for Predicate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, c) in self.conjuncts.iter().enumerate() {
-            if i > 0 {
-                write!(f, " AND ")?;
-            }
-            write!(f, "{c}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Kept for API compatibility with the module docs: an expression is
-/// either a bare column or an aggregate call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// A bare column reference.
-    Column(String),
-    /// `func(col)` aggregate.
-    Agg {
-        /// Aggregate function name (lowercased).
-        func: String,
-        /// Column argument (`*` becomes `"*"`).
-        column: String,
-    },
-}
+pub use skadi_flowgraph::exec::{AggFunc, AggItem, CmpOp, Comparison, Literal, OrderBy};
 
 /// One item of the SELECT list.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectItem {
-    /// The expression.
-    pub expr: Expr,
-    /// Optional `AS` alias.
-    pub alias: Option<String>,
-}
-
-/// ORDER BY clause.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderBy {
-    /// Sort column.
-    pub column: String,
-    /// Descending?
-    pub descending: bool,
+pub enum SelectItem {
+    /// A bare column reference (`*`: every column). An `AS` alias parses
+    /// but does not rename the column.
+    Column(String),
+    /// An aggregate call, named by its `AS` alias or as `func(column)`.
+    Agg(AggItem),
 }
 
 /// An equi-join clause.
@@ -110,34 +36,38 @@ pub struct Query {
     pub from: String,
     /// Joins, in order.
     pub joins: Vec<Join>,
-    /// WHERE conjunction.
-    pub predicate: Option<Predicate>,
+    /// The WHERE clause's comparisons, ANDed (none without a WHERE).
+    pub filter: Vec<Comparison>,
     /// GROUP BY columns.
     pub group_by: Vec<String>,
     /// ORDER BY clause.
     pub order_by: Option<OrderBy>,
     /// LIMIT.
-    pub limit: Option<i64>,
+    pub limit: Option<u64>,
 }
 
 impl Query {
     /// True if the query aggregates (has an aggregate select item or a
     /// GROUP BY).
     pub fn is_aggregate(&self) -> bool {
-        !self.group_by.is_empty()
-            || self
-                .select
-                .iter()
-                .any(|s| matches!(s.expr, Expr::Agg { .. }))
+        !self.group_by.is_empty() || self.aggregates().next().is_some()
+    }
+
+    /// The aggregate items of the SELECT list, in order.
+    pub fn aggregates(&self) -> impl Iterator<Item = &AggItem> {
+        self.select.iter().filter_map(|s| match s {
+            SelectItem::Agg(a) => Some(a),
+            SelectItem::Column(_) => None,
+        })
     }
 
     /// The bare columns referenced in the SELECT list.
     pub fn projected_columns(&self) -> Vec<&str> {
         self.select
             .iter()
-            .filter_map(|s| match &s.expr {
-                Expr::Column(c) => Some(c.as_str()),
-                Expr::Agg { .. } => None,
+            .filter_map(|s| match s {
+                SelectItem::Column(c) => Some(c.as_str()),
+                SelectItem::Agg(_) => None,
             })
             .collect()
     }
@@ -149,49 +79,33 @@ mod tests {
 
     #[test]
     fn aggregate_detection() {
+        let sum = AggItem {
+            func: AggFunc::Sum,
+            column: "v".into(),
+            name: "sum(v)".into(),
+        };
         let q = Query {
-            select: vec![SelectItem {
-                expr: Expr::Agg {
-                    func: "sum".into(),
-                    column: "v".into(),
-                },
-                alias: None,
-            }],
+            select: vec![SelectItem::Agg(sum.clone())],
             from: "t".into(),
             joins: vec![],
-            predicate: None,
+            filter: vec![],
             group_by: vec![],
             order_by: None,
             limit: None,
         };
         assert!(q.is_aggregate());
+        assert_eq!(q.aggregates().collect::<Vec<_>>(), [&sum]);
         let q2 = Query {
-            select: vec![SelectItem {
-                expr: Expr::Column("a".into()),
-                alias: None,
-            }],
+            select: vec![SelectItem::Column("a".into())],
             group_by: vec!["a".into()],
             ..q.clone()
         };
         assert!(q2.is_aggregate());
-    }
-
-    #[test]
-    fn predicate_display() {
-        let p = Predicate {
-            conjuncts: vec![
-                Comparison {
-                    column: "a".into(),
-                    op: ">".into(),
-                    value: Literal::Int(5),
-                },
-                Comparison {
-                    column: "b".into(),
-                    op: "=".into(),
-                    value: Literal::Str("x".into()),
-                },
-            ],
+        assert_eq!(q2.projected_columns(), ["a"]);
+        let q3 = Query {
+            group_by: vec![],
+            ..q2
         };
-        assert_eq!(p.to_string(), "a > 5 AND b = 'x'");
+        assert!(!q3.is_aggregate());
     }
 }

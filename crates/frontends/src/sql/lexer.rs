@@ -1,5 +1,6 @@
 //! SQL tokenizer.
 
+use super::ast::CmpOp;
 use super::SqlError;
 
 /// One SQL token.
@@ -24,7 +25,7 @@ pub enum Token {
     /// `*`
     Star,
     /// `=`, `!=`, `<`, `<=`, `>`, `>=`
-    Op(String),
+    Op(CmpOp),
 }
 
 const KEYWORDS: &[&str] = &[
@@ -58,21 +59,22 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 i += 1;
             }
             '=' => {
-                out.push(Token::Op("=".into()));
+                out.push(Token::Op(CmpOp::Eq));
                 i += 1;
             }
             '!' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token::Op("!=".into()));
+                out.push(Token::Op(CmpOp::Ne));
                 i += 2;
             }
             '<' | '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Token::Op(format!("{c}=")));
-                    i += 2;
-                } else {
-                    out.push(Token::Op(c.to_string()));
-                    i += 1;
-                }
+                let or_equal = chars.get(i + 1) == Some(&'=');
+                out.push(Token::Op(match (c, or_equal) {
+                    ('<', false) => CmpOp::Lt,
+                    ('<', true) => CmpOp::Le,
+                    (_, false) => CmpOp::Gt,
+                    (_, true) => CmpOp::Ge,
+                }));
+                i += if or_equal { 2 } else { 1 };
             }
             '\'' => {
                 // Standard SQL string literal: '' inside the literal is an
@@ -167,7 +169,7 @@ mod tests {
         assert_eq!(toks[2], Token::Comma);
         assert_eq!(toks[3], Token::Ident("sum".into()));
         assert_eq!(toks[4], Token::LParen);
-        assert!(toks.contains(&Token::Op(">=".into())));
+        assert!(toks.contains(&Token::Op(CmpOp::Ge)));
         assert!(toks.contains(&Token::Int(10)));
     }
 
@@ -189,16 +191,29 @@ mod tests {
     #[test]
     fn operators() {
         for (src, op) in [
-            ("a = b", "="),
-            ("a != b", "!="),
-            ("a < b", "<"),
-            ("a <= b", "<="),
-            ("a > b", ">"),
-            ("a >= b", ">="),
+            ("a = b", CmpOp::Eq),
+            ("a != b", CmpOp::Ne),
+            ("a < b", CmpOp::Lt),
+            ("a <= b", CmpOp::Le),
+            ("a > b", CmpOp::Gt),
+            ("a >= b", CmpOp::Ge),
         ] {
             let toks = tokenize(src).unwrap();
-            assert_eq!(toks[1], Token::Op(op.into()), "{src}");
+            assert_eq!(toks[1], Token::Op(op), "{src}");
         }
+        // `=<` and `=>` are two tokens; a lone `!` is no operator.
+        assert_eq!(
+            tokenize("a =< b").unwrap()[1..3],
+            [Token::Op(CmpOp::Eq), Token::Op(CmpOp::Lt)]
+        );
+        assert_eq!(
+            tokenize("a => b").unwrap()[1..3],
+            [Token::Op(CmpOp::Eq), Token::Op(CmpOp::Gt)]
+        );
+        assert!(matches!(
+            tokenize("a ! b"),
+            Err(SqlError::Lex { found: '!', .. })
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod lexer;
 pub mod parser;
 pub mod planner;
 
-pub use ast::{Expr, Query, SelectItem};
+pub use ast::{Query, SelectItem};
 pub use lexer::{tokenize, Token};
 pub use parser::parse;
 pub use planner::plan_query;

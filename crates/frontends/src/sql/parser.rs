@@ -1,6 +1,6 @@
 //! Recursive-descent parser for the SQL subset.
 
-use super::ast::{Comparison, Expr, Join, Literal, OrderBy, Predicate, Query, SelectItem};
+use super::ast::{AggFunc, AggItem, CmpOp, Comparison, Join, Literal, OrderBy, Query, SelectItem};
 use super::lexer::Token;
 use super::SqlError;
 
@@ -47,48 +47,54 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, SqlError> {
-        let expr = match self.next() {
-            Some(Token::Star) => Expr::Column("*".to_string()),
-            Some(Token::Ident(name)) => {
-                if matches!(self.peek(), Some(Token::LParen)) {
-                    // Aggregate call.
-                    self.pos += 1;
-                    let column = match self.next() {
-                        Some(Token::Ident(c)) => c.clone(),
-                        Some(Token::Star) => "*".to_string(),
-                        other => {
-                            return Err(SqlError::Parse(format!(
-                                "expected aggregate argument, found {other:?}"
-                            )))
-                        }
-                    };
-                    match self.next() {
-                        Some(Token::RParen) => {}
-                        other => {
-                            return Err(SqlError::Parse(format!("expected ')', found {other:?}")))
-                        }
-                    }
-                    Expr::Agg {
-                        func: name.to_ascii_lowercase(),
-                        column,
-                    }
-                } else {
-                    Expr::Column(name.clone())
-                }
+    /// `func(column)` after its name. Unless an alias renames it, the
+    /// output column is named `func(column)`, the function in lower case.
+    fn aggregate_call(&mut self, name: &str) -> Result<AggItem, SqlError> {
+        self.pos += 1; // `(`
+        let column = match self.next() {
+            Some(Token::Ident(c)) => c.clone(),
+            Some(Token::Star) => "*".to_string(),
+            other => {
+                return Err(SqlError::Parse(format!(
+                    "expected aggregate argument, found {other:?}"
+                )))
             }
+        };
+        match self.next() {
+            Some(Token::RParen) => {}
+            other => return Err(SqlError::Parse(format!("expected ')', found {other:?}"))),
+        }
+        let func = AggFunc::from_name(name).ok_or_else(|| {
+            let name = name.to_ascii_lowercase();
+            SqlError::Parse(format!("unsupported aggregate {name:?}"))
+        })?;
+        Ok(AggItem {
+            name: format!("{}({column})", func.name()),
+            func,
+            column,
+        })
+    }
+
+    fn select_item(&mut self) -> Result<SelectItem, SqlError> {
+        let mut item = match self.next() {
+            Some(Token::Star) => SelectItem::Column("*".to_string()),
+            Some(Token::Ident(name)) if matches!(self.peek(), Some(Token::LParen)) => {
+                SelectItem::Agg(self.aggregate_call(name)?)
+            }
+            Some(Token::Ident(name)) => SelectItem::Column(name.clone()),
             other => {
                 return Err(SqlError::Parse(format!(
                     "expected select item, found {other:?}"
                 )))
             }
         };
-        let alias = if self.eat_keyword("AS") {
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        Ok(SelectItem { expr, alias })
+        if self.eat_keyword("AS") {
+            let alias = self.ident()?;
+            if let SelectItem::Agg(agg) = &mut item {
+                agg.name = alias;
+            }
+        }
+        Ok(item)
     }
 
     fn literal(&mut self) -> Result<Literal, SqlError> {
@@ -105,7 +111,7 @@ impl<'a> Parser<'a> {
     fn comparison(&mut self) -> Result<Comparison, SqlError> {
         let column = self.ident()?;
         let op = match self.next() {
-            Some(Token::Op(op)) => op.clone(),
+            Some(Token::Op(op)) => *op,
             other => {
                 return Err(SqlError::Parse(format!(
                     "expected comparison operator, found {other:?}"
@@ -136,7 +142,7 @@ impl<'a> Parser<'a> {
             self.expect_keyword("ON")?;
             let left_key = self.ident()?;
             match self.next() {
-                Some(Token::Op(op)) if op == "=" => {}
+                Some(Token::Op(CmpOp::Eq)) => {}
                 other => {
                     return Err(SqlError::Parse(format!(
                         "JOIN requires equality, found {other:?}"
@@ -151,15 +157,13 @@ impl<'a> Parser<'a> {
             });
         }
 
-        let predicate = if self.eat_keyword("WHERE") {
-            let mut conjuncts = vec![self.comparison()?];
+        let mut filter = Vec::new();
+        if self.eat_keyword("WHERE") {
+            filter.push(self.comparison()?);
             while self.eat_keyword("AND") {
-                conjuncts.push(self.comparison()?);
+                filter.push(self.comparison()?);
             }
-            Some(Predicate { conjuncts })
-        } else {
-            None
-        };
+        }
 
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
@@ -191,7 +195,7 @@ impl<'a> Parser<'a> {
                 // The lexer folds a leading minus into the literal, so a
                 // negative here is `LIMIT -5` — reject it instead of
                 // letting a nonsense bound flow into the plan.
-                Some(Token::Int(n)) if *n >= 0 => Some(*n),
+                Some(&Token::Int(n)) if n >= 0 => Some(n as u64),
                 Some(Token::Int(n)) => {
                     return Err(SqlError::Parse(format!(
                         "LIMIT must be a non-negative integer, got {n}"
@@ -215,7 +219,7 @@ impl<'a> Parser<'a> {
             select,
             from,
             joins,
-            predicate,
+            filter,
             group_by,
             order_by,
             limit,
@@ -243,7 +247,7 @@ mod tests {
         assert_eq!(q.from, "t");
         assert_eq!(q.select.len(), 2);
         assert_eq!(q.projected_columns(), vec!["a", "b"]);
-        assert!(q.predicate.is_none());
+        assert!(q.filter.is_empty());
     }
 
     #[test]
@@ -257,27 +261,72 @@ mod tests {
         .unwrap();
         assert_eq!(q.joins.len(), 1);
         assert_eq!(q.joins[0].table, "users");
-        let p = q.predicate.as_ref().unwrap();
-        assert_eq!(p.conjuncts.len(), 2);
+        assert_eq!(q.filter.len(), 2);
+        assert_eq!(q.filter[0].op, CmpOp::Gt);
+        assert_eq!(q.filter[1].value, Literal::Str("click".into()));
         assert_eq!(q.group_by, vec!["country"]);
         let ob = q.order_by.as_ref().unwrap();
         assert_eq!(ob.column, "total");
         assert!(ob.descending);
         assert_eq!(q.limit, Some(10));
         assert!(q.is_aggregate());
-        assert_eq!(q.select[1].alias.as_deref(), Some("total"));
+        match &q.select[1] {
+            SelectItem::Agg(a) => assert_eq!((a.func, a.name.as_str()), (AggFunc::Sum, "total")),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
     fn star_and_count() {
         let q = parse_sql("SELECT count(*) FROM t").unwrap();
-        match &q.select[0].expr {
-            Expr::Agg { func, column } => {
-                assert_eq!(func, "count");
-                assert_eq!(column, "*");
-            }
-            other => panic!("unexpected {other:?}"),
+        let want = AggItem {
+            func: AggFunc::Count,
+            column: "*".into(),
+            name: "count(*)".into(),
+        };
+        assert_eq!(q.select, [SelectItem::Agg(want)]);
+    }
+
+    #[test]
+    fn aggregate_names_are_typed_and_keep_the_lowercase_output_name() {
+        // Any letter case names the function; the output column is named
+        // by the lowercase function, the argument as written.
+        let q = parse_sql("SELECT AVG(x), Max(Y) AS top, k AS ignored FROM t").unwrap();
+        let agg = |func, column: &str, name: &str| {
+            SelectItem::Agg(AggItem {
+                func,
+                column: column.into(),
+                name: name.into(),
+            })
+        };
+        assert_eq!(
+            q.select,
+            [
+                agg(AggFunc::Avg, "x", "avg(x)"),
+                agg(AggFunc::Max, "Y", "top"),
+                SelectItem::Column("k".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn unknown_aggregates_are_parse_errors() {
+        for sql in [
+            "SELECT nope(v) FROM t",
+            "SELECT NOPE(*) FROM t",
+            "SELECT k, nope(v) AS n FROM t GROUP BY k",
+        ] {
+            assert_eq!(
+                parse_sql(sql),
+                Err(SqlError::Parse("unsupported aggregate \"nope\"".into())),
+                "{sql}"
+            );
         }
+        // A malformed call is reported as such before its name is looked up.
+        assert!(matches!(
+            parse_sql("SELECT nope( FROM t"),
+            Err(SqlError::Parse(m)) if m.contains("aggregate argument")
+        ));
     }
 
     #[test]
@@ -318,11 +367,7 @@ mod tests {
         // Pre-fix, 'O''Brien' lexed as two adjacent Str tokens and died
         // here with a baffling "trailing tokens" error.
         let q = parse_sql("SELECT a FROM t WHERE name = 'O''Brien'").unwrap();
-        let p = q.predicate.unwrap();
-        assert_eq!(p.conjuncts.len(), 1);
-        assert_eq!(
-            p.conjuncts[0].value,
-            super::super::ast::Literal::Str("O'Brien".into())
-        );
+        assert_eq!(q.filter.len(), 1);
+        assert_eq!(q.filter[0].value, Literal::Str("O'Brien".into()));
     }
 }

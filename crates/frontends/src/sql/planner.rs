@@ -14,9 +14,9 @@
 
 use std::collections::BTreeSet;
 
-use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp, FlowGraph, VertexId};
+use skadi_flowgraph::{AggItem, Comparison, ExecOp, FlowGraph, VertexId};
 
-use super::ast::{Comparison, Expr, Literal, Query};
+use super::ast::Query;
 use super::SqlError;
 use crate::catalog::{Catalog, TableDef};
 
@@ -41,33 +41,6 @@ pub mod ops {
     pub const AGGREGATE: &str = Op::Aggregate.name();
     /// ORDER BY (local engine only: a distributed plan orders at its sink).
     pub const SORT: &str = Op::Sort.name();
-}
-
-fn exec_literal(l: &Literal) -> ExecLiteral {
-    match l {
-        Literal::Int(v) => ExecLiteral::Int(*v),
-        Literal::Float(v) => ExecLiteral::Float(*v),
-        Literal::Str(s) => ExecLiteral::Str(s.clone()),
-    }
-}
-
-/// The aggregate items of the SELECT list as executable descriptors,
-/// named exactly like the local engine names its output columns.
-fn exec_aggs(q: &Query) -> Vec<ExecAgg> {
-    q.select
-        .iter()
-        .filter_map(|item| match &item.expr {
-            Expr::Agg { func, column } => Some(ExecAgg {
-                func: func.clone(),
-                column: column.clone(),
-                name: item
-                    .alias
-                    .clone()
-                    .unwrap_or_else(|| format!("{func}({column})")),
-            }),
-            Expr::Column(_) => None,
-        })
-        .collect()
 }
 
 /// The column names read above some point of the plan; `None` reads every
@@ -156,14 +129,7 @@ impl Head {
         }
         let sel = CONJUNCT_SELECTIVITY.powi(conjuncts.len() as i32);
         self.scale(sel, sel);
-        let conjuncts = conjuncts
-            .iter()
-            .map(|c| ExecCompare {
-                column: c.column.clone(),
-                op: c.op.clone(),
-                value: exec_literal(&c.value),
-            })
-            .collect();
+        let conjuncts = conjuncts.iter().map(|&c| c.clone()).collect();
         self.push(g, ExecOp::Filter { conjuncts })
     }
 }
@@ -188,18 +154,15 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
 
     // Predicate pushdown: conjuncts that only touch the base table apply
     // before joins; the rest after.
-    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) = q
-        .predicate
-        .iter()
-        .flat_map(|p| &p.conjuncts)
-        .partition(|c| base.has_column(&c.column));
+    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) =
+        q.filter.iter().partition(|c| base.has_column(&c.column));
 
     // What each stretch of the plan still reads, from the top down: the
     // output stage, then the residual predicate, then each join's left key.
-    let aggs = exec_aggs(q);
+    let aggs: Vec<AggItem> = q.aggregates().cloned().collect();
     let select = q.projected_columns();
     let top: Reads = if q.is_aggregate() {
-        let args = aggs.iter().map(|a| a.column.as_str());
+        let args = aggs.iter().filter_map(AggItem::input);
         Some(q.group_by.iter().map(String::as_str).chain(args).collect())
     } else if select.is_empty() || select.contains(&"*") {
         None
@@ -266,10 +229,8 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         for k in &q.group_by {
             head.resolve(k)?;
         }
-        for a in &aggs {
-            if a.func != "count" || a.column != "*" {
-                head.resolve(&a.column)?;
-            }
+        for column in aggs.iter().filter_map(AggItem::input) {
+            head.resolve(column)?;
         }
         let rows_in = head.rows;
         head.scale(AGG_REDUCTION, AGG_REDUCTION);
@@ -298,18 +259,13 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         }
     }
 
-    let order = match &q.order_by {
-        Some(ob) => {
-            head.resolve(&ob.column)?;
-            Some((ob.column.clone(), ob.descending))
-        }
-        None => None,
-    };
-    let limit = q.limit.map(|n| n.max(0) as u64);
-    if let Some(n) = limit {
+    if let Some(ob) = &q.order_by {
+        head.resolve(&ob.column)?;
+    }
+    if let Some(n) = q.limit {
         head.rows = head.rows.min(n);
         head.bytes = head.bytes.min(head.rows.saturating_mul(64).max(64));
-        let order = order.clone();
+        let order = q.order_by.clone();
         head.push(g, ExecOp::Limit { n, order })?;
     }
 
@@ -317,8 +273,8 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     g.set_exec(
         sink,
         ExecOp::Collect {
-            order_by: order,
-            limit,
+            order_by: q.order_by.clone(),
+            limit: q.limit,
         },
     );
     g.connect(head.at, sink)?;
@@ -426,7 +382,10 @@ mod tests {
         let limit = g.inputs_of(sink)[0];
         let agg = g.inputs_of(limit)[0];
         assert_eq!(g.edge_between(agg, limit).unwrap().kind, EdgeKind::Data);
-        let order = Some(("s".to_string(), true));
+        let order = Some(skadi_flowgraph::OrderBy {
+            column: "s".into(),
+            descending: true,
+        });
         assert_eq!(
             g.vertex(limit).exec,
             Some(ExecOp::Limit {

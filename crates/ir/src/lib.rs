@@ -11,7 +11,9 @@
 //!
 //! - [`op`]: the [`Op`] vocabulary — relational ops the SQL planner and the
 //!   local engine name, tensor ops the ML frontend emits — with each op's
-//!   text name and its role in a fused chain.
+//!   text name and its role in a fused chain; and what a filter compares
+//!   with ([`CmpOp`]) and an aggregate computes ([`AggFunc`]), typed from
+//!   the SQL lexer and parser down to the kernels.
 //! - [`backend`]: CPU/GPU/FPGA descriptors, the per-op support and cost
 //!   table, and the [`BackendPolicy`] that picks the cheapest allowed
 //!   backend for an op or a fused chain.
@@ -37,4 +39,4 @@ pub mod backend;
 pub mod op;
 
 pub use backend::{Backend, BackendPolicy, CostEstimate};
-pub use op::Op;
+pub use op::{AggFunc, CmpOp, Op};

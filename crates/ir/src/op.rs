@@ -6,6 +6,11 @@
 //! Every `match` on an op is wildcard-free, so a new variant does not
 //! compile until it has a name, a role here and a row in the cost table
 //! ([`crate::backend`]).
+//!
+//! Beside it, the SQL vocabulary an op's arguments carry: [`CmpOp`] for a
+//! filter's comparisons and [`AggFunc`] for an aggregate's functions. The
+//! lexer and parser produce them, and plans and kernels only match on
+//! them, so no layer below the parser reads an operator or function name.
 
 /// A hardware-agnostic op a FlowGraph vertex runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,6 +118,84 @@ impl Op {
     }
 }
 
+/// A comparison a filter applies: the `op` of a `column op literal`
+/// conjunct, from the lexer's token to the mask kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CmpOp {
+    /// Equal.
+    Eq,
+    /// Not equal.
+    Ne,
+    /// Less than.
+    Lt,
+    /// Less than or equal.
+    Le,
+    /// Greater than.
+    Gt,
+    /// Greater than or equal.
+    Ge,
+}
+
+impl CmpOp {
+    /// `a op b`.
+    #[inline]
+    pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+        }
+    }
+}
+
+/// An aggregate function, from the parser to the fold that computes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AggFunc {
+    /// Rows (`count(*)`) or non-null values.
+    Count,
+    /// Sum of the non-null values.
+    Sum,
+    /// Least non-null value.
+    Min,
+    /// Greatest non-null value.
+    Max,
+    /// Mean of the non-null values.
+    Avg,
+}
+
+impl AggFunc {
+    /// Every function, in declaration order.
+    pub const ALL: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+
+    /// The function's name in lower case: how SQL spells it, and how an
+    /// unaliased aggregate's output column is named (`sum(v)`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            AggFunc::Count => "count",
+            AggFunc::Sum => "sum",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+            AggFunc::Avg => "avg",
+        }
+    }
+
+    /// The function SQL calls `name`, in any letter case.
+    pub fn from_name(name: &str) -> Option<AggFunc> {
+        AggFunc::ALL
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(name))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,5 +229,30 @@ mod tests {
     fn a_chain_of_several_is_a_fused_kernel() {
         assert_eq!(Op::label(&[Op::Join]), "rel.join");
         assert_eq!(Op::label(&[Op::Scan, Op::Filter]), "kernel.fused");
+    }
+
+    #[test]
+    fn aggregate_names_round_trip_in_any_case() {
+        for f in AggFunc::ALL {
+            assert_eq!(AggFunc::from_name(f.name()), Some(f));
+            assert_eq!(AggFunc::from_name(&f.name().to_ascii_uppercase()), Some(f));
+        }
+        assert_eq!(AggFunc::from_name("AvG"), Some(AggFunc::Avg));
+        assert_eq!(AggFunc::from_name("nope"), None);
+        assert_eq!(AggFunc::from_name("sums"), None);
+    }
+
+    #[test]
+    fn comparisons_evaluate_like_partial_ord() {
+        let truth = |op: CmpOp| [op.eval(1, 2), op.eval(2, 2), op.eval(3, 2)];
+        assert_eq!(truth(CmpOp::Eq), [false, true, false]);
+        assert_eq!(truth(CmpOp::Ne), [true, false, true]);
+        assert_eq!(truth(CmpOp::Lt), [true, false, false]);
+        assert_eq!(truth(CmpOp::Le), [true, true, false]);
+        assert_eq!(truth(CmpOp::Gt), [false, false, true]);
+        assert_eq!(truth(CmpOp::Ge), [false, true, true]);
+        // NaN compares unequal to everything, itself included.
+        assert!(CmpOp::Ne.eval(f64::NAN, f64::NAN));
+        assert!(!CmpOp::Le.eval(f64::NAN, 1.0));
     }
 }

@@ -121,15 +121,16 @@ impl<'a> PipelineBuilder<'a> {
                 optimize.fused += rep.fused;
             }
             after += stage.graph.len();
-            let (job, c, v, e) = self.session.compile(&stage.graph, &stage.system)?;
-            counts.cpu += c.cpu;
-            counts.gpu += c.gpu;
-            counts.fpga += c.fpga;
-            pv += v;
-            pe += e;
+            let cfg = self.session.lower_config();
+            let compiled = self.session.compile(&stage.graph, &cfg, &stage.system)?;
+            counts.cpu += compiled.backends.cpu;
+            counts.gpu += compiled.backends.gpu;
+            counts.fpga += compiled.backends.fpga;
+            pv += compiled.phys.len();
+            pe += compiled.phys.edges().len();
 
             // Re-ID this stage's tasks into the combined space.
-            let (mut renumbered, next) = job.shifted(offset);
+            let (mut renumbered, next) = compiled.job.shifted(offset);
             offset = next;
 
             // Bridge from the previous stage's terminals to this stage's

@@ -17,6 +17,7 @@ use skadi_dcsim::topology::Topology;
 use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::lower::{lower_graph, LowerConfig};
 use skadi_flowgraph::optimize::optimize_graph;
+use skadi_flowgraph::physical::PhysicalGraph;
 use skadi_frontends::catalog::Catalog;
 use skadi_frontends::graph::VertexProgram;
 use skadi_frontends::mapreduce::MapReduceJob;
@@ -294,7 +295,7 @@ impl Session {
         } else {
             Default::default()
         };
-        let mut cfg = LowerConfig::new(self.parallelism, self.policy.clone());
+        let mut cfg = self.lower_config();
         let mut replans = Vec::new();
         if self.adaptive {
             // Pilot pass: measure real key histograms, then re-lower the
@@ -304,12 +305,11 @@ impl Session {
             replans = pilot.replans.clone();
             cfg = pilot.apply(cfg);
         }
-        let phys = lower_graph(&graph, &cfg)?;
-        let mut counts = BackendCounts::default();
-        for v in phys.vertices() {
-            counts.add(v.backend);
-        }
-        let job = job_from_physical("sql", &phys, "sql")?;
+        let Compiled {
+            phys,
+            job,
+            backends,
+        } = self.compile(&graph, &cfg, "sql")?;
         let sink_task = phys
             .vertices()
             .iter()
@@ -342,7 +342,7 @@ impl Session {
                 optimize,
                 physical_vertices: phys.len(),
                 physical_edges: phys.edges().len(),
-                backends: counts,
+                backends,
                 stats,
                 profile: Some(profile),
             },
@@ -423,37 +423,57 @@ impl Session {
         } else {
             Default::default()
         };
-        let (job, counts, pv, pe) = self.compile(&graph, system)?;
+        let compiled = self.compile(&graph, &self.lower_config(), system)?;
         let mut cluster = Cluster::new(&self.topology, self.runtime.clone());
-        let stats = cluster.run_with_failures(&job, failures)?;
+        let stats = cluster.run_with_failures(&compiled.job, failures)?;
         Ok(JobReport {
             name: name.to_string(),
             logical_vertices_before: before,
             logical_vertices_after: graph.len(),
             optimize,
-            physical_vertices: pv,
-            physical_edges: pe,
-            backends: counts,
+            physical_vertices: compiled.phys.len(),
+            physical_edges: compiled.phys.edges().len(),
+            backends: compiled.backends,
             stats,
             profile: None,
         })
     }
 
-    /// Lowers a logical graph to a runnable job plus physical summary.
+    /// This session's lowering: its parallelism and backend policy.
+    pub(crate) fn lower_config(&self) -> LowerConfig {
+        LowerConfig::new(self.parallelism, self.policy.clone())
+    }
+
+    /// Lowers a logical graph under `cfg` into the physical graph, the
+    /// runnable job built from it, and its backend counts.
     pub(crate) fn compile(
         &self,
         graph: &FlowGraph,
+        cfg: &LowerConfig,
         system: &str,
-    ) -> Result<(Job, BackendCounts, usize, usize), SkadiError> {
-        let cfg = LowerConfig::new(self.parallelism, self.policy.clone());
-        let phys = lower_graph(graph, &cfg)?;
-        let mut counts = BackendCounts::default();
+    ) -> Result<Compiled, SkadiError> {
+        let phys = lower_graph(graph, cfg)?;
+        let mut backends = BackendCounts::default();
         for v in phys.vertices() {
-            counts.add(v.backend);
+            backends.add(v.backend);
         }
         let job = job_from_physical(system, &phys, system)?;
-        Ok((job, counts, phys.len(), phys.edges().len()))
+        Ok(Compiled {
+            phys,
+            job,
+            backends,
+        })
     }
+}
+
+/// A logical graph lowered for the runtime ([`Session::compile`]).
+pub(crate) struct Compiled {
+    /// The physical sharded graph.
+    pub(crate) phys: PhysicalGraph,
+    /// One task per physical vertex.
+    pub(crate) job: Job,
+    /// Physical vertices per chosen backend.
+    pub(crate) backends: BackendCounts,
 }
 
 #[cfg(test)]

@@ -637,7 +637,7 @@ fn reserved_columns_are_rejected() {
 }
 
 /// Pins the shuffle/exec hash contract across crates: the flowgraph
-/// partitioner (`Partitioner::Hash` over a key's raw bytes), the arrow
+/// partition rule (`hash_shard` over a key's raw bytes), the arrow
 /// column hash (`hash_key_column`), and the shard-level
 /// `partition_by_key` must all route every row to the same shard. If any
 /// one of them changes its hash, joins would silently mis-co-locate rows
@@ -645,7 +645,7 @@ fn reserved_columns_are_rejected() {
 #[test]
 fn shuffle_and_exec_hashes_are_bit_compatible() {
     use skadi::arrow::compute::hash_key_column;
-    use skadi::flowgraph::partition::Partitioner;
+    use skadi::flowgraph::partition::hash_shard;
     use skadi::frontends::shard::partition_by_key;
 
     // One column per type, with nulls; the raw-byte key encodings the
@@ -688,7 +688,7 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
                     Some(b) => b.clone(),
                     None => vec![0xFF],
                 };
-                let via_partitioner = Partitioner::Hash.assign(&bytes, row as u64, parts);
+                let via_partitioner = hash_shard(&bytes, parts);
                 let via_column = (hashes[row] % parts as u64) as u32;
                 assert_eq!(via_partitioner, via_column, "row {row} at {parts} parts");
             }
@@ -721,7 +721,7 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
     ];
     assert!(shards.iter().all(|rows| rows.is_sorted()), "{shards:?}");
     for (row, key) in keys.iter().enumerate() {
-        let expect = Partitioner::Hash.assign(key, row as u64, parts as u32) as usize;
+        let expect = hash_shard(key, parts as u32) as usize;
         for (s, shard) in shards.iter().enumerate() {
             let found = shard.iter().any(|&r| {
                 batch.column(1).value_at(r as usize) == skadi::arrow::array::Value::I64(row as i64)
@@ -1223,7 +1223,7 @@ fn names_read(op: &skadi::flowgraph::ExecOp, into: &mut std::collections::BTreeS
         ExecOp::Limit { order, .. }
         | ExecOp::Collect {
             order_by: order, ..
-        } => into.extend(order.iter().map(|(c, _)| c.clone())),
+        } => into.extend(order.iter().map(|o| o.column.clone())),
         ExecOp::Fused(ops) => ops.iter().for_each(|o| names_read(o, into)),
     }
 }
@@ -1253,10 +1253,9 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
         let selected: BTreeSet<String> = parsed
             .select
             .iter()
-            .map(|item| match (&item.alias, &item.expr) {
-                (Some(alias), _) => alias.clone(),
-                (None, sql::Expr::Column(c)) => c.clone(),
-                (None, sql::Expr::Agg { func, column }) => format!("{func}({column})"),
+            .map(|item| match item {
+                sql::SelectItem::Column(c) => c.clone(),
+                sql::SelectItem::Agg(a) => a.name.clone(),
             })
             .collect();
         let (mut graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();

@@ -6,7 +6,7 @@ use skadi::arrow::prelude::*;
 use skadi::arrow::{ipc, marshal};
 use skadi::dcsim::engine::EventQueue;
 use skadi::dcsim::time::SimTime;
-use skadi::flowgraph::partition::Partitioner;
+use skadi::flowgraph::partition::{fnv1a, hash_shard};
 use skadi::ownership::table::OwnershipTable;
 use skadi::store::ec::{decode, encode, EcConfig};
 use skadi::store::kv::LocalStore;
@@ -86,11 +86,10 @@ proptest! {
         keys in prop::collection::vec("[a-z]{1,8}", 1..100),
         parts in 1u32..16,
     ) {
-        let p = Partitioner::Hash;
-        for (i, k) in keys.iter().enumerate() {
-            let a = p.assign(k.as_bytes(), i as u64, parts);
-            let b = p.assign(k.as_bytes(), (i + 7) as u64, parts);
-            prop_assert_eq!(a, b);
+        for k in &keys {
+            let a = hash_shard(k.as_bytes(), parts);
+            prop_assert_eq!(a, hash_shard(k.as_bytes(), parts));
+            prop_assert_eq!(a as u64, fnv1a(k.as_bytes()) % parts as u64);
             prop_assert!(a < parts);
         }
     }

@@ -248,7 +248,9 @@ fn sql_errors_become_exceptions_with_readable_messages() {
 /// A name that resolves nowhere is the statement's fault on either engine:
 /// the distributed planner refuses it with `code::SQL` before a task
 /// exists (it used to launch the job and relay a shard's "internal runtime
-/// error" as `code::EXEC`), and the session answers the next query.
+/// error" as `code::EXEC`), and the session answers the next query. An
+/// aggregate function nobody knows is the parser's to refuse, in any
+/// letter case.
 #[test]
 fn unknown_columns_are_sql_errors_before_any_task_runs() {
     let bad = [
@@ -257,6 +259,8 @@ fn unknown_columns_are_sql_errors_before_any_task_runs() {
         "SELECT count(*) AS n FROM events GROUP BY nope",
         "SELECT sum(nope) AS s FROM events",
         "SELECT name FROM events JOIN people ON nope = user_id",
+        "SELECT nope(user_id) AS n FROM events GROUP BY user_id",
+        "SELECT NOPE(*) FROM events",
     ];
     let db = shared_db(50);
     for q in bad {
