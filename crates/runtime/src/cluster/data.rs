@@ -1,16 +1,14 @@
 //! The data plane: resolving a dispatched task's inputs, committing a
 //! finished task's output (and running its real computation when an
-//! executor is installed), and keeping the ownership table in step with
-//! what the caching layer spills.
+//! executor is installed), and pricing what the caching layer spills.
 
 use std::rc::Rc;
 
 use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::span::Category;
 use skadi_dcsim::time::{SimDuration, SimTime};
-use skadi_dcsim::topology::{NodeId, NodeKind};
+use skadi_dcsim::topology::NodeId;
 use skadi_ownership::resolve::{resolve, ResolveScenario, ResolveSpanCtx};
-use skadi_ownership::table::{DeviceHandle, DeviceSlot};
 use skadi_store::placement::SpillEvent;
 use skadi_store::spill::SpillTarget;
 
@@ -149,24 +147,10 @@ impl Cluster {
                         .attr("tier", loc.tier.label())
                         .attr("local", loc.local)
                 });
-                // The owner row must exist for any live object; rows the
-                // dead scheduler hosted were rehomed to the elected one.
-                // Fabricating an owner would silently misprice the
-                // resolution, so under `debug_invariants` it is an error.
-                let owner = match self.own.owner_of(obj) {
-                    Ok(o) => o,
-                    Err(_) => {
-                        if self.cfg.debug_invariants {
-                            self.fail_run(RuntimeError::InvariantViolation(format!(
-                                "object {obj} of input t{} has no owner row",
-                                self.tasks[p].spec.id.0
-                            )));
-                        }
-                        self.scheduler_node
-                    }
-                };
+                // The owner is always the current scheduler: an election
+                // hands every stored object to the winner.
                 let scenario = ResolveScenario {
-                    owner,
+                    owner: self.scheduler_node,
                     producer: loc.node,
                     consumer: node,
                     bytes,
@@ -200,11 +184,9 @@ impl Cluster {
                         .output_size(p, self.tasks[p].spec.output_bytes)
                         .max(1);
                     if let Ok(report) = self.cache.put(obj, size, node, now) {
-                        let _ = self.own.add_location(obj, node);
                         // A fetched copy can displace colder objects; those
-                        // moves must be priced and the ownership table kept
-                        // in step, same as producer-side spills.
-                        self.sync_spills(now, &report.spilled);
+                        // moves are priced like producer-side spills.
+                        self.price_spills(now, &report.spilled);
                     }
                 }
                 out.input_available
@@ -429,23 +411,14 @@ impl Cluster {
         at.value_ready = Some(ready);
     }
 
-    /// Registers `t`'s output as an object in the caching layer (with a
+    /// Stores `t`'s output as an object in the caching layer (with a
     /// durable backstop), then replicates it per the FT mode.
     fn store_object(&mut self, now: SimTime, t: Slot, node: NodeId, bytes: u64) {
         let obj = self.idgen.next();
         self.tasks[t].at.object = Some(obj);
-        let _ = self.own.register(obj, self.scheduler_node);
-        let device = match self.topo.node(node).kind {
-            NodeKind::AccelDevice(..) => Some(DeviceSlot {
-                device: node,
-                handle: DeviceHandle(node.0),
-            }),
-            _ => None,
-        };
         match self.cache.put(obj, bytes.max(1), node, now) {
             Ok(report) => {
-                let _ = self.own.mark_ready(obj, bytes, node, device);
-                self.sync_spills(now, &report.spilled);
+                self.price_spills(now, &report.spilled);
                 self.tasks[t].at.value_ready = Some(now + report.tier.access_latency());
             }
             Err(_) => {
@@ -453,12 +426,8 @@ impl Cluster {
                 if let Some(d) = self.nodes.durable {
                     let backstop = Tally::Durable(None);
                     let done = self.send(now, (node, d), Carry::Bytes(bytes), backstop, UNTRACED);
-                    // Only record the durable location if the bytes
-                    // actually landed — the ownership table must
-                    // never advertise holders the stores disown.
                     if let Ok(report) = self.cache.put(obj, bytes.max(1), d, now) {
-                        let _ = self.own.mark_ready(obj, bytes, d, None);
-                        self.sync_spills(now, &report.spilled);
+                        self.price_spills(now, &report.spilled);
                     }
                     self.tasks[t].at.value_ready = Some(done);
                 }
@@ -476,7 +445,7 @@ impl Cluster {
         else {
             return;
         };
-        self.sync_spills(now, &rep.spilled);
+        self.price_spills(now, &rep.spilled);
         for dest in rep.added {
             let span = |c: &Cluster| {
                 Rec::new("replicate", "store", Category::Replicate, c.job_root)
@@ -486,40 +455,28 @@ impl Cluster {
             };
             let copy = Tally::Bytes("replica_bytes");
             self.send(now, (node, dest), Carry::Bytes(bytes), copy, Some(span));
-            let _ = self.own.add_location(obj, dest);
         }
     }
 
-    /// Prices, traces, and ownership-syncs the spills induced by a cache
-    /// insertion. Every path that puts bytes into the caching layer must
-    /// route its report through here, or the ownership table and the
-    /// spill trace drift from what the stores actually hold.
-    fn sync_spills(&mut self, now: SimTime, spilled: &[SpillEvent]) {
+    /// Prices and traces the spills induced by a cache insertion. Every
+    /// path that puts bytes into the caching layer routes its report
+    /// through here, or a spill would move bytes for free and untraced
+    /// (where the object now lives the layer has already recorded).
+    fn price_spills(&mut self, now: SimTime, spilled: &[SpillEvent]) {
         for s in spilled {
-            match s.to {
-                SpillTarget::Node(dest) | SpillTarget::Durable(dest) => {
-                    let tally = match s.to {
-                        SpillTarget::Durable(_) => Tally::Durable(None),
-                        _ => Tally::Net,
-                    };
-                    let span = |c: &Cluster| {
-                        Rec::new("spill", "store", Category::Spill, c.job_root)
-                            .attr("from", c.node_label(s.from))
-                            .attr("to", c.node_label(dest))
-                            .attr("bytes", s.bytes)
-                    };
-                    let spill = Carry::Bytes(s.bytes);
-                    self.send(now, (s.from, dest), spill, tally, Some(span));
-                    // Add before remove: dropping the old location first
-                    // could transiently fail the value while the new copy
-                    // already exists.
-                    let _ = self.own.add_location(s.id, dest);
-                    let _ = self.own.remove_location(s.id, s.from);
-                }
-                SpillTarget::Drop => {
-                    let _ = self.own.remove_location(s.id, s.from);
-                }
-            }
+            let (dest, tally) = match s.to {
+                SpillTarget::Node(dest) => (dest, Tally::Net),
+                SpillTarget::Durable(dest) => (dest, Tally::Durable(None)),
+                SpillTarget::Drop => continue,
+            };
+            let span = |c: &Cluster| {
+                Rec::new("spill", "store", Category::Spill, c.job_root)
+                    .attr("from", c.node_label(s.from))
+                    .attr("to", c.node_label(dest))
+                    .attr("bytes", s.bytes)
+            };
+            let spill = Carry::Bytes(s.bytes);
+            self.send(now, (s.from, dest), spill, tally, Some(span));
         }
     }
 }

@@ -22,9 +22,10 @@ impl Cluster {
     /// Holds the scheduler election: the lowest-numbered surviving
     /// server wins, reconstructs control-plane state by querying every
     /// surviving raylet (placement facts, gang membership, task
-    /// completions, and the ownership rows the dead node hosted — each
-    /// query a priced round trip), then re-drives every parked readiness
-    /// notification once reconstruction completes.
+    /// completions, and the objects each one holds — each query a priced
+    /// round trip), takes over as the owner of every stored object, then
+    /// re-drives every parked readiness notification once reconstruction
+    /// completes.
     pub(super) fn on_elect(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         if self.scheduler_alive {
             // Stale: a previous election already installed a leader (or
@@ -60,18 +61,18 @@ impl Cluster {
             }
             return;
         };
-        let old = self.scheduler_node;
         self.scheduler_node = winner;
         self.scheduler_alive = true;
         self.metrics.bump("elections");
 
         // Reconstruction cost: one query per surviving peer raylet,
         // answered by a state re-report *sized by what the peer actually
-        // holds* — the ownership rows listing it as a holder plus its
-        // cached objects and bytes — rather than a flat round trip. An
-        // empty node answers with a single message; a node holding
-        // gigabytes of shuffle state streams a batched report. The new
-        // scheduler is fully up once the last report lands.
+        // holds* — two rows per object in its store (the object's
+        // location and its store entry) plus a digest of its bytes —
+        // rather than a flat round trip. An empty node answers with a
+        // single message; a node holding gigabytes of shuffle state
+        // streams a batched report. The new scheduler is fully up once
+        // the last report lands.
         let mut n_peers = 0usize;
         let mut done = now;
         let mut reconstruct_msgs: u64 = 0;
@@ -82,7 +83,7 @@ impl Cluster {
             n_peers += 1;
             let query = self.send(now, (winner, p), Carry::Control, Tally::Net, UNTRACED);
             let store = self.cache.store(p);
-            let rows = self.own.rows_located_on(p) as u64 + store.len() as u64;
+            let rows = 2 * store.len() as u64;
             // Serialized report: ~48 bytes per row, plus a per-MiB
             // digest of the cached payload bytes.
             let report_bytes = (rows * ROW_REPORT_BYTES + store.used() / (1 << 20)).max(1);
@@ -95,11 +96,15 @@ impl Cluster {
         self.metrics
             .add("failover_reconstruct_msgs", reconstruct_msgs);
 
-        // Ownership rows the dead node hosted re-register under the
-        // winner (their holders re-report them during reconstruction).
-        let rehomed = self.own.rehome_owner(old, winner);
-        self.metrics
-            .add("failover_rehomed_rows", rehomed.len() as u64);
+        // The winner takes over as the owner of every stored object: one
+        // row per task whose current attempt stored one (its holders
+        // re-reported it above).
+        let rehomed = self
+            .tasks
+            .iter()
+            .filter(|(_, r)| r.at.object.is_some())
+            .count();
+        self.metrics.add("failover_rehomed_rows", rehomed as u64);
 
         // Placement state survives the failover: the strategy cursor is
         // tiny scheduler metadata the peers replicate, so the rotation
@@ -130,7 +135,7 @@ impl Cluster {
         self.trace(now, done, |c| {
             Rec::new("elect", "scheduler", Category::Election, c.job_root)
                 .attr("winner", c.node_label(winner))
-                .attr("rehomed_rows", rehomed.len())
+                .attr("rehomed_rows", rehomed)
                 .attr("peers", n_peers)
         });
 

@@ -5,8 +5,9 @@
 //! `TaskTable::set_state`) and the alive-by-class indexes (every
 //! liveness change goes through `NodeTable::set_failed`). The rest
 //! cross-checks bookkeeping that lives in *different* structures — the
-//! task table against node load and compute slots, the caching layer
-//! against the ownership table — which no single type can enforce.
+//! task table against node load and compute slots — which no single type
+//! can enforce. Where an object lives is not among them: it has one
+//! record, the caching layer's, so there is nothing to cross-check.
 
 use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::topology::NodeId;
@@ -71,55 +72,18 @@ impl Cluster {
                 ));
             }
         }
-        // The ownership table and the caching layer must agree on who
-        // holds each live object.
-        let objects = || {
-            self.tasks
-                .iter()
-                .filter_map(|(_, r)| Some((r.spec.id, r.at.object?)))
-        };
-        for (t, obj) in objects() {
-            let mut cached: Vec<NodeId> = self.cache.locations(obj).to_vec();
-            cached.sort();
-            let mut owned: Vec<NodeId> = self
-                .own
-                .get(obj)
-                .map(|e| e.locations.clone())
-                .unwrap_or_default();
-            owned.sort();
-            if cached != owned {
-                return Err(format!(
-                    "object {} of task {} held by {cached:?} per cache but {owned:?} per ownership",
-                    obj, t
-                ));
-            }
-        }
         // A crashed device must not linger in the provisioned pool.
         for n in self.nodes.failed() {
             if self.nodes[n].device_available_at.is_some() {
                 return Err(format!("failed device {} still provisioned", n.0));
             }
         }
-        // A live control plane must sit on a live node; ownership rows
-        // must be homed on the current scheduler (rows created during an
-        // interregnum keep the dead scheduler as owner until the election
-        // rehomes them, but `scheduler_node` only advances atomically
-        // with that rehoming, so the identity holds at every event).
+        // A live control plane must sit on a live node.
         if self.scheduler_alive && !self.alive(self.scheduler_node) {
             return Err(format!(
                 "scheduler marked alive on failed node {}",
                 self.scheduler_node.0
             ));
-        }
-        for (t, obj) in objects() {
-            if let Ok(e) = self.own.get(obj) {
-                if e.owner != self.scheduler_node {
-                    return Err(format!(
-                        "object {} of task {} owned by node {} but scheduler is node {}",
-                        obj, t, e.owner.0, self.scheduler_node.0
-                    ));
-                }
-            }
         }
         let recount = self.tasks.recount_unfinished();
         if recount != self.tasks.unfinished() {

@@ -31,10 +31,11 @@
 //! The control plane itself is re-electable: when the scheduler's node
 //! dies, readiness notifications park until a surviving server wins a
 //! deterministic election (after `RuntimeConfig::election_delay`) and
-//! reconstructs placement, gang, autoscaler, and ownership state by
-//! querying every surviving raylet — each query a priced round trip, so
-//! failover cost shows up in traces and stats. Control messages always
-//! follow the *currently elected* scheduler. When capacity is lost
+//! reconstructs placement, gang and autoscaler state, and takes over as
+//! the owner of every stored object, by querying every surviving raylet
+//! — each query a priced round trip, so failover cost shows up in traces
+//! and stats. Control messages always follow the *currently elected*
+//! scheduler. When capacity is lost
 //! permanently (no recovery scheduled, nothing procurable), affected
 //! tasks surface clean `TaskAbandoned`/`Stalled` errors instead of
 //! hanging or panicking.
@@ -42,8 +43,13 @@
 //! ## Layout
 //!
 //! All per-task and per-node state lives in the two dense tables of
-//! `table`; the event handlers are split by seam into `dispatch`
-//! (eligibility, placement, start, stealing, autoscaling), `data`
+//! `table`. Where an object lives has one record, the caching layer's
+//! index (`CachingLayer::locations`, kept in step with the per-node
+//! stores by the layer itself): placement and the failover re-report
+//! read it, and every object's owner is the current scheduler
+//! (`scheduler_node`), so nothing mirrors it. The event handlers are
+//! split by seam into `dispatch` (eligibility, placement, start,
+//! stealing, autoscaling), `data`
 //! (input resolution, completion, output storage, spills), `recovery`
 //! (node failure, lineage resets, abandonment), `failover` (scheduler
 //! election) and `invariants` (the debug checker and the output
@@ -73,7 +79,6 @@ use skadi_dcsim::time::{SimDuration, SimTime};
 use skadi_dcsim::topology::{AccelKind, NodeId, NodeKind, Topology};
 use skadi_dcsim::trace::Metrics;
 use skadi_ir::Backend;
-use skadi_ownership::table::OwnershipTable;
 use skadi_store::object::ObjectIdGen;
 use skadi_store::placement::CachingLayer;
 use skadi_store::policy::EvictionPolicy;
@@ -139,7 +144,6 @@ pub struct Cluster {
     net: Network,
     res: NodeResources,
     cache: CachingLayer,
-    own: OwnershipTable,
     idgen: ObjectIdGen,
     tasks: TaskTable,
     nodes: NodeTable,
@@ -199,7 +203,6 @@ impl Cluster {
             net: Network::new(topo, links.clone()),
             res: NodeResources::new(topo),
             cache: CachingLayer::new(topo, EvictionPolicy::Lru, spill_policy),
-            own: OwnershipTable::new(),
             idgen: ObjectIdGen::new(),
             tasks: TaskTable::default(),
             placer: Placer::new(cfg.placement),

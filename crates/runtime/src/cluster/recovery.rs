@@ -76,12 +76,10 @@ impl Cluster {
             self.tracer.attr(s, "aborted", "true");
             self.tracer.close(s, now);
         }
-        // The ownership row goes with the cached copies: the re-run
-        // registers the object afresh, and a stale row would otherwise
-        // keep advertising holders that no longer exist.
+        // The cached copies go with the attempt: the re-run stores its
+        // output as a fresh object.
         if let Some(obj) = old.object {
             let _ = self.cache.delete(obj);
-            self.own.remove(obj);
         }
         self.vacate(old.node, prev);
         let rec = &self.tasks[t];
@@ -168,7 +166,6 @@ impl Cluster {
 
         // Objects on the node: replicas mask losses inside the cache.
         let lost_objects = self.cache.fail_node(node);
-        self.own.fail_node(node);
 
         // EC shards on the node.
         for t in self.tasks.slots() {

@@ -552,46 +552,6 @@ mod run_tests {
         assert_eq!(stats.finished, 6);
         assert!(stats.metrics.counter("elections") >= 1);
     }
-
-    /// A live object losing its owner row is a recovery-path bug; under
-    /// `debug_invariants` the consumer's resolution must flag it instead
-    /// of silently repricing against the scheduler node.
-    #[test]
-    fn missing_owner_row_is_an_invariant_violation() {
-        let topo = presets::small_disagg_cluster();
-        let cfg = RuntimeConfig::skadi_gen2().with_debug_invariants(true);
-        let mut c = Cluster::new(&topo, cfg);
-        let job = chain_job(3, 500.0, 1 << 12);
-        let mut queue = c
-            .start(&job, &FailurePlan::none(), &HashMap::new())
-            .unwrap();
-        let t0 = c.tasks.slot_of(TaskId(0)).unwrap();
-        let mut dropped = false;
-        let mut steps = 0u32;
-        while let Some((now, ev)) = queue.pop() {
-            steps += 1;
-            assert!(steps < 10_000, "white-box pump did not terminate");
-            c.handle(now, ev, &mut queue);
-            if !dropped && c.tasks[t0].state() == TaskState::Finished {
-                let obj = c.tasks[t0]
-                    .at
-                    .object
-                    .expect("finished task stored an object");
-                c.own.remove(obj).expect("finished task must own a row");
-                dropped = true;
-            }
-            if c.fatal.is_some() {
-                break;
-            }
-        }
-        assert!(dropped, "producer never finished");
-        match c.fatal {
-            Some(RuntimeError::InvariantViolation(ref msg)) => {
-                assert!(msg.contains("no owner row"), "unexpected message: {msg}");
-            }
-            ref other => panic!("expected InvariantViolation, got {other:?}"),
-        }
-    }
 }
 
 mod actor_tests {

@@ -165,8 +165,8 @@ pub struct RuntimeConfig {
     /// only need the aggregate metrics.
     pub tracing: bool,
     /// Run the cluster's internal invariant checker after every event
-    /// (slot accounting, ownership/cache agreement, no tasks resident on
-    /// failed nodes, ...). Off by default: it is O(cluster) per event and
+    /// (slot accounting, node load, no tasks resident on failed nodes,
+    /// ...). Off by default: it is O(cluster) per event and
     /// meant for the chaos harness and debugging, not experiments.
     pub debug_invariants: bool,
 }

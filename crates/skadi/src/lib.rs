@@ -39,7 +39,7 @@
 //! | [`skadi_dcsim`] | discrete-event simulator of the disaggregated DC |
 //! | [`skadi_arrow`] | columnar shared format (+ costly marshalling baseline) |
 //! | [`skadi_store`] | object store, tiered caching layer, replication, EC |
-//! | [`skadi_ownership`] | heterogeneity-aware ownership table, pull/push resolution |
+//! | [`skadi_ownership`] | pull/push future resolution over the ownership model |
 //! | [`skadi_ir`] | op vocabulary, per-backend cost table, backend selection |
 //! | [`skadi_flowgraph`] | logical FlowGraph (incl. cross-domain fusion) + physical sharded graph |
 //! | [`skadi_frontends`] | SQL / MapReduce / graph / ML frontends |

@@ -15,14 +15,6 @@ use crate::object::{ObjectId, ObjectMeta};
 use crate::policy::EvictionPolicy;
 use crate::tier::Tier;
 
-/// One stored object: metadata plus an optional real payload (experiments
-/// usually track only sizes; examples store actual bytes).
-#[derive(Debug, Clone)]
-struct Slot {
-    meta: ObjectMeta,
-    payload: Option<Vec<u8>>,
-}
-
 /// A single node's object store.
 #[derive(Debug, Clone)]
 pub struct LocalStore {
@@ -31,7 +23,7 @@ pub struct LocalStore {
     capacity: u64,
     used: u64,
     policy: EvictionPolicy,
-    slots: HashMap<ObjectId, Slot>,
+    objects: HashMap<ObjectId, ObjectMeta>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -46,7 +38,7 @@ impl LocalStore {
             capacity,
             used: 0,
             policy,
-            slots: HashMap::new(),
+            objects: HashMap::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -80,12 +72,12 @@ impl LocalStore {
 
     /// Number of objects stored.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.objects.len()
     }
 
     /// True if the store holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.objects.is_empty()
     }
 
     /// (hits, misses, evictions) since creation.
@@ -95,7 +87,7 @@ impl LocalStore {
 
     /// True if the object is present.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.slots.contains_key(&id)
+        self.objects.contains_key(&id)
     }
 
     /// Inserts an object, evicting colder objects if necessary.
@@ -107,10 +99,9 @@ impl LocalStore {
         &mut self,
         id: ObjectId,
         size: u64,
-        payload: Option<Vec<u8>>,
         now: SimTime,
     ) -> Result<Vec<ObjectMeta>, StoreError> {
-        if self.slots.contains_key(&id) {
+        if self.objects.contains_key(&id) {
             return Err(StoreError::Duplicate(id));
         }
         if size > self.capacity {
@@ -121,15 +112,15 @@ impl LocalStore {
                 tier: self.tier,
             });
         }
-        let mut evicted: Vec<Slot> = Vec::new();
+        let mut evicted: Vec<ObjectMeta> = Vec::new();
         if self.used + size > self.capacity {
             let need = self.used + size - self.capacity;
             let candidates: Vec<ObjectMeta> = {
                 let mut c: Vec<ObjectMeta> = self
-                    .slots
+                    .objects
                     .values()
-                    .filter(|s| !s.meta.pinned)
-                    .map(|s| s.meta.clone())
+                    .filter(|m| !m.pinned)
+                    .cloned()
                     .collect();
                 // HashMap iteration order is nondeterministic; sort so the
                 // policy sees a canonical candidate list.
@@ -139,21 +130,20 @@ impl LocalStore {
             let victims = self.policy.victims(&candidates, need);
             let mut freed = 0u64;
             for v in victims {
-                if let Some(slot) = self.slots.remove(&v) {
-                    freed += slot.meta.size;
-                    self.used -= slot.meta.size;
+                if let Some(meta) = self.objects.remove(&v) {
+                    freed += meta.size;
+                    self.used -= meta.size;
                     self.evictions += 1;
-                    evicted.push(slot);
+                    evicted.push(meta);
                 }
             }
             if freed < need {
-                // Roll back: re-inserting evicted objects (payloads
-                // included) keeps the store consistent when the put is
-                // impossible (all pinned).
-                for slot in evicted {
-                    self.used += slot.meta.size;
+                // Roll back: re-inserting evicted objects keeps the store
+                // consistent when the put is impossible (all pinned).
+                for meta in evicted {
+                    self.used += meta.size;
                     self.evictions -= 1;
-                    self.slots.insert(slot.meta.id, slot);
+                    self.objects.insert(meta.id, meta);
                 }
                 return Err(StoreError::OutOfCapacity {
                     id,
@@ -164,24 +154,18 @@ impl LocalStore {
             }
         }
         self.used += size;
-        self.slots.insert(
-            id,
-            Slot {
-                meta: ObjectMeta::new(id, size, now),
-                payload,
-            },
-        );
-        Ok(evicted.into_iter().map(|s| s.meta).collect())
+        self.objects.insert(id, ObjectMeta::new(id, size, now));
+        Ok(evicted)
     }
 
     /// Looks up an object, updating recency/frequency. Returns its
     /// metadata.
     pub fn get(&mut self, id: ObjectId, now: SimTime) -> Result<ObjectMeta, StoreError> {
-        match self.slots.get_mut(&id) {
-            Some(slot) => {
-                slot.meta.touch(now);
+        match self.objects.get_mut(&id) {
+            Some(meta) => {
+                meta.touch(now);
                 self.hits += 1;
-                Ok(slot.meta.clone())
+                Ok(meta.clone())
             }
             None => {
                 self.misses += 1;
@@ -190,17 +174,17 @@ impl LocalStore {
         }
     }
 
-    /// Reads an object's payload bytes, if a payload was stored.
-    pub fn payload(&self, id: ObjectId) -> Option<&[u8]> {
-        self.slots.get(&id).and_then(|s| s.payload.as_deref())
+    /// An object's metadata, without touching its recency.
+    pub fn meta(&self, id: ObjectId) -> Option<&ObjectMeta> {
+        self.objects.get(&id)
     }
 
     /// Removes an object, returning its metadata.
     pub fn delete(&mut self, id: ObjectId) -> Result<ObjectMeta, StoreError> {
-        match self.slots.remove(&id) {
-            Some(slot) => {
-                self.used -= slot.meta.size;
-                Ok(slot.meta)
+        match self.objects.remove(&id) {
+            Some(meta) => {
+                self.used -= meta.size;
+                Ok(meta)
             }
             None => Err(StoreError::NotFound(id)),
         }
@@ -208,9 +192,9 @@ impl LocalStore {
 
     /// Pins or unpins an object (pinned objects are never evicted).
     pub fn set_pinned(&mut self, id: ObjectId, pinned: bool) -> Result<(), StoreError> {
-        match self.slots.get_mut(&id) {
-            Some(slot) => {
-                slot.meta.pinned = pinned;
+        match self.objects.get_mut(&id) {
+            Some(meta) => {
+                meta.pinned = pinned;
                 Ok(())
             }
             None => Err(StoreError::NotFound(id)),
@@ -219,7 +203,7 @@ impl LocalStore {
 
     /// Metadata of every resident object, sorted by ID (deterministic).
     pub fn metas(&self) -> Vec<ObjectMeta> {
-        let mut v: Vec<ObjectMeta> = self.slots.values().map(|s| s.meta.clone()).collect();
+        let mut v: Vec<ObjectMeta> = self.objects.values().cloned().collect();
         v.sort_by_key(|m| m.id);
         v
     }
@@ -236,7 +220,7 @@ mod tests {
     #[test]
     fn put_get_delete() {
         let mut s = store(100);
-        s.put(ObjectId(1), 40, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 40, SimTime::ZERO).unwrap();
         assert_eq!(s.used(), 40);
         let m = s.get(ObjectId(1), SimTime::from_micros(1)).unwrap();
         assert_eq!(m.size, 40);
@@ -249,9 +233,9 @@ mod tests {
     #[test]
     fn duplicate_put_rejected() {
         let mut s = store(100);
-        s.put(ObjectId(1), 10, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 10, SimTime::ZERO).unwrap();
         assert!(matches!(
-            s.put(ObjectId(1), 10, None, SimTime::ZERO),
+            s.put(ObjectId(1), 10, SimTime::ZERO),
             Err(StoreError::Duplicate(_))
         ));
     }
@@ -259,13 +243,11 @@ mod tests {
     #[test]
     fn eviction_makes_room_lru() {
         let mut s = store(100);
-        s.put(ObjectId(1), 50, None, SimTime::ZERO).unwrap();
-        s.put(ObjectId(2), 50, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 50, SimTime::ZERO).unwrap();
+        s.put(ObjectId(2), 50, SimTime::ZERO).unwrap();
         // Touch 1 so 2 becomes the LRU victim.
         s.get(ObjectId(1), SimTime::from_micros(5)).unwrap();
-        let evicted = s
-            .put(ObjectId(3), 50, None, SimTime::from_micros(6))
-            .unwrap();
+        let evicted = s.put(ObjectId(3), 50, SimTime::from_micros(6)).unwrap();
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].id, ObjectId(2));
         assert!(s.contains(ObjectId(1)));
@@ -276,12 +258,12 @@ mod tests {
     #[test]
     fn pinned_objects_survive_eviction() {
         let mut s = store(100);
-        s.put(ObjectId(1), 60, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 60, SimTime::ZERO).unwrap();
         s.set_pinned(ObjectId(1), true).unwrap();
-        s.put(ObjectId(2), 40, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(2), 40, SimTime::ZERO).unwrap();
         // Needs 60 freed but only obj2 (40) is evictable: put must fail and
         // the store must stay consistent.
-        let err = s.put(ObjectId(3), 100, None, SimTime::from_micros(1));
+        let err = s.put(ObjectId(3), 100, SimTime::from_micros(1));
         assert!(matches!(err, Err(StoreError::OutOfCapacity { .. })));
         assert!(s.contains(ObjectId(1)));
         assert!(s.contains(ObjectId(2)));
@@ -290,19 +272,17 @@ mod tests {
 
     #[test]
     fn failed_put_rollback_preserves_payloads() {
-        // Regression: the rollback path used to re-insert evicted objects
-        // with `payload: None`, silently destroying their bytes.
         let mut s = store(100);
-        s.put(ObjectId(1), 60, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 60, SimTime::ZERO).unwrap();
         s.set_pinned(ObjectId(1), true).unwrap();
-        s.put(ObjectId(2), 4, Some(vec![9, 8, 7, 6]), SimTime::ZERO)
-            .unwrap();
+        s.put(ObjectId(2), 4, SimTime::ZERO).unwrap();
         // Needs 64 freed but only obj2 (4 bytes) is evictable: the put
-        // fails, obj2 is evicted then rolled back — its payload must
-        // survive the round trip, and the eviction must not be counted.
-        let err = s.put(ObjectId(3), 100, None, SimTime::from_micros(1));
+        // fails, obj2 is evicted then rolled back — it must be back with
+        // its bytes counted, and the eviction must not be counted.
+        let err = s.put(ObjectId(3), 100, SimTime::from_micros(1));
         assert!(matches!(err, Err(StoreError::OutOfCapacity { .. })));
-        assert_eq!(s.payload(ObjectId(2)), Some(&[9u8, 8, 7, 6][..]));
+        assert_eq!(s.meta(ObjectId(2)).map(|m| m.size), Some(4));
+        assert_eq!(s.used(), 64);
         assert_eq!(s.stats().2, 0, "rolled-back evictions not counted");
     }
 
@@ -310,36 +290,26 @@ mod tests {
     fn oversized_object_rejected_outright() {
         let mut s = store(100);
         assert!(matches!(
-            s.put(ObjectId(1), 101, None, SimTime::ZERO),
+            s.put(ObjectId(1), 101, SimTime::ZERO),
             Err(StoreError::OutOfCapacity { .. })
         ));
     }
 
     #[test]
-    fn payload_round_trip() {
-        let mut s = store(100);
-        s.put(ObjectId(1), 3, Some(vec![1, 2, 3]), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(s.payload(ObjectId(1)), Some(&[1u8, 2, 3][..]));
-        assert_eq!(s.payload(ObjectId(9)), None);
-    }
-
-    #[test]
     fn stats_track_hits_misses_evictions() {
         let mut s = store(10);
-        s.put(ObjectId(1), 10, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(1), 10, SimTime::ZERO).unwrap();
         let _ = s.get(ObjectId(1), SimTime::ZERO);
         let _ = s.get(ObjectId(2), SimTime::ZERO);
-        s.put(ObjectId(3), 10, None, SimTime::from_micros(1))
-            .unwrap();
+        s.put(ObjectId(3), 10, SimTime::from_micros(1)).unwrap();
         assert_eq!(s.stats(), (1, 1, 1));
     }
 
     #[test]
     fn metas_sorted_by_id() {
         let mut s = store(100);
-        s.put(ObjectId(5), 10, None, SimTime::ZERO).unwrap();
-        s.put(ObjectId(2), 10, None, SimTime::ZERO).unwrap();
+        s.put(ObjectId(5), 10, SimTime::ZERO).unwrap();
+        s.put(ObjectId(2), 10, SimTime::ZERO).unwrap();
         let ids: Vec<u64> = s.metas().iter().map(|m| m.id.0).collect();
         assert_eq!(ids, vec![2, 5]);
     }

@@ -21,9 +21,8 @@
 //! - [`spill`]: spill/fill decisions between HBM, host DRAM, and
 //!   disaggregated memory under pressure.
 //!
-//! Everything here is simulation-facing: objects carry sizes and payloads
-//! are optional (experiments mostly track bytes, examples store real
-//! `bytes::Bytes`-like vectors).
+//! Everything here is simulation-facing: objects carry sizes, not bytes
+//! (a task's real output lives in the runtime's `Payload`).
 
 pub mod ec;
 pub mod error;

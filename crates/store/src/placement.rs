@@ -7,8 +7,6 @@
 //! which is exactly how it "hide\[s\] the location and movement of data"
 //! (§2.1).
 
-use std::collections::HashSet;
-
 use skadi_dcsim::time::SimTime;
 use skadi_dcsim::topology::{NodeClass, NodeId, Topology};
 use skadi_dcsim::trace::Metrics;
@@ -150,9 +148,7 @@ impl CachingLayer {
     pub fn size_of(&self, id: ObjectId) -> Result<u64, StoreError> {
         let node = self.index.any_holder(id)?;
         self.stores[node.index()]
-            .metas()
-            .iter()
-            .find(|m| m.id == id)
+            .meta(id)
             .map(|m| m.size)
             .ok_or(StoreError::NotFound(id))
     }
@@ -168,7 +164,7 @@ impl CachingLayer {
         now: SimTime,
     ) -> Result<PutReport, StoreError> {
         let tier = self.stores[node.index()].tier();
-        let evicted = self.stores[node.index()].put(id, size, None, now)?;
+        let evicted = self.stores[node.index()].put(id, size, now)?;
         self.index.add(id, node);
         self.metrics
             .bump_labeled("tier.put", &[("tier", tier.label())]);
@@ -203,7 +199,7 @@ impl CachingLayer {
                 SpillTarget::Node(dest) | SpillTarget::Durable(dest) => {
                     // A duplicate means another copy already lives there;
                     // treat as a no-op move.
-                    match self.stores[dest.index()].put(meta.id, meta.size, None, now) {
+                    match self.stores[dest.index()].put(meta.id, meta.size, now) {
                         Ok(more) => {
                             self.index.add(meta.id, dest);
                             for m in more {
@@ -303,7 +299,7 @@ impl CachingLayer {
         }
         let size = self.size_of(id)?;
         // Move, don't copy: drop the cold copy once the hot one exists.
-        match self.stores[reader.index()].put(id, size, None, now) {
+        match self.stores[reader.index()].put(id, size, now) {
             Ok(evicted) => {
                 self.index.add(id, reader);
                 self.rehome_evicted(reader, evicted, now)?;
@@ -341,7 +337,7 @@ impl CachingLayer {
             if self.index.holders(id).contains(&dest) {
                 continue;
             }
-            match self.stores[dest.index()].put(id, size, None, now) {
+            match self.stores[dest.index()].put(id, size, now) {
                 Ok(evicted) => {
                     self.index.add(id, dest);
                     added.push(dest);
@@ -374,14 +370,6 @@ impl CachingLayer {
             let _ = self.stores[node.index()].delete(m.id);
         }
         self.index.fail_node(node)
-    }
-
-    /// Objects that survive the given failure set.
-    pub fn available_under(&self, failed: &HashSet<NodeId>, ids: &[ObjectId]) -> Vec<ObjectId> {
-        ids.iter()
-            .copied()
-            .filter(|id| self.index.is_available(*id, failed))
-            .collect()
     }
 }
 
@@ -603,16 +591,5 @@ mod tests {
         let taken = cl.take_metrics();
         assert_eq!(taken.counter_across_labels("tier.promote"), 1);
         assert_eq!(cl.metrics().counter_across_labels("tier.promote"), 0);
-    }
-
-    #[test]
-    fn available_under_failures() {
-        let (topo, mut cl) = layer();
-        let servers = topo.servers();
-        cl.put(ObjectId(1), 10, servers[0], SimTime::ZERO).unwrap();
-        cl.put(ObjectId(2), 10, servers[1], SimTime::ZERO).unwrap();
-        let failed: HashSet<NodeId> = [servers[0]].into_iter().collect();
-        let avail = cl.available_under(&failed, &[ObjectId(1), ObjectId(2)]);
-        assert_eq!(avail, vec![ObjectId(2)]);
     }
 }

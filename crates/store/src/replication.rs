@@ -2,10 +2,11 @@
 //!
 //! The paper's reliable caching layer option (§2.1) replicates cached
 //! objects so a node failure does not force lineage re-execution. This
-//! module chooses replica nodes (rack-diverse when possible) and answers
-//! availability queries under failures.
+//! module chooses replica nodes (rack-diverse when possible) and keeps
+//! the index of which nodes hold each object, reporting the objects a
+//! node failure leaves without a copy.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use skadi_dcsim::topology::{NodeId, Topology};
 
@@ -86,20 +87,6 @@ impl ReplicaIndex {
     /// The nodes currently holding `id` (empty slice if unknown).
     pub fn holders(&self, id: ObjectId) -> &[NodeId] {
         self.holders.get(&id).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Nodes holding `id` that are not in `failed`.
-    pub fn surviving(&self, id: ObjectId, failed: &HashSet<NodeId>) -> Vec<NodeId> {
-        self.holders(id)
-            .iter()
-            .copied()
-            .filter(|n| !failed.contains(n))
-            .collect()
-    }
-
-    /// True if at least one copy survives the failure set.
-    pub fn is_available(&self, id: ObjectId, failed: &HashSet<NodeId>) -> bool {
-        !self.surviving(id, failed).is_empty()
     }
 
     /// Removes `node` from every object, returning the objects whose last
@@ -191,20 +178,7 @@ mod tests {
         idx.add(ObjectId(2), NodeId(1)); // Replica survives.
         let lost = idx.fail_node(NodeId(0));
         assert_eq!(lost, vec![ObjectId(1)]);
-        assert!(idx.is_available(ObjectId(2), &HashSet::new()));
         assert_eq!(idx.holders(ObjectId(2)), &[NodeId(1)]);
-    }
-
-    #[test]
-    fn surviving_filters_failed() {
-        let mut idx = ReplicaIndex::new();
-        idx.add(ObjectId(1), NodeId(0));
-        idx.add(ObjectId(1), NodeId(1));
-        let failed: HashSet<NodeId> = [NodeId(0)].into_iter().collect();
-        assert_eq!(idx.surviving(ObjectId(1), &failed), vec![NodeId(1)]);
-        assert!(idx.is_available(ObjectId(1), &failed));
-        let both: HashSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
-        assert!(!idx.is_available(ObjectId(1), &both));
     }
 
     #[test]

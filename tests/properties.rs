@@ -7,7 +7,6 @@ use skadi::arrow::{ipc, marshal};
 use skadi::dcsim::engine::EventQueue;
 use skadi::dcsim::time::SimTime;
 use skadi::flowgraph::partition::{fnv1a, hash_shard};
-use skadi::ownership::table::OwnershipTable;
 use skadi::store::ec::{decode, encode, EcConfig};
 use skadi::store::kv::LocalStore;
 use skadi::store::object::ObjectId;
@@ -102,30 +101,71 @@ proptest! {
         let mut t = 0u64;
         for (id, size) in ops {
             t += 1;
-            let _ = store.put(ObjectId(id), size, None, SimTime::from_micros(t));
+            let _ = store.put(ObjectId(id), size, SimTime::from_micros(t));
             prop_assert!(store.used() <= store.capacity());
             let expected: u64 = store.metas().iter().map(|m| m.size).sum();
             prop_assert_eq!(store.used(), expected);
         }
     }
 
-    /// Ownership refcounts never go negative and the entry disappears
-    /// exactly when the count hits zero.
+    /// The caching layer is the one record of where an object lives, so
+    /// its index must be exactly what its stores hold, after any sequence
+    /// of puts, replications, promotions, deletes and node failures on
+    /// stores small enough that spills cascade to the blade and durable
+    /// storage: `locations(id)` lists exactly the nodes whose store holds
+    /// `id`, and each store holds as many objects as list its node — the
+    /// identity a failover re-report reads instead of a second table.
     #[test]
-    fn ownership_refcount_invariant(increfs in 0u32..20) {
-        let mut table = OwnershipTable::new();
-        let id = ObjectId(1);
-        table.register(id, NodeId(0)).unwrap();
-        for _ in 0..increfs {
-            table.incref(id).unwrap();
+    fn caching_layer_index_matches_its_stores(
+        gen2 in any::<bool>(),
+        ops in prop::collection::vec((0u8..5, 0u64..12, 0usize..64, 1u64..48), 1..120),
+    ) {
+        use skadi::dcsim::topology::{
+            AccelKind, AccelSpec, DurableSpec, MemoryBladeSpec, ServerSpec, TopologyBuilder,
+        };
+        use skadi::store::placement::CachingLayer;
+        use skadi::store::spill::SpillPolicy;
+
+        let server = ServerSpec { dram_bytes: 64, ..ServerSpec::default() };
+        let topo = TopologyBuilder::new()
+            .rack(|r| {
+                r.servers(2, server);
+                r.accel_device(AccelKind::Gpu, AccelSpec { hbm_bytes: 48, ..AccelSpec::default() });
+                r.memory_blade(MemoryBladeSpec { dram_bytes: 96, ..MemoryBladeSpec::default() });
+            })
+            .rack(|r| {
+                r.servers(2, server);
+            })
+            .durable_storage(DurableSpec::default())
+            .build();
+        let policy = SpillPolicy { use_disagg_memory: gen2, ..SpillPolicy::default() };
+        let mut layer = CachingLayer::new(&topo, EvictionPolicy::Lru, policy);
+        let nodes: Vec<NodeId> = topo.nodes().iter().map(|n| n.id).collect();
+        let ids: Vec<ObjectId> = (0..12).map(ObjectId).collect();
+        for (step, (op, id, at, size)) in ops.into_iter().enumerate() {
+            let (id, node) = (ObjectId(id), nodes[at % nodes.len()]);
+            let now = SimTime::from_micros(step as u64);
+            // Refused operations (full stores, unknown objects) must leave
+            // the two in step too, so their errors are not unwrapped.
+            match op {
+                0 => { let _ = layer.put(id, size, node, now); }
+                1 => { let _ = layer.replicate(id, 1 + at % 2, &nodes, now); }
+                2 => { let _ = layer.get_promote(id, node, now); }
+                3 => { let _ = layer.delete(id); }
+                _ => { layer.fail_node(node); }
+            }
+            for &o in &ids {
+                let mut listed = layer.locations(o).to_vec();
+                listed.sort();
+                let holding: Vec<NodeId> =
+                    nodes.iter().copied().filter(|n| layer.store(*n).contains(o)).collect();
+                prop_assert_eq!(listed, holding, "step {}: holders of {}", step, o);
+            }
+            for &n in &nodes {
+                let listing = ids.iter().filter(|o| layer.locations(**o).contains(&n)).count();
+                prop_assert_eq!(layer.store(n).len(), listing, "step {}: objects on node {}", step, n.0);
+            }
         }
-        // Registration grants one reference.
-        for i in 0..increfs + 1 {
-            let freed = table.decref(id).unwrap();
-            prop_assert_eq!(freed, i == increfs);
-        }
-        prop_assert!(table.get(id).is_err());
-        prop_assert!(table.decref(id).is_err());
     }
 
     /// SQL round-trip: any query we can render from a template parses and
