@@ -14,7 +14,6 @@
 //!   [`TopologyBuilder`]).
 //! - [`network`]: a latency + bandwidth + serialization-queueing model of
 //!   the fabric connecting them ([`Network`]).
-//! - [`resources`]: compute-slot and memory accounting per node.
 //! - [`rng`]: seeded random sources and workload samplers (Zipf,
 //!   exponential) so every experiment is bit-reproducible.
 //! - [`trace`]: labeled counters, histograms, and windowed gauges.
@@ -51,7 +50,6 @@
 
 pub mod engine;
 pub mod network;
-pub mod resources;
 pub mod rng;
 pub mod span;
 pub mod time;
@@ -60,7 +58,6 @@ pub mod trace;
 
 pub use engine::EventQueue;
 pub use network::{LinkParams, Network, Transfer};
-pub use resources::NodeResources;
 pub use span::{Category, Span, SpanId, Trace, Tracer};
 pub use time::{SimDuration, SimTime};
 pub use topology::{
@@ -72,7 +69,6 @@ pub use topology::{
 pub mod prelude {
     pub use crate::engine::EventQueue;
     pub use crate::network::{LinkParams, Network, Transfer};
-    pub use crate::resources::NodeResources;
     pub use crate::rng::DetRng;
     pub use crate::span::{Category, Span, SpanId, Trace, Tracer};
     pub use crate::time::{SimDuration, SimTime};

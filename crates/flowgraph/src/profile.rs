@@ -134,6 +134,11 @@ impl OpProfile {
     }
 }
 
+/// The skew threshold of every engine's profile: a shard is flagged when
+/// its rows (or, in timed mode, wall time) exceed twice the median
+/// shard's.
+pub const SKEW_MULTIPLE: f64 = 2.0;
+
 /// A full per-operator profile for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {

@@ -29,7 +29,7 @@ use skadi_arrow::each_variant;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
 use skadi_dcsim::time::SimTime;
-use skadi_flowgraph::profile::{QueryProfile, ShardStats};
+use skadi_flowgraph::profile::{QueryProfile, ShardStats, SKEW_MULTIPLE};
 use skadi_ir::Op;
 
 use crate::catalog::{Catalog, TableDef};
@@ -99,7 +99,7 @@ impl MemDb {
         let mut spans = ExecSpans::profiled();
         let out = execute_inner(&q, self, &mut spans)?;
         let chain = spans.profile.take().unwrap_or_default();
-        Ok((out, QueryProfile::from_chain(body, 2.0, chain)))
+        Ok((out, QueryProfile::from_chain(body, SKEW_MULTIPLE, chain)))
     }
 
     /// Executes `EXPLAIN ANALYZE <query>` (prefix optional) and renders

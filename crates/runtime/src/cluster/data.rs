@@ -217,12 +217,12 @@ impl Cluster {
         if self.tasks[t].state() != TaskState::Running {
             return;
         }
-        self.tasks.set_state(t, TaskState::Finished);
+        self.tasks
+            .set_state(&mut self.nodes, t, TaskState::Finished);
         let at = &mut self.tasks[t].at;
         at.finished_at = Some(now);
         let node = at.node.expect("running");
         let ran = now.saturating_since(at.started_at.expect("running"));
-        self.vacate(Some(node), TaskState::Running);
         self.nodes[node].busy_us += ran.as_micros_f64();
         self.metrics.bump("task_completions");
         if self.cfg.deployment != Deployment::Serverful {

@@ -22,6 +22,11 @@ use crate::task::TaskState;
 /// to a different node before it simply waits for a slot.
 const MAX_STEALS_PER_ATTEMPT: u32 = 3;
 
+/// How much slower an accelerator task runs when no device can take it
+/// and it falls back to a CPU server that orchestrates the accelerator
+/// remotely (models "no physical disaggregation / no DSA access").
+const CPU_FALLBACK_SLOWDOWN: f64 = 8.0;
+
 /// The nodes a task may be placed on: a whole maintained alive-by-class
 /// index (borrowed at the use site, never cloned per decision), or an
 /// explicit filtered list.
@@ -89,14 +94,12 @@ impl Cluster {
                 return (Eligible::Listed(Vec::new()), false);
             }
             // CPU fallback: accel task orchestrated from a plain server.
-            if self.cfg.cpu_fallback_slowdown.is_some() {
-                let servers = if serverful {
-                    Eligible::Listed(self.pool_nodes(&spec.system, Backend::Cpu))
-                } else {
-                    Eligible::Alive(Backend::Cpu)
-                };
-                return (servers, true);
-            }
+            let servers = if serverful {
+                Eligible::Listed(self.pool_nodes(&spec.system, Backend::Cpu))
+            } else {
+                Eligible::Alive(Backend::Cpu)
+            };
+            return (servers, true);
         }
         (Eligible::Listed(Vec::new()), false)
     }
@@ -105,7 +108,7 @@ impl Cluster {
         if !matches!(self.tasks[t].state(), TaskState::Ready | TaskState::Blocked) {
             return;
         }
-        self.tasks.set_state(t, TaskState::Ready);
+        self.tasks.set_state(&mut self.nodes, t, TaskState::Ready);
         self.tasks[t].at.ready_at = Some(now);
         self.ensure_task_span(now, t);
         // Control plane down: the notification is parked (the task stays
@@ -145,12 +148,11 @@ impl Cluster {
                 }
             }
         }
-        let candidates = eligible.nodes(&self.nodes);
-        let (nodes, res) = (&self.nodes, &self.res);
-        let placed = self.placer.place(candidates, |n| NodeFacts {
+        let nodes = &self.nodes;
+        let placed = self.placer.place(eligible.nodes(nodes), |n| NodeFacts {
             local_input_bytes: local_bytes.get(&n).copied().unwrap_or(0),
-            load: nodes[n].load,
-            free_slots: res.free_slots(n),
+            load: nodes[n].resident(),
+            free_slots: nodes[n].free_slots(),
         });
         // An empty eligible set — or a placement policy declining to
         // choose — must degrade cleanly, never panic mid-simulation.
@@ -174,12 +176,12 @@ impl Cluster {
                 .attr("fallback", fallback)
         });
 
-        self.tasks.set_state(t, TaskState::Dispatched);
-        self.tasks[t].at.node = Some(node);
+        self.tasks.move_to(&mut self.nodes, t, node);
+        self.tasks
+            .set_state(&mut self.nodes, t, TaskState::Dispatched);
         if let Some(actor) = self.tasks[t].spec.actor {
             self.actor_node.entry(actor).or_insert(node);
         }
-        self.nodes[node].load += 1;
         if fallback {
             self.metrics.bump("cpu_fallback");
         }
@@ -211,7 +213,7 @@ impl Cluster {
         }
         let mut candidates = self.nodes.all(backend).to_vec();
         // Accel tasks with CPU fallback also come back when a server does.
-        if backend != Backend::Cpu && self.cfg.cpu_fallback_slowdown.is_some() {
+        if backend != Backend::Cpu {
             candidates.extend(self.nodes.all(Backend::Cpu));
         }
         if let Some(at) = self.active_plan.next_recovery_of(&candidates, now) {
@@ -246,7 +248,7 @@ impl Cluster {
         let slowdown = if rec.spec.backend != Backend::Cpu
             && self.topo.node(node).kind.class() == NodeClass::Server
         {
-            self.cfg.cpu_fallback_slowdown.unwrap_or(1.0)
+            CPU_FALLBACK_SLOWDOWN
         } else {
             1.0
         };
@@ -263,9 +265,11 @@ impl Cluster {
                 return;
             }
         }
-        if self.res.try_claim_slot(node, now + dur) {
-            self.tasks.set_state(t, TaskState::Running);
-            self.tasks[t].at.started_at = Some(now);
+        if self.nodes[node].free_slots() > 0 {
+            let at = &mut self.tasks[t].at;
+            at.started_at = Some(now);
+            at.due = Some(now + dur);
+            self.tasks.set_state(&mut self.nodes, t, TaskState::Running);
             if let Some(actor) = actor {
                 self.actor_busy_until.insert(actor, now + dur);
             }
@@ -300,9 +304,8 @@ impl Cluster {
             }
         }
         // Guard against pathological same-instant retries.
-        let retry = self
-            .res
-            .earliest_slot(node, now)
+        let retry = self.nodes[node]
+            .slot_free_at(now)
             .max(now + SimDuration::from_nanos(100));
         queue.schedule_at(retry, Event::TryStart(t, epoch));
     }
@@ -312,7 +315,7 @@ impl Cluster {
     /// determinism. `None` when the whole eligible set is saturated.
     fn find_thief(&self, t: Slot, loser: NodeId) -> Option<NodeId> {
         let (eligible, _) = self.eligible_nodes(t);
-        let idle = |n: &NodeId| self.res.free_slots(*n) > 0 && self.nodes[*n].load == 0;
+        let idle = |n: &NodeId| self.nodes[*n].free_slots() > 0 && self.nodes[*n].resident() == 0;
         eligible
             .nodes(&self.nodes)
             .iter()
@@ -331,14 +334,12 @@ impl Cluster {
         queue: &mut EventQueue<Event>,
     ) {
         self.metrics.bump("task_steals");
+        self.tasks.move_to(&mut self.nodes, t, thief);
         let at = &mut self.tasks[t].at;
         at.steals += 1;
-        at.node = Some(thief);
         // Inputs staged on the loser are stale; the thief re-resolves
         // them on arrival (and pays for it).
         at.staged = None;
-        self.nodes[loser].load = self.nodes[loser].load.saturating_sub(1);
-        self.nodes[thief].load += 1;
         // One (unrouted) message: the thief pulls the dispatch record from
         // the loaded raylet, then the normal arrival path stages inputs
         // on the new node.
@@ -369,7 +370,7 @@ impl Cluster {
                 .iter()
                 .filter(|(_, r)| r.spec.backend != Backend::Cpu && waiting(r.state()))
                 .count() as u32;
-            let busy: u32 = self.provisioned().map(|d| self.nodes[d].load).sum();
+            let busy: u32 = self.provisioned().map(|d| self.nodes[d].resident()).sum();
             if let Some(scaler) = self.autoscaler.as_mut() {
                 decision = scaler.evaluate(now, queue_depth, busy);
             }
@@ -390,7 +391,7 @@ impl Cluster {
             ScaleDecision::Down(n) => {
                 let idle: Vec<NodeId> = self
                     .provisioned()
-                    .filter(|d| self.nodes[*d].load == 0)
+                    .filter(|d| self.nodes[*d].resident() == 0)
                     .collect();
                 for d in idle.into_iter().take(n as usize) {
                     self.nodes[d].device_available_at = None;

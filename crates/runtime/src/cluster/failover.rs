@@ -32,26 +32,8 @@ impl Cluster {
             // the same node failed and recovered between schedulings).
             return;
         }
-        // Winner choice: by default the lowest-numbered surviving server.
-        // With `rack_aware_election`, prefer a candidate in the
-        // least-impacted rack (fewest failed nodes) — a rack already
-        // absorbing failures is a bad home for the control plane — with
-        // the node ID as the deterministic tie-break.
-        let survivors = self.nodes.alive(Backend::Cpu);
-        let winner = if self.cfg.rack_aware_election {
-            let mut failed_per_rack = vec![0u32; self.topo.rack_count() as usize];
-            for n in self.nodes.failed() {
-                failed_per_rack[self.topo.rack_of(n).0 as usize] += 1;
-            }
-            let rack_failures = |n: &NodeId| failed_per_rack[self.topo.rack_of(*n).0 as usize];
-            survivors
-                .iter()
-                .copied()
-                .min_by_key(|n| (rack_failures(n), *n))
-        } else {
-            survivors.first().copied()
-        };
-        let Some(winner) = winner else {
+        // The winner is the lowest-numbered surviving server.
+        let Some(winner) = self.nodes.alive(Backend::Cpu).first().copied() else {
             // No server survives. If one is scheduled to rejoin, hold the
             // election then; otherwise the cluster stays headless and the
             // run ends in a clean `Stalled`/`TaskAbandoned`.

@@ -1,13 +1,15 @@
 //! The debug invariant checker and the output manifest.
 //!
-//! Two conditions hold by construction and are only recounted here as a
-//! tripwire: `unfinished` (every state change goes through
-//! `TaskTable::set_state`) and the alive-by-class indexes (every
-//! liveness change goes through `NodeTable::set_failed`). The rest
-//! cross-checks bookkeeping that lives in *different* structures — the
-//! task table against node load and compute slots — which no single type
-//! can enforce. Where an object lives is not among them: it has one
-//! record, the caching layer's, so there is nothing to cross-check.
+//! Three conditions hold by construction and are only recounted here as
+//! a tripwire: `unfinished` (every state change goes through
+//! `TaskTable::set_state`), each node's occupancy (its resident tasks and
+//! the `due` times of its running ones change only with a task's state
+//! or node, in `table`) and the alive-by-class indexes (every liveness
+//! change goes through `NodeTable::set_failed`). The rest checks
+//! conditions no table can enforce: no task resident on a dead node, no
+//! dead device provisioned, a live scheduler on a live node, progress.
+//! Where an object lives is not among them: it has one record, the
+//! caching layer's, so there is nothing to cross-check.
 
 use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::topology::NodeId;
@@ -31,14 +33,15 @@ impl Cluster {
     }
 
     /// The debug invariant checker (`RuntimeConfig::debug_invariants`):
-    /// runs after every event and cross-checks the cluster's redundant
+    /// runs after every event and recounts the cluster's maintained
     /// bookkeeping. Any `Err` means a recovery-path bug, not a user
     /// error.
     pub(super) fn check_invariants(&self, queue: &EventQueue<Event>) -> Result<(), String> {
-        // No task may sit Dispatched/Running on a failed node, and the
-        // per-node load/slot counters must match the task table.
-        let mut expect_load = vec![0u32; self.topo.len()];
-        let mut expect_running = vec![0u32; self.topo.len()];
+        // No task may sit Dispatched/Running on a failed node, and every
+        // node's resident count and running finishes must recount from
+        // the task table.
+        let mut resident = vec![0u32; self.topo.len()];
+        let mut finishes = vec![Vec::new(); self.topo.len()];
         for (_, r) in self.tasks.iter().filter(|(_, r)| r.resident()) {
             let (id, state) = (r.spec.id, r.state());
             let Some(n) = r.at.node else {
@@ -47,28 +50,38 @@ impl Cluster {
             if !self.alive(n) {
                 return Err(format!("task {id} is {state:?} on failed node {}", n.0));
             }
-            expect_load[n.index()] += 1;
+            resident[n.index()] += 1;
             if state == TaskState::Running {
-                expect_running[n.index()] += 1;
+                let Some(due) = r.at.due else {
+                    return Err(format!("task {id} is Running without a due time"));
+                };
+                finishes[n.index()].push(due);
             }
         }
         for n in (0..self.topo.len() as u32).map(NodeId) {
-            let (have, want) = (self.nodes[n].load, expect_load[n.index()]);
+            let (have, want) = (self.nodes[n].resident(), resident[n.index()]);
             if have != want {
                 return Err(format!(
-                    "node {} records load {have} but {want} resident tasks",
+                    "node {} records {have} resident tasks but {want} recount",
                     n.0
                 ));
             }
-            let claimed = self
-                .res
-                .total_slots(n)
-                .saturating_sub(self.res.free_slots(n));
-            let running = expect_running[n.index()];
-            if claimed != running {
+            let mut have = self.nodes[n].finishes().to_vec();
+            let want = &mut finishes[n.index()];
+            have.sort_unstable();
+            want.sort_unstable();
+            if have != *want {
                 return Err(format!(
-                    "node {} has {claimed} claimed slots but {running} running tasks",
+                    "node {} records running finishes {have:?} but {want:?} recount",
                     n.0
+                ));
+            }
+            if have.len() as u32 > self.nodes[n].slots() {
+                return Err(format!(
+                    "node {} runs {} tasks on {} slots",
+                    n.0,
+                    have.len(),
+                    self.nodes[n].slots()
                 ));
             }
         }

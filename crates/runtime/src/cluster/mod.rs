@@ -73,18 +73,18 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::network::{LinkParams, Network};
-use skadi_dcsim::resources::NodeResources;
 use skadi_dcsim::span::{Category, SpanId, Tracer};
 use skadi_dcsim::time::{SimDuration, SimTime};
 use skadi_dcsim::topology::{AccelKind, NodeId, NodeKind, Topology};
 use skadi_dcsim::trace::Metrics;
 use skadi_ir::Backend;
+use skadi_store::ec::EcConfig;
 use skadi_store::object::ObjectIdGen;
 use skadi_store::placement::CachingLayer;
 use skadi_store::policy::EvictionPolicy;
 use skadi_store::spill::SpillPolicy;
 
-use crate::config::{Deployment, RuntimeConfig};
+use crate::config::{Deployment, FtMode, RuntimeConfig};
 use crate::error::RuntimeError;
 use crate::executor::{Payload, TaskExecutor};
 use crate::failure::FailurePlan;
@@ -142,7 +142,6 @@ pub struct Cluster {
     pristine: bool,
 
     net: Network,
-    res: NodeResources,
     cache: CachingLayer,
     idgen: ObjectIdGen,
     tasks: TaskTable,
@@ -201,7 +200,6 @@ impl Cluster {
         let nodes = NodeTable::new(topo);
         Cluster {
             net: Network::new(topo, links.clone()),
-            res: NodeResources::new(topo),
             cache: CachingLayer::new(topo, EvictionPolicy::Lru, spill_policy),
             idgen: ObjectIdGen::new(),
             tasks: TaskTable::default(),
@@ -415,7 +413,7 @@ impl Cluster {
         // Utilization: busy slot-time over available slot-time.
         let (mut total_slots, mut busy_us) = (0.0, 0.0);
         for n in self.topo.nodes() {
-            total_slots += self.res.total_slots(n.id) as f64;
+            total_slots += self.nodes[n.id].slots() as f64;
             busy_us += self.nodes[n.id].busy_us;
         }
         let utilization = if makespan.is_zero() || total_slots == 0.0 {
@@ -473,6 +471,9 @@ impl Cluster {
             };
         }
         self.tasks = TaskTable::new(job);
+        if let FtMode::ErasureCoding(c @ EcConfig { data: 0, .. }) = self.cfg.ft {
+            return Err(RuntimeError::NoDataShards(c));
+        }
         if self.nodes.durable.is_none() && self.tasks.slots().any(|t| self.via_durable(t, None)) {
             return Err(RuntimeError::NoDurableStorage(self.cfg.deployment));
         }
@@ -584,7 +585,10 @@ impl Cluster {
         if devices.is_empty() {
             return;
         }
-        let busy = devices.iter().filter(|d| self.nodes[**d].load > 0).count();
+        let busy = devices
+            .iter()
+            .filter(|d| self.nodes[**d].resident() > 0)
+            .count();
         self.metrics.gauge_record(
             "device.util",
             SimDuration::from_millis(1),

@@ -19,26 +19,10 @@ use crate::error::RuntimeError;
 use crate::task::TaskState;
 
 impl Cluster {
-    /// Takes an attempt that was in `state` off its node: the node's
-    /// load drops, and a running attempt hands back its compute slot (a
-    /// node that later rejoins "empty-handed" would otherwise still
-    /// report the dead task's claim).
-    pub(super) fn vacate(&mut self, node: Option<NodeId>, state: TaskState) {
-        let Some(node) = node else { return };
-        if matches!(state, TaskState::Dispatched | TaskState::Running) {
-            self.nodes[node].load = self.nodes[node].load.saturating_sub(1);
-        }
-        if state == TaskState::Running {
-            let _ = self.res.release_slot(node);
-        }
-    }
-
-    /// Terminally fails `t` and vacates its node.
+    /// Terminally fails `t` (which takes it off its node).
     pub(super) fn fail_task(&mut self, t: Slot) {
-        let (node, prev) = (self.tasks[t].at.node, self.tasks[t].state());
-        self.tasks.set_state(t, TaskState::Failed);
+        self.tasks.set_state(&mut self.nodes, t, TaskState::Failed);
         self.abandoned += 1;
-        self.vacate(node, prev);
     }
 
     /// `consumer` arrived to find `missing` of its inputs gone.
@@ -69,8 +53,7 @@ impl Cluster {
     /// pending inputs from current availability, and re-enters the
     /// readiness machinery.
     pub(super) fn reset_task(&mut self, t: Slot, queue: &mut EventQueue<Event>, now: SimTime) {
-        let prev = self.tasks[t].state();
-        let old = self.tasks.reset_attempt(t);
+        let old = self.tasks.reset_attempt(&mut self.nodes, t);
         // Seal the aborted attempt's span; the retry opens a fresh one.
         if let Some(s) = old.span {
             self.tracer.attr(s, "aborted", "true");
@@ -81,7 +64,6 @@ impl Cluster {
         if let Some(obj) = old.object {
             let _ = self.cache.delete(obj);
         }
-        self.vacate(old.node, prev);
         let rec = &self.tasks[t];
         if let (true, Some(g)) = (self.cfg.gang_scheduling, rec.spec.gang) {
             // Forget only this member's readiness. Wiping the whole
@@ -95,7 +77,7 @@ impl Cluster {
         // instead of looping until the event budget trips.
         if rec.attempts > self.cfg.max_attempts {
             let id = rec.spec.id;
-            self.tasks.set_state(t, TaskState::Failed);
+            self.tasks.set_state(&mut self.nodes, t, TaskState::Failed);
             self.abandoned += 1;
             self.fail_run(RuntimeError::TaskAbandoned(id));
             return;
@@ -108,10 +90,10 @@ impl Cluster {
             .collect();
         self.tasks[t].pending_inputs = missing.len();
         if missing.is_empty() {
-            self.tasks.set_state(t, TaskState::Ready);
+            self.tasks.set_state(&mut self.nodes, t, TaskState::Ready);
             queue.schedule_at(now, Event::Ready(t, epoch));
         } else {
-            self.tasks.set_state(t, TaskState::Blocked);
+            self.tasks.set_state(&mut self.nodes, t, TaskState::Blocked);
         }
         // Re-create missing inputs: a Blocked task is only woken by its
         // producers finishing, so the producers must be re-driven here

@@ -3,12 +3,15 @@
 //! This module is the only place that knows how a [`TaskId`] maps to a
 //! table row: [`Slot`]s are assigned in `Job::tasks` (`BTreeMap`) order,
 //! so slot order *is* `TaskId` order and an in-order scan of the table
-//! visits tasks exactly as a sort by ID would. It also owns the two
+//! visits tasks exactly as a sort by ID would. It also owns the three
 //! conditions the rest of the cluster relies on but cannot break:
 //! a task's state changes only through [`TaskTable::set_state`] (which
-//! keeps the `unfinished` counter in step), and a node's liveness only
-//! through [`NodeTable::set_failed`] (which keeps the sorted
-//! alive-by-class indexes in step).
+//! keeps the `unfinished` counter in step); a node's occupancy — its
+//! resident tasks, running tasks and their scheduled finishes — only
+//! with a task's state or node ([`TaskTable::set_state`],
+//! [`TaskTable::reset_attempt`], [`TaskTable::move_to`]); and a node's
+//! liveness only through [`NodeTable::set_failed`] (which keeps the
+//! sorted alive-by-class indexes in step).
 
 use std::ops::{Index, IndexMut};
 use std::rc::Rc;
@@ -56,6 +59,9 @@ pub(super) struct Attempt {
     pub node: Option<NodeId>,
     pub ready_at: Option<SimTime>,
     pub started_at: Option<SimTime>,
+    /// When the running attempt's `Finish` is scheduled; it holds one of
+    /// its node's slots until then.
+    pub due: Option<SimTime>,
     pub finished_at: Option<SimTime>,
     /// The attempt's umbrella trace span.
     pub span: Option<SpanId>,
@@ -105,10 +111,15 @@ impl TaskSlot {
         self.state
     }
 
-    /// True while the task occupies its node (counted in the node's load).
+    /// True while the task occupies its node (counted in its resident
+    /// tasks).
     pub fn resident(&self) -> bool {
-        matches!(self.state, TaskState::Dispatched | TaskState::Running)
+        resident(self.state)
     }
+}
+
+fn resident(s: TaskState) -> bool {
+    matches!(s, TaskState::Dispatched | TaskState::Running)
 }
 
 /// The task table of one run.
@@ -184,22 +195,41 @@ impl TaskTable {
         self.unfinished
     }
 
-    /// The one place a task's state changes.
-    pub fn set_state(&mut self, s: Slot, to: TaskState) {
+    /// The one place a task's state changes. The task's node, if it
+    /// has one, counts it as resident while it is dispatched or running,
+    /// and gives it a slot until its `due` time while it is running.
+    pub fn set_state(&mut self, nodes: &mut NodeTable, s: Slot, to: TaskState) {
         let slot = &mut self.slots[s.index()];
         match (terminal(slot.state), terminal(to)) {
             (false, true) => self.unfinished -= 1,
             (true, false) => self.unfinished += 1,
             _ => {}
         }
+        if let Some(n) = slot.at.node {
+            nodes[n].leave(slot.state, slot.at.due);
+            nodes[n].enter(to, slot.at.due);
+        }
         slot.state = to;
     }
 
-    /// Starts a new attempt: bumps the epoch and the attempt count and
-    /// hands back the superseded attempt (for the caller to seal its
-    /// span, delete its output and vacate its node).
-    pub fn reset_attempt(&mut self, s: Slot) -> Attempt {
+    /// The one place a task's node changes (dispatch and work stealing):
+    /// a resident task's occupancy moves with it.
+    pub fn move_to(&mut self, nodes: &mut NodeTable, s: Slot, to: NodeId) {
         let slot = &mut self.slots[s.index()];
+        if let Some(from) = slot.at.node.replace(to) {
+            nodes[from].leave(slot.state, slot.at.due);
+        }
+        nodes[to].enter(slot.state, slot.at.due);
+    }
+
+    /// Starts a new attempt: bumps the epoch and the attempt count, takes
+    /// the task off its node, and hands back the superseded attempt (for
+    /// the caller to seal its span and delete its output).
+    pub fn reset_attempt(&mut self, nodes: &mut NodeTable, s: Slot) -> Attempt {
+        let slot = &mut self.slots[s.index()];
+        if let Some(n) = slot.at.node {
+            nodes[n].leave(slot.state, slot.at.due);
+        }
         slot.epoch += 1;
         slot.attempts += 1;
         std::mem::take(&mut slot.at)
@@ -239,8 +269,14 @@ impl IndexMut<Slot> for TaskTable {
 #[derive(Debug, Clone, Default)]
 pub(super) struct NodeSlot {
     failed: bool,
+    /// Execution slots: a server's CPU slots, a device's op slots, none
+    /// on blades and durable storage.
+    slots: u32,
     /// Tasks dispatched to or running on the node.
-    pub load: u32,
+    resident: u32,
+    /// The `due` time of each task running on the node, one per busy
+    /// slot, in no order.
+    finishes: Vec<SimTime>,
     /// Set while an accelerator is in the provisioned (warm) pool: when
     /// it becomes usable.
     pub device_available_at: Option<SimTime>,
@@ -251,6 +287,55 @@ pub(super) struct NodeSlot {
 impl NodeSlot {
     pub fn failed(&self) -> bool {
         self.failed
+    }
+
+    pub fn slots(&self) -> u32 {
+        self.slots
+    }
+
+    /// Tasks dispatched to or running on the node.
+    pub fn resident(&self) -> u32 {
+        self.resident
+    }
+
+    /// The `due` times of the tasks running on the node.
+    pub fn finishes(&self) -> &[SimTime] {
+        &self.finishes
+    }
+
+    pub fn free_slots(&self) -> u32 {
+        self.slots.saturating_sub(self.finishes.len() as u32)
+    }
+
+    /// When a slot is next free: `now` if one is, otherwise the earliest
+    /// scheduled finish among the running tasks.
+    pub fn slot_free_at(&self, now: SimTime) -> SimTime {
+        if self.free_slots() > 0 {
+            return now;
+        }
+        self.finishes.iter().copied().min().unwrap_or(now).max(now)
+    }
+
+    /// A task in `state` arrives (only [`TaskTable`] calls this).
+    fn enter(&mut self, state: TaskState, due: Option<SimTime>) {
+        if resident(state) {
+            self.resident += 1;
+        }
+        if state == TaskState::Running {
+            self.finishes.extend(due);
+        }
+    }
+
+    /// A task in `state` leaves (only [`TaskTable`] calls this).
+    fn leave(&mut self, state: TaskState, due: Option<SimTime>) {
+        if resident(state) {
+            self.resident -= 1;
+        }
+        if state == TaskState::Running {
+            if let Some(i) = self.finishes.iter().position(|d| Some(*d) == due) {
+                self.finishes.swap_remove(i);
+            }
+        }
     }
 }
 
@@ -300,8 +385,16 @@ impl NodeTable {
                 all[class(b)].push(n.id);
             }
         }
+        let slots = topo.nodes().iter().map(|n| NodeSlot {
+            slots: match n.kind {
+                NodeKind::Server(s) => s.cpu_slots,
+                NodeKind::AccelDevice(_, a) => a.op_slots,
+                NodeKind::MemoryBlade(_) | NodeKind::DurableStorage(_) => 0,
+            },
+            ..NodeSlot::default()
+        });
         NodeTable {
-            slots: vec![NodeSlot::default(); topo.len()],
+            slots: slots.collect(),
             alive: all.clone(),
             all,
             accels: topo.accel_devices(None),

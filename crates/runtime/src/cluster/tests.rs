@@ -696,6 +696,57 @@ mod edge_case_tests {
         presets, AccelKind, AccelSpec, DurableSpec, MemoryBladeSpec, ServerSpec, TopologyBuilder,
     };
 
+    /// A saturated node starts its next task exactly when the earliest
+    /// of its running tasks finishes — on a fresh node, and on one a kill
+    /// and recovery emptied (the dead attempts' finishes must not linger
+    /// in the retry estimate). One 3-slot server (it also hosts the
+    /// scheduler) and four independent tasks: one always waits.
+    #[test]
+    fn a_saturated_node_starts_the_next_task_at_the_earliest_finish() {
+        let topo = TopologyBuilder::new()
+            .rack(|r| {
+                r.servers(
+                    1,
+                    ServerSpec {
+                        cpu_slots: 3,
+                        ..ServerSpec::default()
+                    },
+                );
+            })
+            .durable_storage(DurableSpec::default())
+            .build();
+        let server = topo.servers()[0];
+        // Descending durations: the earliest finish is not the first start.
+        let tasks = (0..4u64)
+            .map(|i| TaskSpec::new(i, 4_000.0 - 700.0 * i as f64, 1 << 10))
+            .collect();
+        let job = Job::new("saturate", tasks).unwrap();
+        let kill = FailurePlan::none().kill_and_recover(
+            server,
+            SimTime::from_millis(1),
+            SimTime::from_millis(2),
+        );
+        for plan in [FailurePlan::none(), kill] {
+            let cfg = RuntimeConfig::skadi_gen2().with_debug_invariants(true);
+            let mut c = Cluster::new(&topo, cfg);
+            let stats = c.run_with_failures(&job, &plan).unwrap();
+            assert_eq!(stats.finished, 4);
+            let started = |t: u64| c.task_started_at(TaskId(t)).unwrap();
+            let last = (0..4).max_by_key(|t| started(*t)).unwrap();
+            let earliest = (0..4)
+                .filter(|t| *t != last)
+                .map(|t| c.task_finished_at(TaskId(t)).unwrap())
+                .min()
+                .unwrap();
+            assert!((0..4).filter(|t| *t != last).all(|t| started(t) < earliest));
+            assert_eq!(started(last), earliest, "{:?}", plan.failures());
+            if !plan.failures().is_empty() {
+                assert!(stats.retries >= 3, "the kill hit the running tasks");
+                assert!(started(last) > SimTime::from_millis(2));
+            }
+        }
+    }
+
     /// A topology with tiny HBM so device outputs overflow immediately.
     fn tiny_hbm_topo() -> Topology {
         TopologyBuilder::new()
@@ -1234,6 +1285,7 @@ mod table_tests {
             node: Some(NodeId(3)),
             ready_at: t,
             started_at: t,
+            due: t,
             finished_at: t,
             span: Some(SpanId(4)),
             input_ready_at: t,
@@ -1250,15 +1302,118 @@ mod table_tests {
             }),
             payload: Some(Rc::new(Payload::from(vec![3]))),
         };
-        table.set_state(s, TaskState::Finished);
-        let old = table.reset_attempt(s);
+        let mut nodes = NodeTable::new(&presets::small_disagg_cluster());
+        table.set_state(&mut nodes, s, TaskState::Finished);
+        let old = table.reset_attempt(&mut nodes, s);
         assert_eq!(old.node, Some(NodeId(3)), "the old attempt is handed back");
         assert_eq!(table[s].at, Attempt::default());
         assert_eq!((table[s].epoch, table[s].attempts), (1, 1));
         // The state is the caller's to set; the counter follows it.
         assert_eq!(table.unfinished(), 0);
-        table.set_state(s, TaskState::Ready);
+        table.set_state(&mut nodes, s, TaskState::Ready);
         assert_eq!(table.unfinished(), 1);
+    }
+
+    /// `n` independent tasks on a one-server topology (16 slots).
+    fn occupancy_fixture(n: u64) -> (TaskTable, NodeTable, NodeId) {
+        let job = Job::new("occ", (0..n).map(|i| TaskSpec::new(i, 1.0, 1)).collect()).unwrap();
+        let topo = presets::server_cluster(1, 1);
+        (
+            TaskTable::new(&job),
+            NodeTable::new(&topo),
+            topo.servers()[0],
+        )
+    }
+
+    /// Dispatches and starts `s` on `node`, due at `due` microseconds.
+    fn run_on(table: &mut TaskTable, nodes: &mut NodeTable, s: Slot, node: NodeId, due: u64) {
+        table.move_to(nodes, s, node);
+        table.set_state(nodes, s, TaskState::Dispatched);
+        table[s].at.due = Some(SimTime::from_micros(due));
+        table.set_state(nodes, s, TaskState::Running);
+    }
+
+    #[test]
+    fn a_running_task_holds_a_slot_until_it_leaves() {
+        let (mut table, mut nodes, n) = occupancy_fixture(1);
+        let s = table.slot_of(TaskId(0)).unwrap();
+        let total = nodes[n].slots();
+        assert_eq!(
+            (total, nodes[n].free_slots(), nodes[n].resident()),
+            (16, 16, 0)
+        );
+        table.move_to(&mut nodes, s, n);
+        assert_eq!(nodes[n].resident(), 0, "a ready task is not resident");
+        table.set_state(&mut nodes, s, TaskState::Dispatched);
+        assert_eq!((nodes[n].resident(), nodes[n].free_slots()), (1, total));
+        table[s].at.due = Some(SimTime::from_micros(10));
+        table.set_state(&mut nodes, s, TaskState::Running);
+        assert_eq!((nodes[n].resident(), nodes[n].free_slots()), (1, total - 1));
+        table.set_state(&mut nodes, s, TaskState::Finished);
+        assert_eq!((nodes[n].resident(), nodes[n].free_slots()), (0, total));
+        assert!(nodes[n].finishes().is_empty());
+    }
+
+    #[test]
+    fn a_saturated_node_has_no_free_slot() {
+        let (mut table, mut nodes, n) = occupancy_fixture(17);
+        for (i, s) in table
+            .slots()
+            .take(16)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .enumerate()
+        {
+            run_on(&mut table, &mut nodes, s, n, 100 + i as u64);
+        }
+        assert_eq!((nodes[n].free_slots(), nodes[n].resident()), (0, 16));
+        // A seventeenth task may queue on the node but holds no slot.
+        let s = table.slot_of(TaskId(16)).unwrap();
+        table.move_to(&mut nodes, s, n);
+        table.set_state(&mut nodes, s, TaskState::Dispatched);
+        assert_eq!((nodes[n].free_slots(), nodes[n].resident()), (0, 17));
+    }
+
+    #[test]
+    fn slot_free_at_is_the_earliest_running_finish() {
+        let (mut table, mut nodes, n) = occupancy_fixture(16);
+        let slots: Vec<Slot> = table.slots().collect();
+        // Due times descend, so the earliest is the last task started.
+        for (i, s) in slots.iter().enumerate() {
+            run_on(&mut table, &mut nodes, *s, n, 200 - i as u64);
+        }
+        let at = |us| SimTime::from_micros(us);
+        assert_eq!(nodes[n].slot_free_at(at(0)), at(185));
+        assert_eq!(nodes[n].slot_free_at(at(190)), at(190), "never before now");
+        // Moving a running task off the node drops its own finish.
+        table.reset_attempt(&mut nodes, slots[15]);
+        table.set_state(&mut nodes, slots[15], TaskState::Ready);
+        assert_eq!(nodes[n].free_slots(), 1);
+        assert_eq!(
+            nodes[n].slot_free_at(at(7)),
+            at(7),
+            "a free slot is free now"
+        );
+        run_on(&mut table, &mut nodes, slots[15], n, 300);
+        assert_eq!(nodes[n].slot_free_at(at(0)), at(186));
+    }
+
+    /// A steal moves a dispatched task's residency, and only the node
+    /// it lands on counts it.
+    #[test]
+    fn a_steal_moves_the_task_between_nodes() {
+        let job = Job::new("steal", vec![TaskSpec::new(0, 1.0, 1)]).unwrap();
+        let topo = presets::server_cluster(1, 2);
+        let (mut table, mut nodes) = (TaskTable::new(&job), NodeTable::new(&topo));
+        let (a, b) = (topo.servers()[0], topo.servers()[1]);
+        let s = table.slot_of(TaskId(0)).unwrap();
+        table.move_to(&mut nodes, s, a);
+        table.set_state(&mut nodes, s, TaskState::Dispatched);
+        table.move_to(&mut nodes, s, b);
+        assert_eq!((nodes[a].resident(), nodes[b].resident()), (0, 1));
+        assert_eq!(table[s].at.node, Some(b));
+        table.set_state(&mut nodes, s, TaskState::Failed);
+        assert_eq!(nodes[b].resident(), 0);
     }
 
     /// Two runs of one job on one cluster are the same run twice: every

@@ -128,11 +128,6 @@ pub struct RuntimeConfig {
     pub autoscale: Option<AutoscaleConfig>,
     /// Cold-start penalty per function in serverless deployments.
     pub cold_start: SimDuration,
-    /// When a task's backend has no eligible device, run it on a CPU
-    /// server with this slowdown factor (models "no physical
-    /// disaggregation / no DSA access"; `None` makes such tasks an
-    /// error).
-    pub cpu_fallback_slowdown: Option<f64>,
     /// Outputs at most this many bytes are passed *by value*: the bytes
     /// ride inline in the already-priced control messages (producer ->
     /// owner at finish, scheduler -> raylet at dispatch), so consumers
@@ -153,11 +148,6 @@ pub struct RuntimeConfig {
     /// scheduler. State reconstruction — querying every surviving raylet
     /// — is priced on the network on top of this.
     pub election_delay: SimDuration,
-    /// Rack-aware election winner choice: the failover prefers a
-    /// candidate in the least-impacted rack (fewest failed nodes) over
-    /// the plain lowest-ID surviving server; ties break by node ID so
-    /// the election stays deterministic.
-    pub rack_aware_election: bool,
     /// RNG seed for any stochastic tie-breaks.
     pub seed: u64,
     /// Record causal spans for every control message and data transfer.
@@ -165,7 +155,7 @@ pub struct RuntimeConfig {
     /// only need the aggregate metrics.
     pub tracing: bool,
     /// Run the cluster's internal invariant checker after every event
-    /// (slot accounting, node load, no tasks resident on failed nodes,
+    /// (per-node occupancy recounts, no tasks resident on failed nodes,
     /// ...). Off by default: it is O(cluster) per event and
     /// meant for the chaos harness and debugging, not experiments.
     pub debug_invariants: bool,
@@ -183,12 +173,10 @@ impl RuntimeConfig {
             gang_scheduling: false,
             autoscale: None,
             cold_start: SimDuration::from_millis(2),
-            cpu_fallback_slowdown: Some(8.0),
             pass_by_value_max: 0,
             cache_fetched_copies: true,
             max_attempts: 5,
             election_delay: SimDuration::from_micros(500),
-            rack_aware_election: false,
             seed: 42,
             tracing: false,
             debug_invariants: false,
@@ -294,12 +282,6 @@ impl RuntimeConfig {
     /// Overrides the control-plane failover election delay.
     pub fn with_election_delay(mut self, d: SimDuration) -> Self {
         self.election_delay = d;
-        self
-    }
-
-    /// Enables rack-aware election winner choice.
-    pub fn with_rack_aware_election(mut self, on: bool) -> Self {
-        self.rack_aware_election = on;
         self
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use skadi_store::ec::EcConfig;
+
 use crate::config::Deployment;
 use crate::task::{GangId, TaskId};
 
@@ -17,9 +19,6 @@ pub enum RuntimeError {
     },
     /// The job's dependency graph has a cycle.
     CyclicJob,
-    /// No node in the topology can run a task (e.g. a GPU task in a
-    /// server-only cluster with CPU fallback disabled).
-    NoEligibleNode(TaskId),
     /// The simulation reached its event budget without draining — almost
     /// always a livelock bug.
     Livelock {
@@ -44,6 +43,9 @@ pub enum RuntimeError {
     /// The deployment routes data through durable storage, but the
     /// topology has none; refused before the run starts.
     NoDurableStorage(Deployment),
+    /// Erasure coding with no data shards (`EcConfig::data == 0`):
+    /// nothing to size a shard by; refused before the run starts.
+    NoDataShards(EcConfig),
     /// The debug invariant checker found inconsistent cluster state
     /// (enabled via `RuntimeConfig::debug_invariants`).
     InvariantViolation(String),
@@ -58,9 +60,6 @@ impl fmt::Display for RuntimeError {
                 write!(f, "task {task} depends on unknown task {dep}")
             }
             RuntimeError::CyclicJob => f.write_str("job dependency graph is cyclic"),
-            RuntimeError::NoEligibleNode(t) => {
-                write!(f, "no node can run task {t}")
-            }
             RuntimeError::Livelock { events } => {
                 write!(f, "simulation did not drain after {events} events")
             }
@@ -78,6 +77,13 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "the {d} deployment needs durable storage, which the topology lacks"
+                )
+            }
+            RuntimeError::NoDataShards(c) => {
+                write!(
+                    f,
+                    "erasure coding needs at least one data shard (got {} + {})",
+                    c.data, c.parity
                 )
             }
             RuntimeError::InvariantViolation(msg) => {

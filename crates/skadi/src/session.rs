@@ -18,6 +18,7 @@ use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::lower::{lower_graph, LowerConfig};
 use skadi_flowgraph::optimize::optimize_graph;
 use skadi_flowgraph::physical::PhysicalGraph;
+use skadi_flowgraph::profile::SKEW_MULTIPLE;
 use skadi_frontends::catalog::Catalog;
 use skadi_frontends::graph::VertexProgram;
 use skadi_frontends::mapreduce::MapReduceJob;
@@ -101,7 +102,6 @@ pub struct SessionBuilder {
     parallelism: u32,
     policy: BackendPolicy,
     optimize: bool,
-    skew_multiple: f64,
     threads: Option<usize>,
     adaptive: bool,
 }
@@ -140,14 +140,6 @@ impl SessionBuilder {
     /// Disables the graph optimizer (the E10 ablation).
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
-        self
-    }
-
-    /// Sets the skew threshold for query profiles: an operator is flagged
-    /// when its max shard's rows (or wall time, in timed rendering)
-    /// exceed this multiple of the median shard's. Defaults to 2.0.
-    pub fn skew_multiple(mut self, m: f64) -> Self {
-        self.skew_multiple = m.max(1.0);
         self
     }
 
@@ -190,7 +182,6 @@ impl SessionBuilder {
             parallelism: self.parallelism,
             policy: self.policy,
             optimize: self.optimize,
-            skew_multiple: self.skew_multiple,
             adaptive: self.adaptive,
         }
     }
@@ -204,7 +195,6 @@ pub struct Session {
     pub(crate) parallelism: u32,
     pub(crate) policy: BackendPolicy,
     pub(crate) optimize: bool,
-    pub(crate) skew_multiple: f64,
     pub(crate) adaptive: bool,
 }
 
@@ -218,7 +208,6 @@ impl Session {
             parallelism: 4,
             policy: BackendPolicy::cost_based(),
             optimize: true,
-            skew_multiple: 2.0,
             threads: None,
             adaptive: false,
         }
@@ -331,8 +320,7 @@ impl Session {
         let batch = distributed::payload_batch(sink)
             .map_err(|e| data_plane_fault(format!("data plane: decode result: {e}")))?;
         let data_plane = measurements.borrow().clone();
-        let profile =
-            data_plane.query_profile(&phys, statement, self.parallelism, self.skew_multiple);
+        let profile = data_plane.query_profile(&phys, statement, self.parallelism, SKEW_MULTIPLE);
         Ok(DistributedRun {
             batch,
             report: JobReport {

@@ -1,182 +1,12 @@
-//! Reed-Solomon erasure coding over GF(2^8).
+//! Erasure-coding parameters.
 //!
 //! The paper (§2.1) lists an erasure-coded reliable caching layer as an
 //! alternative to lineage re-execution and plain replication (citing
-//! Carbink). This module implements systematic Reed-Solomon: `k` data
-//! shards plus `m` parity shards; any `k` surviving shards reconstruct the
-//! object. Storage overhead is `(k + m) / k`, versus `r` for `r`-way
-//! replication — the trade-off experiment E7 measures.
-//!
-//! Arithmetic is over GF(256) with the AES-friendly reduction polynomial
-//! `x^8 + x^4 + x^3 + x^2 + 1` (0x11D), using log/exp tables. The encode
-//! matrix is a systematic Vandermonde matrix (top `k` rows are the
-//! identity), and decode inverts the surviving rows with Gaussian
-//! elimination.
-
-use std::sync::OnceLock;
-
-use crate::error::StoreError;
-
-/// GF(256) log/exp tables.
-struct Tables {
-    exp: [u8; 512],
-    log: [u8; 256],
-}
-
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
-        let mut x: u16 = 1;
-        for (i, e) in exp.iter_mut().enumerate().take(255) {
-            *e = x as u8;
-            log[x as usize] = i as u8;
-            x <<= 1;
-            if x & 0x100 != 0 {
-                x ^= 0x11D;
-            }
-        }
-        // Duplicate so mul can skip the mod-255 on index sums.
-        for i in 255..512 {
-            exp[i] = exp[i - 255];
-        }
-        Tables { exp, log }
-    })
-}
-
-/// GF(256) multiplication.
-fn gmul(a: u8, b: u8) -> u8 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    let t = tables();
-    t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
-}
-
-/// GF(256) multiplicative inverse.
-///
-/// # Panics
-///
-/// Panics on zero (no inverse exists); callers guarantee non-zero pivots.
-fn ginv(a: u8) -> u8 {
-    assert!(a != 0, "inverse of zero in GF(256)");
-    let t = tables();
-    t.exp[255 - t.log[a as usize] as usize]
-}
-
-/// A dense matrix over GF(256), row-major.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<u8>,
-}
-
-impl Matrix {
-    fn zero(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0; rows * cols],
-        }
-    }
-
-    fn identity(n: usize) -> Self {
-        let mut m = Matrix::zero(n, n);
-        for i in 0..n {
-            m.set(i, i, 1);
-        }
-        m
-    }
-
-    /// Vandermonde matrix: entry (r, c) = r^c in GF(256).
-    fn vandermonde(rows: usize, cols: usize) -> Self {
-        let mut m = Matrix::zero(rows, cols);
-        for r in 0..rows {
-            let mut v = 1u8;
-            for c in 0..cols {
-                m.set(r, c, v);
-                v = gmul(v, r as u8 + 1);
-            }
-        }
-        m
-    }
-
-    fn get(&self, r: usize, c: usize) -> u8 {
-        self.data[r * self.cols + c]
-    }
-
-    fn set(&mut self, r: usize, c: usize, v: u8) {
-        self.data[r * self.cols + c] = v;
-    }
-
-    fn row(&self, r: usize) -> &[u8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    fn mul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows);
-        let mut out = Matrix::zero(self.rows, other.cols);
-        for r in 0..self.rows {
-            for c in 0..other.cols {
-                let mut acc = 0u8;
-                for k in 0..self.cols {
-                    acc ^= gmul(self.get(r, k), other.get(k, c));
-                }
-                out.set(r, c, acc);
-            }
-        }
-        out
-    }
-
-    /// Inverts a square matrix with Gauss-Jordan elimination.
-    fn invert(&self) -> Result<Matrix, StoreError> {
-        assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = Matrix::identity(n);
-        for col in 0..n {
-            // Find a non-zero pivot.
-            let pivot = (col..n)
-                .find(|r| a.get(*r, col) != 0)
-                .ok_or_else(|| StoreError::CodingError("singular matrix".into()))?;
-            if pivot != col {
-                for c in 0..n {
-                    let (x, y) = (a.get(col, c), a.get(pivot, c));
-                    a.set(col, c, y);
-                    a.set(pivot, c, x);
-                    let (x, y) = (inv.get(col, c), inv.get(pivot, c));
-                    inv.set(col, c, y);
-                    inv.set(pivot, c, x);
-                }
-            }
-            // Normalize the pivot row.
-            let p = ginv(a.get(col, col));
-            for c in 0..n {
-                a.set(col, c, gmul(a.get(col, c), p));
-                inv.set(col, c, gmul(inv.get(col, c), p));
-            }
-            // Eliminate the column from every other row.
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let f = a.get(r, col);
-                if f == 0 {
-                    continue;
-                }
-                for c in 0..n {
-                    let v = a.get(r, c) ^ gmul(f, a.get(col, c));
-                    a.set(r, c, v);
-                    let v = inv.get(r, c) ^ gmul(f, inv.get(col, c));
-                    inv.set(r, c, v);
-                }
-            }
-        }
-        Ok(inv)
-    }
-}
+//! Carbink). The runtime prices systematic Reed-Solomon placement — `k`
+//! data shards plus `m` parity shards, any `k` of which reconstruct the
+//! object — without coding a byte: objects are sizes, so only the shard
+//! count and size matter. Storage overhead is `(k + m) / k`, versus `r`
+//! for `r`-way replication — the trade-off experiment E7 measures.
 
 /// Erasure-coding configuration: `data` data shards + `parity` parity
 /// shards.
@@ -201,157 +31,6 @@ impl EcConfig {
     pub fn overhead(&self) -> f64 {
         self.total() as f64 / self.data as f64
     }
-
-    fn validate(&self) -> Result<(), StoreError> {
-        if self.data == 0 {
-            return Err(StoreError::CodingError("k must be > 0".into()));
-        }
-        if self.parity == 0 {
-            return Err(StoreError::CodingError("m must be > 0".into()));
-        }
-        if self.total() > 255 {
-            return Err(StoreError::CodingError("k + m must be <= 255".into()));
-        }
-        Ok(())
-    }
-
-    /// The systematic encode matrix: `total x data`, top `data` rows are
-    /// the identity.
-    fn encode_matrix(&self) -> Result<Matrix, StoreError> {
-        let v = Matrix::vandermonde(self.total(), self.data);
-        // Make it systematic: V * inv(top-k-of-V).
-        let mut top = Matrix::zero(self.data, self.data);
-        for r in 0..self.data {
-            for c in 0..self.data {
-                top.set(r, c, v.get(r, c));
-            }
-        }
-        Ok(v.mul(&top.invert()?))
-    }
-}
-
-/// An erasure-coded object: its shards plus the original length.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Encoded {
-    /// All shards, data shards first; each is `shard_len` bytes.
-    pub shards: Vec<Vec<u8>>,
-    /// The original payload length (shards are padded).
-    pub original_len: usize,
-    /// The configuration used.
-    pub config: EcConfig,
-}
-
-/// Splits `payload` into `config.data` shards and appends
-/// `config.parity` parity shards.
-pub fn encode(payload: &[u8], config: EcConfig) -> Result<Encoded, StoreError> {
-    config.validate()?;
-    let k = config.data;
-    let shard_len = payload.len().div_ceil(k).max(1);
-    let mut shards: Vec<Vec<u8>> = Vec::with_capacity(config.total());
-    for i in 0..k {
-        let mut s = vec![0u8; shard_len];
-        let start = i * shard_len;
-        if start < payload.len() {
-            let end = (start + shard_len).min(payload.len());
-            s[..end - start].copy_from_slice(&payload[start..end]);
-        }
-        shards.push(s);
-    }
-    let enc = config.encode_matrix()?;
-    for p in 0..config.parity {
-        let row = enc.row(k + p).to_vec();
-        let mut s = vec![0u8; shard_len];
-        for (j, coef) in row.iter().enumerate() {
-            if *coef == 0 {
-                continue;
-            }
-            for (b, out) in shards[j].iter().zip(s.iter_mut()) {
-                *out ^= gmul(*coef, *b);
-            }
-        }
-        shards.push(s);
-    }
-    Ok(Encoded {
-        shards,
-        original_len: payload.len(),
-        config,
-    })
-}
-
-/// Reconstructs the payload from surviving shards (`None` = lost). Any
-/// `config.data` survivors suffice.
-pub fn decode(
-    shards: &[Option<Vec<u8>>],
-    original_len: usize,
-    config: EcConfig,
-) -> Result<Vec<u8>, StoreError> {
-    config.validate()?;
-    let k = config.data;
-    if shards.len() != config.total() {
-        return Err(StoreError::CodingError(format!(
-            "expected {} shards, got {}",
-            config.total(),
-            shards.len()
-        )));
-    }
-    let available: Vec<usize> = shards
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.as_ref().map(|_| i))
-        .collect();
-    if available.len() < k {
-        return Err(StoreError::CodingError(format!(
-            "only {} of {} shards available, need {k}",
-            available.len(),
-            config.total()
-        )));
-    }
-    let shard_len = shards[available[0]].as_ref().expect("available").len();
-
-    // Fast path: all data shards survived.
-    if available
-        .iter()
-        .take(k)
-        .eq((0..k).collect::<Vec<_>>().iter())
-    {
-        let mut out = Vec::with_capacity(shard_len * k);
-        for s in shards.iter().take(k) {
-            out.extend_from_slice(s.as_ref().expect("data shard"));
-        }
-        out.truncate(original_len);
-        return Ok(out);
-    }
-
-    // General path: take the first k surviving rows of the encode matrix,
-    // invert, and multiply by the surviving shards.
-    let enc = config.encode_matrix()?;
-    let chosen: Vec<usize> = available.into_iter().take(k).collect();
-    let mut sub = Matrix::zero(k, k);
-    for (r, &src) in chosen.iter().enumerate() {
-        for c in 0..k {
-            sub.set(r, c, enc.get(src, c));
-        }
-    }
-    let inv = sub.invert()?;
-    let mut data_shards: Vec<Vec<u8>> = vec![vec![0u8; shard_len]; k];
-    for (r, out) in data_shards.iter_mut().enumerate() {
-        for (j, &src) in chosen.iter().enumerate() {
-            let coef = inv.get(r, j);
-            if coef == 0 {
-                continue;
-            }
-            let shard = shards[src].as_ref().expect("chosen shard");
-            for (b, o) in shard.iter().zip(out.iter_mut()) {
-                *o ^= gmul(coef, *b);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(shard_len * k);
-    for s in data_shards {
-        out.extend_from_slice(&s);
-    }
-    out.truncate(original_len);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -359,126 +38,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gf_field_axioms_spot_checks() {
-        // Multiplicative identity and inverse.
-        for a in 1..=255u8 {
-            assert_eq!(gmul(a, 1), a);
-            assert_eq!(gmul(a, ginv(a)), 1, "a={a}");
-        }
-        // Commutativity and distributivity samples.
-        assert_eq!(gmul(7, 9), gmul(9, 7));
-        let (a, b, c) = (13u8, 200u8, 77u8);
-        assert_eq!(gmul(a, b ^ c), gmul(a, b) ^ gmul(a, c));
-    }
-
-    #[test]
-    fn matrix_inverse_round_trip() {
-        let v = Matrix::vandermonde(4, 4);
-        let inv = v.invert().unwrap();
-        assert_eq!(v.mul(&inv), Matrix::identity(4));
-    }
-
-    #[test]
-    fn encode_is_systematic() {
-        let payload: Vec<u8> = (0..100u8).collect();
-        let e = encode(&payload, EcConfig::RS_4_2).unwrap();
-        assert_eq!(e.shards.len(), 6);
-        // Data shards concatenated == padded payload.
-        let mut cat = Vec::new();
-        for s in &e.shards[..4] {
-            cat.extend_from_slice(s);
-        }
-        assert_eq!(&cat[..100], &payload[..]);
-    }
-
-    #[test]
-    fn decode_with_all_shards() {
-        let payload: Vec<u8> = (0..251u8).collect();
-        let e = encode(&payload, EcConfig::RS_4_2).unwrap();
-        let shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).collect();
-        assert_eq!(decode(&shards, e.original_len, e.config).unwrap(), payload);
-    }
-
-    #[test]
-    fn decode_surviving_any_two_erasures() {
-        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let e = encode(&payload, EcConfig::RS_4_2).unwrap();
-        // Try every pair of erasures.
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                let mut shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).collect();
-                shards[i] = None;
-                shards[j] = None;
-                let got = decode(&shards, e.original_len, e.config).unwrap();
-                assert_eq!(got, payload, "erasures ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn three_erasures_unrecoverable() {
-        let payload = vec![42u8; 64];
-        let e = encode(&payload, EcConfig::RS_4_2).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[2] = None;
-        shards[4] = None;
-        assert!(decode(&shards, e.original_len, e.config).is_err());
-    }
-
-    #[test]
-    fn empty_and_tiny_payloads() {
-        for payload in [vec![], vec![7u8], vec![1u8, 2, 3]] {
-            let e = encode(&payload, EcConfig::RS_4_2).unwrap();
-            let mut shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).collect();
-            shards[1] = None;
-            shards[5] = None;
-            assert_eq!(decode(&shards, e.original_len, e.config).unwrap(), payload);
-        }
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(encode(&[1], EcConfig { data: 0, parity: 1 }).is_err());
-        assert!(encode(&[1], EcConfig { data: 1, parity: 0 }).is_err());
-        assert!(encode(
-            &[1],
-            EcConfig {
-                data: 200,
-                parity: 100
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
     fn overhead_math() {
         assert!((EcConfig::RS_4_2.overhead() - 1.5).abs() < 1e-12);
         let rs63 = EcConfig { data: 6, parity: 3 };
         assert!((rs63.overhead() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wrong_shard_count_rejected() {
-        let e = encode(&[1, 2, 3], EcConfig::RS_4_2).unwrap();
-        let shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).take(5).collect();
-        assert!(decode(&shards, e.original_len, e.config).is_err());
-    }
-
-    #[test]
-    fn larger_configs_round_trip() {
-        let payload: Vec<u8> = (0..10_000).map(|i| (i * 31 % 256) as u8).collect();
-        let cfg = EcConfig {
-            data: 10,
-            parity: 4,
-        };
-        let e = encode(&payload, cfg).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = e.shards.iter().cloned().map(Some).collect();
-        // Drop 4 shards including data shards.
-        shards[0] = None;
-        shards[3] = None;
-        shards[9] = None;
-        shards[12] = None;
-        assert_eq!(decode(&shards, e.original_len, cfg).unwrap(), payload);
     }
 }

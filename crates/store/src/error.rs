@@ -23,17 +23,6 @@ pub enum StoreError {
     },
     /// An object was inserted twice.
     Duplicate(ObjectId),
-    /// Erasure-coding parameters or shards were invalid.
-    CodingError(String),
-    /// Not enough replicas/shards survive to reconstruct the object.
-    Unrecoverable {
-        /// Object that cannot be reconstructed.
-        id: ObjectId,
-        /// Surviving fragment count.
-        available: usize,
-        /// Fragments needed.
-        needed: usize,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -50,15 +39,6 @@ impl fmt::Display for StoreError {
                 "object {id} ({requested} B) cannot fit in {tier} tier of {capacity} B"
             ),
             StoreError::Duplicate(id) => write!(f, "object {id} already stored"),
-            StoreError::CodingError(msg) => write!(f, "erasure coding: {msg}"),
-            StoreError::Unrecoverable {
-                id,
-                available,
-                needed,
-            } => write!(
-                f,
-                "object {id} unrecoverable: {available} of {needed} fragments available"
-            ),
         }
     }
 }
@@ -73,11 +53,7 @@ mod tests {
     fn display() {
         let e = StoreError::NotFound(ObjectId(7));
         assert!(e.to_string().contains("obj7"));
-        let e = StoreError::Unrecoverable {
-            id: ObjectId(1),
-            available: 2,
-            needed: 4,
-        };
-        assert!(e.to_string().contains("2 of 4"));
+        let e = StoreError::Duplicate(ObjectId(1));
+        assert!(e.to_string().contains("already stored"));
     }
 }

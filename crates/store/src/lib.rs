@@ -16,8 +16,8 @@
 //! - [`placement`]: the cluster-wide [`CachingLayer`] that hides data
 //!   location behind `put`/`get`, choosing tiers and handling spill.
 //! - [`replication`]: N-way replica placement and failure masking.
-//! - [`ec`]: Reed-Solomon erasure coding over GF(256) — the paper's
-//!   alternative to replication for a reliable caching layer.
+//! - [`ec`]: erasure-coding parameters (`k` data + `m` parity shards) —
+//!   the paper's alternative to replication for a reliable caching layer.
 //! - [`spill`]: spill/fill decisions between HBM, host DRAM, and
 //!   disaggregated memory under pressure.
 //!

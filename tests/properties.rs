@@ -7,7 +7,9 @@ use skadi::arrow::{ipc, marshal};
 use skadi::dcsim::engine::EventQueue;
 use skadi::dcsim::time::SimTime;
 use skadi::flowgraph::partition::{fnv1a, hash_shard};
-use skadi::store::ec::{decode, encode, EcConfig};
+use skadi::runtime::chaos::{chaos_job, chaos_topology};
+use skadi::runtime::{Cluster, FtMode, RuntimeConfig, RuntimeError, TaskId};
+use skadi::store::ec::EcConfig;
 use skadi::store::kv::LocalStore;
 use skadi::store::object::ObjectId;
 use skadi::store::policy::EvictionPolicy;
@@ -35,22 +37,35 @@ proptest! {
         }
     }
 
-    /// Reed-Solomon round-trips under any erasure pattern that leaves at
-    /// least k shards.
+    /// Any erasure-coding layout either runs a chaos job to completion
+    /// or, with no data shards to size a shard by, is refused before its
+    /// first event (no parity shards is valid, if unprotected). A layout
+    /// with no data shards used to divide by zero at the first stored
+    /// output.
     #[test]
-    fn ec_round_trips_any_recoverable_erasure(
-        payload in prop::collection::vec(any::<u8>(), 0..2048),
-        erasures in prop::collection::vec(0usize..6, 0..2),
+    fn erasure_coding_runs_or_refuses_any_layout(
+        data in 0usize..7,
+        parity in 0usize..4,
+        seed in 0u64..64,
     ) {
-        let cfg = EcConfig::RS_4_2;
-        let enc = encode(&payload, cfg).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> =
-            enc.shards.iter().cloned().map(Some).collect();
-        for e in &erasures {
-            shards[*e] = None;
+        let ec = EcConfig { data, parity };
+        let cfg = RuntimeConfig::skadi_gen2()
+            .with_ft(FtMode::ErasureCoding(ec))
+            .with_debug_invariants(true);
+        let job = chaos_job(seed);
+        let mut cluster = Cluster::new(&chaos_topology(), cfg);
+        match cluster.run(&job) {
+            Ok(stats) => {
+                prop_assert!(data > 0);
+                prop_assert_eq!(stats.finished, job.len() as u64);
+            }
+            Err(e) => {
+                prop_assert_eq!(data, 0);
+                prop_assert!(e.to_string().contains("at least one data shard"));
+                prop_assert_eq!(e, RuntimeError::NoDataShards(ec));
+                prop_assert!(cluster.task_started_at(TaskId(0)).is_none());
+            }
         }
-        let got = decode(&shards, enc.original_len, cfg).unwrap();
-        prop_assert_eq!(got, payload);
     }
 
     /// IPC round-trips arbitrary typed batches.
