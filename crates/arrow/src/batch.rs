@@ -493,18 +493,18 @@ mod tests {
                     assert_eq!(hashes, want, "{at}: hash of columns {cols:?}");
                 }
                 // The two string columns hold the same values, and the
-                // coerced integers hash as the floats equal to them.
+                // integers hash as the floats equal to them.
                 let (ints, plain, dict) = (view.column(0), view.column(3), view.column(4));
                 assert_eq!(
-                    compute::hash_key_column(plain, false),
-                    compute::hash_key_column(dict, false),
+                    compute::hash_key_column(plain),
+                    compute::hash_key_column(dict),
                     "{at}: utf8 against dict key hashes"
                 );
                 let as_floats = ints.as_i64().unwrap().iter().map(|v| v.map(|v| v as f64));
                 assert_eq!(
-                    compute::hash_key_column(ints, true),
-                    compute::hash_key_column(&Array::from_opt_f64(as_floats.collect()), false),
-                    "{at}: coerced int against float key hashes"
+                    compute::hash_key_column(ints),
+                    compute::hash_key_column(&Array::from_opt_f64(as_floats.collect())),
+                    "{at}: int against float key hashes"
                 );
 
                 let mid = ((hi - lo) / 2) as u32;

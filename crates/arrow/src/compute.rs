@@ -346,17 +346,23 @@ pub fn hash_column_into(col: &Array, hashes: &mut [u64]) {
 }
 
 /// Per-row FNV-1a hash of a single key column over its raw bytes (the
-/// join build/probe hash). `coerce_int_to_f64` hashes `Int64` values via
-/// their `f64` bit pattern so an `Int64` column and a `Float64` column
-/// holding numerically-equal keys land in the same bucket. Null rows get
-/// the null-marker hash; join callers skip them.
-pub fn hash_key_column(col: &Array, coerce_int_to_f64: bool) -> Vec<u64> {
+/// join build/probe and shuffle hash). A `Float64` key equal to an integer
+/// ([`i64_f64_key_eq`]) hashes as that integer's `Int64` bytes, so an
+/// `Int64` column and a `Float64` column holding numerically-equal keys
+/// land in the same bucket whichever types a join's keys turn out to have,
+/// while an `Int64` key hashes exactly as [`hash_rows`] does. Null rows
+/// get the null-marker hash; join callers skip them.
+pub fn hash_key_column(col: &Array) -> Vec<u64> {
     let null_hash = fnv_feed(FNV_OFFSET, &[0xFF]);
     match col {
-        Array::Int64(a) if coerce_int_to_f64 => a
+        Array::Float64(a) => a
             .iter()
             .map(|v| match v {
-                Some(v) => fnv_feed(FNV_OFFSET, &(v as f64).to_bits().to_le_bytes()),
+                // `as` saturates; the integer is used only if it is exact.
+                Some(f) if i64_f64_key_eq(f as i64, f) => {
+                    fnv_feed(FNV_OFFSET, &(f as i64).to_le_bytes())
+                }
+                Some(f) => fnv_feed(FNV_OFFSET, &f.to_bits().to_le_bytes()),
                 None => null_hash,
             })
             .collect(),
@@ -387,8 +393,8 @@ pub fn hash_key_column(col: &Array, coerce_int_to_f64: bool) -> Vec<u64> {
 /// distinct keys.
 ///
 /// Bit-level on the float side (`-0.0` does not match `0`), which keeps
-/// it consistent with [`hash_key_column`]'s coerced bucketing: any pair
-/// this returns true for hashes into the same bucket.
+/// it consistent with [`hash_key_column`]'s bucketing: any pair this
+/// returns true for hashes into the same bucket.
 #[inline]
 pub fn i64_f64_key_eq(i: i64, f: f64) -> bool {
     // Only floats in [-2^63, 2^63) can equal an i64; this also rejects
@@ -607,20 +613,17 @@ mod tests {
     fn hash_key_column_coerces_ints_onto_float_hashes() {
         let ints = Array::from_opt_i64(vec![Some(1), Some(2), None]);
         let floats = Array::from_opt_f64(vec![Some(1.0), Some(2.0), None]);
-        // Coerced int hashes collide with the equal float keys...
-        assert_eq!(
-            hash_key_column(&ints, true),
-            hash_key_column(&floats, false)
-        );
-        // ...while uncoerced ones hash the raw i64 bytes (and match the
-        // row-hash path).
+        // Whole float keys hash as the equal int keys...
+        assert_eq!(hash_key_column(&floats), hash_key_column(&ints));
+        // ...which hash their raw i64 bytes (and match the row-hash path).
         let schema = Schema::new(vec![Field::new("k", DataType::Int64, true)]);
         let b = RecordBatch::try_new(schema, vec![ints.clone()]).unwrap();
-        assert_eq!(hash_key_column(&ints, false), hash_rows(&b, &[0]));
-        assert_ne!(
-            hash_key_column(&ints, false)[0],
-            hash_key_column(&ints, true)[0]
-        );
+        assert_eq!(hash_key_column(&ints), hash_rows(&b, &[0]));
+        // A float that equals no integer keeps its own bits' hash.
+        let halves = Array::from_f64(vec![0.5, -0.0]);
+        let schema = Schema::new(vec![Field::new("k", DataType::Float64, false)]);
+        let b = RecordBatch::try_new(schema, vec![halves.clone()]).unwrap();
+        assert_eq!(hash_key_column(&halves), hash_rows(&b, &[0]));
     }
 
     #[test]
@@ -1010,12 +1013,7 @@ mod kernel_extension_tests {
     fn dict_hashes_match_plain_bit_for_bit() {
         let vals = [Some("a"), None, Some(""), Some("xyz"), Some("a")];
         let (plain, dict) = dict_pair(&vals);
-        for coerce in [false, true] {
-            assert_eq!(
-                hash_key_column(&dict, coerce),
-                hash_key_column(&plain, coerce)
-            );
-        }
+        assert_eq!(hash_key_column(&dict), hash_key_column(&plain));
         // Multi-column row hashes chain identically.
         let schema_p = Schema::new(vec![
             Field::new("k", DataType::Int64, false),

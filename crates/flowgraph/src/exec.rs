@@ -167,19 +167,6 @@ impl ExecOp {
         }
     }
 
-    /// True if this kernel starts with a join — a join at the head of a
-    /// fused chain included. Its keyed inputs must then co-locate mixed
-    /// `Int64`/`Float64` keys, so the shuffle (and the adaptive pilot's
-    /// histogram) hash integers through their `f64` bit pattern exactly
-    /// like the join probe does.
-    pub fn starts_with_join(&self) -> bool {
-        match self {
-            ExecOp::Join { .. } => true,
-            ExecOp::Fused(ops) => ops.first().is_some_and(ExecOp::starts_with_join),
-            _ => false,
-        }
-    }
-
     /// Flattens into a sequential op list (`Fused` bodies inline).
     pub fn flatten(self) -> Vec<ExecOp> {
         match self {
@@ -236,19 +223,5 @@ mod tests {
             ExecOp::fuse(None, Some(ExecOp::Filter { conjuncts: vec![] })),
             None
         );
-    }
-
-    #[test]
-    fn join_consumer_detection_sees_through_fusion() {
-        let join = ExecOp::Join {
-            left_key: "k".into(),
-            right_key: "k".into(),
-            right_rows: 10,
-        };
-        let filt = ExecOp::Filter { conjuncts: vec![] };
-        assert!(join.starts_with_join());
-        assert!(ExecOp::Fused(vec![join.clone(), filt.clone()]).starts_with_join());
-        assert!(!filt.starts_with_join());
-        assert!(!ExecOp::Fused(vec![filt, join]).starts_with_join());
     }
 }

@@ -5,7 +5,10 @@
 //! `fnv1a(key) % n` of the `n` downstream shards. It must be *stable* (same
 //! key, same shard — correctness of shuffles) and reasonably *balanced*.
 //! The data plane's shuffle (`shard::partition_by_key`) applies exactly
-//! this rule to each row's key bytes.
+//! this rule to each row's key bytes, where a `Float64` key equal to an
+//! integer takes that integer's `Int64` bytes: a key equal to an `Int64`
+//! key of the other join side lands on the same shard, whatever the edge
+//! feeds.
 
 /// FNV-1a over a byte string; the key hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -1,13 +1,16 @@
-//! Table catalog: column names and cardinality hints for planning.
+//! Table catalog: each table's schema and cardinality hints for planning.
 
 use std::collections::BTreeMap;
 
-/// One base table's description. The planner resolves names and sizes
-/// stages; it never reads a column's type, so none is kept.
+use skadi_arrow::datatype::DataType;
+use skadi_arrow::schema::{Field, Schema, SchemaRef};
+
+/// One base table's description. The planner resolves and types every
+/// column from the schema and sizes stages from the estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
-    /// Column names, in table order.
-    pub columns: Vec<String>,
+    /// The table's columns, in table order: names, types, nullability.
+    pub schema: SchemaRef,
     /// Estimated row count.
     pub rows: u64,
     /// Estimated total size in bytes.
@@ -16,17 +19,12 @@ pub struct TableDef {
 
 impl TableDef {
     /// Builds a table definition.
-    pub fn new(columns: &[&str], rows: u64, bytes: u64) -> Self {
+    pub fn new(schema: SchemaRef, rows: u64, bytes: u64) -> Self {
         TableDef {
-            columns: columns.iter().map(|n| n.to_string()).collect(),
+            schema,
             rows,
             bytes,
         }
-    }
-
-    /// True if the table has the named column.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|n| n == name)
     }
 }
 
@@ -56,15 +54,23 @@ impl Catalog {
     /// A small demo catalog used by examples and tests: web events and a
     /// user dimension table.
     pub fn demo() -> Catalog {
+        use DataType::{Float64, Int64, Utf8};
+        let schema = |cols: &[(&str, DataType)]| {
+            Schema::new(cols.iter().map(|&(n, t)| Field::new(n, t, true)).collect())
+        };
+        let events = [
+            ("user_id", Int64),
+            ("ts", Int64),
+            ("kind", Utf8),
+            ("value", Float64),
+        ];
+        let users = [("user_id", Int64), ("country", Utf8), ("age", Int64)];
         Catalog::new()
             .table(
                 "events",
-                TableDef::new(&["user_id", "ts", "kind", "value"], 10_000_000, 640 << 20),
+                TableDef::new(schema(&events), 10_000_000, 640 << 20),
             )
-            .table(
-                "users",
-                TableDef::new(&["user_id", "country", "age"], 1_000_000, 48 << 20),
-            )
+            .table("users", TableDef::new(schema(&users), 1_000_000, 48 << 20))
     }
 }
 
@@ -77,7 +83,11 @@ mod tests {
         let c = Catalog::demo();
         assert!(c.get("events").is_some());
         assert!(c.get("nope").is_none());
-        assert!(c.get("users").unwrap().has_column("country"));
-        assert!(!c.get("users").unwrap().has_column("value"));
+        let users = &c.get("users").unwrap().schema;
+        assert_eq!(
+            users.field(users.index_of("country").unwrap()).data_type,
+            DataType::Utf8
+        );
+        assert!(users.index_of("value").is_err());
     }
 }

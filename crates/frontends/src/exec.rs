@@ -19,6 +19,7 @@
 //! the simulated plan.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use skadi_arrow::array::Value;
@@ -30,11 +31,12 @@ use skadi_arrow::schema::{Field, Schema};
 use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
 use skadi_dcsim::time::SimTime;
 use skadi_flowgraph::profile::{QueryProfile, ShardStats, SKEW_MULTIPLE};
+use skadi_flowgraph::FlowGraph;
 use skadi_ir::Op;
 
 use crate::catalog::{Catalog, TableDef};
-use crate::sql::ast::{AggItem, Comparison, Literal, OrderBy, Query};
-use crate::sql::{parse, tokenize, SqlError};
+use crate::sql::ast::{AggFunc, AggItem, Comparison, Literal, OrderBy, Query};
+use crate::sql::{parse, plan_query, tokenize, SqlError};
 
 pub mod parallel;
 pub mod pool;
@@ -109,26 +111,15 @@ impl MemDb {
         Ok(profile.render(true))
     }
 
-    /// Derives a planner [`Catalog`] from the registered tables: column
-    /// names from the batches, cardinalities from their actual row counts
-    /// and byte sizes — so the same database drives both real execution and
-    /// simulated distributed execution.
+    /// Derives a planner [`Catalog`] from the registered tables: each
+    /// batch's schema (shared, not copied), cardinalities from their actual
+    /// row counts and byte sizes — so the same database drives both real
+    /// execution and simulated distributed execution.
     pub fn catalog(&self) -> Catalog {
         let mut c = Catalog::new();
         for (name, batch) in &self.tables {
-            c = c.table(
-                name,
-                TableDef {
-                    columns: batch
-                        .schema()
-                        .fields()
-                        .iter()
-                        .map(|f| f.name.clone())
-                        .collect(),
-                    rows: batch.num_rows() as u64,
-                    bytes: batch.byte_size() as u64,
-                },
-            );
+            let (rows, bytes) = (batch.num_rows() as u64, batch.byte_size() as u64);
+            c = c.table(name, TableDef::new(Arc::clone(batch.schema()), rows, bytes));
         }
         c
     }
@@ -136,14 +127,6 @@ impl MemDb {
 
 pub(crate) fn wrap(e: skadi_arrow::error::ArrowError) -> SqlError {
     SqlError::Plan(format!("execution: {e}"))
-}
-
-fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Int(v) => Value::I64(*v),
-        Literal::Float(v) => Value::F64(*v),
-        Literal::Str(s) => Value::Str(s.clone()),
-    }
 }
 
 /// Hash-table measurements from one join or group-by kernel invocation.
@@ -282,6 +265,56 @@ pub(crate) fn apply_conjuncts(
     }
 }
 
+// The type rules. The planner applies each one to the columns it types,
+// so an ill-typed statement fails before any task runs; the kernel that
+// implements the operator calls the same function on the batch it is
+// handed.
+
+/// The types that hold numbers.
+fn numeric(t: DataType) -> bool {
+    matches!(t, DataType::Int64 | DataType::Float64)
+}
+
+/// The types that hold strings (one logical type, two encodings).
+fn textual(t: DataType) -> bool {
+    matches!(t, DataType::Utf8 | DataType::DictUtf8)
+}
+
+/// The value a comparison compares its column with, if the literal fits
+/// the column: `Int64` and `Float64` take an integer or a float literal,
+/// `Utf8` and `DictUtf8` a string, and nothing else is accepted (no literal
+/// compares with a `Bool`).
+pub(crate) fn compared_value(c: &Comparison, column_type: DataType) -> Result<Value, SqlError> {
+    let (fits, literal, value) = match &c.value {
+        Literal::Int(v) => (numeric(column_type), "an integer", Value::I64(*v)),
+        Literal::Float(v) => (numeric(column_type), "a float", Value::F64(*v)),
+        Literal::Str(s) => (textual(column_type), "a string", Value::Str(s.clone())),
+    };
+    let column = &c.column;
+    fits.then_some(value).ok_or_else(|| {
+        SqlError::Plan(format!(
+            "cannot compare {column_type} column {column:?} with {literal} literal"
+        ))
+    })
+}
+
+/// The type an aggregate yields over an input column of type `input`
+/// (`None`: no column, which only `count(*)` has): `count` takes any type
+/// and yields `Int64`; `sum`, `min` and `max` take `Int64` or `Float64`
+/// and keep it; `avg` takes either and yields `Float64`.
+pub(crate) fn aggregate_type(agg: &AggItem, input: Option<DataType>) -> Result<DataType, SqlError> {
+    match (agg.func, input) {
+        (AggFunc::Count, _) | (_, None) => Ok(DataType::Int64),
+        (AggFunc::Avg, Some(t)) if numeric(t) => Ok(DataType::Float64),
+        (_, Some(t)) if numeric(t) => Ok(t),
+        (func, Some(t)) => Err(SqlError::Plan(format!(
+            "{}({}) takes an int64 or float64 column, not {t}",
+            func.name(),
+            agg.column
+        ))),
+    }
+}
+
 /// How the key columns of a join compare, decided once per join from
 /// their two types and never from the bytes: an `Int64` and an 8-byte
 /// string can share key bytes *and* hash. Null keys never join.
@@ -293,25 +326,23 @@ pub(crate) enum JoinKeyRule {
     Bytes,
     /// `Int64` against `Float64`, either way round: *exact* numeric
     /// equality via [`compute::i64_f64_key_eq`] — no lossy `i64 -> f64`
-    /// cast, so distinct integers above 2^53 never collide — with the
-    /// integer side hashed through its `f64` bit pattern.
+    /// cast, so distinct integers above 2^53 never collide. Both sides
+    /// bucket alike because a whole `Float64` key hashes as its integer.
     Numeric,
-    /// Any other pair of types: no row matches.
-    Never,
 }
 
 impl JoinKeyRule {
-    pub(crate) fn of(left: DataType, right: DataType) -> JoinKeyRule {
-        let logical = |t: DataType| match t {
-            DataType::DictUtf8 => DataType::Utf8,
-            t => t,
-        };
-        match (logical(left), logical(right)) {
-            (l, r) if l == r => JoinKeyRule::Bytes,
-            (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64) => {
-                JoinKeyRule::Numeric
-            }
-            _ => JoinKeyRule::Never,
+    /// The rule for keys of types `left` and `right`; any other pair of
+    /// types cannot be compared, and the join is a planning error.
+    pub(crate) fn of(left: DataType, right: DataType) -> Result<JoinKeyRule, SqlError> {
+        if left == right || (textual(left) && textual(right)) {
+            Ok(JoinKeyRule::Bytes)
+        } else if numeric(left) && numeric(right) {
+            Ok(JoinKeyRule::Numeric)
+        } else {
+            Err(SqlError::Plan(format!(
+                "cannot join {left} keys with {right} keys"
+            )))
         }
     }
 }
@@ -351,7 +382,7 @@ pub(crate) fn join_rows(
     let lcol = left.column_by_name(left_key).map_err(wrap)?;
     let rcol = right.column_by_name(right_key).map_err(wrap)?;
     let parts = parallel::partition_count(left.num_rows().max(right.num_rows()));
-    Ok(parallel::join_rows_partitioned(lcol, rcol, parts, stats))
+    parallel::join_rows_partitioned(lcol, rcol, parts, stats)
 }
 
 /// Gathers matched pairs into the join's output batch: all left columns,
@@ -489,6 +520,10 @@ fn selectivity(rows_in: usize, rows_out: usize) -> Option<f64> {
 }
 
 fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordBatch, SqlError> {
+    // The planner resolves and types every name the query reads, so an
+    // ill-typed or misnamed statement fails here, with the text the
+    // distributed engine gives, before any kernel runs.
+    plan_query(q, &db.catalog(), &mut FlowGraph::new())?;
     let t0 = spans.now();
     let mut current = db.table(&q.from)?.clone();
     spans.op_ext(
@@ -940,7 +975,6 @@ mod tests {
             "SELECT country, sum(value) AS total FROM events \
              JOIN users ON user_id = user_id GROUP BY country",
             "SELECT kind FROM events ORDER BY kind DESC LIMIT 3",
-            "SELECT min(kind) AS lo FROM events",
         ] {
             assert_eq!(plain.query(sql).unwrap(), dict.query(sql).unwrap(), "{sql}");
         }
@@ -1067,7 +1101,11 @@ mod catalog_bridge_tests {
         let def = catalog.get("people").expect("table derived");
         assert_eq!(def.rows, 3);
         assert!(def.bytes > 0);
-        assert!(def.has_column("name"));
+        // The table's own schema, shared rather than copied.
+        assert!(Arc::ptr_eq(
+            &def.schema,
+            db.table("people").unwrap().schema()
+        ));
         // The derived catalog plans real statements.
         let (g, _) = crate::sql::plan_sql("SELECT id FROM people WHERE id > 1", &catalog).unwrap();
         g.validate().unwrap();

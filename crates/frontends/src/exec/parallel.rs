@@ -42,7 +42,8 @@ use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
-use super::{fold_hash, group_key_eq, wrap, JoinKeyRule, KernelStats, EMPTY_SLOT};
+use super::{aggregate_type, compared_value, fold_hash, group_key_eq, wrap};
+use super::{JoinKeyRule, KernelStats, EMPTY_SLOT};
 use crate::sql::ast::{AggFunc, AggItem, Comparison};
 use crate::sql::SqlError;
 
@@ -186,19 +187,16 @@ impl GroupTable {
 /// conjunction, meaning "keep everything"). Each conjunct's comparison
 /// mask is an independent column scan, so several of them over a large
 /// batch evaluate concurrently; the `AND` combine runs in conjunct order,
-/// as do column resolution errors. The pool-or-inline choice
-/// keys on data size only and changes no mask byte.
+/// as do column resolution and type errors ([`compared_value`]). The
+/// pool-or-inline choice keys on data size only and changes no mask byte.
 pub(crate) fn conjunct_mask(
     batch: &RecordBatch,
     conjuncts: &[&Comparison],
 ) -> Result<Option<Array>, SqlError> {
     let mut jobs: Vec<(Array, CmpOp, Value)> = Vec::with_capacity(conjuncts.len());
     for c in conjuncts {
-        jobs.push((
-            batch.column_by_name(&c.column).map_err(wrap)?.clone(),
-            c.op,
-            super::literal_value(&c.value),
-        ));
+        let col = batch.column_by_name(&c.column).map_err(wrap)?;
+        jobs.push((col.clone(), c.op, compared_value(c, col.data_type())?));
     }
     let n = jobs.len();
     let eval = move |i: usize| {
@@ -339,7 +337,8 @@ impl Probe<'_> {
 
 /// The hash-join core: matching `(left_row, right_row)` index pairs in
 /// probe order — left rows ascending, each one's matches in ascending
-/// right-row order. Null keys match nothing.
+/// right-row order. Null keys match nothing; keys whose types cannot be
+/// compared ([`JoinKeyRule::of`]) are an error.
 ///
 /// Keys bucket by their raw-byte FNV-1a hash ([`compute::hash_key_column`])
 /// with the join's [`JoinKeyRule`] deciding each candidate — no per-row key
@@ -354,12 +353,11 @@ pub(crate) fn join_rows_partitioned(
     rcol: &Array,
     parts: usize,
     stats: &mut KernelStats,
-) -> (Vec<usize>, Vec<usize>) {
+) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
     let pool = pool::global();
-    let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type());
-    let mixed = rule == JoinKeyRule::Numeric;
-    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol, mixed));
-    let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol, mixed));
+    let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type())?;
+    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol));
+    let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol));
     let part_rows = Arc::new(partition_rows(rh.len(), &rh, rcol.validity(), parts));
 
     let pr2 = Arc::clone(&part_rows);
@@ -408,7 +406,6 @@ pub(crate) fn join_rows_partitioned(
                     )
                 })
             }
-            JoinKeyRule::Never => probe.run(|_, _| false),
         }
     });
     let mut left_rows: Vec<usize> = Vec::new();
@@ -418,7 +415,7 @@ pub(crate) fn join_rows_partitioned(
         right_rows.extend(rr);
         stats.hash_collisions += c;
     }
-    (left_rows, right_rows)
+    Ok((left_rows, right_rows))
 }
 
 /// Dense group ids for one partition's rows.
@@ -516,9 +513,8 @@ pub(crate) fn aggregate_partitioned(
     };
     let hashes = Arc::new(hashes);
 
-    // Output schema: group columns then one column per aggregate. `count`
-    // and an `Int64` `sum`/`min`/`max` are `Int64`; everything else
-    // (including `avg`) is `Float64`.
+    // Output schema: group columns then one column per aggregate, typed
+    // by the rule the planner checked ([`aggregate_type`]).
     let mut fields: Vec<Field> = group_cols
         .iter()
         .map(|&c| input.schema().field(c).clone())
@@ -527,12 +523,7 @@ pub(crate) fn aggregate_partitioned(
     for agg in aggs {
         let column = agg.input().map(|c| input.schema().index_of(c));
         let column = column.transpose().map_err(wrap)?;
-        let stays_int = column.is_some_and(|c| input.column(c).data_type() == DataType::Int64);
-        let data_type = match agg.func {
-            AggFunc::Count => DataType::Int64,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max if stays_int => DataType::Int64,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max | AggFunc::Avg => DataType::Float64,
-        };
+        let data_type = aggregate_type(agg, column.map(|c| input.column(c).data_type()))?;
         fields.push(Field::new(agg.name.clone(), data_type, true));
         resolved.push((agg.func, column));
     }
@@ -631,10 +622,10 @@ fn count_rows(rows: &[u32], groups: &Groups, valid: impl Fn(usize) -> bool) -> V
 
 /// Runs one aggregate — `func` over input column `column`, or over no
 /// column for `count(*)` — over one partition's rows in a single
-/// column-at-a-time pass. `sum`/`min`/`max`/`avg` fold `Int64` and
-/// `Float64` columns ([`fold_numbers`]) and yield all nulls over any other
-/// type. An `Int64` sum that leaves the `i64` range ends the query with an
-/// error instead of wrapping.
+/// column-at-a-time pass. `Int64` and `Float64` columns fold
+/// ([`fold_numbers`]); any other column only reaches here under `count`
+/// ([`aggregate_type`] refused the rest). An `Int64` sum that leaves the
+/// `i64` range ends the query with an error instead of wrapping.
 fn accumulate_rows(
     func: AggFunc,
     column: Option<usize>,
@@ -648,10 +639,9 @@ fn accumulate_rows(
     let folded = match input.column(c) {
         Array::Int64(a) => fold_numbers(func, a, rows, groups),
         Array::Float64(a) => fold_numbers(func, a, rows, groups),
-        col if func == AggFunc::Count => Some(Array::from_i64(count_rows(rows, groups, |r| {
+        col => Some(Array::from_i64(count_rows(rows, groups, |r| {
             !col.is_null(r)
         }))),
-        _ => Some(Array::from_opt_f64(vec![None; groups.sizes.len()])),
     };
     folded.ok_or_else(|| {
         let name = &input.schema().field(c).name;
@@ -874,7 +864,7 @@ mod tests {
         for threads in [1, 2, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let got = join_rows_partitioned(&lcol, &rcol, PARTITIONS, &mut stats);
+            let got = join_rows_partitioned(&lcol, &rcol, PARTITIONS, &mut stats).unwrap();
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats.rehashes, 0);
             let sig = (stats.hash_slots, stats.hash_collisions);
@@ -913,8 +903,8 @@ mod tests {
     /// kernels run with 1 and with [`PARTITIONS`] partitions on the same
     /// input, at sizes either side of the row-count gate, over every key
     /// type with null keys on both sides, for a global and a grouped
-    /// aggregate of every function over every numeric input type and a
-    /// string, at pool sizes 1 and 4 — and must
+    /// aggregate of every function over every numeric input type and
+    /// `count` over a string, at pool sizes 1 and 4 — and must
     /// produce the same pair sequence and the same encoded batch.
     #[test]
     fn partition_count_never_changes_output() {
@@ -932,7 +922,6 @@ mod tests {
             (Max, "f"),
             (Avg, "i"),
             (Avg, "f"),
-            (Sum, "s"),
             (Count, "s"),
         ]
         .into_iter()
@@ -979,6 +968,7 @@ mod tests {
                     let at = format!("{kind} keys, {n} rows, {threads} threads");
                     let join = |parts| {
                         join_rows_partitioned(&lcol, &rcol, parts, &mut KernelStats::default())
+                            .unwrap()
                     };
                     let pairs = join(1);
                     assert_eq!(pairs, join(PARTITIONS), "join: {at}");
@@ -1091,15 +1081,20 @@ mod tests {
                     }
                 }
                 let pair = (lcol.data_type(), rcol.data_type());
-                // The fixture reaches every pair of types that can join.
-                let joinable = JoinKeyRule::of(pair.0, pair.1) != JoinKeyRule::Never;
-                assert_eq!(!want.0.is_empty(), joinable, "{pair:?}");
+                // A pair of types that cannot be compared is refused before
+                // any join runs (`tests/type_rules.rs`); the fixture reaches
+                // every pair that can join.
+                if JoinKeyRule::of(pair.0, pair.1).is_err() {
+                    continue;
+                }
+                assert!(!want.0.is_empty(), "{pair:?}");
                 matched += want.0.len();
                 for threads in [1, 4] {
                     pool::set_global_threads(threads);
                     for parts in [1, PARTITIONS] {
                         let got =
-                            join_rows_partitioned(lcol, rcol, parts, &mut KernelStats::default());
+                            join_rows_partitioned(lcol, rcol, parts, &mut KernelStats::default())
+                                .unwrap();
                         assert_eq!(got, want, "{pair:?}, {parts} partitions, {threads} threads");
                     }
                 }
@@ -1110,7 +1105,7 @@ mod tests {
         // numeric ones (2^53 + 1 meets no float, -0.0 no integer).
         assert_eq!(matched, 65);
         let (ints, floats) = (&cols[0], &cols[1]);
-        let pairs = join_rows_partitioned(ints, floats, 1, &mut KernelStats::default());
+        let pairs = join_rows_partitioned(ints, floats, 1, &mut KernelStats::default()).unwrap();
         assert_eq!(pairs, (vec![0, 2, 3, 6, 7], vec![0, 4, 5, 4, 9]));
     }
 

@@ -38,9 +38,10 @@
 //! [`partition_by_key`] buckets rows by `hash_key_column(col) % parts` —
 //! the physical graph's one FNV-1a-over-key-bytes rule
 //! ([`hash_shard`](skadi_flowgraph::partition::hash_shard)), and the
-//! same hash the join/aggregate kernels probe with. Edges into a join
-//! pass `coerce = true` so mixed `Int64`/`Float64` key pairs co-locate
-//! by their `f64` bit pattern.
+//! same hash the join kernel probes with. A `Float64` key equal to an
+//! integer hashes as that integer's `Int64` bytes on every keyed edge, so
+//! a mixed `Int64`/`Float64` join key pair co-locates without the edge
+//! knowing what it feeds.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -232,18 +233,16 @@ pub fn execute_shard_adaptive(
 /// Divides `batch`'s rows into hash partitions on `key`: one ascending
 /// row list per partition, no row copied. The partition index is
 /// `hash_key_column(row) % parts` — byte-compatible with the physical
-/// graph's FNV-1a `partition::hash_shard` and with the hash the join and
-/// group-by kernels bucket on. `coerce` hashes `Int64` keys through
-/// their `f64` bit pattern (used for edges into joins, where a mixed
-/// `Int64`/`Float64` key pair must co-locate).
+/// graph's FNV-1a `partition::hash_shard` (a `Float64` key equal to an
+/// integer hashed as that integer) and with the hash the join kernel
+/// buckets on.
 pub fn partition_by_key(
     batch: &RecordBatch,
     key: &str,
     parts: usize,
-    coerce: bool,
 ) -> Result<Vec<Vec<u32>>, SqlError> {
     let col = batch.column_by_name(key).map_err(wrap)?;
-    let hashes = compute::hash_key_column(col, coerce);
+    let hashes = compute::hash_key_column(col);
     let parts = parts.max(1);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::with_capacity(hashes.len() / parts); parts];
     for (r, &h) in hashes.iter().enumerate() {
@@ -696,7 +695,7 @@ mod tests {
         // bytes) and the shuffle the data plane performs must agree.
         let t = table();
         let parts = 4;
-        let split = partition_by_key(&t, "k", parts, false).unwrap();
+        let split = partition_by_key(&t, "k", parts).unwrap();
         let keys = t.column(0).as_i64().unwrap();
         let mut want = vec![0usize; parts];
         for r in 0..t.num_rows() {
@@ -711,8 +710,8 @@ mod tests {
     }
 
     /// Every row list of `batch` split `parts` ways by `key`, as parts.
-    fn shuffled(batch: &RecordBatch, key: &str, parts: usize, coerce: bool) -> Vec<Part> {
-        let lists = partition_by_key(batch, key, parts, coerce).unwrap();
+    fn shuffled(batch: &RecordBatch, key: &str, parts: usize) -> Vec<Part> {
+        let lists = partition_by_key(batch, key, parts).unwrap();
         let part = |rows| Part::selection(batch.clone(), Arc::new(rows));
         lists.into_iter().map(part).collect()
     }
@@ -726,8 +725,8 @@ mod tests {
         let b = execute_shard(&op, &tables, 1, 2, &[], &[]).unwrap();
         // Re-partition by key, then gather everything back: canonical
         // order equals the original scan order.
-        let mut parts = shuffled(&a, "k", 2, false);
-        parts.extend(shuffled(&b, "k", 2, false));
+        let mut parts = shuffled(&a, "k", 2);
+        parts.extend(shuffled(&b, "k", 2));
         let back = gather(&parts).unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         for r in 0..t.num_rows() {
@@ -785,8 +784,8 @@ mod tests {
         let mut swaps = 0;
         let mut matched = 0;
         for shard in 0..2u32 {
-            let port0 = vec![shuffled(&lscan, "k", 2, true)[shard as usize].clone()];
-            let port1 = vec![shuffled(&rscan, "k", 2, true)[shard as usize].clone()];
+            let port0 = vec![shuffled(&lscan, "k", 2)[shard as usize].clone()];
+            let port1 = vec![shuffled(&rscan, "k", 2)[shard as usize].clone()];
             let mut st = ShardExecStats::default();
             let fixed =
                 execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, false, &mut st)

@@ -10,6 +10,9 @@
 //! [ORDER BY col [DESC]]
 //! [LIMIT n]
 //! ```
+//!
+//! The planner types every column from the catalog's schemas; the rules
+//! for each operator are in [`planner`]'s docs.
 
 pub mod ast;
 pub mod lexer;

@@ -8,17 +8,34 @@
 //!
 //! Names are flat, as in the reference engine: a join emits every left
 //! column, then the right columns except the key and any whose name the
-//! left side already has. The planner follows the visible column list
-//! through the plan by those rules, so a name that does not resolve is a
-//! planning error here rather than a failed task later.
+//! left side already has. The planner follows the visible columns, with
+//! their types from the catalog's schemas, through the plan by those
+//! rules, so a name that does not resolve or an operator that does not
+//! fit its column's type is a planning error here rather than a failed
+//! task later. Three type rules, each one function the kernel that
+//! implements the operator calls too:
+//!
+//! - a comparison's literal fits its column: `Int64` and `Float64` take an
+//!   integer or a float literal, `Utf8` and `DictUtf8` a string, and
+//!   nothing else is accepted ([`compared_value`]);
+//! - `sum`, `min`, `max` and `avg` take an `Int64` or `Float64` column and
+//!   `count` takes any; the output type comes from the same function
+//!   ([`aggregate_type`]);
+//! - join keys have one logical type, or are `Int64` against `Float64`
+//!   ([`JoinKeyRule::of`]).
+//!
+//! A scanned table may not carry a column with the `"__"` prefix: the
+//! data plane threads its hidden bookkeeping columns under those names.
 
 use std::collections::BTreeSet;
 
+use skadi_arrow::schema::Field;
 use skadi_flowgraph::{AggItem, Comparison, ExecOp, FlowGraph, VertexId};
 
 use super::ast::Query;
 use super::SqlError;
 use crate::catalog::{Catalog, TableDef};
+use crate::exec::{aggregate_type, compared_value, JoinKeyRule};
 
 /// Assumed selectivity of one predicate conjunct.
 const CONJUNCT_SELECTIVITY: f64 = 0.4;
@@ -59,16 +76,22 @@ fn reads_also<'q>(above: &Reads<'q>, more: impl IntoIterator<Item = &'q str>) ->
 }
 
 /// The newest vertex of a plan branch, the visible columns it emits (in
-/// order) and its cardinality estimate.
+/// order, typed) and its cardinality estimate.
 struct Head {
     at: VertexId,
-    cols: Vec<String>,
+    cols: Vec<Field>,
     rows: u64,
     bytes: u64,
 }
 
 impl Head {
-    fn scan(g: &mut FlowGraph, name: &str, def: &TableDef) -> Head {
+    fn scan(g: &mut FlowGraph, name: &str, def: &TableDef) -> Result<Head, SqlError> {
+        let fields = def.schema.fields();
+        if let Some(f) = fields.iter().find(|f| f.name.starts_with("__")) {
+            let column = &f.name;
+            let text = format!("table {name:?}: column {column:?} uses the reserved \"__\" prefix");
+            return Err(SqlError::Plan(text));
+        }
         let at = g.add_source(name, def.rows, def.bytes);
         g.set_exec(
             at,
@@ -76,21 +99,20 @@ impl Head {
                 table: name.to_string(),
             },
         );
-        Head {
+        Ok(Head {
             at,
-            cols: def.columns.clone(),
+            cols: fields.to_vec(),
             rows: def.rows,
             bytes: def.bytes,
-        }
+        })
     }
 
-    /// A name read at this point must be one of the visible columns.
-    fn resolve(&self, name: &str) -> Result<(), SqlError> {
-        if self.cols.iter().any(|c| c == name) {
-            Ok(())
-        } else {
-            Err(SqlError::Plan(format!("unknown column {name:?}")))
-        }
+    /// The visible column a name read at this point resolves to.
+    fn resolve(&self, name: &str) -> Result<&Field, SqlError> {
+        self.cols
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| SqlError::Plan(format!("unknown column {name:?}")))
     }
 
     /// Appends a single-input operator on a plain data edge, sized by the
@@ -107,16 +129,18 @@ impl Head {
         self.bytes = ((self.bytes as f64) * bytes).max(1.0) as u64;
     }
 
-    fn project(&mut self, g: &mut FlowGraph, columns: Vec<String>) -> Result<(), SqlError> {
+    fn project(&mut self, g: &mut FlowGraph, columns: Vec<Field>) -> Result<(), SqlError> {
         self.scale(1.0, columns.len() as f64 / self.cols.len().max(1) as f64);
-        self.cols.clone_from(&columns);
-        self.push(g, ExecOp::Project { columns })
+        let names = columns.iter().map(|c| c.name.clone()).collect();
+        self.cols = columns;
+        self.push(g, ExecOp::Project { columns: names })
     }
 
     /// Column pruning: projects down to the columns `keep` accepts, if
     /// that drops any.
     fn prune(&mut self, g: &mut FlowGraph, keep: impl Fn(&str) -> bool) -> Result<(), SqlError> {
-        let kept: Vec<String> = self.cols.iter().filter(|c| keep(c)).cloned().collect();
+        let mut kept = self.cols.clone();
+        kept.retain(|c| keep(&c.name));
         if kept.len() == self.cols.len() {
             return Ok(());
         }
@@ -124,6 +148,9 @@ impl Head {
     }
 
     fn filter(&mut self, g: &mut FlowGraph, conjuncts: &[&Comparison]) -> Result<(), SqlError> {
+        for c in conjuncts {
+            compared_value(c, self.resolve(&c.column)?.data_type)?;
+        }
         if conjuncts.is_empty() {
             return Ok(());
         }
@@ -150,12 +177,14 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
             .get(name)
             .ok_or_else(|| SqlError::Plan(format!("unknown table {name:?}")))
     };
-    let base = table(&q.from)?;
+    let mut head = Head::scan(g, &q.from, table(&q.from)?)?;
 
     // Predicate pushdown: conjuncts that only touch the base table apply
     // before joins; the rest after.
-    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) =
-        q.filter.iter().partition(|c| base.has_column(&c.column));
+    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) = q
+        .filter
+        .iter()
+        .partition(|c| head.resolve(&c.column).is_ok());
 
     // What each stretch of the plan still reads, from the top down: the
     // output stage, then the residual predicate, then each join's left key.
@@ -171,14 +200,14 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     };
     // `above[i]`: the names read above the left input of join `i`, and
     // past the last join, above its output.
-    let mut above = vec![reads_also(&top, residual.iter().map(|c| c.column.as_str()))];
+    let mut here = reads_also(&top, residual.iter().map(|c| c.column.as_str()));
+    let mut above = vec![here.clone()];
     for j in q.joins.iter().rev() {
-        let below = reads_also(above.last().expect("seeded"), [j.left_key.as_str()]);
-        above.push(below);
+        here = reads_also(&here, [j.left_key.as_str()]);
+        above.push(here.clone());
     }
     above.reverse();
 
-    let mut head = Head::scan(g, &q.from, base);
     head.prune(g, |c| {
         reads(&above[0], c) || pushed.iter().any(|p| p.column == c)
     })?;
@@ -190,14 +219,14 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     // apart.
     for (j, above) in q.joins.iter().zip(&above[1..]) {
         let right_def = table(&j.table)?;
-        let mut right = Head::scan(g, &j.table, right_def);
-        head.resolve(&j.left_key)?;
-        right.resolve(&j.right_key)?;
+        let mut right = Head::scan(g, &j.table, right_def)?;
+        let left_type = head.resolve(&j.left_key)?.data_type;
+        JoinKeyRule::of(left_type, right.resolve(&j.right_key)?.data_type)?;
         // The join emits neither the right key nor a right column whose
         // name the left side has; of those only the key is read at all.
-        let emitted = |c: &str| c != j.right_key && !head.cols.iter().any(|l| l == c);
+        let emitted = |c: &str| c != j.right_key && !head.cols.iter().any(|l| l.name == c);
         right.prune(g, |c| c == j.right_key || (emitted(c) && reads(above, c)))?;
-        right.cols.retain(|c| emitted(c));
+        right.cols.retain(|c| emitted(&c.name));
 
         head.rows = head.rows.max(right.rows);
         head.bytes += right.bytes / 4;
@@ -218,25 +247,24 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     }
 
     // Residual predicate after joins.
-    for c in &residual {
-        head.resolve(&c.column)?;
-    }
     head.filter(g, &residual)?;
     head.prune(g, |c| reads(&top, c))?;
 
     // Aggregation (keyed on the first GROUP BY column) or projection.
     if q.is_aggregate() {
+        let mut cols = Vec::with_capacity(q.group_by.len() + aggs.len());
         for k in &q.group_by {
-            head.resolve(k)?;
+            cols.push(head.resolve(k)?.clone());
         }
-        for column in aggs.iter().filter_map(AggItem::input) {
-            head.resolve(column)?;
+        for a in &aggs {
+            let input = a.input().map(|c| head.resolve(c)).transpose()?;
+            let output = aggregate_type(a, input.map(|f| f.data_type))?;
+            cols.push(Field::new(a.name.clone(), output, true));
         }
         let rows_in = head.rows;
         head.scale(AGG_REDUCTION, AGG_REDUCTION);
         head.bytes = head.bytes.max(64);
-        head.cols = q.group_by.clone();
-        head.cols.extend(aggs.iter().map(|a| a.name.clone()));
+        head.cols = cols;
         let agg = g.add_exec(
             ExecOp::Aggregate {
                 group_by: q.group_by.clone(),
@@ -251,11 +279,10 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         }
         head.at = agg;
     } else if top.is_some() {
-        for name in &select {
-            head.resolve(name)?;
-        }
-        if head.cols != select {
-            head.project(g, select.iter().map(|c| c.to_string()).collect())?;
+        let selected = select.iter().map(|name| head.resolve(name).cloned());
+        let selected: Vec<Field> = selected.collect::<Result<_, _>>()?;
+        if head.cols != selected {
+            head.project(g, selected)?;
         }
     }
 
@@ -462,7 +489,14 @@ mod tests {
 
     #[test]
     fn a_right_column_the_left_side_shadows_is_not_scanned() {
-        let c = Catalog::demo().table("clicks", TableDef::new(&["uid", "kind", "age"], 100, 1000));
+        use skadi_arrow::datatype::DataType;
+        use skadi_arrow::schema::Schema;
+        let clicks = Schema::new(vec![
+            Field::new("uid", DataType::Int64, true),
+            Field::new("kind", DataType::Utf8, true),
+            Field::new("age", DataType::Int64, true),
+        ]);
+        let c = Catalog::demo().table("clicks", TableDef::new(clicks, 100, 1000));
         // `kind` resolves to events.kind, so clicks ships its key and `age`.
         let (g, _) = plan_sql(
             "SELECT kind, age FROM events JOIN clicks ON user_id = uid",

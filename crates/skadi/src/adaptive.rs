@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, HashMap};
 use skadi_arrow::batch::RecordBatch;
 use skadi_flowgraph::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
 use skadi_flowgraph::lower::LowerConfig;
-use skadi_flowgraph::ExecOp;
 use skadi_frontends::shard::{self, Part};
 
 /// One re-planning decision the pilot made: a keyed consumer re-sharded
@@ -139,8 +138,7 @@ pub fn plan(
         let Some(batch) = outputs.get(&e.from) else {
             continue;
         };
-        let coerce = to.exec.as_ref().is_some_and(ExecOp::starts_with_join);
-        let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize, coerce) else {
+        let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize) else {
             continue;
         };
         let non_empty = buckets

@@ -223,11 +223,7 @@ pub struct GraphExecutor {
 #[derive(PartialEq, Eq)]
 enum Split {
     /// Hash partitions on a key column (shuffle edges).
-    ByKey {
-        key: String,
-        parts: usize,
-        coerce: bool,
-    },
+    ByKey { key: String, parts: usize },
     /// Contiguous even ranges (scatter edges).
     Even { parts: usize },
 }
@@ -260,9 +256,9 @@ impl Output {
             Some(at) => at,
             None => {
                 let parts = match &split {
-                    Split::ByKey { key, parts, coerce } => {
+                    Split::ByKey { key, parts } => {
                         self.stats.borrow_mut().partition_passes += 1;
-                        let lists = shard::partition_by_key(&self.batch, key, *parts, *coerce)?;
+                        let lists = shard::partition_by_key(&self.batch, key, *parts)?;
                         let part = |rows| Part::selection(self.batch.clone(), Arc::new(rows));
                         lists.into_iter().map(part).collect()
                     }
@@ -411,7 +407,6 @@ impl GraphExecutor {
                     let split = Split::ByKey {
                         key: key.clone(),
                         parts: v.shards as usize,
-                        coerce: op.starts_with_join(),
                     };
                     let mine = output
                         .share(split, v.shard)

@@ -402,12 +402,10 @@ impl Server {
             self.session
                 .sql_distributed(&self.db, statement)
                 .map(|run| run.batch)
-                .map_err(|e| {
-                    let ecode = match &e {
-                        SkadiError::Sql(_) => code::SQL,
-                        _ => code::EXEC,
-                    };
-                    (ecode, e.to_string())
+                .map_err(|e| match e {
+                    // The statement's own fault, in the local engine's words.
+                    SkadiError::Sql(e) => (code::SQL, e.to_string()),
+                    e => (code::EXEC, e.to_string()),
                 })
         } else {
             // The local engine's grammar has no EXPLAIN prefix; strip it

@@ -259,21 +259,6 @@ impl Session {
         statement: &str,
         failures: &FailurePlan,
     ) -> Result<DistributedRun, SkadiError> {
-        // The data plane threads hidden "__"-prefixed bookkeeping columns
-        // through every shard; user tables must not collide with them.
-        for (name, batch) in db.tables() {
-            if let Some(f) = batch
-                .schema()
-                .fields()
-                .iter()
-                .find(|f| f.name.starts_with("__"))
-            {
-                return Err(SkadiError::Sql(sql::SqlError::Plan(format!(
-                    "table {name:?}: column {:?} uses the reserved \"__\" prefix",
-                    f.name
-                ))));
-            }
-        }
         // `EXPLAIN ANALYZE <query>` runs the query itself; the prefix
         // only marks that the caller wants the profile rendered.
         let statement = sql::strip_explain_analyze(statement).unwrap_or(statement);

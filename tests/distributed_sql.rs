@@ -622,18 +622,39 @@ fn task_output_sizes_are_measured_not_estimated() {
     }
 }
 
+/// A scanned table with a `"__"` column collides with the data plane's
+/// hidden columns: both engines refuse it, with one planning text. A
+/// statement that scans only other tables runs.
 #[test]
 fn reserved_columns_are_rejected() {
-    let bad = MemDb::new().register(
-        "t",
+    let one = |name: &str| {
         RecordBatch::try_new(
-            Schema::new(vec![Field::new("__rid", DataType::Int64, false)]),
+            Schema::new(vec![Field::new(name, DataType::Int64, false)]),
             vec![Array::from_i64(vec![1])],
         )
-        .unwrap(),
+        .unwrap()
+    };
+    let bad = MemDb::new()
+        .register("t", one("__rid"))
+        .register("u", one("k"));
+    let text = "table \"t\": column \"__rid\" uses the reserved \"__\" prefix";
+    for sql in ["SELECT __rid FROM t", "SELECT k FROM u JOIN t ON k = __rid"] {
+        let want = skadi::frontends::sql::SqlError::Plan(text.into());
+        assert_eq!(bad.query(sql).unwrap_err(), want, "{sql}");
+        match session_with(2).sql_distributed(&bad, sql) {
+            Err(SkadiError::Sql(e)) => assert_eq!(e, want, "{sql}"),
+            other => panic!("{sql}: reserved column names must be rejected, got {other:?}"),
+        }
+    }
+    let run = session_with(2)
+        .sql_distributed(&bad, "SELECT k FROM u")
+        .unwrap();
+    assert_identical(
+        &bad,
+        "SELECT k FROM u",
+        &run,
+        "a table beside a reserved one",
     );
-    let err = session_with(2).sql_distributed(&bad, "SELECT __rid FROM t");
-    assert!(err.is_err(), "reserved column names must be rejected");
 }
 
 /// Pins the shuffle/exec hash contract across crates: the flowgraph
@@ -649,8 +670,9 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
     use skadi::frontends::shard::partition_by_key;
 
     // One column per type, with nulls; the raw-byte key encodings the
-    // partitioner hashes (i64/f64-bits little-endian, bool byte, UTF-8
-    // bytes, 0xFF null marker) must reproduce the column hashes.
+    // partitioner hashes (i64/f64-bits little-endian, a whole float as its
+    // i64, bool byte, UTF-8 bytes, 0xFF null marker) must reproduce the
+    // column hashes.
     let cases: Vec<(Array, Vec<Option<Vec<u8>>>)> = vec![
         (
             Array::from_opt_i64(vec![Some(7), None, Some(-3), Some(i64::MAX)]),
@@ -662,11 +684,12 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
             ],
         ),
         (
-            Array::from_opt_f64(vec![Some(1.5), None, Some(-0.0)]),
+            Array::from_opt_f64(vec![Some(1.5), None, Some(-0.0), Some(3.0)]),
             vec![
                 Some(1.5f64.to_bits().to_le_bytes().to_vec()),
                 None,
                 Some((-0.0f64).to_bits().to_le_bytes().to_vec()),
+                Some(3i64.to_le_bytes().to_vec()),
             ],
         ),
         (
@@ -682,7 +705,7 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
 
     for parts in [1u32, 2, 4, 8] {
         for (col, keys) in &cases {
-            let hashes = hash_key_column(col, false);
+            let hashes = hash_key_column(col);
             for (row, key) in keys.iter().enumerate() {
                 let bytes = match key {
                     Some(b) => b.clone(),
@@ -710,7 +733,7 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
     )
     .unwrap();
     let parts = 4usize;
-    let shards = partition_by_key(&batch, "k", parts, false).unwrap();
+    let shards = partition_by_key(&batch, "k", parts).unwrap();
     let keys: Vec<Vec<u8>> = vec![
         10i64.to_le_bytes().to_vec(),
         20i64.to_le_bytes().to_vec(),

@@ -347,7 +347,7 @@ const GOLDEN_JOIN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=4, skew>2x median)
 #4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=107
   #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=430 ht[slots=64 collisions=0] groups=4
-    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=1.5 max=10] rows_out[min=0 med=0.5 max=7] bytes=421 ht[slots=64 collisions=0] [SKEW]
+    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=3.0 max=7] rows_out[min=0 med=2.0 max=4] bytes=421 ht[slots=64 collisions=0] [SKEW]
       #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=372
       #1 custs shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=1.0 max=2] bytes=341
 ";

@@ -1,0 +1,192 @@
+//! The planner's three type rules, as a table: every literal kind against
+//! every comparison operator, every aggregate function and every pair of
+//! join keys, over one small table per column type (nulls in each).
+//!
+//! A statement the rules accept answers the same from [`MemDb::query`] and
+//! from [`Session::sql_distributed`] at parallelism 1 and 4 — the same IPC
+//! frame. A statement they refuse fails on both engines with one
+//! `SqlError::Plan` text, before any task runs. The expectation is written
+//! here from the rules themselves, not read from the code under test.
+
+use skadi::arrow::array::Array;
+use skadi::arrow::batch::RecordBatch;
+use skadi::arrow::datatype::DataType;
+use skadi::arrow::ipc;
+use skadi::arrow::schema::{Field, Schema};
+use skadi::frontends::exec::MemDb;
+use skadi::frontends::sql::SqlError;
+use skadi::prelude::*;
+
+/// One table per column type, named by it: `x` holds the typed values
+/// (nulls included), `g` a small Int64 group key.
+fn typed_db() -> MemDb {
+    let strs = [Some("a"), None, Some("b"), Some("a"), Some(""), Some("c")];
+    let columns = [
+        (
+            "int64",
+            Array::from_opt_i64(vec![Some(1), None, Some(2), Some(1), Some(-3), Some(0)]),
+        ),
+        (
+            "float64",
+            Array::from_opt_f64(vec![
+                Some(1.0),
+                Some(2.5),
+                None,
+                Some(-0.0),
+                Some(2.0),
+                Some(f64::NAN),
+            ]),
+        ),
+        ("utf8", Array::from_opt_utf8(strs.to_vec())),
+        ("dict", Array::from_opt_dict_utf8(strs.to_vec())),
+        (
+            "bool",
+            Array::from_opt_bool(vec![
+                Some(true),
+                None,
+                Some(false),
+                Some(true),
+                Some(false),
+                None,
+            ]),
+        ),
+    ];
+    let mut db = MemDb::new();
+    for (name, x) in columns {
+        let batch = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("x", x.data_type(), true),
+                Field::new("g", DataType::Int64, false),
+            ]),
+            vec![x, Array::from_i64(vec![0, 1, 0, 1, 2, 2])],
+        )
+        .unwrap();
+        db = db.register(name, batch);
+    }
+    db
+}
+
+const TABLES: [(&str, DataType); 5] = [
+    ("int64", DataType::Int64),
+    ("float64", DataType::Float64),
+    ("utf8", DataType::Utf8),
+    ("dict", DataType::DictUtf8),
+    ("bool", DataType::Bool),
+];
+
+fn numeric(t: DataType) -> bool {
+    matches!(t, DataType::Int64 | DataType::Float64)
+}
+
+fn textual(t: DataType) -> bool {
+    matches!(t, DataType::Utf8 | DataType::DictUtf8)
+}
+
+/// Every statement of the table, with whether the rules accept it.
+fn statements() -> Vec<(String, bool)> {
+    let mut out = Vec::new();
+    // A comparison's literal fits its column: numbers take an integer or
+    // a float, strings take a string, and nothing fits a Bool.
+    let literals = [("1", false), ("2.5", false), ("'a'", true)];
+    for (table, t) in TABLES {
+        for (lit, is_str) in literals {
+            for op in ["=", "!=", "<", "<=", ">", ">="] {
+                let fits = if is_str { textual(t) } else { numeric(t) };
+                out.push((format!("SELECT * FROM {table} WHERE x {op} {lit}"), fits));
+            }
+        }
+    }
+    // `count` takes any column; the others take Int64 or Float64.
+    for (table, t) in TABLES {
+        for f in ["count", "sum", "min", "max", "avg"] {
+            let fits = f == "count" || numeric(t);
+            out.push((format!("SELECT {f}(x) AS a FROM {table}"), fits));
+            out.push((
+                format!("SELECT g, {f}(x) AS a FROM {table} GROUP BY g"),
+                fits,
+            ));
+        }
+    }
+    // Join keys share a logical type, or are Int64 against Float64.
+    for (left, l) in TABLES {
+        for (right, r) in TABLES {
+            let fits = (numeric(l) && numeric(r)) || (textual(l) && textual(r)) || l == r;
+            out.push((format!("SELECT * FROM {left} JOIN {right} ON x = x"), fits));
+        }
+    }
+    out
+}
+
+fn session(parallelism: u32) -> Session {
+    Session::builder()
+        .topology(presets::small_disagg_cluster())
+        .parallelism(parallelism)
+        .build()
+}
+
+#[test]
+fn type_rules_agree_on_every_engine() {
+    let db = typed_db();
+    let sessions = [session(1), session(4)];
+    let (mut accepted, mut rejected) = (0, 0);
+    for (sql, fits) in statements() {
+        match db.query(&sql) {
+            Ok(want) => {
+                assert!(fits, "{sql}: accepted, but the rules refuse it");
+                let want = ipc::encode(&want);
+                for s in &sessions {
+                    let run = s
+                        .sql_distributed(&db, &sql)
+                        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                    assert_eq!(ipc::encode(&run.batch).as_slice(), want.as_slice(), "{sql}");
+                }
+                accepted += 1;
+            }
+            Err(SqlError::Plan(text)) => {
+                assert!(!fits, "{sql}: refused, but the rules accept it: {text}");
+                for s in &sessions {
+                    match s.sql_distributed(&db, &sql) {
+                        Err(SkadiError::Sql(SqlError::Plan(got))) => assert_eq!(got, text, "{sql}"),
+                        other => panic!("{sql}: want the planning error {text:?}, got {other:?}"),
+                    }
+                }
+                rejected += 1;
+            }
+            Err(e) => panic!("{sql}: not a planning error: {e:?}"),
+        }
+    }
+    // Comparisons 36 + 54, aggregates 26 + 24, joins 9 + 16.
+    assert_eq!((accepted, rejected), (71, 94));
+}
+
+/// The texts name what is wrong: the column and its type, the aggregate
+/// and its argument, the two key types.
+#[test]
+fn type_errors_say_what_does_not_fit() {
+    let db = typed_db();
+    for (sql, text) in [
+        (
+            "SELECT * FROM utf8 WHERE x > 5",
+            "cannot compare utf8 column \"x\" with an integer literal",
+        ),
+        (
+            "SELECT * FROM float64 WHERE x = 'x'",
+            "cannot compare float64 column \"x\" with a string literal",
+        ),
+        (
+            "SELECT * FROM bool WHERE x = 1",
+            "cannot compare bool column \"x\" with an integer literal",
+        ),
+        (
+            "SELECT min(x) AS lo FROM dict",
+            "min(x) takes an int64 or float64 column, not dict<utf8>",
+        ),
+        (
+            "SELECT * FROM utf8 JOIN int64 ON x = x",
+            "cannot join utf8 keys with int64 keys",
+        ),
+    ] {
+        let want = SqlError::Plan(text.to_string());
+        assert_eq!(db.query(sql).unwrap_err(), want, "{sql}");
+    }
+}

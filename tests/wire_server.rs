@@ -245,30 +245,52 @@ fn sql_errors_become_exceptions_with_readable_messages() {
     assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
 }
 
-/// A name that resolves nowhere is the statement's fault on either engine:
-/// the distributed planner refuses it with `code::SQL` before a task
-/// exists (it used to launch the job and relay a shard's "internal runtime
-/// error" as `code::EXEC`), and the session answers the next query. An
-/// aggregate function nobody knows is the parser's to refuse, in any
-/// letter case.
+/// A name that resolves nowhere, or an operator that does not fit its
+/// column's type, is the statement's fault on either engine: the planner
+/// refuses it with `code::SQL` before a task exists (the distributed engine
+/// used to launch the job and relay a shard's "internal runtime error" as
+/// `code::EXEC`), both engines send the same text, and the session answers
+/// the next query. An aggregate function nobody knows is the parser's to
+/// refuse, in any letter case.
 #[test]
 fn unknown_columns_are_sql_errors_before_any_task_runs() {
     let bad = [
-        "SELECT nope FROM events",
-        "SELECT user_id FROM events ORDER BY nope",
-        "SELECT count(*) AS n FROM events GROUP BY nope",
-        "SELECT sum(nope) AS s FROM events",
-        "SELECT name FROM events JOIN people ON nope = user_id",
-        "SELECT nope(user_id) AS n FROM events GROUP BY user_id",
-        "SELECT NOPE(*) FROM events",
+        ("SELECT nope FROM events", "\"nope\""),
+        ("SELECT user_id FROM events ORDER BY nope", "\"nope\""),
+        ("SELECT count(*) AS n FROM events GROUP BY nope", "\"nope\""),
+        ("SELECT sum(nope) AS s FROM events", "\"nope\""),
+        (
+            "SELECT name FROM events JOIN people ON nope = user_id",
+            "\"nope\"",
+        ),
+        (
+            "SELECT nope(user_id) AS n FROM events GROUP BY user_id",
+            "\"nope\"",
+        ),
+        ("SELECT NOPE(*) FROM events", "\"nope\""),
+        (
+            "SELECT user_id FROM events WHERE kind > 5",
+            "utf8 column \"kind\"",
+        ),
+        (
+            "SELECT user_id FROM events WHERE value = 'x'",
+            "float64 column \"value\"",
+        ),
+        ("SELECT sum(kind) AS s FROM events", "sum(kind)"),
+        ("SELECT min(name) AS m FROM people", "min(name)"),
+        (
+            "SELECT name FROM events JOIN people ON kind = user_id",
+            "utf8 keys with int64 keys",
+        ),
     ];
     let db = shared_db(50);
-    for q in bad {
+    for (q, needle) in bad {
         match test_session(4).sql_distributed(&db, q) {
-            Err(SkadiError::Sql(e)) => assert!(e.to_string().contains("\"nope\""), "{q}: {e}"),
+            Err(SkadiError::Sql(e)) => assert!(e.to_string().contains(needle), "{q}: {e}"),
             other => panic!("{q}: expected a planning error, got {other:?}"),
         }
     }
+    let mut messages: Vec<Vec<String>> = Vec::new();
     for distributed in [false, true] {
         let server = Server::new(
             test_session(4),
@@ -280,21 +302,28 @@ fn unknown_columns_are_sql_errors_before_any_task_runs() {
         );
         let (stream, server_thread) = server.connect();
         let mut client = Client::connect(stream, "typo").unwrap();
-        for q in bad {
+        let mut texts = Vec::new();
+        for (q, needle) in bad {
             match client.query(q) {
                 Err(WireError::Server { code: c, message }) => {
                     assert_eq!(c, code::SQL, "{q} (distributed: {distributed}): {message}");
-                    assert!(message.contains("nope"), "{q}: {message}");
+                    assert!(message.contains(needle), "{q}: {message}");
                     assert!(!message.contains("task"), "{q} reached a task: {message}");
+                    texts.push(message);
                 }
                 other => panic!("{q}: expected server exception, got {other:?}"),
             }
             let ok = client.query("SELECT name FROM people WHERE name = 'Ada'");
             assert_eq!(ok.expect("session still usable").batch.num_rows(), 1);
         }
+        messages.push(texts);
         drop(client);
         assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
     }
+    assert_eq!(
+        messages[0], messages[1],
+        "local and distributed texts differ"
+    );
 }
 
 /// `sum` over `Int64` that leaves the `i64` range ends the query with the
