@@ -95,9 +95,6 @@ pub enum Category {
     Autoscale,
     /// Control-plane failover: scheduler election + state reconstruction.
     Election,
-    /// Local SQL execution operator (real wall-clock compute, mapped onto
-    /// the virtual timeline so it can sit side-by-side with priced spans).
-    Exec,
 }
 
 impl Category {
@@ -121,7 +118,6 @@ impl Category {
             Category::Placement => "placement",
             Category::Autoscale => "autoscale",
             Category::Election => "election",
-            Category::Exec => "exec",
         }
     }
 }
@@ -327,11 +323,6 @@ impl Trace {
     /// Number of spans in a category.
     pub fn count_category(&self, category: Category) -> usize {
         self.spans.iter().filter(|s| s.category == category).count()
-    }
-
-    /// Spans attributed to one component, in canonical order.
-    pub fn for_component<'a>(&'a self, component: &'a str) -> impl Iterator<Item = &'a Span> {
-        self.spans.iter().filter(move |s| s.component == component)
     }
 
     /// Checks the well-formedness contract (see module docs). Returns a

@@ -98,12 +98,6 @@ impl Histogram {
         Self::percentile_of_sorted(&self.sorted.borrow(), q)
     }
 
-    /// Alias of [`Histogram::percentile`], kept for callers from before
-    /// percentiles took `&self`.
-    pub fn percentile_ref(&self, q: f64) -> SimDuration {
-        self.percentile(q)
-    }
-
     /// Exact quantile (`q` in `[0, 1]`) by nearest-rank, or zero if
     /// empty.
     pub fn quantile(&self, q: f64) -> SimDuration {
@@ -345,11 +339,6 @@ impl Metrics {
         self.histograms.keys().map(String::as_str).collect()
     }
 
-    /// All gauge names, sorted.
-    pub fn gauge_names(&self) -> Vec<&str> {
-        self.gauges.keys().map(String::as_str).collect()
-    }
-
     /// Merges another sink into this one (counters add, samples append,
     /// gauge buckets combine).
     pub fn merge(&mut self, other: &Metrics) {
@@ -571,8 +560,8 @@ impl fmt::Display for Metrics {
                 "{k}: n={} mean={} p50={} p99={} max={}",
                 h.count(),
                 h.mean(),
-                h.percentile_ref(50.0),
-                h.percentile_ref(99.0),
+                h.percentile(50.0),
+                h.percentile(99.0),
                 h.max()
             )?;
         }

@@ -6,6 +6,11 @@
 //! [`ShardStats`] per operator per shard; those group into [`OpProfile`]s
 //! and finally a [`QueryProfile`] attached to the query result.
 //!
+//! [`ShardStats`] is the one record of what an operator shard measured:
+//! the join and group-by kernels count into it directly. It holds wall
+//! time and never simulated time, which is the simulator's trace's
+//! (`skadi_dcsim::span::Trace`); no trace span holds wall time.
+//!
 //! Determinism contract: everything except `wall_nanos` is a pure
 //! function of the plan and the data, so [`QueryProfile::to_json`] and
 //! the deterministic render mode (`render(false)`) omit wall time and are
@@ -43,6 +48,11 @@ pub struct ShardStats {
     /// Hash-table capacity-growth events. The kernels preallocate from
     /// exact row counts, so any non-zero value flags a sizing bug.
     pub rehashes: u64,
+    /// Joins that built their hash table on the nominal probe side
+    /// because adaptive execution saw the build input was the larger one.
+    /// Read through `DataPlaneStats::build_swaps`; neither the JSON
+    /// artifact nor the rendered tree shows it.
+    pub build_swaps: u64,
 }
 
 /// Min / median / max over a set of per-shard values. The median of an

@@ -13,10 +13,10 @@
 //! boolean mask ([`compute::and`]) applied once; joins and group-bys key
 //! on FNV-1a hashes of the raw column bytes with a typed equality check
 //! on collision — no per-row `String` rendering anywhere on the join or
-//! group-by key path. Each relational operator also records a
-//! wall-clock [`Category::Exec`] span (named by its [`Op`], as the
-//! planner's vertices are) so a traced query correlates real compute with
-//! the simulated plan.
+//! group-by key path. Every execution also records its operator chain —
+//! one [`ShardStats`] per relational operator, named by its [`Op`] as the
+//! planner's vertices are — which [`MemDb::query_profiled`] returns as a
+//! [`QueryProfile`] and [`MemDb::query`] drops.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,8 +28,6 @@ use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::each_variant;
 use skadi_arrow::schema::{Field, Schema};
-use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
-use skadi_dcsim::time::SimTime;
 use skadi_flowgraph::profile::{QueryProfile, ShardStats, SKEW_MULTIPLE};
 use skadi_flowgraph::FlowGraph;
 use skadi_ir::Op;
@@ -77,18 +75,6 @@ impl MemDb {
         execute(&q, self)
     }
 
-    /// Like [`MemDb::query`], but also returns a [`Trace`] with one
-    /// wall-clock span per relational operator (scan/filter/join/
-    /// aggregate/project/sort/limit). Span times are real elapsed
-    /// nanoseconds mapped onto the virtual timeline, so callers can set
-    /// measured compute beside simulated pricing.
-    pub fn query_traced(&self, sql: &str) -> Result<(RecordBatch, Trace), SqlError> {
-        let q = parse(&tokenize(sql)?)?;
-        let mut tracer = Tracer::new(true);
-        let out = execute_traced(&q, self, &mut tracer)?;
-        Ok((out, tracer.finish()))
-    }
-
     /// Like [`MemDb::query`], but also returns a per-operator
     /// [`QueryProfile`] (single-shard chain: scan → filter → join → … in
     /// execution order). Accepts the query with or without an
@@ -98,9 +84,9 @@ impl MemDb {
     pub fn query_profiled(&self, sql: &str) -> Result<(RecordBatch, QueryProfile), SqlError> {
         let body = crate::sql::strip_explain_analyze(sql).unwrap_or(sql);
         let q = parse(&tokenize(body)?)?;
-        let mut spans = ExecSpans::profiled();
-        let out = execute_inner(&q, self, &mut spans)?;
-        let chain = spans.profile.take().unwrap_or_default();
+        let (out, chain) = run(&q, self)?;
+        let chain = chain.0.into_iter();
+        let chain = chain.map(|(op, s)| (op.name().to_string(), s)).collect();
         Ok((out, QueryProfile::from_chain(body, SKEW_MULTIPLE, chain)))
     }
 
@@ -129,122 +115,39 @@ pub(crate) fn wrap(e: skadi_arrow::error::ArrowError) -> SqlError {
     SqlError::Plan(format!("execution: {e}"))
 }
 
-/// Hash-table measurements from one join or group-by kernel invocation.
-/// Zero-valued fields mean "not applicable" (e.g. a filter has no hash
-/// table); the profile JSON omits them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Hash-table capacity in slots (join build table or group table).
-    pub hash_slots: u64,
-    /// Probe steps that visited an occupied slot without matching: chain
-    /// walks for the join's bucket chains, linear-probe steps for the
-    /// group table. A well-sized table keeps this near zero.
-    pub hash_collisions: u64,
-    /// Distinct groups produced (group-by only).
-    pub groups: u64,
-    /// Hash-table growth events: how many times a join or group table had
-    /// to double capacity and reinsert. The kernels size tables from exact
-    /// row-count hints, so this stays 0 on every planned path; a non-zero
-    /// value flags a sizing bug.
-    pub rehashes: u64,
-}
+/// What one local execution measured: a [`ShardStats`] per relational
+/// operator, in execution order.
+struct Chain(Vec<(Op, ShardStats)>);
 
-impl KernelStats {
-    /// Accumulates another kernel's counters into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.hash_slots += other.hash_slots;
-        self.hash_collisions += other.hash_collisions;
-        self.groups += other.groups;
-        self.rehashes += other.rehashes;
-    }
-}
-
-/// Per-operator wall-clock span recorder. Disabled (`inner: None`) it
-/// costs one `Instant` read per operator and records nothing. With
-/// `profile` set it additionally accumulates a [`ShardStats`] chain for
-/// [`QueryProfile::from_chain`].
-struct ExecSpans<'a> {
-    inner: Option<(&'a mut Tracer, SpanId)>,
-    profile: Option<Vec<(String, ShardStats)>>,
-    clock: Instant,
-}
-
-impl ExecSpans<'_> {
-    fn disabled() -> ExecSpans<'static> {
-        ExecSpans {
-            inner: None,
-            profile: None,
-            clock: Instant::now(),
-        }
-    }
-
-    fn profiled() -> ExecSpans<'static> {
-        ExecSpans {
-            inner: None,
-            profile: Some(Vec::new()),
-            clock: Instant::now(),
-        }
-    }
-
-    /// Elapsed wall-clock since the query started, as a virtual time.
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64)
-    }
-
-    /// Records one completed operator span under the root query span,
-    /// with profile detail: measured output bytes, filter selectivity,
-    /// and hash-table counters.
-    #[allow(clippy::too_many_arguments)]
-    fn op_ext(
+impl Chain {
+    /// Records an operator that started at `start`, read `rows_in` rows
+    /// and handed on `out`. `stats` holds what its kernel counted; a
+    /// filter's selectivity is filled in here.
+    fn record(
         &mut self,
         op: Op,
-        start: SimTime,
+        start: Instant,
         rows_in: usize,
-        rows_out: usize,
-        output_bytes: u64,
-        selectivity: Option<f64>,
-        kernel: KernelStats,
+        out: &RecordBatch,
+        stats: ShardStats,
     ) {
-        let end = SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64);
-        if let Some((tracer, root)) = &mut self.inner {
-            tracer.span(
-                op.name(),
-                "exec",
-                Category::Exec,
-                Some(*root),
-                start,
-                end,
-                &[
-                    ("rows_in", &rows_in.to_string()),
-                    ("rows_out", &rows_out.to_string()),
-                ],
-            );
-        }
-        if let Some(chain) = &mut self.profile {
-            chain.push((
-                op.name().to_string(),
-                ShardStats {
-                    shard: 0,
-                    rows_in: rows_in as u64,
-                    rows_out: rows_out as u64,
-                    output_bytes,
-                    wall_nanos: end.as_nanos().saturating_sub(start.as_nanos()),
-                    selectivity,
-                    hash_slots: kernel.hash_slots,
-                    hash_collisions: kernel.hash_collisions,
-                    groups: kernel.groups,
-                    rehashes: kernel.rehashes,
-                },
-            ));
-        }
-    }
-
-    fn close_root(&mut self, rows_out: usize) {
-        if let Some((tracer, root)) = &mut self.inner {
-            let end = SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64);
-            tracer.attr(*root, "rows_out", &rows_out.to_string());
-            tracer.close(*root, end);
-        }
+        let rows_out = out.num_rows();
+        let stats = ShardStats {
+            rows_in: rows_in as u64,
+            rows_out: rows_out as u64,
+            output_bytes: out.byte_size() as u64,
+            selectivity: (op == Op::Filter && rows_in > 0)
+                .then(|| rows_out as f64 / rows_in as f64),
+            ..stats
+        };
+        let wall_nanos = start.elapsed().as_nanos() as u64;
+        self.0.push((
+            op,
+            ShardStats {
+                wall_nanos,
+                ..stats
+            },
+        ));
     }
 }
 
@@ -364,7 +267,7 @@ pub fn hash_join(
     left_key: &str,
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
-    let mut stats = KernelStats::default();
+    let mut stats = ShardStats::default();
     let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, &mut stats)?;
     assemble_join(left, right, right_key, &left_rows, &right_rows)
 }
@@ -377,7 +280,7 @@ pub(crate) fn join_rows(
     right: &RecordBatch,
     left_key: &str,
     right_key: &str,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
     let lcol = left.column_by_name(left_key).map_err(wrap)?;
     let rcol = right.column_by_name(right_key).map_err(wrap)?;
@@ -422,14 +325,14 @@ fn group_key_eq(batch: &RecordBatch, cols: &[usize], a: usize, b: usize) -> bool
 /// aggregate (no GROUP BY) always yields exactly one row; groups come out
 /// in rendered-key order.
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
-    aggregate_with_stats(q, input, &mut KernelStats::default())
+    aggregate_with_stats(q, input, &mut ShardStats::default())
 }
 
 /// [`aggregate`] with kernel counters accumulated into `stats`.
 pub(crate) fn aggregate_with_stats(
     q: &Query,
     input: &RecordBatch,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let aggs: Vec<AggItem> = q.aggregates().cloned().collect();
     aggregate_spec(&q.group_by, &aggs, input, stats)
@@ -445,7 +348,7 @@ pub(crate) fn aggregate_spec(
     group_by: &[String],
     aggs: &[AggItem],
     input: &RecordBatch,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let group_cols: Vec<usize> = group_by
         .iter()
@@ -496,45 +399,25 @@ pub(crate) fn order_limit(
 
 /// Executes a parsed query against the database.
 pub fn execute(q: &Query, db: &MemDb) -> Result<RecordBatch, SqlError> {
-    execute_inner(q, db, &mut ExecSpans::disabled())
+    run(q, db).map(|(out, _)| out)
 }
 
-/// Executes a parsed query, recording per-operator [`Category::Exec`]
-/// spans into `tracer` under a root `"query"` span.
-pub fn execute_traced(q: &Query, db: &MemDb, tracer: &mut Tracer) -> Result<RecordBatch, SqlError> {
-    let clock = Instant::now();
-    let root = tracer.open("query", "exec", Category::Exec, None, SimTime::ZERO);
-    let mut spans = ExecSpans {
-        inner: Some((tracer, root)),
-        profile: None,
-        clock,
-    };
-    let out = execute_inner(q, db, &mut spans)?;
-    spans.close_root(out.num_rows());
-    Ok(out)
-}
-
-/// Selectivity of a filter step: fraction of input rows that pass.
-fn selectivity(rows_in: usize, rows_out: usize) -> Option<f64> {
-    (rows_in > 0).then(|| rows_out as f64 / rows_in as f64)
-}
-
-fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordBatch, SqlError> {
+/// Executes a parsed query, measuring each operator into its [`Chain`]:
+/// the one execution path of [`MemDb::query`] and
+/// [`MemDb::query_profiled`].
+fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
     // The planner resolves and types every name the query reads, so an
     // ill-typed or misnamed statement fails here, with the text the
     // distributed engine gives, before any kernel runs.
     plan_query(q, &db.catalog(), &mut FlowGraph::new())?;
-    let t0 = spans.now();
+    // A scan, a filter either side of the joins, the joins, an aggregate
+    // or a projection, a sort and a limit: sized before the query runs,
+    // so recording allocates nothing per operator.
+    let mut chain = Chain(Vec::with_capacity(6 + q.joins.len()));
+    let t0 = Instant::now();
     let mut current = db.table(&q.from)?.clone();
-    spans.op_ext(
-        Op::Scan,
-        t0,
-        current.num_rows(),
-        current.num_rows(),
-        current.byte_size() as u64,
-        None,
-        KernelStats::default(),
-    );
+    let rows = current.num_rows();
+    chain.record(Op::Scan, t0, rows, &current, ShardStats::default());
 
     // Pushdown-equivalent: conjuncts on base-table columns apply before
     // joins; the rest after. Each side fuses into a single mask.
@@ -543,117 +426,57 @@ fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordB
         .iter()
         .partition(|c| current.schema().index_of(&c.column).is_ok());
     if !pushed.is_empty() {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
+        let (t0, rows_in) = (Instant::now(), current.num_rows());
         current = apply_conjuncts(&current, &pushed)?;
-        spans.op_ext(
-            Op::Filter,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            selectivity(rows_in, current.num_rows()),
-            KernelStats::default(),
-        );
+        chain.record(Op::Filter, t0, rows_in, &current, ShardStats::default());
     }
     for j in &q.joins {
         let right = db.table(&j.table)?;
-        let t0 = spans.now();
-        let rows_in = current.num_rows() + right.num_rows();
-        let mut ks = KernelStats::default();
-        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, &mut ks)?;
+        let (t0, rows_in) = (Instant::now(), current.num_rows() + right.num_rows());
+        let mut stats = ShardStats::default();
+        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, &mut stats)?;
         current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
-        spans.op_ext(
-            Op::Join,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            ks,
-        );
+        chain.record(Op::Join, t0, rows_in, &current, stats);
     }
     if !residual.is_empty() {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
+        let (t0, rows_in) = (Instant::now(), current.num_rows());
         current = apply_conjuncts(&current, &residual)?;
-        spans.op_ext(
-            Op::Filter,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            selectivity(rows_in, current.num_rows()),
-            KernelStats::default(),
-        );
+        chain.record(Op::Filter, t0, rows_in, &current, ShardStats::default());
     }
 
     if q.is_aggregate() {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
-        let mut ks = KernelStats::default();
-        current = aggregate_with_stats(q, &current, &mut ks)?;
-        spans.op_ext(
-            Op::Aggregate,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            ks,
-        );
+        let (t0, rows_in) = (Instant::now(), current.num_rows());
+        let mut stats = ShardStats::default();
+        current = aggregate_with_stats(q, &current, &mut stats)?;
+        chain.record(Op::Aggregate, t0, rows_in, &current, stats);
     } else {
         let cols = q.projected_columns();
         if !cols.is_empty() && !cols.contains(&"*") {
-            let t0 = spans.now();
+            let (t0, rows_in) = (Instant::now(), current.num_rows());
             current = current.project(&cols).map_err(wrap)?;
-            spans.op_ext(
-                Op::Project,
-                t0,
-                current.num_rows(),
-                current.num_rows(),
-                current.byte_size() as u64,
-                None,
-                KernelStats::default(),
-            );
+            chain.record(Op::Project, t0, rows_in, &current, ShardStats::default());
         }
     }
 
     let rows_in = current.num_rows();
     if let Some(ob) = &q.order_by {
-        let t0 = spans.now();
-        // The span reports the sorted relation: a permutation of this
+        let t0 = Instant::now();
+        // The sort reports the sorted relation: a permutation of this
         // one, so the same rows and bytes. Under a LIMIT only the rows the
         // limit keeps are sorted and gathered (the top-N kernel).
-        let bytes = current.byte_size() as u64;
-        current = order_limit(&current, Some(ob), q.limit)?;
-        spans.op_ext(
-            Op::Sort,
-            t0,
-            rows_in,
-            rows_in,
-            bytes,
-            None,
-            KernelStats::default(),
-        );
+        let sorted = order_limit(&current, Some(ob), q.limit)?;
+        chain.record(Op::Sort, t0, rows_in, &current, ShardStats::default());
+        current = sorted;
     }
     if let Some(n) = q.limit {
-        let t0 = spans.now();
+        let t0 = Instant::now();
         current = order_limit(&current, None, Some(n))?;
-        spans.op_ext(
-            Op::Limit,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            KernelStats::default(),
-        );
+        chain.record(Op::Limit, t0, rows_in, &current, ShardStats::default());
     }
     // Output boundary: results leave the engine as plain columns, so a
     // query over dictionary-encoded tables is byte-identical to one over
     // plain tables.
-    Ok(current.dict_decoded())
+    Ok((current.dict_decoded(), chain))
 }
 
 #[cfg(test)]
@@ -1029,21 +852,16 @@ mod tests {
     }
 
     #[test]
-    fn traced_query_emits_operator_spans() {
-        let (out, trace) = db()
-            .query_traced(
-                "SELECT country, sum(value) AS total FROM events \
-                 JOIN users ON user_id = user_id \
-                 WHERE kind = 'click' GROUP BY country ORDER BY country LIMIT 5",
-            )
-            .unwrap();
+    fn profiled_query_records_each_operator() {
+        let sql = "SELECT country, sum(value) AS total FROM events \
+                   JOIN users ON user_id = user_id \
+                   WHERE kind = 'click' GROUP BY country ORDER BY country LIMIT 5";
+        let (out, profile) = db().query_profiled(sql).unwrap();
         assert_eq!(out.num_rows(), 2);
-        trace.validate().unwrap();
-        let names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = profile.ops.iter().map(|o| o.op.as_str()).collect();
         assert_eq!(
             names,
             vec![
-                "query",
                 "rel.scan",
                 "rel.filter",
                 "rel.join",
@@ -1052,29 +870,21 @@ mod tests {
                 "rel.limit"
             ]
         );
-        assert_eq!(trace.count_category(Category::Exec), names.len());
-        // Operator spans nest under the root and carry row counts.
-        let root = trace.spans()[0].id;
-        for s in &trace.spans()[1..] {
-            assert_eq!(s.parent, Some(root));
-            assert!(s.attr("rows_in").is_some() && s.attr("rows_out").is_some());
-        }
-        let agg = trace
-            .spans()
+        // One shard per operator, each feeding the next, with the rows
+        // it read and handed on.
+        let rows: Vec<(u64, u64)> = profile
+            .ops
             .iter()
-            .find(|s| s.name == Op::Aggregate.name())
-            .unwrap();
-        assert_eq!(agg.attr("rows_out"), Some("2"));
-        // The untraced path computes the identical answer.
-        assert_eq!(
-            db().query(
-                "SELECT country, sum(value) AS total FROM events \
-                 JOIN users ON user_id = user_id \
-                 WHERE kind = 'click' GROUP BY country ORDER BY country LIMIT 5",
-            )
-            .unwrap(),
-            out
-        );
+            .map(|o| (o.total_rows_in(), o.total_rows_out()))
+            .collect();
+        assert_eq!(rows, vec![(6, 6), (6, 4), (7, 4), (4, 2), (2, 2), (2, 2)]);
+        for (i, op) in profile.ops.iter().enumerate() {
+            assert_eq!(op.shards.len(), 1);
+            let fed: Vec<(u32, u8)> = (i > 0).then(|| (i as u32 - 1, 0)).into_iter().collect();
+            assert_eq!(op.inputs, fed);
+        }
+        // The unprofiled path computes the identical answer.
+        assert_eq!(db().query(sql).unwrap(), out);
     }
 }
 

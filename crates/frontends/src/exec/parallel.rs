@@ -27,7 +27,7 @@
 //! sequence whatever the partition count. Likewise every group lives
 //! wholly inside one partition, so per-group fold order equals global row
 //! order and float accumulations stay bit-identical. Only the hash-table
-//! counters in [`KernelStats`] depend on the partition count, which is
+//! counters in [`ShardStats`] depend on the partition count, which is
 //! why it stays a pure function of row count.
 
 use std::sync::Arc;
@@ -40,10 +40,11 @@ use skadi_arrow::datatype::DataType;
 use skadi_arrow::each_variant;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
+use skadi_flowgraph::profile::ShardStats;
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
 use super::{aggregate_type, compared_value, fold_hash, group_key_eq, wrap};
-use super::{JoinKeyRule, KernelStats, EMPTY_SLOT};
+use super::{JoinKeyRule, EMPTY_SLOT};
 use crate::sql::ast::{AggFunc, AggItem, Comparison};
 use crate::sql::SqlError;
 
@@ -352,7 +353,7 @@ pub(crate) fn join_rows_partitioned(
     lcol: &Array,
     rcol: &Array,
     parts: usize,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
     let pool = pool::global();
     let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type())?;
@@ -503,7 +504,7 @@ pub(crate) fn aggregate_partitioned(
     aggs: &[AggItem],
     input: &RecordBatch,
     parts: usize,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     // A global aggregate is one group: a single partition, nothing to hash.
     let (parts, hashes) = if group_cols.is_empty() {
@@ -863,7 +864,7 @@ mod tests {
         let mut baseline = None;
         for threads in [1, 2, 4] {
             pool::set_global_threads(threads);
-            let mut stats = KernelStats::default();
+            let mut stats = ShardStats::default();
             let got = join_rows_partitioned(&lcol, &rcol, PARTITIONS, &mut stats).unwrap();
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats.rehashes, 0);
@@ -967,7 +968,7 @@ mod tests {
                     pool::set_global_threads(threads);
                     let at = format!("{kind} keys, {n} rows, {threads} threads");
                     let join = |parts| {
-                        join_rows_partitioned(&lcol, &rcol, parts, &mut KernelStats::default())
+                        join_rows_partitioned(&lcol, &rcol, parts, &mut ShardStats::default())
                             .unwrap()
                     };
                     let pairs = join(1);
@@ -975,7 +976,7 @@ mod tests {
                     assert!(n < 100 || !pairs.0.is_empty(), "join matched nothing: {at}");
                     for group_cols in [&[][..], &[0][..]] {
                         let agg = |parts| {
-                            let mut stats = KernelStats::default();
+                            let mut stats = ShardStats::default();
                             let out =
                                 aggregate_partitioned(group_cols, &aggs, &input, parts, &mut stats)
                                     .unwrap();
@@ -1093,7 +1094,7 @@ mod tests {
                     pool::set_global_threads(threads);
                     for parts in [1, PARTITIONS] {
                         let got =
-                            join_rows_partitioned(lcol, rcol, parts, &mut KernelStats::default())
+                            join_rows_partitioned(lcol, rcol, parts, &mut ShardStats::default())
                                 .unwrap();
                         assert_eq!(got, want, "{pair:?}, {parts} partitions, {threads} threads");
                     }
@@ -1105,7 +1106,7 @@ mod tests {
         // numeric ones (2^53 + 1 meets no float, -0.0 no integer).
         assert_eq!(matched, 65);
         let (ints, floats) = (&cols[0], &cols[1]);
-        let pairs = join_rows_partitioned(ints, floats, 1, &mut KernelStats::default()).unwrap();
+        let pairs = join_rows_partitioned(ints, floats, 1, &mut ShardStats::default()).unwrap();
         assert_eq!(pairs, (vec![0, 2, 3, 6, 7], vec![0, 4, 5, 4, 9]));
     }
 
@@ -1169,7 +1170,7 @@ mod tests {
             for threads in [1, 4] {
                 pool::set_global_threads(threads);
                 for parts in [1, PARTITIONS] {
-                    let mut stats = KernelStats::default();
+                    let mut stats = ShardStats::default();
                     let out =
                         aggregate_partitioned(&[0, 1], &aggs, &input, parts, &mut stats).unwrap();
                     let got: Vec<(String, i64)> = (0..out.num_rows())
@@ -1215,7 +1216,7 @@ mod tests {
 
         for threads in [1, 4] {
             pool::set_global_threads(threads);
-            let mut stats = KernelStats::default();
+            let mut stats = ShardStats::default();
             let out = aggregate_partitioned(&[0], &aggs, &input, PARTITIONS, &mut stats).unwrap();
             assert_eq!(out.num_rows(), by_key.len());
             assert_eq!(stats.groups, by_key.len() as u64);
@@ -1287,7 +1288,7 @@ mod tests {
             pool::set_global_threads(threads);
             for parts in [1, PARTITIONS] {
                 let at = format!("{parts} partitions, {threads} threads");
-                let mut stats = KernelStats::default();
+                let mut stats = ShardStats::default();
                 let out = aggregate_partitioned(&[0], &aggs, &input, parts, &mut stats).unwrap();
                 let col = |name: &str| out.column_by_name(name).unwrap();
                 assert_eq!(out.num_rows(), 5, "{at}");
@@ -1354,7 +1355,7 @@ mod tests {
         .unwrap();
         let sum = [item(Sum, "v", "s")];
         for parts in [1, PARTITIONS] {
-            let got = aggregate_partitioned(&[0], &sum, &input, parts, &mut KernelStats::default());
+            let got = aggregate_partitioned(&[0], &sum, &input, parts, &mut ShardStats::default());
             let want = SqlError::Plan("execution: sum(v) overflowed Int64".into());
             assert_eq!(got.unwrap_err(), want, "{parts} partitions");
         }

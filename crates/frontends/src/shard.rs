@@ -53,6 +53,7 @@ use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
+use skadi_flowgraph::profile::ShardStats;
 use skadi_flowgraph::{AggFunc, AggItem, Comparison, ExecOp};
 
 use crate::exec::{self, wrap};
@@ -103,31 +104,6 @@ impl Part {
     }
 }
 
-/// Per-shard kernel measurements from one [`execute_shard_adaptive`] call:
-/// hash-table counters from join/group-by kernels plus filter-step row
-/// counts (for selectivity). Chains with several filter steps accumulate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardExecStats {
-    /// Join / group-by hash-table counters.
-    pub kernel: exec::KernelStats,
-    /// Rows entering filter steps.
-    pub filter_rows_in: u64,
-    /// Rows surviving filter steps.
-    pub filter_rows_out: u64,
-    /// Joins that built their hash table on the nominal probe side
-    /// because the adaptive executor observed the build input to be the
-    /// larger one. Zero unless adaptive execution is on.
-    pub build_swaps: u64,
-}
-
-impl ShardExecStats {
-    /// Fraction of rows surviving the shard's filter steps, if any ran
-    /// over a non-empty input.
-    pub fn selectivity(&self) -> Option<f64> {
-        (self.filter_rows_in > 0).then(|| self.filter_rows_out as f64 / self.filter_rows_in as f64)
-    }
-}
-
 /// Executes one shard's operator chain. `port0` holds the (probe-side)
 /// input parts in producer shard order, `port1` the build side of a
 /// join; scans ignore both and read `tables` directly.
@@ -139,7 +115,7 @@ pub fn execute_shard(
     port0: &[Part],
     port1: &[Part],
 ) -> Result<RecordBatch, SqlError> {
-    let mut stats = ShardExecStats::default();
+    let mut stats = ShardStats::default();
     execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, &mut stats)
 }
 
@@ -148,8 +124,10 @@ pub fn execute_shard(
 /// instead. A pure function of gathered row counts — never of timing.
 pub const SWAP_BUILD_MULTIPLE: usize = 2;
 
-/// [`execute_shard`] with kernel measurements accumulated into `stats`
-/// and optional adaptive execution: when `adaptive` is true, a join whose
+/// [`execute_shard`] with the kernels' measurements — hash-table
+/// counters, build swaps, and the selectivity of the chain's filter steps
+/// taken together — filled into `stats`, and optional adaptive
+/// execution: when `adaptive` is true, a join whose
 /// gathered build side (`port1`) exceeds [`SWAP_BUILD_MULTIPLE`]× the
 /// probe side builds its hash table on the smaller side and restores
 /// probe order afterwards, so the output stays byte-identical to the
@@ -163,9 +141,10 @@ pub fn execute_shard_adaptive(
     port0: &[Part],
     port1: &[Part],
     adaptive: bool,
-    stats: &mut ShardExecStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let mut current: Option<RecordBatch> = None;
+    let (mut filter_in, mut filter_out) = (0usize, 0usize);
     for step in op.clone().flatten() {
         let out = match step {
             ExecOp::Scan { table } => {
@@ -193,14 +172,14 @@ pub fn execute_shard_adaptive(
                 };
                 match other {
                     ExecOp::Filter { conjuncts } => {
-                        stats.filter_rows_in += input.num_rows() as u64;
                         let out = filter_shard(&input, &conjuncts)?;
-                        stats.filter_rows_out += out.num_rows() as u64;
+                        filter_in += input.num_rows();
+                        filter_out += out.num_rows();
                         out
                     }
                     ExecOp::Project { columns } => project_shard(&input, &columns)?,
                     ExecOp::Aggregate { group_by, aggs } => {
-                        aggregate_shard(&input, &group_by, &aggs, &mut stats.kernel)?
+                        aggregate_shard(&input, &group_by, &aggs, stats)?
                     }
                     ExecOp::Limit { n, order } => {
                         // The top-N kernel breaks ties by position, so
@@ -227,6 +206,7 @@ pub fn execute_shard_adaptive(
         };
         current = Some(out);
     }
+    stats.selectivity = (filter_in > 0).then(|| filter_out as f64 / filter_in as f64);
     current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))
 }
 
@@ -554,7 +534,7 @@ fn join_shard(
     right_key: &str,
     right_rows: u64,
     adaptive: bool,
-    stats: &mut ShardExecStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let left = gather(port0)?;
     let right = gather(port1)?;
@@ -565,22 +545,10 @@ fn join_shard(
     let swap = adaptive && right_vis.num_rows() > SWAP_BUILD_MULTIPLE * left_vis.num_rows();
     let (lrows, rrows) = if swap {
         stats.build_swaps += 1;
-        let (probe, build) = exec::join_rows(
-            &right_vis,
-            &left_vis,
-            right_key,
-            left_key,
-            &mut stats.kernel,
-        )?;
+        let (probe, build) = exec::join_rows(&right_vis, &left_vis, right_key, left_key, stats)?;
         (build, probe)
     } else {
-        exec::join_rows(
-            &left_vis,
-            &right_vis,
-            left_key,
-            right_key,
-            &mut stats.kernel,
-        )?
+        exec::join_rows(&left_vis, &right_vis, left_key, right_key, stats)?
     };
     let mut out = exec::assemble_join(&left_vis, &right_vis, right_key, &lrows, &rrows)?;
     let stride = (right_rows as i64).max(1);
@@ -612,7 +580,7 @@ fn aggregate_shard(
     input: &RecordBatch,
     group_by: &[String],
     aggs: &[AggItem],
-    kernel: &mut exec::KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let mut items = aggs.to_vec();
     items.push(AggItem {
@@ -620,7 +588,7 @@ fn aggregate_shard(
         column: RID.into(),
         name: RID.into(),
     });
-    let out = exec::aggregate_spec(group_by, &items, input, kernel)?;
+    let out = exec::aggregate_spec(group_by, &items, input, stats)?;
     let mut keys: Vec<String> = Vec::with_capacity(out.num_rows());
     for r in 0..out.num_rows() {
         let parts: Vec<String> = group_by
@@ -786,12 +754,12 @@ mod tests {
         for shard in 0..2u32 {
             let port0 = vec![shuffled(&lscan, "k", 2)[shard as usize].clone()];
             let port1 = vec![shuffled(&rscan, "k", 2)[shard as usize].clone()];
-            let mut st = ShardExecStats::default();
+            let mut st = ShardStats::default();
             let fixed =
                 execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, false, &mut st)
                     .unwrap();
             assert_eq!(st.build_swaps, 0);
-            let mut ad = ShardExecStats::default();
+            let mut ad = ShardStats::default();
             let swapped =
                 execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, true, &mut ad)
                     .unwrap();

@@ -173,7 +173,6 @@ impl Cluster {
                     &ctx,
                 );
                 self.tracer.cover(umbrella, out.input_available);
-                self.stall_total += out.stall;
                 self.metrics.observe("stall", out.stall);
                 // The fetched bytes now also live in the consumer's local
                 // store (plasma semantics): later consumers read the

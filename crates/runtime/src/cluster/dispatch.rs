@@ -273,7 +273,6 @@ impl Cluster {
             if let Some(actor) = actor {
                 self.actor_busy_until.insert(actor, now + dur);
             }
-            self.compute_total += dur;
             self.metrics.observe("task.run", dur);
             if let Some(r) = self.tasks[t].at.ready_at {
                 self.metrics.observe("task.wait", now.saturating_since(r));

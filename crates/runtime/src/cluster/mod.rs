@@ -176,8 +176,6 @@ pub struct Cluster {
     durable_trips: u64,
     retries: u64,
     abandoned: u64,
-    stall_total: SimDuration,
-    compute_total: SimDuration,
     serverless_task_cost: f64,
 }
 
@@ -225,8 +223,6 @@ impl Cluster {
             durable_trips: 0,
             retries: 0,
             abandoned: 0,
-            stall_total: SimDuration::ZERO,
-            compute_total: SimDuration::ZERO,
             serverless_task_cost: 0.0,
             nodes,
             topo: topo.clone(),
@@ -427,6 +423,12 @@ impl Cluster {
         self.tracer.close(self.job_root, self.tracer.latest_end());
         let trace = std::mem::replace(&mut self.tracer, Tracer::new(false)).finish();
         let (spills, spill_bytes) = self.cache.spill_stats();
+        // Each total is the sum of the histogram its durations go into.
+        let total = |name| {
+            self.metrics.histogram(name).map_or(SimDuration::ZERO, |h| {
+                h.checked_total().expect("SimDuration overflow")
+            })
+        };
         Ok(JobStats {
             makespan,
             finished,
@@ -434,8 +436,8 @@ impl Cluster {
             abandoned: self.abandoned,
             net: *self.net.stats(),
             durable_trips: self.durable_trips,
-            stall_total: self.stall_total,
-            compute_total: self.compute_total,
+            stall_total: total("stall"),
+            compute_total: total("task.run"),
             cost_units: self.cost_units(makespan),
             utilization,
             spills,

@@ -144,9 +144,11 @@ pub struct JobStats {
     pub net: NetStats,
     /// Trips to durable storage (reads + writes).
     pub durable_trips: u64,
-    /// Total protocol-induced stall across all input resolutions.
+    /// Total protocol-induced stall across all input resolutions: the
+    /// sum of the `stall` histogram in [`JobStats::metrics`].
     pub stall_total: SimDuration,
-    /// Total busy compute time across all tasks.
+    /// Total busy compute time across all tasks: the sum of the
+    /// `task.run` histogram in [`JobStats::metrics`].
     pub compute_total: SimDuration,
     /// Monetary-ish cost in abstract units (deployment-dependent model).
     pub cost_units: f64,

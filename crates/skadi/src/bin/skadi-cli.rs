@@ -48,11 +48,17 @@
 //! Prefixing a query with `EXPLAIN ANALYZE` prints the annotated plan
 //! tree — per-operator rows/bytes/wall time with per-shard
 //! min/median/max and `[SKEW]` flags — instead of the plain timing
-//! lines. Works both locally and with `--distributed`:
+//! lines. Works locally, with `--distributed`, and over the wire: a
+//! `serve` process on either engine answers it with the same tree, one
+//! line per row of a Utf8 column `explain`, which `client` prints:
 //!
 //! ```text
 //! cargo run -p skadi --bin skadi-cli -- --distributed "EXPLAIN ANALYZE SELECT ..."
+//! cargo run -p skadi --bin skadi-cli -- client --addr 127.0.0.1:4711 "EXPLAIN ANALYZE SELECT ..."
 //! ```
+//!
+//! The per-operator lines (the plain timing lines and the tree alike)
+//! come from the query's profile on both engines.
 //!
 //! The `serve` subcommand opens the native wire-protocol front door: it
 //! binds a TCP listener over the demo dataset and serves concurrent
@@ -94,6 +100,7 @@ use skadi::arrow::batch::RecordBatch;
 use skadi::arrow::datatype::DataType;
 use skadi::arrow::schema::{Field, Schema};
 use skadi::dcsim::rng::DetRng;
+use skadi::flowgraph::profile::OpProfile;
 use skadi::frontends::exec::MemDb;
 use skadi::prelude::*;
 
@@ -149,48 +156,35 @@ fn demo_db(rows: usize) -> MemDb {
 
 fn run_query(db: &MemDb, session: &Session, sql: &str) {
     println!("sql> {sql}");
-    if skadi::frontends::sql::strip_explain_analyze(sql).is_some() {
-        // EXPLAIN ANALYZE: execute for real, then print the annotated
-        // plan tree instead of the flat timing line.
-        match db.query_profiled(sql) {
-            Ok((result, profile)) => {
-                println!("-- answer ({} rows) --", result.num_rows());
-                print!("{result}");
-                print!("{}", profile.render(true));
-                println!();
-            }
-            Err(e) => println!("!! {e}\n"),
-        }
-        return;
-    }
-    match db.query_traced(sql) {
-        Ok((result, trace)) => {
-            println!("-- answer ({} rows) --", result.num_rows());
-            print!("{result}");
-            // Per-operator wall-clock, from the engine's exec spans
-            // (skipping the root "query" umbrella span). Operator names
-            // match the planner's FlowGraph vertices, so this column
-            // reads side by side with the simulated pricing below.
-            let ops: Vec<String> = trace
-                .spans()
-                .iter()
-                .filter(|s| s.parent.is_some())
-                .map(|s| {
-                    format!(
-                        "{} {:.0}us ({} rows)",
-                        s.name,
-                        s.duration().as_micros_f64(),
-                        s.attr("rows_out").unwrap_or("?"),
-                    )
-                })
-                .collect();
-            println!("-- measured locally: {} --", ops.join(", "));
-        }
+    let explain = skadi::frontends::sql::strip_explain_analyze(sql).is_some();
+    let (result, profile) = match db.query_profiled(sql) {
+        Ok(run) => run,
         Err(e) => {
-            println!("!! {e}");
+            println!("!! {e}{}", if explain { "\n" } else { "" });
             return;
         }
+    };
+    println!("-- answer ({} rows) --", result.num_rows());
+    print!("{result}");
+    if explain {
+        // EXPLAIN ANALYZE: the annotated plan tree replaces the flat
+        // timing line.
+        print!("{}", profile.render(true));
+        println!();
+        return;
     }
+    // Per-operator wall-clock from the engine's profile. Operator names
+    // match the planner's FlowGraph vertices, so this column reads side
+    // by side with the simulated pricing below.
+    let ops: Vec<String> = profile
+        .ops
+        .iter()
+        .map(|op| {
+            let (wall, rows) = (wall_us(op), op.total_rows_out());
+            format!("{} {wall:.0}us ({rows} rows)", op.op)
+        })
+        .collect();
+    println!("-- measured locally: {} --", ops.join(", "));
     match session.sql(sql) {
         Ok(report) => {
             println!(
@@ -237,23 +231,19 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
         );
         return;
     }
-    // Collapse per-shard timings into one line per operator.
-    let mut by_op: Vec<(String, u32, f64, usize, u64)> = Vec::new();
-    for t in &run.data_plane.timings {
-        match by_op.iter_mut().find(|(op, ..)| *op == t.op) {
-            Some((_, shards, wall, rows, bytes)) => {
-                *shards = (*shards).max(t.shards);
-                *wall += t.wall.as_secs_f64() * 1e6;
-                *rows += t.rows_out;
-                *bytes += t.output_bytes;
+    // One entry per operator name, its shards' walls, rows and bytes
+    // summed.
+    let mut by_op: Vec<(&str, usize, f64, u64, u64)> = Vec::new();
+    for op in run.report.profile.iter().flat_map(|p| &p.ops) {
+        let (wall, rows, bytes) = (wall_us(op), op.total_rows_out(), op.total_output_bytes());
+        match by_op.iter_mut().find(|(name, ..)| *name == op.op) {
+            Some((_, shards, w, r, b)) => {
+                *shards = (*shards).max(op.shards.len());
+                *w += wall;
+                *r += rows;
+                *b += bytes;
             }
-            None => by_op.push((
-                t.op.clone(),
-                t.shards,
-                t.wall.as_secs_f64() * 1e6,
-                t.rows_out,
-                t.output_bytes,
-            )),
+            None => by_op.push((&op.op, op.shards.len(), wall, rows, bytes)),
         }
     }
     let ops: Vec<String> = by_op
@@ -293,6 +283,11 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
         run.report.stats.retries,
         run.report.stats.measured_output_bytes.values().sum::<u64>(),
     );
+}
+
+/// An operator's measured wall-clock, summed over its shards, in µs.
+fn wall_us(op: &OpProfile) -> f64 {
+    op.shards.iter().map(|s| s.wall_nanos).sum::<u64>() as f64 / 1e3
 }
 
 /// Writes a trace artifact; an unwritable path is the user's to fix, so

@@ -59,7 +59,7 @@ use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
 use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
-use skadi_frontends::shard::{self, Part, ShardExecStats};
+use skadi_frontends::shard::{self, Part};
 use skadi_frontends::sql::SqlError;
 use skadi_runtime::{Content, Payload, ReadyTask, TaskExecutor, TaskId};
 
@@ -84,8 +84,10 @@ pub struct ShardTiming {
     pub output_bytes: u64,
     /// Real wall-clock time spent in the shard kernel.
     pub wall: Duration,
-    /// Kernel measurements: hash-table counters and filter row counts.
-    pub exec_stats: ShardExecStats,
+    /// What the shard's kernels measured: hash-table counters, build
+    /// swaps and filter selectivity. Its shard, rows, bytes and wall are
+    /// the fields above, which the profile takes from there.
+    pub exec_stats: ShardStats,
 }
 
 /// Measurements shared out of the executor (the cluster owns the
@@ -120,11 +122,6 @@ pub struct DataPlaneStats {
 }
 
 impl DataPlaneStats {
-    /// Total wall-clock across all shard executions.
-    pub fn total_wall(&self) -> Duration {
-        self.timings.iter().map(|t| t.wall).sum()
-    }
-
     /// Joins that adaptively built on the nominal probe side (summed
     /// over every shard execution, re-executions included). Always zero
     /// when adaptive execution is off.
@@ -163,23 +160,20 @@ impl DataPlaneStats {
                 inputs: Vec::new(),
                 shards: Vec::new(),
             });
-            let timing = by_task.get(&(v.id.0 as u64));
-            let mut s = ShardStats {
-                shard: v.shard,
-                ..ShardStats::default()
-            };
-            if let Some(t) = timing {
-                s.rows_in = t.rows_in as u64;
-                s.rows_out = t.rows_out as u64;
-                s.output_bytes = t.output_bytes;
-                s.wall_nanos = t.wall.as_nanos() as u64;
-                s.selectivity = t.exec_stats.selectivity();
-                s.hash_slots = t.exec_stats.kernel.hash_slots;
-                s.hash_collisions = t.exec_stats.kernel.hash_collisions;
-                s.groups = t.exec_stats.kernel.groups;
-                s.rehashes = t.exec_stats.kernel.rehashes;
-            }
-            op.shards.push(s);
+            op.shards.push(match by_task.get(&(v.id.0 as u64)) {
+                Some(t) => ShardStats {
+                    shard: v.shard,
+                    rows_in: t.rows_in as u64,
+                    rows_out: t.rows_out as u64,
+                    output_bytes: t.output_bytes,
+                    wall_nanos: t.wall.as_nanos() as u64,
+                    ..t.exec_stats.clone()
+                },
+                None => ShardStats {
+                    shard: v.shard,
+                    ..ShardStats::default()
+                },
+            });
         }
         for e in graph.edges() {
             let from_op = graph.vertex(e.from).op_id;
@@ -356,7 +350,7 @@ struct ShardRun {
     len: usize,
     packed: Option<Vec<u8>>,
     wall: Duration,
-    exec_stats: ShardExecStats,
+    exec_stats: ShardStats,
 }
 
 impl GraphExecutor {
@@ -462,7 +456,7 @@ impl GraphExecutor {
         p: &PreparedShard,
         adaptive: bool,
     ) -> Result<ShardRun, String> {
-        let mut exec_stats = ShardExecStats::default();
+        let mut exec_stats = ShardStats::default();
         let started = std::time::Instant::now();
         let out = shard::execute_shard_adaptive(
             &p.op,

@@ -10,10 +10,12 @@
 //! Per connection the lifecycle is: handshake (version check, capability
 //! intersection), then a loop of `Query` → streamed `Data` blocks (+
 //! `Progress` when negotiated) → `EndOfStream`, or a single `Exception`
-//! carrying the frontend's human-readable error. Malformed frames,
-//! oversized length prefixes, unexpected packets, and mid-query
-//! disconnects all tear the connection down cleanly — never a panic, a
-//! hang, or a partial result passed off as complete.
+//! carrying the frontend's human-readable error. `EXPLAIN ANALYZE <query>`
+//! runs the query and answers with its profile instead of its rows: one
+//! Utf8 column `explain`, one row per line of the rendered plan tree.
+//! Malformed frames, oversized length prefixes, unexpected packets, and
+//! mid-query disconnects all tear the connection down cleanly — never a
+//! panic, a hang, or a partial result passed off as complete.
 //!
 //! Each transport carries a modelled link price, which decides whether a
 //! negotiated block is compressed (`skadi_arrow::compression::pays`): the
@@ -36,7 +38,11 @@ use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
+use skadi_arrow::array::Array;
+use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compression;
+use skadi_arrow::datatype::DataType;
+use skadi_arrow::schema::{Field, Schema};
 use skadi_frontends::exec::MemDb;
 use skadi_frontends::sql;
 use skadi_wire as wire;
@@ -395,23 +401,36 @@ impl Server {
         )
     }
 
-    /// Runs the statement through the configured engine. Errors carry an
-    /// exception code plus the frontend's human-readable rendering.
-    fn execute(&self, statement: &str) -> Result<skadi_arrow::batch::RecordBatch, (u16, String)> {
+    /// Runs the statement through the configured engine; an `EXPLAIN
+    /// ANALYZE` statement is answered with its rendered profile. Errors
+    /// carry an exception code plus the frontend's human-readable
+    /// rendering.
+    fn execute(&self, statement: &str) -> Result<RecordBatch, (u16, String)> {
+        let explain = sql::strip_explain_analyze(statement).is_some();
         if self.cfg.distributed {
-            self.session
-                .sql_distributed(&self.db, statement)
-                .map(|run| run.batch)
-                .map_err(|e| match e {
-                    // The statement's own fault, in the local engine's words.
-                    SkadiError::Sql(e) => (code::SQL, e.to_string()),
-                    e => (code::EXEC, e.to_string()),
-                })
+            let run = if explain {
+                self.session
+                    .explain_analyze(&self.db, statement)
+                    .map(|text| explain_rows(&text))
+            } else {
+                self.session
+                    .sql_distributed(&self.db, statement)
+                    .map(|run| run.batch)
+            };
+            run.map_err(|e| match e {
+                // The statement's own fault, in the local engine's words.
+                SkadiError::Sql(e) => (code::SQL, e.to_string()),
+                e => (code::EXEC, e.to_string()),
+            })
         } else {
-            // The local engine's grammar has no EXPLAIN prefix; strip it
-            // and run the query body, as the distributed path does.
-            let body = sql::strip_explain_analyze(statement).unwrap_or(statement);
-            self.db.query(body).map_err(|e| (code::SQL, e.to_string()))
+            let run = if explain {
+                self.db
+                    .explain_analyze(statement)
+                    .map(|text| explain_rows(&text))
+            } else {
+                self.db.query(statement)
+            };
+            run.map_err(|e| (code::SQL, e.to_string()))
         }
     }
 
@@ -452,6 +471,15 @@ impl Server {
             });
         }
     }
+}
+
+/// A rendered profile as a result: one Utf8 column `explain`, one row per
+/// line.
+fn explain_rows(text: &str) -> RecordBatch {
+    let lines: Vec<&str> = text.lines().collect();
+    let field = Field::new("explain", DataType::Utf8, false);
+    RecordBatch::try_new(Schema::new(vec![field]), vec![Array::from_utf8(&lines)])
+        .expect("one Utf8 field and one Utf8 column")
 }
 
 #[cfg(test)]

@@ -691,6 +691,68 @@ fn tcp_round_trip() {
     assert_eq!(acceptor.join().unwrap(), SessionEnd::CleanClose);
 }
 
+/// `EXPLAIN ANALYZE <query>` over the wire runs the query and answers with
+/// its rendered profile on either engine: one Utf8 column `explain`, the
+/// header line, then one line per operator. An ill-typed statement fails
+/// with the plain statement's `code::SQL` text.
+#[test]
+fn explain_analyze_answers_with_the_profile_on_both_engines() {
+    let q = "SELECT name, count(*) AS n FROM events JOIN people ON user_id = user_id \
+             WHERE value > 2.0 GROUP BY name ORDER BY name";
+    let bad = "SELECT user_id FROM events WHERE kind > 5";
+    let db = shared_db(200);
+    let local = db.query_profiled(q).unwrap().1;
+    let run = test_session(4).sql_distributed(&db, q).unwrap();
+    let remote = run.report.profile.unwrap();
+    for (distributed, profile) in [(false, local), (true, remote)] {
+        let server = Server::new(
+            test_session(4),
+            shared_db(200),
+            ServerConfig {
+                distributed,
+                ..ServerConfig::default()
+            },
+        );
+        let (stream, server_thread) = server.connect();
+        let mut client = Client::connect(stream, "explain").unwrap();
+        let r = client.query(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        let fields = r.batch.schema().fields();
+        assert_eq!(fields.len(), 1);
+        assert_eq!(
+            (fields[0].name.as_str(), fields[0].data_type),
+            ("explain", DataType::Utf8)
+        );
+        let lines: Vec<String> = (0..r.batch.num_rows())
+            .map(|i| match r.batch.column(0).value_at(i) {
+                Value::Str(line) => line,
+                other => panic!("row {i} is {other:?}"),
+            })
+            .collect();
+        let header = format!("EXPLAIN ANALYZE {q} (parallelism={}", profile.parallelism);
+        assert!(lines[0].starts_with(&header), "{}", lines[0]);
+        assert_eq!(lines.len(), 1 + profile.ops.len(), "{lines:#?}");
+        for op in &profile.ops {
+            let named = format!("#{} {} ", op.op_id, op.op);
+            assert!(
+                lines[1..].iter().any(|l| l.contains(&named)),
+                "{named} in {lines:#?}"
+            );
+        }
+
+        let texts: Vec<(u16, String)> = [format!("EXPLAIN ANALYZE {bad}"), bad.to_string()]
+            .iter()
+            .map(|sql| match client.query(sql) {
+                Err(WireError::Server { code, message }) => (code, message),
+                other => panic!("{sql}: expected server exception, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(texts[0].0, code::SQL);
+        assert_eq!(texts[0], texts[1]);
+        drop(client);
+        assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
+    }
+}
+
 /// A connection the server cannot see into: one end of a duplex handed
 /// to `Server::handle`, which prices it as a network client.
 fn connect_over_network(server: &Arc<Server>) -> (DuplexStream, thread::JoinHandle<SessionEnd>) {
