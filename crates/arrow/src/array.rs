@@ -679,7 +679,10 @@ impl DictUtf8Array {
     }
 
     /// Reconstructs from raw parts (IPC decode). The dictionary must be
-    /// null-free; callers are responsible for keys being in bounds.
+    /// null-free; callers are responsible for keys being in bounds and
+    /// for the entries being distinct, as every builder here makes them
+    /// (grouping reads equal keys as equal values and distinct keys as
+    /// distinct ones).
     pub fn from_parts(keys: PrimitiveArray<u32>, dict: Utf8Array) -> Self {
         assert!(
             dict.validity().is_none(),

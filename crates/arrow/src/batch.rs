@@ -483,7 +483,7 @@ mod tests {
                 let copy = compute::take_indices(b, &rows).unwrap();
 
                 for cols in [&[0][..], &[4, 1], &[0, 1, 2, 3, 4], &[3, 0]] {
-                    let mut hashes = compute::hash_rows(&view, &[]);
+                    let mut hashes = vec![compute::hash_row(&view, &[], 0); hi - lo];
                     for &c in cols {
                         compute::hash_column_into(view.column(c), &mut hashes);
                     }

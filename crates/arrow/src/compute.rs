@@ -19,6 +19,10 @@ use crate::buffer::{Bitmap, Buffer};
 use crate::each_variant;
 use crate::error::ArrowError;
 
+mod group;
+
+pub use group::{group_ids, GroupIds};
+
 /// Selects the rows of `batch` where `mask` is true (null mask = false).
 pub fn filter(batch: &RecordBatch, mask: &Array) -> Result<RecordBatch, ArrowError> {
     if mask.len() != batch.num_rows() {
@@ -125,100 +129,40 @@ pub use skadi_ir::CmpOp;
 /// Compares each element of a column against a scalar, producing a `Bool`
 /// mask. Null inputs produce null outputs.
 ///
-/// Dispatches on the (column variant, scalar variant) pair once, then
-/// runs a tight loop over the raw values; the input's validity bitmap is
-/// carried over unchanged (value bits are false at null slots, keeping
-/// the canonical form).
+/// Dispatches on the (column variant, scalar variant) pair and on the
+/// operator once, then runs one tight loop that packs eight comparisons
+/// per mask byte; the input's validity bitmap is carried over unchanged,
+/// and ANDing its bytes into the mask clears the value bits at null slots
+/// (the canonical form).
 pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, ArrowError> {
     let n = col.len();
     if matches!(scalar, Value::Null) {
         return Ok(Array::from_opt_bool(vec![None; n]));
     }
-    // Raw comparison results; slots that are null in `col` are forced to
-    // false below so outputs stay canonical.
-    let bits: Vec<bool> = match (col, scalar) {
-        (Array::Int64(a), Value::I64(b)) => a.iter_raw().map(|x| op.eval(x, *b)).collect(),
-        (Array::Int64(a), Value::F64(b)) => a.iter_raw().map(|x| op.eval(x as f64, *b)).collect(),
-        (Array::Float64(a), Value::F64(b)) => a.iter_raw().map(|x| op.eval(x, *b)).collect(),
-        (Array::Float64(a), Value::I64(b)) => {
-            let b = *b as f64;
-            a.iter_raw().map(|x| op.eval(x, b)).collect()
+    let mut bits: Vec<u8> = match (col, scalar) {
+        (Array::Int64(a), Value::I64(b)) => op_mask(op, n, a.values().iter::<i64>(), *b),
+        (Array::Int64(a), Value::F64(b)) => {
+            op_mask(op, n, a.values().iter::<i64>().map(|x| x as f64), *b)
         }
-        (Array::Utf8(a), Value::Str(b)) => {
-            // Fast path over the raw offsets/data buffers — no per-row
-            // UTF-8 validation or `&str` construction. Null slots span an
-            // empty byte range; whatever they produce is masked to false
-            // by the validity pass below.
-            let needle = b.as_bytes();
-            let data = a.data().as_slice();
-            let off = a.offsets();
-            match op {
-                // Equality is decided by the offsets alone whenever the
-                // lengths differ; only length-matched slots get a
-                // byte compare.
-                CmpOp::Eq | CmpOp::Ne => (0..n)
-                    .map(|i| {
-                        let start = off.get::<i32>(i) as usize;
-                        let end = off.get::<i32>(i + 1) as usize;
-                        let eq = end - start == needle.len() && &data[start..end] == needle;
-                        (op == CmpOp::Eq) == eq
-                    })
-                    .collect(),
-                // UTF-8's code-point order equals its byte order, so
-                // ordered comparisons run directly over raw bytes.
-                _ => (0..n)
-                    .map(|i| {
-                        let start = off.get::<i32>(i) as usize;
-                        let end = off.get::<i32>(i + 1) as usize;
-                        op.eval(&data[start..end], needle)
-                    })
-                    .collect(),
-            }
-        }
+        (Array::Float64(a), Value::F64(b)) => op_mask(op, n, a.values().iter::<f64>(), *b),
+        (Array::Float64(a), Value::I64(b)) => op_mask(op, n, a.values().iter::<f64>(), *b as f64),
+        // UTF-8's code-point order equals its byte order, so every
+        // operator runs over the raw offsets and bytes: no per-row UTF-8
+        // validation or `&str`, and equality reads the bytes only when
+        // the lengths agree. A null slot spans an empty range.
+        (Array::Utf8(a), Value::Str(b)) => op_mask(op, n, utf8_slots(a), b.as_bytes()),
         (Array::DictUtf8(a), Value::Str(b)) => {
-            // Resolve the scalar against the dictionary once; the per-row
-            // loop then compares fixed-width u32 keys (Eq/Ne) or gathers
-            // a precomputed per-entry verdict (ordered ops) — the string
-            // bytes are never touched per row.
-            let dict = a.dictionary();
-            let keys = a.keys();
-            match op {
-                CmpOp::Eq | CmpOp::Ne => {
-                    // Entries are deduplicated, so at most one key matches.
-                    let hit = (0..dict.len()).find(|&k| dict.get(k) == Some(b.as_str()));
-                    match (op == CmpOp::Eq, hit) {
-                        (true, Some(h)) => {
-                            let h = h as u32;
-                            keys.iter_raw().map(|k| k == h).collect()
-                        }
-                        (true, None) => vec![false; n],
-                        (false, Some(h)) => {
-                            let h = h as u32;
-                            keys.iter_raw().map(|k| k != h).collect()
-                        }
-                        (false, None) => vec![true; n],
-                    }
-                }
-                _ => {
-                    let verdicts: Vec<bool> = (0..dict.len())
-                        .map(|k| op.eval(dict.get(k).expect("dict entry"), b.as_str()))
-                        .collect();
-                    if verdicts.is_empty() {
-                        // Empty dictionary means every slot is null;
-                        // whatever we produce is masked below.
-                        vec![false; n]
-                    } else {
-                        keys.iter_raw().map(|k| verdicts[k as usize]).collect()
-                    }
-                }
-            }
+            // One verdict per dictionary entry, then one lookup per row:
+            // the string bytes are never touched per row. An empty
+            // dictionary (every slot null) gets one verdict for the
+            // placeholder key the null slots hold.
+            let entries = utf8_slots(a.dictionary());
+            let mut verdicts: Vec<bool> = entries.map(|e| op.eval(e, b.as_bytes())).collect();
+            verdicts.resize(verdicts.len().max(1), false);
+            let keys = a.keys().values().iter::<u32>();
+            pack(n, keys.map(|k| verdicts[k as usize]))
         }
-        (Array::Bool(a), Value::Bool(b)) => (0..n)
-            .map(|i| match a.get(i) {
-                Some(x) => op.eval(x, *b),
-                None => false,
-            })
-            .collect(),
+        (Array::Bool(a), Value::Bool(b)) => op_mask(op, n, a.values().iter(), *b),
         _ => {
             return Err(ArrowError::ShapeMismatch(format!(
                 "cannot compare {} with {}",
@@ -228,20 +172,53 @@ pub fn cmp_scalar(col: &Array, op: CmpOp, scalar: &Value) -> Result<Array, Arrow
         }
     };
     let validity = col.validity().cloned();
-    let values = match &validity {
-        None => Bitmap::from_bools(&bits),
-        Some(v) => {
-            // Mask comparison results at null slots to the canonical
-            // false so logically-equal masks compare equal.
-            let masked: Vec<bool> = bits
-                .iter()
-                .enumerate()
-                .map(|(i, b)| *b && v.get(i))
-                .collect();
-            Bitmap::from_bools(&masked)
+    if let Some(v) = &validity {
+        for (byte, valid) in bits.iter_mut().zip(v.buffer().as_slice()) {
+            *byte &= valid;
         }
-    };
+    }
+    let values = Bitmap::from_buffer(Buffer::from_vec(bits), n);
     Ok(BoolArray::from_parts(values, validity).into())
+}
+
+/// The packed mask of `x op b` over `values`, the operator matched once:
+/// each arm is its own loop.
+fn op_mask<T: PartialOrd>(op: CmpOp, n: usize, values: impl Iterator<Item = T>, b: T) -> Vec<u8> {
+    match op {
+        CmpOp::Eq => pack(n, values.map(|x| x == b)),
+        CmpOp::Ne => pack(n, values.map(|x| x != b)),
+        CmpOp::Lt => pack(n, values.map(|x| x < b)),
+        CmpOp::Le => pack(n, values.map(|x| x <= b)),
+        CmpOp::Gt => pack(n, values.map(|x| x > b)),
+        CmpOp::Ge => pack(n, values.map(|x| x >= b)),
+    }
+}
+
+/// `n` booleans packed LSB-first, eight to a byte, the final byte's
+/// padding bits clear.
+#[inline]
+fn pack(n: usize, bits: impl Iterator<Item = bool>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(n.div_ceil(8));
+    let mut byte = 0u8;
+    for (i, bit) in bits.enumerate() {
+        byte |= (bit as u8) << (i % 8);
+        if i % 8 == 7 {
+            out.push(byte);
+            byte = 0;
+        }
+    }
+    if !n.is_multiple_of(8) {
+        out.push(byte);
+    }
+    out
+}
+
+/// Each row's bytes as the offsets delimit them (empty at a null slot).
+fn utf8_slots(a: &Utf8Array) -> impl Iterator<Item = &[u8]> {
+    let data = a.data().as_slice();
+    let ends = a.offsets().iter::<i32>().skip(1);
+    let spans = a.offsets().iter::<i32>().zip(ends);
+    spans.map(move |(start, end)| &data[start as usize..end as usize])
 }
 
 /// Elementwise AND of two boolean masks (null-safe: null AND x = null
@@ -313,7 +290,8 @@ fn fnv_feed(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a hash of one row's values across the given columns; used for hash
-/// partitioning keyed edges. Equal to `hash_rows(batch, cols)[row]`.
+/// partitioning keyed edges. [`hash_column_into`] over each of `cols` in
+/// turn, starting from the FNV offset, gives the same hash.
 pub fn hash_row(batch: &RecordBatch, cols: &[usize], row: usize) -> u64 {
     let mut h = FNV_OFFSET;
     for &c in cols {
@@ -350,7 +328,7 @@ pub fn hash_column_into(col: &Array, hashes: &mut [u64]) {
 /// ([`i64_f64_key_eq`]) hashes as that integer's `Int64` bytes, so an
 /// `Int64` column and a `Float64` column holding numerically-equal keys
 /// land in the same bucket whichever types a join's keys turn out to have,
-/// while an `Int64` key hashes exactly as [`hash_rows`] does. Null rows
+/// while an `Int64` key hashes exactly as [`hash_row`] does. Null rows
 /// get the null-marker hash; join callers skip them.
 pub fn hash_key_column(col: &Array) -> Vec<u64> {
     let null_hash = fnv_feed(FNV_OFFSET, &[0xFF]);
@@ -403,16 +381,6 @@ pub fn i64_f64_key_eq(i: i64, f: f64) -> bool {
         return false;
     }
     f as i64 == i && ((f as i64) as f64).to_bits() == f.to_bits()
-}
-
-/// FNV-1a hashes of every row across the given columns, column-at-a-time.
-/// `hash_rows(b, cols)[r] == hash_row(b, cols, r)` for every row.
-pub fn hash_rows(batch: &RecordBatch, cols: &[usize]) -> Vec<u64> {
-    let mut hashes = vec![FNV_OFFSET; batch.num_rows()];
-    for &c in cols {
-        hash_column_into(batch.column(c), &mut hashes);
-    }
-    hashes
 }
 
 #[cfg(test)]
@@ -572,6 +540,100 @@ mod tests {
         assert_ne!(hash_row(&b, &[0], 0), hash_row(&b, &[0], 1));
     }
 
+    /// Row `r`'s comparison at the `Value` level, sharing nothing with the
+    /// kernel's typed loops: `None` for a null row.
+    fn value_cmp(col: &Array, r: usize, op: CmpOp, scalar: &Value) -> Option<bool> {
+        Some(match (col.value_at(r), scalar) {
+            (Value::Null, _) => return None,
+            (Value::I64(x), Value::I64(b)) => op.eval(x, *b),
+            (Value::I64(x), Value::F64(b)) => op.eval(x as f64, *b),
+            (Value::F64(x), Value::F64(b)) => op.eval(x, *b),
+            (Value::F64(x), Value::I64(b)) => op.eval(x, *b as f64),
+            (Value::Str(x), Value::Str(b)) => op.eval(x.as_str(), b.as_str()),
+            (Value::Bool(x), Value::Bool(b)) => op.eval(x, *b),
+            (v, b) => unreachable!("{v:?} against {b:?}"),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Every operator over every column type (a dictionary and an
+        /// `Int64` column against a float among them) and null pattern, at
+        /// lengths on and off a byte boundary, against [`value_cmp`]: the
+        /// mask is the reference's canonical form byte for byte — value
+        /// bits clear at nulls and in the padding, the column's validity.
+        #[test]
+        fn prop_cmp_scalar_matches_value_level_reference(
+            vals in proptest::collection::vec(-3i64..4, 0..41),
+            pattern in 0usize..4,
+            b in -3i64..4,
+        ) {
+            let nulls = |r: usize| match pattern {
+                0 => false,
+                1 => r % 2 == 1,
+                2 => r.is_multiple_of(3) || r == vals.len() - 1,
+                _ => true,
+            };
+            let keys: Vec<Option<i64>> =
+                vals.iter().enumerate().map(|(r, &v)| (!nulls(r)).then_some(v)).collect();
+            let float = |v: i64| match v {
+                3 => f64::NAN,
+                -3 => -0.0,
+                v => v as f64 / 2.0,
+            };
+            let word = |v: i64| ["", "a", "ab", "b", "ba", "\u{e9}", "aa"][(v + 3) as usize];
+            let words: Vec<Option<&str>> = keys.iter().map(|k| k.map(word)).collect();
+            let cols = [
+                Array::from_opt_i64(keys.clone()),
+                Array::from_opt_f64(keys.iter().map(|k| k.map(float)).collect()),
+                Array::from_opt_bool(keys.iter().map(|k| k.map(|v| v % 2 == 0)).collect()),
+                Array::from_opt_utf8(words.clone()),
+                Array::from_opt_dict_utf8(words),
+            ];
+            let scalars = [
+                Value::I64(b),
+                Value::F64(float(b)),
+                Value::Bool(b % 2 == 0),
+                Value::Str(word(b).into()),
+            ];
+            let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+            for col in &cols {
+                for scalar in &scalars {
+                    let fits = matches!(
+                        (col.data_type(), scalar),
+                        (DataType::Int64 | DataType::Float64, Value::I64(_) | Value::F64(_))
+                            | (DataType::Bool, Value::Bool(_))
+                            | (DataType::Utf8 | DataType::DictUtf8, Value::Str(_))
+                    );
+                    if !fits {
+                        proptest::prop_assert!(cmp_scalar(col, CmpOp::Eq, scalar).is_err());
+                        continue;
+                    }
+                    for op in ops {
+                        let got = cmp_scalar(col, op, scalar).unwrap();
+                        let want: Vec<bool> = (0..col.len())
+                            .map(|r| value_cmp(col, r, op, scalar) == Some(true))
+                            .collect();
+                        let want = BoolArray::from_parts(
+                            Bitmap::from_bools(&want),
+                            col.validity().cloned(),
+                        );
+                        let got = got.as_bool().unwrap();
+                        let at = format!("{} {op:?} {scalar:?} over {keys:?}", col.data_type());
+                        proptest::prop_assert_eq!(
+                            got.values().buffer().as_slice(),
+                            want.values().buffer().as_slice(),
+                            "values of {}", at
+                        );
+                        proptest::prop_assert_eq!(got.validity(), want.validity(), "{}", at);
+                        proptest::prop_assert_eq!(got.len(), col.len());
+                    }
+                }
+            }
+        }
+    }
+
     fn mixed_batch() -> RecordBatch {
         RecordBatch::try_new(
             Schema::new(vec![
@@ -590,11 +652,20 @@ mod tests {
         .unwrap()
     }
 
+    /// Every row's hash across `cols`, one column at a time.
+    pub(super) fn chained_hashes(batch: &RecordBatch, cols: &[usize]) -> Vec<u64> {
+        let mut hashes = vec![FNV_OFFSET; batch.num_rows()];
+        for &c in cols {
+            hash_column_into(batch.column(c), &mut hashes);
+        }
+        hashes
+    }
+
     #[test]
-    fn hash_rows_matches_hash_row_per_row() {
+    fn hash_column_into_chains_like_hash_row() {
         let b = mixed_batch();
         for cols in [vec![0usize], vec![1, 2], vec![0, 1, 2, 3], vec![3, 0]] {
-            let vectorized = hash_rows(&b, &cols);
+            let vectorized = chained_hashes(&b, &cols);
             assert_eq!(vectorized.len(), b.num_rows());
             for (r, &h) in vectorized.iter().enumerate() {
                 assert_eq!(h, hash_row(&b, &cols, r), "cols {cols:?} row {r}");
@@ -618,12 +689,12 @@ mod tests {
         // ...which hash their raw i64 bytes (and match the row-hash path).
         let schema = Schema::new(vec![Field::new("k", DataType::Int64, true)]);
         let b = RecordBatch::try_new(schema, vec![ints.clone()]).unwrap();
-        assert_eq!(hash_key_column(&ints), hash_rows(&b, &[0]));
+        assert_eq!(hash_key_column(&ints), chained_hashes(&b, &[0]));
         // A float that equals no integer keeps its own bits' hash.
         let halves = Array::from_f64(vec![0.5, -0.0]);
         let schema = Schema::new(vec![Field::new("k", DataType::Float64, false)]);
         let b = RecordBatch::try_new(schema, vec![halves.clone()]).unwrap();
-        assert_eq!(hash_key_column(&halves), hash_rows(&b, &[0]));
+        assert_eq!(hash_key_column(&halves), chained_hashes(&b, &[0]));
     }
 
     #[test]
@@ -881,6 +952,7 @@ impl SortKeys {
 
 #[cfg(test)]
 mod kernel_extension_tests {
+    use super::tests::chained_hashes;
     use super::*;
     use crate::datatype::DataType;
     use crate::schema::{Field, Schema};
@@ -1026,8 +1098,8 @@ mod kernel_extension_tests {
         let ints = Array::from_i64(vec![1, 2, 3, 4, 5]);
         let bp = RecordBatch::try_new(schema_p, vec![ints.clone(), plain]).unwrap();
         let bd = RecordBatch::try_new(schema_d, vec![ints, dict]).unwrap();
-        assert_eq!(hash_rows(&bp, &[0, 1]), hash_rows(&bd, &[0, 1]));
-        assert_eq!(hash_rows(&bp, &[1]), hash_rows(&bd, &[1]));
+        assert_eq!(chained_hashes(&bp, &[0, 1]), chained_hashes(&bd, &[0, 1]));
+        assert_eq!(chained_hashes(&bp, &[1]), chained_hashes(&bd, &[1]));
     }
 
     #[test]

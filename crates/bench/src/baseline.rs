@@ -11,6 +11,7 @@
 //! (`tests/exec_golden.rs`, `tests/parallel_equiv.rs`).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
@@ -293,27 +294,39 @@ pub fn baseline_join(
     RecordBatch::try_new(Schema::new(fields), columns).expect("join batch")
 }
 
-/// Stringly group-by: rendered keys into a `BTreeMap`, `Vec<f64>` per
-/// group, emitting `group_col, sum(val) AS s, count(*) AS n`.
+/// Stringly group-by: each row's key columns rendered and joined by
+/// `\u{1}` into a `BTreeMap` key, a `Vec<f64>` per group summed in row
+/// order, emitting `group_cols.., sum(val) AS s, count(*) AS n`. Groups
+/// come out in rendered-key order, each key column holding its first
+/// row's value.
 pub fn baseline_group_sum_count(
     batch: &RecordBatch,
-    group_col: &str,
+    group_cols: &[&str],
     val_col: &str,
 ) -> RecordBatch {
-    let g = batch.schema().index_of(group_col).expect("group column");
+    let g: Vec<usize> = group_cols
+        .iter()
+        .map(|c| batch.schema().index_of(c).expect("group column"))
+        .collect();
     let v = batch.schema().index_of(val_col).expect("value column");
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for r in 0..batch.num_rows() {
-        groups
-            .entry(batch.column(g).value_at(r).to_string())
-            .or_default()
-            .push(r);
+        let mut key = String::new();
+        for (i, &c) in g.iter().enumerate() {
+            if i > 0 {
+                key.push('\u{1}');
+            }
+            write!(key, "{}", batch.column(c).value_at(r)).expect("write to a String");
+        }
+        groups.entry(key).or_default().push(r);
     }
-    let mut key_vals: Vec<Value> = Vec::with_capacity(groups.len());
+    let mut key_vals: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); g.len()];
     let mut sums: Vec<Value> = Vec::with_capacity(groups.len());
     let mut counts: Vec<Value> = Vec::with_capacity(groups.len());
     for rows in groups.values() {
-        key_vals.push(batch.column(g).value_at(rows[0]));
+        for (vals, &c) in key_vals.iter_mut().zip(&g) {
+            vals.push(batch.column(c).value_at(rows[0]));
+        }
         let nums: Vec<f64> = rows
             .iter()
             .filter_map(|&r| match batch.column(v).value_at(r) {
@@ -325,23 +338,23 @@ pub fn baseline_group_sum_count(
         sums.push(if nums.is_empty() {
             Value::Null
         } else {
-            Value::F64(nums.iter().sum())
+            Value::F64(nums.iter().fold(0.0, |s, x| s + x))
         });
         counts.push(Value::I64(rows.len() as i64));
     }
-    RecordBatch::try_new(
-        Schema::new(vec![
-            batch.schema().field(g).clone(),
-            Field::new("s", DataType::Float64, true),
-            Field::new("n", DataType::Int64, true),
-        ]),
-        vec![
-            Array::from_values(batch.column(g).data_type(), &key_vals).expect("group keys"),
-            Array::from_values(DataType::Float64, &sums).expect("group sums"),
-            Array::from_values(DataType::Int64, &counts).expect("group counts"),
-        ],
-    )
-    .expect("group batch")
+    let mut fields: Vec<Field> = g.iter().map(|&c| batch.schema().field(c).clone()).collect();
+    fields.push(Field::new("s", DataType::Float64, true));
+    fields.push(Field::new("n", DataType::Int64, true));
+    let mut columns: Vec<Array> = g
+        .iter()
+        .zip(&key_vals)
+        .map(|(&c, vals)| {
+            Array::from_values(batch.column(c).data_type(), vals).expect("group keys")
+        })
+        .collect();
+    columns.push(Array::from_values(DataType::Float64, &sums).expect("group sums"));
+    columns.push(Array::from_values(DataType::Int64, &counts).expect("group counts"));
+    RecordBatch::try_new(Schema::new(fields), columns).expect("group batch")
 }
 
 /// Row-at-a-time sort: comparator over boxed values (nulls lowest),

@@ -193,7 +193,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             "join mismatch at {n} rows"
         );
         assert_eq!(
-            baseline_group_sum_count(&events, "user_id", "value"),
+            baseline_group_sum_count(&events, &["user_id"], "value"),
             exec::aggregate(&q, &events).expect("aggregate"),
             "group_by mismatch at {n} rows"
         );
@@ -208,7 +208,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             "filter_join_dict mismatch at {n} rows"
         );
         assert_eq!(
-            baseline_group_sum_count(&coded, "code", "value"),
+            baseline_group_sum_count(&coded, &["code"], "value"),
             exec::aggregate(&q_dict, &coded_dict)
                 .expect("aggregate")
                 .dict_decoded(),
@@ -277,7 +277,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
         push(
             "group_by",
             time_ns(budget, || {
-                std::hint::black_box(baseline_group_sum_count(&events, "user_id", "value"));
+                std::hint::black_box(baseline_group_sum_count(&events, &["user_id"], "value"));
             }),
             time_ns(budget, || {
                 std::hint::black_box(exec::aggregate(&q, &events).expect("aggregate"));
@@ -286,7 +286,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
         push(
             "group_by_dict",
             time_ns(budget, || {
-                std::hint::black_box(baseline_group_sum_count(&coded, "code", "value"));
+                std::hint::black_box(baseline_group_sum_count(&coded, &["code"], "value"));
             }),
             time_ns(budget, || {
                 std::hint::black_box(

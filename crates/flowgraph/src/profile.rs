@@ -38,15 +38,18 @@ pub struct ShardStats {
     /// For filters: `rows_out / rows_in` (None when rows_in is 0 or the
     /// operator is not a filter).
     pub selectivity: Option<f64>,
-    /// For hash join / group-by: hash-table capacity in slots.
+    /// For hash join / group-by: hash-table capacity in slots (a
+    /// group-by's code tables; 0 when every key column was coded through
+    /// a direct table).
     pub hash_slots: u64,
     /// For hash join / group-by: probe steps that visited an occupied
     /// slot without matching (chain walks / linear-probe steps).
     pub hash_collisions: u64,
     /// For group-by: number of distinct groups produced.
     pub groups: u64,
-    /// Hash-table capacity-growth events. The kernels preallocate from
-    /// exact row counts, so any non-zero value flags a sizing bug.
+    /// For group-by: times a code table doubled (each starts at 16
+    /// slots). A join's tables are sized from exact row counts and never
+    /// grow.
     pub rehashes: u64,
     /// Joins that built their hash table on the nominal probe side
     /// because adaptive execution saw the build input was the larger one.

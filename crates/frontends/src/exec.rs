@@ -10,13 +10,15 @@
 //! `sum`/`count`/`min`/`max`/`avg`, ORDER BY, LIMIT.
 //!
 //! The hot paths are vectorized: WHERE conjuncts fuse into a single
-//! boolean mask ([`compute::and`]) applied once; joins and group-bys key
-//! on FNV-1a hashes of the raw column bytes with a typed equality check
-//! on collision — no per-row `String` rendering anywhere on the join or
-//! group-by key path. Every execution also records its operator chain —
-//! one [`ShardStats`] per relational operator, named by its [`Op`] as the
-//! planner's vertices are — which [`MemDb::query_profiled`] returns as a
-//! [`QueryProfile`] and [`MemDb::query`] drops.
+//! boolean mask ([`compute::and`]) applied once; joins key on FNV-1a
+//! hashes of the raw column bytes with a typed equality check on
+//! collision, and group-bys number their rows from each key column's
+//! codes ([`compute::group_ids`]) — no per-row `String` rendering
+//! anywhere on the join or group-by key path. Every execution also
+//! records its operator chain — one [`ShardStats`] per relational
+//! operator, named by its [`Op`] as the planner's vertices are — which
+//! [`MemDb::query_profiled`] returns as a [`QueryProfile`] and
+//! [`MemDb::query`] drops.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +28,6 @@ use skadi_arrow::array::Value;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
-use skadi_arrow::each_variant;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::profile::{QueryProfile, ShardStats, SKEW_MULTIPLE};
 use skadi_flowgraph::FlowGraph;
@@ -312,16 +313,8 @@ pub(crate) fn assemble_join(
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
 }
 
-/// Equality of two rows across the group-key columns, by `key_bytes`:
-/// floats compare by bit pattern and, within a group column, null equals
-/// null (SQL GROUP BY puts all nulls in one group).
-fn group_key_eq(batch: &RecordBatch, cols: &[usize], a: usize, b: usize) -> bool {
-    cols.iter()
-        .all(|&c| each_variant!(batch.column(c), k => k.key_bytes(a) == k.key_bytes(b)))
-}
-
 /// Grouped aggregation over the query's `GROUP BY` columns and aggregate
-/// select items (see [`parallel::aggregate_partitioned`]). A global
+/// select items (see [`parallel::aggregate_grouped`]). A global
 /// aggregate (no GROUP BY) always yields exactly one row; groups come out
 /// in rendered-key order.
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
@@ -340,8 +333,7 @@ pub(crate) fn aggregate_with_stats(
 
 /// The aggregation entry point independent of the query: shard execution
 /// drives this directly from [`ExecOp::Aggregate`] descriptors. Resolves
-/// the group columns and runs [`parallel::aggregate_partitioned`],
-/// partitioned by the input's row count.
+/// the group columns and runs [`parallel::aggregate_grouped`].
 ///
 /// [`ExecOp::Aggregate`]: skadi_flowgraph::ExecOp::Aggregate
 pub(crate) fn aggregate_spec(
@@ -354,8 +346,7 @@ pub(crate) fn aggregate_spec(
         .iter()
         .map(|g| input.schema().index_of(g).map_err(wrap))
         .collect::<Result<_, _>>()?;
-    let parts = parallel::partition_count(input.num_rows());
-    parallel::aggregate_partitioned(&group_cols, aggs, input, parts, stats)
+    parallel::aggregate_grouped(&group_cols, aggs, input, stats)
 }
 
 fn sort_order(descending: bool) -> compute::SortOrder {
@@ -414,8 +405,13 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
     // or a projection, a sort and a limit: sized before the query runs,
     // so recording allocates nothing per operator.
     let mut chain = Chain(Vec::with_capacity(6 + q.joins.len()));
+    // Tables are scanned dictionary-encoded, as the distributed engine's
+    // scan shards read them (`shard::scan_shard`): each column's encoding
+    // is made on first use and kept for the life of the table's arrays,
+    // so the kernels below group, join and filter on `u32` keys. The
+    // output boundary decodes.
     let t0 = Instant::now();
-    let mut current = db.table(&q.from)?.clone();
+    let mut current = db.table(&q.from)?.dict_encoded();
     let rows = current.num_rows();
     chain.record(Op::Scan, t0, rows, &current, ShardStats::default());
 
@@ -431,11 +427,12 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
         chain.record(Op::Filter, t0, rows_in, &current, ShardStats::default());
     }
     for j in &q.joins {
-        let right = db.table(&j.table)?;
-        let (t0, rows_in) = (Instant::now(), current.num_rows() + right.num_rows());
+        let t0 = Instant::now();
+        let right = db.table(&j.table)?.dict_encoded();
+        let rows_in = current.num_rows() + right.num_rows();
         let mut stats = ShardStats::default();
-        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, &mut stats)?;
-        current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
+        let (lr, rr) = join_rows(&current, &right, &j.left_key, &j.right_key, &mut stats)?;
+        current = assemble_join(&current, &right, &j.right_key, &lr, &rr)?;
         chain.record(Op::Join, t0, rows_in, &current, stats);
     }
     if !residual.is_empty() {

@@ -1,35 +1,37 @@
-//! The relational kernels: partitioned hash join, partitioned group-by,
-//! run-merge sort, conjunct masks and gathers.
+//! The relational kernels: partitioned hash join, group-by, run-merge
+//! sort, conjunct masks and gathers.
 //!
 //! There is one implementation per operator. Small inputs run it with a
 //! single partition and a single morsel — inline on the calling thread,
 //! with no partition pass — and large inputs with [`PARTITIONS`]
 //! partitions and one pool job per morsel; [`partition_count`] picks
-//! between the two from the input's row count alone. The invariant every
-//! kernel keeps is that **neither thread count nor partition count changes
-//! output bytes**, because all structure derives from the data —
+//! between the two for a join from the input's row count alone. The
+//! invariant every kernel keeps is that **neither thread count nor
+//! partition count changes output bytes**, because all structure derives
+//! from the data —
 //!
 //! * morsel boundaries come from [`pool::morsels`] (fixed row ranges);
-//! * join and group-by inputs split by the *top* bits of the folded key
-//!   hash (tables bucket by the *low* bits, so partitioning preserves
-//!   bucket entropy);
-//! * per-partition tables size themselves from exact partition row
-//!   counts, so they never rehash ([`GroupTable::rehashes`] proves it);
+//! * join inputs split by the *top* bits of the folded key hash (tables
+//!   bucket by the *low* bits, so partitioning preserves bucket entropy);
+//! * per-partition join tables size themselves from exact partition row
+//!   counts, so they never rehash;
 //! * merges are deterministic: join morsel outputs concatenate in morsel
-//!   order (probe order), group partitions merge by sorting `(rendered
-//!   key, representative row)` (rendered-key order with first-appearance
-//!   ties), and sorted runs merge under a total order (key, then row
-//!   index).
+//!   order (probe order), and sorted runs merge under a total order (key,
+//!   then row index).
 //!
 //! Every true join match shares the full key hash, so matches land in the
 //! probe row's own partition and per-partition chains ascend in global
 //! row order: the concatenated morsel outputs are the probe-order pair
-//! sequence whatever the partition count. Likewise every group lives
-//! wholly inside one partition, so per-group fold order equals global row
-//! order and float accumulations stay bit-identical. Only the hash-table
-//! counters in [`ShardStats`] depend on the partition count, which is
-//! why it stays a pure function of row count.
+//! sequence whatever the partition count. Only the join's hash-table
+//! counters in [`ShardStats`] depend on the partition count, which is why
+//! it stays a pure function of row count.
+//!
+//! A group-by does not split: its group ids come from the key columns'
+//! codes ([`compute::group_ids`]) and each aggregate folds in one
+//! streamed pass in row order, so float accumulations are bit-identical
+//! and the code tables' counters are the same at every thread count.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use skadi_arrow::array::{Array, PrimitiveArray, Value};
@@ -43,22 +45,21 @@ use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::profile::ShardStats;
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
-use super::{aggregate_type, compared_value, fold_hash, group_key_eq, wrap};
+use super::{aggregate_type, compared_value, fold_hash, wrap};
 use super::{JoinKeyRule, EMPTY_SLOT};
 use crate::sql::ast::{AggFunc, AggItem, Comparison};
 use crate::sql::SqlError;
 
-/// Hash partitions of a large join or group-by. Fixed (never derived from
-/// thread count); selected by the top `log2(PARTITIONS)` bits of the
-/// folded hash.
+/// Partitions of a large join. Fixed (never derived from thread count);
+/// a row's is the top `log2(PARTITIONS)` bits of its folded key hash.
 pub const PARTITIONS: usize = 8;
 
-/// Partitions a join or group-by over `rows` input rows runs with: one
+/// Partitions a join over `rows` input rows runs with: one
 /// below [`PARALLEL_MIN_ROWS`], [`PARTITIONS`] from there up. Partition
-/// count never changes a result, but table capacities are sized per
-/// partition and show up in profiles (the `EXPLAIN ANALYZE` goldens pin
-/// `ht[slots=16]` for small inputs), so the choice is a function of row
-/// count and nothing else.
+/// count never changes a result, but a join's table capacities are sized
+/// per partition and show up in profiles (the `EXPLAIN ANALYZE` goldens
+/// pin `ht[slots=16]` for small inputs), so the choice is a function of
+/// row count and nothing else.
 pub(crate) fn partition_count(rows: usize) -> usize {
     if rows >= PARALLEL_MIN_ROWS {
         PARTITIONS
@@ -107,81 +108,6 @@ fn partition_rows(
         }
     }
     part_rows
-}
-
-/// A linear-probing hash table assigning dense group ids, preallocated
-/// from a row-count hint (capacity `next_pow2(rows * 2)`, load factor
-/// under 0.5). If the hint was too small it doubles and reinserts,
-/// counting each growth in [`GroupTable::rehashes`] — with exact hints,
-/// as every kernel here supplies, that counter stays 0.
-struct GroupTable {
-    slots: Vec<u32>,
-    group_hashes: Vec<u64>,
-    /// Capacity-growth events (0 when the capacity hint was sufficient).
-    rehashes: u64,
-}
-
-impl GroupTable {
-    fn with_capacity_hint(rows: usize) -> GroupTable {
-        let cap = (rows * 2).next_power_of_two().max(16);
-        GroupTable {
-            slots: vec![EMPTY_SLOT; cap],
-            group_hashes: Vec::new(),
-            rehashes: 0,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Looks up the group for hash `h`, inserting a fresh id when no
-    /// existing group matches. `eq(g)` answers whether group `g`'s key
-    /// equals the probed row's; every visit to an occupied non-matching
-    /// slot increments `collisions` (hash compared before `eq`). Returns
-    /// `(group_id, inserted)`.
-    fn find_or_insert(
-        &mut self,
-        h: u64,
-        eq: impl Fn(u32) -> bool,
-        collisions: &mut u64,
-    ) -> (u32, bool) {
-        if (self.group_hashes.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() as u64 - 1;
-        let mut b = (fold_hash(h) & mask) as usize;
-        loop {
-            match self.slots[b] {
-                EMPTY_SLOT => {
-                    let g = self.group_hashes.len() as u32;
-                    self.slots[b] = g;
-                    self.group_hashes.push(h);
-                    return (g, true);
-                }
-                g if self.group_hashes[g as usize] == h && eq(g) => return (g, false),
-                _ => {
-                    *collisions += 1;
-                    b = (b + 1) & mask as usize;
-                }
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        self.rehashes += 1;
-        let cap = self.slots.len() * 2;
-        let mask = cap - 1;
-        let mut slots = vec![EMPTY_SLOT; cap];
-        for (g, &h) in self.group_hashes.iter().enumerate() {
-            let mut b = (fold_hash(h) as usize) & mask;
-            while slots[b] != EMPTY_SLOT {
-                b = (b + 1) & mask;
-            }
-            slots[b] = g as u32;
-        }
-        self.slots = slots;
-    }
 }
 
 /// Fuses a conjunction into one boolean mask (`None` for an empty
@@ -419,100 +345,55 @@ pub(crate) fn join_rows_partitioned(
     Ok((left_rows, right_rows))
 }
 
-/// Dense group ids for one partition's rows.
-struct Groups {
-    /// `row_group[k]` is the group of the partition's `k`-th row.
-    row_group: Vec<u32>,
-    /// First row seen per group (global row ids, ascending in group id).
-    rep_rows: Vec<usize>,
-    /// Rows per group.
-    sizes: Vec<i64>,
-    cap: usize,
-    collisions: u64,
-    rehashes: u64,
+/// The groups of an aggregate's input: every row's group id and how many
+/// groups there are.
+struct RowGroups<'a> {
+    ids: &'a [u32],
+    count: usize,
 }
 
-/// Assigns each of the partition's `rows` a dense group id from a
-/// `u64`-hash table with typed collision-checked key equality. No group
-/// columns means a global aggregate: one group holding every row — even
-/// over an empty input, so `count(*)` of nothing is one row holding `0` —
-/// and no table.
-fn assign_groups(
-    input: &RecordBatch,
-    group_cols: &[usize],
-    hashes: &[u64],
-    rows: &[u32],
-) -> Groups {
-    if group_cols.is_empty() {
-        return Groups {
-            row_group: vec![0; rows.len()],
-            rep_rows: vec![0],
-            sizes: vec![rows.len() as i64],
-            cap: 0,
-            collisions: 0,
-            rehashes: 0,
-        };
-    }
-    let mut table = GroupTable::with_capacity_hint(rows.len());
-    let mut g = Groups {
-        row_group: Vec::with_capacity(rows.len()),
-        rep_rows: Vec::new(),
-        sizes: Vec::new(),
-        cap: table.capacity(),
-        collisions: 0,
-        rehashes: 0,
-    };
-    for &r in rows {
-        let r = r as usize;
-        let (id, inserted) = table.find_or_insert(
-            hashes[r],
-            |id| group_key_eq(input, group_cols, g.rep_rows[id as usize], r),
-            &mut g.collisions,
-        );
-        if inserted {
-            g.rep_rows.push(r);
-            g.sizes.push(1);
-        } else {
-            g.sizes[id as usize] += 1;
+impl RowGroups<'_> {
+    /// Calls `f(group, value)` for every input row in ascending row order,
+    /// `values` yielding each row's value in turn, so every group folds in
+    /// global row order.
+    #[inline]
+    fn each<V>(&self, values: impl Iterator<Item = V>, mut f: impl FnMut(usize, V)) {
+        for (&g, v) in self.ids.iter().zip(values) {
+            f(g as usize, v);
         }
-        g.row_group.push(id);
     }
-    g.rehashes = table.rehashes;
-    g
 }
 
-/// One partition's aggregation result, pre-merge.
-struct PartAgg {
-    groups: Groups,
-    /// Rendered group key per group (the output ordering key).
-    keys: Vec<String>,
-    /// One accumulated column per aggregate, one row per group.
-    agg_cols: Vec<Array>,
-}
-
-/// Grouped aggregation keyed on raw-byte row hashes. Rows split into
-/// `parts` partitions by hash prefix; each partition assigns group ids and
-/// folds its aggregates independently (a group lives wholly in one
-/// partition and folds in global row order, so float sums are
-/// bit-identical at any partition count); the merge orders all groups by
-/// `(rendered key, first row)` — one rendered string per *group*, not per
-/// row. A global aggregate (no group columns) is the one-partition,
-/// one-group case. Table capacity, linear-probe steps and the group count
-/// accumulate into `stats`.
-pub(crate) fn aggregate_partitioned(
+/// Grouped aggregation over group ids read from the key columns' codes
+/// ([`compute::group_ids`]: dictionary keys index a direct table, other
+/// key columns probe one table typed to the column). Each aggregate folds
+/// in one pass over the rows in ascending order into one accumulator per
+/// group, so float sums are bit-identical to a row-order fold; groups
+/// then come out ordered by `(rendered key, first row)` — one rendered
+/// string per *group*, not per row. A global aggregate (no group columns)
+/// is one group. The code tables' slots, probe steps and doublings and
+/// the group count accumulate into `stats`.
+pub(crate) fn aggregate_grouped(
     group_cols: &[usize],
     aggs: &[AggItem],
     input: &RecordBatch,
-    parts: usize,
     stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
-    // A global aggregate is one group: a single partition, nothing to hash.
-    let (parts, hashes) = if group_cols.is_empty() {
-        (1, Vec::new())
+    // A global aggregate is one group even over no rows, so `count(*)` of
+    // nothing is one row holding `0`.
+    let groups = if group_cols.is_empty() {
+        compute::GroupIds {
+            ids: vec![0; input.num_rows()],
+            first_rows: vec![0],
+            ..Default::default()
+        }
     } else {
-        (parts, compute::hash_rows(input, group_cols))
+        compute::group_ids(input, group_cols)
     };
-    let hashes = Arc::new(hashes);
+    stats.hash_slots += groups.slots;
+    stats.hash_collisions += groups.collisions;
+    stats.rehashes += groups.rehashes;
+    stats.groups += groups.first_rows.len() as u64;
 
     // Output schema: group columns then one column per aggregate, typed
     // by the rule the planner checked ([`aggregate_type`]).
@@ -520,7 +401,7 @@ pub(crate) fn aggregate_partitioned(
         .iter()
         .map(|&c| input.schema().field(c).clone())
         .collect();
-    let mut resolved: Vec<(AggFunc, Option<usize>)> = Vec::new();
+    let mut resolved: Vec<(AggFunc, Option<usize>)> = Vec::with_capacity(aggs.len());
     for agg in aggs {
         let column = agg.input().map(|c| input.schema().index_of(c));
         let column = column.transpose().map_err(wrap)?;
@@ -528,121 +409,95 @@ pub(crate) fn aggregate_partitioned(
         fields.push(Field::new(agg.name.clone(), data_type, true));
         resolved.push((agg.func, column));
     }
-    let resolved = Arc::new(resolved);
-
-    // Null keys group like any other key, so no row is dropped.
-    let part_rows = partition_rows(input.num_rows(), &hashes, None, parts);
-    let r2 = Arc::clone(&resolved);
-    let gcols: Vec<usize> = group_cols.to_vec();
-    let input2 = input.clone();
-    let part_aggs: Vec<PartAgg> = pool::global()
-        .run_indexed(parts, move |p| {
-            let rows = &part_rows[p];
-            let groups = assign_groups(&input2, &gcols, &hashes, rows);
-            let keys: Vec<String> = groups
-                .rep_rows
-                .iter()
-                .map(|&r| {
-                    gcols
-                        .iter()
-                        .map(|&c| input2.column(c).value_at(r).to_string())
-                        .collect::<Vec<_>>()
-                        .join("\u{1}")
-                })
-                .collect();
-            let agg_cols = r2
-                .iter()
-                .map(|&(func, column)| accumulate_rows(func, column, &input2, rows, &groups))
-                .collect::<Result<Vec<Array>, SqlError>>()?;
-            Ok(PartAgg {
-                groups,
-                keys,
-                agg_cols,
-            })
-        })
-        .into_iter()
-        .collect::<Result<_, SqlError>>()?;
-
-    for p in &part_aggs {
-        stats.hash_slots += p.groups.cap as u64;
-        stats.hash_collisions += p.groups.collisions;
-        stats.rehashes += p.groups.rehashes;
-        stats.groups += p.groups.rep_rows.len() as u64;
-    }
-
-    // Deterministic merge. All groups in partition order — the order
-    // their aggregate columns lay end to end in — sorted by rendered key
-    // with first-appearance ties, and first appearance is ascending
-    // representative row.
-    let keys: Vec<&String> = part_aggs.iter().flat_map(|p| &p.keys).collect();
-    let reps: Vec<usize> = part_aggs
+    let by_group = RowGroups {
+        ids: &groups.ids,
+        count: groups.first_rows.len(),
+    };
+    let agg_cols = resolved
         .iter()
-        .flat_map(|p| p.groups.rep_rows.iter().copied())
+        .map(|&(func, column)| accumulate_rows(func, column, input, &by_group))
+        .collect::<Result<Vec<Array>, SqlError>>()?;
+
+    let keys: Vec<String> = groups
+        .first_rows
+        .iter()
+        .map(|&r| {
+            let mut key = String::new();
+            for (i, &c) in group_cols.iter().enumerate() {
+                if i > 0 {
+                    key.push('\u{1}');
+                }
+                let value = input.column(c).value_at(r as usize);
+                write!(key, "{value}").expect("write to a String");
+            }
+            key
+        })
         .collect();
+    // Groups are numbered by first appearance, so a tie on the rendered
+    // key breaks by group number exactly as by first row; the order is
+    // total and an unstable sort has the one outcome.
     let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(keys[b]).then(reps[a].cmp(&reps[b])));
-    let ordered_reps: Vec<usize> = order.iter().map(|&g| reps[g]).collect();
+    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+    let ordered_firsts: Vec<usize> = order
+        .iter()
+        .map(|&g| groups.first_rows[g] as usize)
+        .collect();
 
     let mut columns: Vec<Array> = group_cols
         .iter()
-        .map(|&c| input.column(c).take_rows(&ordered_reps))
+        .map(|&c| input.column(c).take_rows(&ordered_firsts))
         .collect();
-    for k in 0..resolved.len() {
-        let cols: Vec<&Array> = part_aggs.iter().map(|p| &p.agg_cols[k]).collect();
-        columns.push(Array::concat(&cols).map_err(wrap)?.take_rows(&order));
-    }
+    columns.extend(agg_cols.iter().map(|a| a.take_rows(&order)));
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
 }
 
-/// Streams `get(row)` over one partition's rows into one accumulator per
+/// Streams a value per row ([`RowGroups::each`]) into one accumulator per
 /// group, starting each group from `identity`; groups with no non-null
-/// value stay null. `rows` ascends, so every group folds in global row
-/// order.
+/// value stay null. Rows ascend, so every group folds in global row order.
 fn fold_rows<T: Copy>(
-    rows: &[u32],
-    groups: &Groups,
-    get: impl Fn(usize) -> Option<T>,
+    groups: &RowGroups,
+    values: impl Iterator<Item = Option<T>>,
     identity: T,
     mut op: impl FnMut(T, T) -> T,
 ) -> Vec<Option<T>> {
-    let mut acc: Vec<Option<T>> = vec![None; groups.sizes.len()];
-    for (k, &r) in rows.iter().enumerate() {
-        if let Some(v) = get(r as usize) {
-            let g = groups.row_group[k] as usize;
+    let mut acc: Vec<Option<T>> = vec![None; groups.count];
+    groups.each(values, |g, v| {
+        if let Some(v) = v {
             acc[g] = Some(op(acc[g].unwrap_or(identity), v));
         }
-    }
+    });
     acc
 }
 
-/// Rows per group whose `valid(row)` holds.
-fn count_rows(rows: &[u32], groups: &Groups, valid: impl Fn(usize) -> bool) -> Vec<i64> {
-    let counts = fold_rows(rows, groups, |r| valid(r).then_some(1), 0, |n, one| n + one);
-    counts.into_iter().map(|n| n.unwrap_or(0)).collect()
+/// Rows per group whose value ([`RowGroups::each`]) is `true`.
+fn count_rows(groups: &RowGroups, values: impl Iterator<Item = bool>) -> Vec<i64> {
+    let mut counts = vec![0i64; groups.count];
+    groups.each(values, |g, counted| counts[g] += counted as i64);
+    counts
 }
 
 /// Runs one aggregate — `func` over input column `column`, or over no
-/// column for `count(*)` — over one partition's rows in a single
-/// column-at-a-time pass. `Int64` and `Float64` columns fold
-/// ([`fold_numbers`]); any other column only reaches here under `count`
-/// ([`aggregate_type`] refused the rest). An `Int64` sum that leaves the
-/// `i64` range ends the query with an error instead of wrapping.
+/// column for `count(*)` — in a single column-at-a-time pass. `Int64` and
+/// `Float64` columns fold ([`fold_numbers`]); any other column only
+/// reaches here under `count` ([`aggregate_type`] refused the rest). An
+/// `Int64` sum that leaves the `i64` range ends the query with an error
+/// instead of wrapping.
 fn accumulate_rows(
     func: AggFunc,
     column: Option<usize>,
     input: &RecordBatch,
-    rows: &[u32],
-    groups: &Groups,
+    groups: &RowGroups,
 ) -> Result<Array, SqlError> {
     let Some(c) = column else {
-        return Ok(Array::from_i64(groups.sizes.clone()));
+        return Ok(Array::from_i64(count_rows(groups, std::iter::repeat(true))));
     };
     let folded = match input.column(c) {
-        Array::Int64(a) => fold_numbers(func, a, rows, groups),
-        Array::Float64(a) => fold_numbers(func, a, rows, groups),
-        col => Some(Array::from_i64(count_rows(rows, groups, |r| {
-            !col.is_null(r)
-        }))),
+        Array::Int64(a) => fold_numbers(func, a, groups),
+        Array::Float64(a) => fold_numbers(func, a, groups),
+        col => {
+            let valid = (0..col.len()).map(|r| !col.is_null(r));
+            Some(Array::from_i64(count_rows(groups, valid)))
+        }
     };
     folded.ok_or_else(|| {
         let name = &input.schema().field(c).name;
@@ -712,20 +567,14 @@ impl Number for f64 {
 fn fold_numbers<T: Number>(
     func: AggFunc,
     a: &PrimitiveArray<T>,
-    rows: &[u32],
-    groups: &Groups,
+    groups: &RowGroups,
 ) -> Option<Array>
 where
     PrimitiveArray<T>: Into<Array>,
 {
-    let fold = |identity: T, op: fn(T, T) -> T| {
-        let folded = fold_rows(rows, groups, |r| a.get(r), identity, op);
-        Some(PrimitiveArray::from_options(folded).into())
-    };
+    let valid = || a.iter().map(|v| v.is_some());
     match func {
-        AggFunc::Count => Some(Array::from_i64(count_rows(rows, groups, |r| {
-            a.get(r).is_some()
-        }))),
+        AggFunc::Count => Some(Array::from_i64(count_rows(groups, valid()))),
         AggFunc::Sum => {
             let mut overflowed = false;
             let add = |x, y| {
@@ -734,14 +583,21 @@ where
                     T::ZERO
                 })
             };
-            let sums = fold_rows(rows, groups, |r| a.get(r), T::ZERO, add);
+            let sums = fold_rows(groups, a.iter(), T::ZERO, add);
             (!overflowed).then(|| PrimitiveArray::from_options(sums).into())
         }
-        AggFunc::Min => fold(T::GREATEST, T::min),
-        AggFunc::Max => fold(T::LEAST, T::max),
+        AggFunc::Min => {
+            let mins = fold_rows(groups, a.iter(), T::GREATEST, T::min);
+            Some(PrimitiveArray::from_options(mins).into())
+        }
+        AggFunc::Max => {
+            let maxes = fold_rows(groups, a.iter(), T::LEAST, T::max);
+            Some(PrimitiveArray::from_options(maxes).into())
+        }
         AggFunc::Avg => {
-            let sums = fold_rows(rows, groups, |r| a.get(r).map(T::to_f64), 0.0, |x, y| x + y);
-            let counts = count_rows(rows, groups, |r| a.get(r).is_some());
+            let as_f64 = a.iter().map(|v| v.map(T::to_f64));
+            let sums = fold_rows(groups, as_f64, 0.0, |x, y| x + y);
+            let counts = count_rows(groups, valid());
             let means = sums.into_iter().zip(counts);
             Some(Array::from_opt_f64(
                 means.map(|(s, n)| Some(s? / n as f64)).collect(),
@@ -809,40 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn group_table_grows_and_counts_rehashes() {
-        let mut t = GroupTable::with_capacity_hint(0);
-        assert_eq!(t.capacity(), 16);
-        let mut collisions = 0u64;
-        for h in 0..100u64 {
-            // All keys distinct: eq by hash identity.
-            let (_, inserted) = t.find_or_insert(
-                h.wrapping_mul(0x9E3779B97F4A7C15),
-                |_| false,
-                &mut collisions,
-            );
-            assert!(inserted);
-        }
-        assert!(
-            t.rehashes >= 4,
-            "expected growth events, got {}",
-            t.rehashes
-        );
-        assert!(t.capacity() >= 200);
-
-        // An exact hint never rehashes.
-        let mut t = GroupTable::with_capacity_hint(100);
-        let mut collisions = 0u64;
-        for h in 0..100u64 {
-            t.find_or_insert(
-                h.wrapping_mul(0x9E3779B97F4A7C15),
-                |_| false,
-                &mut collisions,
-            );
-        }
-        assert_eq!(t.rehashes, 0);
-    }
-
-    #[test]
     fn partitioned_join_matches_bruteforce_and_is_thread_invariant() {
         let _guard = pool::test_guard();
         let n = PARALLEL_MIN_ROWS + 1234;
@@ -900,35 +722,15 @@ mod tests {
         }
     }
 
-    /// Partition count never changes output: the join and group-by
-    /// kernels run with 1 and with [`PARTITIONS`] partitions on the same
-    /// input, at sizes either side of the row-count gate, over every key
-    /// type with null keys on both sides, for a global and a grouped
-    /// aggregate of every function over every numeric input type and
-    /// `count` over a string, at pool sizes 1 and 4 — and must
-    /// produce the same pair sequence and the same encoded batch.
+    /// Partition count never changes a join's output: the kernel runs
+    /// with 1 and with [`PARTITIONS`] partitions on the same input, at
+    /// sizes either side of the row-count gate, over every key type with
+    /// null keys on both sides, at pool sizes 1 and 4 — and must produce
+    /// the same pair sequence.
     #[test]
     fn partition_count_never_changes_output() {
         let _guard = pool::test_guard();
         let min = PARALLEL_MIN_ROWS;
-        use AggFunc::*;
-        let aggs: Vec<AggItem> = [
-            (Count, "*"),
-            (Count, "i"),
-            (Sum, "i"),
-            (Min, "i"),
-            (Max, "i"),
-            (Sum, "f"),
-            (Min, "f"),
-            (Max, "f"),
-            (Avg, "i"),
-            (Avg, "f"),
-            (Count, "s"),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(n, (func, col))| item(func, col, &format!("a{n}")))
-        .collect();
         for n in [0, 1, min - 1, min, min + 1, 2 * min + 5] {
             // ~2 matches per probe row; every 11th / 13th key is null.
             let modulus = (n as i64 / 2).max(1);
@@ -940,30 +742,9 @@ mod tests {
                     .collect()
             };
             let (lks, rks) = (nullable(7, 11), nullable(9, 13));
-            let ints = nullable(21, 5);
-            let floats: Vec<Option<f64>> = nullable(23, 6)
-                .into_iter()
-                .map(|v| v.map(|v| v as f64 / 3.0))
-                .collect();
-            let strs: Vec<String> = (0..n).map(|r| format!("s{}", r % 3)).collect();
             for kind in ["int", "float", "utf8", "dict", "mixed"] {
                 let lcol = key_column(kind, &lks, false);
                 let rcol = key_column(kind, &rks, true);
-                let input = RecordBatch::try_new(
-                    Schema::new(vec![
-                        Field::new("k", lcol.data_type(), true),
-                        Field::new("i", DataType::Int64, true),
-                        Field::new("f", DataType::Float64, true),
-                        Field::new("s", DataType::Utf8, false),
-                    ]),
-                    vec![
-                        lcol.clone(),
-                        Array::from_opt_i64(ints.clone()),
-                        Array::from_opt_f64(floats.clone()),
-                        Array::from_utf8(&strs),
-                    ],
-                )
-                .unwrap();
                 for threads in [1, 4] {
                     pool::set_global_threads(threads);
                     let at = format!("{kind} keys, {n} rows, {threads} threads");
@@ -974,17 +755,6 @@ mod tests {
                     let pairs = join(1);
                     assert_eq!(pairs, join(PARTITIONS), "join: {at}");
                     assert!(n < 100 || !pairs.0.is_empty(), "join matched nothing: {at}");
-                    for group_cols in [&[][..], &[0][..]] {
-                        let agg = |parts| {
-                            let mut stats = ShardStats::default();
-                            let out =
-                                aggregate_partitioned(group_cols, &aggs, &input, parts, &mut stats)
-                                    .unwrap();
-                            assert_eq!(stats.rehashes, 0, "{at}");
-                            (skadi_arrow::ipc::encode(&out).to_vec(), stats.groups)
-                        };
-                        assert_eq!(agg(1), agg(PARTITIONS), "group by {group_cols:?}: {at}");
-                    }
                 }
             }
         }
@@ -1167,26 +937,20 @@ mod tests {
                 vec![a, b],
             )
             .unwrap();
-            for threads in [1, 4] {
-                pool::set_global_threads(threads);
-                for parts in [1, PARTITIONS] {
-                    let mut stats = ShardStats::default();
-                    let out =
-                        aggregate_partitioned(&[0, 1], &aggs, &input, parts, &mut stats).unwrap();
-                    let got: Vec<(String, i64)> = (0..out.num_rows())
-                        .map(|r| {
-                            let key = format!(
-                                "{}\u{1}{}",
-                                out.column(0).value_at(r),
-                                out.column(1).value_at(r)
-                            );
-                            (key, out.column(2).as_i64().unwrap().get(r).unwrap())
-                        })
-                        .collect();
-                    let want: Vec<(String, i64)> = want.clone().into_iter().collect();
-                    assert_eq!(got, want, "{at}, {parts} partitions, {threads} threads");
-                }
-            }
+            let mut stats = ShardStats::default();
+            let out = aggregate_grouped(&[0, 1], &aggs, &input, &mut stats).unwrap();
+            let got: Vec<(String, i64)> = (0..out.num_rows())
+                .map(|r| {
+                    let key = format!(
+                        "{}\u{1}{}",
+                        out.column(0).value_at(r),
+                        out.column(1).value_at(r)
+                    );
+                    (key, out.column(2).as_i64().unwrap().get(r).unwrap())
+                })
+                .collect();
+            let want: Vec<(String, i64)> = want.into_iter().collect();
+            assert_eq!(got, want, "{at}");
         }
     }
 
@@ -1217,10 +981,11 @@ mod tests {
         for threads in [1, 4] {
             pool::set_global_threads(threads);
             let mut stats = ShardStats::default();
-            let out = aggregate_partitioned(&[0], &aggs, &input, PARTITIONS, &mut stats).unwrap();
+            let out = aggregate_grouped(&[0], &aggs, &input, &mut stats).unwrap();
             assert_eq!(out.num_rows(), by_key.len());
             assert_eq!(stats.groups, by_key.len() as u64);
-            assert_eq!(stats.rehashes, 0);
+            // 37 keys: one table grown from 16 to 128 slots.
+            assert_eq!((stats.hash_slots, stats.rehashes), (128, 3));
             for (i, (_, &(k, s, c))) in by_key.iter().enumerate() {
                 assert_eq!(out.column(0).value_at(i), Value::I64(k), "row {i} key");
                 assert_eq!(out.column(1).value_at(i), Value::I64(s), "row {i} sum");
@@ -1284,61 +1049,46 @@ mod tests {
         };
         let bits = |a: &Array, r: usize| a.as_f64().unwrap().get(r).map(f64::to_bits);
         let two_52 = (1i64 << 52) as f64;
-        for threads in [1, 4] {
-            pool::set_global_threads(threads);
-            for parts in [1, PARTITIONS] {
-                let at = format!("{parts} partitions, {threads} threads");
-                let mut stats = ShardStats::default();
-                let out = aggregate_partitioned(&[0], &aggs, &input, parts, &mut stats).unwrap();
-                let col = |name: &str| out.column_by_name(name).unwrap();
-                assert_eq!(out.num_rows(), 5, "{at}");
-                assert_eq!(
-                    col("n").as_i64().unwrap().iter().collect::<Vec<_>>(),
-                    [2, 2, 3, 1, 1].map(Some)
-                );
-                assert_eq!(
-                    col("ni").as_i64().unwrap().iter().collect::<Vec<_>>(),
-                    [2, 0, 2, 1, 0].map(Some)
-                );
-                let sums = [Some(big + 1), None, Some(3), Some(5), None];
-                assert_eq!(
-                    col("si").as_i64().unwrap().iter().collect::<Vec<_>>(),
-                    sums,
-                    "{at}"
-                );
-                let means = [Some(two_52), None, Some(1.5), Some(5.0), None];
-                assert_eq!(
-                    col("ai").as_f64().unwrap().iter().collect::<Vec<_>>(),
-                    means,
-                    "{at}"
-                );
-                for (r, k) in (1..=5).enumerate() {
-                    assert_eq!(
-                        bits(col("lo"), r),
-                        fold(k, f64::INFINITY, f64::min),
-                        "{at}: min {k}"
-                    );
-                    assert_eq!(
-                        bits(col("hi"), r),
-                        fold(k, f64::NEG_INFINITY, f64::max),
-                        "{at}: max {k}"
-                    );
-                    assert_eq!(
-                        bits(col("sf"), r),
-                        fold(k, 0.0, |a, b| a + b),
-                        "{at}: sum {k}"
-                    );
-                }
-                // The identities, spelled out where they show.
-                assert_eq!(col("lo").value_at(0), Value::F64(1.5), "{at}");
-                assert_eq!(col("lo").value_at(3), Value::F64(f64::INFINITY), "{at}");
-                assert_eq!(col("hi").value_at(3), Value::F64(f64::NEG_INFINITY), "{at}");
-                assert_eq!(bits(col("sf"), 4), Some(0.0f64.to_bits()), "{at}");
-                assert!(col("af").as_f64().unwrap().get(3).unwrap().is_nan(), "{at}");
-                for name in ["si", "ai", "lo", "hi", "sf", "af"] {
-                    assert!(col(name).is_null(1), "{at}: {name} of an all-null group");
-                }
-            }
+        let mut stats = ShardStats::default();
+        let out = aggregate_grouped(&[0], &aggs, &input, &mut stats).unwrap();
+        let col = |name: &str| out.column_by_name(name).unwrap();
+        assert_eq!(out.num_rows(), 5);
+        assert_eq!(
+            col("n").as_i64().unwrap().iter().collect::<Vec<_>>(),
+            [2, 2, 3, 1, 1].map(Some)
+        );
+        assert_eq!(
+            col("ni").as_i64().unwrap().iter().collect::<Vec<_>>(),
+            [2, 0, 2, 1, 0].map(Some)
+        );
+        let sums = [Some(big + 1), None, Some(3), Some(5), None];
+        assert_eq!(col("si").as_i64().unwrap().iter().collect::<Vec<_>>(), sums);
+        let means = [Some(two_52), None, Some(1.5), Some(5.0), None];
+        assert_eq!(
+            col("ai").as_f64().unwrap().iter().collect::<Vec<_>>(),
+            means
+        );
+        for (r, k) in (1..=5).enumerate() {
+            assert_eq!(
+                bits(col("lo"), r),
+                fold(k, f64::INFINITY, f64::min),
+                "min {k}"
+            );
+            assert_eq!(
+                bits(col("hi"), r),
+                fold(k, f64::NEG_INFINITY, f64::max),
+                "max {k}"
+            );
+            assert_eq!(bits(col("sf"), r), fold(k, 0.0, |a, b| a + b), "sum {k}");
+        }
+        // The identities, spelled out where they show.
+        assert_eq!(col("lo").value_at(0), Value::F64(1.5));
+        assert_eq!(col("lo").value_at(3), Value::F64(f64::INFINITY));
+        assert_eq!(col("hi").value_at(3), Value::F64(f64::NEG_INFINITY));
+        assert_eq!(bits(col("sf"), 4), Some(0.0f64.to_bits()));
+        assert!(col("af").as_f64().unwrap().get(3).unwrap().is_nan());
+        for name in ["si", "ai", "lo", "hi", "sf", "af"] {
+            assert!(col(name).is_null(1), "{name} of an all-null group");
         }
 
         // An Int64 sum that leaves the i64 range is an error, not a wrap.
@@ -1354,11 +1104,9 @@ mod tests {
         )
         .unwrap();
         let sum = [item(Sum, "v", "s")];
-        for parts in [1, PARTITIONS] {
-            let got = aggregate_partitioned(&[0], &sum, &input, parts, &mut ShardStats::default());
-            let want = SqlError::Plan("execution: sum(v) overflowed Int64".into());
-            assert_eq!(got.unwrap_err(), want, "{parts} partitions");
-        }
+        let got = aggregate_grouped(&[0], &sum, &input, &mut ShardStats::default());
+        let want = SqlError::Plan("execution: sum(v) overflowed Int64".into());
+        assert_eq!(got.unwrap_err(), want);
     }
 
     #[test]

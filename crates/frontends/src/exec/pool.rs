@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 /// thread count) so row-range splits are identical at every parallelism.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// The row count from which a join or group-by splits into hash
-/// partitions (`parallel::partition_count`) and a gather or a multi-conjunct
+/// The row count from which a join splits into hash partitions
+/// (`parallel::partition_count`) and a gather or a multi-conjunct
 /// mask spreads its columns over the pool instead of running inline. Below
 /// it every kernel is its one-partition, one-morsel case. The threshold is
 /// data-dependent only, so the partition count — and therefore every

@@ -920,12 +920,21 @@ fn generated_statements(rng: &mut skadi_dcsim::rng::DetRng, rows: usize) -> Vec<
         "SELECT count(*) AS n, sum(x) AS s FROM e".to_string(),
         "SELECT id, x FROM a JOIN e ON k = k".to_string(),
         format!("SELECT k, x FROM e JOIN a ON k = k LIMIT {}", lim()),
+        // Two-column group keys: a dictionary-encoded string with a
+        // nullable integer, and an integer with a float whose NaN and
+        // zeros are groups of their own.
+        format!(
+            "SELECT tag, k, sum(x) AS s, count(*) AS n FROM a GROUP BY tag, k ORDER BY n{} LIMIT {}",
+            dir(),
+            lim()
+        ),
+        "SELECT k, x, count(*) AS n, max(w) AS hi FROM a GROUP BY k, x".to_string(),
     ]
 }
 
 /// Seeds that have failed while the rules were written stay here; add to
 /// the list, never replace it.
-const RULE_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 20230622, 0xdead_beef];
+const RULE_SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 20230622, 0xdead_beef, 21, 34];
 
 /// `MemDb::query` against `sql_distributed` under every plan variant:
 /// parallelism 1/2/3/4/8 x optimizer on/off x adaptive on/off, compared

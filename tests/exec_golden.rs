@@ -237,7 +237,7 @@ proptest! {
             "SELECT k, sum(v) AS s, count(*) AS n FROM t GROUP BY k",
         ).unwrap()).unwrap();
         let vectorized = exec::aggregate(&q, &batch).unwrap();
-        let reference = baseline_group_sum_count(&batch, "k", "v");
+        let reference = baseline_group_sum_count(&batch, &["k"], "v");
         prop_assert_eq!(vectorized, reference);
     }
 

@@ -323,14 +323,14 @@ fn prometheus_exposition_validates() {
 const GOLDEN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=1, skew>2x median)
 #2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=89
-  #1 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=2 med=2.0 max=2] bytes=164 ht[slots=16 collisions=0] groups=2
+  #1 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=2 med=2.0 max=2] bytes=164 groups=2
     #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=234
 ";
 
 const GOLDEN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY tag (parallelism=4, skew>2x median)
 #2 result shards=1 rows_in[min=2 med=2.0 max=2] rows_out[min=2 med=2.0 max=2] bytes=89
-  #1 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=0.5 max=1] bytes=428 ht[slots=64 collisions=0] groups=2
+  #1 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=0.5 max=1] bytes=428 groups=2
     #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=456
 ";
 
