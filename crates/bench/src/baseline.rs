@@ -1,17 +1,16 @@
 //! The differential oracle: the benchmark tables and the row-at-a-time
 //! reference engine, in one place.
 //!
-//! The baseline functions here are faithful replicas of the engine
+//! The baseline functions here are row-at-a-time replicas of the engine
 //! *before* the vectorization pass: per-row [`Value`] boxing, stringly
-//! `BTreeMap` join/group-by keys, `Vec<f64>` staging per group. They
-//! serve two purposes: the "before" series in `BENCH_exec.json`
+//! `BTreeMap` join keys, boxed key tuples and `Vec<f64>` staging per
+//! group. They serve two purposes: the "before" series in `BENCH_exec.json`
 //! ([`crate::exec_bench`] cross-checks `baseline == vectorized` on the
 //! full result batch before timing anything), and the semantics
 //! reference of the golden and thread-invariance suites
 //! (`tests/exec_golden.rs`, `tests/parallel_equiv.rs`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
@@ -294,11 +293,51 @@ pub fn baseline_join(
     RecordBatch::try_new(Schema::new(fields), columns).expect("join batch")
 }
 
-/// Stringly group-by: each row's key columns rendered and joined by
-/// `\u{1}` into a `BTreeMap` key, a `Vec<f64>` per group summed in row
-/// order, emitting `group_cols.., sum(val) AS s, count(*) AS n`. Groups
-/// come out in rendered-key order, each key column holding its first
-/// row's value.
+/// A group key's value as the oracle compares it: by type and value,
+/// NULL apart from every string (`"null"` included) and a float by its
+/// bits, so a NaN payload is one group and `-0.0` is not `0.0`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum KeyValue {
+    Null,
+    Int(i64),
+    Float(u64),
+    Bool(bool),
+    Str(String),
+}
+
+impl From<Value> for KeyValue {
+    fn from(v: Value) -> KeyValue {
+        match v {
+            Value::Null => KeyValue::Null,
+            Value::I64(x) => KeyValue::Int(x),
+            Value::F64(x) => KeyValue::Float(x.to_bits()),
+            Value::Bool(x) => KeyValue::Bool(x),
+            Value::Str(x) => KeyValue::Str(x),
+        }
+    }
+}
+
+/// The groups of `batch`'s rows under the key columns `cols`: each
+/// group's rows ascending, keyed by the boxed tuple of its key values in a
+/// `BTreeMap`, then the groups sorted by their first row.
+pub fn baseline_groups(batch: &RecordBatch, cols: &[usize]) -> Vec<Vec<usize>> {
+    let mut groups: BTreeMap<Vec<KeyValue>, Vec<usize>> = BTreeMap::new();
+    for r in 0..batch.num_rows() {
+        let key = cols
+            .iter()
+            .map(|&c| KeyValue::from(batch.column(c).value_at(r)))
+            .collect();
+        groups.entry(key).or_default().push(r);
+    }
+    let mut groups: Vec<Vec<usize>> = groups.into_values().collect();
+    groups.sort_by_key(|rows| rows[0]);
+    groups
+}
+
+/// Boxed group-by ([`baseline_groups`]): a `Vec<f64>` per group summed in
+/// row order, emitting `group_cols.., sum(val) AS s, count(*) AS n`.
+/// Groups come out in order of first appearance, each key column holding
+/// its first row's value.
 pub fn baseline_group_sum_count(
     batch: &RecordBatch,
     group_cols: &[&str],
@@ -309,21 +348,11 @@ pub fn baseline_group_sum_count(
         .map(|c| batch.schema().index_of(c).expect("group column"))
         .collect();
     let v = batch.schema().index_of(val_col).expect("value column");
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for r in 0..batch.num_rows() {
-        let mut key = String::new();
-        for (i, &c) in g.iter().enumerate() {
-            if i > 0 {
-                key.push('\u{1}');
-            }
-            write!(key, "{}", batch.column(c).value_at(r)).expect("write to a String");
-        }
-        groups.entry(key).or_default().push(r);
-    }
+    let groups = baseline_groups(batch, &g);
     let mut key_vals: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); g.len()];
     let mut sums: Vec<Value> = Vec::with_capacity(groups.len());
     let mut counts: Vec<Value> = Vec::with_capacity(groups.len());
-    for rows in groups.values() {
+    for rows in &groups {
         for (vals, &c) in key_vals.iter_mut().zip(&g) {
             vals.push(batch.column(c).value_at(rows[0]));
         }

@@ -316,7 +316,7 @@ pub(crate) fn assemble_join(
 /// Grouped aggregation over the query's `GROUP BY` columns and aggregate
 /// select items (see [`parallel::aggregate_grouped`]). A global
 /// aggregate (no GROUP BY) always yields exactly one row; groups come out
-/// in rendered-key order.
+/// in order of first appearance in `input`.
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
     aggregate_with_stats(q, input, &mut ShardStats::default())
 }
@@ -550,7 +550,7 @@ mod tests {
             .query("SELECT kind, sum(value) AS total, count(*) AS n FROM events GROUP BY kind")
             .unwrap();
         assert_eq!(out.num_rows(), 2);
-        // Rendered-key order: click before view.
+        // First-appearance order: click (row 0) before view (row 1).
         assert_eq!(
             out.column_by_name("kind").unwrap().value_at(0),
             Value::Str("click".into())

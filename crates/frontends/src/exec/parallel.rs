@@ -31,7 +31,6 @@
 //! streamed pass in row order, so float accumulations are bit-identical
 //! and the code tables' counters are the same at every thread count.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use skadi_arrow::array::{Array, PrimitiveArray, Value};
@@ -369,10 +368,10 @@ impl RowGroups<'_> {
 /// key columns probe one table typed to the column). Each aggregate folds
 /// in one pass over the rows in ascending order into one accumulator per
 /// group, so float sums are bit-identical to a row-order fold; groups
-/// then come out ordered by `(rendered key, first row)` — one rendered
-/// string per *group*, not per row. A global aggregate (no group columns)
-/// is one group. The code tables' slots, probe steps and doublings and
-/// the group count accumulate into `stats`.
+/// come out in order of first appearance, each key read at its group's
+/// first row. A global aggregate (no group columns) is one group. The
+/// code tables' slots, probe steps and doublings and the group count
+/// accumulate into `stats`.
 pub(crate) fn aggregate_grouped(
     group_cols: &[usize],
     aggs: &[AggItem],
@@ -418,36 +417,14 @@ pub(crate) fn aggregate_grouped(
         .map(|&(func, column)| accumulate_rows(func, column, input, &by_group))
         .collect::<Result<Vec<Array>, SqlError>>()?;
 
-    let keys: Vec<String> = groups
-        .first_rows
-        .iter()
-        .map(|&r| {
-            let mut key = String::new();
-            for (i, &c) in group_cols.iter().enumerate() {
-                if i > 0 {
-                    key.push('\u{1}');
-                }
-                let value = input.column(c).value_at(r as usize);
-                write!(key, "{value}").expect("write to a String");
-            }
-            key
-        })
-        .collect();
-    // Groups are numbered by first appearance, so a tie on the rendered
-    // key breaks by group number exactly as by first row; the order is
-    // total and an unstable sort has the one outcome.
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-    let ordered_firsts: Vec<usize> = order
-        .iter()
-        .map(|&g| groups.first_rows[g] as usize)
-        .collect();
-
+    // Groups are numbered by first appearance, so each key column is its
+    // first rows in group order and the folds are already in that order.
+    let firsts: Vec<usize> = groups.first_rows.iter().map(|&r| r as usize).collect();
     let mut columns: Vec<Array> = group_cols
         .iter()
-        .map(|&c| input.column(c).take_rows(&ordered_firsts))
+        .map(|&c| input.column(c).take_rows(&firsts))
         .collect();
-    columns.extend(agg_cols.iter().map(|a| a.take_rows(&order)));
+    columns.extend(agg_cols);
     RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
 }
 
@@ -882,8 +859,9 @@ mod tests {
 
     /// A group-by over two key columns of different encodings, with rows
     /// whose concatenated key bytes — and so row hashes — coincide
-    /// (`"ab","c"` / `"a","bc"`) and nulls in either column, against a
-    /// `Value`-level count per rendered key.
+    /// (`"ab","c"` / `"a","bc"`), nulls in either column and the string
+    /// `"null"` beside them, against a count per `Value` pair in order of
+    /// first row.
     #[test]
     fn two_column_group_by_across_encodings_matches_value_level_count() {
         let _guard = pool::test_guard();
@@ -895,6 +873,7 @@ mod tests {
             Some(""),
             None,
             Some("a"),
+            Some("null"),
         ];
         let seconds = [
             Some("c"),
@@ -904,6 +883,7 @@ mod tests {
             None,
             Some("c"),
             Some("bc"),
+            Some("c"),
         ];
         let strings = |v: &[Option<&str>]| {
             [
@@ -911,8 +891,17 @@ mod tests {
                 Array::from_opt_dict_utf8(v.to_vec()),
             ]
         };
-        let ints =
-            Array::from_opt_i64([Some(1), Some(1), None, Some(1), Some(2), None, Some(1)].to_vec());
+        let ints = [
+            Some(1),
+            Some(1),
+            None,
+            Some(1),
+            Some(2),
+            None,
+            Some(1),
+            Some(10),
+        ];
+        let ints = Array::from_opt_i64(ints.to_vec());
         let mut key_columns: Vec<(Array, Array)> = Vec::new();
         for second in strings(&seconds) {
             for first in strings(&firsts) {
@@ -922,11 +911,14 @@ mod tests {
         }
         let aggs = vec![item(AggFunc::Count, "*", "n")];
         for (a, b) in key_columns {
-            let mut want: std::collections::BTreeMap<String, i64> = Default::default();
+            // No float key: `Value` equality is the key's, NULL included.
+            let mut want: Vec<((Value, Value), i64)> = Vec::new();
             for r in 0..a.len() {
-                *want
-                    .entry(format!("{}\u{1}{}", a.value_at(r), b.value_at(r)))
-                    .or_default() += 1;
+                let key = (a.value_at(r), b.value_at(r));
+                match want.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += 1,
+                    None => want.push((key, 1)),
+                }
             }
             let at = format!("{} x {}", a.data_type(), b.data_type());
             let input = RecordBatch::try_new(
@@ -939,17 +931,12 @@ mod tests {
             .unwrap();
             let mut stats = ShardStats::default();
             let out = aggregate_grouped(&[0, 1], &aggs, &input, &mut stats).unwrap();
-            let got: Vec<(String, i64)> = (0..out.num_rows())
+            let got: Vec<((Value, Value), i64)> = (0..out.num_rows())
                 .map(|r| {
-                    let key = format!(
-                        "{}\u{1}{}",
-                        out.column(0).value_at(r),
-                        out.column(1).value_at(r)
-                    );
+                    let key = (out.column(0).value_at(r), out.column(1).value_at(r));
                     (key, out.column(2).as_i64().unwrap().get(r).unwrap())
                 })
                 .collect();
-            let want: Vec<(String, i64)> = want.into_iter().collect();
             assert_eq!(got, want, "{at}");
         }
     }
@@ -970,12 +957,16 @@ mod tests {
         .unwrap();
         let aggs = vec![item(AggFunc::Sum, "v", "s"), item(AggFunc::Count, "*", "n")];
 
-        let mut by_key: std::collections::BTreeMap<String, (i64, i64, i64)> =
-            std::collections::BTreeMap::new();
-        for (k, v) in keys.iter().zip(&vals) {
-            let e = by_key.entry(k.to_string()).or_insert((*k, 0, 0));
-            e.1 += v;
-            e.2 += 1;
+        // `(key, sum, count)` per key, in order of first row.
+        let mut by_key: Vec<(i64, i64, i64)> = Vec::new();
+        let mut slot: std::collections::HashMap<i64, usize> = Default::default();
+        for (&k, &v) in keys.iter().zip(&vals) {
+            let at = *slot.entry(k).or_insert_with(|| {
+                by_key.push((k, 0, 0));
+                by_key.len() - 1
+            });
+            by_key[at].1 += v;
+            by_key[at].2 += 1;
         }
 
         for threads in [1, 4] {
@@ -986,7 +977,7 @@ mod tests {
             assert_eq!(stats.groups, by_key.len() as u64);
             // 37 keys: one table grown from 16 to 128 slots.
             assert_eq!((stats.hash_slots, stats.rehashes), (128, 3));
-            for (i, (_, &(k, s, c))) in by_key.iter().enumerate() {
+            for (i, &(k, s, c)) in by_key.iter().enumerate() {
                 assert_eq!(out.column(0).value_at(i), Value::I64(k), "row {i} key");
                 assert_eq!(out.column(1).value_at(i), Value::I64(s), "row {i} sum");
                 assert_eq!(out.column(2).value_at(i), Value::I64(c), "row {i} count");

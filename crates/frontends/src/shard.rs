@@ -12,26 +12,23 @@
 //!
 //! The contract is that collecting a distributed run yields a batch
 //! **byte-identical** to [`MemDb`](crate::exec::MemDb) at any
-//! parallelism. Two hidden columns make that possible:
+//! parallelism. One hidden column makes that possible: `__rid` ([`RID`]),
+//! a row id threaded from the scans. Shard `i` of an `n`-row table scans
+//! the contiguous row range `[i*n/N, (i+1)*n/N)`, so a row's id is its
+//! position in the full table; a join emits
+//! `left_rid * right_table_rows + right_rid`, which reproduces the
+//! reference engine's probe-order output as an ascending sort key; an
+//! aggregate emits each group's least input row id, the id of the row
+//! where the group first appears.
 //!
-//! - `__rid` ([`RID`]): a row id threaded from the scans. Shard `i` of an
-//!   `n`-row table scans the contiguous row range `[i*n/N, (i+1)*n/N)`,
-//!   so a row's id is its position in the full table; a join emits
-//!   `left_rid * right_table_rows + right_rid`, which reproduces the
-//!   reference engine's probe-order output as an ascending sort key.
-//! - `__gkey` ([`GKEY`]): the rendered group key of an aggregate output
-//!   row. The reference engine orders groups by rendered key; sorting
-//!   shard outputs by `__gkey` merges hash-partitioned groups back into
-//!   that order (with min-`__rid` kept as a deterministic tiebreak).
-//!
-//! Every shard gathers its input in **canonical order**: by `__gkey`,
-//! then by `__rid` (each where present), ties to the earlier producer
-//! and then the earlier row — what laying the inputs end to end and
-//! stable-sorting by `__rid` and then by `__gkey` gives. That makes
-//! per-group fold order equal to the reference engine's row order
-//! bit-for-bit (floating-point sums included), no matter how batches
-//! were partitioned or which failed task recomputed them. The sink
-//! strips both hidden columns.
+//! Every shard gathers its input in **canonical order**: by `__rid`
+//! (nulls first), ties to the earlier producer and then the earlier row —
+//! what laying the inputs end to end and stable-sorting by `__rid` gives.
+//! That makes per-group fold order equal to the reference engine's row
+//! order bit-for-bit (floating-point sums included), no matter how
+//! batches were partitioned or which failed task recomputed them, and it
+//! merges hash-partitioned groups back into the reference engine's group
+//! order, first appearance. The sink strips the hidden column.
 //!
 //! # Shuffle-hash compatibility
 //!
@@ -47,7 +44,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use skadi_arrow::array::{Array, Utf8Array};
+use skadi_arrow::array::Array;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute;
@@ -59,14 +56,12 @@ use skadi_flowgraph::{AggFunc, AggItem, Comparison, ExecOp};
 use crate::exec::{self, wrap};
 use crate::sql::SqlError;
 
-/// Hidden row-id column threaded from scans through joins.
+/// Hidden row-id column threaded from scans through joins and aggregates.
 pub const RID: &str = "__rid";
-/// Hidden rendered-group-key column emitted by aggregate shards.
-pub const GKEY: &str = "__gkey";
 
-/// True if `name` is reserved for the data plane's hidden columns.
+/// True if `name` is reserved for the data plane's hidden column.
 pub fn is_hidden(name: &str) -> bool {
-    name == RID || name == GKEY
+    name == RID
 }
 
 /// One producer's output as a consumer shard takes it: the whole batch
@@ -243,121 +238,80 @@ pub fn split_even(batch: &RecordBatch, parts: usize) -> Vec<RecordBatch> {
 /// A `__rid` column's stored bytes and validity.
 type RowIds<'a> = (&'a [u8], Option<&'a Bitmap>);
 
-/// The canonical order over the rows of several parts. A row's key is
-/// one integer that orders like `(__gkey, __rid)`: its group key as its
-/// rank among the parts' group keys (0: absent or null), then its row
-/// id's validity and order-preserving bits (nulls first) — or, where no
-/// row carries a group key and no row id is null, those bits alone, so a
-/// comparison is one `u64` compare.
-struct CanonOrder<'a> {
-    /// Per part, its `__gkey` column and its `__rid` column's stored
-    /// bytes and validity, where present.
-    columns: Vec<(Option<&'a Utf8Array>, Option<RowIds<'a>>)>,
-    /// Every group key the parts' rows carry, sorted and distinct.
-    groups: Vec<&'a [u8]>,
-}
+/// A row's place in canonical order: its row id, null (or absent) first.
+type Key = Option<i64>;
 
-/// A row id's order-preserving bits.
-fn rid_bits(raw: &[u8], r: usize) -> u64 {
-    <i64 as Native>::from_le(&raw[r * 8..r * 8 + 8]) as u64 ^ 1 << 63
+/// The canonical order over the rows of several parts: by `__rid`, nulls
+/// first; a part without the column holds only null keys.
+struct CanonOrder<'a> {
+    /// Per part, its `__rid` column's stored bytes and validity, where
+    /// present.
+    rids: Vec<Option<RowIds<'a>>>,
 }
 
 impl<'a> CanonOrder<'a> {
-    /// The order over `rows` (each part's, ascending) of `batches`.
-    fn new(batches: &[&'a RecordBatch], rows: &[Cow<[u32]>]) -> Result<Self, SqlError> {
-        let mut columns = Vec::with_capacity(batches.len());
+    /// The order over the rows of `batches`.
+    fn new(batches: &[&'a RecordBatch]) -> Result<Self, SqlError> {
+        let mut rids = Vec::with_capacity(batches.len());
         for batch in batches {
-            let column = |name| batch.schema().index_of(name).ok().map(|i| batch.column(i));
-            let gkey = column(GKEY).map(Array::as_utf8).transpose().map_err(wrap)?;
-            let rid = column(RID).map(Array::as_i64).transpose().map_err(wrap)?;
-            let rid = rid.map(|a| (a.values().as_slice(), a.validity()));
-            columns.push((gkey, rid));
+            let rid = match batch.schema().index_of(RID) {
+                Ok(i) => Some(batch.column(i).as_i64().map_err(wrap)?),
+                Err(_) => None,
+            };
+            rids.push(rid.map(|a| (a.values().as_slice(), a.validity())));
         }
-        let mut groups: Vec<&[u8]> = Vec::new();
-        for ((gkey, _), rows) in columns.iter().zip(rows) {
-            if let Some(g) = gkey {
-                groups.extend(rows.iter().filter_map(|&r| g.key_bytes(r as usize)));
-            }
-        }
-        groups.sort_unstable();
-        groups.dedup();
-        Ok(CanonOrder { columns, groups })
+        Ok(CanonOrder { rids })
     }
 
-    /// Whether the row ids' bits alone order every row.
-    fn narrow(&self) -> bool {
-        let no_null = |(_, rid): &(_, Option<RowIds>)| rid.is_none_or(|(_, valid)| valid.is_none());
-        self.groups.is_empty() && self.columns.iter().all(no_null)
-    }
-
-    /// The keys of part `part`'s `rows` when the order is [`Self::narrow`].
-    fn narrow_keys(&self, part: usize, rows: &[u32]) -> Vec<u64> {
-        match self.columns[part].1 {
-            Some((raw, _)) => rows.iter().map(|&r| rid_bits(raw, r as usize)).collect(),
-            None => vec![0; rows.len()],
+    /// The key of part `part`'s row `r`, as a function of `r`: the part's
+    /// column is looked up once, not per row.
+    #[inline]
+    fn key(&self, part: usize) -> impl Fn(u32) -> Key + 'a {
+        let rid = self.rids[part];
+        move |r| {
+            let (raw, valid) = rid?;
+            let r = r as usize;
+            let valid = valid.is_none_or(|v| v.get(r));
+            valid.then(|| <i64 as Native>::from_le(&raw[r * 8..r * 8 + 8]))
         }
     }
 
     /// The keys of part `part`'s `rows`.
-    fn keys(&self, part: usize, rows: &[u32]) -> Vec<u128> {
-        let (gkey, rid) = self.columns[part];
-        let rank = |r: usize| {
-            let group = gkey.and_then(|g| g.key_bytes(r));
-            group.map_or(0, |k| self.groups.partition_point(|&g| g < k) + 1) as u128
-        };
-        let rid = |r: usize| match rid {
-            Some((raw, valid)) if valid.is_none_or(|v| v.get(r)) => {
-                1 << 64 | rid_bits(raw, r) as u128
-            }
-            _ => 0,
-        };
-        rows.iter()
-            .map(|&r| rank(r as usize) << 65 | rid(r as usize))
-            .collect()
+    fn keys(&self, part: usize, rows: &[u32]) -> Vec<Key> {
+        rows.iter().copied().map(self.key(part)).collect()
     }
 
-    /// Whether part `part`'s `rows` already ascend in canonical order:
-    /// read off the stored row ids alone where they are the whole key.
+    /// Whether part `part`'s `rows` already ascend in canonical order.
     fn ascends(&self, part: usize, rows: &[u32]) -> bool {
-        match self.columns[part] {
-            (None, Some((raw, None))) => {
-                let rid = |r: u32| rid_bits(raw, r as usize);
-                rows.windows(2).all(|w| rid(w[0]) <= rid(w[1]))
-            }
-            _ => self.keys(part, rows).is_sorted(),
-        }
+        rows.iter().copied().map(self.key(part)).is_sorted()
     }
 }
 
 /// A part's `rows` (ascending) beside their `keys`: as they are when they
 /// `ascend`, else stably sorted alone.
-fn in_order<K: Ord + Copy>(rows: Cow<[u32]>, keys: Vec<K>, ascend: bool) -> (Cow<[u32]>, Vec<K>) {
+fn in_order(rows: Cow<[u32]>, keys: Vec<Key>, ascend: bool) -> (Cow<[u32]>, Vec<Key>) {
     if ascend {
         return (rows, keys);
     }
     // Rows are distinct and ascend, so `(key, row)` order is the stable
     // order by key.
-    let mut pairs: Vec<(K, u32)> = keys.into_iter().zip(rows.iter().copied()).collect();
+    let mut pairs: Vec<(Key, u32)> = keys.into_iter().zip(rows.iter().copied()).collect();
     pairs.sort_unstable();
     let (keys, rows) = pairs.into_iter().unzip();
     (Cow::Owned(rows), keys)
 }
 
 /// The parts' `rows` merged into one canonical sequence of `(part, row)`
-/// picks under `keys`: each part's rows sorted alone unless they
-/// `ascend`, then a row at a time from the part with the least head key,
-/// ties to the earlier part.
-fn merge<K: Ord + Copy>(
-    rows: Vec<Cow<[u32]>>,
-    ascend: Vec<bool>,
-    keys: impl Fn(usize, &[u32]) -> Vec<K>,
-) -> Vec<(u32, u32)> {
+/// picks: each part's rows sorted alone unless they `ascend`, then a row
+/// at a time from the part with the least head key, ties to the earlier
+/// part.
+fn merge(order: &CanonOrder, rows: Vec<Cow<[u32]>>, ascend: Vec<bool>) -> Vec<(u32, u32)> {
     let parts: Vec<_> = rows
         .into_iter()
         .zip(ascend)
         .enumerate()
         .map(|(p, (rows, ascend))| {
-            let part_keys = keys(p, &rows);
+            let part_keys = order.keys(p, &rows);
             in_order(rows, part_keys, ascend)
         })
         .collect();
@@ -367,7 +321,7 @@ fn merge<K: Ord + Copy>(
     let mut live: Vec<usize> = (0..parts.len())
         .filter(|&p| !parts[p].1.is_empty())
         .collect();
-    let mut heads: Vec<K> = live.iter().map(|&p| parts[p].1[0]).collect();
+    let mut heads: Vec<Key> = live.iter().map(|&p| parts[p].1[0]).collect();
     while !live.is_empty() {
         let mut least = 0;
         for (i, head) in heads.iter().enumerate().skip(1) {
@@ -396,8 +350,7 @@ fn merge<K: Ord + Copy>(
 /// key) is sorted alone first; parts that each ascend and follow one
 /// another — scan shards, in shard order, and shuffled selections of them
 /// — are laid end to end without a merge. The result is the parts laid
-/// end to end and stable-sorted by `__rid`, then by `__gkey` —
-/// dictionaries included.
+/// end to end and stable-sorted by `__rid` — dictionaries included.
 fn gather(parts: &[Part]) -> Result<RecordBatch, SqlError> {
     if parts.is_empty() {
         return Err(SqlError::Plan("operator shard received no input".into()));
@@ -410,15 +363,15 @@ fn gather(parts: &[Part]) -> Result<RecordBatch, SqlError> {
         })
         .collect();
     let batches: Vec<&RecordBatch> = parts.iter().map(|p| &p.batch).collect();
-    let order = CanonOrder::new(&batches, &rows)?;
+    let order = CanonOrder::new(&batches)?;
     let ascend: Vec<bool> = rows
         .iter()
         .enumerate()
         .map(|(p, r)| order.ascends(p, r))
         .collect();
-    let ends: Vec<(u128, u128)> = (0..rows.len())
+    let ends: Vec<(Key, Key)> = (0..rows.len())
         .filter_map(|p| Some((p, *rows[p].first()?, *rows[p].last()?)))
-        .map(|(p, first, last)| (order.keys(p, &[first])[0], order.keys(p, &[last])[0]))
+        .map(|(p, first, last)| (order.key(p)(first), order.key(p)(last)))
         .collect();
     let in_sequence = ascend.iter().all(|&a| a) && ends.windows(2).all(|w| w[0].1 <= w[1].0);
     let picks = if in_sequence {
@@ -426,10 +379,8 @@ fn gather(parts: &[Part]) -> Result<RecordBatch, SqlError> {
         every
             .flat_map(|(p, rows)| rows.iter().map(move |&r| (p as u32, r)))
             .collect()
-    } else if order.narrow() {
-        merge(rows, ascend, |p, rows| order.narrow_keys(p, rows))
     } else {
-        merge(rows, ascend, |p, rows| order.keys(p, rows))
+        merge(&order, rows, ascend)
     };
     RecordBatch::gather(&batches, &picks).map_err(wrap)
 }
@@ -439,7 +390,7 @@ fn gather(parts: &[Part]) -> Result<RecordBatch, SqlError> {
 /// dictionaries stay as they are).
 pub fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
     let every: Vec<u32> = (0..batch.num_rows() as u32).collect();
-    let order = CanonOrder::new(&[batch], &[Cow::Borrowed(&every)])?;
+    let order = CanonOrder::new(&[batch])?;
     if order.ascends(0, &every) {
         return Ok(batch.clone());
     }
@@ -493,13 +444,11 @@ fn filter_shard(input: &RecordBatch, conjuncts: &[Comparison]) -> Result<RecordB
     exec::apply_conjuncts(input, &refs)
 }
 
-/// Projection keeps the hidden columns alongside the requested ones.
+/// Projection keeps the hidden column alongside the requested ones.
 fn project_shard(input: &RecordBatch, columns: &[String]) -> Result<RecordBatch, SqlError> {
     let mut keep: Vec<&str> = columns.iter().map(String::as_str).collect();
-    for h in [RID, GKEY] {
-        if input.schema().index_of(h).is_ok() && !keep.contains(&h) {
-            keep.push(h);
-        }
+    if input.schema().index_of(RID).is_ok() && !keep.contains(&RID) {
+        keep.push(RID);
     }
     input.project(&keep).map_err(wrap)
 }
@@ -571,11 +520,11 @@ fn join_shard(
 }
 
 /// One shard of an aggregation. The gathered input is in row-id order,
-/// so per-group folds run in exactly the reference engine's row order.
-/// Two extra output columns ride along: `min(__rid)` per group (a
-/// deterministic tiebreak, and the canonical secondary sort key) and the
-/// rendered `__gkey` (the canonical primary sort key — the reference
-/// engine's group output order).
+/// so per-group folds run in exactly the reference engine's row order and
+/// groups come out in order of first appearance. `min(__rid)` rides along
+/// per group: the id of the group's first row, which ascends with the
+/// group, so the canonical order merges every shard's groups back into
+/// the reference engine's order.
 fn aggregate_shard(
     input: &RecordBatch,
     group_by: &[String],
@@ -588,25 +537,7 @@ fn aggregate_shard(
         column: RID.into(),
         name: RID.into(),
     });
-    let out = exec::aggregate_spec(group_by, &items, input, stats)?;
-    let mut keys: Vec<String> = Vec::with_capacity(out.num_rows());
-    for r in 0..out.num_rows() {
-        let parts: Vec<String> = group_by
-            .iter()
-            .map(|g| {
-                out.column_by_name(g)
-                    .map(|c| c.value_at(r).to_string())
-                    .map_err(wrap)
-            })
-            .collect::<Result<_, _>>()?;
-        keys.push(parts.join("\u{1}"));
-    }
-    let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    append_column(
-        &out,
-        Field::new(GKEY, DataType::Utf8, false),
-        Array::from_utf8(&refs),
-    )
+    exec::aggregate_spec(group_by, &items, input, stats)
 }
 
 #[cfg(test)]
@@ -784,9 +715,8 @@ mod tests {
     /// The gather as it stood before shuffles handed over row lists, kept
     /// as the oracle: each part's rows taken into a batch of their own,
     /// the batches laid end to end value by value (dictionaries rebuilt by
-    /// first appearance: what `RecordBatch::concat` built), then stable
-    /// sorts by `__rid` and by `__gkey`, each skipped when its column
-    /// already ascended.
+    /// first appearance: what `RecordBatch::concat` built), then a stable
+    /// sort by `__rid`, skipped when the column already ascended.
     mod before {
         use super::*;
 
@@ -795,23 +725,15 @@ mod tests {
                 Array::Int64(a) if a.validity().is_none() => {
                     a.iter_raw().zip(a.iter_raw().skip(1)).all(|(x, y)| x <= y)
                 }
-                Array::Utf8(a) if a.validity().is_none() => {
-                    (1..a.len()).all(|i| a.key_bytes(i - 1) <= a.key_bytes(i))
-                }
                 _ => false,
             }
         }
 
         pub fn canonicalize(batch: &RecordBatch) -> RecordBatch {
-            let mut out = batch.clone();
-            for key in [RID, GKEY] {
-                if let Ok(col) = out.column_by_name(key) {
-                    if !already_ascending(col) {
-                        out = exec::sort_by(&out, key, false).unwrap();
-                    }
-                }
+            match batch.column_by_name(RID) {
+                Ok(col) if !already_ascending(col) => exec::sort_by(batch, RID, false).unwrap(),
+                _ => batch.clone(),
             }
-            out
         }
 
         pub fn gather(parts: &[Part]) -> RecordBatch {
@@ -859,13 +781,11 @@ mod tests {
     const WORDS: [&str; 5] = ["", "a", "bb", "héllo", "z"];
 
     /// One producer's output: a nullable column in each of the five
-    /// encodings, `__rid` ascending or out of order (ties either way, a
-    /// null now and then) and,
-    /// when `grouped`, a `__gkey` drawn from three values so keys tie. The
-    /// `DictUtf8` column's dictionary is this producer's own: the words in
-    /// an order of its own after a spare entry, none of them necessarily
-    /// used by a row.
-    fn producer(rng: &mut Rng, grouped: bool) -> RecordBatch {
+    /// encodings and, unless `bare`, `__rid` ascending or out of order
+    /// (ties either way, a null now and then). The `DictUtf8` column's
+    /// dictionary is this producer's own: the words in an order of its own
+    /// after a spare entry, none of them necessarily used by a row.
+    fn producer(rng: &mut Rng, bare: bool) -> RecordBatch {
         let n = rng.below(12) as usize;
         let mut draw = |pick: &mut dyn FnMut(&mut Rng) -> usize| -> Vec<Option<usize>> {
             (0..n)
@@ -899,7 +819,6 @@ mod tests {
             Field::new("b", DataType::Bool, true),
             Field::new("s", DataType::Utf8, true),
             Field::new("d", DataType::DictUtf8, true),
-            Field::new(RID, DataType::Int64, true),
         ];
         let mut columns = vec![
             Array::from_opt_i64(ints.iter().map(|v| v.map(|v| v as i64 - 2)).collect()),
@@ -907,14 +826,10 @@ mod tests {
             Array::from_opt_bool(bools.iter().map(|v| v.map(|v| v == 1)).collect()),
             Array::from_opt_utf8(strs.iter().map(|v| v.map(|v| WORDS[v]))),
             dict,
-            Array::from_opt_i64(rids),
         ];
-        if grouped {
-            let keys: Vec<&str> = (0..n)
-                .map(|_| ["g", "", "h"][rng.below(3) as usize])
-                .collect();
-            fields.push(Field::new(GKEY, DataType::Utf8, false));
-            columns.push(Array::from_utf8(&keys));
+        if !bare {
+            fields.push(Field::new(RID, DataType::Int64, true));
+            columns.push(Array::from_opt_i64(rids));
         }
         RecordBatch::try_new(Schema::new(fields), columns).unwrap()
     }
@@ -923,10 +838,10 @@ mod tests {
     /// selection of them.
     fn parts_for(seed: u64) -> Vec<Part> {
         let mut rng = Rng(seed);
-        let grouped = rng.chance(50);
+        let bare = rng.chance(10);
         (0..rng.below(7))
             .map(|_| {
-                let batch = producer(&mut rng, grouped);
+                let batch = producer(&mut rng, bare);
                 let n = batch.num_rows() as u32;
                 let rows = match rng.below(3) {
                     0 => None,
@@ -966,9 +881,10 @@ mod tests {
     fn merge_gather_cases_cover_what_they_claim() {
         // Across these seeds the cases hold every shape the property is
         // about: no part, empty parts, several parts, parts out of order,
-        // group keys tied.
+        // row ids tied, null row ids, parts without row ids.
         let (mut none, mut empty, mut many, mut unordered, mut tied) =
             (false, false, false, false, false);
+        let (mut null, mut bare) = (false, false);
         for seed in 0..200 {
             check_merge_gather(seed);
             let parts = parts_for(seed);
@@ -976,16 +892,15 @@ mod tests {
             many |= parts.len() >= 3;
             for p in &parts {
                 empty |= p.num_rows() == 0;
+                bare |= p.batch.column_by_name(RID).is_err();
                 let rows: Vec<u32> = (0..p.batch.num_rows() as u32).collect();
-                let order = CanonOrder::new(&[&p.batch], &[Cow::Borrowed(&rows)]).unwrap();
-                let keys = order.keys(0, &rows);
+                let keys = CanonOrder::new(&[&p.batch]).unwrap().keys(0, &rows);
                 unordered |= !keys.is_sorted();
-                tied |= keys
-                    .windows(2)
-                    .any(|w| w[0] >> 65 > 0 && w[0] >> 65 == w[1] >> 65);
+                tied |= keys.windows(2).any(|w| w[0].is_some() && w[0] == w[1]);
+                null |= p.batch.column_by_name(RID).is_ok() && keys.contains(&None);
             }
         }
-        assert!(none && empty && many && unordered && tied);
+        assert!(none && empty && many && unordered && tied && null && bare);
     }
 
     use proptest::prelude::*;

@@ -20,7 +20,8 @@ use skadi::store::ec::EcConfig;
 use skadi_dcsim::time::SimTime;
 
 /// Same tables as `tests/exec_golden.rs`: duplicate join keys, null keys,
-/// null values, mixed int/float join keys, and an empty relation.
+/// null values, mixed int/float join keys, an empty relation, and group
+/// keys whose first appearance differs from any sorted order.
 fn golden_db() -> MemDb {
     let orders = RecordBatch::try_new(
         Schema::new(vec![
@@ -74,11 +75,36 @@ fn golden_db() -> MemDb {
         vec![Array::from_i64(vec![]), Array::from_opt_f64(vec![])],
     )
     .unwrap();
+    // GROUP BY order: the key 9 appears before 10 and 2, and `s` holds the
+    // string "null" beside NULL and a value with `\u{0}`.
+    let marks = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("k", DataType::Int64, false),
+            Field::new("s", DataType::Utf8, true),
+            Field::new("v", DataType::Float64, false),
+        ]),
+        vec![
+            Array::from_i64(vec![9, 10, 9, 2, 10, 2, 9, 10]),
+            Array::from_opt_utf8(vec![
+                Some("null"),
+                None,
+                Some("a\u{0}"),
+                None,
+                Some("null"),
+                Some("a"),
+                Some("a\u{0}"),
+                None,
+            ]),
+            Array::from_f64(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+        ],
+    )
+    .unwrap();
     MemDb::new()
         .register("orders", orders)
         .register("custs", custs)
         .register("ratios", ratios)
         .register("empty", empty)
+        .register("marks", marks)
 }
 
 /// A bigger seeded table so multi-shard scans, shuffles, and group-bys
@@ -138,6 +164,8 @@ const QUERIES: &[&str] = &[
     "SELECT count(*) AS n, sum(v) AS s FROM empty",
     "SELECT count(*) AS n, sum(amount) AS s FROM orders WHERE amount > 1000",
     "SELECT k, count(*) AS n FROM empty GROUP BY k",
+    "SELECT k, count(*) AS n, sum(v) AS t FROM marks GROUP BY k",
+    "SELECT s, k, count(*) AS n, sum(v) AS t FROM marks GROUP BY s, k",
     "SELECT order_id FROM orders WHERE cust >= 15.5 ORDER BY order_id",
     "SELECT order_id FROM orders WHERE amount < 5 AND cust = 20 ORDER BY order_id",
     "SELECT order_id, amount FROM orders ORDER BY amount LIMIT 3",

@@ -73,15 +73,46 @@ fn golden_db() -> MemDb {
         vec![Array::from_i64(vec![]), Array::from_opt_f64(vec![])],
     )
     .unwrap();
+    // GROUP BY order: the key 9 appears before 10 and 2, and `s` holds the
+    // string "null" beside NULL and a value with `\u{0}`.
+    let marks = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("k", DataType::Int64, false),
+            Field::new("s", DataType::Utf8, true),
+            Field::new("v", DataType::Float64, false),
+        ]),
+        vec![
+            Array::from_i64(vec![9, 10, 9, 2, 10, 2, 9, 10]),
+            Array::from_opt_utf8(vec![
+                Some("null"),
+                None,
+                Some("a\u{0}"),
+                None,
+                Some("null"),
+                Some("a"),
+                Some("a\u{0}"),
+                None,
+            ]),
+            Array::from_f64(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+        ],
+    )
+    .unwrap();
     MemDb::new()
         .register("orders", orders)
         .register("custs", custs)
         .register("ratios", ratios)
         .register("empty", empty)
+        .register("marks", marks)
 }
 
 fn col<'a>(batch: &'a RecordBatch, name: &str) -> &'a Array {
     batch.column_by_name(name).unwrap()
+}
+
+/// Every row of `batch`, as values.
+fn rows(batch: &RecordBatch) -> Vec<Vec<Value>> {
+    let row = |r| (0..batch.num_columns()).map(move |c| batch.column(c).value_at(r));
+    (0..batch.num_rows()).map(|r| row(r).collect()).collect()
 }
 
 #[test]
@@ -129,7 +160,7 @@ fn group_by_nullable_key_groups_nulls_together() {
     let out = golden_db()
         .query("SELECT tag, count(*) AS n, sum(amount) AS s FROM orders GROUP BY tag")
         .unwrap();
-    // Rendered-key order: "a" < "b" < "null".
+    // First-appearance order: "a" (id 1), "b" (id 2), NULL (id 4).
     assert_eq!(out.num_rows(), 3);
     assert_eq!(col(&out, "tag").value_at(0), Value::Str("a".into()));
     assert_eq!(col(&out, "n").value_at(0), Value::I64(2));
@@ -141,6 +172,37 @@ fn group_by_nullable_key_groups_nulls_together() {
     assert_eq!(col(&out, "tag").value_at(2), Value::Null);
     assert_eq!(col(&out, "n").value_at(2), Value::I64(2));
     assert_eq!(col(&out, "s").value_at(2), Value::F64(4.0));
+}
+
+#[test]
+fn group_by_orders_groups_by_first_appearance() {
+    let db = golden_db();
+    // 9 (rows 0, 2, 6) before 10 (rows 1, 4, 7) before 2 (rows 3, 5): no
+    // sorted order, numeric or by rendered text, gives 9, 10, 2.
+    let out = db
+        .query("SELECT k, count(*) AS n, sum(v) AS t FROM marks GROUP BY k")
+        .unwrap();
+    let want = [(9, 3, 69.0), (10, 3, 146.0), (2, 2, 40.0)]
+        .map(|(k, n, t)| vec![Value::I64(k), Value::I64(n), Value::F64(t)]);
+    assert_eq!(rows(&out), want);
+    // The string "null" and NULL are two groups, and "a\u{0}" is a key of
+    // its own beside "a".
+    let out = db
+        .query("SELECT s, k, count(*) AS n, sum(v) AS t FROM marks GROUP BY s, k")
+        .unwrap();
+    let row = |s: Option<&str>, k, n, t| {
+        let s = s.map_or(Value::Null, |s| Value::Str(s.into()));
+        vec![s, Value::I64(k), Value::I64(n), Value::F64(t)]
+    };
+    let want = vec![
+        row(Some("null"), 9, 1, 1.0),
+        row(None, 10, 2, 130.0),
+        row(Some("a\u{0}"), 9, 2, 68.0),
+        row(None, 2, 1, 8.0),
+        row(Some("null"), 10, 1, 16.0),
+        row(Some("a"), 2, 1, 32.0),
+    ];
+    assert_eq!(rows(&out), want);
 }
 
 #[test]
@@ -215,7 +277,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Hash-keyed group-by produces byte-identical batches to the
-    /// stringly BTreeMap reference, for any null/duplicate pattern.
+    /// row-at-a-time `BTreeMap` reference (boxed key tuples, groups in
+    /// order of first row), for any null/duplicate pattern.
     #[test]
     fn hash_group_by_matches_stringly_reference(
         keys in prop::collection::vec(prop::option::of(-3i64..6), 0..80),

@@ -7,7 +7,7 @@
 //! construction), and identical simulated pricing — locally, through the
 //! distributed data plane at every parallelism, and under chaos
 //! kill/recover in every fault-tolerance mode. A property test drives
-//! the partitioned join and the group-by kernels against the stringly
+//! the partitioned join and the group-by kernels against the
 //! row-at-a-time reference from `skadi_bench` at sizes above the morsel
 //! threshold, where the join's partitioned code paths are active.
 
@@ -23,7 +23,7 @@ use skadi::frontends::sql::{parse, tokenize};
 use skadi::prelude::*;
 use skadi::runtime::config::FtMode;
 use skadi::store::ec::EcConfig;
-use skadi_bench::baseline::{baseline_group_sum_count, baseline_join};
+use skadi_bench::baseline::{baseline_group_sum_count, baseline_groups, baseline_join};
 use skadi_dcsim::rng::DetRng;
 use skadi_dcsim::time::SimTime;
 
@@ -244,7 +244,7 @@ fn chaos_runs_are_thread_invariant_in_every_ft_mode() {
     pool::set_global_threads(restore);
 }
 
-// The partitioned kernels against the engine-independent stringly
+// The partitioned kernels against the engine-independent row-at-a-time
 // reference, at a size where the partitioned paths are active. Sweeping
 // seeds varies key skew, null placement, and partition occupancy.
 proptest! {
@@ -277,16 +277,22 @@ proptest! {
     }
 }
 
+/// Codes a generated key column draws for its ordinary rows; code
+/// [`DRAWN`] is drawn only by the rows that hold the order-sensitive
+/// group.
+const DRAWN: usize = 7;
+
 /// The values a generated GROUP BY key column draws from, by encoding
 /// (`Int64`, `Float64`, `Bool`, `Utf8`, `DictUtf8`), each with its type's
-/// edge cases: 2^53 + 1 beside 2^53 and `i64::MIN`; NaN, both zeros and
-/// ±2^53 among the floats; the empty and a non-ASCII string. Code 5 is
-/// drawn only by the rows that hold the order-sensitive group.
+/// edge cases: 2^53 + 1 beside 2^53 and `i64::MIN`, 9 beside 10; NaN, both
+/// zeros and ±2^53 among the floats; the empty and a non-ASCII string, the
+/// string `"null"` beside NULL, and `"a\u{1}a"`, whose pairs with `"a"`
+/// render alike when keys are joined by `\u{1}`.
 fn key_column(kind: usize, codes: &[Option<usize>]) -> Array {
-    const INTS: [i64; 6] = [0, 1, -1, 1 << 53, (1 << 53) + 1, i64::MIN];
+    const INTS: [i64; DRAWN + 1] = [0, 1, -1, 1 << 53, (1 << 53) + 1, 10, 9, i64::MIN];
     const TWO_53: f64 = 9_007_199_254_740_992.0;
-    const FLOATS: [f64; 6] = [0.0, -0.0, f64::NAN, TWO_53, -TWO_53, 1.5];
-    const WORDS: [&str; 6] = ["", "a", "b", "ab", "\u{e9}", "a b"];
+    const FLOATS: [f64; DRAWN + 1] = [0.0, -0.0, f64::NAN, TWO_53, -TWO_53, 10.0, 9.0, 1.5];
+    const WORDS: [&str; DRAWN + 1] = ["", "a", "b", "ab", "\u{e9}", "null", "a\u{1}a", "a b"];
     let pick = |table: &[f64]| codes.iter().map(|c| c.map(|c| table[c])).collect();
     match kind {
         0 => Array::from_opt_i64(codes.iter().map(|c| c.map(|c| INTS[c])).collect()),
@@ -319,8 +325,8 @@ fn keyed_table(n: usize, seed: u64, kinds: &[usize]) -> RecordBatch {
     for (i, &kind) in kinds.iter().enumerate() {
         let codes: Vec<Option<usize>> = (0..n)
             .map(|r| match special(r) {
-                true => Some(5),
-                false => (!rng.chance(0.1)).then(|| rng.below(5) as usize),
+                true => Some(DRAWN),
+                false => (!rng.chance(0.1)).then(|| rng.below(DRAWN as u64) as usize),
             })
             .collect();
         let col = key_column(kind, &codes);
@@ -348,24 +354,18 @@ fn keyed_table(n: usize, seed: u64, kinds: &[usize]) -> RecordBatch {
     RecordBatch::try_new(Schema::new(fields), columns).unwrap()
 }
 
-/// Every aggregate function over `v` and `i`, per group of the rendered
-/// key columns `keys`, folded value by value in row order from each
-/// function's identity — the engine-independent reference for the
-/// aggregates `baseline_group_sum_count` does not compute.
+/// Every aggregate function over `v` and `i`, per group of the key
+/// columns `keys` (`baseline_groups`: boxed key tuples, groups in order of
+/// first row), folded value by value in row order from each function's
+/// identity — the engine-independent reference for the aggregates
+/// `baseline_group_sum_count` does not compute.
 fn folded_reference(t: &RecordBatch, keys: &[&str]) -> RecordBatch {
     use skadi::arrow::array::Value;
     let cols: Vec<usize> = keys
         .iter()
         .map(|k| t.schema().index_of(k).unwrap())
         .collect();
-    let mut groups: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
-    for r in 0..t.num_rows() {
-        let key: Vec<String> = cols
-            .iter()
-            .map(|&c| t.column(c).value_at(r).to_string())
-            .collect();
-        groups.entry(key.join("\u{1}")).or_default().push(r);
-    }
+    let groups = baseline_groups(t, &cols);
     let floats = |rows: &[usize]| -> Vec<f64> {
         let v = t.column_by_name("v").unwrap();
         rows.iter()
@@ -381,7 +381,7 @@ fn folded_reference(t: &RecordBatch, keys: &[&str]) -> RecordBatch {
     let nonempty = |n: usize, x| (n > 0).then_some(x);
     let mut key_vals: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
     let mut out: Vec<Vec<Value>> = vec![Vec::new(); 8];
-    for rows in groups.values() {
+    for rows in &groups {
         for (vals, &c) in key_vals.iter_mut().zip(&cols) {
             vals.push(t.column(c).value_at(rows[0]));
         }
@@ -491,8 +491,9 @@ proptest! {
                 }
             }
             if n >= 3 {
-                // The order-sensitive group: first in rendered-key order
-                // only by chance, so found by its count.
+                // The order-sensitive group, found by its count: a group of
+                // its own unless every key is a `Bool` (its code reads
+                // `false`, which ordinary rows draw too).
                 let sums = want.0.column_by_name("s").unwrap().as_f64().unwrap();
                 let counts = want.0.column_by_name("n").unwrap().as_i64().unwrap();
                 let row = (0..counts.len()).find(|&r| counts.get(r) == Some(3) && sums.get(r) == Some(0.0));
