@@ -47,13 +47,53 @@ pub fn encoded_len(batch: &RecordBatch) -> usize {
     len
 }
 
-/// Hands `put` every byte run of `batch`'s frame in order: the one walk
-/// [`encode`] and [`encoded_len`] both take, so the two cannot disagree.
-fn frame_parts(batch: &RecordBatch, mut put: impl FnMut(&[u8])) {
+/// The length of the frame of `batch`'s `rows` gathered into a batch of
+/// their own (`compute::take_indices`, every column's `take_rows`) —
+/// `encoded_len` of that batch — summed from the rows without gathering
+/// them. A gathered `DictUtf8` column keeps its whole dictionary, and a
+/// column has a validity bitmap only when one of the rows is null.
+/// Every row must index `batch`.
+pub fn encoded_len_of_rows(batch: &RecordBatch, rows: &[u32]) -> usize {
+    let n = rows.len();
+    let mut len = 0;
+    header_parts(batch, n, &mut |part: &[u8]| len += part.len());
+    for col in batch.columns() {
+        let has_null = col
+            .validity()
+            .is_some_and(|v| rows.iter().any(|&r| !v.get(r as usize)));
+        len += 1 + if has_null { n.div_ceil(8) } else { 0 };
+        len += match col.data_type() {
+            DataType::Int64 | DataType::Float64 => 8 * n,
+            DataType::Bool => n.div_ceil(8),
+            DataType::Utf8 => {
+                let string = |a: &Utf8Array, r: u32| a.key_bytes(r as usize).map_or(0, <[u8]>::len);
+                let strings = col
+                    .as_utf8()
+                    .map_or(0, |a| rows.iter().map(|&r| string(a, r)).sum());
+                utf8_len(n, strings)
+            }
+            DataType::DictUtf8 => {
+                let dict = col.as_dict_utf8().map(DictUtf8Array::dictionary);
+                4 * n + 8 + dict.map_or(0, |d| utf8_len(d.len(), d.data().len()))
+            }
+        };
+    }
+    len
+}
+
+/// The length of the `Utf8` layout of `rows` strings holding `data`
+/// bytes in all.
+fn utf8_len(rows: usize, data: usize) -> usize {
+    4 * (rows + 1) + 8 + data
+}
+
+/// Hands `put` the header of a frame of `rows` rows with `batch`'s
+/// schema: magic, version, counts and fields.
+fn header_parts(batch: &RecordBatch, rows: usize, put: &mut impl FnMut(&[u8])) {
     put(MAGIC);
     put(&[VERSION]);
     put(&(batch.num_columns() as u16).to_le_bytes());
-    put(&(batch.num_rows() as u64).to_le_bytes());
+    put(&(rows as u64).to_le_bytes());
 
     for field in batch.schema().fields() {
         let name = field.name.as_bytes();
@@ -61,6 +101,12 @@ fn frame_parts(batch: &RecordBatch, mut put: impl FnMut(&[u8])) {
         put(name);
         put(&[field.data_type.tag(), field.nullable as u8]);
     }
+}
+
+/// Hands `put` every byte run of `batch`'s frame in order: the one walk
+/// [`encode`] and [`encoded_len`] both take, so the two cannot disagree.
+fn frame_parts(batch: &RecordBatch, mut put: impl FnMut(&[u8])) {
+    header_parts(batch, batch.num_rows(), &mut put);
 
     for col in batch.columns() {
         match col.validity() {
@@ -562,6 +608,69 @@ mod tests {
             let (a, b) = (cut.0.min(n), cut.1.min(n));
             let view = batch.slice(a.min(b), a.max(b));
             prop_assert_eq!(encoded_len(&view), encode(&view).len());
+        }
+    }
+
+    /// Every encoding over `n` rows, each row null.
+    fn all_null(n: usize) -> RecordBatch {
+        let schema = Schema::new(
+            ["i", "f", "b", "s", "d"]
+                .iter()
+                .zip([
+                    DataType::Int64,
+                    DataType::Float64,
+                    DataType::Bool,
+                    DataType::Utf8,
+                    DataType::DictUtf8,
+                ])
+                .map(|(name, dt)| Field::new(*name, dt, true))
+                .collect(),
+        );
+        let columns = vec![
+            Array::from_opt_i64(vec![None; n]),
+            Array::from_opt_f64(vec![None; n]),
+            Array::from_opt_bool(vec![None; n]),
+            Array::from_opt_utf8(vec![None; n]),
+            Array::from_opt_dict_utf8(vec![None; n]),
+        ];
+        RecordBatch::try_new(schema, columns).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A selection's frame length is arithmetic over its rows: for
+        /// any ascending selection — none, some or every row — of a batch
+        /// of every encoding (no nulls, a null every third row, every row
+        /// null) and of a `slice` view of it, it is the length of the
+        /// frame of the rows gathered by `take_indices`, which keeps a
+        /// `DictUtf8` column's dictionary whole.
+        #[test]
+        fn encoded_len_of_rows_is_the_gathered_frame_length(
+            n in 0usize..300,
+            seed in any::<u64>(),
+            nulls in 0u8..3,
+            keep in 0u64..5,
+            from in 0usize..300,
+        ) {
+            let whole = match nulls {
+                0 => every_encoding(n, seed, false),
+                1 => every_encoding(n, seed, true),
+                _ => all_null(n),
+            };
+            let view = whole.slice(from.min(n), n);
+            for batch in [&whole, &view] {
+                let mut x = seed;
+                let rows: Vec<u32> = (0..batch.num_rows() as u32)
+                    .filter(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        (x >> 33) % 4 < keep
+                    })
+                    .collect();
+                let indices: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                let gathered = crate::compute::take_indices(batch, &indices).unwrap();
+                prop_assert_eq!(encoded_len_of_rows(batch, &rows), encode(&gathered).len());
+            }
         }
     }
 

@@ -11,8 +11,9 @@
 //!   queue must hold ≥5x events/sec over the heap baseline at 10k
 //!   nodes, adaptive lowering must beat static under every policy, and
 //!   every recorded chaos run (including the 10k-node one) must have
-//!   converged — then re-measures the policy suite and a relaxed
-//!   10k-node queue point on this host (CI gate).
+//!   converged — then re-measures the policy suite (deterministic, so
+//!   the committed rows must equal it) and a relaxed 10k-node queue
+//!   point on this host (CI gate).
 
 use std::process::ExitCode;
 
@@ -62,9 +63,16 @@ fn main() -> ExitCode {
 
             // Fresh re-measures on this host. The policy suite is pure
             // simulation (deterministic makespans), so it must pass the
-            // same strict gate; the queue point is wall-clock, so CI
-            // hardware gets a relaxed 2x bar instead of the committed 5x.
+            // same strict gate and equal the committed rows; the queue
+            // point is wall-clock, so CI hardware gets a relaxed 2x bar
+            // instead of the committed 5x.
             let fresh_policies = run_policy_suite();
+            if fresh_policies != committed.policies {
+                problems.push(format!(
+                    "policy rows: committed {:?}, fresh {fresh_policies:?}",
+                    committed.policies
+                ));
+            }
             for p in &fresh_policies {
                 if p.adaptive_us >= p.static_us {
                     problems.push(format!(

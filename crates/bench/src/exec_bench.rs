@@ -718,24 +718,27 @@ pub fn parse_results(text: &str) -> Vec<BenchEntry> {
         .collect()
 }
 
-/// Parses `(rows, compressed_bytes)` out of the `"shuffle"` line of a
-/// [`render_json`] file. Returns `None` when the file has no such line.
-pub fn parse_shuffle(text: &str) -> Option<(usize, u64)> {
+/// Parses `(rows, plain_bytes, compressed_bytes)` out of the `"shuffle"`
+/// line of a [`render_json`] file. Returns `None` when the file has no
+/// such line.
+pub fn parse_shuffle(text: &str) -> Option<(usize, u64, u64)> {
     let line = text.lines().find(|l| l.contains("\"shuffle\""))?;
     Some((
         json_field(line, "rows")?.parse().ok()?,
+        json_field(line, "plain_bytes")?.parse().ok()?,
         json_field(line, "compressed_bytes")?.parse().ok()?,
     ))
 }
 
 /// The size gate: stored bytes are a pure function of the tables, the
-/// plan and the codec, so on any host a fresh run may exceed the
-/// committed figure by at most 1 %.
-pub fn find_shuffle_regression(committed_bytes: u64, fresh: &ShuffleBytesReport) -> Option<String> {
-    (fresh.compressed_bytes * 100 > committed_bytes * 101).then(|| {
+/// plan and the codec, so on any host a fresh run at the committed row
+/// count must store exactly the committed `(plain, compressed)` bytes.
+pub fn find_shuffle_drift(committed: (u64, u64), fresh: &ShuffleBytesReport) -> Option<String> {
+    let (plain, compressed) = committed;
+    (fresh.plain_bytes != plain || fresh.compressed_bytes != compressed).then(|| {
         format!(
-            "shuffle @ {} rows: {} compressed bytes vs committed {} (>1% larger)",
-            fresh.rows, fresh.compressed_bytes, committed_bytes
+            "shuffle @ {} rows: plain {} / compressed {} bytes vs committed {plain} / {compressed}",
+            fresh.rows, fresh.plain_bytes, fresh.compressed_bytes
         )
     })
 }
@@ -977,16 +980,13 @@ mod tests {
         let text = render_json("test", &entries, Some(&report), None);
         assert!(text.contains("\"shuffle\""));
         assert_eq!(parse_results(&text), entries);
-        // The size gate reads the line back and allows 1 % of growth.
-        let (rows, committed) = parse_shuffle(&text).expect("shuffle line");
-        assert_eq!((rows, committed), (report.rows, report.compressed_bytes));
-        assert_eq!(find_shuffle_regression(committed, &report), None);
-        assert_eq!(find_shuffle_regression(committed * 2, &report), None);
-        assert_eq!(
-            find_shuffle_regression(committed * 100 / 101 + 1, &report),
-            None
-        );
-        assert!(find_shuffle_regression(committed * 100 / 102, &report).is_some());
+        // The size gate reads the line back and demands it exactly.
+        let (rows, plain, compressed) = parse_shuffle(&text).expect("shuffle line");
+        assert_eq!(rows, report.rows);
+        assert_eq!(find_shuffle_drift((plain, compressed), &report), None);
+        assert!(find_shuffle_drift((plain, compressed + 1), &report).is_some());
+        assert!(find_shuffle_drift((plain, compressed - 1), &report).is_some());
+        assert!(find_shuffle_drift((plain + 1, compressed), &report).is_some());
     }
 
     #[test]

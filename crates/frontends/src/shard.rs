@@ -47,9 +47,9 @@ use std::sync::Arc;
 use skadi_arrow::array::Array;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::{Bitmap, Native};
-use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
+use skadi_arrow::{compute, ipc};
 use skadi_flowgraph::profile::ShardStats;
 use skadi_flowgraph::{AggFunc, AggItem, Comparison, ExecOp};
 
@@ -96,6 +96,15 @@ impl Part {
         self.rows
             .as_ref()
             .map_or(self.batch.num_rows(), |r| r.len())
+    }
+
+    /// The length of the frame of the shard's rows gathered into a batch
+    /// of their own, summed without gathering them.
+    pub fn encoded_len(&self) -> usize {
+        match &self.rows {
+            None => ipc::encoded_len(&self.batch),
+            Some(rows) => ipc::encoded_len_of_rows(&self.batch, rows),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
-//! The data plane: resolving a dispatched task's inputs, committing a
-//! finished task's output (and running its real computation when an
-//! executor is installed), and pricing what the caching layer spills.
+//! The data plane: resolving a dispatched task's inputs, running a
+//! finished task through the executor and committing its output, and
+//! pricing what the caching layer spills.
 
 use std::rc::Rc;
 
@@ -34,7 +34,9 @@ impl Cluster {
             (Deployment::Serverful, Some(c)) => system(producer) != system(c),
             (Deployment::Serverful, None) => {
                 let consumers = self.tasks[producer].consumers.iter();
-                consumers.map(|c| system(*c)).any(|s| s != system(producer))
+                consumers
+                    .map(|(c, _)| system(*c))
+                    .any(|s| s != system(producer))
             }
             (Deployment::DistributedRuntime, _) => false,
         }
@@ -58,7 +60,7 @@ impl Cluster {
             return;
         }
         let node = rec.at.node.expect("dispatched task has a node");
-        let inputs = Rc::clone(&rec.inputs);
+        let (consumer, inputs) = (rec.spec.id, Rc::clone(&rec.inputs));
 
         // Detect lost inputs before fetching.
         let missing = inputs
@@ -70,34 +72,29 @@ impl Cluster {
             return;
         }
 
-        // Stage the real input payloads now, while availability is
-        // guaranteed: a producer reset between arrival and start must not
-        // leave the running task without bytes. Staging shares buffers.
-        if self.executor.is_some() {
-            let staged: StagedInputs = inputs
-                .iter()
-                .filter_map(|(p, _)| {
-                    let producer = &self.tasks[*p];
-                    Some((producer.spec.id, Rc::clone(producer.at.payload.as_ref()?)))
-                })
-                .collect();
-            if staged.len() != inputs.len() {
+        // Stage the input payloads now, while availability is guaranteed:
+        // a producer reset between arrival and start must not leave the
+        // running task without them. Staging shares buffers.
+        let mut staged: StagedInputs = Vec::with_capacity(inputs.len());
+        for &(p, _) in inputs.iter() {
+            let producer = &self.tasks[p];
+            let Some(payload) = &producer.at.payload else {
                 self.fail_run(RuntimeError::Internal(format!(
                     "data plane: task t{} arrived with available inputs but missing payloads",
-                    self.tasks[t].spec.id.0
+                    consumer.0
                 )));
                 return;
-            }
-            self.tasks[t].at.staged = Some(staged);
+            };
+            staged.push((producer.spec.id, Rc::clone(payload)));
         }
 
         let route = self.cfg.generation.route_policy();
         let umbrella = self.span_of(t);
         let mut available = now;
-        for &(p, estimate) in inputs.iter() {
-            // The producer's measured payload when the data plane
-            // executed it, the edge's estimate otherwise.
-            let bytes = self.tasks.output_size(p, estimate);
+        for (&(p, _), (_, payload)) in inputs.iter().zip(&staged) {
+            // What this task reads of the producer's output: its part of
+            // a shuffle or scatter, the whole output otherwise.
+            let bytes = payload.edge_len(consumer);
             let producer = &self.tasks[p].at;
             let value_ready = producer.value_ready.unwrap_or(now);
             let t_in = if let (true, Some(d)) = (self.via_durable(p, Some(t)), self.nodes.durable) {
@@ -178,10 +175,7 @@ impl Cluster {
                 // store (plasma semantics): later consumers read the
                 // nearest copy instead of re-crossing the fabric.
                 if !loc.local && self.cfg.cache_fetched_copies {
-                    let size = self
-                        .tasks
-                        .output_size(p, self.tasks[p].spec.output_bytes)
-                        .max(1);
+                    let size = payload.len().max(1);
                     if let Ok(report) = self.cache.put(obj, size, node, now) {
                         // A fetched copy can displace colder objects; those
                         // moves are priced like producer-side spills.
@@ -208,7 +202,9 @@ impl Cluster {
             self.metrics.bump("cold_starts");
         }
 
-        self.tasks[t].at.input_ready_at = Some(available);
+        let at = &mut self.tasks[t].at;
+        at.staged = Some(staged);
+        at.input_ready_at = Some(available);
         queue.schedule_at(available, Event::TryStart(t, self.epoch(t)));
     }
 
@@ -229,28 +225,27 @@ impl Cluster {
             self.serverless_task_cost += ran.as_secs_f64() * node_rate(&self.topo, node) + 0.0001;
         }
 
-        // Data plane: the simulated completion also runs the shard's real
-        // computation on the staged input payloads. The measured payload
-        // length replaces the spec's estimate everywhere downstream —
-        // storage, replication/EC sizing, transfer pricing, pass-by-value
-        // inlining, and fetched-copy caching.
-        if self.executor.is_some() {
-            let result = match self.tasks[t].at.exec_result.take() {
-                Some(r) => r,
-                None => self.execute_batch(now, t, queue),
-            };
-            match result {
-                Ok(payload) => self.tasks[t].at.payload = Some(Rc::new(payload)),
-                Err(msg) => {
-                    self.fail_run(RuntimeError::Internal(format!(
-                        "data plane: task t{}: {msg}",
-                        self.tasks[t].spec.id.0
-                    )));
-                    return;
-                }
+        // Data plane: the simulated completion runs the task through the
+        // executor on its staged inputs. The payload's lengths are what
+        // everything downstream is priced at — storage, replication/EC
+        // sizing and cached copies the whole, each consumer's transfer
+        // and pass-by-value inlining its own edge.
+        let result = match self.tasks[t].at.exec_result.take() {
+            Some(r) => r,
+            None => self.execute_batch(now, t, queue),
+        };
+        let payload = match result {
+            Ok(payload) => payload,
+            Err(msg) => {
+                self.fail_run(RuntimeError::Internal(format!(
+                    "data plane: task t{}: {msg}",
+                    self.tasks[t].spec.id.0
+                )));
+                return;
             }
-        }
-        let out_bytes = self.tasks.output_size(t, self.tasks[t].spec.output_bytes);
+        };
+        let out_bytes = payload.len();
+        self.tasks[t].at.payload = Some(Rc::new(payload));
 
         self.record_device_gauge(now);
         self.store_output(now, t, node, out_bytes);
@@ -266,7 +261,7 @@ impl Cluster {
         } else {
             now
         };
-        for &c in Rc::clone(&self.tasks[t].consumers).iter() {
+        for &(c, _) in Rc::clone(&self.tasks[t].consumers).iter() {
             let rec = &mut self.tasks[c];
             if rec.state() == TaskState::Blocked && rec.pending_inputs > 0 {
                 rec.pending_inputs -= 1;
@@ -314,14 +309,21 @@ impl Cluster {
         let ready: Vec<ReadyTask<'_>> = batch
             .iter()
             .zip(&staged)
-            .map(|(&b, s)| ReadyTask {
-                task: self.tasks[b].spec.id,
-                inputs: s.iter().map(|(p, payload)| (*p, &**payload)).collect(),
-                link_bps: self.output_link_bps(b),
+            .map(|(&b, s)| {
+                let rec = &self.tasks[b];
+                let consumers = rec.consumers.iter();
+                ReadyTask {
+                    task: rec.spec.id,
+                    inputs: s.iter().map(|(p, payload)| (*p, &**payload)).collect(),
+                    consumers: consumers
+                        .map(|&(c, e)| (self.tasks[c].spec.id, e))
+                        .collect(),
+                    output_bytes: rec.spec.output_bytes,
+                    link_bps: self.output_link_bps(b),
+                }
             })
             .collect();
-        let exec = self.executor.as_mut().expect("caller checked");
-        let results = exec.execute_ready(&ready);
+        let results = self.executor.execute_ready(&ready);
         let mut own = Err(format!(
             "data plane returned no result for t{}",
             self.tasks[t].spec.id.0

@@ -15,9 +15,13 @@
 //! them to the target node's raylet. At the raylet, each input edge is resolved with
 //! the configured protocol (pull or push, routed per Gen-1 or Gen-2);
 //! the task starts when its inputs have arrived and an execution slot is
-//! free, and finishes after its backend-specific compute time. Outputs
-//! land in the caching layer (or durable storage, per deployment), which
-//! may trigger spills to disaggregated memory.
+//! free, and finishes after its backend-specific compute time. Every
+//! finish runs the task through the cluster's executor ([`LengthOnly`],
+//! the spec's estimates, unless a data plane is installed); the payload
+//! it returns is the output, stored and replicated at its whole length
+//! and fetched by each consumer at the length that consumer reads.
+//! Outputs land in the caching layer (or durable storage, per
+//! deployment), which may trigger spills to disaggregated memory.
 //!
 //! ## Failure handling
 //!
@@ -86,7 +90,7 @@ use skadi_store::spill::SpillPolicy;
 
 use crate::config::{Deployment, FtMode, RuntimeConfig};
 use crate::error::RuntimeError;
-use crate::executor::{Payload, TaskExecutor};
+use crate::executor::{LengthOnly, Payload, TaskExecutor};
 use crate::failure::FailurePlan;
 use crate::job::{Job, JobStats};
 use crate::placement::Placer;
@@ -134,10 +138,10 @@ pub struct Cluster {
     topo: Topology,
     cfg: RuntimeConfig,
     links: LinkParams,
-    /// The installed data-plane executor, if any: the one thing a run
-    /// inherits from the cluster it runs on. `None` keeps tasks
-    /// payload-free, so every size is the spec's estimate.
-    executor: Option<Box<dyn TaskExecutor>>,
+    /// The executor every task runs through: [`LengthOnly`] until a data
+    /// plane is installed. The one thing a run inherits from the cluster
+    /// it runs on.
+    executor: Box<dyn TaskExecutor>,
     /// True until a run has used the world below.
     pristine: bool,
 
@@ -216,7 +220,7 @@ impl Cluster {
             autoscaler: cfg.autoscale.map(Autoscaler::new),
             active_plan: FailurePlan::none(),
             fatal: None,
-            executor: None,
+            executor: Box::new(LengthOnly),
             pristine: true,
             actor_node: HashMap::new(),
             actor_busy_until: HashMap::new(),
@@ -236,29 +240,33 @@ impl Cluster {
         &self.cfg
     }
 
-    /// Installs a data-plane executor: every subsequent task completion
-    /// also runs the task's real computation on its producers' stored
-    /// payloads, and measured output sizes replace the specs'
-    /// estimates in storage, transfer, and inlining decisions.
+    /// Installs a data-plane executor in place of the current one
+    /// ([`LengthOnly`] on a new cluster): every subsequent task
+    /// completion runs the task's real computation on its producers'
+    /// stored payloads, and the measured lengths it returns — whole and
+    /// per consumer — are what storage, transfer, inlining and caching
+    /// are priced at.
     pub fn set_executor(&mut self, exec: Box<dyn TaskExecutor>) {
-        self.executor = Some(exec);
+        self.executor = exec;
     }
 
-    /// A finished task's stored payload from the last run (only present
-    /// when an executor was installed), its bytes not yet made.
+    /// A finished task's stored payload from the last run, its bytes not
+    /// yet made; `None` for a length-only one (no data plane was
+    /// installed), which has no bytes.
     pub fn task_output(&self, t: TaskId) -> Option<&Payload> {
         let s = self.tasks.slot_of(t)?;
-        self.tasks[s].at.payload.as_deref()
+        let payload = self.tasks[s].at.payload.as_deref()?;
+        (!payload.is_length_only()).then_some(payload)
     }
 
     /// A finished task's stored payload bytes from the last run (only
-    /// present when an executor was installed), made on the first ask.
+    /// present when a data plane was installed), made on the first ask.
     pub fn task_payload(&self, t: TaskId) -> Option<&[u8]> {
         self.task_output(t).map(Payload::bytes)
     }
 
     /// A task's measured output size from the last run, if it executed
-    /// through the data plane.
+    /// through a data plane.
     pub fn measured_output_bytes(&self, t: TaskId) -> Option<u64> {
         self.task_output(t).map(Payload::len)
     }
@@ -447,7 +455,9 @@ impl Cluster {
             measured_output_bytes: self
                 .tasks
                 .iter()
-                .filter_map(|(_, r)| Some((r.spec.id, r.at.payload.as_ref()?.len())))
+                .filter_map(|(_, r)| Some((r.spec.id, r.at.payload.as_ref()?)))
+                .filter(|(_, p)| !p.is_length_only())
+                .map(|(t, p)| (t, p.len()))
                 .collect(),
         })
     }
@@ -467,7 +477,7 @@ impl Cluster {
         // coexist on the common one-run-per-cluster path).
         if !std::mem::replace(&mut self.pristine, false) {
             *self = Cluster {
-                executor: self.executor.take(),
+                executor: std::mem::replace(&mut self.executor, Box::new(LengthOnly)),
                 pristine: false,
                 ..Cluster::with_links(&self.topo, self.cfg.clone(), self.links.clone())
             };

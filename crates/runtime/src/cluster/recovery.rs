@@ -202,7 +202,7 @@ impl Cluster {
     pub(super) fn abandon_consumers(&mut self, root: Slot) {
         let mut stack = vec![root];
         while let Some(t) = stack.pop() {
-            for &c in Rc::clone(&self.tasks[t].consumers).iter() {
+            for &(c, _) in Rc::clone(&self.tasks[t].consumers).iter() {
                 if self.tasks[c].state() == TaskState::Blocked {
                     self.fail_task(c);
                     stack.push(c);

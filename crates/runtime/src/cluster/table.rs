@@ -81,9 +81,10 @@ pub(super) struct Attempt {
     pub value_ready: Option<SimTime>,
     pub durable_ready: Option<SimTime>,
     pub ec: Option<EcPlacement>,
-    /// The real output, present only when the data plane executed the
-    /// task. Dropped with the attempt, so a re-execution recomputes —
-    /// deterministically — rather than reading a stale payload.
+    /// The executor's output, present once the attempt finished: its
+    /// lengths, and its bytes unless it is length-only. Dropped with the
+    /// attempt, so a re-execution recomputes — deterministically —
+    /// rather than reading a stale payload.
     pub payload: Option<Rc<Payload>>,
 }
 
@@ -93,8 +94,8 @@ pub(super) struct TaskSlot {
     pub spec: TaskSpec,
     /// Producers (in `TaskId` order) with each edge's estimated bytes.
     pub inputs: Rc<[(Slot, u64)]>,
-    /// Consumers, in `TaskId` order.
-    pub consumers: Rc<[Slot]>,
+    /// Consumers (in `TaskId` order) with each edge's estimated bytes.
+    pub consumers: Rc<[(Slot, u64)]>,
     state: TaskState,
     /// Unfinished producer count.
     pub pending_inputs: usize,
@@ -139,10 +140,10 @@ impl TaskTable {
     pub fn new(job: &Job) -> Self {
         let ids: Vec<TaskId> = job.tasks.keys().copied().collect();
         let slot_of = |t: &TaskId| Slot(ids.binary_search(t).expect("job validated") as u32);
-        let mut consumers: Vec<Vec<Slot>> = vec![Vec::new(); ids.len()];
+        let mut consumers: Vec<Vec<(Slot, u64)>> = vec![Vec::new(); ids.len()];
         for (i, spec) in job.tasks.values().enumerate() {
-            for dep in spec.inputs.keys() {
-                consumers[slot_of(dep).index()].push(Slot(i as u32));
+            for (dep, bytes) in &spec.inputs {
+                consumers[slot_of(dep).index()].push((Slot(i as u32), *bytes));
             }
         }
         let slots: Vec<TaskSlot> = job
@@ -233,17 +234,6 @@ impl TaskTable {
         slot.epoch += 1;
         slot.attempts += 1;
         std::mem::take(&mut slot.at)
-    }
-
-    /// The size every downstream decision uses for `s`'s output: the
-    /// measured payload when the data plane executed it, `estimate`
-    /// otherwise. Estimate-only and executor-installed runs differ only
-    /// in whether a payload is present.
-    pub fn output_size(&self, s: Slot, estimate: u64) -> u64 {
-        match &self[s].at.payload {
-            Some(p) => p.len().max(1),
-            None => estimate,
-        }
     }
 
     /// Recount of non-terminal tasks (invariant checker).

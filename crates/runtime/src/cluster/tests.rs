@@ -1523,3 +1523,123 @@ mod table_tests {
         assert!(retried, "the kill plan never hit a running task");
     }
 }
+
+mod mode_tests {
+    use super::*;
+    use crate::executor::{LengthOnly, ReadyTask};
+    use crate::task::TaskSpec;
+    use skadi_dcsim::topology::presets;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A diamond whose edges carry different estimates than the outputs
+    /// they leave: 0 fans out to 1 and 2, which both feed 3.
+    fn diamond() -> Job {
+        Job::new(
+            "diamond",
+            vec![
+                TaskSpec::new(0, 400.0, 1 << 16),
+                TaskSpec::new(1, 400.0, 1 << 15).after(TaskId(0), 1 << 12),
+                TaskSpec::new(2, 400.0, 1 << 14).after(TaskId(0), 1 << 13),
+                TaskSpec::new(3, 400.0, 1 << 10)
+                    .after(TaskId(1), 1 << 15)
+                    .after(TaskId(2), 1 << 11),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Every finished task's payload is its spec's estimates: the output
+    /// bytes whole, each consumer's edge estimate per edge, no bytes.
+    fn assert_priced_at_estimates(c: &Cluster, job: &Job) {
+        for (s, r) in c.tasks.iter() {
+            let payload = r.at.payload.as_deref().expect("finished");
+            assert!(payload.is_length_only(), "t{}", r.spec.id.0);
+            assert_eq!(payload.len(), r.spec.output_bytes, "t{}", r.spec.id.0);
+            for &(consumer, estimate) in r.consumers.iter() {
+                let id = c.tasks[consumer].spec.id;
+                assert_eq!(job.tasks[&id].inputs[&r.spec.id], estimate);
+                assert_eq!(payload.edge_len(id), estimate, "t{} -> {id}", r.spec.id.0);
+            }
+            assert!(c.task_output(r.spec.id).is_none(), "{s:?}");
+            assert!(c.task_payload(r.spec.id).is_none(), "{s:?}");
+        }
+    }
+
+    /// A run without a data plane goes through the length-only executor
+    /// a new cluster installs: nothing reports a measured output.
+    #[test]
+    fn an_estimate_only_run_reports_no_measured_output() {
+        let job = diamond();
+        let mut c = Cluster::new(
+            &presets::small_disagg_cluster(),
+            RuntimeConfig::skadi_gen2(),
+        );
+        let stats = c.run(&job).unwrap();
+        assert_eq!(stats.finished, 4);
+        assert!(stats.measured_output_bytes.is_empty());
+        assert_priced_at_estimates(&c, &job);
+    }
+
+    /// A lineage reset drops the attempt's payload and runs the task
+    /// through the length-only executor again, which stores the same
+    /// estimates, so the retried run prices every edge as before; and
+    /// installing `LengthOnly` by hand is the cluster a new one is.
+    #[test]
+    fn a_lineage_reset_replays_the_length_only_executor_at_the_same_prices() {
+        let topo = presets::small_disagg_cluster();
+        let mut tasks = vec![TaskSpec::new(0, 700.0, 1 << 16)];
+        for i in 1..8 {
+            tasks.push(TaskSpec::new(i, 700.0, 1 << 16).after(TaskId(i - 1), 1 << (8 + i)));
+        }
+        let job = Job::new("chain", tasks).unwrap();
+        let plan = FailurePlan::none().kill_and_recover(
+            topo.servers()[0],
+            SimTime::from_micros(1_500),
+            SimTime::from_micros(3_000),
+        );
+        let cfg = RuntimeConfig::skadi_gen2().with_debug_invariants(true);
+        let mut fresh = Cluster::new(&topo, cfg.clone());
+        let a = fresh.run_with_failures(&job, &plan).unwrap();
+        assert!(a.retries > 0, "the kill never hit a running task");
+        assert_priced_at_estimates(&fresh, &job);
+        let mut installed = Cluster::new(&topo, cfg);
+        installed.set_executor(Box::new(LengthOnly));
+        let b = installed.run_with_failures(&job, &plan).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Counts the tasks it runs, storing the estimates like `LengthOnly`.
+    struct Counting(Rc<Cell<u32>>);
+
+    impl TaskExecutor for Counting {
+        fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+            self.0.set(self.0.get() + 1);
+            LengthOnly.execute(task)
+        }
+    }
+
+    /// A cluster keeps its executor from run to run: an installed one
+    /// runs every task of the second run too, and a new cluster's
+    /// length-only one stays length-only.
+    #[test]
+    fn a_reused_cluster_keeps_its_executor() {
+        let topo = presets::small_disagg_cluster();
+        let job = diamond();
+        let calls = Rc::new(Cell::new(0));
+        let mut installed = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
+        installed.set_executor(Box::new(Counting(Rc::clone(&calls))));
+        let first = installed.run(&job).unwrap();
+        assert_eq!(calls.get(), 4);
+        let second = installed.run(&job).unwrap();
+        assert_eq!(calls.get(), 8);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+
+        let mut fresh = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
+        for _ in 0..2 {
+            let stats = fresh.run(&job).unwrap();
+            assert_eq!(format!("{stats:?}"), format!("{first:?}"));
+            assert_priced_at_estimates(&fresh, &job);
+        }
+    }
+}

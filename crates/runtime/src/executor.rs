@@ -1,16 +1,21 @@
 //! The data-plane executor hook.
 //!
-//! The cluster simulates *when* and *where* tasks run; with a
-//! [`TaskExecutor`] installed ([`Cluster::set_executor`]), a task's
-//! simulated completion also runs its real computation: the executor is
-//! handed its producers' stored [`Payload`]s and returns the task's own,
-//! which the cluster then stores under the same pricing it applies to
-//! estimated sizes — measured, not estimated, output sizes feed storage,
-//! transfer, pass-by-value inlining, and caching decisions.
+//! The cluster simulates *when* and *where* tasks run; every task's
+//! simulated completion also runs it through the cluster's
+//! [`TaskExecutor`]: the executor is handed its producers' stored
+//! [`Payload`]s and returns the task's own, which the cluster stores and
+//! prices. A cluster starts with [`LengthOnly`], whose payloads are the
+//! task spec's estimates and nothing else; installing a data plane
+//! ([`Cluster::set_executor`]) runs each task's real computation instead,
+//! and its measured lengths feed the same storage, transfer,
+//! pass-by-value and caching decisions. There is one path either way.
 //!
 //! The interface is bytes-level on purpose: the runtime crate knows
 //! nothing about record batches. What it keeps per task is a [`Payload`]
-//! — a length, which is all the simulator prices, and an opaque
+//! — its whole length, which storage, replication, erasure coding and
+//! fetched-copy caching read; one length per consumer, which the
+//! consumer's input transfer is priced at (a shuffle consumer reads its
+//! part, not the whole output); and, unless it is length-only, an opaque
 //! [`Content`] it can ask for bytes when something reads them
 //! ([`Cluster::task_payload`]). An executor whose bytes would cross no
 //! link need not make them at all: the SQL data plane hands consumers
@@ -21,7 +26,7 @@
 //! `(task, inputs, link)`. The cluster drops a task's payload when
 //! lineage resets it, and replays the executor on re-execution —
 //! identical inputs must reproduce an identical payload, or recovery
-//! would change the job's answer.
+//! would change the job's answer or its price.
 //!
 //! [`Cluster::set_executor`]: crate::cluster::Cluster::set_executor
 //! [`Cluster::task_payload`]: crate::cluster::Cluster::task_payload
@@ -32,7 +37,7 @@ use std::fmt;
 
 use crate::task::TaskId;
 
-/// What a payload holds beyond its length: whatever its executor kept,
+/// What a payload holds beyond its lengths: whatever its executor kept,
 /// able to make the payload's bytes on demand.
 pub trait Content: Any {
     /// The payload's bytes. Called at most once per payload, and only
@@ -41,21 +46,35 @@ pub trait Content: Any {
     fn materialise(&self) -> Vec<u8>;
 }
 
-/// A task's stored output: its length, its bytes once anything has read
-/// them, and the executor's [`Content`].
+/// A task's stored output: its whole length, the length each consumer
+/// reads, its bytes once anything has read them, and the executor's
+/// [`Content`]. A length-only payload has neither bytes nor content.
 pub struct Payload {
     len: u64,
+    /// `(consumer, the bytes it reads)`, by consumer task ID. A consumer
+    /// not listed reads the whole payload.
+    edges: Vec<(TaskId, u64)>,
     bytes: OnceCell<Vec<u8>>,
     content: Option<Box<dyn Content>>,
 }
 
 impl Payload {
+    /// A payload of lengths alone: `len` bytes whole, and `edges` (by
+    /// consumer task ID) per consumer. It has no bytes to read.
+    pub fn length_only(len: u64, edges: Vec<(TaskId, u64)>) -> Self {
+        Payload {
+            len,
+            edges,
+            bytes: OnceCell::new(),
+            content: None,
+        }
+    }
+
     /// A payload of `len` bytes that `content` makes when first read.
     pub fn lazy(len: u64, content: impl Content) -> Self {
         Payload {
-            len,
-            bytes: OnceCell::new(),
             content: Some(Box::new(content)),
+            ..Payload::length_only(len, Vec::new())
         }
     }
 
@@ -63,13 +82,21 @@ impl Payload {
     /// them for executors that read it.
     pub fn with_bytes(bytes: Vec<u8>, content: impl Content) -> Self {
         Payload {
-            len: bytes.len() as u64,
-            bytes: OnceCell::from(bytes),
             content: Some(Box::new(content)),
+            ..Payload::from(bytes)
         }
     }
 
-    /// The length every price reads.
+    /// The payload with the bytes each of `edges`' consumers reads (by
+    /// consumer task ID); every other consumer reads the whole payload.
+    pub fn with_edges(mut self, edges: Vec<(TaskId, u64)>) -> Self {
+        debug_assert!(edges.is_sorted_by_key(|e| e.0), "edges by consumer");
+        self.edges = edges;
+        self
+    }
+
+    /// The whole length: what storage, replication, erasure coding and
+    /// cached copies are priced at.
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -79,13 +106,27 @@ impl Payload {
         self.len == 0
     }
 
-    /// The payload's bytes, made the first time they are asked for.
+    /// The bytes `consumer` reads: what its input transfer is priced at.
+    pub fn edge_len(&self, consumer: TaskId) -> u64 {
+        match self.edges.binary_search_by_key(&consumer, |e| e.0) {
+            Ok(i) => self.edges[i].1,
+            Err(_) => self.len,
+        }
+    }
+
+    /// True for a payload of lengths alone ([`Payload::length_only`]).
+    pub fn is_length_only(&self) -> bool {
+        self.content.is_none() && self.bytes.get().is_none()
+    }
+
+    /// The payload's bytes, made the first time they are asked for;
+    /// none for a length-only payload.
     pub fn bytes(&self) -> &[u8] {
+        let Some(content) = &self.content else {
+            return self.bytes.get().map_or(&[], Vec::as_slice);
+        };
         self.bytes.get_or_init(|| {
-            let bytes = self
-                .content
-                .as_ref()
-                .map_or_else(Vec::new, |c| c.materialise());
+            let bytes = content.materialise();
             debug_assert_eq!(
                 bytes.len() as u64,
                 self.len,
@@ -107,16 +148,18 @@ impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
         Payload {
             len: bytes.len() as u64,
+            edges: Vec::new(),
             bytes: OnceCell::from(bytes),
             content: None,
         }
     }
 }
 
-/// Two payloads are equal when their bytes are (which makes both).
+/// Two payloads are equal when their lengths, edge lengths and bytes
+/// are (which makes both).
 impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.bytes() == other.bytes()
+        self.len == other.len && self.edges == other.edges && self.bytes() == other.bytes()
     }
 }
 
@@ -124,12 +167,14 @@ impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Payload")
             .field("len", &self.len)
+            .field("edges", &self.edges)
             .field("made", &self.bytes.get().is_some())
             .finish()
     }
 }
 
-/// One ready task: its producers' payloads, sorted by producer task ID,
+/// One ready task: its producers' payloads, sorted by producer task ID;
+/// its spec's estimates, which a length-only run stores as the payload;
 /// and the modelled bytes per second of the link its output will be
 /// written over — the durable store's when the deployment writes it
 /// durably, the fabric NIC's otherwise. An executor that compresses
@@ -140,6 +185,10 @@ pub struct ReadyTask<'a> {
     pub task: TaskId,
     /// `(producer, its stored payload)`, by producer task ID.
     pub inputs: Vec<(TaskId, &'a Payload)>,
+    /// `(consumer, its edge's estimated bytes)`, by consumer task ID.
+    pub consumers: Vec<(TaskId, u64)>,
+    /// The spec's estimated output bytes.
+    pub output_bytes: u64,
     /// Modelled bytes per second of the link the output is written over.
     pub link_bps: u64,
 }
@@ -148,8 +197,9 @@ pub struct ReadyTask<'a> {
 pub trait TaskExecutor {
     /// Runs one task. `inputs` holds one entry per producer task (each
     /// producer's full stored payload); the executor is responsible for
-    /// any per-consumer partitioning. The returned payload is stored as
-    /// the task's output, and its length is its measured output size.
+    /// any per-consumer partitioning, and says what each consumer reads
+    /// with [`Payload::with_edges`]. The returned payload is stored as
+    /// the task's output.
     fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String>;
 
     /// Runs a batch of tasks that all completed at the same simulated
@@ -161,6 +211,22 @@ pub trait TaskExecutor {
     /// only wall-clock time.
     fn execute_ready(&mut self, tasks: &[ReadyTask<'_>]) -> Vec<Result<Payload, String>> {
         tasks.iter().map(|t| self.execute(t)).collect()
+    }
+}
+
+/// The executor every cluster starts with: it computes nothing, and a
+/// task's payload is its spec's estimates alone — `output_bytes` whole
+/// and each consumer's edge estimate — so a run without a data plane is
+/// priced at exactly the estimates its job declares.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LengthOnly;
+
+impl TaskExecutor for LengthOnly {
+    fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+        Ok(Payload::length_only(
+            task.output_bytes,
+            task.consumers.clone(),
+        ))
     }
 }
 
@@ -196,6 +262,20 @@ mod tests {
         assert_eq!(p.bytes(), &[7, 7, 7]);
         assert_eq!(calls.get(), 1);
         assert_eq!(p, Payload::from(vec![7, 7, 7]));
+    }
+
+    #[test]
+    fn a_consumer_reads_its_edge_length_or_the_whole() {
+        let sized = Payload::length_only(40, vec![(TaskId(3), 10), (TaskId(7), 40)]);
+        assert!(sized.is_length_only());
+        let reads = |p: &Payload| [3, 7, 9].map(|c| p.edge_len(TaskId(c)));
+        assert_eq!((sized.len(), reads(&sized)), (40, [10, 40, 40]));
+        assert!(sized.bytes().is_empty());
+        assert!(sized.content::<Counted>().is_none());
+        let made = Payload::from(vec![1, 2, 3]).with_edges(vec![(TaskId(7), 2)]);
+        assert!(!made.is_length_only());
+        assert_eq!(reads(&made), [3, 2, 3]);
+        assert_ne!(made, Payload::from(vec![1, 2, 3]));
     }
 
     #[test]

@@ -168,9 +168,10 @@ pub struct JobStats {
     /// Causal span trace of the run. Empty unless the config enabled
     /// [`RuntimeConfig::tracing`](crate::config::RuntimeConfig::tracing).
     pub trace: Trace,
-    /// Measured output sizes (real encoded bytes) per task, for tasks
-    /// executed through the data plane ([`Cluster::set_executor`]);
-    /// empty on estimate-only runs.
+    /// Measured output sizes (real encoded bytes, whole) per task, for
+    /// tasks executed through a data plane ([`Cluster::set_executor`]);
+    /// empty on estimate-only runs, whose length-only payloads have no
+    /// bytes.
     ///
     /// [`Cluster::set_executor`]: crate::cluster::Cluster::set_executor
     pub measured_output_bytes: BTreeMap<TaskId, u64>,

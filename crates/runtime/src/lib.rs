@@ -30,7 +30,9 @@
 //!   one dense task table and one node table (`cluster::table`), the
 //!   run loop, and the event handlers split into dispatch, data,
 //!   recovery (lineage re-execution), failover and invariants.
-//! - [`executor`]: the data-plane hook ([`TaskExecutor`]).
+//! - [`executor`]: the [`TaskExecutor`] every task runs through —
+//!   [`LengthOnly`] until a data plane is installed — and the
+//!   [`Payload`] it returns.
 //! - [`job`]: physical-graph-to-job conversion and [`JobStats`].
 //! - [`failure`]: failure injection plans.
 //! - [`chaos`]: seeded chaos-schedule fault harness (random jobs +
@@ -51,7 +53,7 @@ pub use chaos::{run_chaos, run_chaos_with, ChaosVerdict};
 pub use cluster::{Cluster, PerJobStats};
 pub use config::{AutoscaleConfig, Deployment, FtMode, Generation, RuntimeConfig};
 pub use error::RuntimeError;
-pub use executor::{Content, Payload, ReadyTask, TaskExecutor};
+pub use executor::{Content, LengthOnly, Payload, ReadyTask, TaskExecutor};
 pub use failure::{FailurePlan, Slowdown};
 pub use job::{job_from_physical, Job, JobStats};
 pub use placement::{NodeFacts, PlacementPolicy, PlacementStrategy, Placer};

@@ -1,18 +1,19 @@
 //! The distributed SQL data plane.
 //!
-//! [`GraphExecutor`] bridges the physical graph and the runtime's
-//! [`TaskExecutor`] hook: when the simulated cluster finishes a task, the
-//! executor runs that shard's [`ExecOp`] descriptor over real
-//! `skadi-arrow` batches — taking this consumer's portion of each
+//! [`GraphExecutor`] is the data plane a session installs in place of
+//! the runtime's length-only executor: when the simulated cluster
+//! finishes a task, the executor runs that shard's [`ExecOp`] descriptor
+//! over real `skadi-arrow` batches — taking this consumer's part of each
 //! producer's output (its rows of a hash partition for shuffles, a
 //! contiguous slice for scatters, the whole batch for
 //! pipelines/gathers/broadcasts) and executing the shard kernel from
-//! `skadi_frontends::shard`. The output
-//! becomes the task's stored [`Payload`], whose length every downstream
-//! size the simulator prices (transfer bytes, pass-by-value inlining,
-//! cache copies) reads: **measured**, not estimated.
+//! `skadi_frontends::shard`. The output becomes the task's stored
+//! [`Payload`], whose lengths every downstream size the simulator prices
+//! reads: **measured**, not estimated — the whole output for storage,
+//! replication and cached copies, each consumer's part for its transfer
+//! and pass-by-value inlining.
 //!
-//! # Payloads: a length and the batch
+//! # Payloads: lengths and the batch
 //!
 //! A shard's output crosses no real link, so its bytes are made only
 //! where the model says they are worth making. The length is arithmetic
@@ -27,15 +28,19 @@
 //! made and compressed to learn its ratio, and stored compressed when the
 //! rule says so; the batch stays beside the bytes either way.
 //!
-//! Consumers never read bytes. Each takes its share of its producer's
-//! batch through the payload's content: the batch is divided once per
-//! out-edge shape — a shuffle into one ascending row list per consumer
-//! shard, a scatter into views — and every consumer shard takes its part
-//! by reference. No row is copied until the consumer's merge-gather
-//! copies it, once, into its input. A payload the content does not come
-//! with (bytes handed over by a caller) is decoded — decompressed first
-//! when it carries the block magic — to the same batch, buffer for
-//! buffer: a frame *is* the batch's buffers.
+//! Consumers never read bytes. When a shard runs, its output is divided
+//! once per split its consumers read — a shuffle into one ascending row
+//! list per consumer shard, a scatter into views — and each consumer's
+//! part is kept in the `Output` beside its length, the frame the part's
+//! rows would make (`ipc::encoded_len_of_rows`, summed without gathering
+//! them; a part of a compressed output is that length scaled by the
+//! output's stored/plain ratio, rounded up). Every consumer shard takes
+//! its part by reference: no row is copied until its merge-gather copies
+//! it, once, into its input. A payload the content does not come with
+//! (bytes handed over by a caller) is decoded — decompressed first when
+//! it carries the block magic — to the same batch, buffer for buffer (a
+//! frame *is* the batch's buffers), and divided there for the one
+//! consumer that reads it.
 //!
 //! Determinism: task inputs are produced deterministically (scans slice
 //! contiguous row ranges, row lists ascend, gathers merge into canonical
@@ -55,7 +60,7 @@ use bytes::Bytes;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::{compression, ipc};
-use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
+use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalEdge, PhysicalGraph};
 use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
@@ -222,50 +227,42 @@ enum Split {
     Even { parts: usize },
 }
 
+impl Split {
+    /// `batch` divided: one part per consumer shard. A shuffle's one hash
+    /// pass gives every shard its row list.
+    fn divide(&self, batch: &RecordBatch) -> Result<Vec<Part>, SqlError> {
+        Ok(match self {
+            Split::ByKey { key, parts } => shard::partition_by_key(batch, key, *parts)?
+                .into_iter()
+                .map(|rows| Part::selection(batch.clone(), Arc::new(rows)))
+                .collect(),
+            Split::Even { parts } => shard::split_even(batch, *parts)
+                .into_iter()
+                .map(Part::whole)
+                .collect(),
+        })
+    }
+}
+
+/// What a consumer reads of its producer's output: shard `.1` of a
+/// split, or (`None`) the whole batch.
+type Share = Option<(Split, u32)>;
+
 /// One shard's output as its payload keeps it (see the module docs).
 struct Output {
     batch: RecordBatch,
-    /// `batch` divided, once per distinct out-edge shape: one part per
-    /// consumer shard.
-    splits: RefCell<Vec<(Split, Vec<Part>)>>,
-    /// Where partition passes and made frames are counted.
+    /// Each consumer's part of `batch`, by consumer task ID: made once,
+    /// when the shard ran, where its length was computed.
+    parts: Vec<(TaskId, Part)>,
+    /// Where made frames are counted.
     stats: Rc<RefCell<DataPlaneStats>>,
 }
 
 impl Output {
-    fn new(batch: RecordBatch, stats: &Rc<RefCell<DataPlaneStats>>) -> Self {
-        Output {
-            batch,
-            splits: RefCell::new(Vec::new()),
-            stats: Rc::clone(stats),
-        }
-    }
-
-    /// Shard `shard`'s share under `split`, dividing the batch the first
-    /// time the shape is asked for: one hash pass gives every consumer
-    /// shard of a shuffle its row list.
-    fn share(&self, split: Split, shard: u32) -> Result<Part, SqlError> {
-        let mut splits = self.splits.borrow_mut();
-        let at = match splits.iter().position(|(s, _)| *s == split) {
-            Some(at) => at,
-            None => {
-                let parts = match &split {
-                    Split::ByKey { key, parts } => {
-                        self.stats.borrow_mut().partition_passes += 1;
-                        let lists = shard::partition_by_key(&self.batch, key, *parts)?;
-                        let part = |rows| Part::selection(self.batch.clone(), Arc::new(rows));
-                        lists.into_iter().map(part).collect()
-                    }
-                    Split::Even { parts } => shard::split_even(&self.batch, *parts)
-                        .into_iter()
-                        .map(Part::whole)
-                        .collect(),
-                };
-                splits.push((split, parts));
-                splits.len() - 1
-            }
-        };
-        Ok(splits[at].1[shard as usize].clone())
+    /// The part `consumer` reads.
+    fn part(&self, consumer: TaskId) -> Option<&Part> {
+        let at = self.parts.binary_search_by_key(&consumer, |p| p.0).ok()?;
+        Some(&self.parts[at].1)
     }
 }
 
@@ -324,9 +321,10 @@ impl GraphExecutor {
     }
 }
 
-/// One task's shard, staged and ready to run: the exec descriptor plus
-/// this shard's extracted portion of every input edge. Produced serially
-/// by [`GraphExecutor::prepare`]; consumed by the pure
+/// One task's shard, staged and ready to run: the exec descriptor, this
+/// shard's extracted portion of every input edge, and what each consumer
+/// will read of its output. Produced serially by
+/// [`GraphExecutor::prepare`]; consumed by the pure
 /// [`GraphExecutor::run_shard`] (safe to run on any thread).
 struct PreparedShard {
     task: TaskId,
@@ -338,17 +336,23 @@ struct PreparedShard {
     port0: Vec<Part>,
     port1: Vec<Part>,
     rows_in: usize,
+    /// Each consumer and its share, by consumer task ID.
+    consumers: Vec<(TaskId, Share)>,
     /// Modelled bytes per second of the link the output is written over.
     link_bps: u64,
 }
 
 /// A finished shard run, waiting to be committed on the calling thread:
 /// the output batch, its frame's length, the compressed frame when the
-/// rule chose to store it so, and measurements.
+/// rule chose to store it so, each consumer's part and the bytes it
+/// reads, and measurements.
 struct ShardRun {
     out: RecordBatch,
     len: usize,
     packed: Option<Vec<u8>>,
+    parts: Vec<(TaskId, Part)>,
+    edges: Vec<(TaskId, u64)>,
+    partition_passes: u64,
     wall: Duration,
     exec_stats: ShardStats,
 }
@@ -385,44 +389,38 @@ impl GraphExecutor {
                 .find(|(p, _)| *p == from)
                 .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?
                 .1;
-            let decoded;
-            let output = match payload.content::<Output>() {
-                Some(output) => output,
+            let part = match payload.content::<Output>() {
+                Some(output) => output
+                    .part(t)
+                    .cloned()
+                    .ok_or_else(|| format!("{from} kept no part of its output for {}", v.id))?,
+                // Bytes handed over without the batch they were made
+                // from: decode them and take this shard's share here.
                 None => {
                     let batch = decode(payload.bytes())
                         .map_err(|err| format!("decode payload of {from}: {err}"))?;
-                    self.stats.borrow_mut().payload_decodes += 1;
-                    decoded = Output::new(batch, &self.stats);
-                    &decoded
+                    let mut stats = self.stats.borrow_mut();
+                    stats.payload_decodes += 1;
+                    match self.share(e) {
+                        None => Part::whole(batch),
+                        Some((split, shard)) => {
+                            if matches!(split, Split::ByKey { .. }) {
+                                stats.partition_passes += 1;
+                            }
+                            let mut parts = split
+                                .divide(&batch)
+                                .map_err(|err| format!("into {}: {err}", v.id))?;
+                            parts.swap_remove(shard as usize)
+                        }
+                    }
                 }
             };
-            let part = match &e.kind {
-                PEdgeKind::Shuffle { key, .. } => {
-                    let split = Split::ByKey {
-                        key: key.clone(),
-                        parts: v.shards as usize,
-                    };
-                    let mine = output
-                        .share(split, v.shard)
-                        .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
-                    self.stats
-                        .borrow_mut()
-                        .shuffle_rows
-                        .insert((from.0, t.0), mine.num_rows());
-                    mine
-                }
-                PEdgeKind::Scatter => {
-                    let split = Split::Even {
-                        parts: v.shards as usize,
-                    };
-                    output
-                        .share(split, v.shard)
-                        .map_err(|err| format!("scatter into {}: {err}", v.id))?
-                }
-                PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => {
-                    Part::whole(output.batch.clone())
-                }
-            };
+            if let PEdgeKind::Shuffle { .. } = e.kind {
+                self.stats
+                    .borrow_mut()
+                    .shuffle_rows
+                    .insert((from.0, t.0), part.num_rows());
+            }
             self.stats
                 .borrow_mut()
                 .edge_rows
@@ -435,6 +433,18 @@ impl GraphExecutor {
             }
         }
 
+        // What each consumer will read of this shard's output.
+        let outs = graph.out_edges(v.id);
+        let consumers = ready
+            .consumers
+            .iter()
+            .map(|&(c, _)| {
+                let e = outs.iter().find(|e| e.to.0 as u64 == c.0);
+                let e = e.ok_or_else(|| format!("no edge from {} to task {c}", v.id))?;
+                Ok((c, self.share(e)))
+            })
+            .collect::<Result<_, String>>()?;
+
         Ok(PreparedShard {
             task: t,
             op: op.clone(),
@@ -445,8 +455,25 @@ impl GraphExecutor {
             port0,
             port1,
             rows_in,
+            consumers,
             link_bps: ready.link_bps,
         })
+    }
+
+    /// What `e`'s consumer reads of its producer's output: its shard's
+    /// part of a shuffle or scatter, the whole batch otherwise.
+    fn share(&self, e: &PhysicalEdge) -> Share {
+        let to = self.graph.vertex(e.to);
+        let parts = to.shards as usize;
+        let split = match &e.kind {
+            PEdgeKind::Shuffle { key } => Split::ByKey {
+                key: key.clone(),
+                parts,
+            },
+            PEdgeKind::Scatter => Split::Even { parts },
+            PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => return None,
+        };
+        Some((split, to.shard))
     }
 
     /// Runs one staged shard: a pure function of the prepared inputs and
@@ -478,10 +505,46 @@ impl GraphExecutor {
         } else {
             None
         };
+        let stored = packed.as_ref().map_or(len, Vec::len) as u64;
+
+        // Divide the output once per split its consumers read, and size
+        // each consumer's part: a part of a compressed output is its plain
+        // length scaled by the output's stored/plain ratio, rounded up.
+        let mut splits: Vec<(&Split, Vec<Part>)> = Vec::new();
+        let mut parts = Vec::with_capacity(p.consumers.len());
+        let mut edges = Vec::with_capacity(p.consumers.len());
+        for (c, share) in &p.consumers {
+            let Some((split, shard)) = share else {
+                parts.push((*c, Part::whole(out.clone())));
+                edges.push((*c, stored));
+                continue;
+            };
+            let at = match splits.iter().position(|(s, _)| *s == split) {
+                Some(at) => at,
+                None => {
+                    let divided = split
+                        .divide(&out)
+                        .map_err(|e| format!("dividing the output of {}: {e}", p.op_name))?;
+                    splits.push((split, divided));
+                    splits.len() - 1
+                }
+            };
+            let part = splits[at].1[*shard as usize].clone();
+            let plain = part.encoded_len() as u128;
+            let bytes = (plain * stored as u128).div_ceil(len.max(1) as u128);
+            parts.push((*c, part));
+            edges.push((*c, bytes as u64));
+        }
+        let by_key = splits
+            .iter()
+            .filter(|(s, _)| matches!(s, Split::ByKey { .. }));
         Ok(ShardRun {
+            partition_passes: by_key.count() as u64,
             out,
             len,
             packed,
+            parts,
+            edges,
             wall,
             exec_stats,
         })
@@ -491,14 +554,20 @@ impl GraphExecutor {
     /// payload the cluster stores.
     fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Payload {
         let rows_out = run.out.num_rows();
-        let output = Output::new(run.out, &self.stats);
+        self.stats.borrow_mut().partition_passes += run.partition_passes;
+        let output = Output {
+            batch: run.out,
+            parts: run.parts,
+            stats: Rc::clone(&self.stats),
+        };
         let payload = match run.packed {
             Some(bytes) => {
                 self.stats.borrow_mut().compressed_outputs += 1;
                 Payload::with_bytes(bytes, output)
             }
             None => Payload::lazy(run.len as u64, output),
-        };
+        }
+        .with_edges(run.edges);
         self.stats.borrow_mut().timings.push(ShardTiming {
             task: p.task,
             op_id: p.op_id,
@@ -604,9 +673,17 @@ mod tests {
                     .enumerate()
                     .map(|(i, p)| (TaskId(*p as u64), bytes.get(i).unwrap_or(&stored[p])))
                     .collect();
+                let mut consumers: Vec<(TaskId, u64)> = phys
+                    .out_edges(v)
+                    .iter()
+                    .map(|e| (TaskId(e.to.0 as u64), e.bytes))
+                    .collect();
+                consumers.sort_unstable();
                 let ready = ReadyTask {
                     task: TaskId(v.0 as u64),
                     inputs,
+                    consumers,
+                    output_bytes: phys.vertex(v).output_bytes,
                     link_bps: FABRIC,
                 };
                 let out = exec.execute(&ready).unwrap();

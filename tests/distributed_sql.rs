@@ -312,8 +312,8 @@ fn determinism_across_seeds_and_runs() {
 /// once per consumer shard). Reading every stored payload makes each
 /// frame once. A second, cold executor — fed those bytes alone, through
 /// plain `TaskExecutor::execute` — decodes every input from them and
-/// must store the very same bytes, so what the first run handed over by
-/// reference was what the bytes hold.
+/// must store the very same bytes and edge lengths, so what the first
+/// run handed over by reference was what the bytes hold.
 #[test]
 fn every_output_is_staged_once_and_a_cold_executor_agrees() {
     use skadi::dcsim::network::LinkParams;
@@ -377,17 +377,30 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
                     .iter()
                     .map(|&p| (TaskId(p as u64), Payload::from(stored[p as usize].to_vec())))
                     .collect();
+                let consumers: BTreeSet<(TaskId, u64)> = phys
+                    .out_edges(v)
+                    .iter()
+                    .map(|e| (TaskId(e.to.0 as u64), e.bytes))
+                    .collect();
                 let ready = ReadyTask {
                     task: TaskId(v.0 as u64),
                     inputs: fed.iter().map(|(p, payload)| (*p, payload)).collect(),
+                    consumers: consumers.into_iter().collect(),
+                    output_bytes: phys.vertex(v).output_bytes,
                     link_bps: LinkParams::default().nic_bandwidth_bps,
                 };
                 let out = cold.execute(&ready).unwrap();
                 assert_eq!(out.bytes(), stored[v.0 as usize], "{query}: task {v}");
+                // Lengths and what each consumer reads included.
+                let warm_out = cluster.task_output(TaskId(v.0 as u64)).unwrap();
+                assert_eq!(&out, warm_out, "{query}: task {v}");
             }
             let cold = measured.borrow();
             assert_eq!(cold.payload_decodes, edges(false).len() as u64, "{query}");
-            assert_eq!(cold.partition_passes, edges(true).len() as u64, "{query}");
+            // Each shuffle producer divides its output once when it runs,
+            // and each consumer fed bytes alone divides what it decoded.
+            let passes = shuffled.len() + edges(true).len();
+            assert_eq!(cold.partition_passes, passes as u64, "{query}");
             assert_eq!(cold.edge_rows, warm.edge_rows, "{query}");
             assert_eq!(cold.shuffle_rows, warm.shuffle_rows, "{query}");
         }
@@ -648,6 +661,155 @@ fn task_output_sizes_are_measured_not_estimated() {
         assert_eq!(measured.get(&t.task), Some(&t.output_bytes));
         assert!(t.output_bytes >= 15, "even an empty frame has a header");
     }
+}
+
+/// A shuffle consumer is priced at the bytes it reads: at parallelism 4
+/// each consumer shard of a GROUP BY's shuffle moves the frame of its
+/// own rows of the producer's output — what gathering them and encoding
+/// them gives — and never the producer's whole output. So the parts of
+/// one producer add up to its stored length plus one empty frame per
+/// extra part (each part is a frame of its own), within the rounding of
+/// bit-packed buffers.
+#[test]
+fn shuffle_consumers_are_priced_at_their_part() {
+    use skadi::arrow::compute;
+    use skadi::flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi::flowgraph::optimize::optimize_graph;
+    use skadi::flowgraph::physical::PEdgeKind;
+    use skadi::frontends::{shard, sql};
+    use skadi::ir::BackendPolicy;
+    use skadi::runtime::{job_from_physical, Cluster, TaskId};
+    use skadi::GraphExecutor;
+    use std::collections::BTreeMap;
+
+    let db = big_db();
+    let query = "SELECT k, sum(v) AS s, count(*) AS n FROM events GROUP BY k";
+    let (mut graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+    optimize_graph(&mut graph);
+    let phys = lower_graph(&graph, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
+    let job = job_from_physical("sql", &phys, "sql").unwrap();
+    // Every input moves over the fabric, none inline in its dispatch.
+    let mut cfg = RuntimeConfig::skadi_gen2().with_tracing(true);
+    cfg.pass_by_value_max = 0;
+    let mut cluster = Cluster::new(&presets::small_disagg_cluster(), cfg);
+    cluster.set_executor(Box::new(GraphExecutor::new(
+        phys.clone(),
+        db.tables().clone(),
+    )));
+    let stats = cluster.run(&job).unwrap();
+
+    // What the simulator moved into each consumer, by producer label.
+    let mut moved: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    for span in stats
+        .trace
+        .spans()
+        .iter()
+        .filter(|s| s.name == "resolve.data")
+    {
+        let bytes = span.attr("bytes").unwrap().parse().unwrap();
+        moved
+            .entry(span.attr("input").unwrap().to_string())
+            .or_default()
+            .push(bytes);
+    }
+
+    let mut parts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    for e in phys.edges() {
+        let PEdgeKind::Shuffle { key } = &e.kind else {
+            continue;
+        };
+        let producer = TaskId(e.from.0 as u64);
+        let batch = ipc::decode(cluster.task_payload(producer).unwrap().to_vec().into()).unwrap();
+        let to = phys.vertex(e.to);
+        let rows = shard::partition_by_key(&batch, key, to.shards as usize).unwrap();
+        let mine: Vec<usize> = rows[to.shard as usize]
+            .iter()
+            .map(|&r| r as usize)
+            .collect();
+        let part = ipc::encode(&compute::take_indices(&batch, &mine).unwrap()).len() as u64;
+        let output = cluster.task_output(producer).unwrap();
+        assert_eq!(
+            output.edge_len(TaskId(e.to.0 as u64)),
+            part,
+            "{} -> {}",
+            e.from,
+            e.to
+        );
+        assert!(
+            part < output.len(),
+            "{} -> {}: a part, not the whole",
+            e.from,
+            e.to
+        );
+        let label = format!("t{}", e.from.0);
+        let priced = moved.get_mut(&label).unwrap();
+        let at = priced.iter().position(|b| *b == part);
+        assert!(
+            at.is_some(),
+            "{} -> {}: {part} bytes never moved in {priced:?}",
+            e.from,
+            e.to
+        );
+        priced.swap_remove(at.unwrap());
+        parts.entry(e.from.0).or_default().push(part);
+    }
+    assert!(
+        parts.len() >= 2,
+        "the GROUP BY shuffles from every scan shard"
+    );
+    for (producer, parts) in &parts {
+        let payload = cluster.task_payload(TaskId(*producer as u64)).unwrap();
+        let batch = ipc::decode(payload.to_vec().into()).unwrap();
+        let empty = ipc::encoded_len(&batch.slice(0, 0)) as u64;
+        let n = parts.len() as u64;
+        let whole = payload.len() as u64 + (n - 1) * empty;
+        let rounding = n * 2 * batch.num_columns() as u64;
+        let sum: u64 = parts.iter().sum();
+        assert!(
+            sum.abs_diff(whole) <= rounding,
+            "t{producer}: parts {parts:?} vs {whole}"
+        );
+    }
+}
+
+/// A cluster reused across runs keeps the data plane installed on it:
+/// the second run executes every shard again and stores the same bytes
+/// at the same prices.
+#[test]
+fn a_reused_cluster_keeps_its_graph_executor() {
+    use skadi::flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi::frontends::sql;
+    use skadi::ir::BackendPolicy;
+    use skadi::runtime::{job_from_physical, Cluster, TaskId};
+    use skadi::GraphExecutor;
+
+    let db = big_db();
+    let (graph, _sink) = sql::plan_sql(BIG_QUERIES[0], &db.catalog()).unwrap();
+    let phys = lower_graph(&graph, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
+    let job = job_from_physical("sql", &phys, "sql").unwrap();
+    let mut cluster = Cluster::new(
+        &presets::small_disagg_cluster(),
+        RuntimeConfig::skadi_gen2(),
+    );
+    let executor = GraphExecutor::new(phys.clone(), db.tables().clone());
+    let measured = executor.stats();
+    cluster.set_executor(Box::new(executor));
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let stats = cluster.run(&job).unwrap();
+        let payloads: Vec<Vec<u8>> = (0..phys.len() as u64)
+            .map(|t| cluster.task_payload(TaskId(t)).unwrap().to_vec())
+            .collect();
+        runs.push((
+            stats.makespan,
+            stats.net,
+            stats.measured_output_bytes,
+            payloads,
+        ));
+    }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(runs[0].2.len(), phys.len());
+    assert_eq!(measured.borrow().timings.len(), 2 * phys.len());
 }
 
 /// A scanned table with a `"__"` column collides with the data plane's
