@@ -36,6 +36,27 @@ fn check_index(i: usize, len: usize) {
     assert!(i < len, "index {i} out of bounds for {len}");
 }
 
+/// A row number a gather reads: a `usize`, or the `u32` a join's match
+/// list holds at half the bytes.
+pub trait RowIndex: Copy + Send + Sync + 'static {
+    /// The row as a `usize`.
+    fn row(self) -> usize;
+}
+
+impl RowIndex for usize {
+    #[inline(always)]
+    fn row(self) -> usize {
+        self
+    }
+}
+
+impl RowIndex for u32 {
+    #[inline(always)]
+    fn row(self) -> usize {
+        self as usize
+    }
+}
+
 /// `valid` as a validity bitmap in normal form: `None` when no row is
 /// null.
 fn normal_validity(valid: &[bool]) -> Option<Bitmap> {
@@ -224,14 +245,14 @@ impl<T: Native> PrimitiveArray<T> {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> Self {
+    pub fn take_rows<I: RowIndex>(&self, indices: &[I]) -> Self {
         if self.validity.is_some() {
-            return Self::from_options(indices.iter().map(|&i| self.get(i)));
+            return Self::from_options(indices.iter().map(|&i| self.get(i.row())));
         }
         // No null: the stored bytes move as they are, in one pass.
         let (len, src) = (self.len(), self.values.as_slice());
         let mut raw = Vec::with_capacity(indices.len() * T::WIDTH);
-        for &i in indices {
+        for i in indices.iter().map(|i| i.row()) {
             check_index(i, len);
             raw.extend_from_slice(&src[i * T::WIDTH..(i + 1) * T::WIDTH]);
         }
@@ -345,8 +366,8 @@ impl BoolArray {
     }
 
     /// Gathers the rows at `indices` into a new array (typed `take`).
-    pub fn take_rows(&self, indices: &[usize]) -> BoolArray {
-        BoolArray::from_options(indices.iter().map(|&i| self.get(i)))
+    pub fn take_rows<I: RowIndex>(&self, indices: &[I]) -> BoolArray {
+        BoolArray::from_options(indices.iter().map(|&i| self.get(i.row())))
     }
 
     /// Rows `lo..hi` as an array of their own.
@@ -386,13 +407,23 @@ impl BoolArray {
     }
 }
 
-/// The dictionary encoding of a [`Utf8Array`], computed on first use and
-/// shared by every clone of the array: a registered table pays for it
-/// once, not once per scan shard per query. Holds `None` when the column
-/// is not worth encoding. Never part of the array's value: any two memos
-/// compare equal.
+/// The dictionary encodings of a [`Utf8Array`], each computed on first use
+/// and shared by every clone of the array: a registered table pays for
+/// them once, not once per scan shard or join per query. Never part of the
+/// array's value: any two memos compare equal.
 #[derive(Clone, Default)]
-struct DictMemo(Arc<OnceLock<Option<DictUtf8Array>>>);
+struct DictMemo(Arc<Memo>);
+
+#[derive(Default)]
+struct Memo {
+    /// The encoding a scan reads, or `None` when the column is not worth
+    /// encoding ([`Utf8Array::dict_encoded`]).
+    scanned: OnceLock<Option<DictUtf8Array>>,
+    /// The encoding a join gathers codes from, or `None` when its
+    /// dictionary would pass [`DICT_MAX_CARDINALITY`] and each join encodes
+    /// afresh ([`Array::take_rows_as_codes`]).
+    codes: OnceLock<Option<DictUtf8Array>>,
+}
 
 impl PartialEq for DictMemo {
     fn eq(&self, _: &Self) -> bool {
@@ -402,11 +433,13 @@ impl PartialEq for DictMemo {
 
 impl fmt::Debug for DictMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.get().is_some() {
-            "DictMemo(set)"
-        } else {
-            "DictMemo(unset)"
-        })
+        let state = |memo: &OnceLock<Option<DictUtf8Array>>| match memo.get() {
+            None => "unset",
+            Some(None) => "declined",
+            Some(Some(_)) => "kept",
+        };
+        let (scanned, codes) = (state(&self.0.scanned), state(&self.0.codes));
+        write!(f, "DictMemo(scanned: {scanned}, codes: {codes})")
     }
 }
 
@@ -524,9 +557,10 @@ impl Utf8Array {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> Utf8Array {
+    pub fn take_rows<I: RowIndex>(&self, indices: &[I]) -> Utf8Array {
         let len = self.len();
-        Self::from_byte_options(indices.iter().map(|&i| {
+        Self::from_byte_options(indices.iter().map(|i| {
+            let i = i.row();
             check_index(i, len);
             self.key_bytes(i)
         }))
@@ -578,7 +612,7 @@ impl Utf8Array {
     /// dictionary stays under [`DICT_MAX_CARDINALITY`]. Encoded at most
     /// once for this array and all its clones.
     fn dict_encoded(&self) -> Option<DictUtf8Array> {
-        let memo = self.dict.0.get_or_init(|| {
+        let memo = self.dict.0.scanned.get_or_init(|| {
             let d = DictUtf8Array::from_utf8(self);
             let distinct = d.dictionary().len();
             (distinct <= DICT_MAX_CARDINALITY && distinct * 2 <= self.len()).then_some(d)
@@ -752,7 +786,7 @@ impl DictUtf8Array {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> DictUtf8Array {
+    pub fn take_rows<I: RowIndex>(&self, indices: &[I]) -> DictUtf8Array {
         DictUtf8Array {
             keys: self.keys.take_rows(indices),
             dict: self.dict.clone(),
@@ -1031,8 +1065,41 @@ impl Array {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn take_rows(&self, indices: &[usize]) -> Array {
+    pub fn take_rows<I: RowIndex>(&self, indices: &[I]) -> Array {
         each_variant!(self, a => a.take_rows(indices).into())
+    }
+
+    /// [`Array::take_rows`], except that a `Utf8` column comes out as
+    /// `DictUtf8` codes: the dictionary is the column's distinct values in
+    /// order of first appearance, each output key the code of its source
+    /// row, so a row gathered many times moves four bytes each time, not
+    /// its string. Logically equal to `take_rows`. The encoding is kept
+    /// for the column and its clones while its dictionary stays under
+    /// [`DICT_MAX_CARDINALITY`], and made afresh per call above it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn take_rows_as_codes<I: RowIndex>(&self, indices: &[I]) -> Array {
+        let Ok(a) = self.as_utf8() else {
+            return self.take_rows(indices);
+        };
+        let mut fresh = None;
+        let kept = a.dict.0.codes.get_or_init(|| {
+            let d = DictUtf8Array::from_utf8(a);
+            if d.dictionary().len() <= DICT_MAX_CARDINALITY {
+                return Some(d);
+            }
+            fresh = Some(d);
+            None
+        });
+        match kept {
+            Some(codes) => codes.take_rows(indices).into(),
+            None => fresh
+                .unwrap_or_else(|| DictUtf8Array::from_utf8(a))
+                .take_rows(indices)
+                .into(),
+        }
     }
 
     /// Rows `lo..hi` as a view over this column's buffers: O(1) for the
@@ -1262,7 +1329,7 @@ mod tests {
         assert_eq!(a, b);
         // A filtered array keeps unused parent entries; still equal.
         let parent = DictUtf8Array::new(&["q", "x", "y", "x"]);
-        let filtered = parent.take_rows(&[1, 2, 3]);
+        let filtered = parent.take_rows(&[1usize, 2, 3]);
         assert_eq!(filtered, a);
         assert_eq!(
             Array::DictUtf8(filtered).dict_decoded(),
@@ -1273,13 +1340,33 @@ mod tests {
     #[test]
     fn dict_take_rows_moves_keys_only() {
         let d = DictUtf8Array::from_options(vec![Some("aa"), None, Some("bb"), Some("aa")]);
-        let t = d.take_rows(&[3, 1, 0]);
+        let t = d.take_rows(&[3usize, 1, 0]);
         assert_eq!(
             t.iter().collect::<Vec<_>>(),
             vec![Some("aa"), None, Some("aa")]
         );
         // Dictionary is shared, not rebuilt.
         assert_eq!(t.dictionary(), d.dictionary());
+    }
+
+    #[test]
+    fn codes_are_kept_only_under_the_cardinality_bound() {
+        let low = Array::from_utf8(&["x", "y", "x"]);
+        let codes = low.take_rows_as_codes(&[2usize, 0, 1, 0]);
+        assert_eq!(codes.data_type(), DataType::DictUtf8);
+        assert_eq!(codes.dict_decoded(), low.take_rows(&[2usize, 0, 1, 0]));
+        assert!(format!("{low:?}").contains("codes: kept"));
+        // One name more than the bound: encoded per call, never kept.
+        let names: Vec<String> = (0..=DICT_MAX_CARDINALITY).map(|i| i.to_string()).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let high = Array::from_utf8(&names);
+        let rows = [DICT_MAX_CARDINALITY, 7, 7];
+        for _ in 0..2 {
+            let codes = high.take_rows_as_codes(&rows);
+            assert_eq!(codes.data_type(), DataType::DictUtf8);
+            assert_eq!(codes.dict_decoded(), high.take_rows(&rows));
+        }
+        assert!(format!("{high:?}").contains("codes: declined"));
     }
 
     #[test]

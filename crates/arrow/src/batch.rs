@@ -18,6 +18,18 @@ impl RecordBatch {
     /// Creates a batch, validating column count, column types, and lengths
     /// against the schema.
     pub fn try_new(schema: SchemaRef, columns: Vec<Array>) -> Result<Self, ArrowError> {
+        let rows = columns.first().map_or(0, Array::len);
+        RecordBatch::try_with_rows(schema, columns, rows)
+    }
+
+    /// [`RecordBatch::try_new`] with the row count given rather than read
+    /// from the first column, so a batch of no columns keeps its rows (a
+    /// join whose columns nothing reads still has a row per match).
+    pub fn try_with_rows(
+        schema: SchemaRef,
+        columns: Vec<Array>,
+        rows: usize,
+    ) -> Result<Self, ArrowError> {
         if schema.len() != columns.len() {
             return Err(ArrowError::ShapeMismatch(format!(
                 "schema has {} fields but {} columns were provided",
@@ -25,7 +37,6 @@ impl RecordBatch {
                 columns.len()
             )));
         }
-        let rows = columns.first().map_or(0, Array::len);
         for (i, col) in columns.iter().enumerate() {
             let field = schema.field(i);
             if col.data_type() != field.data_type {

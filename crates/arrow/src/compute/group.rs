@@ -430,4 +430,46 @@ mod tests {
             assert!(slots > 0 && slots <= 4 * (hi - lo) + 16, "rows {lo}..{hi}");
         }
     }
+
+    use crate::datatype::DataType;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A join's build column gathered as codes: for build columns with
+        /// nulls and duplicates, all null or empty, and any row selection
+        /// (repeats, any order, none), the codes are the plain gather's
+        /// values and group into the same ids and first rows — through the
+        /// direct table, and through the hashed one when the dictionary is
+        /// far larger than the rows picked.
+        #[test]
+        fn prop_codes_gather_equals_plain_gather(
+            raw in prop::collection::vec(prop::option::of(0usize..600), 0..400),
+            distinct in 1usize..600,
+            all_null in any::<bool>(),
+            picks in prop::collection::vec(any::<u32>(), 0..48),
+        ) {
+            let word = |v: usize| match v % distinct {
+                0 => String::new(),
+                k => format!("{}{k}", ["a", "é", "\0"][k % 3]),
+            };
+            let words: Vec<Option<String>> =
+                raw.iter().map(|v| v.filter(|_| !all_null).map(word)).collect();
+            let col = Array::from_opt_utf8(words.iter().map(Option::as_deref));
+            let rows: Vec<u32> = match col.len() {
+                0 => Vec::new(),
+                n => picks.iter().map(|&p| p % n as u32).collect(),
+            };
+            let plain = col.take_rows(&rows);
+            let codes = col.take_rows_as_codes(&rows);
+            prop_assert_eq!(codes.data_type(), DataType::DictUtf8);
+            prop_assert_eq!(&codes.dict_decoded(), &plain);
+            let values = |a: &Array| (0..a.len()).map(|r| a.value_at(r)).collect::<Vec<_>>();
+            prop_assert_eq!(values(&codes), values(&plain));
+            let (p, c) = (batch(vec![plain]), batch(vec![codes]));
+            let (p, c) = (group_ids(&p, &[0]), group_ids(&c, &[0]));
+            prop_assert_eq!((p.ids, p.first_rows), (c.ids, c.first_rows));
+        }
+    }
 }

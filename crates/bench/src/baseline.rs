@@ -114,15 +114,50 @@ pub fn users_batch(n_users: usize, seed: u64) -> RecordBatch {
     .expect("users batch")
 }
 
-/// `n` ids, half of them on 16 hot values out of 1,024: the `user_id`
-/// column of the end-to-end benchmark's `events` table.
-fn hot_key_ids(n: usize, rng: &mut DetRng) -> Vec<i64> {
+/// `n` ids, half of them on 16 hot values out of `users`: the `user_id`
+/// column of the end-to-end benchmark's `events` table (1,024 users).
+fn hot_key_ids(n: usize, users: u64, rng: &mut DetRng) -> Vec<i64> {
     (0..n)
         .map(|_| {
-            let users = if rng.chance(0.5) { 16 } else { 1_024 };
+            let users = if rng.chance(0.5) { 16 } else { users };
             rng.below(users) as i64
         })
         .collect()
+}
+
+/// The end-to-end benchmark's `join` template at `n` probe rows:
+/// `events` (`user_id` over `n / 64` users, half of the rows on 16 hot
+/// ones, and a `value`) and `people`, one row per user with a distinct
+/// name, in seeded order. Every event meets one person, so the join
+/// repeats each name ~64 times.
+pub fn join_tables(n: usize, seed: u64) -> (RecordBatch, RecordBatch) {
+    let mut rng = DetRng::seed(seed);
+    let users = (n / 64).max(16) as u64;
+    let ids = hot_key_ids(n, users, &mut rng);
+    let values: Vec<f64> = (0..n).map(|_| rng.unit() * 10.0).collect();
+    let events = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("user_id", DataType::Int64, false),
+            Field::new("value", DataType::Float64, false),
+        ]),
+        vec![Array::from_i64(ids), Array::from_f64(values)],
+    )
+    .expect("join events batch");
+    let mut order: Vec<u64> = (0..users).collect();
+    rng.shuffle(&mut order);
+    let names: Vec<String> = order.iter().map(|u| format!("user-{u:06}")).collect();
+    let people = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("user_id", DataType::Int64, false),
+            Field::new("name", DataType::Utf8, false),
+        ]),
+        vec![
+            Array::from_i64((0..users as i64).collect()),
+            Array::from_utf8(&names),
+        ],
+    )
+    .expect("people batch");
+    (events, people)
 }
 
 /// The IPC frame of `n` rows shaped like a `scan` block of the
@@ -131,7 +166,7 @@ fn hot_key_ids(n: usize, rng: &mut DetRng) -> Vec<i64> {
 /// incompressible 40 % of the frame).
 pub fn sklz_events_frame(n: usize, seed: u64) -> Vec<u8> {
     let mut rng = DetRng::seed(seed);
-    let ids = hot_key_ids(n, &mut rng);
+    let ids = hot_key_ids(n, 1_024, &mut rng);
     let kinds: Vec<&str> = (0..n).map(|_| *rng.pick(&COUNTRIES)).collect();
     let values: Vec<f64> = (0..n).map(|_| rng.unit() * 10.0).collect();
     let batch = RecordBatch::try_new(
@@ -163,7 +198,7 @@ pub fn sklz_keys_frame(n: usize, seed: u64) -> Vec<u8> {
         ]),
         vec![
             Array::from_i64((0..n as i64).collect()),
-            Array::from_i64(hot_key_ids(n, &mut DetRng::seed(seed))),
+            Array::from_i64(hot_key_ids(n, 1_024, &mut DetRng::seed(seed))),
         ],
     )
     .expect("keys frame");

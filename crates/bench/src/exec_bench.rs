@@ -19,12 +19,13 @@ use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::Bitmap;
 use skadi_arrow::compression;
 use skadi_arrow::compute::{self, CmpOp};
-use skadi_frontends::exec::{self, pool};
+use skadi_frontends::exec::{self, pool, MemDb};
 use skadi_frontends::sql::{parse, tokenize, Query};
 
 use crate::baseline::{
     baseline_filter, baseline_group_sum_count, baseline_join, baseline_sort, baseline_topn,
-    coded_events_batch, codes_batch, events_batch, sklz_events_frame, sklz_keys_frame, users_batch,
+    coded_events_batch, codes_batch, events_batch, join_tables, sklz_events_frame, sklz_keys_frame,
+    users_batch,
 };
 use crate::sklz_ref;
 
@@ -35,8 +36,9 @@ pub const RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Kernel name (`filter`, `join`, `filter_join_dict`, `group_by`,
-    /// `group_by_dict`, `sort`, `topn`, `popcount`, `mask_scan`,
-    /// `sklz_compress`, `sklz_decompress`, `sklz_compress_keys`).
+    /// `group_by_dict`, `join_group_build`, `sort`, `topn`, `popcount`,
+    /// `mask_scan`, `sklz_compress`, `sklz_decompress`,
+    /// `sklz_compress_keys`).
     pub name: String,
     /// Input row count.
     pub rows: usize,
@@ -181,6 +183,22 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
         let conjuncts_val: Vec<(&str, CmpOp, Value)> = vec![("value", CmpOp::Gt, Value::F64(50.0))];
         let q_dict = group_query("code", "value", "coded");
 
+        // The end-to-end `join` template: events JOIN people (n / 64
+        // distinct names) GROUP BY name. The engine gathers the names as
+        // codes and groups by them; the baseline joins every string and
+        // groups the joined rows.
+        let (join_events, people) = join_tables(n, 13);
+        let join_db = MemDb::new()
+            .register("events", join_events.clone())
+            .register("people", people.clone());
+        let join_group = "SELECT name, count(*) AS n FROM events JOIN people \
+                          ON user_id = user_id GROUP BY name";
+        let baseline_join_group = || {
+            let joined = baseline_join(&join_events, &people, "user_id", "user_id");
+            let groups = baseline_group_sum_count(&joined, &["name"], "value");
+            groups.project(&["name", "n"]).expect("name and count")
+        };
+
         // Golden cross-checks: the two engines must agree exactly.
         assert_eq!(
             baseline_filter(&events, &conjuncts),
@@ -213,6 +231,11 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 .expect("aggregate")
                 .dict_decoded(),
             "group_by_dict mismatch at {n} rows"
+        );
+        assert_eq!(
+            baseline_join_group(),
+            join_db.query(join_group).expect("join_group_build"),
+            "join_group_build mismatch at {n} rows"
         );
         assert_eq!(
             baseline_sort(&events, "value", false),
@@ -294,6 +317,15 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                         .expect("aggregate")
                         .dict_decoded(),
                 );
+            }),
+        );
+        push(
+            "join_group_build",
+            time_ns(budget, || {
+                std::hint::black_box(baseline_join_group());
+            }),
+            time_ns(budget, || {
+                std::hint::black_box(join_db.query(join_group).expect("join_group_build"));
             }),
         );
         push(
@@ -861,7 +893,7 @@ mod tests {
     #[test]
     fn engines_agree_and_json_roundtrips() {
         let entries = run_suite(&[2_000], Duration::from_millis(5));
-        assert_eq!(entries.len(), 12);
+        assert_eq!(entries.len(), 13);
         let text = render_json("test", &entries, None, None);
         let back = parse_results(&text);
         assert_eq!(entries, back);

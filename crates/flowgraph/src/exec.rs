@@ -100,6 +100,11 @@ pub enum ExecOp {
         /// Total rows of the build relation (the row-id stride that keeps
         /// output row ids globally ordered like the single-process join).
         right_rows: u64,
+        /// The columns the join emits, in order: the names read above it,
+        /// each from the left side if it has the name and else from the
+        /// build side, where a `Utf8` column comes out as `DictUtf8`
+        /// codes. No other column is gathered.
+        columns: Vec<String>,
     },
     /// Grouped or global aggregation.
     Aggregate {

@@ -14,7 +14,12 @@
 //! hashes of the raw column bytes with a typed equality check on
 //! collision, and group-bys number their rows from each key column's
 //! codes ([`compute::group_ids`]) — no per-row `String` rendering
-//! anywhere on the join or group-by key path. Every execution also
+//! anywhere on the join or group-by key path. A join emits what its
+//! planned descriptor ([`ExecOp::Join`]) names and nothing else: the
+//! columns read above it, with every build-side string gathered as
+//! dictionary codes, so a GROUP BY over it reads codes too.
+//! `assemble_join` is that one assembly for this engine and for every
+//! join shard of the distributed one. Every execution also
 //! records its operator chain — one [`ShardStats`] per relational
 //! operator, named by its [`Op`] as the planner's vertices are — which
 //! [`MemDb::query_profiled`] returns as a [`QueryProfile`] and
@@ -24,13 +29,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use skadi_arrow::array::Value;
+use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::profile::{QueryProfile, ShardStats, SKEW_MULTIPLE};
-use skadi_flowgraph::FlowGraph;
+use skadi_flowgraph::{ExecOp, FlowGraph};
 use skadi_ir::Op;
 
 use crate::catalog::{Catalog, TableDef};
@@ -262,6 +267,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Hash equi-join (inner). Right-side key column is dropped from the
 /// output; other right columns are appended. Null keys match nothing.
+/// Every column comes out with its input type.
 pub fn hash_join(
     left: &RecordBatch,
     right: &RecordBatch,
@@ -269,8 +275,16 @@ pub fn hash_join(
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
     let mut stats = ShardStats::default();
-    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, &mut stats)?;
-    assemble_join(left, right, right_key, &left_rows, &right_rows)
+    let (lr, rr) = join_rows(left, right, left_key, right_key, &mut stats)?;
+    let rk = right.schema().index_of(right_key).map_err(wrap)?;
+    let names = left.schema().fields().iter().map(|f| &f.name);
+    let mut columns: Vec<String> = names.cloned().collect();
+    for (i, f) in right.schema().fields().iter().enumerate() {
+        if i != rk && !columns.contains(&f.name) {
+            columns.push(f.name.clone());
+        }
+    }
+    gather_join(left, right, &columns, Array::take_rows, &lr, &rr)
 }
 
 /// Resolves the key columns and runs the join kernel
@@ -282,35 +296,70 @@ pub(crate) fn join_rows(
     left_key: &str,
     right_key: &str,
     stats: &mut ShardStats,
-) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
+) -> Result<(Vec<u32>, Vec<u32>), SqlError> {
     let lcol = left.column_by_name(left_key).map_err(wrap)?;
     let rcol = right.column_by_name(right_key).map_err(wrap)?;
     let parts = parallel::partition_count(left.num_rows().max(right.num_rows()));
     parallel::join_rows_partitioned(lcol, rcol, parts, stats)
 }
 
-/// Gathers matched pairs into the join's output batch: all left columns,
-/// then right columns except the key and any name collisions.
+/// The join's output batch, as the plan describes it ([`ExecOp::Join`]):
+/// each of `columns` and nothing else, gathered from the matched pairs. A
+/// name the left side has comes from the left, any other from the build
+/// side, where a `Utf8` column is gathered as `DictUtf8` codes
+/// ([`Array::take_rows_as_codes`]): a build row the join repeats moves
+/// four bytes per copy, and a GROUP BY over it reads the codes. The batch
+/// has a row per pair even when it has no column.
 pub(crate) fn assemble_join(
     left: &RecordBatch,
     right: &RecordBatch,
-    right_key: &str,
-    left_rows: &[usize],
-    right_rows: &[usize],
+    columns: &[String],
+    left_rows: &[u32],
+    right_rows: &[u32],
 ) -> Result<RecordBatch, SqlError> {
-    let rk = right.schema().index_of(right_key).map_err(wrap)?;
-    let mut fields: Vec<Field> = left.schema().fields().to_vec();
-    let mut right_cols: Vec<usize> = Vec::new();
-    for (i, f) in right.schema().fields().iter().enumerate() {
-        if i == rk || fields.iter().any(|lf| lf.name == f.name) {
-            continue;
-        }
-        fields.push(f.clone());
-        right_cols.push(i);
-    }
+    let codes = Array::take_rows_as_codes;
+    gather_join(left, right, columns, codes, left_rows, right_rows)
+}
 
-    let columns = parallel::gather_join_columns(left, right, &right_cols, left_rows, right_rows);
-    RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
+/// Gathers `columns` from the matched pairs: a left-side name by
+/// `left_rows` as it is, any other from the build side by `right_rows`
+/// through `take_build`.
+fn gather_join(
+    left: &RecordBatch,
+    right: &RecordBatch,
+    columns: &[String],
+    take_build: parallel::Take,
+    left_rows: &[u32],
+    right_rows: &[u32],
+) -> Result<RecordBatch, SqlError> {
+    let mut fields: Vec<&Field> = Vec::with_capacity(columns.len());
+    let mut sources = Vec::with_capacity(columns.len());
+    for name in columns {
+        let (side, build, i) = match left.schema().index_of(name) {
+            Ok(i) => (left, false, i),
+            Err(_) => (right, true, right.schema().index_of(name).map_err(wrap)?),
+        };
+        fields.push(side.schema().field(i));
+        sources.push(parallel::JoinColumn {
+            source: side.column(i).clone(),
+            build,
+            take: if build { take_build } else { Array::take_rows },
+        });
+    }
+    let gathered = parallel::gather_join_columns(sources, left_rows, right_rows);
+    let fields = fields.iter().zip(&gathered);
+    let fields = fields.map(|(f, col)| Field::new(f.name.clone(), col.data_type(), f.nullable));
+    let schema = Schema::new(fields.collect());
+    RecordBatch::try_with_rows(schema, gathered, left_rows.len()).map_err(wrap)
+}
+
+/// The planned joins' output columns, in the order the statement names
+/// the joins (the planner adds them in that order).
+fn planned_joins(plan: &FlowGraph) -> impl Iterator<Item = &[String]> {
+    plan.vertices().iter().filter_map(|v| match &v.exec {
+        Some(ExecOp::Join { columns, .. }) => Some(columns.as_slice()),
+        _ => None,
+    })
 }
 
 /// Grouped aggregation over the query's `GROUP BY` columns and aggregate
@@ -400,7 +449,9 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
     // The planner resolves and types every name the query reads, so an
     // ill-typed or misnamed statement fails here, with the text the
     // distributed engine gives, before any kernel runs.
-    plan_query(q, &db.catalog(), &mut FlowGraph::new())?;
+    // The plan also says what each join emits.
+    let mut plan = FlowGraph::new();
+    plan_query(q, &db.catalog(), &mut plan)?;
     // A scan, a filter either side of the joins, the joins, an aggregate
     // or a projection, a sort and a limit: sized before the query runs,
     // so recording allocates nothing per operator.
@@ -426,13 +477,13 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
         current = apply_conjuncts(&current, &pushed)?;
         chain.record(Op::Filter, t0, rows_in, &current, ShardStats::default());
     }
-    for j in &q.joins {
+    for (j, columns) in q.joins.iter().zip(planned_joins(&plan)) {
         let t0 = Instant::now();
         let right = db.table(&j.table)?.dict_encoded();
         let rows_in = current.num_rows() + right.num_rows();
         let mut stats = ShardStats::default();
         let (lr, rr) = join_rows(&current, &right, &j.left_key, &j.right_key, &mut stats)?;
-        current = assemble_join(&current, &right, &j.right_key, &lr, &rr)?;
+        current = assemble_join(&current, &right, columns, &lr, &rr)?;
         chain.record(Op::Join, t0, rows_in, &current, stats);
     }
     if !residual.is_empty() {

@@ -171,41 +171,40 @@ pub(crate) fn take_batch(
     RecordBatch::try_new(batch.schema().clone(), gathered)
 }
 
-/// Gathers join output columns (all left columns by `left_rows`, the
-/// selected right columns by `right_rows`), one pool job per column when
-/// the match set is large.
+/// A gather of a column's rows by a join's row list.
+pub(crate) type Take = fn(&Array, &[u32]) -> Array;
+
+/// One column of a join's output: the column it is gathered from, whether
+/// by the build side's rows, and the gather that makes it.
+pub(crate) struct JoinColumn {
+    pub(crate) source: Array,
+    pub(crate) build: bool,
+    pub(crate) take: Take,
+}
+
+impl JoinColumn {
+    fn gather(&self, left_rows: &[u32], right_rows: &[u32]) -> Array {
+        let rows = if self.build { right_rows } else { left_rows };
+        (self.take)(&self.source, rows)
+    }
+}
+
+/// Gathers a join's output columns from the matched pairs, one pool job
+/// per column when the match set is large.
 pub(crate) fn gather_join_columns(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    right_cols: &[usize],
-    left_rows: &[usize],
-    right_rows: &[usize],
+    columns: Vec<JoinColumn>,
+    left_rows: &[u32],
+    right_rows: &[u32],
 ) -> Vec<Array> {
     let pool = pool::global();
-    let ncols = left.num_columns() + right_cols.len();
-    if pool.threads() == 1 || left_rows.len() < PARALLEL_MIN_ROWS || ncols < 2 {
-        let mut columns = Vec::with_capacity(ncols);
-        for c in 0..left.num_columns() {
-            columns.push(left.column(c).take_rows(left_rows));
-        }
-        for &c in right_cols {
-            columns.push(right.column(c).take_rows(right_rows));
-        }
-        return columns;
+    if pool.threads() == 1 || left_rows.len() < PARALLEL_MIN_ROWS || columns.len() < 2 {
+        let gather = |c: &JoinColumn| c.gather(left_rows, right_rows);
+        return columns.iter().map(gather).collect();
     }
-    let jobs: Arc<Vec<(Array, bool)>> = Arc::new(
-        (0..left.num_columns())
-            .map(|c| (left.column(c).clone(), true))
-            .chain(right_cols.iter().map(|&c| (right.column(c).clone(), false)))
-            .collect(),
-    );
-    let lr: Arc<Vec<usize>> = Arc::new(left_rows.to_vec());
-    let rr: Arc<Vec<usize>> = Arc::new(right_rows.to_vec());
-    let jobs2 = Arc::clone(&jobs);
-    pool.run_indexed(jobs.len(), move |i| {
-        let (col, is_left) = &jobs2[i];
-        col.take_rows(if *is_left { &lr } else { &rr })
-    })
+    let columns = Arc::new(columns);
+    let lr: Arc<Vec<u32>> = Arc::new(left_rows.to_vec());
+    let rr: Arc<Vec<u32>> = Arc::new(right_rows.to_vec());
+    pool.run_indexed(columns.len(), move |i| columns[i].gather(&lr, &rr))
 }
 
 /// One partition's build side: a chained bucket table over the partition's
@@ -229,13 +228,11 @@ struct Probe<'a> {
 }
 
 impl Probe<'_> {
-    /// The matched `(left, right)` rows in probe order and the failed
-    /// chain visits. `eq` decides a hash-equal candidate pair, so the loop
-    /// is compiled once per key comparison — per pair of encodings — and
-    /// never dispatches per row.
-    fn run(&self, eq: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<usize>, u64) {
-        let mut lrows: Vec<usize> = Vec::new();
-        let mut rrows: Vec<usize> = Vec::new();
+    /// Appends the matched `(left, right)` rows, in probe order, to `out`
+    /// and returns the failed chain visits. `eq` decides a hash-equal
+    /// candidate pair, so the loop is compiled once per key comparison —
+    /// per pair of encodings — and never dispatches per row.
+    fn run(&self, eq: impl Fn(usize, usize) -> bool, out: &mut (Vec<u32>, Vec<u32>)) -> u64 {
         let mut collisions = 0u64;
         for l in self.rows.0..self.rows.1 {
             if self.l_validity.is_some_and(|v| !v.get(l)) {
@@ -249,16 +246,60 @@ impl Probe<'_> {
                 let li = slot as usize;
                 let ri = self.part_rows[p][li] as usize;
                 if self.rh[ri] == h && eq(l, ri) {
-                    lrows.push(l);
-                    rrows.push(ri);
+                    out.0.push(l as u32);
+                    out.1.push(ri as u32);
                 } else {
                     collisions += 1;
                 }
                 slot = t.next[li];
             }
         }
-        (lrows, rrows, collisions)
+        collisions
     }
+
+    /// [`Probe::run`] under the join's key rule.
+    fn run_rule(
+        &self,
+        rule: JoinKeyRule,
+        lcol: &Array,
+        rcol: &Array,
+        out: &mut (Vec<u32>, Vec<u32>),
+    ) -> u64 {
+        match (rule, lcol.as_i64(), rcol.as_i64()) {
+            // Int64 keys compare as values, not as byte slices.
+            (JoinKeyRule::Bytes, Ok(l), Ok(r)) => {
+                let (l, r) = (l.values(), r.values());
+                self.run(|li, ri| l.get::<i64>(li) == r.get::<i64>(ri), out)
+            }
+            (JoinKeyRule::Bytes, ..) => each_variant!(lcol, l => each_variant!(rcol, r => self.run(
+                |li, ri| matches!((l.key_bytes(li), r.key_bytes(ri)), (Some(x), Some(y)) if x == y),
+                out,
+            ))),
+            (JoinKeyRule::Numeric, ..) => {
+                let flip = lcol.data_type() == DataType::Float64;
+                let (ints, floats) = if flip { (rcol, lcol) } else { (lcol, rcol) };
+                let ints = ints.as_i64().expect("numeric rule: an Int64 side");
+                let floats = floats.as_f64().expect("numeric rule: a Float64 side");
+                let eq = |li, ri| {
+                    let (i, f) = if flip { (ri, li) } else { (li, ri) };
+                    matches!(
+                        (ints.get(i), floats.get(f)),
+                        (Some(x), Some(y)) if compute::i64_f64_key_eq(x, y)
+                    )
+                };
+                self.run(eq, out)
+            }
+        }
+    }
+}
+
+/// Checks that a join side's rows can be numbered in `u32`.
+fn u32_rows(rows: usize) -> Result<(), SqlError> {
+    if u32::try_from(rows).is_ok() {
+        return Ok(());
+    }
+    let text = format!("execution: a join side of {rows} rows passes the u32 row limit");
+    Err(SqlError::Plan(text))
 }
 
 /// The hash-join core: matching `(left_row, right_row)` index pairs in
@@ -273,15 +314,18 @@ impl Probe<'_> {
 /// allocations per bucket) sized from its exact row count, inserting in
 /// reverse so chains ascend; probe morsels walk the chains and their
 /// outputs concatenate in morsel order. Table capacities and failed chain
-/// visits accumulate into `stats`.
+/// visits accumulate into `stats`. Rows are numbered in `u32`, so a side
+/// of more than `u32::MAX` rows is an error.
 pub(crate) fn join_rows_partitioned(
     lcol: &Array,
     rcol: &Array,
     parts: usize,
     stats: &mut ShardStats,
-) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
+) -> Result<(Vec<u32>, Vec<u32>), SqlError> {
     let pool = pool::global();
     let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type())?;
+    u32_rows(lcol.len())?;
+    u32_rows(rcol.len())?;
     let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol));
     let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol));
     let part_rows = Arc::new(partition_rows(rh.len(), &rh, rcol.validity(), parts));
@@ -303,45 +347,40 @@ pub(crate) fn join_rows_partitioned(
     }));
     stats.hash_slots += tables.iter().map(|t| t.cap as u64).sum::<u64>();
 
-    let ranges = morsels(lh.len());
-    let lcol = lcol.clone();
-    let rcol = rcol.clone();
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
+    // One probe over every row into one buffer sized for a match per
+    // probe row, unless the pool has morsels to run side by side.
+    let n = lcol.len();
+    let (lcol, rcol) = (lcol.clone(), rcol.clone());
+    let probe = move |rows: (usize, usize), out: &mut (Vec<u32>, Vec<u32>)| {
         let probe = Probe {
-            rows: ranges[m],
+            rows,
             l_validity: lcol.validity(),
             lh: &lh,
             rh: &rh,
             tables: &tables,
             part_rows: &part_rows,
         };
-        match rule {
-            JoinKeyRule::Bytes => each_variant!(&lcol, l => each_variant!(&rcol, r => probe.run(
-                |li, ri| matches!((l.key_bytes(li), r.key_bytes(ri)), (Some(x), Some(y)) if x == y)
-            ))),
-            JoinKeyRule::Numeric => {
-                let flip = lcol.data_type() == DataType::Float64;
-                let (ints, floats) = if flip { (&rcol, &lcol) } else { (&lcol, &rcol) };
-                let ints = ints.as_i64().expect("numeric rule: an Int64 side");
-                let floats = floats.as_f64().expect("numeric rule: a Float64 side");
-                probe.run(|li, ri| {
-                    let (i, f) = if flip { (ri, li) } else { (li, ri) };
-                    matches!(
-                        (ints.get(i), floats.get(f)),
-                        (Some(x), Some(y)) if compute::i64_f64_key_eq(x, y)
-                    )
-                })
-            }
-        }
+        probe.run_rule(rule, &lcol, &rcol, out)
+    };
+    let ranges = morsels(n);
+    if pool.threads() == 1 || ranges.len() == 1 {
+        let mut out = (Vec::with_capacity(n), Vec::with_capacity(n));
+        stats.hash_collisions += probe((0, n), &mut out);
+        return Ok(out);
+    }
+    let chunks = pool.run_indexed(ranges.len(), move |m| {
+        let mut out = (Vec::new(), Vec::new());
+        let collisions = probe(ranges[m], &mut out);
+        (out, collisions)
     });
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<usize> = Vec::new();
-    for (lr, rr, c) in chunks {
-        left_rows.extend(lr);
-        right_rows.extend(rr);
+    let total = chunks.iter().map(|(out, _)| out.0.len()).sum();
+    let mut pairs = (Vec::with_capacity(total), Vec::with_capacity(total));
+    for ((lr, rr), c) in chunks {
+        pairs.0.extend(lr);
+        pairs.1.extend(rr);
         stats.hash_collisions += c;
     }
-    Ok((left_rows, right_rows))
+    Ok(pairs)
 }
 
 /// The groups of an aggregate's input: every row's group id and how many
@@ -642,6 +681,13 @@ mod tests {
     }
 
     #[test]
+    fn a_join_side_past_u32_rows_is_an_error() {
+        assert!(u32_rows(u32::MAX as usize).is_ok());
+        let err = u32_rows(u32::MAX as usize + 1).unwrap_err().to_string();
+        assert!(err.contains("passes the u32 row limit"), "{err}");
+    }
+
+    #[test]
     fn partitioned_join_matches_bruteforce_and_is_thread_invariant() {
         let _guard = pool::test_guard();
         let n = PARALLEL_MIN_ROWS + 1234;
@@ -650,12 +696,12 @@ mod tests {
         let lcol = Array::from_i64(lkeys.clone());
         let rcol = Array::from_i64(rkeys.clone());
 
-        let mut expected: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+        let mut expected: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         for (l, lk) in lkeys.iter().enumerate() {
             for (r, rk) in rkeys.iter().enumerate() {
                 if lk == rk {
-                    expected.0.push(l);
-                    expected.1.push(r);
+                    expected.0.push(l as u32);
+                    expected.1.push(r as u32);
                 }
             }
         }
@@ -819,12 +865,12 @@ mod tests {
         let mut matched = 0;
         for lcol in &cols {
             for rcol in &cols {
-                let mut want: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+                let mut want: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
                 for l in 0..lcol.len() {
                     for r in 0..rcol.len() {
                         if value_key_eq(&lcol.value_at(l), &rcol.value_at(r)) {
-                            want.0.push(l);
-                            want.1.push(r);
+                            want.0.push(l as u32);
+                            want.1.push(r as u32);
                         }
                     }
                 }

@@ -17,9 +17,15 @@
 //! the contiguous row range `[i*n/N, (i+1)*n/N)`, so a row's id is its
 //! position in the full table; a join emits
 //! `left_rid * right_table_rows + right_rid`, which reproduces the
-//! reference engine's probe-order output as an ascending sort key; an
+//! reference engine's probe-order output as an ascending sort key (an id
+//! outside the `i64` range is an error, not a wrapped id); an
 //! aggregate emits each group's least input row id, the id of the row
 //! where the group first appears.
+//!
+//! A join shard emits what the local engine's join emits — the planned
+//! columns, every build-side string as dictionary codes — through the
+//! same assembly (`exec::assemble_join`). The codes rule reads no row
+//! count, so every shard hands the sink one column type.
 //!
 //! Every shard gathers its input in **canonical order**: by `__rid`
 //! (nulls first), ties to the earlier producer and then the earlier row —
@@ -157,17 +163,11 @@ pub fn execute_shard_adaptive(
                     .ok_or_else(|| SqlError::Plan(format!("unknown table {table:?}")))?;
                 scan_shard(t, shard, shards)?
             }
-            ExecOp::Join {
-                left_key,
-                right_key,
-                right_rows,
-            } => {
+            join @ ExecOp::Join { .. } => {
                 if current.is_some() {
                     return Err(SqlError::Plan("join cannot be mid-chain".into()));
                 }
-                join_shard(
-                    port0, port1, &left_key, &right_key, right_rows, adaptive, stats,
-                )?
+                join_shard(port0, port1, &join, adaptive, stats)?
             }
             other => {
                 let input = match current.take() {
@@ -470,9 +470,13 @@ fn rid_values(batch: &RecordBatch) -> Result<Vec<i64>, SqlError> {
 
 /// One shard of a hash join. Both sides are gathered into canonical
 /// (row-id) order so the probe order matches the reference engine's,
-/// restricted to the keys hashed to this shard. The output row id is
-/// `left_rid * right_table_rows + right_rid`, which orders join outputs
-/// exactly like the reference engine's probe-order emission.
+/// restricted to the keys hashed to this shard, and the output is what
+/// the local engine's join emits ([`exec::assemble_join`]: the planned
+/// columns, build strings as codes). The output
+/// row id is `left_rid * right_table_rows + right_rid`, which orders join
+/// outputs exactly like the reference engine's probe-order emission; an
+/// id that leaves the `i64` range is an error, never a wrapped id that
+/// would reorder the answer.
 ///
 /// # Adaptive build-side swap
 ///
@@ -488,12 +492,19 @@ fn rid_values(batch: &RecordBatch) -> Result<Vec<i64>, SqlError> {
 fn join_shard(
     port0: &[Part],
     port1: &[Part],
-    left_key: &str,
-    right_key: &str,
-    right_rows: u64,
+    join: &ExecOp,
     adaptive: bool,
     stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
+    let ExecOp::Join {
+        left_key,
+        right_key,
+        right_rows,
+        columns,
+    } = join
+    else {
+        unreachable!("join_shard runs a join");
+    };
     let left = gather(port0)?;
     let right = gather(port1)?;
     let l_rid = rid_values(&left)?;
@@ -508,13 +519,10 @@ fn join_shard(
     } else {
         exec::join_rows(&left_vis, &right_vis, left_key, right_key, stats)?
     };
-    let mut out = exec::assemble_join(&left_vis, &right_vis, right_key, &lrows, &rrows)?;
-    let stride = (right_rows as i64).max(1);
-    let mut rid: Vec<i64> = lrows
-        .iter()
-        .zip(&rrows)
-        .map(|(&l, &r)| l_rid[l].wrapping_mul(stride).wrapping_add(r_rid[r]))
-        .collect();
+    let mut out = exec::assemble_join(&left_vis, &right_vis, columns, &lrows, &rrows)?;
+    let rid = lrows.iter().zip(&rrows);
+    let rid = rid.map(|(&l, &r)| join_rid(l_rid[l as usize], *right_rows, r_rid[r as usize]));
+    let mut rid: Vec<i64> = rid.collect::<Result<_, _>>()?;
     if swap {
         let mut order: Vec<usize> = (0..rid.len()).collect();
         order.sort_by_key(|&i| rid[i]);
@@ -526,6 +534,18 @@ fn join_shard(
         Field::new(RID, DataType::Int64, true),
         Array::from_i64(rid),
     )
+}
+
+/// The row id of a join output row: `left * right_rows + right`, or an
+/// error where that leaves the `i64` range, since a wrapped id would
+/// silently reorder the answer.
+fn join_rid(left: i64, right_rows: u64, right: i64) -> Result<i64, SqlError> {
+    let stride = i64::try_from(right_rows.max(1)).ok();
+    let id = stride.and_then(|s| left.checked_mul(s)?.checked_add(right));
+    id.ok_or_else(|| {
+        let at = format!("{left} * {right_rows} + {right}");
+        SqlError::Plan(format!("execution: join row id {at} overflowed Int64"))
+    })
 }
 
 /// One shard of an aggregation. The gathered input is in row-id order,
@@ -688,6 +708,7 @@ mod tests {
             left_key: "k".into(),
             right_key: "k".into(),
             right_rows: 24,
+            columns: vec!["k".into(), "a".into(), "b".into()],
         };
         let mut swaps = 0;
         let mut matched = 0;
@@ -711,6 +732,40 @@ mod tests {
         // Null keys never match; every non-null left key matches 7 or 8
         // duplicated right rows.
         assert!(matched > 0);
+    }
+
+    #[test]
+    fn join_row_ids_that_leave_i64_are_an_error() {
+        // Four probe rows (ids 0..4) all matching both build rows (ids 0
+        // and 1), joined as if the build relation had `right_rows` rows.
+        let one_key = |n: usize| {
+            let schema = Schema::new(vec![Field::new("k", DataType::Int64, false)]);
+            RecordBatch::try_new(schema, vec![Array::from_i64(vec![1; n])]).unwrap()
+        };
+        let tables = BTreeMap::from([("l".to_string(), one_key(4)), ("r".to_string(), one_key(2))]);
+        let scan = |t: &str| {
+            let op = ExecOp::Scan { table: t.into() };
+            Part::whole(execute_shard(&op, &tables, 0, 1, &[], &[]).unwrap())
+        };
+        let join = |right_rows| {
+            let op = ExecOp::Join {
+                left_key: "k".into(),
+                right_key: "k".into(),
+                right_rows,
+                columns: vec!["k".into()],
+            };
+            execute_shard(&op, &tables, 0, 1, &[scan("l")], &[scan("r")])
+        };
+        let out = join(2).unwrap();
+        let rid = out.column_by_name(RID).unwrap();
+        let rids: Vec<Value> = (0..out.num_rows()).map(|r| rid.value_at(r)).collect();
+        assert_eq!(rids, (0..8).map(Value::I64).collect::<Vec<_>>());
+        // Probe row 2 times a stride of 2^62 is 2^63; a stride above
+        // `i64::MAX` overflows at once. Both used to wrap.
+        for right_rows in [1 << 62, u64::MAX] {
+            let err = join(right_rows).unwrap_err().to_string();
+            assert!(err.contains("overflowed Int64"), "{right_rows}: {err}");
+        }
     }
 
     #[test]

@@ -165,12 +165,13 @@ impl Head {
 /// an executable shard descriptor ([`ExecOp`]) beside its cost hints, so
 /// the lowered physical graph can actually run.
 ///
-/// Each scan and join is followed by a projection down to the names
-/// still read above it, and LIMIT sits on a plain data edge behind the
-/// last operator; the optimizer folds both into the task in front of
-/// them, so a shard stores only what the answer reads. ORDER BY is not a
-/// stage of its own: no per-shard sort yields a global order, so the sink
-/// sorts what it gathers.
+/// Each scan is followed by a projection down to the names still read
+/// above it, a join emits only those names ([`ExecOp::Join`]'s
+/// `columns`), and LIMIT sits on a plain data edge behind the last
+/// operator; the optimizer folds projections and LIMIT into the task in
+/// front of them, so a shard stores only what the answer reads. ORDER BY
+/// is not a stage of its own: no per-shard sort yields a global order, so
+/// the sink sorts what it gathers.
 pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<VertexId, SqlError> {
     let table = |name: &str| {
         catalog
@@ -227,14 +228,24 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         let emitted = |c: &str| c != j.right_key && !head.cols.iter().any(|l| l.name == c);
         right.prune(g, |c| c == j.right_key || (emitted(c) && reads(above, c)))?;
         right.cols.retain(|c| emitted(&c.name));
+        // The join gathers only what is read above it, so no projection
+        // follows it.
+        let joined = head.cols.len() + right.cols.len();
+        head.cols.append(&mut right.cols);
+        head.cols.retain(|c| reads(above, &c.name));
+        let columns = head.cols.iter().map(|c| c.name.clone()).collect();
 
         head.rows = head.rows.max(right.rows);
         head.bytes += right.bytes / 4;
+        if head.cols.len() < joined {
+            head.scale(1.0, head.cols.len() as f64 / joined as f64);
+        }
         let join = g.add_exec(
             ExecOp::Join {
                 left_key: j.left_key.clone(),
                 right_key: j.right_key.clone(),
                 right_rows: right_def.rows,
+                columns,
             },
             head.rows,
             head.bytes,
@@ -242,8 +253,6 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
         g.connect_keyed(head.at, join, &j.left_key)?;
         g.connect_keyed_port(right.at, join, &j.right_key, 1)?;
         head.at = join;
-        head.cols.append(&mut right.cols);
-        head.prune(g, |c| reads(above, c))?;
     }
 
     // Residual predicate after joins.
@@ -440,6 +449,16 @@ mod tests {
             .collect()
     }
 
+    fn join_columns(g: &FlowGraph) -> Vec<Vec<String>> {
+        g.vertices()
+            .iter()
+            .filter_map(|v| match &v.exec {
+                Some(ExecOp::Join { columns, .. }) => Some(columns.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn scans_and_joins_are_pruned_to_what_is_read_above_them() {
         // events(user_id, ts, kind, value) JOIN users(user_id, country, age):
@@ -453,13 +472,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             projections(&g),
-            vec![
-                vec!["user_id", "value"],
-                vec!["user_id"],
-                vec!["country", "age"],
-                vec!["country"],
-            ]
+            vec![vec!["user_id", "value"], vec!["user_id"], vec!["country"]]
         );
+        assert_eq!(join_columns(&g), vec![vec!["country", "age"]]);
         assert_eq!(
             names(&g),
             vec![
@@ -469,7 +484,6 @@ mod tests {
                 "rel.project",
                 "users",
                 "rel.join",
-                "rel.project",
                 "rel.filter",
                 "rel.project",
                 "rel.aggregate",
@@ -505,12 +519,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             projections(&g),
-            vec![
-                vec!["user_id", "kind"],
-                vec!["uid", "age"],
-                vec!["kind", "age"]
-            ]
+            vec![vec!["user_id", "kind"], vec!["uid", "age"]]
         );
+        assert_eq!(join_columns(&g), vec![vec!["kind", "age"]]);
     }
 
     #[test]

@@ -99,12 +99,49 @@ fn golden_db() -> MemDb {
         ],
     )
     .unwrap();
+    // A build side for the join goldens: `team` repeats "red" and holds
+    // a NULL, and is too distinct to be dictionary-encoded at the scan
+    // (3 values over 5 rows), so only a join gathers it as codes; `tag`
+    // is also a column of `orders`. `members` matches
+    // each `teams` row once, a 1:1 join of equal row counts.
+    let teams = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("cust", DataType::Int64, false),
+            Field::new("team", DataType::Utf8, true),
+            Field::new("tag", DataType::Utf8, false),
+        ]),
+        vec![
+            Array::from_i64(vec![10, 20, 30, 40, 50]),
+            Array::from_opt_utf8(vec![
+                Some("red"),
+                None,
+                Some("red"),
+                Some("blue"),
+                Some("green"),
+            ]),
+            Array::from_utf8(&["x", "y", "x", "z", "w"]),
+        ],
+    )
+    .unwrap();
+    let members = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("cust", DataType::Int64, false),
+            Field::new("level", DataType::Int64, false),
+        ]),
+        vec![
+            Array::from_i64(vec![50, 40, 30, 20, 10]),
+            Array::from_i64(vec![1, 2, 3, 4, 5]),
+        ],
+    )
+    .unwrap();
     MemDb::new()
         .register("orders", orders)
         .register("custs", custs)
         .register("ratios", ratios)
         .register("empty", empty)
         .register("marks", marks)
+        .register("teams", teams)
+        .register("members", members)
 }
 
 /// A bigger seeded table so multi-shard scans, shuffles, and group-bys
@@ -171,6 +208,14 @@ const QUERIES: &[&str] = &[
     "SELECT order_id, amount FROM orders ORDER BY amount LIMIT 3",
     "SELECT order_id, amount FROM orders LIMIT 4",
     "SELECT name, amount FROM orders JOIN custs ON cust = cust WHERE amount > 2 ORDER BY amount DESC LIMIT 3",
+    // The join goldens: a join that reads no column, a GROUP BY on a
+    // build-side string (duplicates and a NULL), gathered as codes,
+    // through an expanding join and through a 1:1 join, and a build
+    // column the left side's column of the same name shadows.
+    "SELECT count(*) AS n FROM orders JOIN teams ON cust = cust",
+    "SELECT team, count(*) AS n, sum(amount) AS s FROM orders JOIN teams ON cust = cust GROUP BY team",
+    "SELECT team, count(*) AS n, sum(level) AS s FROM members JOIN teams ON cust = cust GROUP BY team",
+    "SELECT order_id, tag, team FROM orders JOIN teams ON cust = cust ORDER BY order_id",
 ];
 
 const BIG_QUERIES: &[&str] = &[
@@ -241,6 +286,38 @@ fn distributed_survives_kill_and_recover_in_every_ft_mode() {
             .unwrap();
         assert_identical(&db, sql, &run, &format!("chaos under {ft:?}"));
         assert_eq!(run.report.stats.abandoned, 0, "under {ft:?}");
+    }
+}
+
+/// Every golden query, killed and recovered mid-run at parallelism 4
+/// under each fault-tolerance mode that can recover, still answers byte
+/// for byte as `MemDb`.
+#[test]
+fn golden_queries_survive_kill_and_recover_in_every_ft_mode() {
+    let db = golden_db();
+    let topo = presets::small_disagg_cluster();
+    let victim = topo.servers()[0];
+    let plan = FailurePlan::none().kill_and_recover(
+        victim,
+        SimTime::from_micros(3),
+        SimTime::from_millis(4),
+    );
+    for ft in [
+        FtMode::Lineage,
+        FtMode::Replication(2),
+        FtMode::ErasureCoding(EcConfig::RS_4_2),
+    ] {
+        let session = Session::builder()
+            .topology(topo.clone())
+            .parallelism(4)
+            .runtime(RuntimeConfig::skadi_gen2().with_ft(ft))
+            .build();
+        for sql in QUERIES {
+            let run = session
+                .sql_distributed_with_failures(&db, sql, &plan)
+                .unwrap();
+            assert_identical(&db, sql, &run, &format!("chaos under {ft:?}"));
+        }
     }
 }
 

@@ -97,12 +97,49 @@ fn golden_db() -> MemDb {
         ],
     )
     .unwrap();
+    // A build side for the join goldens: `team` repeats "red" and holds
+    // a NULL, and is too distinct to be dictionary-encoded at the scan
+    // (3 values over 5 rows), so only a join gathers it as codes; `tag`
+    // is also a column of `orders`. `members` matches
+    // each `teams` row once, a 1:1 join of equal row counts.
+    let teams = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("cust", DataType::Int64, false),
+            Field::new("team", DataType::Utf8, true),
+            Field::new("tag", DataType::Utf8, false),
+        ]),
+        vec![
+            Array::from_i64(vec![10, 20, 30, 40, 50]),
+            Array::from_opt_utf8(vec![
+                Some("red"),
+                None,
+                Some("red"),
+                Some("blue"),
+                Some("green"),
+            ]),
+            Array::from_utf8(&["x", "y", "x", "z", "w"]),
+        ],
+    )
+    .unwrap();
+    let members = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("cust", DataType::Int64, false),
+            Field::new("level", DataType::Int64, false),
+        ]),
+        vec![
+            Array::from_i64(vec![50, 40, 30, 20, 10]),
+            Array::from_i64(vec![1, 2, 3, 4, 5]),
+        ],
+    )
+    .unwrap();
     MemDb::new()
         .register("orders", orders)
         .register("custs", custs)
         .register("ratios", ratios)
         .register("empty", empty)
         .register("marks", marks)
+        .register("teams", teams)
+        .register("members", members)
 }
 
 fn col<'a>(batch: &'a RecordBatch, name: &str) -> &'a Array {
@@ -140,6 +177,71 @@ fn join_null_keys_match_nothing_duplicates_multiply() {
     assert_eq!(col(&out, "name").value_at(0), Value::Str("ten-a".into()));
     assert_eq!(col(&out, "name").value_at(1), Value::Str("ten-b".into()));
     assert_eq!(col(&out, "name").value_at(2), Value::Str("twenty".into()));
+}
+
+#[test]
+fn join_that_reads_no_column_keeps_its_rows() {
+    // Orders 1, 2, 4, 5 and 6 each match one team; order 3's NULL key
+    // matches nothing. Nothing above the join reads a column of it.
+    let out = golden_db()
+        .query("SELECT count(*) AS n FROM orders JOIN teams ON cust = cust")
+        .unwrap();
+    assert_eq!(rows(&out), vec![vec![Value::I64(5)]]);
+}
+
+#[test]
+fn group_by_a_build_side_string_through_expanding_and_1_1_joins() {
+    let db = golden_db();
+    let row = |team: Option<&str>, n, s: Value| {
+        let team = team.map_or(Value::Null, |t| Value::Str(t.into()));
+        vec![team, Value::I64(n), s]
+    };
+    // Expanding: 6 probe rows over 5 build rows, cust 10 twice. Orders 1,
+    // 4 (10) and 5 (30) are "red" from two build rows; orders 2 and 6
+    // (20) meet the NULL team. Groups in order of first appearance.
+    let out = db
+        .query(
+            "SELECT team, count(*) AS n, sum(amount) AS s FROM orders \
+             JOIN teams ON cust = cust GROUP BY team",
+        )
+        .unwrap();
+    let want = vec![
+        row(Some("red"), 3, Value::F64(6.0)),
+        row(None, 2, Value::F64(6.5)),
+    ];
+    assert_eq!(rows(&out), want);
+    assert_eq!(out.schema().field(0).data_type, DataType::Utf8);
+    // 1:1: every member meets one team, in the members' order.
+    let out = db
+        .query(
+            "SELECT team, count(*) AS n, sum(level) AS s FROM members \
+             JOIN teams ON cust = cust GROUP BY team",
+        )
+        .unwrap();
+    let want = vec![
+        row(Some("green"), 1, Value::I64(1)),
+        row(Some("blue"), 1, Value::I64(2)),
+        row(Some("red"), 2, Value::I64(8)),
+        row(None, 1, Value::I64(4)),
+    ];
+    assert_eq!(rows(&out), want);
+}
+
+#[test]
+fn a_left_column_shadows_the_build_column_of_its_name() {
+    // `tag` is the orders' column (a, b, NULL, b, NULL), never teams'.
+    let out = golden_db()
+        .query("SELECT order_id, tag, team FROM orders JOIN teams ON cust = cust ORDER BY order_id")
+        .unwrap();
+    let s = |v: &str| Value::Str(v.into());
+    let want = vec![
+        vec![Value::I64(1), s("a"), s("red")],
+        vec![Value::I64(2), s("b"), Value::Null],
+        vec![Value::I64(4), Value::Null, s("red")],
+        vec![Value::I64(5), s("b"), s("red")],
+        vec![Value::I64(6), Value::Null, Value::Null],
+    ];
+    assert_eq!(rows(&out), want);
 }
 
 #[test]

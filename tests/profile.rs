@@ -337,8 +337,8 @@ EXPLAIN ANALYZE SELECT tag, sum(amount) AS s, count(*) AS n FROM orders GROUP BY
 const GOLDEN_JOIN_GROUP_X1: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=1, skew>2x median)
 #4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=107
-  #3 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=4 med=4.0 max=4] bytes=149 ht[slots=16 collisions=0] groups=4
-    #2 kernel.fused [rel.join+rel.project] shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=250 ht[slots=16 collisions=1]
+  #3 rel.aggregate shards=1 rows_in[min=8 med=8.0 max=8] rows_out[min=4 med=4.0 max=4] bytes=173 groups=4
+    #2 rel.join shards=1 rows_in[min=13 med=13.0 max=13] rows_out[min=8 med=8.0 max=8] bytes=266 ht[slots=16 collisions=1]
       #0 kernel.fused [orders: rel.scan+rel.project] shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=8 med=8.0 max=8] bytes=237
       #1 custs shards=1 rows_in[min=0 med=0.0 max=0] rows_out[min=5 med=5.0 max=5] bytes=176
 ";
@@ -346,8 +346,8 @@ EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = c
 const GOLDEN_JOIN_GROUP_X4: &str = "\
 EXPLAIN ANALYZE SELECT name, sum(amount) AS s FROM orders JOIN custs ON cust = cust GROUP BY name (parallelism=4, skew>2x median)
 #4 result shards=1 rows_in[min=4 med=4.0 max=4] rows_out[min=4 med=4.0 max=4] bytes=107
-  #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=305 ht[slots=64 collisions=0] groups=4
-    #2 kernel.fused [rel.join+rel.project] shards=4 rows_in[min=0 med=3.0 max=7] rows_out[min=0 med=2.0 max=4] bytes=421 ht[slots=64 collisions=0] [SKEW]
+  #3 rel.aggregate shards=4 rows_in[min=0 med=2.0 max=4] rows_out[min=0 med=1.0 max=2] bytes=353 groups=4
+    #2 rel.join shards=4 rows_in[min=0 med=3.0 max=7] rows_out[min=0 med=2.0 max=4] bytes=461 ht[slots=64 collisions=0] [SKEW]
       #0 kernel.fused [orders: rel.scan+rel.project] shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=2 med=2.0 max=2] bytes=372
       #1 custs shards=4 rows_in[min=0 med=0.0 max=0] rows_out[min=1 med=1.0 max=2] bytes=341
 ";

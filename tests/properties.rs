@@ -248,7 +248,7 @@ proptest! {
         let mut g = FlowGraph::new();
         let (head_op, head_exec) = match head {
             0 => (Op::Scan, ExecOp::Scan { table: "t".into() }),
-            1 => (Op::Join, ExecOp::Join { left_key: "k".into(), right_key: "k".into(), right_rows: 1 }),
+            1 => (Op::Join, ExecOp::Join { left_key: "k".into(), right_key: "k".into(), right_rows: 1, columns: vec![] }),
             _ => (Op::Aggregate, ExecOp::Aggregate { group_by: vec!["k".into()], aggs: vec![] }),
         };
         let mut at = if head_op == Op::Scan {
