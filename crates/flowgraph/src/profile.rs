@@ -52,9 +52,9 @@ pub struct ShardStats {
     /// grow.
     pub rehashes: u64,
     /// Joins that built their hash table on the nominal probe side
-    /// because adaptive execution saw the build input was the larger one.
-    /// Read through `DataPlaneStats::build_swaps`; neither the JSON
-    /// artifact nor the rendered tree shows it.
+    /// because the build input held more than twice its rows (every
+    /// engine does). Read through `DataPlaneStats::build_swaps`; neither
+    /// the JSON artifact nor the rendered tree shows it.
     pub build_swaps: u64,
 }
 

@@ -12,9 +12,10 @@
 //! The hot paths are vectorized: WHERE conjuncts fuse into a single
 //! boolean mask ([`compute::and`]) applied once; joins key on FNV-1a
 //! hashes of the raw column bytes with a typed equality check on
-//! collision, and group-bys number their rows from each key column's
-//! codes ([`compute::group_ids`]) — no per-row `String` rendering
-//! anywhere on the join or group-by key path. A join emits what its
+//! collision, in one table built on the smaller side (`join_rows`, the
+//! join of every engine), and group-bys number their rows from each key
+//! column's codes ([`compute::group_ids`]) — no per-row `String`
+//! rendering anywhere on the join or group-by key path. A join emits what its
 //! planned descriptor ([`ExecOp::Join`]) names and nothing else: the
 //! columns read above it, with every build-side string gathered as
 //! dictionary codes, so a GROUP BY over it reads codes too.
@@ -287,9 +288,18 @@ pub fn hash_join(
     gather_join(left, right, &columns, Array::take_rows, &lr, &rr)
 }
 
-/// Resolves the key columns and runs the join kernel
-/// ([`parallel::join_rows_partitioned`]), partitioned by the larger
-/// side's row count.
+/// A join whose right side holds more than this multiple of its left
+/// side's rows builds its table on the left side instead. A pure function
+/// of row counts — never of timing.
+pub(crate) const SWAP_BUILD_MULTIPLE: usize = 2;
+
+/// The one hash join of every engine: resolves the key columns and runs
+/// the kernel ([`parallel::join_pairs`]), which builds one table on the
+/// right side — or, when the right side holds more than
+/// [`SWAP_BUILD_MULTIPLE`]x the left side's rows, on the left side, with
+/// the pairs put back in probe order ([`parallel::probe_order`]) and the
+/// swap counted in `stats`. Either way the pairs come out in probe order:
+/// left rows ascending, each one's matches in ascending right-row order.
 pub(crate) fn join_rows(
     left: &RecordBatch,
     right: &RecordBatch,
@@ -299,8 +309,15 @@ pub(crate) fn join_rows(
 ) -> Result<(Vec<u32>, Vec<u32>), SqlError> {
     let lcol = left.column_by_name(left_key).map_err(wrap)?;
     let rcol = right.column_by_name(right_key).map_err(wrap)?;
-    let parts = parallel::partition_count(left.num_rows().max(right.num_rows()));
-    parallel::join_rows_partitioned(lcol, rcol, parts, stats)
+    // Types that cannot be compared are refused in the join's own
+    // orientation, whichever side builds.
+    JoinKeyRule::of(lcol.data_type(), rcol.data_type())?;
+    if rcol.len() > SWAP_BUILD_MULTIPLE * lcol.len() {
+        stats.build_swaps += 1;
+        let swapped = parallel::join_pairs(rcol, lcol, stats)?;
+        return Ok(parallel::probe_order(swapped, lcol.len()));
+    }
+    parallel::join_pairs(lcol, rcol, stats)
 }
 
 /// The join's output batch, as the plan describes it ([`ExecOp::Join`]):

@@ -1,30 +1,26 @@
-//! The relational kernels: partitioned hash join, group-by, run-merge
-//! sort, conjunct masks and gathers.
+//! The relational kernels: hash join, group-by, run-merge sort, conjunct
+//! masks and gathers.
 //!
-//! There is one implementation per operator. Small inputs run it with a
-//! single partition and a single morsel — inline on the calling thread,
-//! with no partition pass — and large inputs with [`PARTITIONS`]
-//! partitions and one pool job per morsel; [`partition_count`] picks
-//! between the two for a join from the input's row count alone. The
-//! invariant every kernel keeps is that **neither thread count nor
-//! partition count changes output bytes**, because all structure derives
-//! from the data —
+//! There is one implementation per operator. Small inputs run it as a
+//! single morsel, inline on the calling thread, and large inputs with one
+//! pool job per morsel. The invariant every kernel keeps is that **thread
+//! count changes neither output bytes nor profile counters**, because all
+//! structure derives from the data —
 //!
 //! * morsel boundaries come from [`pool::morsels`] (fixed row ranges);
-//! * join inputs split by the *top* bits of the folded key hash (tables
-//!   bucket by the *low* bits, so partitioning preserves bucket entropy);
-//! * per-partition join tables size themselves from exact partition row
-//!   counts, so they never rehash;
+//! * a join's one table is sized from its build side's exact non-null row
+//!   count, so it never rehashes;
 //! * merges are deterministic: join morsel outputs concatenate in morsel
 //!   order (probe order), and sorted runs merge under a total order (key,
 //!   then row index).
 //!
-//! Every true join match shares the full key hash, so matches land in the
-//! probe row's own partition and per-partition chains ascend in global
-//! row order: the concatenated morsel outputs are the probe-order pair
-//! sequence whatever the partition count. Only the join's hash-table
-//! counters in [`ShardStats`] depend on the partition count, which is why
-//! it stays a pure function of row count.
+//! A join builds one chained table over its right column and probes it
+//! morsel by morsel; chains ascend in row order, so the concatenated
+//! morsel outputs are the probe-order pair sequence. `exec::join_rows`
+//! builds on the smaller side: it runs [`join_pairs`] with the sides
+//! reversed when the right side is the larger, and [`probe_order`] puts
+//! the pairs back in probe order, so which side was built never shows in
+//! a result — only in the join's hash-table counters in [`ShardStats`].
 //!
 //! A group-by does not split: its group ids come from the key columns'
 //! codes ([`compute::group_ids`]) and each aggregate folds in one
@@ -33,7 +29,7 @@
 
 use std::sync::Arc;
 
-use skadi_arrow::array::{Array, PrimitiveArray, Value};
+use skadi_arrow::array::{Array, Float64Array, Int64Array, PrimitiveArray, Value};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::buffer::{Bitmap, Native};
 use skadi_arrow::compute::{self, CmpOp, SortOrder};
@@ -48,66 +44,6 @@ use super::{aggregate_type, compared_value, fold_hash, wrap};
 use super::{JoinKeyRule, EMPTY_SLOT};
 use crate::sql::ast::{AggFunc, AggItem, Comparison};
 use crate::sql::SqlError;
-
-/// Partitions of a large join. Fixed (never derived from thread count);
-/// a row's is the top `log2(PARTITIONS)` bits of its folded key hash.
-pub const PARTITIONS: usize = 8;
-
-/// Partitions a join over `rows` input rows runs with: one
-/// below [`PARALLEL_MIN_ROWS`], [`PARTITIONS`] from there up. Partition
-/// count never changes a result, but a join's table capacities are sized
-/// per partition and show up in profiles (the `EXPLAIN ANALYZE` goldens
-/// pin `ht[slots=16]` for small inputs), so the choice is a function of
-/// row count and nothing else.
-pub(crate) fn partition_count(rows: usize) -> usize {
-    if rows >= PARALLEL_MIN_ROWS {
-        PARTITIONS
-    } else {
-        1
-    }
-}
-
-/// The partition of hash `h` among `parts` (1 or [`PARTITIONS`]).
-#[inline]
-fn partition_of(h: u64, parts: usize) -> usize {
-    (fold_hash(h) >> 61) as usize & (parts - 1)
-}
-
-/// Splits rows `0..n` into `parts` ascending row lists by hash prefix,
-/// dropping rows that `validity` marks null. A single partition is every
-/// kept row in order and never reads `hashes`.
-fn partition_rows(
-    n: usize,
-    hashes: &Arc<Vec<u64>>,
-    validity: Option<&Bitmap>,
-    parts: usize,
-) -> Vec<Vec<u32>> {
-    if parts == 1 {
-        let rows = (0..n).filter(|&r| validity.is_none_or(|v| v.get(r)));
-        return vec![rows.map(|r| r as u32).collect()];
-    }
-    let ranges = morsels(n);
-    let hashes = Arc::clone(hashes);
-    let validity = validity.cloned();
-    let chunks = pool::global().run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges[m];
-        let mut out = vec![Vec::new(); parts];
-        for r in lo..hi {
-            if validity.as_ref().is_none_or(|v| v.get(r)) {
-                out[partition_of(hashes[r], parts)].push(r as u32);
-            }
-        }
-        out
-    });
-    // Concatenating morsel outputs keeps each list ascending.
-    let mut part_rows = vec![Vec::new(); parts];
-    for chunk in chunks {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            part_rows[p].extend(rows);
-        }
-    }
-    part_rows
-}
 
 /// Fuses a conjunction into one boolean mask (`None` for an empty
 /// conjunction, meaning "keep everything"). Each conjunct's comparison
@@ -207,24 +143,40 @@ pub(crate) fn gather_join_columns(
     pool.run_indexed(columns.len(), move |i| columns[i].gather(&lr, &rr))
 }
 
-/// One partition's build side: a chained bucket table over the partition's
-/// right rows. Chain links are indices into the partition's row list.
-struct BuildPart {
-    head: Vec<u32>,
-    next: Vec<u32>,
-    cap: usize,
+/// A join's key columns with the comparison their [`JoinKeyRule`] makes,
+/// the typed sides resolved once, before any row is probed: a pair the
+/// rule does not cover is an error here, never a panic mid-probe.
+enum Keys {
+    /// One logical type on both sides ([`JoinKeyRule::Bytes`]).
+    Same(Array, Array),
+    /// The `Int64` and the `Float64` side of [`JoinKeyRule::Numeric`], and
+    /// whether the `Float64` side is the left one.
+    Numeric(Int64Array, Float64Array, bool),
+}
+
+impl Keys {
+    fn of(lcol: &Array, rcol: &Array) -> Result<Keys, SqlError> {
+        if JoinKeyRule::of(lcol.data_type(), rcol.data_type())? == JoinKeyRule::Bytes {
+            return Ok(Keys::Same(lcol.clone(), rcol.clone()));
+        }
+        let flip = lcol.data_type() == DataType::Float64;
+        let (ints, floats) = if flip { (rcol, lcol) } else { (lcol, rcol) };
+        let (ints, floats) = (ints.as_i64().map_err(wrap)?, floats.as_f64().map_err(wrap)?);
+        Ok(Keys::Numeric(ints.clone(), floats.clone(), flip))
+    }
 }
 
 /// One probe morsel of a join: left rows `rows.0..rows.1` against the
-/// build tables.
+/// build table, a chained bucket table over the right column's non-null
+/// rows (`head` per bucket, `next` per right row).
 struct Probe<'a> {
     rows: (usize, usize),
     l_validity: Option<&'a Bitmap>,
     /// Key hashes of the left and the right column.
     lh: &'a [u64],
     rh: &'a [u64],
-    tables: &'a [BuildPart],
-    part_rows: &'a [Vec<u32>],
+    head: &'a [u32],
+    next: &'a [u32],
 }
 
 impl Probe<'_> {
@@ -233,55 +185,45 @@ impl Probe<'_> {
     /// candidate pair, so the loop is compiled once per key comparison —
     /// per pair of encodings — and never dispatches per row.
     fn run(&self, eq: impl Fn(usize, usize) -> bool, out: &mut (Vec<u32>, Vec<u32>)) -> u64 {
+        let mask = self.head.len() as u64 - 1;
         let mut collisions = 0u64;
         for l in self.rows.0..self.rows.1 {
             if self.l_validity.is_some_and(|v| !v.get(l)) {
                 continue;
             }
             let h = self.lh[l];
-            let p = partition_of(h, self.tables.len());
-            let t = &self.tables[p];
-            let mut slot = t.head[(fold_hash(h) & (t.cap as u64 - 1)) as usize];
-            while slot != EMPTY_SLOT {
-                let li = slot as usize;
-                let ri = self.part_rows[p][li] as usize;
+            let mut r = self.head[(fold_hash(h) & mask) as usize];
+            while r != EMPTY_SLOT {
+                let ri = r as usize;
                 if self.rh[ri] == h && eq(l, ri) {
                     out.0.push(l as u32);
-                    out.1.push(ri as u32);
+                    out.1.push(r);
                 } else {
                     collisions += 1;
                 }
-                slot = t.next[li];
+                r = self.next[ri];
             }
         }
         collisions
     }
 
-    /// [`Probe::run`] under the join's key rule.
-    fn run_rule(
-        &self,
-        rule: JoinKeyRule,
-        lcol: &Array,
-        rcol: &Array,
-        out: &mut (Vec<u32>, Vec<u32>),
-    ) -> u64 {
-        match (rule, lcol.as_i64(), rcol.as_i64()) {
+    /// [`Probe::run`] under the keys' comparison.
+    fn run_keys(&self, keys: &Keys, out: &mut (Vec<u32>, Vec<u32>)) -> u64 {
+        match keys {
             // Int64 keys compare as values, not as byte slices.
-            (JoinKeyRule::Bytes, Ok(l), Ok(r)) => {
-                let (l, r) = (l.values(), r.values());
-                self.run(|li, ri| l.get::<i64>(li) == r.get::<i64>(ri), out)
-            }
-            (JoinKeyRule::Bytes, ..) => each_variant!(lcol, l => each_variant!(rcol, r => self.run(
-                |li, ri| matches!((l.key_bytes(li), r.key_bytes(ri)), (Some(x), Some(y)) if x == y),
-                out,
-            ))),
-            (JoinKeyRule::Numeric, ..) => {
-                let flip = lcol.data_type() == DataType::Float64;
-                let (ints, floats) = if flip { (rcol, lcol) } else { (lcol, rcol) };
-                let ints = ints.as_i64().expect("numeric rule: an Int64 side");
-                let floats = floats.as_f64().expect("numeric rule: a Float64 side");
+            Keys::Same(lcol, rcol) => match (lcol.as_i64(), rcol.as_i64()) {
+                (Ok(l), Ok(r)) => {
+                    let (l, r) = (l.values(), r.values());
+                    self.run(|li, ri| l.get::<i64>(li) == r.get::<i64>(ri), out)
+                }
+                _ => each_variant!(lcol, l => each_variant!(rcol, r => self.run(
+                    |li, ri| l.key_bytes(li).is_some_and(|x| r.key_bytes(ri) == Some(x)),
+                    out,
+                ))),
+            },
+            Keys::Numeric(ints, floats, flip) => {
                 let eq = |li, ri| {
-                    let (i, f) = if flip { (ri, li) } else { (li, ri) };
+                    let (i, f) = if *flip { (ri, li) } else { (li, ri) };
                     matches!(
                         (ints.get(i), floats.get(f)),
                         (Some(x), Some(y)) if compute::i64_f64_key_eq(x, y)
@@ -302,65 +244,62 @@ fn u32_rows(rows: usize) -> Result<(), SqlError> {
     Err(SqlError::Plan(text))
 }
 
-/// The hash-join core: matching `(left_row, right_row)` index pairs in
-/// probe order — left rows ascending, each one's matches in ascending
-/// right-row order. Null keys match nothing; keys whose types cannot be
-/// compared ([`JoinKeyRule::of`]) are an error.
+/// The hash-join kernel, built on the right column: matching
+/// `(left_row, right_row)` index pairs in probe order — left rows
+/// ascending, each one's matches in ascending right-row order. Null keys
+/// match nothing; keys whose types cannot be compared
+/// ([`JoinKeyRule::of`]) are an error.
 ///
 /// Keys bucket by their raw-byte FNV-1a hash ([`compute::hash_key_column`])
 /// with the join's [`JoinKeyRule`] deciding each candidate — no per-row key
-/// rendering. Build rows split into `parts` partitions by hash prefix;
-/// each partition builds a chained table (`head` + `next` arrays, zero
-/// allocations per bucket) sized from its exact row count, inserting in
-/// reverse so chains ascend; probe morsels walk the chains and their
-/// outputs concatenate in morsel order. Table capacities and failed chain
-/// visits accumulate into `stats`. Rows are numbered in `u32`, so a side
-/// of more than `u32::MAX` rows is an error.
-pub(crate) fn join_rows_partitioned(
+/// rendering. The right column's non-null rows fill one chained table
+/// (`head` + `next` arrays, zero allocations per bucket); probe morsels
+/// walk its chains and their outputs concatenate in morsel order. The
+/// table's capacity and the failed chain visits accumulate into `stats`.
+/// Rows are numbered in `u32`, so a side of more than `u32::MAX` rows is
+/// an error.
+pub(crate) fn join_pairs(
     lcol: &Array,
     rcol: &Array,
-    parts: usize,
     stats: &mut ShardStats,
 ) -> Result<(Vec<u32>, Vec<u32>), SqlError> {
     let pool = pool::global();
-    let rule = JoinKeyRule::of(lcol.data_type(), rcol.data_type())?;
+    let keys = Keys::of(lcol, rcol)?;
     u32_rows(lcol.len())?;
     u32_rows(rcol.len())?;
-    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol));
-    let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol));
-    let part_rows = Arc::new(partition_rows(rh.len(), &rh, rcol.validity(), parts));
-
-    let pr2 = Arc::clone(&part_rows);
-    let rh2 = Arc::clone(&rh);
-    let tables: Arc<Vec<BuildPart>> = Arc::new(pool.run_indexed(parts, move |p| {
-        let rows = &pr2[p];
-        let cap = (rows.len() * 2).next_power_of_two().max(16);
-        let mask = cap as u64 - 1;
-        let mut head = vec![EMPTY_SLOT; cap];
-        let mut next = vec![EMPTY_SLOT; rows.len()];
-        for (li, &r) in rows.iter().enumerate().rev() {
-            let b = (fold_hash(rh2[r as usize]) & mask) as usize;
-            next[li] = head[b];
-            head[b] = li as u32;
+    let lh = compute::hash_key_column(lcol);
+    let rh = compute::hash_key_column(rcol);
+    // Sized from the exact non-null row count, so the table never grows,
+    // and filled in reverse, so every chain ascends in row order.
+    let cap = ((rcol.len() - rcol.null_count()) * 2)
+        .next_power_of_two()
+        .max(16);
+    let mut head = vec![EMPTY_SLOT; cap];
+    let mut next = vec![EMPTY_SLOT; rh.len()];
+    let r_validity = rcol.validity();
+    for r in (0..rh.len()).rev() {
+        if r_validity.is_none_or(|v| v.get(r)) {
+            let b = (fold_hash(rh[r]) & (cap as u64 - 1)) as usize;
+            next[r] = head[b];
+            head[b] = r as u32;
         }
-        BuildPart { head, next, cap }
-    }));
-    stats.hash_slots += tables.iter().map(|t| t.cap as u64).sum::<u64>();
+    }
+    stats.hash_slots += cap as u64;
 
     // One probe over every row into one buffer sized for a match per
     // probe row, unless the pool has morsels to run side by side.
     let n = lcol.len();
-    let (lcol, rcol) = (lcol.clone(), rcol.clone());
+    let l_validity = lcol.validity().cloned();
     let probe = move |rows: (usize, usize), out: &mut (Vec<u32>, Vec<u32>)| {
         let probe = Probe {
             rows,
-            l_validity: lcol.validity(),
+            l_validity: l_validity.as_ref(),
             lh: &lh,
             rh: &rh,
-            tables: &tables,
-            part_rows: &part_rows,
+            head: &head,
+            next: &next,
         };
-        probe.run_rule(rule, &lcol, &rcol, out)
+        probe.run_keys(&keys, out)
     };
     let ranges = morsels(n);
     if pool.threads() == 1 || ranges.len() == 1 {
@@ -381,6 +320,32 @@ pub(crate) fn join_rows_partitioned(
         stats.hash_collisions += c;
     }
     Ok(pairs)
+}
+
+/// Puts the pairs of a join run with its sides reversed back in probe
+/// order. `swapped` is what [`join_pairs`] returned with the right column
+/// probing a table built on the left one: right rows ascending, each
+/// one's left matches ascending. One stable counting pass over the left
+/// rows (`left_len` of them) gives left rows ascending, each one's
+/// matches in ascending right-row order — the pairs of the unswapped join.
+pub(crate) fn probe_order(swapped: (Vec<u32>, Vec<u32>), left_len: usize) -> (Vec<u32>, Vec<u32>) {
+    let (right_rows, left_rows) = swapped;
+    // `at[l]` is where left row `l`'s next pair goes.
+    let mut at = vec![0usize; left_len + 1];
+    for &l in &left_rows {
+        at[l as usize + 1] += 1;
+    }
+    for l in 1..at.len() {
+        at[l] += at[l - 1];
+    }
+    let mut pairs = (vec![0u32; left_rows.len()], vec![0u32; left_rows.len()]);
+    for (&l, &r) in left_rows.iter().zip(&right_rows) {
+        let slot = &mut at[l as usize];
+        pairs.0[*slot] = l;
+        pairs.1[*slot] = r;
+        *slot += 1;
+    }
+    pairs
 }
 
 /// The groups of an aggregate's input: every row's group id and how many
@@ -687,8 +652,18 @@ mod tests {
         assert!(err.contains("passes the u32 row limit"), "{err}");
     }
 
+    /// One-column batches of `lcol` and `rcol` joined by
+    /// [`crate::exec::join_rows`], the join every engine runs.
+    fn join(lcol: &Array, rcol: &Array, stats: &mut ShardStats) -> (Vec<u32>, Vec<u32>) {
+        let batch = |col: &Array| {
+            let schema = Schema::new(vec![Field::new("k", col.data_type(), true)]);
+            RecordBatch::try_new(schema, vec![col.clone()]).unwrap()
+        };
+        crate::exec::join_rows(&batch(lcol), &batch(rcol), "k", "k", stats).unwrap()
+    }
+
     #[test]
-    fn partitioned_join_matches_bruteforce_and_is_thread_invariant() {
+    fn join_matches_bruteforce_and_is_thread_invariant() {
         let _guard = pool::test_guard();
         let n = PARALLEL_MIN_ROWS + 1234;
         let lkeys = pseudo(n, 7, 97);
@@ -696,23 +671,31 @@ mod tests {
         let lcol = Array::from_i64(lkeys.clone());
         let rcol = Array::from_i64(rkeys.clone());
 
-        let mut expected: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for (l, lk) in lkeys.iter().enumerate() {
-            for (r, rk) in rkeys.iter().enumerate() {
-                if lk == rk {
-                    expected.0.push(l as u32);
-                    expected.1.push(r as u32);
+        let nested = |left: &[i64], right: &[i64]| {
+            let mut pairs: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+            for (l, lk) in left.iter().enumerate() {
+                for (r, rk) in right.iter().enumerate() {
+                    if lk == rk {
+                        pairs.0.push(l as u32);
+                        pairs.1.push(r as u32);
+                    }
                 }
             }
-        }
+            pairs
+        };
+        let expected = nested(&lkeys, &rkeys);
+        let swapped = nested(&rkeys, &lkeys);
 
         let mut baseline = None;
         for threads in [1, 2, 4] {
             pool::set_global_threads(threads);
             let mut stats = ShardStats::default();
-            let got = join_rows_partitioned(&lcol, &rcol, PARTITIONS, &mut stats).unwrap();
+            // Either side builds: the 97 rows, whichever side holds them.
+            let got = join(&lcol, &rcol, &mut stats);
             assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(stats.rehashes, 0);
+            let got = join(&rcol, &lcol, &mut stats);
+            assert_eq!(got, swapped, "97 rows on the left, threads={threads}");
+            assert_eq!((stats.rehashes, stats.build_swaps), (0, 1));
             let sig = (stats.hash_slots, stats.hash_collisions);
             if let Some(prev) = baseline {
                 assert_eq!(sig, prev, "stats must not depend on threads");
@@ -745,13 +728,12 @@ mod tests {
         }
     }
 
-    /// Partition count never changes a join's output: the kernel runs
-    /// with 1 and with [`PARTITIONS`] partitions on the same input, at
-    /// sizes either side of the row-count gate, over every key type with
-    /// null keys on both sides, at pool sizes 1 and 4 — and must produce
-    /// the same pair sequence.
+    /// Thread count never changes a join's output or counters: the join
+    /// runs at pool sizes 1 and 4 on the same input, at sizes either side
+    /// of the pool's row gate, over every key type with null keys on both
+    /// sides, and must produce the same pair sequence and counters.
     #[test]
-    fn partition_count_never_changes_output() {
+    fn thread_count_never_changes_join_output() {
         let _guard = pool::test_guard();
         let min = PARALLEL_MIN_ROWS;
         for n in [0, 1, min - 1, min, min + 1, 2 * min + 5] {
@@ -768,17 +750,16 @@ mod tests {
             for kind in ["int", "float", "utf8", "dict", "mixed"] {
                 let lcol = key_column(kind, &lks, false);
                 let rcol = key_column(kind, &rks, true);
-                for threads in [1, 4] {
+                let at = format!("{kind} keys, {n} rows");
+                let run = |threads| {
                     pool::set_global_threads(threads);
-                    let at = format!("{kind} keys, {n} rows, {threads} threads");
-                    let join = |parts| {
-                        join_rows_partitioned(&lcol, &rcol, parts, &mut ShardStats::default())
-                            .unwrap()
-                    };
-                    let pairs = join(1);
-                    assert_eq!(pairs, join(PARTITIONS), "join: {at}");
-                    assert!(n < 100 || !pairs.0.is_empty(), "join matched nothing: {at}");
-                }
+                    let mut stats = ShardStats::default();
+                    let pairs = join(&lcol, &rcol, &mut stats);
+                    (pairs, stats)
+                };
+                let (pairs, stats) = run(1);
+                assert_eq!((pairs.clone(), stats), run(4), "join: {at}");
+                assert!(n < 100 || !pairs.0.is_empty(), "join matched nothing: {at}");
             }
         }
     }
@@ -855,9 +836,8 @@ mod tests {
     }
 
     /// All 5 x 5 pairs of key encodings against a nested loop over
-    /// `Value`s, at 1 and [`PARTITIONS`] partitions and pool sizes 1 and 4.
-    /// A bytes-only equality fails it on every cross-type pair whose key
-    /// bytes coincide.
+    /// `Value`s, at pool sizes 1 and 4. A bytes-only equality fails it on
+    /// every cross-type pair whose key bytes coincide.
     #[test]
     fn join_over_every_encoding_pair_matches_value_level_nested_loop() {
         let _guard = pool::test_guard();
@@ -885,12 +865,8 @@ mod tests {
                 matched += want.0.len();
                 for threads in [1, 4] {
                     pool::set_global_threads(threads);
-                    for parts in [1, PARTITIONS] {
-                        let got =
-                            join_rows_partitioned(lcol, rcol, parts, &mut ShardStats::default())
-                                .unwrap();
-                        assert_eq!(got, want, "{pair:?}, {parts} partitions, {threads} threads");
-                    }
+                    let got = join(lcol, rcol, &mut ShardStats::default());
+                    assert_eq!(got, want, "{pair:?}, {threads} threads");
                 }
             }
         }
@@ -899,8 +875,112 @@ mod tests {
         // numeric ones (2^53 + 1 meets no float, -0.0 no integer).
         assert_eq!(matched, 65);
         let (ints, floats) = (&cols[0], &cols[1]);
-        let pairs = join_rows_partitioned(ints, floats, 1, &mut ShardStats::default()).unwrap();
+        let pairs = join(ints, floats, &mut ShardStats::default());
         assert_eq!(pairs, (vec![0, 2, 3, 6, 7], vec![0, 4, 5, 4, 9]));
+    }
+
+    /// A splitmix64 stream for the join property's inputs.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// `n` random keys of `kind`, about one in six null, each drawn from a
+    /// handful of values so that keys repeat: for `Int64` the integers
+    /// around 2^53 and `i64::MIN`, for `Float64` -0.0, NaN and ±2^53, for
+    /// the string encodings the empty string and `"12345678"`, whose bytes
+    /// are an `Int64`'s.
+    fn random_keys(kind: &str, n: usize, rng: &mut Gen) -> Array {
+        let big = 1i64 << 53;
+        let ints = [0, 1, -1, 7, big, big + 1, i64::MIN];
+        let two_53 = big as f64;
+        let floats = [0.0, -0.0, f64::NAN, 1.0, 1.5, 7.0, two_53, -two_53];
+        let words = ["", "a", "bb", "12345678", "\u{1}"];
+        let len = match kind {
+            "int" => ints.len(),
+            "float" => floats.len(),
+            _ => words.len(),
+        };
+        let picks: Vec<Option<usize>> = (0..n)
+            .map(|_| (rng.below(6) != 0).then(|| rng.below(len as u64) as usize))
+            .collect();
+        let strs = picks.iter().map(|i| i.map(|i| words[i]));
+        match kind {
+            "int" => Array::from_opt_i64(picks.iter().map(|i| i.map(|i| ints[i])).collect()),
+            "float" => Array::from_opt_f64(picks.iter().map(|i| i.map(|i| floats[i])).collect()),
+            "utf8" => Array::from_opt_utf8(strs),
+            "dict" => Array::from_opt_dict_utf8(strs),
+            _ => unreachable!("unknown key kind {kind}"),
+        }
+    }
+
+    /// The join property for one seed: random key columns of a pair of
+    /// types that join — `Int64` or `Float64` alone, `Int64` against
+    /// `Float64` and `Utf8` against `DictUtf8` either way round — in both
+    /// size orders, so the join builds on either side, now and then with
+    /// a side past the pool's row gate. At pool sizes 1, 2 and 4 the join
+    /// must return the pairs of a nested loop over `Value`s, in probe
+    /// order: left rows ascending, then right rows ascending.
+    fn check_join(seed: u64) {
+        const PAIRS: [(&str, &str); 6] = [
+            ("int", "int"),
+            ("float", "float"),
+            ("int", "float"),
+            ("float", "int"),
+            ("utf8", "dict"),
+            ("dict", "utf8"),
+        ];
+        let mut rng = Gen(seed);
+        let (lkind, rkind) = PAIRS[rng.below(PAIRS.len() as u64) as usize];
+        let small = rng.below(13) as usize;
+        let large = if rng.below(8) == 0 {
+            PARALLEL_MIN_ROWS + rng.below(2_000) as usize
+        } else {
+            2 * small + 1 + rng.below(30) as usize
+        };
+        let small = small.min(if large >= PARALLEL_MIN_ROWS { 4 } else { small });
+        let (nl, nr) = if rng.below(2) == 0 {
+            (small, large)
+        } else {
+            (large, small)
+        };
+        let lcol = random_keys(lkind, nl, &mut rng);
+        let rcol = random_keys(rkind, nr, &mut rng);
+        let mut want: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for l in 0..nl {
+            let lv = lcol.value_at(l);
+            for r in 0..nr {
+                if value_key_eq(&lv, &rcol.value_at(r)) {
+                    want.0.push(l as u32);
+                    want.1.push(r as u32);
+                }
+            }
+        }
+        let _guard = pool::test_guard();
+        for threads in [1, 2, 4] {
+            pool::set_global_threads(threads);
+            let got = join(&lcol, &rcol, &mut ShardStats::default());
+            let at = format!("seed {seed}: {lkind} x {rkind}, {nl} x {nr} rows, {threads} threads");
+            assert_eq!(got, want, "{at}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_join_rows_equal_nested_loop_in_probe_order(seed in any::<u64>()) {
+            check_join(seed);
+        }
     }
 
     /// A group-by over two key columns of different encodings, with rows

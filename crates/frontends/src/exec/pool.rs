@@ -7,8 +7,8 @@
 //! index order — so the *schedule* is nondeterministic but the *result
 //! vector* never is. Thread count is a pure performance knob: it must not
 //! change any output bytes, and the kernels guarantee that by deriving
-//! every algorithmic decision (morsel boundaries, partition counts, table
-//! capacities) from data size alone, never from [`ExecPool::threads`].
+//! every algorithmic decision (morsel boundaries, table capacities) from
+//! data size alone, never from [`ExecPool::threads`].
 //!
 //! The pool runs `threads - 1` OS workers; the calling thread always
 //! participates as the last worker, so `threads == 1` degrades to plain
@@ -26,12 +26,10 @@ use std::thread::JoinHandle;
 /// thread count) so row-range splits are identical at every parallelism.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// The row count from which a join splits into hash partitions
-/// (`parallel::partition_count`) and a gather or a multi-conjunct
-/// mask spreads its columns over the pool instead of running inline. Below
-/// it every kernel is its one-partition, one-morsel case. The threshold is
-/// data-dependent only, so the partition count — and therefore every
-/// hash-table counter a profile reports — is the same at every thread
+/// The row count from which a gather or a multi-conjunct mask spreads its
+/// columns over the pool instead of running inline. Below it every kernel
+/// is its one-morsel case. The threshold is data-dependent only, so no
+/// output byte and no counter a profile reports depends on the thread
 /// count.
 pub const PARALLEL_MIN_ROWS: usize = MORSEL_ROWS;
 

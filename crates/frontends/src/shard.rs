@@ -24,8 +24,11 @@
 //!
 //! A join shard emits what the local engine's join emits — the planned
 //! columns, every build-side string as dictionary codes — through the
-//! same assembly (`exec::assemble_join`). The codes rule reads no row
-//! count, so every shard hands the sink one column type.
+//! same join and assembly (`exec::join_rows`, `exec::assemble_join`).
+//! The join builds its table on the smaller side, on every engine, and
+//! hands its pairs back in probe order, so which side it built on never
+//! shows in the output. The codes rule reads no row count, so every
+//! shard hands the sink one column type.
 //!
 //! Every shard gathers its input in **canonical order**: by `__rid`
 //! (nulls first), ties to the earlier producer and then the earlier row —
@@ -116,7 +119,9 @@ impl Part {
 
 /// Executes one shard's operator chain. `port0` holds the (probe-side)
 /// input parts in producer shard order, `port1` the build side of a
-/// join; scans ignore both and read `tables` directly.
+/// join; scans ignore both and read `tables` directly. The kernels'
+/// measurements — hash-table counters, build swaps, and the selectivity
+/// of the chain's filter steps taken together — are filled into `stats`.
 pub fn execute_shard(
     op: &ExecOp,
     tables: &BTreeMap<String, RecordBatch>,
@@ -124,33 +129,6 @@ pub fn execute_shard(
     shards: u32,
     port0: &[Part],
     port1: &[Part],
-) -> Result<RecordBatch, SqlError> {
-    let mut stats = ShardStats::default();
-    execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, &mut stats)
-}
-
-/// When the nominal build input of an adaptive join holds more than this
-/// multiple of the probe input's rows, the join builds on the probe side
-/// instead. A pure function of gathered row counts — never of timing.
-pub const SWAP_BUILD_MULTIPLE: usize = 2;
-
-/// [`execute_shard`] with the kernels' measurements — hash-table
-/// counters, build swaps, and the selectivity of the chain's filter steps
-/// taken together — filled into `stats`, and optional adaptive
-/// execution: when `adaptive` is true, a join whose
-/// gathered build side (`port1`) exceeds [`SWAP_BUILD_MULTIPLE`]× the
-/// probe side builds its hash table on the smaller side and restores
-/// probe order afterwards, so the output stays byte-identical to the
-/// static plan (see [`join_shard`]).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_shard_adaptive(
-    op: &ExecOp,
-    tables: &BTreeMap<String, RecordBatch>,
-    shard: u32,
-    shards: u32,
-    port0: &[Part],
-    port1: &[Part],
-    adaptive: bool,
     stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let mut current: Option<RecordBatch> = None;
@@ -163,55 +141,64 @@ pub fn execute_shard_adaptive(
                     .ok_or_else(|| SqlError::Plan(format!("unknown table {table:?}")))?;
                 scan_shard(t, shard, shards)?
             }
-            join @ ExecOp::Join { .. } => {
+            ExecOp::Join {
+                left_key,
+                right_key,
+                right_rows,
+                columns,
+            } => {
                 if current.is_some() {
                     return Err(SqlError::Plan("join cannot be mid-chain".into()));
                 }
-                join_shard(port0, port1, &join, adaptive, stats)?
+                let ports = (port0, port1);
+                join_shard(ports, &left_key, &right_key, right_rows, &columns, stats)?
             }
-            other => {
-                let input = match current.take() {
-                    Some(b) => b,
-                    None => gather(port0)?,
-                };
-                match other {
-                    ExecOp::Filter { conjuncts } => {
-                        let out = filter_shard(&input, &conjuncts)?;
-                        filter_in += input.num_rows();
-                        filter_out += out.num_rows();
-                        out
-                    }
-                    ExecOp::Project { columns } => project_shard(&input, &columns)?,
-                    ExecOp::Aggregate { group_by, aggs } => {
-                        aggregate_shard(&input, &group_by, &aggs, stats)?
-                    }
-                    ExecOp::Limit { n, order } => {
-                        // The top-N kernel breaks ties by position, so
-                        // this shard's first `n` are the sink's order
-                        // restricted to the shard only if the input is in
-                        // canonical order. Gathered input is, and so is
-                        // what a scan, a join or an aggregate hands on
-                        // mid-chain; any other batch is put in order here.
-                        let cur = canonicalize(&input)?;
-                        exec::order_limit(&cur, order.as_ref(), Some(n))?
-                    }
-                    ExecOp::Collect { order_by, limit } => {
-                        let cur = exec::order_limit(&input, order_by.as_ref(), limit)?;
-                        // Output boundary: deliver plain columns so the
-                        // result matches the reference engine regardless
-                        // of which columns ran dictionary-encoded.
-                        strip_hidden(&cur)?.dict_decoded()
-                    }
-                    ExecOp::Scan { .. } | ExecOp::Join { .. } | ExecOp::Fused(_) => {
-                        unreachable!("handled above / flattened")
-                    }
-                }
+            ExecOp::Filter { conjuncts } => {
+                let input = step_input(&mut current, port0)?;
+                let out = filter_shard(&input, &conjuncts)?;
+                filter_in += input.num_rows();
+                filter_out += out.num_rows();
+                out
+            }
+            ExecOp::Project { columns } => {
+                project_shard(&step_input(&mut current, port0)?, &columns)?
+            }
+            ExecOp::Aggregate { group_by, aggs } => {
+                let input = step_input(&mut current, port0)?;
+                aggregate_shard(&input, &group_by, &aggs, stats)?
+            }
+            ExecOp::Limit { n, order } => {
+                // The top-N kernel breaks ties by position, so this
+                // shard's first `n` are the sink's order restricted to
+                // the shard only if the input is in canonical order.
+                // Gathered input is, and so is what a scan, a join or an
+                // aggregate hands on mid-chain; any other batch is put in
+                // order here.
+                let cur = canonicalize(&step_input(&mut current, port0)?)?;
+                exec::order_limit(&cur, order.as_ref(), Some(n))?
+            }
+            ExecOp::Collect { order_by, limit } => {
+                let input = step_input(&mut current, port0)?;
+                let cur = exec::order_limit(&input, order_by.as_ref(), limit)?;
+                // Output boundary: deliver plain columns so the result
+                // matches the reference engine regardless of which
+                // columns ran dictionary-encoded.
+                strip_hidden(&cur)?.dict_decoded()
+            }
+            ExecOp::Fused(_) => {
+                return Err(SqlError::Plan("a fused step in a flattened chain".into()));
             }
         };
         current = Some(out);
     }
     stats.selectivity = (filter_in > 0).then(|| filter_out as f64 / filter_in as f64);
     current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))
+}
+
+/// What a chain step other than a scan or a join reads: the batch the
+/// step before it made or, first in the chain, its gathered inputs.
+fn step_input(current: &mut Option<RecordBatch>, port0: &[Part]) -> Result<RecordBatch, SqlError> {
+    current.take().map_or_else(|| gather(port0), Ok)
 }
 
 /// Divides `batch`'s rows into hash partitions on `key`: one ascending
@@ -468,67 +455,36 @@ fn rid_values(batch: &RecordBatch) -> Result<Vec<i64>, SqlError> {
     Ok((0..a.len()).map(|r| a.get(r).unwrap_or(0)).collect())
 }
 
-/// One shard of a hash join. Both sides are gathered into canonical
+/// One shard of a hash join of `ports` (probe side, build side) on
+/// `left_key` = `right_key`. Both sides are gathered into canonical
 /// (row-id) order so the probe order matches the reference engine's,
 /// restricted to the keys hashed to this shard, and the output is what
 /// the local engine's join emits ([`exec::assemble_join`]: the planned
-/// columns, build strings as codes). The output
-/// row id is `left_rid * right_table_rows + right_rid`, which orders join
-/// outputs exactly like the reference engine's probe-order emission; an
-/// id that leaves the `i64` range is an error, never a wrapped id that
-/// would reorder the answer.
-///
-/// # Adaptive build-side swap
-///
-/// With `adaptive` on and the gathered build side more than
-/// [`SWAP_BUILD_MULTIPLE`]× larger than the probe side, the kernel runs
-/// with the roles reversed (build on the smaller left side, probe the
-/// right) and the match pairs are transposed back. The inner-join pair
-/// *set* is symmetric, and the static path's emission order — probe rows
-/// ascending, build chains ascending — is exactly ascending row-id order
-/// (both inputs are rid-canonical and the rid encoding is lexicographic
-/// in `(left_rid, right_rid)`), so a stable sort of the swapped output by
-/// row id reproduces the static output byte for byte.
+/// `columns`, build strings as codes). The join ([`exec::join_rows`])
+/// returns its pairs in probe order whichever side it built on, so the
+/// output row id `left_rid * right_rows + right_rid` ascends with them
+/// and orders join outputs exactly like the reference engine's
+/// probe-order emission; an id that leaves the `i64` range is an error,
+/// never a wrapped id that would reorder the answer.
 fn join_shard(
-    port0: &[Part],
-    port1: &[Part],
-    join: &ExecOp,
-    adaptive: bool,
+    (port0, port1): (&[Part], &[Part]),
+    left_key: &str,
+    right_key: &str,
+    right_rows: u64,
+    columns: &[String],
     stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
-    let ExecOp::Join {
-        left_key,
-        right_key,
-        right_rows,
-        columns,
-    } = join
-    else {
-        unreachable!("join_shard runs a join");
-    };
     let left = gather(port0)?;
     let right = gather(port1)?;
     let l_rid = rid_values(&left)?;
     let r_rid = rid_values(&right)?;
     let left_vis = strip_hidden(&left)?;
     let right_vis = strip_hidden(&right)?;
-    let swap = adaptive && right_vis.num_rows() > SWAP_BUILD_MULTIPLE * left_vis.num_rows();
-    let (lrows, rrows) = if swap {
-        stats.build_swaps += 1;
-        let (probe, build) = exec::join_rows(&right_vis, &left_vis, right_key, left_key, stats)?;
-        (build, probe)
-    } else {
-        exec::join_rows(&left_vis, &right_vis, left_key, right_key, stats)?
-    };
-    let mut out = exec::assemble_join(&left_vis, &right_vis, columns, &lrows, &rrows)?;
+    let (lrows, rrows) = exec::join_rows(&left_vis, &right_vis, left_key, right_key, stats)?;
+    let out = exec::assemble_join(&left_vis, &right_vis, columns, &lrows, &rrows)?;
     let rid = lrows.iter().zip(&rrows);
-    let rid = rid.map(|(&l, &r)| join_rid(l_rid[l as usize], *right_rows, r_rid[r as usize]));
-    let mut rid: Vec<i64> = rid.collect::<Result<_, _>>()?;
-    if swap {
-        let mut order: Vec<usize> = (0..rid.len()).collect();
-        order.sort_by_key(|&i| rid[i]);
-        out = compute::take_indices(&out, &order).map_err(wrap)?;
-        rid = order.iter().map(|&i| rid[i]).collect();
-    }
+    let rid = rid.map(|(&l, &r)| join_rid(l_rid[l as usize], right_rows, r_rid[r as usize]));
+    let rid: Vec<i64> = rid.collect::<Result<_, _>>()?;
     append_column(
         &out,
         Field::new(RID, DataType::Int64, true),
@@ -575,6 +531,19 @@ mod tests {
     use skadi_arrow::array::Value;
     use skadi_flowgraph::partition::hash_shard;
 
+    /// [`execute_shard`], its measurements dropped.
+    fn execute(
+        op: &ExecOp,
+        tables: &BTreeMap<String, RecordBatch>,
+        shard: u32,
+        shards: u32,
+        port0: &[Part],
+        port1: &[Part],
+    ) -> Result<RecordBatch, SqlError> {
+        let mut stats = ShardStats::default();
+        execute_shard(op, tables, shard, shards, port0, port1, &mut stats)
+    }
+
     fn table() -> RecordBatch {
         RecordBatch::try_new(
             Schema::new(vec![
@@ -606,7 +575,7 @@ mod tests {
         let mut total = 0;
         let mut next_rid = 0i64;
         for s in 0..3 {
-            let out = execute_shard(&op, &tables, s, 3, &[], &[]).unwrap();
+            let out = execute(&op, &tables, s, 3, &[], &[]).unwrap();
             total += out.num_rows();
             let rid = out.column_by_name(RID).unwrap();
             for r in 0..out.num_rows() {
@@ -649,8 +618,8 @@ mod tests {
         let t = table();
         let tables = BTreeMap::from([("t".to_string(), t.clone())]);
         let op = ExecOp::Scan { table: "t".into() };
-        let a = execute_shard(&op, &tables, 0, 2, &[], &[]).unwrap();
-        let b = execute_shard(&op, &tables, 1, 2, &[], &[]).unwrap();
+        let a = execute(&op, &tables, 0, 2, &[], &[]).unwrap();
+        let b = execute(&op, &tables, 1, 2, &[], &[]).unwrap();
         // Re-partition by key, then gather everything back: canonical
         // order equals the original scan order.
         let mut parts = shuffled(&a, "k", 2);
@@ -670,17 +639,18 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_join_swap_is_byte_identical() {
-        // Small probe side, large skewed build side (with null keys):
-        // adaptive execution builds on the probe side, yet every shard
-        // must emit bytes identical to the static plan.
+    fn join_shard_built_on_the_smaller_side_matches_nested_loop() {
+        // Small probe side, large skewed build side (with null keys): the
+        // join builds on the probe side, yet every shard must emit the
+        // rows of a nested loop over its parts, in probe order.
+        let lkeys = vec![Some(1), Some(2), None, Some(3)];
         let left = RecordBatch::try_new(
             Schema::new(vec![
                 Field::new("k", DataType::Int64, true),
                 Field::new("a", DataType::Int64, false),
             ]),
             vec![
-                Array::from_opt_i64(vec![Some(1), Some(2), None, Some(3)]),
+                Array::from_opt_i64(lkeys.clone()),
                 Array::from_i64(vec![10, 20, 25, 30]),
             ],
         )
@@ -694,44 +664,54 @@ mod tests {
                 Field::new("b", DataType::Int64, false),
             ]),
             vec![
-                Array::from_opt_i64(rkeys),
+                Array::from_opt_i64(rkeys.clone()),
                 Array::from_i64((0..24i64).map(|i| i * 100).collect()),
             ],
         )
         .unwrap();
         let tables = BTreeMap::from([("l".to_string(), left), ("r".to_string(), right)]);
-        let lscan =
-            execute_shard(&ExecOp::Scan { table: "l".into() }, &tables, 0, 1, &[], &[]).unwrap();
-        let rscan =
-            execute_shard(&ExecOp::Scan { table: "r".into() }, &tables, 0, 1, &[], &[]).unwrap();
+        let lscan = execute(&ExecOp::Scan { table: "l".into() }, &tables, 0, 1, &[], &[]).unwrap();
+        let rscan = execute(&ExecOp::Scan { table: "r".into() }, &tables, 0, 1, &[], &[]).unwrap();
         let op = ExecOp::Join {
             left_key: "k".into(),
             right_key: "k".into(),
             right_rows: 24,
             columns: vec!["k".into(), "a".into(), "b".into()],
         };
-        let mut swaps = 0;
-        let mut matched = 0;
-        for shard in 0..2u32 {
-            let port0 = vec![shuffled(&lscan, "k", 2)[shard as usize].clone()];
-            let port1 = vec![shuffled(&rscan, "k", 2)[shard as usize].clone()];
-            let mut st = ShardStats::default();
-            let fixed =
-                execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, false, &mut st)
-                    .unwrap();
-            assert_eq!(st.build_swaps, 0);
-            let mut ad = ShardStats::default();
-            let swapped =
-                execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, true, &mut ad)
-                    .unwrap();
-            assert_eq!(fixed, swapped);
-            swaps += ad.build_swaps;
-            matched += fixed.num_rows();
+        let (mut swaps, mut matched) = (0, 0);
+        for shard in 0..2usize {
+            let port0 = vec![shuffled(&lscan, "k", 2)[shard].clone()];
+            let port1 = vec![shuffled(&rscan, "k", 2)[shard].clone()];
+            let mut stats = ShardStats::default();
+            let out =
+                execute_shard(&op, &tables, shard as u32, 2, &port0, &port1, &mut stats).unwrap();
+            swaps += stats.build_swaps;
+            // The shard's rows of each table are its row ids, ascending.
+            let rows = |p: &Part| p.rows.as_ref().unwrap().to_vec();
+            let mut want = Vec::new();
+            for l in rows(&port0[0]) {
+                for r in rows(&port1[0]) {
+                    let (l, r) = (l as usize, r as usize);
+                    if let Some(k) = lkeys[l].filter(|&k| rkeys[r] == Some(k)) {
+                        let (a, b) = ([10, 20, 25, 30][l], r as i64 * 100);
+                        want.push([k, a, b, (l * 24 + r) as i64].map(Value::I64));
+                    }
+                }
+            }
+            let col = |c: &str, r| out.column_by_name(c).unwrap().value_at(r);
+            let got: Vec<[Value; 4]> = (0..out.num_rows())
+                .map(|r| [col("k", r), col("a", r), col("b", r), col(RID, r)])
+                .collect();
+            assert_eq!(got, want, "shard {shard}");
+            matched += got.len();
         }
-        assert!(swaps >= 1, "the skewed shard should have swapped");
-        // Null keys never match; every non-null left key matches 7 or 8
-        // duplicated right rows.
-        assert!(matched > 0);
+        assert!(
+            swaps >= 1,
+            "the skewed shard should have built on its probe side"
+        );
+        // Null keys never match; the three non-null left keys match the 6,
+        // 7 and 7 build rows holding theirs.
+        assert_eq!(matched, 20);
     }
 
     #[test]
@@ -745,7 +725,7 @@ mod tests {
         let tables = BTreeMap::from([("l".to_string(), one_key(4)), ("r".to_string(), one_key(2))]);
         let scan = |t: &str| {
             let op = ExecOp::Scan { table: t.into() };
-            Part::whole(execute_shard(&op, &tables, 0, 1, &[], &[]).unwrap())
+            Part::whole(execute(&op, &tables, 0, 1, &[], &[]).unwrap())
         };
         let join = |right_rows| {
             let op = ExecOp::Join {
@@ -754,7 +734,7 @@ mod tests {
                 right_rows,
                 columns: vec!["k".into()],
             };
-            execute_shard(&op, &tables, 0, 1, &[scan("l")], &[scan("r")])
+            execute(&op, &tables, 0, 1, &[scan("l")], &[scan("r")])
         };
         let out = join(2).unwrap();
         let rid = out.column_by_name(RID).unwrap();

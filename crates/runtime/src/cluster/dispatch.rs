@@ -11,7 +11,7 @@ use skadi_ir::Backend;
 
 use super::send::{Carry, Rec, Tally};
 use super::table::{backend_of, NodeTable, Slot};
-use super::{Cluster, Event};
+use super::{Actor, Cluster, Event};
 use crate::config::{Deployment, FtMode};
 use crate::error::RuntimeError;
 use crate::placement::{NodeFacts, PlacementPolicy};
@@ -69,9 +69,9 @@ impl Cluster {
     fn eligible_nodes(&self, t: Slot) -> (Eligible, bool) {
         let spec = &self.tasks[t].spec;
         // An already-placed actor's methods must run on its node.
-        if let Some(node) = spec.actor.and_then(|a| self.actor_node.get(&a)) {
-            if self.alive(*node) {
-                return (Eligible::Listed(vec![*node]), false);
+        if let Some(actor) = spec.actor.and_then(|a| self.actors.get(&a)) {
+            if self.alive(actor.node) {
+                return (Eligible::Listed(vec![actor.node]), false);
             }
         }
         let serverful = self.cfg.deployment == Deployment::Serverful;
@@ -180,7 +180,10 @@ impl Cluster {
         self.tasks
             .set_state(&mut self.nodes, t, TaskState::Dispatched);
         if let Some(actor) = self.tasks[t].spec.actor {
-            self.actor_node.entry(actor).or_insert(node);
+            let busy_until = SimTime::ZERO;
+            self.actors
+                .entry(actor)
+                .or_insert(Actor { node, busy_until });
         }
         if fallback {
             self.metrics.bump("cpu_fallback");
@@ -259,9 +262,9 @@ impl Cluster {
         let actor = rec.spec.actor;
         let epoch = rec.epoch;
         // Actor methods execute one at a time, in readiness order.
-        if let Some(busy_until) = actor.and_then(|a| self.actor_busy_until.get(&a)) {
-            if *busy_until > now {
-                queue.schedule_at(*busy_until, Event::TryStart(t, epoch));
+        if let Some(a) = actor.and_then(|a| self.actors.get(&a)) {
+            if a.busy_until > now {
+                queue.schedule_at(a.busy_until, Event::TryStart(t, epoch));
                 return;
             }
         }
@@ -270,8 +273,9 @@ impl Cluster {
             at.started_at = Some(now);
             at.due = Some(now + dur);
             self.tasks.set_state(&mut self.nodes, t, TaskState::Running);
-            if let Some(actor) = actor {
-                self.actor_busy_until.insert(actor, now + dur);
+            // The actor was pinned when this method was dispatched.
+            if let Some(a) = actor.and_then(|a| self.actors.get_mut(&a)) {
+                a.busy_until = now + dur;
             }
             self.metrics.observe("task.run", dur);
             if let Some(r) = self.tasks[t].at.ready_at {

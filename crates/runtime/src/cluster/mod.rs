@@ -172,15 +172,25 @@ pub struct Cluster {
     /// exhausting its retry budget); surfaced as the run's error.
     fatal: Option<RuntimeError>,
 
-    /// Where each actor lives (pinned at first placement).
-    actor_node: HashMap<ActorId, NodeId>,
-    /// Until when each actor is busy executing a method.
-    actor_busy_until: HashMap<ActorId, SimTime>,
+    /// Each placed actor's one record: where it lives and until when it
+    /// is busy.
+    actors: HashMap<ActorId, Actor>,
 
     durable_trips: u64,
     retries: u64,
     abandoned: u64,
     serverless_task_cost: f64,
+}
+
+/// A placed actor: pinned to its node when its first method is
+/// dispatched, and dropped whole when that node dies (the next method
+/// placement pins it again).
+#[derive(Debug, Clone, Copy)]
+struct Actor {
+    node: NodeId,
+    /// Until when the actor is busy executing a method; methods run one
+    /// at a time, in readiness order.
+    busy_until: SimTime,
 }
 
 impl Cluster {
@@ -222,8 +232,7 @@ impl Cluster {
             fatal: None,
             executor: Box::new(LengthOnly),
             pristine: true,
-            actor_node: HashMap::new(),
-            actor_busy_until: HashMap::new(),
+            actors: HashMap::new(),
             durable_trips: 0,
             retries: 0,
             abandoned: 0,

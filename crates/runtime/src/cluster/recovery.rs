@@ -138,13 +138,7 @@ impl Cluster {
 
         // Actors living on the node restart elsewhere (their pin clears;
         // the next method placement re-pins).
-        let busy = &mut self.actor_busy_until;
-        self.actor_node.retain(|a, n| {
-            if *n == node {
-                busy.remove(a);
-            }
-            *n != node
-        });
+        self.actors.retain(|_, a| a.node != node);
 
         // Objects on the node: replicas mask losses inside the cache.
         let lost_objects = self.cache.fail_node(node);

@@ -13,9 +13,9 @@
 //! for every keyed edge, the producer's real rows are hashed with the
 //! exact partitioner the shuffle will use, and consumers whose key space
 //! fills only `k < parallelism` buckets are re-lowered to `k` shards.
-//! The runtime half of the same idea lives in the shard kernels
-//! themselves: joins observe gathered row counts and build on the
-//! smaller side (`shard::execute_shard_adaptive`).
+//! The pilot only re-plans shard counts. Which side a join builds on is
+//! not part of it: every join, adaptive or not, builds on its smaller
+//! side (`exec::join_rows`).
 //!
 //! Every decision is a pure function of data (row counts and key
 //! histograms), never of wall clock, thread count, or node placement —
@@ -29,6 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use skadi_arrow::batch::RecordBatch;
 use skadi_flowgraph::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
 use skadi_flowgraph::lower::LowerConfig;
+use skadi_flowgraph::profile::ShardStats;
 use skadi_frontends::shard::{self, Part};
 
 /// One re-planning decision the pilot made: a keyed consumer re-sharded
@@ -93,7 +94,8 @@ fn pilot_outputs(
                 port0.push(b);
             }
         }
-        let b = shard::execute_shard(exec, tables, 0, 1, &port0, &port1).ok()?;
+        let stats = &mut ShardStats::default();
+        let b = shard::execute_shard(exec, tables, 0, 1, &port0, &port1, stats).ok()?;
         out.insert(v, b);
     }
     Some(out)

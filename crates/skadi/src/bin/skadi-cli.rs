@@ -27,10 +27,10 @@
 //!
 //! `--placement POLICY` selects the scheduler's placement policy
 //! (`data-centric`, `load-only`, `round-robin`, `load-aware`,
-//! `work-stealing`); `--adaptive` turns on adaptive query execution —
-//! a pilot pass re-plans sparse shuffle keys and joins build on the
-//! observed smaller side. Answers are byte-identical under every
-//! combination; only the simulated schedule (and pricing) moves:
+//! `work-stealing`); `--adaptive` turns on the pilot pass, which re-plans
+//! sparse shuffle keys (every join, adaptive or not, builds on its
+//! smaller side). Answers are byte-identical under every combination;
+//! only the simulated schedule (and pricing) moves:
 //!
 //! ```text
 //! cargo run -p skadi --bin skadi-cli -- --distributed --placement load-aware --adaptive "SELECT ..."
@@ -258,7 +258,11 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
         run.data_plane.compressed_outputs,
         run.data_plane.payloads_materialised,
     );
-    if !run.replans.is_empty() || run.data_plane.build_swaps() > 0 {
+    if run.data_plane.build_swaps() > 0 {
+        let swaps = run.data_plane.build_swaps();
+        println!("-- {swaps} join shard(s) built on the probe side --");
+    }
+    if !run.replans.is_empty() {
         let plans: Vec<String> = run
             .replans
             .iter()
@@ -270,10 +274,9 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
             })
             .collect();
         println!(
-            "-- adaptive: {} re-plan(s) [{}], {} join build swap(s) --",
+            "-- adaptive: {} re-plan(s) [{}] --",
             run.replans.len(),
             plans.join("; "),
-            run.data_plane.build_swaps(),
         );
     }
     println!(

@@ -11,7 +11,11 @@
 //! [`Payload`], whose lengths every downstream size the simulator prices
 //! reads: **measured**, not estimated — the whole output for storage,
 //! replication and cached copies, each consumer's part for its transfer
-//! and pass-by-value inlining.
+//! and pass-by-value inlining. The kernels are the local engine's, with
+//! no switch of their own: a join shard builds on whichever of its
+//! gathered sides is smaller, as `MemDb` does, and
+//! [`DataPlaneStats::build_swaps`] counts the shards that built on their
+//! probe side.
 //!
 //! # Payloads: lengths and the batch
 //!
@@ -127,9 +131,9 @@ pub struct DataPlaneStats {
 }
 
 impl DataPlaneStats {
-    /// Joins that adaptively built on the nominal probe side (summed
-    /// over every shard execution, re-executions included). Always zero
-    /// when adaptive execution is off.
+    /// Join shards that built their table on the probe side, because
+    /// their build side held more than twice the probe side's rows
+    /// (summed over every shard execution, re-executions included).
     pub fn build_swaps(&self) -> u64 {
         self.timings.iter().map(|t| t.exec_stats.build_swaps).sum()
     }
@@ -215,7 +219,6 @@ pub struct GraphExecutor {
     graph: Arc<PhysicalGraph>,
     tables: Arc<BTreeMap<String, RecordBatch>>,
     stats: Rc<RefCell<DataPlaneStats>>,
-    adaptive: bool,
 }
 
 /// How an edge divides its producer's batch among the consumer's shards.
@@ -300,18 +303,7 @@ impl GraphExecutor {
             graph: Arc::new(graph),
             tables: Arc::new(tables),
             stats: Rc::new(RefCell::new(DataPlaneStats::default())),
-            adaptive: false,
         }
-    }
-
-    /// Toggles adaptive shard execution: joins whose gathered build
-    /// input is observed (at runtime, from real row counts) to dwarf the
-    /// probe input build their hash table on the smaller side. Results
-    /// are byte-identical either way — the decision only changes which
-    /// side pays the hash-table build.
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
     }
 
     /// A shared handle onto the executor's measurements; stays readable
@@ -481,18 +473,16 @@ impl GraphExecutor {
     fn run_shard(
         tables: &BTreeMap<String, RecordBatch>,
         p: &PreparedShard,
-        adaptive: bool,
     ) -> Result<ShardRun, String> {
         let mut exec_stats = ShardStats::default();
         let started = std::time::Instant::now();
-        let out = shard::execute_shard_adaptive(
+        let out = shard::execute_shard(
             &p.op,
             tables,
             p.shard,
             p.shards,
             &p.port0,
             &p.port1,
-            adaptive,
             &mut exec_stats,
         )
         .map_err(|e| format!("shard {}/{} of {}: {e}", p.shard, p.shards, p.op_name))?;
@@ -587,7 +577,7 @@ impl GraphExecutor {
 impl TaskExecutor for GraphExecutor {
     fn execute(&mut self, ready: &ReadyTask<'_>) -> Result<Payload, String> {
         let p = self.prepare(ready)?;
-        let run = Self::run_shard(&self.tables, &p, self.adaptive)?;
+        let run = Self::run_shard(&self.tables, &p)?;
         Ok(self.commit(&p, run))
     }
 
@@ -602,9 +592,8 @@ impl TaskExecutor for GraphExecutor {
         let prepared = Arc::new(prepared);
         let prepared2 = Arc::clone(&prepared);
         let tables = Arc::clone(&self.tables);
-        let adaptive = self.adaptive;
         let runs = pool::global().run_indexed(prepared.len(), move |i| {
-            Self::run_shard(&tables, prepared2[i].as_ref()?, adaptive)
+            Self::run_shard(&tables, prepared2[i].as_ref()?)
         });
         prepared
             .iter()

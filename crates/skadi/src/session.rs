@@ -156,13 +156,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggles adaptive query execution (defaults to off). When on,
-    /// distributed SQL runs a single-sharded pilot pass first and
-    /// re-plans keyed consumers whose measured key histograms fill fewer
-    /// shuffle buckets than the default parallelism; at runtime, joins
-    /// build their hash table on whichever side is observed to be
-    /// smaller. Both decisions are pure functions of the data — the
-    /// collected result stays byte-identical to the static plan.
+    /// Toggles the adaptive pilot (defaults to off). When on, distributed
+    /// SQL runs a single-sharded pilot pass first and re-plans keyed
+    /// consumers whose measured key histograms fill fewer shuffle buckets
+    /// than the default parallelism. The decision is a pure function of
+    /// the data — the collected result stays byte-identical to the static
+    /// plan. Which side a join builds on is not part of it: every join
+    /// builds on its smaller side, pilot or not.
     pub fn adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
         self
@@ -292,8 +292,7 @@ impl Session {
             .ok_or_else(|| SkadiError::Sql(sql::SqlError::Plan("plan has no sink".into())))?;
 
         let mut cluster = Cluster::new(&self.topology, self.runtime.clone());
-        let executor =
-            GraphExecutor::new(phys.clone(), db.tables().clone()).with_adaptive(self.adaptive);
+        let executor = GraphExecutor::new(phys.clone(), db.tables().clone());
         let measurements = executor.stats();
         cluster.set_executor(Box::new(executor));
         let stats = cluster.run_with_failures(&job, failures)?;
