@@ -46,8 +46,9 @@ impl Backend {
         }
     }
 
-    /// Fixed kernel-launch overhead in microseconds.
-    fn launch_us(self) -> f64 {
+    /// Fixed kernel-launch overhead in microseconds: the part of every
+    /// [`estimate`] on this backend that does not grow with the elements.
+    pub fn launch_us(self) -> f64 {
         match self {
             Backend::Cpu => 1.0,
             Backend::Gpu => 12.0,

@@ -59,13 +59,16 @@ impl Cluster {
         if rec.state() != TaskState::Dispatched {
             return;
         }
-        let node = rec.at.node.expect("dispatched task has a node");
+        let Some(node) = rec.at.node else {
+            self.broken(t, "dispatched without a node");
+            return;
+        };
         let (consumer, inputs) = (rec.spec.id, Rc::clone(&rec.inputs));
 
         // Detect lost inputs before fetching.
         let missing = inputs
             .iter()
-            .filter(|(p, _)| !self.input_available(*p, t))
+            .filter(|p| !self.input_available(**p, t))
             .count();
         if missing > 0 {
             self.recover_missing(now, t, missing, queue);
@@ -76,13 +79,10 @@ impl Cluster {
         // a producer reset between arrival and start must not leave the
         // running task without them. Staging shares buffers.
         let mut staged: StagedInputs = Vec::with_capacity(inputs.len());
-        for &(p, _) in inputs.iter() {
+        for &p in inputs.iter() {
             let producer = &self.tasks[p];
             let Some(payload) = &producer.at.payload else {
-                self.fail_run(RuntimeError::Internal(format!(
-                    "data plane: task t{} arrived with available inputs but missing payloads",
-                    consumer.0
-                )));
+                self.broken(t, "arrived with available inputs but missing payloads");
                 return;
             };
             staged.push((producer.spec.id, Rc::clone(payload)));
@@ -91,7 +91,7 @@ impl Cluster {
         let route = self.cfg.generation.route_policy();
         let umbrella = self.span_of(t);
         let mut available = now;
-        for (&(p, _), (_, payload)) in inputs.iter().zip(&staged) {
+        for (&p, (_, payload)) in inputs.iter().zip(&staged) {
             // What this task reads of the producer's output: its part of
             // a shuffle or scatter, the whole output otherwise.
             let bytes = payload.edge_len(consumer);
@@ -99,7 +99,11 @@ impl Cluster {
             let value_ready = producer.value_ready.unwrap_or(now);
             let t_in = if let (true, Some(d)) = (self.via_durable(p, Some(t)), self.nodes.durable) {
                 // Durable read: first-byte latency + stream.
-                let start = now.max(producer.durable_ready.expect("availability checked above"));
+                let Some(durable_ready) = producer.durable_ready else {
+                    self.broken(t, "an available durable input was never written");
+                    return;
+                };
+                let start = now.max(durable_ready);
                 let span = |c: &Cluster| {
                     Rec::new("durable.read", "net", Category::Data, umbrella)
                         .attr("input", c.task_label(p))
@@ -133,11 +137,13 @@ impl Cluster {
                 done
             } else {
                 // The caching layer tells us where the best copy is.
-                let obj = producer.object.expect("availability checked above");
-                let loc = self
-                    .cache
-                    .get(obj, node, now)
-                    .expect("availability checked above");
+                let Some((obj, loc)) = producer
+                    .object
+                    .and_then(|o| Some((o, self.cache.get(o, node, now).ok()?)))
+                else {
+                    self.broken(t, "an available input is not in the caching layer");
+                    return;
+                };
                 self.trace(now, now + loc.tier.access_latency(), |c| {
                     Rec::new("tier.get", "store", Category::TierAccess, umbrella)
                         .attr("input", c.task_label(p))
@@ -216,8 +222,11 @@ impl Cluster {
             .set_state(&mut self.nodes, t, TaskState::Finished);
         let at = &mut self.tasks[t].at;
         at.finished_at = Some(now);
-        let node = at.node.expect("running");
-        let ran = now.saturating_since(at.started_at.expect("running"));
+        let (Some(node), Some(started)) = (at.node, at.started_at) else {
+            self.broken(t, "finished without running");
+            return;
+        };
+        let ran = now.saturating_since(started);
         self.nodes[node].busy_us += ran.as_micros_f64();
         self.metrics.bump("task_completions");
         if self.cfg.deployment != Deployment::Serverful {

@@ -10,7 +10,7 @@ use skadi_dcsim::topology::{NodeClass, NodeId};
 use skadi_ir::Backend;
 
 use super::send::{Carry, Rec, Tally};
-use super::table::{backend_of, NodeTable, Slot};
+use super::table::{backend_of, NodeTable, Slot, TaskSlot};
 use super::{Actor, Cluster, Event};
 use crate::config::{Deployment, FtMode};
 use crate::error::RuntimeError;
@@ -122,8 +122,10 @@ impl Cluster {
             match self.gangs.member_ready(g, self.tasks[t].spec.id) {
                 Ok(Some(members)) => {
                     for m in members {
-                        let m = self.tasks.slot_of(m).expect("gang members are tasks");
-                        self.place(now, m, queue);
+                        match self.tasks.slot_of(m) {
+                            Some(m) => self.place(now, m, queue),
+                            None => self.broken(t, &format!("gang member {m} is not a task")),
+                        }
                     }
                 }
                 Ok(None) => {}
@@ -136,15 +138,20 @@ impl Cluster {
 
     fn place(&mut self, now: SimTime, t: Slot, queue: &mut EventQueue<Event>) {
         let (eligible, fallback) = self.eligible_nodes(t);
-        // Gather placement facts. The locality map is inverted once per
-        // decision — O(inputs x replicas) — so the facts closure is an
-        // O(1) lookup per candidate instead of re-walking every input's
-        // location list for every node the policy inspects.
+        // Gather placement facts: each holding node counts the bytes the
+        // task reads of each producer's stored payload. The locality map
+        // is inverted once per decision — O(inputs x replicas) — so the
+        // facts closure is an O(1) lookup per candidate instead of
+        // re-walking every input's location list for every node the
+        // policy inspects.
+        let consumer = self.tasks[t].spec.id;
         let mut local_bytes: HashMap<NodeId, u64> = HashMap::new();
-        for (p, b) in self.tasks[t].inputs.iter() {
-            if let Some(o) = self.tasks[*p].at.object {
+        for p in self.tasks[t].inputs.iter() {
+            let at = &self.tasks[*p].at;
+            if let (Some(o), Some(payload)) = (at.object, &at.payload) {
+                let bytes = payload.edge_len(consumer);
                 for n in self.cache.locations(o) {
-                    *local_bytes.entry(*n).or_insert(0) += *b;
+                    *local_bytes.entry(*n).or_insert(0) += bytes;
                 }
             }
         }
@@ -241,24 +248,16 @@ impl Cluster {
         if rec.state() != TaskState::Dispatched {
             return;
         }
-        let node = rec.at.node.expect("dispatched");
+        let Some(node) = rec.at.node else {
+            self.broken(t, "dispatched without a node");
+            return;
+        };
         if !self.alive(node) {
             // The node died while we were waiting; re-place.
             self.retries += 1;
             self.reset_task(t, queue, now);
             return;
         }
-        let slowdown = if rec.spec.backend != Backend::Cpu
-            && self.topo.node(node).kind.class() == NodeClass::Server
-        {
-            CPU_FALLBACK_SLOWDOWN
-        } else {
-            1.0
-        };
-        // Straggler injection: compute started inside a slowdown window
-        // runs the whole task at the degraded rate.
-        let straggle = self.active_plan.slowdown_factor(node, now);
-        let dur = SimDuration::from_secs_f64(rec.spec.compute_us * slowdown * straggle / 1e6);
         let actor = rec.spec.actor;
         let epoch = rec.epoch;
         // Actor methods execute one at a time, in readiness order.
@@ -269,6 +268,21 @@ impl Cluster {
             }
         }
         if self.nodes[node].free_slots() > 0 {
+            let slowdown = if rec.spec.backend != Backend::Cpu
+                && self.topo.node(node).kind.class() == NodeClass::Server
+            {
+                CPU_FALLBACK_SLOWDOWN
+            } else {
+                1.0
+            };
+            // Straggler injection: compute started inside a slowdown
+            // window runs the whole task at the degraded rate.
+            let straggle = self.active_plan.slowdown_factor(node, now);
+            let Some(run) = run_us(rec) else {
+                self.broken(t, "an input does not say how many rows it hands it");
+                return;
+            };
+            let dur = SimDuration::from_secs_f64(run * slowdown * straggle / 1e6);
             let at = &mut self.tasks[t].at;
             at.started_at = Some(now);
             at.due = Some(now + dur);
@@ -414,6 +428,26 @@ impl Cluster {
         let warm = |d: &NodeId| self.nodes[*d].device_available_at.is_some();
         self.nodes.accels.iter().copied().filter(warm)
     }
+}
+
+/// The one price of a task's run time, in microseconds: the part of its
+/// planned compute beyond its backend's launch scales with the rows its
+/// staged inputs hand it, so at its planned rows — what the length-only
+/// executor hands every task — it is `compute_us` exactly. A task with no
+/// planned rows, or no input, runs for its `compute_us`. `None` when an
+/// input's payload does not say how many rows it hands the task.
+fn run_us(rec: &TaskSlot) -> Option<f64> {
+    let (spec, planned) = (&rec.spec, rec.planned_rows);
+    if planned == 0 || rec.inputs.is_empty() {
+        return Some(spec.compute_us);
+    }
+    let staged = rec.at.staged.as_ref()?;
+    let rows: u64 = staged
+        .iter()
+        .map(|(_, p)| p.edge_rows(spec.id))
+        .sum::<Option<_>>()?;
+    let scale = rows as f64 / planned as f64 - 1.0;
+    Some(spec.compute_us + (spec.compute_us - spec.backend.launch_us()) * scale)
 }
 
 fn autoscale_span(c: &Cluster, name: &str, device: NodeId) -> Rec {

@@ -15,7 +15,8 @@
 //! them to the target node's raylet. At the raylet, each input edge is resolved with
 //! the configured protocol (pull or push, routed per Gen-1 or Gen-2);
 //! the task starts when its inputs have arrived and an execution slot is
-//! free, and finishes after its backend-specific compute time. Every
+//! free, and finishes after its compute time, priced when it starts from
+//! the rows its inputs' payloads hand it (`dispatch::run_us`). Every
 //! finish runs the task through the cluster's executor ([`LengthOnly`],
 //! the spec's estimates, unless a data plane is installed); the payload
 //! it returns is the output, stored and replicated at its whole length
@@ -314,19 +315,22 @@ impl Cluster {
         // Renumber every job into one combined ID space, remembering each
         // job's arrival and member tasks.
         let mut combined: Vec<crate::task::TaskSpec> = Vec::new();
+        let mut planned_rows = BTreeMap::new();
         let mut membership: Vec<(String, SimTime, Vec<TaskId>)> = Vec::new();
         let mut releases: HashMap<TaskId, SimTime> = HashMap::new();
         let mut offset = 0u64;
         for (job, arrival) in jobs {
-            let (specs, next) = job.shifted(offset);
+            let (shifted, next) = job.shifted(offset);
             offset = next;
-            let roots = specs.iter().filter(|s| s.inputs.is_empty());
+            let roots = shifted.tasks.values().filter(|s| s.inputs.is_empty());
             releases.extend(roots.map(|s| (s.id, *arrival)));
-            let members = specs.iter().map(|s| s.id).collect();
+            let members = shifted.tasks.keys().copied().collect();
             membership.push((job.name.clone(), *arrival, members));
-            combined.extend(specs);
+            combined.extend(shifted.tasks.into_values());
+            planned_rows.extend(shifted.planned_rows);
         }
-        let combined = Job::new("combined", combined)?;
+        let mut combined = Job::new("combined", combined)?;
+        combined.planned_rows = planned_rows;
         let mut stats = self.run_released(&combined, failures, &releases)?;
         let per_job: Vec<PerJobStats> = membership
             .into_iter()
@@ -441,11 +445,13 @@ impl Cluster {
         let trace = std::mem::replace(&mut self.tracer, Tracer::new(false)).finish();
         let (spills, spill_bytes) = self.cache.spill_stats();
         // Each total is the sum of the histogram its durations go into.
-        let total = |name| {
-            self.metrics.histogram(name).map_or(SimDuration::ZERO, |h| {
-                h.checked_total().expect("SimDuration overflow")
-            })
+        let total = |name| match self.metrics.histogram(name) {
+            None => Ok(SimDuration::ZERO),
+            Some(h) => h
+                .checked_total()
+                .ok_or_else(|| RuntimeError::Internal(format!("{name} total overflows"))),
         };
+        let (stall_total, compute_total) = (total("stall")?, total("task.run")?);
         Ok(JobStats {
             makespan,
             finished,
@@ -453,8 +459,8 @@ impl Cluster {
             abandoned: self.abandoned,
             net: *self.net.stats(),
             durable_trips: self.durable_trips,
-            stall_total: total("stall"),
-            compute_total: total("task.run"),
+            stall_total,
+            compute_total,
             cost_units: self.cost_units(makespan),
             utilization,
             spills,
@@ -491,7 +497,7 @@ impl Cluster {
                 ..Cluster::with_links(&self.topo, self.cfg.clone(), self.links.clone())
             };
         }
-        self.tasks = TaskTable::new(job);
+        self.tasks = TaskTable::new(job)?;
         if let FtMode::ErasureCoding(c @ EcConfig { data: 0, .. }) = self.cfg.ft {
             return Err(RuntimeError::NoDataShards(c));
         }
@@ -572,6 +578,13 @@ impl Cluster {
         self.fatal.get_or_insert(err);
     }
 
+    /// Ends the run on a state of task `t` the cluster's own bookkeeping
+    /// never leaves it in: `what` went wrong.
+    fn broken(&mut self, t: Slot, what: &str) {
+        let id = self.tasks[t].spec.id.0;
+        self.fail_run(RuntimeError::Internal(format!("task t{id}: {what}")));
+    }
+
     // ---- tracing ---------------------------------------------------------
 
     /// The attempt's umbrella span (the sentinel when none is open).
@@ -587,7 +600,7 @@ impl Cluster {
         }
         let s = self.trace(now, now, |c| {
             let r = &c.tasks[t];
-            let deps: Vec<String> = r.inputs.iter().map(|(p, _)| c.task_label(*p)).collect();
+            let deps: Vec<String> = r.inputs.iter().map(|p| c.task_label(*p)).collect();
             Rec::new(r.spec.op.clone(), "tasks", Category::Task, c.job_root)
                 .attr("task", c.task_label(t))
                 .attr("deps", deps.join(","))

@@ -85,7 +85,7 @@ impl Cluster {
         let (epoch, inputs) = (rec.epoch, Rc::clone(&rec.inputs));
         let missing: Vec<Slot> = inputs
             .iter()
-            .map(|(p, _)| *p)
+            .copied()
             .filter(|p| !self.input_available(*p, t))
             .collect();
         self.tasks[t].pending_inputs = missing.len();

@@ -23,7 +23,8 @@ use skadi_ir::Backend;
 use skadi_store::ec::EcConfig;
 use skadi_store::object::ObjectId;
 
-use crate::executor::Payload;
+use crate::error::RuntimeError;
+use crate::executor::{EdgeSize, Payload};
 use crate::job::Job;
 use crate::task::{TaskId, TaskSpec, TaskState};
 
@@ -92,10 +93,15 @@ pub(super) struct Attempt {
 #[derive(Debug)]
 pub(super) struct TaskSlot {
     pub spec: TaskSpec,
-    /// Producers (in `TaskId` order) with each edge's estimated bytes.
-    pub inputs: Rc<[(Slot, u64)]>,
-    /// Consumers (in `TaskId` order) with each edge's estimated bytes.
-    pub consumers: Rc<[(Slot, u64)]>,
+    /// The input rows the task's compute was planned at
+    /// ([`Job::planned_rows`]); 0 for a task that runs for its
+    /// `compute_us` whatever it is handed.
+    pub planned_rows: u64,
+    /// Producers, in `TaskId` order.
+    pub inputs: Rc<[Slot]>,
+    /// Consumers (in `TaskId` order) with the plan's estimate of what
+    /// each reads, which only the length-only executor stores.
+    pub consumers: Rc<[(Slot, EdgeSize)]>,
     state: TaskState,
     /// Unfinished producer count.
     pub pending_inputs: usize,
@@ -137,21 +143,39 @@ fn terminal(s: TaskState) -> bool {
 }
 
 impl TaskTable {
-    pub fn new(job: &Job) -> Self {
+    /// The table of `job`'s tasks, each edge estimated at its spec's
+    /// bytes and an even share of its consumer's planned rows; fails on a
+    /// dependency the job does not hold.
+    pub fn new(job: &Job) -> Result<Self, RuntimeError> {
         let ids: Vec<TaskId> = job.tasks.keys().copied().collect();
-        let slot_of = |t: &TaskId| Slot(ids.binary_search(t).expect("job validated") as u32);
-        let mut consumers: Vec<Vec<(Slot, u64)>> = vec![Vec::new(); ids.len()];
+        let mut inputs: Vec<Rc<[Slot]>> = Vec::with_capacity(ids.len());
+        let mut consumers: Vec<Vec<(Slot, EdgeSize)>> = vec![Vec::new(); ids.len()];
+        let planned_rows = |id| job.planned_rows.get(id).copied().unwrap_or(0);
         for (i, spec) in job.tasks.values().enumerate() {
-            for (dep, bytes) in &spec.inputs {
-                consumers[slot_of(dep).index()].push((Slot(i as u32), *bytes));
+            let (n, planned) = (spec.inputs.len() as u64, planned_rows(&spec.id));
+            let mut slots = Vec::with_capacity(spec.inputs.len());
+            for (j, (dep, &bytes)) in spec.inputs.iter().enumerate() {
+                let Ok(at) = ids.binary_search(dep) else {
+                    return Err(RuntimeError::UnknownDependency {
+                        task: spec.id,
+                        dep: *dep,
+                    });
+                };
+                // The first `rows % n` producers hand one row more.
+                let rows = planned / n + u64::from((j as u64) < planned % n);
+                consumers[at].push((Slot(i as u32), EdgeSize { bytes, rows }));
+                slots.push(Slot(at as u32));
             }
+            inputs.push(slots.into());
         }
         let slots: Vec<TaskSlot> = job
             .tasks
             .values()
+            .zip(inputs)
             .zip(consumers)
-            .map(|(spec, consumers)| TaskSlot {
-                inputs: spec.inputs.iter().map(|(p, b)| (slot_of(p), *b)).collect(),
+            .map(|((spec, inputs), consumers)| TaskSlot {
+                planned_rows: planned_rows(&spec.id),
+                inputs,
                 consumers: consumers.into(),
                 state: if spec.inputs.is_empty() {
                     TaskState::Ready
@@ -165,10 +189,10 @@ impl TaskTable {
                 spec: spec.clone(),
             })
             .collect();
-        TaskTable {
+        Ok(TaskTable {
             unfinished: slots.len(),
             slots,
-        }
+        })
     }
 
     pub fn len(&self) -> usize {

@@ -1262,7 +1262,7 @@ mod table_tests {
             ],
         )
         .unwrap();
-        let table = TaskTable::new(&job);
+        let table = TaskTable::new(&job).unwrap();
         let (free, blocked) = (table.slot_of(TaskId(0)), table.slot_of(TaskId(1)));
         assert_eq!(table[free.unwrap()].state(), TaskState::Ready);
         assert_eq!(table[blocked.unwrap()].state(), TaskState::Blocked);
@@ -1278,7 +1278,7 @@ mod table_tests {
     #[test]
     fn reset_attempt_leaves_no_attempt_scoped_field_set() {
         let job = Job::new("one", vec![TaskSpec::new(9, 1.0, 1)]).unwrap();
-        let mut table = TaskTable::new(&job);
+        let mut table = TaskTable::new(&job).unwrap();
         let s = table.slot_of(TaskId(9)).unwrap();
         let t = Some(SimTime::from_micros(7));
         table[s].at = Attempt {
@@ -1319,7 +1319,7 @@ mod table_tests {
         let job = Job::new("occ", (0..n).map(|i| TaskSpec::new(i, 1.0, 1)).collect()).unwrap();
         let topo = presets::server_cluster(1, 1);
         (
-            TaskTable::new(&job),
+            TaskTable::new(&job).unwrap(),
             NodeTable::new(&topo),
             topo.servers()[0],
         )
@@ -1404,7 +1404,7 @@ mod table_tests {
     fn a_steal_moves_the_task_between_nodes() {
         let job = Job::new("steal", vec![TaskSpec::new(0, 1.0, 1)]).unwrap();
         let topo = presets::server_cluster(1, 2);
-        let (mut table, mut nodes) = (TaskTable::new(&job), NodeTable::new(&topo));
+        let (mut table, mut nodes) = (TaskTable::new(&job).unwrap(), NodeTable::new(&topo));
         let (a, b) = (topo.servers()[0], topo.servers()[1]);
         let s = table.slot_of(TaskId(0)).unwrap();
         table.move_to(&mut nodes, s, a);
@@ -1526,7 +1526,7 @@ mod table_tests {
 
 mod mode_tests {
     use super::*;
-    use crate::executor::{LengthOnly, ReadyTask};
+    use crate::executor::{EdgeSize, LengthOnly, ReadyTask};
     use crate::task::TaskSpec;
     use skadi_dcsim::topology::presets;
     use std::cell::Cell;
@@ -1558,8 +1558,19 @@ mod mode_tests {
             assert_eq!(payload.len(), r.spec.output_bytes, "t{}", r.spec.id.0);
             for &(consumer, estimate) in r.consumers.iter() {
                 let id = c.tasks[consumer].spec.id;
-                assert_eq!(job.tasks[&id].inputs[&r.spec.id], estimate);
-                assert_eq!(payload.edge_len(id), estimate, "t{} -> {id}", r.spec.id.0);
+                assert_eq!(job.tasks[&id].inputs[&r.spec.id], estimate.bytes);
+                assert_eq!(
+                    payload.edge_len(id),
+                    estimate.bytes,
+                    "t{} -> {id}",
+                    r.spec.id.0
+                );
+                assert_eq!(
+                    payload.edge_rows(id),
+                    Some(estimate.rows),
+                    "t{} -> {id}",
+                    r.spec.id.0
+                );
             }
             assert!(c.task_output(r.spec.id).is_none(), "{s:?}");
             assert!(c.task_payload(r.spec.id).is_none(), "{s:?}");
@@ -1641,5 +1652,171 @@ mod mode_tests {
             assert_eq!(format!("{stats:?}"), format!("{first:?}"));
             assert_priced_at_estimates(&fresh, &job);
         }
+    }
+
+    /// Four tasks priced by their rows, the last fed by two producers.
+    fn per_row_job() -> Job {
+        let mut job = Job::new(
+            "rows",
+            vec![
+                TaskSpec::new(0, 7.3, 1 << 10),
+                TaskSpec::new(1, 3.1, 1 << 10).after(TaskId(0), 1 << 9),
+                TaskSpec::new(2, 5.7, 1 << 10).after(TaskId(0), 1 << 9),
+                TaskSpec::new(3, 9.9, 1 << 10)
+                    .after(TaskId(1), 1 << 8)
+                    .after(TaskId(2), 1 << 8),
+            ],
+        )
+        .unwrap();
+        job.planned_rows = [(0, 1_000), (1, 333), (2, 777), (3, 1_001)]
+            .map(|(t, rows)| (TaskId(t), rows))
+            .into();
+        job
+    }
+
+    fn ran_us(c: &Cluster, id: TaskId) -> f64 {
+        let started = c.task_started_at(id).unwrap();
+        c.task_finished_at(id)
+            .unwrap()
+            .since(started)
+            .as_micros_f64()
+    }
+
+    /// Under the length-only executor the rows a task's inputs hand it
+    /// add up to its planned rows, however they divide among producers,
+    /// so a task priced per row runs for exactly its `compute_us`.
+    #[test]
+    fn length_only_hands_every_task_its_planned_rows() {
+        let job = per_row_job();
+        let mut c = Cluster::new(
+            &presets::small_disagg_cluster(),
+            RuntimeConfig::skadi_gen2(),
+        );
+        c.run(&job).unwrap();
+        for (id, spec) in &job.tasks {
+            let started = c.task_started_at(*id).unwrap();
+            let ran = c.task_finished_at(*id).unwrap().since(started);
+            let want = SimDuration::from_secs_f64(spec.compute_us / 1e6);
+            assert_eq!(ran, want, "{id}");
+        }
+    }
+
+    /// Hands every consumer three times the rows the plan gave its edge.
+    struct Tripled;
+
+    impl TaskExecutor for Tripled {
+        fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+            let triple = |&(c, e): &(TaskId, EdgeSize)| {
+                (
+                    c,
+                    EdgeSize {
+                        rows: 3 * e.rows,
+                        ..e
+                    },
+                )
+            };
+            let edges = task.consumers.iter().map(triple).collect();
+            Ok(Payload::length_only(task.output_bytes, edges))
+        }
+    }
+
+    /// A task's compute beyond its backend's launch scales with the rows
+    /// its inputs hand it; a task with no input runs at its plan.
+    #[test]
+    fn a_task_runs_for_the_rows_it_is_handed() {
+        let job = per_row_job();
+        let mut c = Cluster::new(
+            &presets::small_disagg_cluster(),
+            RuntimeConfig::skadi_gen2(),
+        );
+        c.set_executor(Box::new(Tripled));
+        c.run(&job).unwrap();
+        let launch = Backend::Cpu.launch_us();
+        for (id, spec) in &job.tasks {
+            let body = spec.compute_us - launch;
+            let want = if spec.inputs.is_empty() {
+                spec.compute_us
+            } else {
+                launch + 3.0 * body
+            };
+            assert!(
+                (ran_us(&c, *id) - want).abs() < 1e-3,
+                "{id}: {}",
+                ran_us(&c, *id)
+            );
+        }
+    }
+
+    /// Returns bytes alone, listing no consumer.
+    struct Unlisted;
+
+    impl TaskExecutor for Unlisted {
+        fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+            Ok(Payload::from(vec![0; task.output_bytes as usize]))
+        }
+    }
+
+    /// A payload that does not say what a per-row consumer reads ends the
+    /// run with an internal error instead of pricing rows nobody counted;
+    /// a fixed-price consumer reads it whole.
+    #[test]
+    fn a_per_row_task_reading_an_unlisted_payload_fails_the_run() {
+        let topo = presets::small_disagg_cluster();
+        let mut c = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
+        c.set_executor(Box::new(Unlisted));
+        match c.run(&per_row_job()) {
+            Err(RuntimeError::Internal(e)) => assert!(e.contains("rows"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+        let mut fixed = per_row_job();
+        fixed.planned_rows.clear();
+        c.run(&fixed).unwrap();
+    }
+
+    /// Stores payloads whose edge lengths invert the plan's: an edge
+    /// estimated at `b` bytes is measured at `2^30 / b`.
+    struct Inverted;
+
+    impl TaskExecutor for Inverted {
+        fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+            let invert = |&(c, e): &(TaskId, EdgeSize)| {
+                let bytes = (1 << 30) / e.bytes.max(1);
+                (c, EdgeSize { bytes, ..e })
+            };
+            let edges = task.consumers.iter().map(invert).collect();
+            Ok(Payload::length_only(task.output_bytes, edges))
+        }
+    }
+
+    /// Data-centric placement counts the bytes a consumer reads of each
+    /// stored payload, not the plan's estimate: with the measured edges
+    /// inverted, the consumer follows the input the plan called small.
+    #[test]
+    fn placement_follows_measured_bytes() {
+        let job = Job::new(
+            "pair",
+            vec![
+                TaskSpec::new(0, 100.0, 1 << 20),
+                TaskSpec::new(1, 100.0, 1 << 20),
+                TaskSpec::new(2, 100.0, 1 << 10)
+                    .after(TaskId(0), 1 << 20)
+                    .after(TaskId(1), 1 << 10),
+            ],
+        )
+        .unwrap();
+        let topo = presets::small_disagg_cluster();
+        let cfg = RuntimeConfig::skadi_gen2();
+        assert_eq!(cfg.placement, crate::PlacementPolicy::DataCentric);
+        let mut planned = Cluster::new(&topo, cfg.clone());
+        planned.run(&job).unwrap();
+        let (a, b) = (node_of(&planned, 0), node_of(&planned, 1));
+        assert_ne!(a, b, "the producers share a node");
+        assert_eq!(node_of(&planned, 2), a, "estimates: follows the 1 MiB edge");
+
+        let mut measured = Cluster::new(&topo, cfg);
+        measured.set_executor(Box::new(Inverted));
+        measured.run(&job).unwrap();
+        assert_eq!((node_of(&measured, 0), node_of(&measured, 1)), (a, b));
+        assert_eq!(node_of(&measured, 2), b, "measured: follows the 1 MiB edge");
     }
 }

@@ -13,14 +13,26 @@
 //! The interface is bytes-level on purpose: the runtime crate knows
 //! nothing about record batches. What it keeps per task is a [`Payload`]
 //! — its whole length, which storage, replication, erasure coding and
-//! fetched-copy caching read; one length per consumer, which the
-//! consumer's input transfer is priced at (a shuffle consumer reads its
-//! part, not the whole output); and, unless it is length-only, an opaque
+//! fetched-copy caching read; one [`EdgeSize`] per consumer, the bytes
+//! and rows that consumer reads (a shuffle consumer reads its part, not
+//! the whole output); and, unless it is length-only, an opaque
 //! [`Content`] it can ask for bytes when something reads them
-//! ([`Cluster::task_payload`]). An executor whose bytes would cross no
-//! link need not make them at all: the SQL data plane hands consumers
-//! the producer's batch through the content and encodes it only when
-//! asked (see the `skadi` crate's graph executor).
+//! ([`Cluster::task_payload`]). The payloads are the one record of what
+//! a task costs: placement counts a consumer's input bytes on each node
+//! at their edge lengths, its input transfer is priced at them, and its
+//! run time is priced when it starts from the rows its inputs hand it.
+//! An executor whose bytes would cross no link need not make them at
+//! all: the SQL data plane hands consumers the producer's batch through
+//! the content and encodes it only when asked (see the `skadi` crate's
+//! graph executor).
+//!
+//! The plan's estimates are read by [`LengthOnly`] alone, which stores
+//! them as the payload, so a run without a data plane is priced exactly
+//! as its job declares. With a data plane, prices move wherever the
+//! measured bytes or rows differ from the plan. One price still reads
+//! the whole output: an erasure-coded input is fetched as `k` shards of
+//! the whole object, because a consumer's part of a shuffle is a row
+//! selection spread over the striped object, not a byte range of it.
 //!
 //! Determinism contract: an executor must be a pure function of
 //! `(task, inputs, link)`. The cluster drops a task's payload when
@@ -46,14 +58,24 @@ pub trait Content: Any {
     fn materialise(&self) -> Vec<u8>;
 }
 
-/// A task's stored output: its whole length, the length each consumer
-/// reads, its bytes once anything has read them, and the executor's
+/// What one consumer reads of a payload: the bytes its input transfer
+/// is priced at, and the rows its run time is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeSize {
+    /// Bytes the consumer reads.
+    pub bytes: u64,
+    /// Rows the consumer is handed.
+    pub rows: u64,
+}
+
+/// A task's stored output: its whole length, what each consumer reads,
+/// its bytes once anything has read them, and the executor's
 /// [`Content`]. A length-only payload has neither bytes nor content.
 pub struct Payload {
     len: u64,
-    /// `(consumer, the bytes it reads)`, by consumer task ID. A consumer
-    /// not listed reads the whole payload.
-    edges: Vec<(TaskId, u64)>,
+    /// `(consumer, what it reads)`, by consumer task ID. A consumer not
+    /// listed reads the whole payload's bytes, and its rows are unknown.
+    edges: Vec<(TaskId, EdgeSize)>,
     bytes: OnceCell<Vec<u8>>,
     content: Option<Box<dyn Content>>,
 }
@@ -61,7 +83,7 @@ pub struct Payload {
 impl Payload {
     /// A payload of lengths alone: `len` bytes whole, and `edges` (by
     /// consumer task ID) per consumer. It has no bytes to read.
-    pub fn length_only(len: u64, edges: Vec<(TaskId, u64)>) -> Self {
+    pub fn length_only(len: u64, edges: Vec<(TaskId, EdgeSize)>) -> Self {
         Payload {
             len,
             edges,
@@ -87,9 +109,10 @@ impl Payload {
         }
     }
 
-    /// The payload with the bytes each of `edges`' consumers reads (by
-    /// consumer task ID); every other consumer reads the whole payload.
-    pub fn with_edges(mut self, edges: Vec<(TaskId, u64)>) -> Self {
+    /// The payload with what each of `edges`' consumers reads (by
+    /// consumer task ID); every other consumer reads the whole payload's
+    /// bytes, and its rows are unknown.
+    pub fn with_edges(mut self, edges: Vec<(TaskId, EdgeSize)>) -> Self {
         debug_assert!(edges.is_sorted_by_key(|e| e.0), "edges by consumer");
         self.edges = edges;
         self
@@ -106,12 +129,24 @@ impl Payload {
         self.len == 0
     }
 
-    /// The bytes `consumer` reads: what its input transfer is priced at.
+    /// What `consumer` reads of the payload.
+    fn edge(&self, consumer: TaskId) -> Option<EdgeSize> {
+        let at = self.edges.binary_search_by_key(&consumer, |e| e.0).ok()?;
+        Some(self.edges[at].1)
+    }
+
+    /// The bytes `consumer` reads: what placement counts on the nodes
+    /// holding the payload, and what its input transfer is priced at.
     pub fn edge_len(&self, consumer: TaskId) -> u64 {
-        match self.edges.binary_search_by_key(&consumer, |e| e.0) {
-            Ok(i) => self.edges[i].1,
-            Err(_) => self.len,
-        }
+        self.edge(consumer).map_or(self.len, |e| e.bytes)
+    }
+
+    /// The rows `consumer` is handed: what its run time is priced at.
+    /// `None` for a consumer the payload does not list; a task priced by
+    /// its rows that reads such a payload ends the run with an internal
+    /// error rather than run on rows nobody measured.
+    pub fn edge_rows(&self, consumer: TaskId) -> Option<u64> {
+        self.edge(consumer).map(|e| e.rows)
     }
 
     /// True for a payload of lengths alone ([`Payload::length_only`]).
@@ -174,19 +209,24 @@ impl fmt::Debug for Payload {
 }
 
 /// One ready task: its producers' payloads, sorted by producer task ID;
-/// its spec's estimates, which a length-only run stores as the payload;
-/// and the modelled bytes per second of the link its output will be
-/// written over — the durable store's when the deployment writes it
-/// durably, the fabric NIC's otherwise. An executor that compresses
-/// decides from this price, never from a measured time.
+/// the plan's estimates of what each consumer reads, which only
+/// [`LengthOnly`] stores; and the modelled bytes per second of the link
+/// its output will be written over — the durable store's when the
+/// deployment writes it durably, the fabric NIC's otherwise. An executor
+/// that compresses decides from this price, never from a measured time.
+/// Nothing the cluster prices reads the estimates: it reads the payload
+/// the executor returns.
 #[derive(Debug)]
 pub struct ReadyTask<'a> {
     /// The task to run.
     pub task: TaskId,
     /// `(producer, its stored payload)`, by producer task ID.
     pub inputs: Vec<(TaskId, &'a Payload)>,
-    /// `(consumer, its edge's estimated bytes)`, by consumer task ID.
-    pub consumers: Vec<(TaskId, u64)>,
+    /// `(consumer, the plan's estimate of what it reads)`, by consumer
+    /// task ID: the edge's estimated bytes, and the consumer's planned
+    /// rows divided evenly among its producers, so the estimates of all
+    /// its inputs add up to exactly the rows its compute was planned at.
+    pub consumers: Vec<(TaskId, EdgeSize)>,
     /// The spec's estimated output bytes.
     pub output_bytes: u64,
     /// Modelled bytes per second of the link the output is written over.
@@ -216,8 +256,9 @@ pub trait TaskExecutor {
 
 /// The executor every cluster starts with: it computes nothing, and a
 /// task's payload is its spec's estimates alone — `output_bytes` whole
-/// and each consumer's edge estimate — so a run without a data plane is
-/// priced at exactly the estimates its job declares.
+/// and each consumer's estimated bytes and rows — so a run without a
+/// data plane is placed and priced at exactly the estimates its job
+/// declares, its compute included.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LengthOnly;
 
@@ -266,15 +307,22 @@ mod tests {
 
     #[test]
     fn a_consumer_reads_its_edge_length_or_the_whole() {
-        let sized = Payload::length_only(40, vec![(TaskId(3), 10), (TaskId(7), 40)]);
+        let size = |bytes, rows| EdgeSize { bytes, rows };
+        let sized =
+            Payload::length_only(40, vec![(TaskId(3), size(10, 5)), (TaskId(7), size(40, 9))]);
         assert!(sized.is_length_only());
         let reads = |p: &Payload| [3, 7, 9].map(|c| p.edge_len(TaskId(c)));
+        let rows = |p: &Payload| [3, 7, 9].map(|c| p.edge_rows(TaskId(c)));
         assert_eq!((sized.len(), reads(&sized)), (40, [10, 40, 40]));
+        assert_eq!(rows(&sized), [Some(5), Some(9), None]);
         assert!(sized.bytes().is_empty());
         assert!(sized.content::<Counted>().is_none());
-        let made = Payload::from(vec![1, 2, 3]).with_edges(vec![(TaskId(7), 2)]);
+        let made = Payload::from(vec![1, 2, 3]).with_edges(vec![(TaskId(7), size(2, 1))]);
         assert!(!made.is_length_only());
-        assert_eq!(reads(&made), [3, 2, 3]);
+        assert_eq!(
+            (reads(&made), rows(&made)),
+            ([3, 2, 3], [None, Some(1), None])
+        );
         assert_ne!(made, Payload::from(vec![1, 2, 3]));
     }
 

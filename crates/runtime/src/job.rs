@@ -1,6 +1,6 @@
 //! Jobs (validated task DAGs) and run statistics.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use skadi_dcsim::network::NetStats;
 use skadi_dcsim::span::Trace;
@@ -18,6 +18,11 @@ pub struct Job {
     pub name: String,
     /// The tasks, keyed by ID.
     pub tasks: BTreeMap<TaskId, TaskSpec>,
+    /// The tasks priced by their rows, each with the input rows its
+    /// `compute_us` was planned at: when it starts, the part of
+    /// `compute_us` beyond its backend's launch scales with the rows its
+    /// inputs hand it. A task not listed runs for its `compute_us`.
+    pub planned_rows: BTreeMap<TaskId, u64>,
 }
 
 impl Job {
@@ -36,7 +41,7 @@ impl Job {
             }
         }
         // Kahn's algorithm for cycle detection.
-        let mut indeg: HashMap<TaskId, usize> =
+        let mut indeg: BTreeMap<TaskId, usize> =
             map.values().map(|t| (t.id, t.inputs.len())).collect();
         let mut ready: Vec<TaskId> = indeg
             .iter()
@@ -46,9 +51,9 @@ impl Job {
         let mut seen = 0usize;
         while let Some(t) = ready.pop() {
             seen += 1;
-            for candidate in map.values() {
+            // Both maps hold the same IDs in the same order.
+            for (candidate, d) in map.values().zip(indeg.values_mut()) {
                 if candidate.inputs.contains_key(&t) {
-                    let d = indeg.get_mut(&candidate.id).expect("task indexed");
                     *d -= 1;
                     if *d == 0 {
                         ready.push(candidate.id);
@@ -62,6 +67,7 @@ impl Job {
         Ok(Job {
             name: name.to_string(),
             tasks: map,
+            planned_rows: BTreeMap::new(),
         })
     }
 
@@ -85,29 +91,41 @@ impl Job {
         self.tasks.values().map(|t| t.compute_us).sum()
     }
 
-    /// The tasks with every task and input ID shifted up by `offset`, and
+    /// The job with every task and input ID shifted up by `offset`, and
     /// the offset the next job renumbered into the same ID space starts
     /// at: one past the largest shifted ID (`offset` for an empty job).
-    pub fn shifted(&self, offset: u64) -> (Vec<TaskSpec>, u64) {
+    pub fn shifted(&self, offset: u64) -> (Job, u64) {
         let shift = |t: &TaskId| TaskId(t.0 + offset);
-        let specs: Vec<TaskSpec> = self
-            .tasks
-            .values()
-            .map(|spec| TaskSpec {
-                id: shift(&spec.id),
-                inputs: spec.inputs.iter().map(|(t, b)| (shift(t), *b)).collect(),
-                ..spec.clone()
-            })
-            .collect();
-        let next = specs.last().map_or(offset, |s| s.id.0 + 1);
-        (specs, next)
+        let spec = |spec: &TaskSpec| TaskSpec {
+            id: shift(&spec.id),
+            inputs: spec.inputs.iter().map(|(t, b)| (shift(t), *b)).collect(),
+            ..spec.clone()
+        };
+        let job = Job {
+            name: self.name.clone(),
+            tasks: self
+                .tasks
+                .iter()
+                .map(|(t, s)| (shift(t), spec(s)))
+                .collect(),
+            planned_rows: self
+                .planned_rows
+                .iter()
+                .map(|(t, r)| (shift(t), *r))
+                .collect(),
+        };
+        let next = job.tasks.keys().last().map_or(offset, |t| t.0 + 1);
+        (job, next)
     }
 }
 
 /// Converts a physical sharded graph into a job: one task per physical
-/// vertex, labeled as belonging to `system`.
+/// vertex, labeled as belonging to `system`. Every vertex that computes
+/// is priced by its rows, from the rows it was planned at
+/// ([`Job::planned_rows`]).
 pub fn job_from_physical(name: &str, g: &PhysicalGraph, system: &str) -> Result<Job, RuntimeError> {
     let mut tasks = Vec::with_capacity(g.len());
+    let mut planned_rows = BTreeMap::new();
     for v in g.vertices() {
         // Sinks hold the job result but declare no output of their own;
         // size them by their inflow so downstream consumers (pipeline
@@ -124,9 +142,14 @@ pub fn job_from_physical(name: &str, g: &PhysicalGraph, system: &str) -> Result<
         for e in g.in_edges(v.id) {
             spec = spec.after(TaskId(e.from.0 as u64), e.bytes.max(1));
         }
+        if v.compute_us > 0.0 {
+            planned_rows.insert(spec.id, v.rows);
+        }
         tasks.push(spec);
     }
-    Job::new(name, tasks)
+    let mut job = Job::new(name, tasks)?;
+    job.planned_rows = planned_rows;
+    Ok(job)
 }
 
 /// What a run produced.
@@ -238,13 +261,16 @@ mod tests {
             ],
         )
         .unwrap();
-        let (specs, next) = job.shifted(100);
-        let ids: Vec<u64> = specs.iter().map(|s| s.id.0).collect();
+        let (shifted, next) = job.shifted(100);
+        let ids: Vec<u64> = shifted.tasks.keys().map(|t| t.0).collect();
         assert_eq!(ids, [103, 109]);
-        assert_eq!(specs[1].inputs.get(&TaskId(103)), Some(&8));
+        assert_eq!(
+            shifted.tasks[&TaskId(109)].inputs.get(&TaskId(103)),
+            Some(&8)
+        );
         assert_eq!(next, 110);
         let empty = Job::new("empty", Vec::new()).unwrap();
-        assert_eq!(empty.shifted(next), (Vec::new(), next));
+        assert_eq!(empty.shifted(next), (empty.clone(), next));
     }
 
     #[test]
@@ -266,5 +292,9 @@ mod tests {
             .unwrap();
         assert_eq!(agg_task.inputs.len(), 4);
         assert!(job.tasks.values().all(|t| t.system == "sql"));
+        // Every vertex is priced by its planned rows: none is a sink.
+        for v in phys.vertices() {
+            assert_eq!(job.planned_rows[&TaskId(v.id.0 as u64)], v.rows, "{}", v.op);
+        }
     }
 }

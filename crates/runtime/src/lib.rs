@@ -53,7 +53,7 @@ pub use chaos::{run_chaos, run_chaos_with, ChaosVerdict};
 pub use cluster::{Cluster, PerJobStats};
 pub use config::{AutoscaleConfig, Deployment, FtMode, Generation, RuntimeConfig};
 pub use error::RuntimeError;
-pub use executor::{Content, LengthOnly, Payload, ReadyTask, TaskExecutor};
+pub use executor::{Content, EdgeSize, LengthOnly, Payload, ReadyTask, TaskExecutor};
 pub use failure::{FailurePlan, Slowdown};
 pub use job::{job_from_physical, Job, JobStats};
 pub use placement::{NodeFacts, PlacementPolicy, PlacementStrategy, Placer};

@@ -11,8 +11,11 @@
 //! kernels the distributed data plane uses ([`shard::execute_shard`]).
 //! The pilot's *measured* outputs — not estimates — drive re-planning:
 //! for every keyed edge, the producer's real rows are hashed with the
-//! exact partitioner the shuffle will use, and consumers whose key space
-//! fills only `k < parallelism` buckets are re-lowered to `k` shards.
+//! exact partitioner the shuffle will use, and each keyed consumer is
+//! re-lowered to the fewest shards whose hottest shard gets no more rows
+//! than static lowering's hottest would. Empty shards go; keys static
+//! hashing kept apart are not stacked onto a hotter shard, since a
+//! shard's run is priced by the rows it is handed.
 //! The pilot only re-plans shard counts. Which side a join builds on is
 //! not part of it: every join, adaptive or not, builds on its smaller
 //! side (`exec::join_rows`).
@@ -33,7 +36,8 @@ use skadi_flowgraph::profile::ShardStats;
 use skadi_frontends::shard::{self, Part};
 
 /// One re-planning decision the pilot made: a keyed consumer re-sharded
-/// from the static default to the measured non-empty bucket count.
+/// from the static default to fewer shards, none hotter than static's
+/// hottest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Replan {
     /// The logical vertex whose shard count changed.
@@ -42,8 +46,7 @@ pub struct Replan {
     pub from_shards: u32,
     /// Shards after observing the pilot's key histogram.
     pub to_shards: u32,
-    /// The shuffle key whose histogram drove the decision (the widest
-    /// key, for consumers fed by several keyed edges).
+    /// The shuffle key of the consumer's first keyed input.
     pub key: String,
 }
 
@@ -102,12 +105,13 @@ fn pilot_outputs(
 }
 
 /// Runs the pilot pass and derives the re-plan list. For every keyed
-/// edge whose consumer would statically shard to
-/// `cfg.default_parallelism`, the producer's pilot output is partitioned
-/// with the exact shuffle hash; if only `k` buckets are non-empty the
-/// consumer re-lowers to `k` shards. Consumers fed by several keyed
-/// edges (joins) take the **max** non-empty count across their edges, so
-/// no side's keys collapse into fewer shards than they fill.
+/// consumer that would statically shard to `cfg.default_parallelism`,
+/// its producers' pilot outputs are partitioned with the exact shuffle
+/// hash, and a shard's load is the rows it would be handed over every
+/// keyed input (a join's two sides land on the same shard). The consumer
+/// re-lowers to the fewest shards whose hottest shard is no hotter than
+/// the static plan's: coalescing drops empty shards, but never stacks
+/// keys that static hashing kept apart onto a hotter shard.
 ///
 /// Infallible by design: a graph the pilot can't execute (missing exec
 /// descriptors, unknown tables) yields an empty plan — execution then
@@ -124,8 +128,8 @@ pub fn plan(
     let Some(outputs) = pilot_outputs(g, tables) else {
         return AdaptivePlan::default();
     };
-    // Widest measured need per consumer, and the key that set it.
-    let mut needed: BTreeMap<u32, (u32, String)> = BTreeMap::new();
+    // Each consumer's keyed inputs: the producer's pilot output and key.
+    let mut feeds: BTreeMap<u32, Vec<(&RecordBatch, &String)>> = BTreeMap::new();
     for e in g.edges() {
         let EdgeKind::Keyed(key) = &e.kind else {
             continue;
@@ -137,30 +141,33 @@ pub fn plan(
         if to.exec.as_ref().is_some_and(|x| x.requires_single_shard()) {
             continue;
         }
-        let Some(batch) = outputs.get(&e.from) else {
-            continue;
-        };
-        let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize) else {
-            continue;
-        };
-        let non_empty = buckets
-            .iter()
-            .filter(|rows| !rows.is_empty())
-            .count()
-            .max(1) as u32;
-        let entry = needed.entry(e.to.0).or_insert((0, key.clone()));
-        if non_empty > entry.0 {
-            *entry = (non_empty, key.clone());
+        if let Some(batch) = outputs.get(&e.from) {
+            feeds.entry(e.to.0).or_default().push((batch, key));
         }
     }
-    let replans = needed
+    let replans = feeds
         .into_iter()
-        .filter(|&(_, (k, _))| k < parts)
-        .map(|(v, (k, key))| Replan {
-            vertex: VertexId(v),
-            from_shards: parts,
-            to_shards: k,
-            key,
+        .filter_map(|(v, feeds)| {
+            // Rows per shard at `k` shards.
+            let load = |k: u32| {
+                let mut rows = vec![0usize; k as usize];
+                for &(batch, key) in &feeds {
+                    let buckets = shard::partition_by_key(batch, key, k as usize).ok()?;
+                    for (r, b) in rows.iter_mut().zip(&buckets) {
+                        *r += b.len();
+                    }
+                }
+                Some(rows)
+            };
+            let hottest = load(parts)?.into_iter().max();
+            let to_shards = (1..parts)
+                .find(|&k| load(k).is_some_and(|rows| rows.into_iter().max() <= hottest))?;
+            Some(Replan {
+                vertex: VertexId(v),
+                from_shards: parts,
+                to_shards,
+                key: feeds[0].1.clone(),
+            })
         })
         .collect();
     AdaptivePlan { replans }
@@ -210,6 +217,46 @@ mod tests {
         assert_eq!(r.key, "k");
         let lowered = p.apply(cfg);
         assert_eq!(lowered.overrides.get(&r.vertex), Some(&r.to_shards));
+    }
+
+    #[test]
+    fn pilot_keeps_hot_keys_apart() {
+        // Three keys, a third of the rows each: static hashing into 16
+        // shards keeps them apart, while 3 shards would stack two of them
+        // on one shard twice as hot.
+        let n = 3_000i64;
+        let t = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64, false),
+                Field::new("v", DataType::Int64, false),
+            ]),
+            vec![
+                Array::from_i64((0..n).map(|i| i % 3).collect()),
+                Array::from_i64((0..n).collect()),
+            ],
+        )
+        .unwrap();
+        let db = MemDb::new().register("t", t.clone());
+        let (g, _sink) =
+            sql::plan_sql("SELECT k, sum(v) FROM t GROUP BY k", &db.catalog()).unwrap();
+        let p = plan(
+            &g,
+            db.tables(),
+            &LowerConfig::new(16, BackendPolicy::cost_based()),
+        );
+        assert_eq!(p.replans.len(), 1, "{:?}", p.replans);
+        let hottest = |k: u32| {
+            let buckets = shard::partition_by_key(&t, "k", k as usize).unwrap();
+            buckets.iter().map(Vec::len).max().unwrap()
+        };
+        let to = p.replans[0].to_shards;
+        assert_eq!(hottest(16), 1_000);
+        assert_eq!(hottest(3), 2_000, "3 shards stack two keys");
+        assert_eq!(hottest(to), 1_000, "coalesced to {to}");
+        assert!(
+            (1..to).all(|k| hottest(k) > 1_000),
+            "{to} is not the fewest"
+        );
     }
 
     #[test]

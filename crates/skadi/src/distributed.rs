@@ -70,7 +70,7 @@ use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
 use skadi_frontends::shard::{self, Part};
 use skadi_frontends::sql::SqlError;
-use skadi_runtime::{Content, Payload, ReadyTask, TaskExecutor, TaskId};
+use skadi_runtime::{Content, EdgeSize, Payload, ReadyTask, TaskExecutor, TaskId};
 
 /// One shard's measured execution, recorded by [`GraphExecutor`].
 #[derive(Debug, Clone)]
@@ -336,14 +336,14 @@ struct PreparedShard {
 
 /// A finished shard run, waiting to be committed on the calling thread:
 /// the output batch, its frame's length, the compressed frame when the
-/// rule chose to store it so, each consumer's part and the bytes it
-/// reads, and measurements.
+/// rule chose to store it so, each consumer's part and the bytes and
+/// rows it reads, and measurements.
 struct ShardRun {
     out: RecordBatch,
     len: usize,
     packed: Option<Vec<u8>>,
     parts: Vec<(TaskId, Part)>,
-    edges: Vec<(TaskId, u64)>,
+    edges: Vec<(TaskId, EdgeSize)>,
     partition_passes: u64,
     wall: Duration,
     exec_stats: ShardStats,
@@ -498,15 +498,23 @@ impl GraphExecutor {
         let stored = packed.as_ref().map_or(len, Vec::len) as u64;
 
         // Divide the output once per split its consumers read, and size
-        // each consumer's part: a part of a compressed output is its plain
-        // length scaled by the output's stored/plain ratio, rounded up.
+        // each consumer's part: its rows, and its bytes — a part of a
+        // compressed output is its plain length scaled by the output's
+        // stored/plain ratio, rounded up.
         let mut splits: Vec<(&Split, Vec<Part>)> = Vec::new();
         let mut parts = Vec::with_capacity(p.consumers.len());
         let mut edges = Vec::with_capacity(p.consumers.len());
         for (c, share) in &p.consumers {
             let Some((split, shard)) = share else {
                 parts.push((*c, Part::whole(out.clone())));
-                edges.push((*c, stored));
+                let rows = out.num_rows() as u64;
+                edges.push((
+                    *c,
+                    EdgeSize {
+                        bytes: stored,
+                        rows,
+                    },
+                ));
                 continue;
             };
             let at = match splits.iter().position(|(s, _)| *s == split) {
@@ -521,9 +529,10 @@ impl GraphExecutor {
             };
             let part = splits[at].1[*shard as usize].clone();
             let plain = part.encoded_len() as u128;
-            let bytes = (plain * stored as u128).div_ceil(len.max(1) as u128);
+            let bytes = (plain * stored as u128).div_ceil(len.max(1) as u128) as u64;
+            let rows = part.num_rows() as u64;
             parts.push((*c, part));
-            edges.push((*c, bytes as u64));
+            edges.push((*c, EdgeSize { bytes, rows }));
         }
         let by_key = splits
             .iter()
@@ -662,12 +671,20 @@ mod tests {
                     .enumerate()
                     .map(|(i, p)| (TaskId(*p as u64), bytes.get(i).unwrap_or(&stored[p])))
                     .collect();
-                let mut consumers: Vec<(TaskId, u64)> = phys
+                let mut consumers: Vec<(TaskId, EdgeSize)> = phys
                     .out_edges(v)
                     .iter()
-                    .map(|e| (TaskId(e.to.0 as u64), e.bytes))
+                    .map(|e| {
+                        (
+                            TaskId(e.to.0 as u64),
+                            EdgeSize {
+                                bytes: e.bytes,
+                                rows: 0,
+                            },
+                        )
+                    })
                     .collect();
-                consumers.sort_unstable();
+                consumers.sort_unstable_by_key(|c| c.0);
                 let ready = ReadyTask {
                     task: TaskId(v.0 as u64),
                     inputs,

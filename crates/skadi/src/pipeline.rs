@@ -10,6 +10,8 @@
 //! same pipeline pays durable round-trips at every system boundary, which
 //! is exactly the Figure-1 comparison.
 
+use std::collections::BTreeMap;
+
 use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::optimize::optimize_graph;
 use skadi_frontends::mapreduce::MapReduceJob;
@@ -110,6 +112,7 @@ impl<'a> PipelineBuilder<'a> {
         let mut pe = 0usize;
 
         let mut all_tasks: Vec<TaskSpec> = Vec::new();
+        let mut planned_rows = BTreeMap::new();
         let mut offset: u64 = 0;
         let mut prev_terminals: Vec<(TaskId, u64)> = Vec::new();
 
@@ -130,8 +133,10 @@ impl<'a> PipelineBuilder<'a> {
             pe += compiled.phys.edges().len();
 
             // Re-ID this stage's tasks into the combined space.
-            let (mut renumbered, next) = compiled.job.shifted(offset);
+            let (shifted, next) = compiled.job.shifted(offset);
             offset = next;
+            planned_rows.extend(shifted.planned_rows);
+            let mut renumbered: Vec<TaskSpec> = shifted.tasks.into_values().collect();
 
             // Bridge from the previous stage's terminals to this stage's
             // roots: the downstream system consumes the upstream result.
@@ -172,7 +177,8 @@ impl<'a> PipelineBuilder<'a> {
             all_tasks.extend(renumbered);
         }
 
-        let job = Job::new(&self.name, all_tasks)?;
+        let mut job = Job::new(&self.name, all_tasks)?;
+        job.planned_rows = planned_rows;
         let report = JobReport {
             name: self.name.clone(),
             logical_vertices_before: before,

@@ -157,9 +157,10 @@ impl SessionBuilder {
     }
 
     /// Toggles the adaptive pilot (defaults to off). When on, distributed
-    /// SQL runs a single-sharded pilot pass first and re-plans keyed
-    /// consumers whose measured key histograms fill fewer shuffle buckets
-    /// than the default parallelism. The decision is a pure function of
+    /// SQL runs a single-sharded pilot pass first and re-plans each keyed
+    /// consumer to the fewest shards whose hottest shard, by the measured
+    /// key histograms, gets no more rows than at the default parallelism.
+    /// The decision is a pure function of
     /// the data — the collected result stays byte-identical to the static
     /// plan. Which side a join builds on is not part of it: every join
     /// builds on its smaller side, pilot or not.

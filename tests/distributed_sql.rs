@@ -399,9 +399,11 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
     use skadi::flowgraph::physical::PEdgeKind;
     use skadi::frontends::sql;
     use skadi::ir::BackendPolicy;
-    use skadi::runtime::{job_from_physical, Cluster, Payload, ReadyTask, TaskExecutor, TaskId};
+    use skadi::runtime::{
+        job_from_physical, Cluster, EdgeSize, Payload, ReadyTask, TaskExecutor, TaskId,
+    };
     use skadi::GraphExecutor;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     let topo = presets::small_disagg_cluster();
     for (db, queries) in [(golden_db(), QUERIES), (big_db(), BIG_QUERIES)] {
@@ -454,10 +456,18 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
                     .iter()
                     .map(|&p| (TaskId(p as u64), Payload::from(stored[p as usize].to_vec())))
                     .collect();
-                let consumers: BTreeSet<(TaskId, u64)> = phys
+                let consumers: BTreeMap<TaskId, EdgeSize> = phys
                     .out_edges(v)
                     .iter()
-                    .map(|e| (TaskId(e.to.0 as u64), e.bytes))
+                    .map(|e| {
+                        (
+                            TaskId(e.to.0 as u64),
+                            EdgeSize {
+                                bytes: e.bytes,
+                                rows: 0,
+                            },
+                        )
+                    })
                     .collect();
                 let ready = ReadyTask {
                     task: TaskId(v.0 as u64),
@@ -1643,5 +1653,131 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
             ipc::encode(&fused.batch).as_slice(),
             "{query}: optimizer off"
         );
+    }
+}
+
+/// The benchmark's `events` shape (`benchmark/src/data.rs`, seed 7):
+/// 65,536 rows over 1,024 users, half of them drawn from 16 hot users,
+/// so a shuffle on `user_id` hands its shards unequal parts; eight
+/// kinds; and `people` naming every user.
+fn hot_user_db() -> MemDb {
+    const USERS: u64 = 1_024;
+    let kinds = [
+        "click", "view", "purchase", "scroll", "hover", "login", "logout", "share",
+    ];
+    let mut rng = skadi_dcsim::rng::DetRng::seed(7).fork(1);
+    let (mut ids, mut kind, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..65_536 {
+        let users = if rng.chance(0.5) { 16 } else { USERS };
+        ids.push(rng.below(users) as i64);
+        kind.push(*rng.pick(&kinds));
+        values.push(rng.unit() * 10.0);
+    }
+    let events = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("user_id", DataType::Int64, false),
+            Field::new("kind", DataType::Utf8, false),
+            Field::new("value", DataType::Float64, false),
+        ]),
+        vec![
+            Array::from_i64(ids),
+            Array::from_utf8(&kind),
+            Array::from_f64(values),
+        ],
+    )
+    .unwrap();
+    let names: Vec<String> = (0..USERS).map(|n| format!("user-{n:04}")).collect();
+    let people = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("user_id", DataType::Int64, false),
+            Field::new("name", DataType::Utf8, false),
+        ]),
+        vec![
+            Array::from_i64((0..USERS as i64).collect()),
+            Array::from_utf8(&names),
+        ],
+    )
+    .unwrap();
+    MemDb::new()
+        .register("events", events)
+        .register("people", people)
+}
+
+/// A task's run time is priced from the rows its inputs hand it. Over
+/// the benchmark's hot-user `events`, the shards of a keyed consumer get
+/// unequal parts: each runs for its backend's launch plus its planned
+/// per-row compute times the rows it was handed — the hot shard longer
+/// than the cold ones, in proportion — while the answer stays the local
+/// engine's, byte for byte.
+#[test]
+fn a_hot_shard_is_priced_by_its_rows() {
+    use skadi::flowgraph::lower::{lower_graph, LowerConfig};
+    use skadi::flowgraph::optimize::optimize_graph;
+    use skadi::flowgraph::physical::PEdgeKind;
+    use skadi::frontends::sql;
+    use skadi::ir::BackendPolicy;
+    use std::collections::BTreeMap;
+
+    let db = hot_user_db();
+    let session = Session::builder()
+        .topology(presets::small_disagg_cluster())
+        .parallelism(4)
+        .runtime(RuntimeConfig::skadi_gen2().with_tracing(true))
+        .build();
+    // The `groupby` and `join` templates.
+    for (query, _, _) in &BENCHMARK_TEMPLATES[1..3] {
+        let run = session.sql_distributed(&db, query).unwrap();
+        assert_identical(&db, query, &run, "x4");
+
+        // The plan the session ran, lowered the same way.
+        let (mut graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+        optimize_graph(&mut graph);
+        let phys = lower_graph(&graph, &LowerConfig::new(4, BackendPolicy::cost_based())).unwrap();
+
+        let spans = run.report.stats.trace.spans();
+        let task_of: BTreeMap<_, _> = spans
+            .iter()
+            .filter_map(|s| Some((s.id, s.attr("task")?.to_string())))
+            .collect();
+        let ran: BTreeMap<String, f64> = spans
+            .iter()
+            .filter(|s| s.name == "run")
+            .map(|s| {
+                let task = task_of[&s.parent.unwrap()].clone();
+                (task, s.duration().as_secs_f64() * 1e6)
+            })
+            .collect();
+        let rows_in: BTreeMap<u64, usize> = run
+            .data_plane
+            .timings
+            .iter()
+            .map(|t| (t.task.0, t.rows_in))
+            .collect();
+
+        let keyed = phys.vertices().iter().filter(|v| {
+            let edges = phys.in_edges(v.id);
+            edges
+                .iter()
+                .any(|e| matches!(e.kind, PEdgeKind::Shuffle { .. }))
+        });
+        let mut per_op: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for v in keyed {
+            let rows = rows_in[&(v.id.0 as u64)];
+            let run_us = ran[&format!("t{}", v.id.0)];
+            let launch = v.backend.launch_us();
+            let want = launch + (v.compute_us - launch) / v.rows as f64 * rows as f64;
+            assert!(
+                (run_us - want).abs() < 2e-3,
+                "{query}: {} shard {} ran {run_us} µs for {rows} rows, want {want}",
+                v.op,
+                v.shard
+            );
+            per_op.entry(v.op_id).or_default().push(rows);
+        }
+        assert!(!per_op.is_empty(), "{query}: no keyed consumer");
+        for (op, rows) in per_op {
+            let (lo, hi) = (rows.iter().min().unwrap(), rows.iter().max().unwrap());
+            assert!(hi > lo, "{query}: op {op}'s shards got equal rows {rows:?}");
+        }
     }
 }
