@@ -3,8 +3,8 @@
 //! This stands in for Arrow IPC: encode writes the schema header followed
 //! by the raw column buffers; decode reconstructs arrays whose buffers
 //! *alias* the wire bytes (O(1) per buffer, no per-value work). Experiment
-//! E9 contrasts this with [`crate::marshal`], the conventional
-//! row-at-a-time baseline.
+//! E9 contrasts this with the conventional row-at-a-time marshalling
+//! baseline the bench crate keeps.
 //!
 //! Layout (all integers little-endian):
 //!

@@ -18,9 +18,10 @@
 //!   paths use to shrink IPC frames (and therefore measured bytes).
 //! - [`compute`]: basic kernels (filter/take/aggregate/compare/hash) used
 //!   by the simulated operators.
-//! - [`marshal`]: a deliberately conventional row-at-a-time format with
-//!   per-value tags and string copies — the "costly data marshalling"
-//!   baseline that experiment E9 compares against.
+//!
+//! The "costly data marshalling" baseline experiment E9 compares the IPC
+//! format against — row at a time, per-value tags, string copies — lives
+//! with the experiments in the bench crate: one format ships.
 //!
 //! # Examples
 //!
@@ -54,7 +55,6 @@ pub mod compute;
 pub mod datatype;
 pub mod error;
 pub mod ipc;
-pub mod marshal;
 pub mod schema;
 
 pub use array::Array;

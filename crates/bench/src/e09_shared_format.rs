@@ -8,9 +8,10 @@
 
 use std::time::Instant;
 
+use skadi::arrow::ipc;
 use skadi::arrow::prelude::*;
-use skadi::arrow::{ipc, marshal};
 
+use crate::marshal;
 use crate::table::Table;
 
 /// Builds a realistic mixed-type batch with `rows` rows.

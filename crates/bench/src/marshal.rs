@@ -5,17 +5,19 @@
 //! copy every string, and re-parse on the other side. The Skadi paper
 //! (§1, data-plane benefit 2) argues that a shared columnar format
 //! eliminates this per-value work; experiment E9 measures the difference
-//! against [`crate::ipc`].
+//! against [`skadi_arrow::ipc`]. Bench and test only: one columnar format
+//! ships, and CI greps that nothing under `crates/*/src` outside this
+//! crate names this one.
 //!
 //! Layout per row, per column: `tag u8` (0 = null, else type tag + 1)
 //! followed by the value (`i64`/`f64` as 8 LE bytes, bool as 1 byte,
 //! strings as `u32 len | bytes`).
 
-use crate::array::{Array, Value};
-use crate::batch::RecordBatch;
-use crate::datatype::DataType;
-use crate::error::ArrowError;
-use crate::schema::{Field, Schema};
+use skadi_arrow::array::{Array, Value};
+use skadi_arrow::batch::RecordBatch;
+use skadi_arrow::datatype::DataType;
+use skadi_arrow::error::ArrowError;
+use skadi_arrow::schema::{Field, Schema};
 
 /// Serializes a batch row-by-row with per-value tags and string copies.
 pub fn to_rows(batch: &RecordBatch) -> Vec<u8> {
@@ -199,7 +201,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("s", DataType::Utf8, false)]);
         let b = RecordBatch::try_new(schema, vec![Array::from_utf8(&strings)]).unwrap();
         let rows = to_rows(&b).len();
-        let ipc = crate::ipc::encode(&b).len();
+        let ipc = skadi_arrow::ipc::encode(&b).len();
         assert!(rows as f64 > ipc as f64 * 0.9, "rows={rows} ipc={ipc}");
     }
 }

@@ -8,7 +8,6 @@ use skadi_dcsim::engine::EventQueue;
 use skadi_dcsim::span::Category;
 use skadi_dcsim::time::{SimDuration, SimTime};
 use skadi_dcsim::topology::NodeId;
-use skadi_ownership::resolve::{resolve, ResolveScenario, ResolveSpanCtx};
 use skadi_store::placement::SpillEvent;
 use skadi_store::spill::SpillTarget;
 
@@ -18,6 +17,7 @@ use super::{node_rate, Cluster, Event};
 use crate::config::{Deployment, FtMode};
 use crate::error::RuntimeError;
 use crate::executor::{Payload, ReadyTask};
+use crate::resolve::{resolve, ResolveScenario, ResolveSpanCtx};
 use crate::task::TaskState;
 
 impl Cluster {
@@ -88,7 +88,6 @@ impl Cluster {
             staged.push((producer.spec.id, Rc::clone(payload)));
         }
 
-        let route = self.cfg.generation.route_policy();
         let umbrella = self.span_of(t);
         let mut available = now;
         for (&p, (_, payload)) in inputs.iter().zip(&staged) {
@@ -171,7 +170,7 @@ impl Cluster {
                     self.cfg.resolution,
                     &mut self.net,
                     &scenario,
-                    &route,
+                    self.cfg.generation,
                     &mut self.tracer,
                     &ctx,
                 );

@@ -88,11 +88,10 @@ impl Cluster {
             .count();
         self.metrics.add("failover_rehomed_rows", rehomed as u64);
 
-        // Placement state survives the failover: the strategy cursor is
-        // tiny scheduler metadata the peers replicate, so the rotation
-        // resumes where the dead scheduler stopped instead of re-placing
-        // from the start (double-placing under round-robin).
-        self.placer.rebuild_for_failover();
+        // Placement state survives the failover untouched: the placer's
+        // cursor is tiny scheduler metadata the peers replicate, so the
+        // rotation resumes where the dead scheduler stopped instead of
+        // re-placing from the start (double-placing under round-robin).
         // The autoscaler resumes from what the surviving raylets report
         // as the provisioned pool; the cost ledger carries over.
         let provisioned = self.provisioned().count() as u32;

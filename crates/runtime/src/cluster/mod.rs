@@ -208,7 +208,6 @@ impl Cluster {
             // Gen-1 and the baselines spill straight to durable storage.
             use_disagg_memory: matches!(cfg.generation, crate::config::Generation::Gen2)
                 && cfg.deployment == Deployment::DistributedRuntime,
-            allow_drop_for_lineage: false,
         };
         let nodes = NodeTable::new(topo);
         Cluster {

@@ -93,8 +93,7 @@ impl Cluster {
         let arrival = match carry {
             Carry::Control | Carry::Dispatch { routed: false } => self.net.control(now, from, to),
             Carry::Dispatch { routed: true } => {
-                let route = self.cfg.generation.route_policy();
-                route.control(&mut self.net, now, from, to)
+                self.cfg.generation.control(&mut self.net, now, from, to)
             }
             Carry::Bytes(bytes) => self.net.transfer(now, from, to, bytes).arrival,
         };

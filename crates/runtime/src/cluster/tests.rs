@@ -486,6 +486,91 @@ mod run_tests {
         }
     }
 
+    /// The placer's cursor is scheduler metadata the peers replicate: an
+    /// election leaves it exactly where the dead scheduler left it, under
+    /// every policy, and the next round-robin placement takes the next
+    /// node of the rotation.
+    #[test]
+    fn failover_resumes_the_placement_cursor() {
+        use crate::placement::PlacementPolicy;
+
+        let topo = presets::small_disagg_cluster();
+        let job = fanout_job(12, 500.0, 1 << 12);
+        let head = topo.servers()[0];
+        let plan = FailurePlan::none().kill_and_recover(
+            head,
+            SimTime::from_micros(700),
+            SimTime::from_micros(2_500),
+        );
+        for policy in PlacementPolicy::ALL {
+            let cfg = RuntimeConfig::skadi_gen2().with_placement(policy);
+            let mut c = Cluster::new(&topo, cfg);
+            let mut queue = c.start(&job, &plan, &HashMap::new()).unwrap();
+            // The cursor the dead scheduler left, once it is dead.
+            let mut left: Option<u64> = None;
+            let mut elected = false;
+            let mut resumed = false;
+            while let Some((now, ev)) = queue.pop() {
+                let dispatched: BTreeSet<Slot> = c
+                    .tasks
+                    .iter()
+                    .filter(|(_, r)| r.state() == TaskState::Dispatched)
+                    .map(|(s, _)| s)
+                    .collect();
+                let before = c.placer.cursor();
+                c.handle(now, ev, &mut queue);
+                assert!(c.fatal.is_none(), "{policy}: run failed");
+                if !c.scheduler_alive {
+                    assert_eq!(*left.get_or_insert(before), c.placer.cursor());
+                }
+                if matches!(ev, Event::Elect) && c.scheduler_alive && !elected {
+                    elected = true;
+                    let left = left.expect("the scheduler died before the election");
+                    assert_eq!(
+                        c.placer.cursor(),
+                        left,
+                        "{policy}: election moved the cursor"
+                    );
+                }
+                let stepped = c.placer.cursor() != before;
+                if policy == PlacementPolicy::RoundRobin && elected && stepped && !resumed {
+                    resumed = true;
+                    let placed: Vec<Slot> = c
+                        .tasks
+                        .iter()
+                        .filter(|(s, r)| {
+                            r.state() == TaskState::Dispatched && !dispatched.contains(s)
+                        })
+                        .map(|(s, _)| s)
+                        .collect();
+                    assert_eq!(placed.len(), 1);
+                    let eligible = c.nodes.alive(Backend::Cpu);
+                    let next = eligible[(before % eligible.len() as u64) as usize];
+                    assert_eq!(c.tasks[placed[0]].at.node, Some(next));
+                    assert_eq!(c.placer.cursor(), before + 1);
+                }
+                if c.job_done() {
+                    break;
+                }
+            }
+            assert!(elected, "{policy}: no election");
+            assert!(c.job_done(), "{policy}: the run did not finish");
+            let rotating = matches!(
+                policy,
+                PlacementPolicy::RoundRobin | PlacementPolicy::LoadAware
+            );
+            if rotating {
+                assert!(
+                    left.unwrap() > 0,
+                    "{policy}: nothing placed before the kill"
+                );
+            }
+            if policy == PlacementPolicy::RoundRobin {
+                assert!(resumed, "nothing placed after the election");
+            }
+        }
+    }
+
     /// Destroying every server and device forever must end in a clean
     /// `TaskAbandoned`/`Stalled`, not a hang and not a silently-partial
     /// `Ok` (which is what the pre-failover runtime returned).

@@ -7,11 +7,17 @@
 //! Because all deployments run on the same simulator, comparisons are
 //! apples-to-apples.
 
-use skadi_dcsim::time::SimDuration;
-use skadi_ownership::resolve::{ResolutionMode, RoutePolicy};
+use skadi_dcsim::network::Network;
+use skadi_dcsim::time::{SimDuration, SimTime};
+use skadi_dcsim::topology::NodeId;
 use skadi_store::ec::EcConfig;
 
 use crate::placement::PlacementPolicy;
+use crate::resolve::ResolutionMode;
+
+/// Per-message processing cost of a Gen-2 device-resident raylet: small
+/// but not free.
+const DEVICE_RAYLET_OVERHEAD: SimDuration = SimDuration::from_nanos(500);
 
 /// The hardware generation of the stateful serverless runtime (§2.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,20 +29,55 @@ pub enum Generation {
 }
 
 impl Generation {
-    /// The message routing this generation implies.
-    pub fn route_policy(self) -> RoutePolicy {
-        match self {
-            Generation::Gen1 => RoutePolicy::GEN1,
-            Generation::Gen2 => RoutePolicy::GEN2,
-        }
-    }
-
     /// The default resolution protocol of this generation.
     pub fn default_resolution(self) -> ResolutionMode {
         match self {
             Generation::Gen1 => ResolutionMode::Pull,
             Generation::Gen2 => ResolutionMode::Push,
         }
+    }
+
+    /// Per-message overhead paid at `node` when a message reaches or
+    /// leaves it. A regular server runs its raylet on the host CPU under
+    /// either generation and pays nothing. On a DPU-fronted device, Gen-1
+    /// detours every message through the DPU — its processing delay plus
+    /// the internal PCIe hop in both directions — while Gen-2's
+    /// device-resident raylet handles it locally.
+    pub(crate) fn endpoint_overhead(self, net: &Network, node: NodeId) -> SimDuration {
+        let dpu = net.dpu_delay(node);
+        if dpu.is_zero() {
+            return SimDuration::ZERO;
+        }
+        match self {
+            Generation::Gen1 => dpu + net.internal_hop(node) * 2,
+            Generation::Gen2 => DEVICE_RAYLET_OVERHEAD,
+        }
+    }
+
+    /// Prices one control message from `from` to `to` sent at `now`,
+    /// paying this generation's endpoint overhead on both ends.
+    pub(crate) fn control(
+        self,
+        net: &mut Network,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+    ) -> SimTime {
+        let depart = now + self.endpoint_overhead(net, from);
+        net.control(depart, from, to) + self.endpoint_overhead(net, to)
+    }
+
+    /// Prices one bulk transfer the same way.
+    pub(crate) fn data(
+        self,
+        net: &mut Network,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> SimTime {
+        let depart = now + self.endpoint_overhead(net, from);
+        net.transfer(depart, from, to, bytes).arrival + self.endpoint_overhead(net, to)
     }
 }
 
@@ -300,8 +341,26 @@ mod tests {
     fn generations_pick_their_protocols() {
         assert_eq!(Generation::Gen1.default_resolution(), ResolutionMode::Pull);
         assert_eq!(Generation::Gen2.default_resolution(), ResolutionMode::Push);
-        assert!(Generation::Gen1.route_policy().dpu_detour);
-        assert!(!Generation::Gen2.route_policy().dpu_detour);
+    }
+
+    #[test]
+    fn only_device_endpoints_pay_routing_overhead() {
+        use skadi_dcsim::network::LinkParams;
+        use skadi_dcsim::topology::presets;
+
+        let topo = presets::device_rack();
+        let net = Network::new(&topo, LinkParams::default());
+        let (server, dev) = (topo.servers()[0], topo.accel_devices(None)[0]);
+        for g in [Generation::Gen1, Generation::Gen2] {
+            assert_eq!(g.endpoint_overhead(&net, server), SimDuration::ZERO);
+        }
+        let gen1 = Generation::Gen1.endpoint_overhead(&net, dev);
+        assert_eq!(gen1, net.dpu_delay(dev) + net.internal_hop(dev) * 2);
+        assert_eq!(
+            Generation::Gen2.endpoint_overhead(&net, dev),
+            DEVICE_RAYLET_OVERHEAD
+        );
+        assert!(DEVICE_RAYLET_OVERHEAD < gen1);
     }
 
     #[test]

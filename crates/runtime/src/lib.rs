@@ -23,8 +23,11 @@
 //! - [`task`]: task specs, IDs, lifecycle states.
 //! - [`config`]: [`RuntimeConfig`] — generation, resolution protocol,
 //!   placement policy, deployment model, fault-tolerance mode.
-//! - [`placement`]: pluggable placement policies (data-centric,
-//!   load-only, round-robin, power-of-k load-aware, work-stealing).
+//! - [`placement`]: the five placement policies (data-centric,
+//!   load-only, round-robin, power-of-k load-aware, work-stealing) and
+//!   the [`Placer`] that applies one with its cursor.
+//! - [`resolve`]: pull and push future resolution, priced on the fabric
+//!   and routed per [`Generation`].
 //! - [`scheduler`]: gang scheduling and the device autoscaler.
 //! - [`cluster`]: the event-driven cluster simulation ([`Cluster`]):
 //!   one dense task table and one node table (`cluster::table`), the
@@ -46,6 +49,7 @@ pub mod executor;
 pub mod failure;
 pub mod job;
 pub mod placement;
+pub mod resolve;
 pub mod scheduler;
 pub mod task;
 
@@ -56,5 +60,6 @@ pub use error::RuntimeError;
 pub use executor::{Content, EdgeSize, LengthOnly, Payload, ReadyTask, TaskExecutor};
 pub use failure::{FailurePlan, Slowdown};
 pub use job::{job_from_physical, Job, JobStats};
-pub use placement::{NodeFacts, PlacementPolicy, PlacementStrategy, Placer};
+pub use placement::{NodeFacts, PlacementPolicy, Placer};
+pub use resolve::ResolutionMode;
 pub use task::{ActorId, TaskId, TaskSpec, TaskState};

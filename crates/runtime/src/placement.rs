@@ -1,11 +1,10 @@
-//! Pluggable task-placement policies.
+//! Task-placement policies.
 //!
 //! The centralized scheduler delegates every "which node runs this
-//! task?" decision to a [`Placer`], which dispatches through a
-//! [`PlacementStrategy`] trait object selected by the
-//! [`PlacementPolicy`] config knob. Three classic policies ship from the
-//! paper's experiments (data-centric, load-only, round-robin) plus two
-//! scale-oriented ones:
+//! task?" decision to a [`Placer`]: the [`PlacementPolicy`] config knob
+//! and a cursor, with one `place` that matches on the policy. Three
+//! classic policies ship from the paper's experiments (data-centric,
+//! load-only, round-robin) plus two scale-oriented ones:
 //!
 //! - [`PlacementPolicy::LoadAware`] — TD-Orch-style power-of-k-choices:
 //!   instead of scanning every eligible node, sample `k` candidates
@@ -20,12 +19,11 @@
 //!
 //! # Determinism and failover
 //!
-//! Every strategy is a pure function of `(eligible, facts, cursor)`:
-//! no wall clock, no ambient randomness. Stateful strategies expose
-//! their cursor via [`Placer::cursor`], and a newly elected scheduler
-//! restores it ([`Placer::rebuild_for_failover`]) so, e.g., round-robin
-//! resumes where the dead scheduler stopped instead of re-placing from
-//! the start of the rotation.
+//! Every policy is a pure function of `(eligible, facts, cursor)`: no
+//! wall clock, no ambient randomness. The cursor is the placer's only
+//! state, and a newly elected scheduler keeps the placer as the dead one
+//! left it, so, e.g., round-robin resumes where the dead scheduler
+//! stopped instead of re-placing from the start of the rotation.
 
 use skadi_dcsim::topology::NodeId;
 
@@ -111,86 +109,6 @@ pub struct NodeFacts {
     pub free_slots: u32,
 }
 
-/// One placement algorithm. Implementations must be pure functions of
-/// `(eligible, facts)` plus their own cursor — never of wall clock or
-/// ambient randomness — so simulations replay identically.
-pub trait PlacementStrategy: std::fmt::Debug + Send {
-    /// Picks a node among `eligible` (non-empty). `facts` supplies
-    /// per-node information; strategies should touch as few nodes as
-    /// they can (the facts closure may be expensive).
-    fn place(&mut self, eligible: &[NodeId], facts: &dyn Fn(NodeId) -> NodeFacts)
-        -> Option<NodeId>;
-
-    /// Opaque cursor state that must survive scheduler failover. The
-    /// default (stateless strategy) is zero.
-    fn cursor(&self) -> u64 {
-        0
-    }
-
-    /// Restores a cursor captured by [`PlacementStrategy::cursor`].
-    fn restore_cursor(&mut self, _cursor: u64) {}
-}
-
-/// Data-centric: most local bytes, then least load, then lowest ID.
-#[derive(Debug, Default)]
-struct DataCentric;
-
-impl PlacementStrategy for DataCentric {
-    fn place(
-        &mut self,
-        eligible: &[NodeId],
-        facts: &dyn Fn(NodeId) -> NodeFacts,
-    ) -> Option<NodeId> {
-        eligible.iter().copied().min_by_key(|n| {
-            let f = facts(*n);
-            (std::cmp::Reverse(f.local_input_bytes), f.load, *n)
-        })
-    }
-}
-
-/// Load-only: least load, then most free slots, then lowest ID.
-#[derive(Debug, Default)]
-struct LoadOnly;
-
-impl PlacementStrategy for LoadOnly {
-    fn place(
-        &mut self,
-        eligible: &[NodeId],
-        facts: &dyn Fn(NodeId) -> NodeFacts,
-    ) -> Option<NodeId> {
-        eligible.iter().copied().min_by_key(|n| {
-            let f = facts(*n);
-            (f.load, std::cmp::Reverse(f.free_slots), *n)
-        })
-    }
-}
-
-/// Round-robin rotation over the eligible list.
-#[derive(Debug, Default)]
-struct RoundRobin {
-    cursor: u64,
-}
-
-impl PlacementStrategy for RoundRobin {
-    fn place(
-        &mut self,
-        eligible: &[NodeId],
-        _facts: &dyn Fn(NodeId) -> NodeFacts,
-    ) -> Option<NodeId> {
-        let n = eligible[(self.cursor % eligible.len() as u64) as usize];
-        self.cursor += 1;
-        Some(n)
-    }
-
-    fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    fn restore_cursor(&mut self, cursor: u64) {
-        self.cursor = cursor;
-    }
-}
-
 /// SplitMix64: a tiny, stable mixing function. Used to derive the
 /// power-of-k sample positions from the decision cursor so sampling is
 /// reproducible (and survives failover with the cursor).
@@ -202,7 +120,7 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of candidates the power-of-k strategy samples per decision.
+/// Number of candidates the power-of-k policy samples per decision.
 const K_CHOICES: usize = 4;
 
 /// One queued task is worth this many bytes of locality: a candidate
@@ -210,142 +128,56 @@ const K_CHOICES: usize = 4;
 /// more input bytes than an idle one to win.
 const LOCALITY_TRADE_BYTES: u64 = 4 << 20;
 
-/// Power-of-k-choices with a locality/queue-depth trade-off.
-#[derive(Debug, Default)]
-struct LoadAware {
-    cursor: u64,
-}
-
-impl LoadAware {
-    /// The `k` distinct sample positions for decision `cursor` over a
-    /// list of `len` nodes (all positions when `len <= k`).
-    fn samples(cursor: u64, len: usize) -> Vec<usize> {
-        if len <= K_CHOICES {
-            return (0..len).collect();
+/// The `k` distinct power-of-k sample positions for decision `cursor`
+/// over a list of `len` nodes (all positions when `len <= k`).
+fn samples(cursor: u64, len: usize) -> Vec<usize> {
+    if len <= K_CHOICES {
+        return (0..len).collect();
+    }
+    let mut picked: Vec<usize> = Vec::with_capacity(K_CHOICES);
+    for j in 0..K_CHOICES as u64 {
+        let mut idx = (splitmix64(cursor.wrapping_mul(K_CHOICES as u64).wrapping_add(j))
+            % len as u64) as usize;
+        // Linear-probe past duplicates; k << len keeps this short.
+        while picked.contains(&idx) {
+            idx = (idx + 1) % len;
         }
-        let mut picked: Vec<usize> = Vec::with_capacity(K_CHOICES);
-        for j in 0..K_CHOICES as u64 {
-            let mut idx = (splitmix64(cursor.wrapping_mul(K_CHOICES as u64).wrapping_add(j))
-                % len as u64) as usize;
-            // Linear-probe past duplicates; k << len keeps this short.
-            while picked.contains(&idx) {
-                idx = (idx + 1) % len;
-            }
-            picked.push(idx);
-        }
-        picked
+        picked.push(idx);
     }
+    picked
 }
 
-impl PlacementStrategy for LoadAware {
-    fn place(
-        &mut self,
-        eligible: &[NodeId],
-        facts: &dyn Fn(NodeId) -> NodeFacts,
-    ) -> Option<NodeId> {
-        let samples = Self::samples(self.cursor, eligible.len());
-        self.cursor += 1;
-        samples.into_iter().map(|i| eligible[i]).min_by_key(|n| {
-            let f = facts(*n);
-            // Queue depth priced in locality bytes; the node whose
-            // queue outweighs its locality the least wins. Ties:
-            // deeper locality, more free slots, lowest ID.
-            let score = (f.load as u64)
-                .saturating_mul(LOCALITY_TRADE_BYTES)
-                .saturating_sub(f.local_input_bytes);
-            (
-                score,
-                std::cmp::Reverse(f.local_input_bytes),
-                std::cmp::Reverse(f.free_slots),
-                *n,
-            )
-        })
-    }
-
-    fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    fn restore_cursor(&mut self, cursor: u64) {
-        self.cursor = cursor;
-    }
+/// Least load, then most free slots, then lowest ID.
+fn least_loaded(eligible: &[NodeId], facts: impl Fn(NodeId) -> NodeFacts) -> Option<NodeId> {
+    eligible.iter().copied().min_by_key(|n| {
+        let f = facts(*n);
+        (f.load, std::cmp::Reverse(f.free_slots), *n)
+    })
 }
 
-/// Idle-first with rotation; least-loaded fallback.
-#[derive(Debug, Default)]
-struct WorkStealing {
-    cursor: u64,
-}
-
-impl PlacementStrategy for WorkStealing {
-    fn place(
-        &mut self,
-        eligible: &[NodeId],
-        facts: &dyn Fn(NodeId) -> NodeFacts,
-    ) -> Option<NodeId> {
-        let idle: Vec<NodeId> = eligible
-            .iter()
-            .copied()
-            .filter(|n| {
-                let f = facts(*n);
-                f.load == 0 && f.free_slots > 0
-            })
-            .collect();
-        if !idle.is_empty() {
-            // Rotate through the idle set so consecutive pulls spread:
-            // each idle node takes the next ready task in turn.
-            let n = idle[(self.cursor % idle.len() as u64) as usize];
-            self.cursor += 1;
-            return Some(n);
-        }
-        eligible.iter().copied().min_by_key(|n| {
-            let f = facts(*n);
-            (f.load, std::cmp::Reverse(f.free_slots), *n)
-        })
-    }
-
-    fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    fn restore_cursor(&mut self, cursor: u64) {
-        self.cursor = cursor;
-    }
-}
-
-fn strategy_for(policy: PlacementPolicy) -> Box<dyn PlacementStrategy> {
-    match policy {
-        PlacementPolicy::DataCentric => Box::new(DataCentric),
-        PlacementPolicy::LoadOnly => Box::new(LoadOnly),
-        PlacementPolicy::RoundRobin => Box::new(RoundRobin::default()),
-        PlacementPolicy::LoadAware => Box::new(LoadAware::default()),
-        PlacementPolicy::WorkStealing => Box::new(WorkStealing::default()),
-    }
-}
-
-/// The centralized placement engine: policy knob + strategy object.
-#[derive(Debug)]
+/// The centralized placement engine: a policy and its cursor.
+///
+/// The cursor counts the decisions that rotate or sample — every
+/// round-robin and power-of-k decision, and every work-stealing decision
+/// that finds an idle node; data-centric and load-only never move it. It
+/// is the scheduler metadata the peers replicate, so a newly elected
+/// scheduler resumes the rotation where the dead one stopped instead of
+/// re-placing from its start (double-placing under round-robin).
+#[derive(Debug, Clone)]
 pub struct Placer {
     policy: PlacementPolicy,
-    strategy: Box<dyn PlacementStrategy>,
+    cursor: u64,
 }
 
 impl Placer {
     /// Creates a placer with the given policy.
     pub fn new(policy: PlacementPolicy) -> Self {
-        Placer {
-            policy,
-            strategy: strategy_for(policy),
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
+        Placer { policy, cursor: 0 }
     }
 
     /// Picks a node among `eligible` (must be non-empty to return Some).
-    /// `facts` supplies per-node information.
+    /// `facts` supplies per-node information; a policy touches as few
+    /// nodes as it can, so the closure may be expensive.
     pub fn place(
         &mut self,
         eligible: &[NodeId],
@@ -354,37 +186,64 @@ impl Placer {
         if eligible.is_empty() {
             return None;
         }
-        self.strategy.place(eligible, &facts)
+        match self.policy {
+            // Most local bytes, then least load, then lowest ID.
+            PlacementPolicy::DataCentric => eligible.iter().copied().min_by_key(|n| {
+                let f = facts(*n);
+                (std::cmp::Reverse(f.local_input_bytes), f.load, *n)
+            }),
+            PlacementPolicy::LoadOnly => least_loaded(eligible, facts),
+            PlacementPolicy::RoundRobin => Some(self.rotate(eligible)),
+            PlacementPolicy::LoadAware => {
+                let picked = samples(self.cursor, eligible.len());
+                self.cursor += 1;
+                picked.into_iter().map(|i| eligible[i]).min_by_key(|n| {
+                    let f = facts(*n);
+                    // Queue depth priced in locality bytes; the node whose
+                    // queue outweighs its locality the least wins. Ties:
+                    // deeper locality, more free slots, lowest ID.
+                    let score = (f.load as u64)
+                        .saturating_mul(LOCALITY_TRADE_BYTES)
+                        .saturating_sub(f.local_input_bytes);
+                    (
+                        score,
+                        std::cmp::Reverse(f.local_input_bytes),
+                        std::cmp::Reverse(f.free_slots),
+                        *n,
+                    )
+                })
+            }
+            PlacementPolicy::WorkStealing => {
+                let idle: Vec<NodeId> = eligible
+                    .iter()
+                    .copied()
+                    .filter(|n| {
+                        let f = facts(*n);
+                        f.load == 0 && f.free_slots > 0
+                    })
+                    .collect();
+                if idle.is_empty() {
+                    return least_loaded(eligible, facts);
+                }
+                // Rotate through the idle set so consecutive pulls
+                // spread: each idle node takes the next ready task in
+                // turn.
+                Some(self.rotate(&idle))
+            }
+        }
     }
 
-    /// The strategy's cursor (replicated to peers as scheduler metadata,
-    /// so failover can resume the rotation).
+    /// The next node of a rotation over `nodes` (non-empty).
+    fn rotate(&mut self, nodes: &[NodeId]) -> NodeId {
+        let n = nodes[(self.cursor % nodes.len() as u64) as usize];
+        self.cursor += 1;
+        n
+    }
+
+    /// The placement cursor (replicated to peers as scheduler metadata,
+    /// so failover resumes the rotation).
     pub fn cursor(&self) -> u64 {
-        self.strategy.cursor()
-    }
-
-    /// Restores a cursor captured by [`Placer::cursor`].
-    pub fn restore_cursor(&mut self, cursor: u64) {
-        self.strategy.restore_cursor(cursor);
-    }
-
-    /// Rebuilds the strategy on a newly elected scheduler, carrying the
-    /// cursor forward: the rotation state is tiny scheduler metadata the
-    /// peers replicate, so a failover must not restart it (a reset
-    /// cursor would re-place the next tasks on nodes the dead scheduler
-    /// already loaded — double-placing under round-robin).
-    pub fn rebuild_for_failover(&mut self) {
-        let cursor = self.strategy.cursor();
-        self.strategy = strategy_for(self.policy);
-        self.strategy.restore_cursor(cursor);
-    }
-}
-
-impl Clone for Placer {
-    fn clone(&self) -> Self {
-        let mut p = Placer::new(self.policy);
-        p.restore_cursor(self.cursor());
-        p
+        self.cursor
     }
 }
 
@@ -484,8 +343,8 @@ mod tests {
 
     #[test]
     fn load_aware_samples_are_deterministic_and_distinct() {
-        let a = LoadAware::samples(42, 100);
-        let b = LoadAware::samples(42, 100);
+        let a = samples(42, 100);
+        let b = samples(42, 100);
         assert_eq!(a, b);
         assert_eq!(a.len(), K_CHOICES);
         let mut uniq = a.clone();
@@ -493,7 +352,7 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), K_CHOICES, "samples must be distinct: {a:?}");
         // Small clusters degrade to a full scan.
-        assert_eq!(LoadAware::samples(7, 3), vec![0, 1, 2]);
+        assert_eq!(samples(7, 3), vec![0, 1, 2]);
     }
 
     #[test]
@@ -556,32 +415,31 @@ mod tests {
     }
 
     #[test]
-    fn cursor_survives_rebuild() {
-        for policy in [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::LoadAware,
-            PlacementPolicy::WorkStealing,
+    fn only_rotating_and_sampling_decisions_move_the_cursor() {
+        let idle = |_| NodeFacts {
+            local_input_bytes: 0,
+            load: 0,
+            free_slots: 1,
+        };
+        let busy = |_| NodeFacts {
+            local_input_bytes: 0,
+            load: 1,
+            free_slots: 0,
+        };
+        for (policy, steps) in [
+            (PlacementPolicy::DataCentric, [0, 0]),
+            (PlacementPolicy::LoadOnly, [0, 0]),
+            (PlacementPolicy::RoundRobin, [1, 1]),
+            (PlacementPolicy::LoadAware, [1, 1]),
+            (PlacementPolicy::WorkStealing, [1, 0]),
         ] {
-            let f = |_| NodeFacts {
-                local_input_bytes: 0,
-                load: 0,
-                free_slots: 1,
-            };
-            let eligible = nodes(5);
-            let mut uninterrupted = Placer::new(policy);
-            let mut failing_over = Placer::new(policy);
-            for _ in 0..3 {
-                uninterrupted.place(&eligible, f);
-                failing_over.place(&eligible, f);
-            }
-            failing_over.rebuild_for_failover();
-            for _ in 0..7 {
-                assert_eq!(
-                    uninterrupted.place(&eligible, f),
-                    failing_over.place(&eligible, f),
-                    "{policy}: cursor lost across failover"
-                );
-            }
+            let mut p = Placer::new(policy);
+            p.place(&nodes(5), idle);
+            assert_eq!(p.cursor(), steps[0], "{policy}: idle step");
+            p.place(&nodes(5), busy);
+            assert_eq!(p.cursor(), steps[0] + steps[1], "{policy}: busy step");
+            p.place(&[], idle);
+            assert_eq!(p.cursor(), steps[0] + steps[1], "{policy}: empty step");
         }
     }
 

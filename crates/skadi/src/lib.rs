@@ -37,13 +37,12 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`skadi_dcsim`] | discrete-event simulator of the disaggregated DC |
-//! | [`skadi_arrow`] | columnar shared format (+ costly marshalling baseline) |
+//! | [`skadi_arrow`] | columnar shared format, kernels, IPC and block compression |
 //! | [`skadi_store`] | object store, tiered caching layer, replication, EC |
-//! | [`skadi_ownership`] | pull/push future resolution over the ownership model |
 //! | [`skadi_ir`] | op vocabulary, per-backend cost table, backend selection |
 //! | [`skadi_flowgraph`] | logical FlowGraph (incl. cross-domain fusion) + physical sharded graph |
 //! | [`skadi_frontends`] | SQL / MapReduce / graph / ML frontends |
-//! | [`skadi_runtime`] | stateful serverless runtime (raylets, schedulers, lineage) |
+//! | [`skadi_runtime`] | stateful serverless runtime (raylets, schedulers, lineage, pull/push future resolution) |
 //! | `skadi` (this crate) | the session API gluing the tiers together |
 
 pub mod adaptive;
@@ -66,7 +65,6 @@ pub use skadi_dcsim as dcsim;
 pub use skadi_flowgraph as flowgraph;
 pub use skadi_frontends as frontends;
 pub use skadi_ir as ir;
-pub use skadi_ownership as ownership;
 pub use skadi_runtime as runtime;
 pub use skadi_store as store;
 pub use skadi_wire as wire;

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpListener;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use skadi_arrow::array::Array;
@@ -124,9 +124,16 @@ struct AdmState {
     next_ticket: u64,
 }
 
-/// Returned by [`Admission::try_acquire`] when the queue is full.
+/// Why [`Admission::try_acquire`] granted no slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionFull;
+pub enum AdmissionError {
+    /// The waiting line is at capacity.
+    Full,
+    /// A thread panicked while holding the gate's lock. The line's order
+    /// can no longer be trusted — a dead waiter's ticket may sit at its
+    /// head for ever — so the gate admits nobody rather than hang.
+    Poisoned,
+}
 
 /// An execution slot; releases (and wakes the next waiter) on drop.
 pub struct AdmissionGuard<'a> {
@@ -149,18 +156,20 @@ impl Admission {
     }
 
     /// Takes a ticket and blocks until it reaches the head of the queue
-    /// *and* an execution slot frees up. Returns [`AdmissionFull`]
-    /// without blocking when the waiting line is at capacity.
-    pub fn try_acquire(&self) -> Result<AdmissionGuard<'_>, AdmissionFull> {
-        let mut st = self.state.lock().expect("admission lock");
+    /// *and* an execution slot frees up. Returns [`AdmissionError::Full`]
+    /// without blocking when the waiting line is at capacity, and
+    /// [`AdmissionError::Poisoned`] once a holder of the lock panicked.
+    pub fn try_acquire(&self) -> Result<AdmissionGuard<'_>, AdmissionError> {
+        let poisoned = |_| AdmissionError::Poisoned;
+        let mut st = self.state.lock().map_err(poisoned)?;
         if st.queue.len() >= self.max_queued && st.running >= self.max_running {
-            return Err(AdmissionFull);
+            return Err(AdmissionError::Full);
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queue.push_back(ticket);
         while st.queue.front() != Some(&ticket) || st.running >= self.max_running {
-            st = self.cond.wait(st).expect("admission lock");
+            st = self.cond.wait(st).map_err(poisoned)?;
         }
         st.queue.pop_front();
         st.running += 1;
@@ -170,20 +179,27 @@ impl Admission {
         Ok(AdmissionGuard { adm: self })
     }
 
+    /// The gate's state for a one-step read or release. A poisoned lock
+    /// is recovered here: a count read or a slot handed back changes no
+    /// order, and a poisoned gate admits nobody anyway.
+    fn lock(&self) -> MutexGuard<'_, AdmState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queries currently executing.
     pub fn running(&self) -> usize {
-        self.state.lock().expect("admission lock").running
+        self.lock().running
     }
 
     /// Queries currently waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.state.lock().expect("admission lock").queue.len()
+        self.lock().queue.len()
     }
 }
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.adm.state.lock().expect("admission lock");
+        let mut st = self.adm.lock();
         st.running -= 1;
         drop(st);
         self.adm.cond.notify_all();
@@ -324,16 +340,20 @@ impl Server {
     ) -> Result<(), WireError> {
         let _slot = match self.admission.try_acquire() {
             Ok(g) => g,
-            Err(AdmissionFull) => {
+            Err(e) => {
+                let message = match e {
+                    AdmissionError::Full => format!(
+                        "admission queue full ({} running, {} queued); retry later",
+                        self.cfg.max_concurrent, self.cfg.max_queued
+                    ),
+                    AdmissionError::Poisoned => "admission gate poisoned by a failed query".into(),
+                };
                 return write_packet(
                     conn,
                     &Packet::Exception {
                         query_id: id,
                         code: code::ADMISSION,
-                        message: format!(
-                            "admission queue full ({} running, {} queued); retry later",
-                            self.cfg.max_concurrent, self.cfg.max_queued
-                        ),
+                        message,
                     },
                 );
             }
@@ -407,30 +427,28 @@ impl Server {
     /// rendering.
     fn execute(&self, statement: &str) -> Result<RecordBatch, (u16, String)> {
         let explain = sql::strip_explain_analyze(statement).is_some();
+        let distributed_error = |e| match e {
+            // The statement's own fault, in the local engine's words.
+            SkadiError::Sql(e) => (code::SQL, e.to_string()),
+            e => (code::EXEC, e.to_string()),
+        };
+        let local_error = |e: sql::SqlError| (code::SQL, e.to_string());
+        if explain {
+            let text = if self.cfg.distributed {
+                let text = self.session.explain_analyze(&self.db, statement);
+                text.map_err(distributed_error)?
+            } else {
+                self.db.explain_analyze(statement).map_err(local_error)?
+            };
+            return explain_rows(&text);
+        }
         if self.cfg.distributed {
-            let run = if explain {
-                self.session
-                    .explain_analyze(&self.db, statement)
-                    .map(|text| explain_rows(&text))
-            } else {
-                self.session
-                    .sql_distributed(&self.db, statement)
-                    .map(|run| run.batch)
-            };
-            run.map_err(|e| match e {
-                // The statement's own fault, in the local engine's words.
-                SkadiError::Sql(e) => (code::SQL, e.to_string()),
-                e => (code::EXEC, e.to_string()),
-            })
+            self.session
+                .sql_distributed(&self.db, statement)
+                .map(|run| run.batch)
+                .map_err(distributed_error)
         } else {
-            let run = if explain {
-                self.db
-                    .explain_analyze(statement)
-                    .map(|text| explain_rows(&text))
-            } else {
-                self.db.query(statement)
-            };
-            run.map_err(|e| (code::SQL, e.to_string()))
+            self.db.query(statement).map_err(local_error)
         }
     }
 
@@ -475,11 +493,11 @@ impl Server {
 
 /// A rendered profile as a result: one Utf8 column `explain`, one row per
 /// line.
-fn explain_rows(text: &str) -> RecordBatch {
+fn explain_rows(text: &str) -> Result<RecordBatch, (u16, String)> {
     let lines: Vec<&str> = text.lines().collect();
     let field = Field::new("explain", DataType::Utf8, false);
     RecordBatch::try_new(Schema::new(vec![field]), vec![Array::from_utf8(&lines)])
-        .expect("one Utf8 field and one Utf8 column")
+        .map_err(|e| (code::EXEC, e.to_string()))
 }
 
 #[cfg(test)]
@@ -515,7 +533,7 @@ mod tests {
         });
         wait_until("waiter to queue", || adm.queued() == 1);
         // ...but the next arrival is rejected immediately, not blocked.
-        assert_eq!(adm.try_acquire().err(), Some(AdmissionFull));
+        assert_eq!(adm.try_acquire().err(), Some(AdmissionError::Full));
         drop(_running);
         waiter.join().expect("waiter finishes after release");
         assert_eq!(adm.running(), 0);

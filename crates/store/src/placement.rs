@@ -192,7 +192,7 @@ impl CachingLayer {
             self.index.remove(meta.id, from);
             let from_tier = self.stores[from.index()].tier();
             let from_rack = self.topo.rack_of(from).0;
-            let target = self.planner.plan(from_rack, meta.size, false, |blade| {
+            let target = self.planner.plan(from_rack, meta.size, |blade| {
                 self.stores[blade.index()].free()
             });
             match target {

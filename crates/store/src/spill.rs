@@ -17,7 +17,7 @@ pub enum SpillTarget {
     Node(NodeId),
     /// No colder capacity anywhere: write to durable storage.
     Durable(NodeId),
-    /// Nothing to do (object was dropped deliberately).
+    /// No colder capacity and no durable storage: the object is dropped.
     Drop,
 }
 
@@ -28,16 +28,12 @@ pub struct SpillPolicy {
     /// storage (the Gen-2 configuration). If false, evictions go straight
     /// to durable storage (the Gen-1 / classic-serverless configuration).
     pub use_disagg_memory: bool,
-    /// If true, evicted ephemeral objects may simply be dropped when they
-    /// are re-creatable by lineage and no blade has room.
-    pub allow_drop_for_lineage: bool,
 }
 
 impl Default for SpillPolicy {
     fn default() -> Self {
         SpillPolicy {
             use_disagg_memory: true,
-            allow_drop_for_lineage: false,
         }
     }
 }
@@ -72,13 +68,12 @@ impl SpillPlanner {
 
     /// Picks a destination for an object evicted from `from`, given a
     /// callback reporting each blade's free bytes. Prefers a same-rack
-    /// blade with room, then any blade with room, then durable storage,
-    /// then (optionally) dropping lineage-recoverable objects.
+    /// blade with room, then any blade with room, then durable storage;
+    /// with none of them the object is dropped.
     pub fn plan(
         &self,
         from_rack: u16,
         size: u64,
-        recoverable_by_lineage: bool,
         blade_free: impl Fn(NodeId) -> u64,
     ) -> SpillTarget {
         if self.policy.use_disagg_memory {
@@ -95,9 +90,6 @@ impl SpillPlanner {
                     return SpillTarget::Node(blade);
                 }
             }
-        }
-        if self.policy.allow_drop_for_lineage && recoverable_by_lineage {
-            return SpillTarget::Drop;
         }
         match self.durable {
             Some(d) => SpillTarget::Durable(d),
@@ -136,10 +128,10 @@ mod tests {
             .build();
         let planner = SpillPlanner::new(&topo, SpillPolicy::default());
         let blades = topo.memory_blades();
-        let t = planner.plan(0, 100, false, |_| u64::MAX);
+        let t = planner.plan(0, 100, |_| u64::MAX);
         assert_eq!(t, SpillTarget::Node(blades[0]));
         // From rack 1, the rack-1 blade wins.
-        let t = planner.plan(1, 100, false, |_| u64::MAX);
+        let t = planner.plan(1, 100, |_| u64::MAX);
         assert_eq!(t, SpillTarget::Node(blades[1]));
     }
 
@@ -147,7 +139,7 @@ mod tests {
     fn full_blades_fall_through_to_durable() {
         let topo = presets::small_disagg_cluster();
         let planner = SpillPlanner::new(&topo, SpillPolicy::default());
-        let t = planner.plan(0, 100, false, |_| 0);
+        let t = planner.plan(0, 100, |_| 0);
         assert_eq!(t, SpillTarget::Durable(topo.durable_storage().unwrap()));
     }
 
@@ -158,29 +150,10 @@ mod tests {
             &topo,
             SpillPolicy {
                 use_disagg_memory: false,
-                allow_drop_for_lineage: false,
             },
         );
-        let t = planner.plan(0, 100, false, |_| u64::MAX);
+        let t = planner.plan(0, 100, |_| u64::MAX);
         assert!(matches!(t, SpillTarget::Durable(_)));
-    }
-
-    #[test]
-    fn lineage_drop_when_allowed() {
-        let topo = presets::server_cluster(1, 2); // No blades.
-        let planner = SpillPlanner::new(
-            &topo,
-            SpillPolicy {
-                use_disagg_memory: true,
-                allow_drop_for_lineage: true,
-            },
-        );
-        assert_eq!(planner.plan(0, 10, true, |_| 0), SpillTarget::Drop);
-        // Non-recoverable objects still go durable.
-        assert!(matches!(
-            planner.plan(0, 10, false, |_| 0),
-            SpillTarget::Durable(_)
-        ));
     }
 
     #[test]
@@ -192,7 +165,7 @@ mod tests {
             })
             .build();
         let planner = SpillPlanner::new(&topo, SpillPolicy::default());
-        assert_eq!(planner.plan(0, 10, false, |_| 0), SpillTarget::Drop);
+        assert_eq!(planner.plan(0, 10, |_| 0), SpillTarget::Drop);
     }
 
     #[test]
@@ -213,9 +186,9 @@ mod tests {
         let topo = presets::small_disagg_cluster();
         let planner = SpillPlanner::new(&topo, SpillPolicy::default());
         // Blade has 50 bytes free; object needs 100.
-        let t = planner.plan(0, 100, false, |_| 50);
+        let t = planner.plan(0, 100, |_| 50);
         assert!(matches!(t, SpillTarget::Durable(_)));
-        let t = planner.plan(0, 40, false, |_| 50);
+        let t = planner.plan(0, 40, |_| 50);
         assert!(matches!(t, SpillTarget::Node(_)));
     }
 }

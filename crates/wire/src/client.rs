@@ -155,10 +155,10 @@ impl<S: Read + Write> Client<S> {
                     // A single block passes through untouched (zero-copy
                     // from the frame), so its re-encoding is bit-for-bit
                     // the server's payload.
-                    let batch = if blocks.len() == 1 {
-                        blocks.pop().expect("one block")
-                    } else {
-                        RecordBatch::concat(&blocks).map_err(|e| WireError::Arrow(e.to_string()))?
+                    let batch = match <[RecordBatch; 1]>::try_from(blocks) {
+                        Ok([one]) => one,
+                        Err(blocks) => RecordBatch::concat(&blocks)
+                            .map_err(|e| WireError::Arrow(e.to_string()))?,
                     };
                     return Ok(QueryResult {
                         batch,

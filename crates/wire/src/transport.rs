@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One direction of the connection: a bounded-by-usage byte queue.
 struct Pipe {
@@ -34,8 +34,15 @@ impl Pipe {
         })
     }
 
+    /// Locks the pipe. A poisoned lock is recovered: the state is a byte
+    /// queue and a flag, each changed in one step, so any state a
+    /// panicking holder left is a valid one.
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn close(&self) {
-        self.state.lock().expect("pipe lock").closed = true;
+        self.lock().closed = true;
         self.cond.notify_all();
     }
 }
@@ -86,9 +93,13 @@ impl Read for DuplexStream {
         if out.is_empty() {
             return Ok(0);
         }
-        let mut st = self.rx.state.lock().expect("pipe lock");
+        let mut st = self.rx.lock();
         while st.buf.is_empty() && !st.closed {
-            st = self.rx.cond.wait(st).expect("pipe lock");
+            st = self
+                .rx
+                .cond
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if st.buf.is_empty() {
             return Ok(0); // closed and drained: EOF
@@ -105,7 +116,7 @@ impl Read for DuplexStream {
 
 impl Write for DuplexStream {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut st = self.tx.state.lock().expect("pipe lock");
+        let mut st = self.tx.lock();
         if st.closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,

@@ -18,7 +18,7 @@ use skadi_dcsim::topology::{
 };
 use skadi_frontends::catalog::Catalog;
 use skadi_ir::Backend;
-use skadi_ownership::resolve::ResolutionMode;
+use skadi_runtime::ResolutionMode;
 use skadi_runtime::{
     AutoscaleConfig, Cluster, Deployment, FailurePlan, FtMode, Generation, Job, JobStats,
     PlacementPolicy, RuntimeConfig, TaskId, TaskSpec,

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 
+use skadi::arrow::ipc;
 use skadi::arrow::prelude::*;
-use skadi::arrow::{ipc, marshal};
 use skadi::dcsim::engine::EventQueue;
 use skadi::dcsim::time::SimTime;
 use skadi::flowgraph::partition::{fnv1a, hash_shard};
@@ -14,6 +14,7 @@ use skadi::store::kv::LocalStore;
 use skadi::store::object::ObjectId;
 use skadi::store::policy::EvictionPolicy;
 use skadi::store::tier::Tier;
+use skadi_bench::marshal;
 use skadi_dcsim::topology::NodeId;
 
 proptest! {
@@ -153,7 +154,7 @@ proptest! {
             })
             .durable_storage(DurableSpec::default())
             .build();
-        let policy = SpillPolicy { use_disagg_memory: gen2, ..SpillPolicy::default() };
+        let policy = SpillPolicy { use_disagg_memory: gen2 };
         let mut layer = CachingLayer::new(&topo, EvictionPolicy::Lru, policy);
         let nodes: Vec<NodeId> = topo.nodes().iter().map(|n| n.id).collect();
         let ids: Vec<ObjectId> = (0..12).map(ObjectId).collect();
@@ -500,45 +501,12 @@ proptest! {
         }
     }
 
-    /// Scheduler failover must not disturb the rotation: a placer that
-    /// rebuilds mid-sequence ([`Placer::rebuild_for_failover`], the
-    /// newly elected scheduler's path) produces exactly the placements
-    /// of one that never failed — under every policy, at any failover
-    /// point.
-    #[test]
-    fn placement_cursor_survives_failover(
-        n_nodes in 1u32..16,
-        steps in 2usize..40,
-        fail_at in 0usize..40,
-        seed in any::<u64>(),
-    ) {
-        use skadi::runtime::{Placer, PlacementPolicy};
-        let eligible: Vec<NodeId> = (0..n_nodes).map(NodeId).collect();
-        for policy in PlacementPolicy::ALL {
-            let mut steady = Placer::new(policy);
-            let mut failing = Placer::new(policy);
-            for i in 0..steps {
-                if i == fail_at % steps {
-                    failing.rebuild_for_failover();
-                }
-                let f = seed.wrapping_add(i as u64);
-                prop_assert_eq!(
-                    steady.place(&eligible, synthetic_facts(f)).unwrap(),
-                    failing.place(&eligible, synthetic_facts(f)).unwrap(),
-                    "{} diverged after failover at step {}", policy, i
-                );
-            }
-        }
-    }
-
     /// Round-robin never double-places: over one full rotation with all
-    /// nodes eligible, every node is used exactly once — even when the
-    /// scheduler fails over mid-rotation.
+    /// nodes eligible, every node is used exactly once. (That an election
+    /// leaves the cursor where the dead scheduler left it is
+    /// `failover_resumes_the_placement_cursor` in the cluster's tests.)
     #[test]
-    fn round_robin_rotation_is_exact_despite_failover(
-        n_nodes in 1u32..24,
-        fail_at in 0u32..24,
-    ) {
+    fn round_robin_rotation_is_exact(n_nodes in 1u32..24, start in 0u32..24) {
         use skadi::runtime::{NodeFacts, Placer, PlacementPolicy};
         let eligible: Vec<NodeId> = (0..n_nodes).map(NodeId).collect();
         let idle = |_: NodeId| NodeFacts {
@@ -547,11 +515,12 @@ proptest! {
             free_slots: 1,
         };
         let mut p = Placer::new(PlacementPolicy::RoundRobin);
+        // Start the rotation anywhere.
+        for _ in 0..start {
+            p.place(&eligible, idle);
+        }
         let mut seen = std::collections::BTreeSet::new();
-        for i in 0..n_nodes {
-            if i == fail_at % n_nodes {
-                p.rebuild_for_failover();
-            }
+        for _ in 0..n_nodes {
             let pick = p.place(&eligible, idle).unwrap();
             prop_assert!(
                 seen.insert(pick),
