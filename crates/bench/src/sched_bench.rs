@@ -7,9 +7,8 @@
 //!   replica of the engine *before* the refactor: one global
 //!   `BinaryHeap` with a sequence tie-break, whose `pending_at` is an
 //!   O(n) sweep. Both run the identical seeded workload (batched drains,
-//!   same-instant follow-ups, periodic same-instant inspection — the
-//!   cluster simulation's hot path) and must agree on every delivery
-//!   before timing starts. Reported as events/sec at 100/1k/10k nodes.
+//!   same-instant follow-ups, periodic same-instant inspection) and must
+//!   agree on every delivery before timing starts. Reported as events/sec at 100/1k/10k nodes.
 //! - **policies** — makespan of the hot-key-skew query per
 //!   [`PlacementPolicy`], static vs `SessionBuilder::adaptive(true)`
 //!   lowering. Adaptive re-planning must strictly shrink makespan.
@@ -161,11 +160,12 @@ impl<E> HeapQueue<E> {
 // Queue workload
 // ---------------------------------------------------------------------
 
-/// How often the workload inspects the current instant, in batches. The
-/// cluster simulation consults `pending_at` once per batched drain (gang
-/// admission and the invariant pass both look at what else is due at the
-/// same instant), so the workload inspects every batch too — the O(n)
-/// sweep that makes the heap's cost per event grow with the pending set.
+/// How often the workload inspects the current instant, in batches: every
+/// batch, the O(n) sweep that makes the heap's cost per event grow with
+/// the pending set. The cluster simulation makes no such inspection (it
+/// runs each task at its own finish; neither gang admission nor the
+/// invariant pass looks at what else is due), so this row measures the
+/// two queue shapes, not the cluster's hot path.
 const INSPECT_EVERY: u64 = 1;
 
 /// One seeded scheduling decision, identical for both queue shapes.

@@ -27,10 +27,9 @@
 //! Events live in per-timestamp FIFO buckets rather than one global
 //! binary heap. The earliest bucket is cached out of the tree, so the
 //! hot path of a discrete-event simulation — pop an event at `now`,
-//! schedule follow-ups at or near `now`, inspect the other events
-//! pending at the same instant — runs in O(1) per event instead of
-//! O(log n) heap churn plus, for [`EventQueue::pending_at`], a full
-//! O(n) sweep of the heap. At 10k simulated nodes the pending set is
+//! schedule follow-ups at or near `now` — runs in O(1) per event instead
+//! of O(log n) heap churn, and [`EventQueue::pending_at`] reads one
+//! bucket where a heap would sweep every entry. At 10k simulated nodes the pending set is
 //! large and same-instant ties are common (cost models collapse many
 //! latencies to equal values), which is exactly the regime where the
 //! bucket layout wins; `sched-bench` measures the effect.
@@ -194,10 +193,11 @@ impl<E> EventQueue<E> {
     }
 
     /// All events pending at exactly time `at`, in delivery (FIFO) order,
-    /// without popping them. An inspection hook for handlers that want to
-    /// batch work across same-instant events (e.g. executing every task
-    /// that completes at one simulated timestamp together). O(bucket), not
-    /// O(queue): the bucket layout indexes events by timestamp.
+    /// without popping them: an inspection hook for a handler that wants
+    /// to look at its same-instant peers (`sched-bench`'s queue workload
+    /// times it; the runtime's cluster handles each event alone and never
+    /// calls it). O(bucket), not O(queue): the bucket layout indexes
+    /// events by timestamp.
     pub fn pending_at(&self, at: SimTime) -> Vec<&E> {
         if self.len > 0 && at == self.front_time {
             self.front.iter().collect()

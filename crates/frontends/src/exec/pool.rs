@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 /// Rows per morsel: the unit of work stealing. Fixed (never derived from
@@ -37,22 +37,29 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Inner {
     /// Pending jobs plus the shutdown flag, under one lock.
-    queue: Mutex<(VecDeque<Job>, bool)>,
+    queue: Mutex<Queue>,
     available: Condvar,
 }
 
+type Queue = (VecDeque<Job>, bool);
+
 impl Inner {
+    /// The queue, poisoned or not: the job list and the shutdown flag
+    /// each change in one step and jobs run outside the lock, so a thread
+    /// that panicked holding it left nothing half-changed.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn submit(&self, job: Job) {
-        let mut q = self.queue.lock().expect("pool queue poisoned");
-        q.0.push_back(job);
-        drop(q);
+        self.lock().0.push_back(job);
         self.available.notify_one();
     }
 
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut q = self.queue.lock().expect("pool queue poisoned");
+                let mut q = self.lock();
                 loop {
                     if q.1 {
                         return;
@@ -60,7 +67,10 @@ impl Inner {
                     if let Some(j) = q.0.pop_front() {
                         break j;
                     }
-                    q = self.available.wait(q).expect("pool queue poisoned");
+                    q = self
+                        .available
+                        .wait(q)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             job();
@@ -78,24 +88,36 @@ pub struct ExecPool {
 impl ExecPool {
     /// Creates a pool of `threads` compute threads (`threads - 1` spawned
     /// workers; the caller of [`ExecPool::run_indexed`] is the last one).
+    /// A worker the OS refuses to start is not retried: the pool runs
+    /// with the workers it got, and [`ExecPool::threads`] counts them.
     pub fn new(threads: usize) -> ExecPool {
-        let threads = threads.max(1);
+        ExecPool::spawned(threads, |name, work| {
+            std::thread::Builder::new().name(name).spawn(work)
+        })
+    }
+
+    /// A pool whose workers `spawn` starts, up to the first it fails on.
+    fn spawned(
+        threads: usize,
+        mut spawn: impl FnMut(String, Job) -> std::io::Result<JoinHandle<()>>,
+    ) -> ExecPool {
         let inner = Arc::new(Inner {
             queue: Mutex::new((VecDeque::new(), false)),
             available: Condvar::new(),
         });
-        let workers = (1..threads)
-            .map(|i| {
+        let workers: Vec<JoinHandle<()>> = (1..threads.max(1))
+            .map_while(|i| {
                 let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("skadi-exec-{i}"))
-                    .spawn(move || inner.worker_loop())
-                    .expect("spawn pool worker")
+                spawn(
+                    format!("skadi-exec-{i}"),
+                    Box::new(move || inner.worker_loop()),
+                )
+                .ok()
             })
             .collect();
         ExecPool {
             inner,
-            threads,
+            threads: workers.len() + 1,
             workers,
         }
     }
@@ -134,27 +156,27 @@ impl ExecPool {
         claim_loop(&*f, &counter, n, &tx);
         drop(tx);
         // Every claimed index sends exactly one result; indices the caller
-        // didn't claim are held by workers actively computing them.
+        // didn't claim are held by workers actively computing them. Should
+        // every sender be gone with a result unsent, the caller computes
+        // that index itself: items are pure, so its result is the same.
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
-            let (i, r) = rx.recv().expect("claimed index must report");
+            let Ok((i, r)) = rx.recv() else { break };
             match r {
                 Ok(v) => out[i] = Some(v),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
         out.into_iter()
-            .map(|v| v.expect("result for every index"))
+            .enumerate()
+            .map(|(i, v)| v.unwrap_or_else(|| f(i)))
             .collect()
     }
 }
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
-        {
-            let mut q = self.inner.queue.lock().expect("pool queue poisoned");
-            q.1 = true;
-        }
+        self.inner.lock().1 = true;
         self.inner.available.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -214,7 +236,12 @@ fn cell() -> &'static RwLock<Arc<ExecPool>> {
 /// `available_parallelism` on first use; resized by
 /// [`set_global_threads`].
 pub fn global() -> Arc<ExecPool> {
-    cell().read().expect("pool registry poisoned").clone()
+    // The registry's one write is an `Arc` swap, so a poisoned lock
+    // still holds a whole pool.
+    cell()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
 }
 
 /// The shared pool's thread count.
@@ -226,7 +253,7 @@ pub fn global_threads() -> usize {
 /// users of the old pool finish on it — `Arc` keeps it alive).
 pub fn set_global_threads(threads: usize) {
     let threads = threads.max(1);
-    let mut w = cell().write().expect("pool registry poisoned");
+    let mut w = cell().write().unwrap_or_else(PoisonError::into_inner);
     if w.threads() != threads {
         *w = Arc::new(ExecPool::new(threads));
     }
@@ -312,6 +339,38 @@ mod tests {
                 (MORSEL_ROWS * 2, MORSEL_ROWS * 2 + 5)
             ]
         );
+    }
+
+    /// A pool that cannot start all its workers runs with those it got.
+    #[test]
+    fn a_refused_worker_leaves_a_smaller_pool() {
+        let mut started = 0;
+        let pool = ExecPool::spawned(4, |name, work| {
+            started += 1;
+            if started == 3 {
+                return Err(std::io::Error::other("refused"));
+            }
+            std::thread::Builder::new().name(name).spawn(work)
+        });
+        assert_eq!((pool.threads(), started), (3, 3));
+        assert_eq!(pool.run_indexed(9, |i| i), (0..9).collect::<Vec<_>>());
+        let none = ExecPool::spawned(4, |_, _| Err(std::io::Error::other("refused")));
+        assert_eq!(none.threads(), 1);
+        assert_eq!(none.run_indexed(3, |i| i * 2), vec![0, 2, 4]);
+    }
+
+    /// A panic while the queue lock is held leaves the pool usable.
+    #[test]
+    fn a_poisoned_queue_still_runs_and_shuts_down() {
+        let pool = ExecPool::new(3);
+        let inner = Arc::clone(&pool.inner);
+        let _ = std::thread::spawn(move || {
+            let _held = inner.queue.lock().unwrap();
+            panic!("poison the queue");
+        })
+        .join();
+        assert!(pool.inner.queue.is_poisoned());
+        assert_eq!(pool.run_indexed(8, |i| i + 1), (1..9).collect::<Vec<_>>());
     }
 
     #[test]

@@ -192,8 +192,12 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     let aggs: Vec<AggItem> = q.aggregates().cloned().collect();
     let select = q.projected_columns();
     let top: Reads = if q.is_aggregate() {
+        // The plain select items are read too, so that one the GROUP BY
+        // does not list resolves (and is refused) at the aggregate.
         let args = aggs.iter().filter_map(AggItem::input);
-        Some(q.group_by.iter().map(String::as_str).chain(args).collect())
+        let plain = select.iter().copied().filter(|c| *c != "*");
+        let keys = q.group_by.iter().map(String::as_str);
+        Some(keys.chain(args).chain(plain).collect())
     } else if select.is_empty() || select.contains(&"*") {
         None
     } else {
@@ -269,6 +273,19 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
             let input = a.input().map(|c| head.resolve(c)).transpose()?;
             let output = aggregate_type(a, input.map(|f| f.data_type))?;
             cols.push(Field::new(a.name.clone(), output, true));
+        }
+        // An aggregate answers its keys and aggregates alone: a plain
+        // select item must be a known column, and a GROUP BY key.
+        for &c in select.iter().filter(|c| **c != "*") {
+            head.resolve(c)?;
+        }
+        if select.contains(&"*") {
+            let text = "SELECT * in an aggregate query: list its GROUP BY keys and aggregates";
+            return Err(SqlError::Plan(text.to_string()));
+        }
+        if let Some(c) = select.iter().find(|c| !q.group_by.iter().any(|k| k == *c)) {
+            let text = format!("column {c:?} is selected but not a GROUP BY key");
+            return Err(SqlError::Plan(text));
         }
         let rows_in = head.rows;
         head.scale(AGG_REDUCTION, AGG_REDUCTION);

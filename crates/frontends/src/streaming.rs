@@ -81,8 +81,16 @@ impl StreamJob {
             }
             window_state = Some(window);
         }
+        // `batches` is a public field, so the builder's check can be
+        // bypassed: a job of no micro-batch has no window to sink.
+        let Some(last) = window_state else {
+            return Err(GraphError::Invalid(format!(
+                "stream {} has no micro-batch",
+                self.source
+            )));
+        };
         let sink = g.add_sink(&format!("{}-windows", self.source));
-        g.connect(window_state.expect("at least one batch"), sink)?;
+        g.connect(last, sink)?;
         g.validate()?;
         Ok((g, sink))
     }
@@ -158,6 +166,18 @@ mod tests {
             .unwrap();
         assert_eq!(t.rows_hint, 1000);
         assert_eq!(t.output_bytes_hint, (1u64 << 20) / 10);
+    }
+
+    #[test]
+    fn zero_batches_set_directly_is_an_error() {
+        let job = StreamJob {
+            batches: 0,
+            ..StreamJob::new("s", 1, 1, "k")
+        };
+        assert_eq!(
+            job.to_flowgraph().unwrap_err(),
+            GraphError::Invalid("stream s has no micro-batch".into())
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use super::table::{EcPlacement, Slot, StagedInputs};
 use super::{node_rate, Cluster, Event};
 use crate::config::{Deployment, FtMode};
 use crate::error::RuntimeError;
-use crate::executor::{Payload, ReadyTask};
+use crate::executor::ReadyTask;
 use crate::resolve::{resolve, ResolveScenario, ResolveSpanCtx};
 use crate::task::TaskState;
 
@@ -234,15 +234,24 @@ impl Cluster {
         }
 
         // Data plane: the simulated completion runs the task through the
-        // executor on its staged inputs. The payload's lengths are what
-        // everything downstream is priced at — storage, replication/EC
-        // sizing and cached copies the whole, each consumer's transfer
-        // and pass-by-value inlining its own edge.
-        let result = match self.tasks[t].at.exec_result.take() {
-            Some(r) => r,
-            None => self.execute_batch(now, t, queue),
+        // executor on its staged inputs, once, here. The payload's lengths
+        // are what everything downstream is priced at — storage,
+        // replication/EC sizing and cached copies the whole, each
+        // consumer's transfer and pass-by-value inlining its own edge.
+        let staged = self.tasks[t].at.staged.take().unwrap_or_default();
+        let rec = &self.tasks[t];
+        let ready = ReadyTask {
+            task: rec.spec.id,
+            inputs: staged.iter().map(|(p, payload)| (*p, &**payload)).collect(),
+            consumers: rec
+                .consumers
+                .iter()
+                .map(|&(c, e)| (self.tasks[c].spec.id, e))
+                .collect(),
+            output_bytes: rec.spec.output_bytes,
+            link_bps: self.output_link_bps(t),
         };
-        let payload = match result {
+        let payload = match self.executor.execute(&ready) {
             Ok(payload) => payload,
             Err(msg) => {
                 self.fail_run(RuntimeError::Internal(format!(
@@ -278,72 +287,6 @@ impl Cluster {
                 }
             }
         }
-    }
-
-    /// Batched execution: the first finish at a simulated instant also
-    /// executes every other task finishing at that same instant (their
-    /// `Finish` events are still pending in the queue), in one
-    /// `execute_ready` call sorted by task ID. A parallel executor
-    /// overlaps them on real threads; results for the peers wait in
-    /// their slots until their own finish commits them — in the exact
-    /// order the serial path would have, so pricing and every downstream
-    /// byte are unchanged. Returns `t`'s own result.
-    fn execute_batch(
-        &mut self,
-        now: SimTime,
-        t: Slot,
-        queue: &EventQueue<Event>,
-    ) -> Result<Payload, String> {
-        let mut batch: Vec<Slot> = vec![t];
-        for ev in queue.pending_at(now) {
-            if let Event::Finish(t2, ep) = *ev {
-                let peer = &self.tasks[t2];
-                if t2 != t
-                    && ep == peer.epoch
-                    && peer.state() == TaskState::Running
-                    && peer.at.staged.is_some()
-                    && peer.at.exec_result.is_none()
-                {
-                    batch.push(t2);
-                }
-            }
-        }
-        batch.sort_unstable();
-        batch.dedup();
-        let staged: Vec<StagedInputs> = batch
-            .iter()
-            .map(|&b| self.tasks[b].at.staged.take().unwrap_or_default())
-            .collect();
-        let ready: Vec<ReadyTask<'_>> = batch
-            .iter()
-            .zip(&staged)
-            .map(|(&b, s)| {
-                let rec = &self.tasks[b];
-                let consumers = rec.consumers.iter();
-                ReadyTask {
-                    task: rec.spec.id,
-                    inputs: s.iter().map(|(p, payload)| (*p, &**payload)).collect(),
-                    consumers: consumers
-                        .map(|&(c, e)| (self.tasks[c].spec.id, e))
-                        .collect(),
-                    output_bytes: rec.spec.output_bytes,
-                    link_bps: self.output_link_bps(b),
-                }
-            })
-            .collect();
-        let results = self.executor.execute_ready(&ready);
-        let mut own = Err(format!(
-            "data plane returned no result for t{}",
-            self.tasks[t].spec.id.0
-        ));
-        for (b, r) in batch.into_iter().zip(results) {
-            if b == t {
-                own = r;
-            } else {
-                self.tasks[b].at.exec_result = Some(r);
-            }
-        }
-        own
     }
 
     /// The modelled bytes per second of the link `t`'s output is written

@@ -74,9 +74,6 @@ pub(super) struct Attempt {
     /// Inputs staged (shared, not copied) when the availability check
     /// passed; consumed when the task finishes.
     pub staged: Option<StagedInputs>,
-    /// A result computed ahead of the task's own `Finish` by a batched
-    /// `execute_ready` call; consumed when that finish commits.
-    pub exec_result: Option<Result<Payload, String>>,
     /// The output object in the caching layer.
     pub object: Option<ObjectId>,
     pub value_ready: Option<SimTime>,

@@ -1376,7 +1376,6 @@ mod table_tests {
             input_ready_at: t,
             steals: 2,
             staged: Some(vec![(TaskId(1), Rc::new(Payload::from(vec![1])))]),
-            exec_result: Some(Ok(Payload::from(vec![2]))),
             object: Some(skadi_store::object::ObjectId(5)),
             value_ready: t,
             durable_ready: t,
@@ -1614,7 +1613,7 @@ mod mode_tests {
     use crate::executor::{EdgeSize, LengthOnly, ReadyTask};
     use crate::task::TaskSpec;
     use skadi_dcsim::topology::presets;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     /// A diamond whose edges carry different estimates than the outputs
@@ -1903,5 +1902,90 @@ mod mode_tests {
         measured.run(&job).unwrap();
         assert_eq!((node_of(&measured, 0), node_of(&measured, 1)), (a, b));
         assert_eq!(node_of(&measured, 2), b, "measured: follows the 1 MiB edge");
+    }
+
+    /// Records the task of every executor call, storing the estimates
+    /// like `LengthOnly`.
+    struct Recording(Rc<RefCell<Vec<TaskId>>>);
+
+    impl TaskExecutor for Recording {
+        fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String> {
+            self.0.borrow_mut().push(task.task);
+            LengthOnly.execute(task)
+        }
+    }
+
+    /// Roots t0 (→ t1) and t2 on different nodes, t2 sized to finish at
+    /// the instant t1 does, and t3, a short root whose node goes idle:
+    /// t2's `Finish` was scheduled first, so the two same-instant
+    /// finishes deliver t2 before t1, out of task-ID order.
+    fn same_instant_job(long_us: f64) -> Job {
+        Job::new(
+            "same-instant",
+            vec![
+                TaskSpec::new(0, 100.0, 1 << 12),
+                TaskSpec::new(1, 200.0, 1 << 12).after(TaskId(0), 1 << 12),
+                TaskSpec::new(2, long_us, 1 << 12),
+                TaskSpec::new(3, 50.0, 1 << 12),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Tasks in the order their finishes committed: every commit sends
+    /// one `notify`, traced under the attempt's umbrella span.
+    fn commit_order(trace: &skadi_dcsim::span::Trace) -> Vec<TaskId> {
+        let spans = trace.spans();
+        let task_of = |id| {
+            let umbrella = spans.iter().find(|s| Some(s.id) == id).expect("umbrella");
+            let label = umbrella.attr("task").expect("a task span");
+            TaskId(label[1..].parse().unwrap())
+        };
+        let notifies = spans.iter().filter(|s| s.name == "notify");
+        notifies.map(|s| task_of(s.parent)).collect()
+    }
+
+    /// A task runs once, when its own `Finish` commits: the executor sees
+    /// the finished attempts in commit order — not peers finishing at
+    /// the same instant run ahead of their own finishes in task-ID order
+    /// — and once per committed attempt, a lineage replay included.
+    #[test]
+    fn a_task_runs_at_its_own_finish() {
+        let topo = presets::small_disagg_cluster();
+        let cfg = RuntimeConfig::skadi_gen2().with_tracing(true);
+        let mut probe = Cluster::new(&topo, cfg.clone());
+        probe.run(&same_instant_job(1_000.0)).unwrap();
+        let (t1, t2) = (TaskId(1), TaskId(2));
+        let end1 = probe.task_finished_at(t1).unwrap();
+        let long = end1.saturating_since(probe.task_started_at(t2).unwrap());
+        let job = same_instant_job(long.as_nanos() as f64 / 1e3);
+
+        let calm = FailurePlan::none();
+        // t3's node dies idle, after t3 finished and before the job ends:
+        // its output is a job output, so lineage re-creates it at once.
+        let idle = |c: &Cluster| {
+            let at = c.task_finished_at(TaskId(3)).unwrap() + SimDuration::from_micros(10);
+            FailurePlan::none().kill_and_recover(
+                node_of(c, 3),
+                at,
+                at + SimDuration::from_micros(10),
+            )
+        };
+        let kill = idle(&probe);
+        for (plan, retried) in [(&calm, false), (&kill, true)] {
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let mut c = Cluster::new(&topo, cfg.clone());
+            c.set_executor(Box::new(Recording(Rc::clone(&seen))));
+            let stats = c.run_with_failures(&job, plan).unwrap();
+            assert_eq!(stats.retries > 0, retried, "{stats:?}");
+            let seen = seen.borrow();
+            assert_eq!(*seen, commit_order(&stats.trace));
+            assert_eq!(seen.len() as u64, stats.finished as u64 + stats.retries);
+            // The instant the test is about: two nodes, out of ID order.
+            assert_eq!(c.task_finished_at(t1), c.task_finished_at(t2));
+            assert_ne!(node_of(&c, 1), node_of(&c, 2));
+            let at = |t| seen.iter().position(|s| *s == t).unwrap();
+            assert!(at(t2) < at(t1), "{seen:?}");
+        }
     }
 }

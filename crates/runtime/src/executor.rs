@@ -239,19 +239,10 @@ pub trait TaskExecutor {
     /// producer's full stored payload); the executor is responsible for
     /// any per-consumer partitioning, and says what each consumer reads
     /// with [`Payload::with_edges`]. The returned payload is stored as
-    /// the task's output.
+    /// the task's output. The cluster calls it once per attempt, when
+    /// that attempt's own `Finish` commits, and never ahead of it: an
+    /// attempt aborted before its finish is never run.
     fn execute(&mut self, task: &ReadyTask<'_>) -> Result<Payload, String>;
-
-    /// Runs a batch of tasks that all completed at the same simulated
-    /// instant. `tasks` is sorted by task ID and results return in the
-    /// same order. The default delegates to [`TaskExecutor::execute`]
-    /// one task at a time; a parallel executor may overlap the batch on
-    /// real threads — each result must still be the same pure function
-    /// of that task's inputs, so batching can never change output bytes,
-    /// only wall-clock time.
-    fn execute_ready(&mut self, tasks: &[ReadyTask<'_>]) -> Vec<Result<Payload, String>> {
-        tasks.iter().map(|t| self.execute(t)).collect()
-    }
 }
 
 /// The executor every cluster starts with: it computes nothing, and a

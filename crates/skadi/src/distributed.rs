@@ -64,10 +64,11 @@ use bytes::Bytes;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::{compression, ipc};
-use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalEdge, PhysicalGraph};
+use skadi_flowgraph::physical::{
+    PEdgeKind, PVertexId, PhysicalEdge, PhysicalGraph, PhysicalVertex,
+};
 use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
-use skadi_frontends::exec::pool;
 use skadi_frontends::shard::{self, Part};
 use skadi_frontends::sql::SqlError;
 use skadi_runtime::{Content, EdgeSize, Payload, ReadyTask, TaskExecutor, TaskId};
@@ -103,8 +104,8 @@ pub struct ShardTiming {
 /// executor box; callers keep a clone of this handle).
 #[derive(Debug, Clone, Default)]
 pub struct DataPlaneStats {
-    /// Per-task shard timings, in completion order (re-executions under
-    /// recovery append again).
+    /// Per-task shard timings, in the order the tasks' simulated finishes
+    /// committed (re-executions under recovery append again).
     pub timings: Vec<ShardTiming>,
     /// Rows delivered over each shuffle edge, keyed by
     /// `(producer task, consumer task)`. Deterministic across runs and
@@ -207,17 +208,15 @@ impl DataPlaneStats {
     }
 }
 
-/// Executes physical-graph shards over real record batches.
-///
-/// The graph and base tables live behind `Arc` so shard computation —
-/// a pure function of `(descriptor, inputs)` — can run on the shared
-/// worker pool when the cluster hands over a same-instant batch via
-/// [`TaskExecutor::execute_ready`]. Stats stay single-threaded: input
-/// staging and timing commits happen on the calling thread, in task-ID
-/// order, so measurements are as deterministic as the serial path.
+/// Executes physical-graph shards over real record batches, one task
+/// at a time: the cluster calls [`TaskExecutor::execute`] once per
+/// attempt, when its simulated `Finish` commits, and the shard's input
+/// staging, kernel run and measurements all happen inside that call, in
+/// finish order. A shard's kernels may still spread their morsels over
+/// the shared worker pool; nothing the executor records depends on it.
 pub struct GraphExecutor {
-    graph: Arc<PhysicalGraph>,
-    tables: Arc<BTreeMap<String, RecordBatch>>,
+    graph: PhysicalGraph,
+    tables: BTreeMap<String, RecordBatch>,
     stats: Rc<RefCell<DataPlaneStats>>,
 }
 
@@ -300,8 +299,8 @@ impl GraphExecutor {
     /// Builds an executor for `graph` reading base tables from `tables`.
     pub fn new(graph: PhysicalGraph, tables: BTreeMap<String, RecordBatch>) -> Self {
         GraphExecutor {
-            graph: Arc::new(graph),
-            tables: Arc::new(tables),
+            graph,
+            tables,
             stats: Rc::new(RefCell::new(DataPlaneStats::default())),
         }
     }
@@ -313,66 +312,19 @@ impl GraphExecutor {
     }
 }
 
-/// One task's shard, staged and ready to run: the exec descriptor, this
-/// shard's extracted portion of every input edge, and what each consumer
-/// will read of its output. Produced serially by
-/// [`GraphExecutor::prepare`]; consumed by the pure
-/// [`GraphExecutor::run_shard`] (safe to run on any thread).
-struct PreparedShard {
-    task: TaskId,
-    op: ExecOp,
-    op_id: u32,
-    op_name: String,
-    shard: u32,
-    shards: u32,
-    port0: Vec<Part>,
-    port1: Vec<Part>,
-    rows_in: usize,
-    /// Each consumer and its share, by consumer task ID.
-    consumers: Vec<(TaskId, Share)>,
-    /// Modelled bytes per second of the link the output is written over.
-    link_bps: u64,
-}
-
-/// A finished shard run, waiting to be committed on the calling thread:
-/// the output batch, its frame's length, the compressed frame when the
-/// rule chose to store it so, each consumer's part and the bytes and
-/// rows it reads, and measurements.
-struct ShardRun {
-    out: RecordBatch,
-    len: usize,
-    packed: Option<Vec<u8>>,
-    parts: Vec<(TaskId, Part)>,
-    edges: Vec<(TaskId, EdgeSize)>,
-    partition_passes: u64,
-    wall: Duration,
-    exec_stats: ShardStats,
-}
-
 impl GraphExecutor {
-    /// Stages a ready task: takes this shard's portion of each in-edge
-    /// from its producer's output and records edge row counts. Runs on
-    /// the calling thread (it touches `stats`).
-    fn prepare(&self, ready: &ReadyTask<'_>) -> Result<PreparedShard, String> {
+    /// This shard's part of each in-edge, by port, ordered by (port,
+    /// producer shard): the order the shard kernels document for their
+    /// inputs. Records each edge's delivered rows as it takes them.
+    fn stage_inputs(
+        &self,
+        ready: &ReadyTask<'_>,
+        v: &PhysicalVertex,
+    ) -> Result<[Vec<Part>; 2], String> {
         let t = ready.task;
-        let idx = t.0 as usize;
-        if idx >= self.graph.len() {
-            return Err(format!("task {t} has no physical vertex"));
-        }
-        let graph = &self.graph;
-        let v = graph.vertex(PVertexId(t.0 as u32));
-        let op = v
-            .exec
-            .as_ref()
-            .ok_or_else(|| format!("vertex {} ({}) has no exec descriptor", v.id, v.op))?;
-
-        // This shard's view of each in-edge, ordered by (port, producer
-        // shard): the order the shard kernels document for their inputs.
-        let mut edges = graph.in_edges(v.id);
-        edges.sort_by_key(|e| (e.port, graph.vertex(e.from).shard, e.from.0));
-        let mut port0: Vec<Part> = Vec::new();
-        let mut port1: Vec<Part> = Vec::new();
-        let mut rows_in = 0usize;
+        let mut edges = self.graph.in_edges(v.id);
+        edges.sort_by_key(|e| (e.port, self.graph.vertex(e.from).shard, e.from.0));
+        let mut ports: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
         for e in &edges {
             let from = TaskId(e.from.0 as u64);
             let payload = ready
@@ -407,49 +359,14 @@ impl GraphExecutor {
                     }
                 }
             };
+            let mut stats = self.stats.borrow_mut();
             if let PEdgeKind::Shuffle { .. } = e.kind {
-                self.stats
-                    .borrow_mut()
-                    .shuffle_rows
-                    .insert((from.0, t.0), part.num_rows());
+                stats.shuffle_rows.insert((from.0, t.0), part.num_rows());
             }
-            self.stats
-                .borrow_mut()
-                .edge_rows
-                .insert((from.0, t.0), part.num_rows());
-            rows_in += part.num_rows();
-            if e.port == 1 {
-                port1.push(part);
-            } else {
-                port0.push(part);
-            }
+            stats.edge_rows.insert((from.0, t.0), part.num_rows());
+            ports[usize::from(e.port == 1)].push(part);
         }
-
-        // What each consumer will read of this shard's output.
-        let outs = graph.out_edges(v.id);
-        let consumers = ready
-            .consumers
-            .iter()
-            .map(|&(c, _)| {
-                let e = outs.iter().find(|e| e.to.0 as u64 == c.0);
-                let e = e.ok_or_else(|| format!("no edge from {} to task {c}", v.id))?;
-                Ok((c, self.share(e)))
-            })
-            .collect::<Result<_, String>>()?;
-
-        Ok(PreparedShard {
-            task: t,
-            op: op.clone(),
-            op_id: v.op_id,
-            op_name: v.op.clone(),
-            shard: v.shard,
-            shards: v.shards,
-            port0,
-            port1,
-            rows_in,
-            consumers,
-            link_bps: ready.link_bps,
-        })
+        Ok(ports)
     }
 
     /// What `e`'s consumer reads of its producer's output: its shard's
@@ -467,31 +384,56 @@ impl GraphExecutor {
         };
         Some((split, to.shard))
     }
+}
 
-    /// Runs one staged shard: a pure function of the prepared inputs and
-    /// the (shared, immutable) base tables — safe on any pool thread.
-    fn run_shard(
-        tables: &BTreeMap<String, RecordBatch>,
-        p: &PreparedShard,
-    ) -> Result<ShardRun, String> {
+impl TaskExecutor for GraphExecutor {
+    /// Runs one task's shard: takes this shard's part of each in-edge,
+    /// runs the shard kernel over them and the base tables, divides the
+    /// output once per split its consumers read, and records the run's
+    /// measurements.
+    fn execute(&mut self, ready: &ReadyTask<'_>) -> Result<Payload, String> {
+        let t = ready.task;
+        if t.0 as usize >= self.graph.len() {
+            return Err(format!("task {t} has no physical vertex"));
+        }
+        let v = self.graph.vertex(PVertexId(t.0 as u32));
+        let op = v
+            .exec
+            .as_ref()
+            .ok_or_else(|| format!("vertex {} ({}) has no exec descriptor", v.id, v.op))?;
+        let [port0, port1] = self.stage_inputs(ready, v)?;
+        let rows_in = port0.iter().chain(&port1).map(Part::num_rows).sum();
+
+        // What each consumer will read of this shard's output.
+        let outs = self.graph.out_edges(v.id);
+        let consumers = ready
+            .consumers
+            .iter()
+            .map(|&(c, _)| {
+                let e = outs.iter().find(|e| e.to.0 as u64 == c.0);
+                let e = e.ok_or_else(|| format!("no edge from {} to task {c}", v.id))?;
+                Ok((c, self.share(e)))
+            })
+            .collect::<Result<Vec<(TaskId, Share)>, String>>()?;
+
         let mut exec_stats = ShardStats::default();
         let started = std::time::Instant::now();
         let out = shard::execute_shard(
-            &p.op,
-            tables,
-            p.shard,
-            p.shards,
-            &p.port0,
-            &p.port1,
+            op,
+            &self.tables,
+            v.shard,
+            v.shards,
+            &port0,
+            &port1,
             &mut exec_stats,
         )
-        .map_err(|e| format!("shard {}/{} of {}: {e}", p.shard, p.shards, p.op_name))?;
+        .map_err(|e| format!("shard {}/{} of {}: {e}", v.shard, v.shards, v.op))?;
         let wall = started.elapsed();
         let len = ipc::encoded_len(&out);
         // The frame is made here only where compressing could pay on this
         // link, to learn its ratio; everywhere else the length is enough.
-        let packed = if compression::pays(len, f64::INFINITY, p.link_bps) {
-            compression::for_link(&ipc::encode(&out), &mut None, p.link_bps)
+        let packed = if compression::pays(len, f64::INFINITY, ready.link_bps) {
+            compression::for_link(&ipc::encode(&out), &mut None, ready.link_bps)
         } else {
             None
         };
@@ -502,9 +444,9 @@ impl GraphExecutor {
         // compressed output is its plain length scaled by the output's
         // stored/plain ratio, rounded up.
         let mut splits: Vec<(&Split, Vec<Part>)> = Vec::new();
-        let mut parts = Vec::with_capacity(p.consumers.len());
-        let mut edges = Vec::with_capacity(p.consumers.len());
-        for (c, share) in &p.consumers {
+        let mut parts = Vec::with_capacity(consumers.len());
+        let mut edges = Vec::with_capacity(consumers.len());
+        for (c, share) in &consumers {
             let Some((split, shard)) = share else {
                 parts.push((*c, Part::whole(out.clone())));
                 let rows = out.num_rows() as u64;
@@ -522,7 +464,7 @@ impl GraphExecutor {
                 None => {
                     let divided = split
                         .divide(&out)
-                        .map_err(|e| format!("dividing the output of {}: {e}", p.op_name))?;
+                        .map_err(|e| format!("dividing the output of {}: {e}", v.op))?;
                     splits.push((split, divided));
                     splits.len() - 1
                 }
@@ -534,81 +476,39 @@ impl GraphExecutor {
             parts.push((*c, part));
             edges.push((*c, EdgeSize { bytes, rows }));
         }
-        let by_key = splits
-            .iter()
-            .filter(|(s, _)| matches!(s, Split::ByKey { .. }));
-        Ok(ShardRun {
-            partition_passes: by_key.count() as u64,
-            out,
-            len,
-            packed,
-            parts,
-            edges,
-            wall,
-            exec_stats,
-        })
-    }
 
-    /// Records a finished run's measurements and wraps its output in the
-    /// payload the cluster stores.
-    fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Payload {
-        let rows_out = run.out.num_rows();
-        self.stats.borrow_mut().partition_passes += run.partition_passes;
+        let mut stats = self.stats.borrow_mut();
+        stats.partition_passes += splits
+            .iter()
+            .filter(|(s, _)| matches!(s, Split::ByKey { .. }))
+            .count() as u64;
+        let rows_out = out.num_rows();
         let output = Output {
-            batch: run.out,
-            parts: run.parts,
+            batch: out,
+            parts,
             stats: Rc::clone(&self.stats),
         };
-        let payload = match run.packed {
+        let payload = match packed {
             Some(bytes) => {
-                self.stats.borrow_mut().compressed_outputs += 1;
+                stats.compressed_outputs += 1;
                 Payload::with_bytes(bytes, output)
             }
-            None => Payload::lazy(run.len as u64, output),
+            None => Payload::lazy(len as u64, output),
         }
-        .with_edges(run.edges);
-        self.stats.borrow_mut().timings.push(ShardTiming {
-            task: p.task,
-            op_id: p.op_id,
-            op: p.op_name.clone(),
-            shard: p.shard,
-            shards: p.shards,
-            rows_in: p.rows_in,
+        .with_edges(edges);
+        stats.timings.push(ShardTiming {
+            task: t,
+            op_id: v.op_id,
+            op: v.op.clone(),
+            shard: v.shard,
+            shards: v.shards,
+            rows_in,
             rows_out,
             output_bytes: payload.len(),
-            wall: run.wall,
-            exec_stats: run.exec_stats,
+            wall,
+            exec_stats,
         });
-        payload
-    }
-}
-
-impl TaskExecutor for GraphExecutor {
-    fn execute(&mut self, ready: &ReadyTask<'_>) -> Result<Payload, String> {
-        let p = self.prepare(ready)?;
-        let run = Self::run_shard(&self.tables, &p)?;
-        Ok(self.commit(&p, run))
-    }
-
-    /// Same-instant batch: staging and commits stay serial in task-ID
-    /// order (the order the cluster hands us), while the shard kernels —
-    /// pure functions of their staged inputs — overlap on the shared
-    /// worker pool. Payloads, row counts, and every stat except wall
-    /// nanos are identical to running the batch one task at a time.
-    fn execute_ready(&mut self, tasks: &[ReadyTask<'_>]) -> Vec<Result<Payload, String>> {
-        let prepared: Vec<Result<PreparedShard, String>> =
-            tasks.iter().map(|t| self.prepare(t)).collect();
-        let prepared = Arc::new(prepared);
-        let prepared2 = Arc::clone(&prepared);
-        let tables = Arc::clone(&self.tables);
-        let runs = pool::global().run_indexed(prepared.len(), move |i| {
-            Self::run_shard(&tables, prepared2[i].as_ref()?)
-        });
-        prepared
-            .iter()
-            .zip(runs)
-            .map(|(p, run)| Ok(self.commit(p.as_ref()?, run?)))
-            .collect()
+        Ok(payload)
     }
 }
 

@@ -72,10 +72,12 @@ pub struct ServerConfig {
     /// ([`Session::sql_distributed`]) instead of the local engine.
     pub distributed: bool,
     /// Worker threads in the process-wide execution pool that admitted
-    /// queries' kernels run on (`None` keeps the pool's current size —
-    /// `SKADI_THREADS` or the host's available parallelism). All
-    /// concurrent sessions share this one pool, so compute stays bounded
-    /// at `threads` cores no matter how many queries are admitted.
+    /// queries' morsel-parallel kernels run on, on either engine (`None`
+    /// keeps the pool's current size — `SKADI_THREADS` or the host's
+    /// available parallelism); a distributed query's shards run one at a
+    /// time on its own thread. All concurrent sessions share this one
+    /// pool, so compute stays bounded at `threads` cores no matter how
+    /// many queries are admitted.
     pub threads: Option<usize>,
 }
 

@@ -144,7 +144,9 @@ impl SessionBuilder {
     }
 
     /// Sets the number of real worker threads the execution pool uses for
-    /// morsel-parallel kernels and same-instant shard batches. Defaults
+    /// morsel-parallel kernels, on the local engine and inside each
+    /// distributed shard (the shards themselves run one at a time, each
+    /// at its task's simulated finish). Defaults
     /// to the host's available parallelism (or `SKADI_THREADS`). The
     /// thread count changes only wall-clock time, never output bytes,
     /// profile row counts, or simulated pricing.

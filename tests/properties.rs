@@ -17,6 +17,52 @@ use skadi::store::tier::Tier;
 use skadi_bench::marshal;
 use skadi_dcsim::topology::NodeId;
 
+/// `SELECT id FROM t WHERE v > threshold` over the first
+/// `min(ids, vals)` rows agrees with a plain Rust filter.
+fn sql_exec_matches_reference(ids: &[i64], vals: &[f64], threshold: i64) {
+    use skadi::arrow::array::{Array, Value};
+    use skadi::arrow::batch::RecordBatch;
+    use skadi::arrow::datatype::DataType;
+    use skadi::arrow::schema::{Field, Schema};
+    use skadi::frontends::exec::MemDb;
+
+    let n = ids.len().min(vals.len());
+    let batch = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("id", DataType::Int64, false),
+            Field::new("v", DataType::Float64, false),
+        ]),
+        vec![
+            Array::from_i64(ids[..n].to_vec()),
+            Array::from_f64(vals[..n].to_vec()),
+        ],
+    )
+    .unwrap();
+    let db = MemDb::new().register("t", batch);
+    let out = db
+        .query(&format!("SELECT id FROM t WHERE v > {threshold}"))
+        .unwrap();
+
+    // Reference: plain Rust filter.
+    let expect: Vec<i64> = ids[..n]
+        .iter()
+        .zip(&vals[..n])
+        .filter(|(_, v)| **v > threshold as f64)
+        .map(|(i, _)| *i)
+        .collect();
+    assert_eq!(out.num_rows(), expect.len());
+    for (r, want) in expect.iter().enumerate() {
+        assert_eq!(out.column(0).value_at(r), Value::I64(*want));
+    }
+}
+
+/// The case `sql_exec_matches_reference_model` once shrank to: one row
+/// that passes the filter.
+#[test]
+fn sql_exec_matches_reference_on_its_recorded_shrink() {
+    sql_exec_matches_reference(&[0], &[0.0], -1);
+}
+
 proptest! {
     /// The event queue delivers in non-decreasing time order, FIFO per
     /// instant, for any schedule.
@@ -372,40 +418,7 @@ proptest! {
         vals in prop::collection::vec(-100.0f64..100.0, 1..60),
         threshold in -100i64..100,
     ) {
-        use skadi::arrow::array::{Array, Value};
-        use skadi::arrow::batch::RecordBatch;
-        use skadi::arrow::datatype::DataType;
-        use skadi::arrow::schema::{Field, Schema};
-        use skadi::frontends::exec::MemDb;
-
-        let n = ids.len().min(vals.len());
-        let batch = RecordBatch::try_new(
-            Schema::new(vec![
-                Field::new("id", DataType::Int64, false),
-                Field::new("v", DataType::Float64, false),
-            ]),
-            vec![
-                Array::from_i64(ids[..n].to_vec()),
-                Array::from_f64(vals[..n].to_vec()),
-            ],
-        )
-        .unwrap();
-        let db = MemDb::new().register("t", batch);
-        let out = db
-            .query(&format!("SELECT id FROM t WHERE v > {threshold}"))
-            .unwrap();
-
-        // Reference: plain Rust filter.
-        let expect: Vec<i64> = ids[..n]
-            .iter()
-            .zip(&vals[..n])
-            .filter(|(_, v)| **v > threshold as f64)
-            .map(|(i, _)| *i)
-            .collect();
-        prop_assert_eq!(out.num_rows(), expect.len());
-        for (r, want) in expect.iter().enumerate() {
-            prop_assert_eq!(out.column(0).value_at(r), Value::I64(*want));
-        }
+        sql_exec_matches_reference(&ids, &vals, threshold);
     }
 
     /// Grouped sums agree with a reference accumulation.

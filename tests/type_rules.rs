@@ -5,7 +5,8 @@
 //! A statement the rules accept answers the same from [`MemDb::query`] and
 //! from [`Session::sql_distributed`] at parallelism 1 and 4 — the same IPC
 //! frame. A statement they refuse fails on both engines with one
-//! `SqlError::Plan` text, before any task runs. The expectation is written
+//! `SqlError::Plan` text, before any task runs, and over the wire with
+//! that text as a `code::SQL` exception. The expectation is written
 //! here from the rules themselves, not read from the code under test.
 
 use skadi::arrow::array::Array;
@@ -16,6 +17,10 @@ use skadi::arrow::schema::{Field, Schema};
 use skadi::frontends::exec::MemDb;
 use skadi::frontends::sql::SqlError;
 use skadi::prelude::*;
+use skadi::server::{Server, ServerConfig, SessionEnd};
+use skadi::wire::codec::WireError;
+use skadi::wire::packet::code;
+use skadi::wire::Client;
 
 /// One table per column type, named by it: `x` holds the typed values
 /// (nulls included), `g` a small Int64 group key.
@@ -114,6 +119,21 @@ fn statements() -> Vec<(String, bool)> {
             out.push((format!("SELECT * FROM {left} JOIN {right} ON x = x"), fits));
         }
     }
+    // An aggregate answers its GROUP BY keys and its aggregates: `*` and a
+    // plain column the GROUP BY does not list are refused, whatever the
+    // column's type, and a name no table has is an unknown column.
+    for (table, _) in TABLES {
+        for sql in [
+            format!("SELECT x FROM {table} GROUP BY g"),
+            format!("SELECT x, count(*) AS n FROM {table} GROUP BY g"),
+            format!("SELECT g, x FROM {table} GROUP BY g"),
+            format!("SELECT * FROM {table} GROUP BY g"),
+            format!("SELECT x, count(x) AS n FROM {table}"),
+            format!("SELECT nope, count(*) AS n FROM {table} GROUP BY g"),
+        ] {
+            out.push((sql, false));
+        }
+    }
     out
 }
 
@@ -155,8 +175,9 @@ fn type_rules_agree_on_every_engine() {
             Err(e) => panic!("{sql}: not a planning error: {e:?}"),
         }
     }
-    // Comparisons 36 + 54, aggregates 26 + 24, joins 9 + 16.
-    assert_eq!((accepted, rejected), (71, 94));
+    // Comparisons 36 + 54, aggregates 26 + 24, joins 9 + 16, aggregate
+    // select lists 0 + 30.
+    assert_eq!((accepted, rejected), (71, 124));
 }
 
 /// The texts name what is wrong: the column and its type, the aggregate
@@ -185,8 +206,61 @@ fn type_errors_say_what_does_not_fit() {
             "SELECT * FROM utf8 JOIN int64 ON x = x",
             "cannot join utf8 keys with int64 keys",
         ),
+        (
+            "SELECT x FROM int64 GROUP BY g",
+            "column \"x\" is selected but not a GROUP BY key",
+        ),
+        (
+            "SELECT x, count(x) AS n FROM bool",
+            "column \"x\" is selected but not a GROUP BY key",
+        ),
+        (
+            "SELECT * FROM utf8 GROUP BY g",
+            "SELECT * in an aggregate query: list its GROUP BY keys and aggregates",
+        ),
+        (
+            "SELECT nope, count(*) AS n FROM dict GROUP BY g",
+            "unknown column \"nope\"",
+        ),
     ] {
         let want = SqlError::Plan(text.to_string());
         assert_eq!(db.query(sql).unwrap_err(), want, "{sql}");
+    }
+}
+
+/// Over the wire, on either engine, every refused statement ends its
+/// query with a `code::SQL` exception carrying the local engine's text,
+/// and the session answers the next statement.
+#[test]
+fn refused_statements_give_one_text_over_the_wire() {
+    let db = typed_db();
+    let refused: Vec<(String, String)> = statements()
+        .into_iter()
+        .filter(|(_, fits)| !fits)
+        .map(|(sql, _)| {
+            let text = db.query(&sql).unwrap_err().to_string();
+            (sql, text)
+        })
+        .collect();
+    for distributed in [false, true] {
+        let cfg = ServerConfig {
+            distributed,
+            ..ServerConfig::default()
+        };
+        let server = Server::new(session(4), typed_db(), cfg);
+        let (stream, server_thread) = server.connect();
+        let mut client = Client::connect(stream, "type-rules").unwrap();
+        for (sql, text) in &refused {
+            match client.query(sql) {
+                Err(WireError::Server { code: c, message }) => {
+                    assert_eq!((c, &message), (code::SQL, text), "{sql} ({distributed})");
+                }
+                other => panic!("{sql} ({distributed}): want {text:?}, got {other:?}"),
+            }
+        }
+        let ok = client.query("SELECT g, count(x) AS n FROM int64 GROUP BY g");
+        assert_eq!(ok.expect("session still usable").batch.num_rows(), 3);
+        drop(client);
+        assert_eq!(server_thread.join().unwrap(), SessionEnd::CleanClose);
     }
 }
