@@ -1,9 +1,9 @@
 //! E1 / Figure 1: serverful vs stateless serverless vs distributed
 //! runtime on one integrated pipeline (ingest -> SQL -> ML).
 
-use skadi::pipeline::fig1_pipeline;
 use skadi::prelude::*;
 
+use crate::fixtures::fig1_pipeline;
 use crate::table::Table;
 
 fn session(cfg: RuntimeConfig) -> Session {

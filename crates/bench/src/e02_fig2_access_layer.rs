@@ -5,11 +5,11 @@
 use skadi::flowgraph::lower::{lower_graph, LowerConfig};
 use skadi::flowgraph::optimize::optimize_graph;
 use skadi::frontends::catalog::Catalog;
-use skadi::frontends::ml::TrainingPipeline;
 use skadi::frontends::sql::plan_sql;
 use skadi::ir::BackendPolicy;
 use skadi::prelude::*;
 
+use crate::fixtures::TrainingPipeline;
 use crate::table::Table;
 
 /// Runs the full experiment.

@@ -2,9 +2,9 @@
 //! same mixed workload under configurations emulating each system
 //! family's capabilities.
 
-use skadi::pipeline::fig1_pipeline;
 use skadi::prelude::*;
 
+use crate::fixtures::fig1_pipeline;
 use crate::table::Table;
 
 /// One baseline: a name, the Table-1 feature flags, and a runtime config

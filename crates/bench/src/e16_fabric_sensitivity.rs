@@ -10,10 +10,10 @@
 //! where the data already is.
 
 use skadi::dcsim::network::LinkParams;
-use skadi::pipeline::fig1_pipeline;
 use skadi::prelude::*;
 use skadi::runtime::Cluster;
 
+use crate::fixtures::fig1_pipeline;
 use crate::table::Table;
 
 /// Runs the fig1 pipeline under `cfg` with the given NIC bandwidth

@@ -12,6 +12,7 @@
 
 pub mod baseline;
 pub mod exec_bench;
+pub mod fixtures;
 pub mod marshal;
 pub mod sched_bench;
 pub mod sklz_ref;

@@ -469,10 +469,10 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
     // The plan also says what each join emits.
     let mut plan = FlowGraph::new();
     plan_query(q, &db.catalog(), &mut plan)?;
-    // A scan, a filter either side of the joins, the joins, an aggregate
-    // or a projection, a sort and a limit: sized before the query runs,
-    // so recording allocates nothing per operator.
-    let mut chain = Chain(Vec::with_capacity(6 + q.joins.len()));
+    // A scan, a filter either side of the joins, the joins, an aggregate,
+    // a projection, a sort and a limit: sized before the query runs, so
+    // recording allocates nothing per operator.
+    let mut chain = Chain(Vec::with_capacity(7 + q.joins.len()));
     // Tables are scanned dictionary-encoded, as the distributed engine's
     // scan shards read them (`shard::scan_shard`): each column's encoding
     // is made on first use and kept for the life of the table's arrays,
@@ -514,6 +514,15 @@ fn run(q: &Query, db: &MemDb) -> Result<(RecordBatch, Chain), SqlError> {
         let mut stats = ShardStats::default();
         current = aggregate_with_stats(q, &current, &mut stats)?;
         chain.record(Op::Aggregate, t0, rows_in, &current, stats);
+        // Keys then aggregates, as the plan's aggregate emits them: where
+        // the select list says otherwise, the plan projects and so do we.
+        let names = q.output_names();
+        let emitted = current.schema().fields().iter().map(|f| f.name.as_str());
+        if emitted.ne(names.iter().copied()) {
+            let (t0, rows_in) = (Instant::now(), current.num_rows());
+            current = current.project(&names).map_err(wrap)?;
+            chain.record(Op::Project, t0, rows_in, &current, ShardStats::default());
+        }
     } else {
         let cols = q.projected_columns();
         if !cols.is_empty() && !cols.contains(&"*") {

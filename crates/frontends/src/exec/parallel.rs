@@ -506,6 +506,11 @@ where
     fn max(a: Self, b: Self) -> Self;
     /// The value as `avg` sums it.
     fn to_f64(self) -> f64;
+    /// A folded value as the answer holds it: a `Float64` NaN is the one
+    /// quiet NaN, whatever sign and payload the additions left it (which
+    /// NaN an addition of two passes on depends on the order the compiler
+    /// put its operands in, and ORDER BY tells the signs apart).
+    fn canonical(self) -> Self;
 }
 
 impl Number for i64 {
@@ -522,6 +527,9 @@ impl Number for i64 {
     }
     fn to_f64(self) -> f64 {
         self as f64
+    }
+    fn canonical(self) -> i64 {
+        self
     }
 }
 
@@ -540,11 +548,19 @@ impl Number for f64 {
     fn to_f64(self) -> f64 {
         self
     }
+    fn canonical(self) -> f64 {
+        if self.is_nan() {
+            f64::NAN
+        } else {
+            self
+        }
+    }
 }
 
 /// One aggregate over a numeric column: `sum`, `min` and `max` keep the
-/// column's type, `avg` sums in `f64` and divides by the non-null count.
-/// Groups with no non-null value are null. `None` if a sum overflowed.
+/// column's type, `avg` sums in `f64` and divides by the non-null count;
+/// a NaN sum or mean is the quiet NaN ([`Number::canonical`]). Groups
+/// with no non-null value are null. `None` if a sum overflowed.
 fn fold_numbers<T: Number>(
     func: AggFunc,
     a: &PrimitiveArray<T>,
@@ -565,6 +581,7 @@ where
                 })
             };
             let sums = fold_rows(groups, a.iter(), T::ZERO, add);
+            let sums = sums.into_iter().map(|s| s.map(T::canonical));
             (!overflowed).then(|| PrimitiveArray::from_options(sums).into())
         }
         AggFunc::Min => {
@@ -581,7 +598,9 @@ where
             let counts = count_rows(groups, valid());
             let means = sums.into_iter().zip(counts);
             Some(Array::from_opt_f64(
-                means.map(|(s, n)| Some(s? / n as f64)).collect(),
+                means
+                    .map(|(s, n)| Some((s? / n as f64).canonical()))
+                    .collect(),
             ))
         }
     }

@@ -3,33 +3,26 @@
 //! "The input consists of several domain-specific declarations like SQL
 //! statements and ML training. Skadi [...] invokes domain-specific
 //! parsers to translate declarations onto a common graph called
-//! FlowGraph" (§2.1). This crate provides those parsers/builders:
+//! FlowGraph" (§2.1). SQL is the declaration this crate lowers, onto real
+//! rows:
 //!
+//! - [`catalog`]: the tables a statement may name, with their schemas and
+//!   sizes.
 //! - [`sql`]: a SQL subset (SELECT/JOIN/WHERE/GROUP BY/ORDER BY/LIMIT)
-//!   with a lexer, recursive-descent parser, and a planner producing
-//!   FlowGraph.
-//! - [`mapreduce`]: classic map/shuffle/reduce jobs.
-//! - [`graph`]: Pregel-style iterative vertex programs (supersteps are
-//!   unrolled onto the DAG).
-//! - [`ml`]: mini-batch training pipelines (forward, loss, backward,
-//!   optimizer step; weights broadcast between steps).
+//!   with a lexer, recursive-descent parser, and a planner producing a
+//!   FlowGraph whose every vertex carries an executable descriptor.
+//! - [`exec`]: the local execution engine, running parsed SQL against
+//!   in-memory record batches (via `skadi-arrow`).
+//! - [`shard`]: the shard kernels the distributed data plane runs for
+//!   each physical vertex of the same plan.
 //!
-//! [`exec`] additionally provides a *local execution engine* that runs
-//! parsed SQL against real in-memory record batches (via `skadi-arrow`),
-//! validating the planner's semantics with actual answers.
-//!
-//! All four lower onto *one* [`FlowGraph`](skadi_flowgraph::FlowGraph),
-//! which is the point: one execution graph hosts data-parallel,
-//! task-parallel, and iterative patterns at once.
+//! Other domains' declarations reach the runtime as FlowGraphs built by
+//! their callers (`Session::run_graph`, `PipelineBuilder::stage`).
 
 pub mod catalog;
 pub mod exec;
-pub mod graph;
-pub mod mapreduce;
-pub mod ml;
 pub mod shard;
 pub mod sql;
-pub mod streaming;
 
 pub use catalog::{Catalog, TableDef};
 pub use sql::plan_sql;

@@ -61,6 +61,18 @@ impl Query {
         })
     }
 
+    /// The names the statement answers, in SELECT order: a bare column's
+    /// name, an aggregate's output name.
+    pub(crate) fn output_names(&self) -> Vec<&str> {
+        self.select
+            .iter()
+            .map(|s| match s {
+                SelectItem::Column(c) => c.as_str(),
+                SelectItem::Agg(a) => a.name.as_str(),
+            })
+            .collect()
+    }
+
     /// The bare columns referenced in the SELECT list.
     pub fn projected_columns(&self) -> Vec<&str> {
         self.select

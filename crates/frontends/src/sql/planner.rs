@@ -304,6 +304,17 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
             None => g.connect(head.at, agg)?,
         }
         head.at = agg;
+        // The answer is the select list in its own order, without a key
+        // the list leaves out; the aggregate emits its keys, then its
+        // aggregates, so a projection follows it where the two differ.
+        let output = q
+            .output_names()
+            .into_iter()
+            .map(|c| head.resolve(c).cloned());
+        let output: Vec<Field> = output.collect::<Result<_, _>>()?;
+        if head.cols != output {
+            head.project(g, output)?;
+        }
     } else if top.is_some() {
         let selected = select.iter().map(|name| head.resolve(name).cloned());
         let selected: Vec<Field> = selected.collect::<Result<_, _>>()?;
@@ -313,7 +324,10 @@ pub fn plan_query(q: &Query, catalog: &Catalog, g: &mut FlowGraph) -> Result<Ver
     }
 
     if let Some(ob) = &q.order_by {
-        head.resolve(&ob.column)?;
+        if head.resolve(&ob.column).is_err() {
+            let text = format!("ORDER BY column {:?} is not an output column", ob.column);
+            return Err(SqlError::Plan(text));
+        }
     }
     if let Some(n) = q.limit {
         head.rows = head.rows.min(n);

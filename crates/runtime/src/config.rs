@@ -320,12 +320,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the control-plane failover election delay.
-    pub fn with_election_delay(mut self, d: SimDuration) -> Self {
-        self.election_delay = d;
-        self
-    }
-
     /// Enables per-event invariant checking (chaos/debug builds).
     pub fn with_debug_invariants(mut self, on: bool) -> Self {
         self.debug_invariants = on;

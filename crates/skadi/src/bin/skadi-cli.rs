@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run -p skadi --bin skadi-cli -- "SELECT kind, sum(value) FROM events GROUP BY kind"
 //! cargo run -p skadi --bin skadi-cli            # runs a demo query set
-//! cargo run -p skadi --bin skadi-cli -- trace   # trace the quickstart pipeline
+//! cargo run -p skadi --bin skadi-cli -- trace   # trace the first demo query
 //! ```
 //!
 //! `--distributed` executes each query **through the simulated cluster's
@@ -36,8 +36,8 @@
 //! cargo run -p skadi --bin skadi-cli -- --distributed --placement load-aware --adaptive "SELECT ..."
 //! ```
 //!
-//! The `trace` subcommand runs the Figure-1 integrated pipeline with
-//! causal span tracing enabled, writes a Chrome `trace_event` JSON file
+//! The `trace` subcommand runs the first demo query through the
+//! distributed data plane with causal span tracing enabled, writes a Chrome `trace_event` JSON file
 //! (open it at <https://ui.perfetto.dev>), and prints the per-job
 //! critical-path summary:
 //!
@@ -302,19 +302,23 @@ fn write_trace_file(path: &str, json: &str) {
     }
 }
 
-/// `skadi-cli trace [output.json]`: run the quickstart pipeline with
-/// tracing on, export Chrome trace_event JSON, print the critical path.
+/// `skadi-cli trace [output.json]`: run the first demo query through the
+/// distributed data plane with tracing on, export Chrome trace_event
+/// JSON, print the critical path.
 fn run_trace(out_path: &str) {
+    let db = demo_db(10_000);
     let session = Session::builder()
         .topology(presets::small_disagg_cluster())
         .catalog(Catalog::demo())
         .runtime(RuntimeConfig::skadi_gen2().with_tracing(true))
         .build();
-    let report = skadi::pipeline::fig1_pipeline(&session, 1)
-        .expect("quickstart pipeline builds")
-        .run()
-        .expect("quickstart pipeline runs");
+    let query = &demo_queries()[0];
+    let report = session
+        .sql_distributed(&db, query)
+        .expect("demo query runs distributed")
+        .report;
 
+    println!("sql> {query}");
     let json = report.chrome_trace();
     let spans = report.stats.trace.len();
     write_trace_file(out_path, &json);

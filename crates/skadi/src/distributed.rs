@@ -40,11 +40,9 @@
 //! them; a part of a compressed output is that length scaled by the
 //! output's stored/plain ratio, rounded up). Every consumer shard takes
 //! its part by reference: no row is copied until its merge-gather copies
-//! it, once, into its input. A payload the content does not come with
-//! (bytes handed over by a caller) is decoded — decompressed first when
-//! it carries the block magic — to the same batch, buffer for buffer (a
-//! frame *is* the batch's buffers), and divided there for the one
-//! consumer that reads it.
+//! it, once, into its input. A payload that arrives without its `Output`
+//! is an internal error: every payload a run hands over was made by the
+//! one executor of that run.
 //!
 //! Determinism: task inputs are produced deterministically (scans slice
 //! contiguous row ranges, row lists ascend, gathers merge into canonical
@@ -60,9 +58,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use skadi_arrow::batch::RecordBatch;
-use skadi_arrow::error::ArrowError;
 use skadi_arrow::{compression, ipc};
 use skadi_flowgraph::physical::{
     PEdgeKind, PVertexId, PhysicalEdge, PhysicalGraph, PhysicalVertex,
@@ -115,11 +111,6 @@ pub struct DataPlaneStats {
     /// `(producer task, consumer task)`. Re-executions overwrite, so the
     /// map holds each edge's final delivery.
     pub edge_rows: BTreeMap<(u64, u64), usize>,
-    /// Payloads decoded back into batches: one per input that reached a
-    /// consumer as bytes alone, without the batch its producer kept (none
-    /// when one executor runs the job, under recovery too). A count, not
-    /// a time — repeats exactly from run to run.
-    pub payload_decodes: u64,
     /// Whole-batch hash-partition passes: one per producer with a shuffle
     /// out-edge, however many consumer shards share the result.
     pub partition_passes: u64,
@@ -277,22 +268,10 @@ impl Content for Output {
 
 /// Decodes stored bytes — block-compressed or plain, told apart by
 /// magic — back into the batch they were made from.
-fn decode(bytes: &[u8]) -> Result<RecordBatch, ArrowError> {
-    let frame = if compression::is_compressed(bytes) {
-        compression::decompress(bytes)?
-    } else {
-        bytes.to_vec()
-    };
-    ipc::decode(Bytes::from(frame))
-}
-
-/// The batch a payload holds: the one its executor kept, or its bytes
-/// decoded when it came without one.
-pub(crate) fn payload_batch(payload: &Payload) -> Result<RecordBatch, ArrowError> {
-    match payload.content::<Output>() {
-        Some(output) => Ok(output.batch.clone()),
-        None => decode(payload.bytes()),
-    }
+/// The batch a payload's executor kept; a payload made elsewhere has
+/// none.
+pub(crate) fn payload_batch(payload: &Payload) -> Option<&RecordBatch> {
+    payload.content::<Output>().map(|output| &output.batch)
 }
 
 impl GraphExecutor {
@@ -333,32 +312,13 @@ impl GraphExecutor {
                 .find(|(p, _)| *p == from)
                 .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?
                 .1;
-            let part = match payload.content::<Output>() {
-                Some(output) => output
-                    .part(t)
-                    .cloned()
-                    .ok_or_else(|| format!("{from} kept no part of its output for {}", v.id))?,
-                // Bytes handed over without the batch they were made
-                // from: decode them and take this shard's share here.
-                None => {
-                    let batch = decode(payload.bytes())
-                        .map_err(|err| format!("decode payload of {from}: {err}"))?;
-                    let mut stats = self.stats.borrow_mut();
-                    stats.payload_decodes += 1;
-                    match self.share(e) {
-                        None => Part::whole(batch),
-                        Some((split, shard)) => {
-                            if matches!(split, Split::ByKey { .. }) {
-                                stats.partition_passes += 1;
-                            }
-                            let mut parts = split
-                                .divide(&batch)
-                                .map_err(|err| format!("into {}: {err}", v.id))?;
-                            parts.swap_remove(shard as usize)
-                        }
-                    }
-                }
-            };
+            let output = payload
+                .content::<Output>()
+                .ok_or_else(|| format!("payload of {from} holds no executor output"))?;
+            let part = output
+                .part(t)
+                .cloned()
+                .ok_or_else(|| format!("{from} kept no part of its output for {}", v.id))?;
             let mut stats = self.stats.borrow_mut();
             if let PEdgeKind::Shuffle { .. } = e.kind {
                 stats.shuffle_rows.insert((from.0, t.0), part.num_rows());
@@ -524,15 +484,17 @@ mod tests {
     use skadi_ir::BackendPolicy;
 
     /// Drives an executor by hand, task by task, the way the cluster
-    /// does, over the fabric's NIC: every output is a length and its
-    /// batch, nothing is compressed, decoded or encoded on the way, and a
-    /// payload read afterwards is its batch's frame, made once. The same
-    /// bytes handed to a second executor decode to the same batches and
-    /// store the same bytes.
+    /// does: every output is a length and its batch, and a payload read
+    /// afterwards is its batch's frame, made once. On the fabric's NIC
+    /// nothing is compressed; on a 100 MiB/s link every output whose
+    /// compressing pays is stored compressed. Either way each stored
+    /// payload's bytes, decompressed where they carry the block magic,
+    /// decode to the very batch its `Output` kept.
     #[test]
-    fn payloads_are_lengths_until_read() {
+    fn stored_bytes_decode_to_the_kept_batch() {
         const FABRIC: u64 = 25 << 30;
-        let n = 200i64;
+        const SLOW: u64 = 100 << 20;
+        let n = 2_000i64;
         let tags: Vec<&str> = (0..n).map(|i| ["x", "y", "z"][i as usize % 3]).collect();
         let t = RecordBatch::try_new(
             Schema::new(vec![
@@ -547,82 +509,98 @@ mod tests {
             ],
         )
         .unwrap();
-        let db = MemDb::new().register("t", t);
-        let query = "SELECT tag, sum(v) AS s, count(*) AS n FROM t WHERE k > 1 GROUP BY tag";
-        let (graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
-        let lower = LowerConfig::new(4, BackendPolicy::cost_based());
-        let phys = lower_graph(&graph, &lower).unwrap();
-
-        // Each consumer reads its producers' stored payloads — or, `cold`,
-        // only their bytes.
-        let run = |exec: &mut GraphExecutor, cold: bool| {
-            let mut stored: BTreeMap<u32, Payload> = BTreeMap::new();
-            for v in phys.topo_order().unwrap() {
-                let mut producers: Vec<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
-                producers.sort_unstable();
-                producers.dedup();
-                let bytes: Vec<Payload> = producers
-                    .iter()
-                    .filter(|_| cold)
-                    .map(|p| Payload::from(stored[p].bytes().to_vec()))
-                    .collect();
-                let inputs = producers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (TaskId(*p as u64), bytes.get(i).unwrap_or(&stored[p])))
-                    .collect();
-                let mut consumers: Vec<(TaskId, EdgeSize)> = phys
-                    .out_edges(v)
-                    .iter()
-                    .map(|e| {
-                        (
-                            TaskId(e.to.0 as u64),
-                            EdgeSize {
+        let d = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64, false),
+                Field::new("label", DataType::Utf8, false),
+            ]),
+            vec![
+                Array::from_i64((0..7).collect()),
+                Array::from_utf8(&["a", "b", "a", "c", "b", "a", "d"]),
+            ],
+        )
+        .unwrap();
+        let db = MemDb::new().register("t", t).register("d", d);
+        let mut compressed = 0;
+        for query in [
+            "SELECT tag, sum(v) AS s, count(*) AS n FROM t WHERE k > 1 GROUP BY tag",
+            "SELECT label, tag, v FROM t JOIN d ON k = k WHERE v > 10 ORDER BY v DESC LIMIT 50",
+            "SELECT k, v FROM t",
+        ] {
+            let (graph, _sink) = sql::plan_sql(query, &db.catalog()).unwrap();
+            let lower = LowerConfig::new(4, BackendPolicy::cost_based());
+            let phys = lower_graph(&graph, &lower).unwrap();
+            for link_bps in [FABRIC, SLOW] {
+                let mut exec = GraphExecutor::new(phys.clone(), db.tables().clone());
+                let mut stored: BTreeMap<u32, Payload> = BTreeMap::new();
+                for v in phys.topo_order().unwrap() {
+                    let mut producers: Vec<u32> =
+                        phys.in_edges(v).iter().map(|e| e.from.0).collect();
+                    producers.sort_unstable();
+                    producers.dedup();
+                    let inputs = producers
+                        .iter()
+                        .map(|p| (TaskId(*p as u64), &stored[p]))
+                        .collect();
+                    let mut consumers: Vec<(TaskId, EdgeSize)> = phys
+                        .out_edges(v)
+                        .iter()
+                        .map(|e| {
+                            let size = EdgeSize {
                                 bytes: e.bytes,
                                 rows: 0,
-                            },
-                        )
-                    })
-                    .collect();
-                consumers.sort_unstable_by_key(|c| c.0);
-                let ready = ReadyTask {
-                    task: TaskId(v.0 as u64),
-                    inputs,
-                    consumers,
-                    output_bytes: phys.vertex(v).output_bytes,
-                    link_bps: FABRIC,
+                            };
+                            (TaskId(e.to.0 as u64), size)
+                        })
+                        .collect();
+                    consumers.sort_unstable_by_key(|c| c.0);
+                    let ready = ReadyTask {
+                        task: TaskId(v.0 as u64),
+                        inputs,
+                        consumers,
+                        output_bytes: phys.vertex(v).output_bytes,
+                        link_bps,
+                    };
+                    let out = exec.execute(&ready).unwrap();
+                    stored.insert(v.0, out);
+                }
+                let counts = |e: &GraphExecutor| {
+                    let s = e.stats.borrow();
+                    (s.compressed_outputs, s.payloads_materialised)
                 };
-                let out = exec.execute(&ready).unwrap();
-                stored.insert(v.0, out);
+                let (packed, made) = counts(&exec);
+                assert_eq!(made, 0, "{query}: no frame made before a read");
+                if link_bps == FABRIC {
+                    assert_eq!(packed, 0, "{query}: the fabric never compresses");
+                }
+                compressed += packed;
+                for (v, payload) in &stored {
+                    let kept = payload_batch(payload).unwrap();
+                    let bytes = payload.bytes();
+                    let frame = if compression::is_compressed(bytes) {
+                        compression::decompress(bytes).unwrap()
+                    } else {
+                        bytes.to_vec()
+                    };
+                    assert_eq!(payload.len(), bytes.len() as u64, "{query}: task {v}");
+                    let decoded = ipc::decode(bytes::Bytes::from(frame)).unwrap();
+                    assert_eq!(&decoded, kept, "{query}: task {v}");
+                    // `DictUtf8` equality is logical: compare the frames too.
+                    assert_eq!(
+                        ipc::encode(&decoded),
+                        ipc::encode(kept),
+                        "{query}: task {v}"
+                    );
+                }
+                // A compressed output was stored as bytes when it ran.
+                let made = counts(&exec).1;
+                assert_eq!(
+                    made + packed,
+                    stored.len() as u64,
+                    "{query}: each made once"
+                );
             }
-            stored
-        };
-        let mut warm = GraphExecutor::new(phys.clone(), db.tables().clone());
-        let stored = run(&mut warm, false);
-        let counts = |e: &GraphExecutor| {
-            let s = e.stats.borrow();
-            (
-                s.compressed_outputs,
-                s.payload_decodes,
-                s.payloads_materialised,
-            )
-        };
-        assert_eq!(counts(&warm), (0, 0, 0));
-        assert!(
-            warm.stats.borrow().partition_passes > 0,
-            "the plan shuffles"
-        );
-        for (v, payload) in &stored {
-            let batch = &payload.content::<Output>().unwrap().batch;
-            assert_eq!(payload.len(), ipc::encode(batch).len() as u64, "task {v}");
-            assert_eq!(payload.bytes(), ipc::encode(batch).as_slice(), "task {v}");
-            assert_eq!(payload.bytes(), ipc::encode(batch).as_slice(), "task {v}");
         }
-        assert_eq!(counts(&warm), (0, 0, stored.len() as u64), "each made once");
-
-        let mut cold = GraphExecutor::new(phys.clone(), db.tables().clone());
-        let again = run(&mut cold, true);
-        assert_eq!(again, stored);
-        assert!(cold.stats.borrow().payload_decodes > 0);
+        assert!(compressed > 0, "the slow link compresses some output");
     }
 }

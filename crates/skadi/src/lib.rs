@@ -41,7 +41,7 @@
 //! | [`skadi_store`] | object store, tiered caching layer, replication, EC |
 //! | [`skadi_ir`] | op vocabulary, per-backend cost table, backend selection |
 //! | [`skadi_flowgraph`] | logical FlowGraph (incl. cross-domain fusion) + physical sharded graph |
-//! | [`skadi_frontends`] | SQL / MapReduce / graph / ML frontends |
+//! | [`skadi_frontends`] | the SQL frontend: catalog, lexer/parser/planner, local engine, shard kernels |
 //! | [`skadi_runtime`] | stateful serverless runtime (raylets, schedulers, lineage, pull/push future resolution) |
 //! | `skadi` (this crate) | the session API gluing the tiers together |
 
@@ -77,10 +77,6 @@ pub mod prelude {
     pub use skadi_dcsim::topology::presets;
     pub use skadi_dcsim::topology::{AccelKind, Topology, TopologyBuilder};
     pub use skadi_frontends::catalog::Catalog;
-    pub use skadi_frontends::graph::VertexProgram;
-    pub use skadi_frontends::mapreduce::MapReduceJob;
-    pub use skadi_frontends::ml::TrainingPipeline;
-    pub use skadi_frontends::streaming::StreamJob;
     pub use skadi_ir::{Backend, BackendPolicy};
     pub use skadi_runtime::{
         Deployment, FailurePlan, FtMode, Generation, JobStats, PlacementPolicy, RuntimeConfig,

@@ -14,8 +14,6 @@ use std::collections::BTreeMap;
 
 use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::optimize::optimize_graph;
-use skadi_frontends::mapreduce::MapReduceJob;
-use skadi_frontends::ml::TrainingPipeline;
 use skadi_frontends::sql;
 use skadi_runtime::task::{TaskId, TaskSpec};
 use skadi_runtime::{Cluster, FailurePlan, Job};
@@ -56,26 +54,6 @@ impl<'a> PipelineBuilder<'a> {
         let (g, _) = sql::plan_sql(statement, self.session.catalog())?;
         self.stages.push(Stage {
             system: "sql".to_string(),
-            graph: g,
-        });
-        Ok(self)
-    }
-
-    /// Appends a MapReduce stage (the "data processing" system).
-    pub fn mapreduce(mut self, job: &MapReduceJob) -> Result<Self, SkadiError> {
-        let (g, _) = job.to_flowgraph()?;
-        self.stages.push(Stage {
-            system: "dp".to_string(),
-            graph: g,
-        });
-        Ok(self)
-    }
-
-    /// Appends an ML training stage.
-    pub fn train(mut self, pipeline: &TrainingPipeline) -> Result<Self, SkadiError> {
-        let (g, _) = pipeline.to_flowgraph()?;
-        self.stages.push(Stage {
-            system: "ml".to_string(),
             graph: g,
         });
         Ok(self)
@@ -208,23 +186,6 @@ impl<'a> PipelineBuilder<'a> {
     }
 }
 
-/// The canonical integrated pipeline of experiment E1 (Figure 1): data
-/// ingestion (MapReduce) -> SQL analytics -> ML training, sized by
-/// `scale` (1 = the default workload).
-pub fn fig1_pipeline(session: &Session, scale: u64) -> Result<PipelineBuilder<'_>, SkadiError> {
-    let scale = scale.max(1);
-    let ingest = MapReduceJob::new("raw-events", scale << 18, scale << 26, "user_id")
-        .map_selectivity(0.8)
-        .reduce_factor(0.25);
-    let train = TrainingPipeline::new("features", scale << 12, scale << 22, 1 << 20).steps(4);
-    session
-        .pipeline()
-        .named("fig1-integrated-pipeline")
-        .mapreduce(&ingest)?
-        .sql("SELECT kind, sum(value) FROM events WHERE value > 0.25 GROUP BY kind")?
-        .train(&train)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,58 +199,6 @@ mod tests {
             .catalog(Catalog::demo())
             .runtime(cfg)
             .build()
-    }
-
-    #[test]
-    fn pipeline_chains_stages() {
-        let s = session(RuntimeConfig::skadi_gen2());
-        let (job, report) = fig1_pipeline(&s, 1).unwrap().compile().unwrap();
-        assert!(report.physical_vertices > 10);
-        // The combined job is one DAG: every stage's roots (except the
-        // first stage's) have inputs.
-        let roots: usize = job.tasks.values().filter(|t| t.inputs.is_empty()).count();
-        let first_stage_sources = job
-            .tasks
-            .values()
-            .filter(|t| t.system == "dp" && t.inputs.is_empty())
-            .count();
-        assert_eq!(roots, first_stage_sources);
-        // Systems all present.
-        for sys in ["dp", "sql", "ml"] {
-            assert!(job.tasks.values().any(|t| t.system == sys), "{sys} missing");
-        }
-    }
-
-    #[test]
-    fn skadi_beats_stateless_on_integrated_pipeline() {
-        let skadi = session(RuntimeConfig::skadi_gen2());
-        let a = fig1_pipeline(&skadi, 1).unwrap().run().unwrap();
-        let stateless = session(RuntimeConfig::stateless_serverless());
-        let b = fig1_pipeline(&stateless, 1).unwrap().run().unwrap();
-        assert_eq!(a.stats.abandoned, 0);
-        assert_eq!(b.stats.abandoned, 0);
-        assert!(a.stats.durable_trips < b.stats.durable_trips);
-        assert!(
-            a.stats.makespan < b.stats.makespan,
-            "skadi {} vs stateless {}",
-            a.stats.makespan,
-            b.stats.makespan
-        );
-    }
-
-    #[test]
-    fn serverful_pays_at_system_boundaries_only() {
-        let sf = session(RuntimeConfig::serverful());
-        let r = fig1_pipeline(&sf, 1).unwrap().run().unwrap();
-        let sl = session(RuntimeConfig::stateless_serverless());
-        let r2 = fig1_pipeline(&sl, 1).unwrap().run().unwrap();
-        assert!(r.stats.durable_trips > 0, "boundaries must bounce");
-        assert!(
-            r.stats.durable_trips < r2.stats.durable_trips,
-            "serverful {} vs stateless {}",
-            r.stats.durable_trips,
-            r2.stats.durable_trips
-        );
     }
 
     #[test]

@@ -20,11 +20,7 @@ use skadi_flowgraph::optimize::optimize_graph;
 use skadi_flowgraph::physical::PhysicalGraph;
 use skadi_flowgraph::profile::SKEW_MULTIPLE;
 use skadi_frontends::catalog::Catalog;
-use skadi_frontends::graph::VertexProgram;
-use skadi_frontends::mapreduce::MapReduceJob;
-use skadi_frontends::ml::TrainingPipeline;
 use skadi_frontends::sql;
-use skadi_frontends::streaming::StreamJob;
 use skadi_ir::BackendPolicy;
 use skadi_runtime::{
     job_from_physical, Cluster, FailurePlan, Job, RuntimeConfig, RuntimeError, TaskId,
@@ -305,7 +301,8 @@ impl Session {
             .task_output(sink_task)
             .ok_or_else(|| data_plane_fault("data plane: sink stored no payload".into()))?;
         let batch = distributed::payload_batch(sink)
-            .map_err(|e| data_plane_fault(format!("data plane: decode result: {e}")))?;
+            .ok_or_else(|| data_plane_fault("data plane: sink payload holds no batch".into()))?
+            .clone();
         let data_plane = measurements.borrow().clone();
         let profile = data_plane.query_profile(&phys, statement, self.parallelism, SKEW_MULTIPLE);
         Ok(DistributedRun {
@@ -342,30 +339,6 @@ impl Session {
             ))
         })?;
         Ok(profile.render(true))
-    }
-
-    /// Runs a MapReduce job.
-    pub fn mapreduce(&self, job: &MapReduceJob) -> Result<JobReport, SkadiError> {
-        let (g, _sink) = job.to_flowgraph()?;
-        self.run_graph("mapreduce", g, "dp")
-    }
-
-    /// Runs an iterative vertex program.
-    pub fn vertex_program(&self, prog: &VertexProgram) -> Result<JobReport, SkadiError> {
-        let (g, _sink) = prog.to_flowgraph()?;
-        self.run_graph("graph", g, "graph")
-    }
-
-    /// Runs a training pipeline.
-    pub fn train(&self, pipeline: &TrainingPipeline) -> Result<JobReport, SkadiError> {
-        let (g, _sink) = pipeline.to_flowgraph()?;
-        self.run_graph("train", g, "ml")
-    }
-
-    /// Runs a micro-batch streaming job.
-    pub fn stream(&self, job: &StreamJob) -> Result<JobReport, SkadiError> {
-        let (g, _sink) = job.to_flowgraph()?;
-        self.run_graph("stream", g, "streaming")
     }
 
     /// Starts an integrated multi-system pipeline.
@@ -479,28 +452,6 @@ mod tests {
     fn sql_errors_propagate() {
         let err = session().sql("SELECT FROM nothing").unwrap_err();
         assert!(matches!(err, SkadiError::Sql(_)));
-    }
-
-    #[test]
-    fn mapreduce_end_to_end() {
-        let job = MapReduceJob::new("logs", 1 << 20, 64 << 20, "word");
-        let r = session().mapreduce(&job).unwrap();
-        assert!(r.stats.finished > 0);
-    }
-
-    #[test]
-    fn training_uses_gpus() {
-        let p = TrainingPipeline::new("mnist", 1 << 14, 8 << 20, 4 << 20).steps(2);
-        let r = session().train(&p).unwrap();
-        assert!(r.backends.gpu > 0, "matmuls should land on GPUs: {r}");
-        assert!(r.stats.finished > 0);
-    }
-
-    #[test]
-    fn vertex_program_end_to_end() {
-        let prog = VertexProgram::pagerank("web", 100_000, 1_000_000, 3);
-        let r = session().vertex_program(&prog).unwrap();
-        assert!(r.stats.finished > 0);
     }
 
     #[test]

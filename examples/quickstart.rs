@@ -27,18 +27,7 @@ fn main() -> Result<(), SkadiError> {
          WHERE value > 0.5 AND kind = 'click' \
          GROUP BY kind ORDER BY kind LIMIT 10",
     )?;
-    println!("\n{report}\n");
-
-    // 4. The same session runs ML training — on GPUs, with weights
-    //    flowing through the caching layer.
-    let train = TrainingPipeline::new("features", 1 << 14, 8 << 20, 2 << 20).steps(4);
-    let report = session.train(&train)?;
-    println!("{report}\n");
-
-    // 5. And an iterative graph computation.
-    let pr = VertexProgram::pagerank("web-graph", 1_000_000, 20_000_000, 5);
-    let report = session.vertex_program(&pr)?;
-    println!("{report}");
+    println!("\n{report}");
 
     Ok(())
 }

@@ -384,26 +384,19 @@ fn determinism_across_seeds_and_runs() {
 
 /// The data plane, gated on counts that repeat exactly on any host: at
 /// parallelism 4 on the fabric's NIC every golden query stores no
-/// compressed output, decodes no payload, makes no frame, and
-/// hash-partitions each shuffle producer's output once (it used to be
-/// once per consumer shard). Reading every stored payload makes each
-/// frame once. A second, cold executor — fed those bytes alone, through
-/// plain `TaskExecutor::execute` — decodes every input from them and
-/// must store the very same bytes and edge lengths, so what the first
-/// run handed over by reference was what the bytes hold.
+/// compressed output, makes no frame, and hash-partitions each shuffle
+/// producer's output once (it used to be once per consumer shard).
+/// Reading every stored payload makes each frame once.
 #[test]
-fn every_output_is_staged_once_and_a_cold_executor_agrees() {
-    use skadi::dcsim::network::LinkParams;
+fn every_output_is_staged_once() {
     use skadi::flowgraph::lower::{lower_graph, LowerConfig};
     use skadi::flowgraph::optimize::optimize_graph;
     use skadi::flowgraph::physical::PEdgeKind;
     use skadi::frontends::sql;
     use skadi::ir::BackendPolicy;
-    use skadi::runtime::{
-        job_from_physical, Cluster, EdgeSize, Payload, ReadyTask, TaskExecutor, TaskId,
-    };
+    use skadi::runtime::{job_from_physical, Cluster, TaskId};
     use skadi::GraphExecutor;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     let topo = presets::small_disagg_cluster();
     for (db, queries) in [(golden_db(), QUERIES), (big_db(), BIG_QUERIES)] {
@@ -413,83 +406,32 @@ fn every_output_is_staged_once_and_a_cold_executor_agrees() {
             let lower = LowerConfig::new(4, BackendPolicy::cost_based());
             let phys = lower_graph(&graph, &lower).unwrap();
             let job = job_from_physical("sql", &phys, "sql").unwrap();
-            let edges = |shuffles_only: bool| -> BTreeSet<(u32, u32)> {
-                let edges = phys.edges().iter();
-                edges
-                    .filter(|e| !shuffles_only || matches!(e.kind, PEdgeKind::Shuffle { .. }))
-                    .map(|e| (e.from.0, e.to.0))
-                    .collect()
-            };
-            let shuffled: BTreeSet<u32> = edges(true).iter().map(|e| e.0).collect();
+            let shuffled: BTreeSet<u32> = phys
+                .edges()
+                .iter()
+                .filter(|e| matches!(e.kind, PEdgeKind::Shuffle { .. }))
+                .map(|e| e.from.0)
+                .collect();
 
             let mut cluster = Cluster::new(&topo, RuntimeConfig::skadi_gen2());
-            let warm = GraphExecutor::new(phys.clone(), db.tables().clone());
-            let measured = warm.stats();
-            cluster.set_executor(Box::new(warm));
+            let executor = GraphExecutor::new(phys.clone(), db.tables().clone());
+            let measured = executor.stats();
+            cluster.set_executor(Box::new(executor));
             cluster
                 .run_with_failures(&job, &FailurePlan::none())
                 .unwrap();
             let warm = measured.borrow().clone();
-            let counts = (
-                warm.compressed_outputs,
-                warm.payload_decodes,
-                warm.payloads_materialised,
-            );
-            assert_eq!(counts, (0, 0, 0), "{query}");
+            let counts = (warm.compressed_outputs, warm.payloads_materialised);
+            assert_eq!(counts, (0, 0), "{query}");
             assert_eq!(warm.partition_passes, shuffled.len() as u64, "{query}");
 
-            let stored: Vec<&[u8]> = phys
-                .vertices()
-                .iter()
-                .map(|v| cluster.task_payload(TaskId(v.id.0 as u64)).unwrap())
-                .collect();
+            for v in phys.vertices() {
+                cluster.task_payload(TaskId(v.id.0 as u64)).unwrap();
+            }
             // A second read finds the frame made by the first.
             let _ = cluster.task_payload(TaskId(0));
             let made = measured.borrow().payloads_materialised;
             assert_eq!(made, phys.len() as u64, "{query}: each frame made once");
-
-            let mut cold = GraphExecutor::new(phys.clone(), db.tables().clone());
-            let measured = cold.stats();
-            for v in phys.topo_order().unwrap() {
-                let producers: BTreeSet<u32> = phys.in_edges(v).iter().map(|e| e.from.0).collect();
-                let fed: Vec<(TaskId, Payload)> = producers
-                    .iter()
-                    .map(|&p| (TaskId(p as u64), Payload::from(stored[p as usize].to_vec())))
-                    .collect();
-                let consumers: BTreeMap<TaskId, EdgeSize> = phys
-                    .out_edges(v)
-                    .iter()
-                    .map(|e| {
-                        (
-                            TaskId(e.to.0 as u64),
-                            EdgeSize {
-                                bytes: e.bytes,
-                                rows: 0,
-                            },
-                        )
-                    })
-                    .collect();
-                let ready = ReadyTask {
-                    task: TaskId(v.0 as u64),
-                    inputs: fed.iter().map(|(p, payload)| (*p, payload)).collect(),
-                    consumers: consumers.into_iter().collect(),
-                    output_bytes: phys.vertex(v).output_bytes,
-                    link_bps: LinkParams::default().nic_bandwidth_bps,
-                };
-                let out = cold.execute(&ready).unwrap();
-                assert_eq!(out.bytes(), stored[v.0 as usize], "{query}: task {v}");
-                // Lengths and what each consumer reads included.
-                let warm_out = cluster.task_output(TaskId(v.0 as u64)).unwrap();
-                assert_eq!(&out, warm_out, "{query}: task {v}");
-            }
-            let cold = measured.borrow();
-            assert_eq!(cold.payload_decodes, edges(false).len() as u64, "{query}");
-            // Each shuffle producer divides its output once when it runs,
-            // and each consumer fed bytes alone divides what it decoded.
-            let passes = shuffled.len() + edges(true).len();
-            assert_eq!(cold.partition_passes, passes as u64, "{query}");
-            assert_eq!(cold.edge_rows, warm.edge_rows, "{query}");
-            assert_eq!(cold.shuffle_rows, warm.shuffle_rows, "{query}");
         }
     }
 }
@@ -1416,7 +1358,7 @@ fn benchmark_db() -> MemDb {
 
 /// The data plane's counts repeat exactly. Over the benchmark's five
 /// templates at parallelism 4 on the fabric's NIC, no output is
-/// compressed, decoded or made into bytes — calm, and under a
+/// compressed or made into bytes — calm, and under a
 /// kill-and-recover of a server in every FT mode, the answer unchanged.
 /// In a stateless deployment every output is written to the durable
 /// store at 100 MiB/s, where compressing pays: the same outputs compress
@@ -1432,11 +1374,7 @@ fn payload_counts_repeat_calm_and_under_chaos() {
     );
     let counts = |run: &skadi::DistributedRun| {
         let d = &run.data_plane;
-        (
-            d.compressed_outputs,
-            d.payload_decodes,
-            d.payloads_materialised,
-        )
+        (d.compressed_outputs, d.payloads_materialised)
     };
     let (mut durable_compressed, mut hit) = (0, false);
     for (query, _, _) in BENCHMARK_TEMPLATES {
@@ -1454,8 +1392,8 @@ fn payload_counts_repeat_calm_and_under_chaos() {
             let stormy = session
                 .sql_distributed_with_failures(&db, query, &plan)
                 .unwrap();
-            assert_eq!(counts(&calm), (0, 0, 0), "{query} under {ft:?}");
-            assert_eq!(counts(&stormy), (0, 0, 0), "{query} under {ft:?}, stormy");
+            assert_eq!(counts(&calm), (0, 0), "{query} under {ft:?}");
+            assert_eq!(counts(&stormy), (0, 0), "{query} under {ft:?}, stormy");
             assert_identical(&db, query, &stormy, &format!("chaos under {ft:?}"));
             hit |= stormy.report.stats.makespan != calm.report.stats.makespan;
         }
@@ -1588,13 +1526,9 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
             .unwrap();
         let counts = || {
             let m = measured.borrow();
-            (
-                m.compressed_outputs,
-                m.payload_decodes,
-                m.payloads_materialised,
-            )
+            (m.compressed_outputs, m.payloads_materialised)
         };
-        assert_eq!(counts(), (0, 0, 0), "{query}: bytes made before a read");
+        assert_eq!(counts(), (0, 0), "{query}: bytes made before a read");
 
         for v in phys.vertices() {
             let payload = cluster.task_payload(TaskId(v.id.0 as u64)).unwrap();
@@ -1637,7 +1571,7 @@ fn benchmark_templates_store_only_what_the_answer_reads() {
                 );
             }
         }
-        let made = (0, 0, phys.len() as u64);
+        let made = (0, phys.len() as u64);
         assert_eq!(counts(), made, "{query}: each read payload made once");
 
         let session = |optimizer: bool| {

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: declarations in, measured execution
 //! out, across every tier of the stack.
 
-use skadi::pipeline::fig1_pipeline;
 use skadi::prelude::*;
+use skadi_bench::fixtures::{fig1_pipeline, MapReduceJob, TrainingPipeline};
 
 fn session() -> Session {
     Session::builder()
@@ -27,19 +27,19 @@ fn sql_through_the_whole_stack() {
 }
 
 #[test]
-fn all_four_frontends_share_one_runtime() {
+fn sql_and_the_mapreduce_and_ml_fixture_graphs_share_one_runtime() {
     let s = session();
     let sql = s.sql("SELECT user_id FROM events").unwrap();
-    let mr = s
-        .mapreduce(&MapReduceJob::new("logs", 1 << 18, 16 << 20, "key"))
+    let (mr, _) = MapReduceJob::new("logs", 1 << 18, 16 << 20, "key")
+        .to_flowgraph()
         .unwrap();
-    let ml = s
-        .train(&TrainingPipeline::new("data", 1 << 12, 1 << 20, 1 << 18).steps(2))
+    let mr = s.run_graph("mapreduce", mr, "dp").unwrap();
+    let (ml, _) = TrainingPipeline::new("data", 1 << 12, 1 << 20, 1 << 18)
+        .steps(2)
+        .to_flowgraph()
         .unwrap();
-    let gr = s
-        .vertex_program(&VertexProgram::pagerank("g", 10_000, 100_000, 3))
-        .unwrap();
-    for r in [&sql, &mr, &ml, &gr] {
+    let ml = s.run_graph("train", ml, "ml").unwrap();
+    for r in [&sql, &mr, &ml] {
         assert!(r.stats.finished > 0, "{}", r.name);
         assert_eq!(r.stats.abandoned, 0, "{}", r.name);
     }

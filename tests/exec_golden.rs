@@ -307,6 +307,56 @@ fn group_by_orders_groups_by_first_appearance() {
     assert_eq!(rows(&out), want);
 }
 
+/// An aggregate answers its select list in that list's order, and a
+/// GROUP BY key the list leaves out is not answered; ORDER BY names an
+/// output column.
+#[test]
+fn an_aggregate_answers_its_select_list_in_order() {
+    let db = golden_db();
+    let names = |b: &RecordBatch| -> Vec<String> {
+        b.schema().fields().iter().map(|f| f.name.clone()).collect()
+    };
+    let out = db
+        .query("SELECT count(*) AS n, k FROM marks GROUP BY k")
+        .unwrap();
+    assert_eq!(names(&out), ["n", "k"]);
+    let want = [(3, 9), (3, 10), (2, 2)].map(|(n, k)| vec![Value::I64(n), Value::I64(k)]);
+    assert_eq!(rows(&out), want);
+
+    let out = db
+        .query("SELECT sum(v) AS t FROM marks GROUP BY k")
+        .unwrap();
+    assert_eq!(names(&out), ["t"]);
+    assert_eq!(rows(&out), [69.0, 146.0, 40.0].map(|t| vec![Value::F64(t)]));
+
+    // Six (s, k) groups, answered by k alone, in first-appearance order.
+    let out = db
+        .query("SELECT k, count(*) AS n FROM marks GROUP BY s, k")
+        .unwrap();
+    assert_eq!(names(&out), ["k", "n"]);
+    let want = [(9, 1), (10, 2), (9, 2), (2, 1), (10, 1), (2, 1)]
+        .map(|(k, n)| vec![Value::I64(k), Value::I64(n)]);
+    assert_eq!(rows(&out), want);
+
+    let out = db
+        .query("SELECT sum(v) AS t, s FROM marks GROUP BY k, s ORDER BY t DESC LIMIT 2")
+        .unwrap();
+    assert_eq!(names(&out), ["t", "s"]);
+    let want = vec![
+        vec![Value::F64(130.0), Value::Null],
+        vec![Value::F64(68.0), Value::Str("a\u{0}".into())],
+    ];
+    assert_eq!(rows(&out), want);
+
+    let err = db
+        .query("SELECT sum(v) AS t FROM marks GROUP BY k ORDER BY k")
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "planning error: ORDER BY column \"k\" is not an output column"
+    );
+}
+
 #[test]
 fn int_aggregates_are_int64_typed() {
     let out = golden_db()

@@ -329,7 +329,7 @@ fn table() -> Vec<String> {
         .catalog(Catalog::demo())
         .runtime(RuntimeConfig::serverful())
         .build();
-    let (fig1, _) = skadi::pipeline::fig1_pipeline(&session, 1)
+    let (fig1, _) = skadi_bench::fixtures::fig1_pipeline(&session, 1)
         .unwrap()
         .compile()
         .unwrap();

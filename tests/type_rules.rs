@@ -110,6 +110,16 @@ fn statements() -> Vec<(String, bool)> {
                 format!("SELECT g, {f}(x) AS a FROM {table} GROUP BY g"),
                 fits,
             ));
+            // The answer is the select list in its own order, a key it
+            // leaves out dropped; ORDER BY names an output column.
+            out.push((
+                format!("SELECT {f}(x) AS a, g FROM {table} GROUP BY g ORDER BY g"),
+                fits,
+            ));
+            out.push((
+                format!("SELECT {f}(x) AS a FROM {table} GROUP BY g ORDER BY a DESC"),
+                fits,
+            ));
         }
     }
     // Join keys share a logical type, or are Int64 against Float64.
@@ -130,6 +140,9 @@ fn statements() -> Vec<(String, bool)> {
             format!("SELECT * FROM {table} GROUP BY g"),
             format!("SELECT x, count(x) AS n FROM {table}"),
             format!("SELECT nope, count(*) AS n FROM {table} GROUP BY g"),
+            // ORDER BY may name only an output column.
+            format!("SELECT count(x) AS n FROM {table} GROUP BY g ORDER BY g"),
+            format!("SELECT g FROM {table} ORDER BY x LIMIT 2"),
         ] {
             out.push((sql, false));
         }
@@ -175,9 +188,9 @@ fn type_rules_agree_on_every_engine() {
             Err(e) => panic!("{sql}: not a planning error: {e:?}"),
         }
     }
-    // Comparisons 36 + 54, aggregates 26 + 24, joins 9 + 16, aggregate
-    // select lists 0 + 30.
-    assert_eq!((accepted, rejected), (71, 124));
+    // Comparisons 36 + 54, aggregates 52 + 48, joins 9 + 16, aggregate
+    // select lists and ORDER BY names 0 + 40.
+    assert_eq!((accepted, rejected), (97, 158));
 }
 
 /// The texts name what is wrong: the column and its type, the aggregate
@@ -221,6 +234,10 @@ fn type_errors_say_what_does_not_fit() {
         (
             "SELECT nope, count(*) AS n FROM dict GROUP BY g",
             "unknown column \"nope\"",
+        ),
+        (
+            "SELECT count(x) AS n FROM utf8 GROUP BY g ORDER BY g",
+            "ORDER BY column \"g\" is not an output column",
         ),
     ] {
         let want = SqlError::Plan(text.to_string());
